@@ -11,15 +11,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ZERO, Endomorphism, FrameVector, OneForm, Scalar, TwoForm
+from .core import (
+    ZERO,
+    Endomorphism,
+    FrameVector,
+    NonzeroIndexed,
+    OneForm,
+    Scalar,
+    TwoForm,
+    nest,
+)
 from .model import ManifoldModel
 
 HALF = Fraction(1, 2)
 
 
 @dataclass(frozen=True)
-class ConnectionCoeffs:
+class ConnectionCoeffs(NonzeroIndexed):
     """gamma[i][j][k] = g(nabla_{e_i} e_j, e_k); metric-compatible and torsion-free."""
+
+    _TABLE = "gamma"
 
     dim: int
     gamma: tuple[tuple[tuple[Scalar, ...], ...], ...]
@@ -35,31 +46,34 @@ class ConnectionCoeffs:
 def levi_civita(m: ManifoldModel) -> ConnectionCoeffs:
     """Koszul formula on an orthonormal invariant frame.
 
-    gamma[i][j][k] = (c[i][j][k] + c[k][i][j] - c[j][k][i]) / 2.
+    gamma[i][j][k] = (c[i][j][k] + c[k][i][j] - c[j][k][i]) / 2,
+    accumulated from the nonzero structure constants only.
     """
     d = m.dim
-    c = m.constants.coeff
-    table = tuple(tuple(tuple(HALF * (c(i, j, k) + c(k, i, j) - c(j, k, i))
-                              for k in range(d))
-                        for j in range(d))
-                  for i in range(d))
-    return ConnectionCoeffs(d, table)
+    flat = [ZERO] * d ** 3
+    for a, plane in enumerate(m.constants.nonzero):
+        for b, row in enumerate(plane):
+            for e, value in row:
+                half = HALF * value
+                flat[(a * d + b) * d + e] += half
+                flat[(b * d + e) * d + a] += half
+                flat[(e * d + a) * d + b] -= half
+    return ConnectionCoeffs(d, nest(flat, d, 3))
 
 
 def cov_deriv_vector(conn: ConnectionCoeffs, x: FrameVector,
                      y: FrameVector) -> FrameVector:
     """nabla_x y for invariant fields: the bilinear extension of gamma."""
     out = [ZERO] * conn.dim
-    for i, xi in enumerate(x.coefficients):
+    ys = y.coefficients
+    for xi, plane in zip(x.coefficients, conn.nonzero):
         if not xi:
             continue
-        for j, yj in enumerate(y.coefficients):
-            if not yj:
-                continue
-            row = conn.gamma[i][j]
-            for k in range(conn.dim):
-                if row[k]:
-                    out[k] += xi * yj * row[k]
+        for yj, row in zip(ys, plane):
+            if yj and row:
+                factor = xi * yj
+                for k, g in row:
+                    out[k] += factor * g
     return FrameVector(tuple(out))
 
 
@@ -92,11 +106,17 @@ def sigma_form(m: ManifoldModel, conn: ConnectionCoeffs) -> OneForm:
 
 def exterior_d_oneform(m: ManifoldModel, w: OneForm) -> TwoForm:
     """d of an invariant 1-form: dw(e_i, e_j) = -(1/2) w([e_i, e_j])."""
-    d = m.dim
-    entries = tuple(tuple(-HALF * w.value(m.constants.bracket_basis(i, j))
-                          for j in range(d))
-                    for i in range(d))
-    return TwoForm(entries)
+    ws = w.coefficients
+
+    def entry(bracket_row) -> Scalar:
+        total = ZERO
+        for k, value in bracket_row:
+            if ws[k]:
+                total += ws[k] * value
+        return -HALF * total if total else ZERO
+
+    return TwoForm(tuple(tuple(entry(row) for row in plane)
+                         for plane in m.constants.nonzero))
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
@@ -107,7 +127,14 @@ def wedge(a: OneForm, b: OneForm) -> TwoForm:
     contact compatibility du(X, Y) = g(X, GY) with vanishing sigma.
     """
     ca, cb = a.coefficients, b.coefficients
-    entries = tuple(tuple(HALF * (ca[i] * cb[j] - ca[j] * cb[i])
-                          for j in range(len(cb)))
-                    for i in range(len(ca)))
-    return TwoForm(entries)
+
+    def entry(i: int, j: int) -> Scalar:
+        total = ZERO
+        if ca[i] and cb[j]:
+            total += ca[i] * cb[j]
+        if ca[j] and cb[i]:
+            total -= ca[j] * cb[i]
+        return HALF * total if total else ZERO
+
+    return TwoForm(tuple(tuple(entry(i, j) for j in range(len(cb)))
+                         for i in range(len(ca))))

@@ -12,7 +12,9 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence
 
 Scalar = Fraction
@@ -38,6 +40,42 @@ def _require_same_dim(a: int, b: int) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a} vs {b}")
 
 
+def nonzero_rows(table):
+    """Nonzero index of a nested coefficient table.
+
+    The result has the nesting of `table`, with every innermost row
+    replaced by the tuple of its `(index, value)` pairs whose value is
+    nonzero.  Kernels loop over these pairs, so they never multiply by a
+    stored zero.
+    """
+    if table and isinstance(table[0], tuple):
+        return tuple(nonzero_rows(sub) for sub in table)
+    return tuple((k, a) for k, a in enumerate(table) if a)
+
+
+def nest(flat: list, d: int, depth: int) -> tuple:
+    """Regroup a row-major list of d**depth entries as a nested tuple table."""
+    rows = [tuple(flat[s:s + d]) for s in range(0, len(flat), d)]
+    for _ in range(depth - 2):
+        rows = [tuple(rows[s:s + d]) for s in range(0, len(rows), d)]
+    return tuple(rows)
+
+
+class NonzeroIndexed:
+    """Mixin for frozen coefficient containers: `nonzero` is the
+    `nonzero_rows` index of the table field named by `_TABLE`.
+
+    It is built on first use and cached in the instance dict; it is not a
+    dataclass field, so `==`, `hash` and `repr` are unchanged.
+    """
+
+    _TABLE = "entries"
+
+    @cached_property
+    def nonzero(self):
+        return nonzero_rows(getattr(self, self._TABLE))
+
+
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
 
 
@@ -59,8 +97,10 @@ def format_scalar(value: Scalar) -> str:
 
 
 @dataclass(frozen=True)
-class FrameVector:
+class FrameVector(NonzeroIndexed):
     """Vector as a coefficient tuple over the frame."""
+
+    _TABLE = "coefficients"
 
     coefficients: tuple[Scalar, ...]
 
@@ -87,27 +127,52 @@ class FrameVector:
 
     def __add__(self, other: FrameVector) -> FrameVector:
         _require_same_dim(self.dim, other.dim)
-        return FrameVector(tuple(a + b for a, b in zip(self.coefficients, other.coefficients)))
+        return FrameVector(_add_rows(self.coefficients, other.coefficients))
 
     def __sub__(self, other: FrameVector) -> FrameVector:
         _require_same_dim(self.dim, other.dim)
-        return FrameVector(tuple(a - b for a, b in zip(self.coefficients, other.coefficients)))
+        return FrameVector(_sub_rows(self.coefficients, other.coefficients))
 
     def __neg__(self) -> FrameVector:
-        return FrameVector(tuple(-a for a in self.coefficients))
+        return FrameVector(_neg_row(self.coefficients))
 
     def scale(self, factor: Scalar | int) -> FrameVector:
-        f = Fraction(factor)
-        return FrameVector(tuple(f * a for a in self.coefficients))
+        return FrameVector(_scale_row(Fraction(factor), self.coefficients))
 
     def is_zero(self) -> bool:
         return not any(self.coefficients)
 
 
+def _add_rows(xs: tuple[Scalar, ...], ys: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+    return tuple((a + b if b else a) if a else b for a, b in zip(xs, ys))
+
+
+def _sub_rows(xs: tuple[Scalar, ...], ys: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+    return tuple((a - b if b else a) if a else (-b if b else b) for a, b in zip(xs, ys))
+
+
+def _neg_row(xs: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+    return tuple(-a if a else a for a in xs)
+
+
+def _scale_row(f: Scalar, xs: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
+    if not f:
+        return (ZERO,) * len(xs)
+    return tuple(f * a if a else a for a in xs)
+
+
+def _dot(xs: tuple[Scalar, ...], ys: tuple[Scalar, ...]) -> Scalar:
+    total = ZERO
+    for a, b in zip(xs, ys):
+        if a and b:
+            total += a * b
+    return total
+
+
 def inner_product(x: FrameVector, y: FrameVector) -> Scalar:
     """Metric pairing; the frame is orthonormal so this is the dot product."""
     _require_same_dim(x.dim, y.dim)
-    return sum((a * b for a, b in zip(x.coefficients, y.coefficients)), ZERO)
+    return _dot(x.coefficients, y.coefficients)
 
 
 def vector_combine(coeff_pairs: Sequence[tuple[Scalar | int, FrameVector]]) -> FrameVector:
@@ -167,45 +232,46 @@ class Endomorphism:
         """The image A(e_i)."""
         return FrameVector(tuple(row[i] for row in self.entries))
 
+    @cached_property
+    def nonzero(self):
+        """Column index, cached like NonzeroIndexed.nonzero: nonzero[i]
+        holds the nonzero (k, value) pairs of the image A(e_i)."""
+        return nonzero_rows(self.transpose().entries)
+
+    def _image(self, pairs) -> list[Scalar]:
+        out = [ZERO] * self.dim
+        columns = self.nonzero
+        for i, xi in pairs:
+            for k, a in columns[i]:
+                out[k] += a * xi
+        return out
+
     def apply(self, x: FrameVector) -> FrameVector:
         _require_same_dim(self.dim, x.dim)
-        out = [ZERO] * self.dim
-        for i, xi in enumerate(x.coefficients):
-            if not xi:
-                continue
-            for k in range(self.dim):
-                a = self.entries[k][i]
-                if a:
-                    out[k] += a * xi
-        return FrameVector(tuple(out))
+        return FrameVector(tuple(self._image(x.nonzero)))
 
     def compose(self, other: Endomorphism) -> Endomorphism:
         """Matrix product self @ other, i.e. x -> self(other(x))."""
         _require_same_dim(self.dim, other.dim)
-        d = self.dim
-        rows = [[ZERO] * d for _ in range(d)]
-        for k in range(d):
-            for i in range(d):
-                rows[k][i] = sum((self.entries[k][m] * other.entries[m][i]
-                                  for m in range(d)), ZERO)
-        return Endomorphism(tuple(tuple(row) for row in rows))
+        columns = [self._image(column) for column in other.nonzero]
+        return Endomorphism(tuple(zip(*columns)))
 
     def __add__(self, other: Endomorphism) -> Endomorphism:
         _require_same_dim(self.dim, other.dim)
-        return Endomorphism(tuple(tuple(a + b for a, b in zip(ra, rb))
+        return Endomorphism(tuple(_add_rows(ra, rb)
                                   for ra, rb in zip(self.entries, other.entries)))
 
     def __sub__(self, other: Endomorphism) -> Endomorphism:
         _require_same_dim(self.dim, other.dim)
-        return Endomorphism(tuple(tuple(a - b for a, b in zip(ra, rb))
+        return Endomorphism(tuple(_sub_rows(ra, rb)
                                   for ra, rb in zip(self.entries, other.entries)))
 
     def __neg__(self) -> Endomorphism:
-        return Endomorphism(tuple(tuple(-a for a in row) for row in self.entries))
+        return Endomorphism(tuple(_neg_row(row) for row in self.entries))
 
     def scale(self, factor: Scalar | int) -> Endomorphism:
         f = Fraction(factor)
-        return Endomorphism(tuple(tuple(f * a for a in row) for row in self.entries))
+        return Endomorphism(tuple(_scale_row(f, row) for row in self.entries))
 
     def transpose(self) -> Endomorphism:
         d = self.dim
@@ -219,8 +285,7 @@ class Endomorphism:
 def outer(vec: FrameVector, form: OneForm) -> Endomorphism:
     """Rank-one map x -> form(x) * vec."""
     _require_same_dim(vec.dim, form.dim)
-    return Endomorphism(tuple(tuple(vec[k] * form.coefficients[i] for i in range(vec.dim))
-                              for k in range(vec.dim)))
+    return Endomorphism(tuple(_scale_row(a, form.coefficients) for a in vec.coefficients))
 
 
 @dataclass(frozen=True)
@@ -246,14 +311,28 @@ class OneForm:
 
     def value(self, x: FrameVector) -> Scalar:
         _require_same_dim(self.dim, x.dim)
-        return sum((w * a for w, a in zip(self.coefficients, x.coefficients)), ZERO)
+        return _dot(self.coefficients, x.coefficients)
 
     def is_zero(self) -> bool:
         return not any(self.coefficients)
 
 
+def bilinear_value(rows, x: FrameVector, y: FrameVector) -> Scalar:
+    """sum x_i y_j a_ij over the `(j, a_ij)` nonzero rows of a square table."""
+    ys = y.coefficients
+    total = ZERO
+    for xi, row in zip(x.coefficients, rows):
+        if not xi:
+            continue
+        for j, a in row:
+            yj = ys[j]
+            if yj:
+                total += xi * yj * a
+    return total
+
+
 @dataclass(frozen=True)
-class TwoForm:
+class TwoForm(NonzeroIndexed):
     """Antisymmetric bilinear form; entries[i][j] is the value on (e_i, e_j)."""
 
     entries: tuple[tuple[Scalar, ...], ...]
@@ -278,22 +357,14 @@ class TwoForm:
     def value(self, x: FrameVector, y: FrameVector) -> Scalar:
         _require_same_dim(self.dim, x.dim)
         _require_same_dim(self.dim, y.dim)
-        total = ZERO
-        for i, xi in enumerate(x.coefficients):
-            if not xi:
-                continue
-            row = self.entries[i]
-            for j, yj in enumerate(y.coefficients):
-                if yj and row[j]:
-                    total += xi * yj * row[j]
-        return total
+        return bilinear_value(self.nonzero, x, y)
 
     def is_zero(self) -> bool:
         return not any(any(row) for row in self.entries)
 
 
 @dataclass(frozen=True)
-class Tensor4:
+class Tensor4(NonzeroIndexed):
     """Dense 4-index coefficient array; no symmetry is imposed here."""
 
     entries: tuple[tuple[tuple[tuple[Scalar, ...], ...], ...], ...]
@@ -326,21 +397,34 @@ class Tensor4:
         """Quadrilinear evaluation on four frame vectors."""
         for v in (x, y, z, w):
             _require_same_dim(self.dim, v.dim)
+        ws = w.coefficients
         total = ZERO
-        for i, xi in enumerate(x.coefficients):
-            if not xi:
+        for (i, xi), (j, yj), (k, zk) in product(x.nonzero, y.nonzero, z.nonzero):
+            row = self.nonzero[i][j][k]
+            if not row:
                 continue
-            for j, yj in enumerate(y.coefficients):
-                if not yj:
-                    continue
-                for k, zk in enumerate(z.coefficients):
-                    if not zk:
-                        continue
-                    row = self.entries[i][j][k]
-                    for el, wl in enumerate(w.coefficients):
-                        if wl and row[el]:
-                            total += xi * yj * zk * wl * row[el]
+            part = ZERO
+            for el, a in row:
+                wl = ws[el]
+                if wl:
+                    part += wl * a
+            if part:
+                total += xi * yj * zk * part
         return total
+
+    def contract3(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
+        """Trilinear contraction of the first three slots: the vector whose
+        e_el component is contract(x, y, z, e_el)."""
+        for v in (x, y, z):
+            _require_same_dim(self.dim, v.dim)
+        out = [ZERO] * self.dim
+        for (i, xi), (j, yj), (k, zk) in product(x.nonzero, y.nonzero, z.nonzero):
+            row = self.nonzero[i][j][k]
+            if row:
+                factor = xi * yj * zk
+                for el, a in row:
+                    out[el] += factor * a
+        return FrameVector(tuple(out))
 
 
 def format_sparse_vector(x: FrameVector) -> str:

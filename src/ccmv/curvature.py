@@ -15,9 +15,12 @@ from .core import (
     DimensionMismatch,
     Endomorphism,
     FrameVector,
+    NonzeroIndexed,
     Scalar,
     Tensor4,
+    bilinear_value,
     inner_product,
+    nest,
 )
 from .connection import ConnectionCoeffs
 from .model import ManifoldModel
@@ -50,7 +53,7 @@ class CurvTensor:
 
 
 @dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(NonzeroIndexed):
     """Symmetric bilinear form over the frame."""
 
     entries: tuple[tuple[Scalar, ...], ...]
@@ -72,32 +75,46 @@ class BilinearForm:
         return self.entries[i][j]
 
     def value(self, x: FrameVector, y: FrameVector) -> Scalar:
-        total = ZERO
-        for i, xi in enumerate(x.coefficients):
-            if not xi:
-                continue
-            row = self.entries[i]
-            for j, yj in enumerate(y.coefficients):
-                if yj and row[j]:
-                    total += xi * yj * row[j]
-        return total
+        return bilinear_value(self.nonzero, x, y)
+
+
+def _rows_through(gamma_rows) -> list[list[tuple[int, int, Scalar]]]:
+    """through[p] lists (i, el, g) for every nonzero gamma[i][p][el] = g."""
+    through: list[list[tuple[int, int, Scalar]]] = [[] for _ in gamma_rows]
+    for i, plane in enumerate(gamma_rows):
+        for p, row in enumerate(plane):
+            through[p].extend((i, el, g) for el, g in row)
+    return through
 
 
 def riemann(m: ManifoldModel, conn: ConnectionCoeffs) -> CurvTensor:
-    """Assemble the lowered curvature tensor from the connection table."""
+    """Assemble the lowered curvature tensor from the connection table:
+
+        R[i][j][k][el] = sum_p gamma[j][k][p] gamma[i][p][el]
+                         - gamma[i][k][p] gamma[j][p][el] - c[i][j][p] gamma[p][k][el],
+
+    accumulated over the nonzero connection rows and brackets only.
+    """
     d = m.dim
-    gamma = conn.gamma
-    c = m.constants.c
-
-    def component(i: int, j: int, k: int, el: int) -> Scalar:
-        total = ZERO
-        for mm in range(d):
-            total += gamma[j][k][mm] * gamma[i][mm][el]
-            total -= gamma[i][k][mm] * gamma[j][mm][el]
-            total -= c[i][j][mm] * gamma[mm][k][el]
-        return total
-
-    return CurvTensor(Tensor4.from_function(d, component))
+    gamma = conn.nonzero
+    through = _rows_through(gamma)
+    flat = [ZERO] * d ** 4
+    # gamma[a][k][p] * gamma[b][p][el] is the first term of R[b][a][k][el]
+    # and minus the second term of R[a][b][k][el].
+    for a, plane in enumerate(gamma):
+        for k, row in enumerate(plane):
+            for p, g in row:
+                for b, el, h in through[p]:
+                    term = g * h
+                    flat[((b * d + a) * d + k) * d + el] += term
+                    flat[((a * d + b) * d + k) * d + el] -= term
+    for i, plane in enumerate(m.constants.nonzero):
+        for j, row in enumerate(plane):
+            for p, c in row:
+                for k, krow in enumerate(gamma[p]):
+                    for el, g in krow:
+                        flat[((i * d + j) * d + k) * d + el] -= c * g
+    return CurvTensor(Tensor4(nest(flat, d, 4)))
 
 
 def curvature_value(rt: CurvTensor, x: FrameVector, y: FrameVector,
@@ -109,10 +126,14 @@ def curvature_value(rt: CurvTensor, x: FrameVector, y: FrameVector,
 def ricci(m: ManifoldModel, rt: CurvTensor) -> BilinearForm:
     """Frame trace rho(e_j, e_k) = sum_a R(e_a, e_j, e_k, e_a)."""
     d = m.dim
-    entries = tuple(tuple(sum((rt.entry(a, j, k, a) for a in range(d)), ZERO)
-                          for k in range(d))
-                    for j in range(d))
-    return BilinearForm(entries)
+    acc = [[ZERO] * d for _ in range(d)]
+    for a, block in enumerate(rt.r.nonzero):
+        for j, plane in enumerate(block):
+            for k, row in enumerate(plane):
+                for el, value in row:
+                    if el == a:
+                        acc[j][k] += value
+    return BilinearForm(tuple(tuple(row) for row in acc))
 
 
 def ricci_operator(rho: BilinearForm) -> Endomorphism:
@@ -165,32 +186,50 @@ def second_bianchi_cyclic_sum(m: ManifoldModel, conn: ConnectionCoeffs,
 
 def second_bianchi_failures(m: ManifoldModel, conn: ConnectionCoeffs,
                             rt: CurvTensor) -> tuple[int, ...] | None:
-    """First (m, i, j, k, l) tuple violating the differential Bianchi
-    identity, or None.  Exhaustive sweep of all index tuples, accelerated
-    with sparse connection rows; agrees with second_bianchi_cyclic_sum
-    tuple by tuple."""
+    """First (m, i, j, k, l) tuple, in `itertools.product` order, violating
+    the differential Bianchi identity, or None.
+
+    Streams one (m, i, j) slab of the cyclic sum at a time, accumulating
+    its (k, l) entries from the nonzero connection and curvature rows only,
+    and returns at the first slab with a nonzero entry.  Agrees with
+    second_bianchi_cyclic_sum tuple by tuple.
+    """
     d = m.dim
-    entry = rt.r.entry
-    gamma = conn.gamma
-    rows = [[[(p, gamma[s][a][p]) for p in range(d) if gamma[s][a][p]]
-             for a in range(d)] for s in range(d)]
+    gamma = conn.nonzero
+    r = rt.r.nonzero
+    # into[s][p] lists (e, q) for every nonzero gamma[s][e][p] = q
+    into: list[list[list[tuple[int, Scalar]]]] = [[[] for _ in range(d)] for _ in range(d)]
+    for s, plane in enumerate(gamma):
+        for e, row in enumerate(plane):
+            for p, q in row:
+                into[s][p].append((e, q))
 
-    def nabla_r(s: int, a: int, b: int, cc: int, dd: int) -> Scalar:
-        total = ZERO
-        for p, q in rows[s][a]:
-            total -= q * entry(p, b, cc, dd)
-        for p, q in rows[s][b]:
-            total -= q * entry(a, p, cc, dd)
-        for p, q in rows[s][cc]:
-            total -= q * entry(a, b, p, dd)
-        for p, q in rows[s][dd]:
-            total -= q * entry(a, b, cc, p)
-        return total
+    def add_nabla_r(slab: dict[int, Scalar], s: int, a: int, b: int) -> None:
+        """slab[k*d + l] += (nabla_{e_s} R)(e_a, e_b, e_k, e_l) for all k, l:
+        minus the four gamma contractions, one per slot of R."""
+        terms = []
+        for p, q in gamma[s][a]:
+            terms.extend((k * d + el, q * v)
+                         for k, row in enumerate(r[p][b]) for el, v in row)
+        for p, q in gamma[s][b]:
+            terms.extend((k * d + el, q * v)
+                         for k, row in enumerate(r[a][p]) for el, v in row)
+        plane = r[a][b]
+        for k, krow in enumerate(gamma[s]):
+            terms.extend((k * d + el, q * v) for p, q in krow for el, v in plane[p])
+        for k, row in enumerate(plane):
+            terms.extend((k * d + el, q * v) for p, v in row for el, q in into[s][p])
+        for key, term in terms:
+            slab[key] = slab.get(key, ZERO) - term
 
-    for mm, i, j, k, el in product(range(d), repeat=5):
-        total = (nabla_r(mm, i, j, k, el) + nabla_r(i, j, mm, k, el)
-                 + nabla_r(j, mm, i, k, el))
-        if total:
+    for mm, i, j in product(range(d), repeat=3):
+        slab: dict[int, Scalar] = {}
+        add_nabla_r(slab, mm, i, j)
+        add_nabla_r(slab, i, j, mm)
+        add_nabla_r(slab, j, mm, i)
+        failing = [key for key, total in slab.items() if total]
+        if failing:
+            k, el = divmod(min(failing), d)
             return (mm, i, j, k, el)
     return None
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 
 from .core import (
     ZERO,
     Endomorphism,
     FrameVector,
+    NonzeroIndexed,
     OneForm,
     Scalar,
     Status,
@@ -24,6 +26,13 @@ from .core import (
     outer,
     parse_scalar,
 )
+
+
+# Largest accepted `n`.  Curvature is stored as a dense d**4 table with
+# d = 4n + 2, so n = 13 (d = 54, about 8.5 million slots) keeps it under
+# about 10**7 entries; a larger `n` is rejected by the loader before any
+# table is allocated.
+MAX_N = 13
 
 
 class ModelFormatError(ValueError):
@@ -39,8 +48,10 @@ class InvalidModelError(ValueError):
 
 
 @dataclass(frozen=True)
-class StructureConstants:
+class StructureConstants(NonzeroIndexed):
     """Bracket coefficients c[i][j][k]: the e_k component of [e_i, e_j]."""
+
+    _TABLE = "c"
 
     dim: int
     c: tuple[tuple[tuple[Scalar, ...], ...], ...]
@@ -67,16 +78,15 @@ class StructureConstants:
     def bracket(self, x: FrameVector, y: FrameVector) -> FrameVector:
         """Bilinear extension of the bracket to arbitrary frame vectors."""
         out = [ZERO] * self.dim
-        for i, xi in enumerate(x.coefficients):
+        ys = y.coefficients
+        for xi, plane in zip(x.coefficients, self.nonzero):
             if not xi:
                 continue
-            for j, yj in enumerate(y.coefficients):
-                if not yj:
-                    continue
-                row = self.c[i][j]
-                for k in range(self.dim):
-                    if row[k]:
-                        out[k] += xi * yj * row[k]
+            for yj, row in zip(ys, plane):
+                if yj and row:
+                    factor = xi * yj
+                    for k, value in row:
+                        out[k] += factor * value
         return FrameVector(tuple(out))
 
 
@@ -103,19 +113,19 @@ class ManifoldModel:
     def V_index(self) -> int:
         return 4 * self.n + 1
 
-    @property
+    @cached_property
     def U(self) -> FrameVector:
         return FrameVector.basis(self.dim, self.U_index)
 
-    @property
+    @cached_property
     def V(self) -> FrameVector:
         return FrameVector.basis(self.dim, self.V_index)
 
-    @property
+    @cached_property
     def u(self) -> OneForm:
         return OneForm.dual(self.dim, self.U_index)
 
-    @property
+    @cached_property
     def v(self) -> OneForm:
         return OneForm.dual(self.dim, self.V_index)
 
@@ -173,27 +183,43 @@ def _check_matrices(check_id: str,
 
 
 def lie_checks(m: ManifoldModel) -> list[CheckResult]:
-    """Bracket antisymmetry and the Jacobi identity, exhaustively."""
+    """Bracket antisymmetry and the Jacobi identity, exhaustively.
+
+    The Jacobi sum at (i, j, l, k) is
+    sum_m c[i][j][m] c[m][l][k] + c[j][l][m] c[m][i][k] + c[l][i][m] c[m][j][k];
+    it is accumulated from products of nonzero brackets only, and the
+    witness is the first nonzero sum in `itertools.product` order.
+    """
     d = m.dim
-    c = m.constants.coeff
+    c = m.constants.c
     results: list[CheckResult] = []
 
     witness = None
     for i, j, k in product(range(d), repeat=3):
-        if c(i, j, k) != -c(j, i, k):
-            witness = _entry_witness((i, j, k), c(i, j, k), -c(j, i, k))
+        a, b = c[i][j][k], c[j][i][k]
+        if (a or b) and a != -b:
+            witness = _entry_witness((i, j, k), a, -b)
             break
     results.append(CheckResult("LIE-ANTISYM", Status.FAIL if witness else Status.PASS,
                                witness))
 
+    rows = m.constants.nonzero
+    sums: dict[tuple[int, int, int, int], Scalar] = {}
+    for a, plane in enumerate(rows):
+        for b, row in enumerate(plane):
+            for p, first in row:
+                for e, inner in enumerate(rows[p]):
+                    for k, second in inner:
+                        # c[a][b][p] c[p][e][k] is a term of the sums at
+                        # (a, b, e, k), (e, a, b, k) and (b, e, a, k)
+                        term = first * second
+                        for key in ((a, b, e, k), (e, a, b, k), (b, e, a, k)):
+                            sums[key] = sums.get(key, ZERO) + term
+    failing = [key for key, total in sums.items() if total]
     witness = None
-    for i, j, el, k in product(range(d), repeat=4):
-        total = sum((c(i, j, mm) * c(mm, el, k)
-                     + c(j, el, mm) * c(mm, i, k)
-                     + c(el, i, mm) * c(mm, j, k) for mm in range(d)), ZERO)
-        if total:
-            witness = _entry_witness((i, j, el, k), total, ZERO)
-            break
+    if failing:
+        first_key = min(failing)
+        witness = _entry_witness(first_key, sums[first_key], ZERO)
     results.append(CheckResult("LIE-JACOBI", Status.FAIL if witness else Status.PASS,
                                witness))
     return results
@@ -330,9 +356,12 @@ def load_model(source: str) -> ManifoldModel:
         if keyword == "n":
             if n_value is not None:
                 raise ModelFormatError(line_no, "duplicate n line")
-            if len(tokens) != 2 or not tokens[1].isdigit() or int(tokens[1]) < 1:
+            digits = tokens[1].lstrip("0") if len(tokens) == 2 else ""
+            if not (digits.isascii() and digits.isdigit()):
                 raise ModelFormatError(line_no, "n takes one positive integer")
-            n_value = int(tokens[1])
+            if len(digits) > len(str(MAX_N)) or int(digits) > MAX_N:
+                raise ModelFormatError(line_no, f"n exceeds the supported maximum {MAX_N}")
+            n_value = int(digits)
             dim = 4 * n_value + 2
             continue
 

@@ -21,15 +21,19 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from typing import Literal
 
 from .core import (
+    Endomorphism,
     FrameVector,
+    OneForm,
     Scalar,
     Status,
     format_scalar,
     format_sparse_vector,
+    TwoForm,
     inner_product,
 )
 from .connection import (
@@ -69,7 +73,9 @@ def nijenhuis(m: ManifoldModel, conn: ConnectionCoeffs, which: Literal["G", "H"]
         raise ValueError(f"Nijenhuis torsion is defined here for G or H, not {which!r}")
 
     def deriv(direction: FrameVector, vec: FrameVector) -> FrameVector:
-        return cov_deriv_endo(conn, direction, a).apply(vec)
+        """(nabla_direction A) vec = nabla_direction(A vec) - A(nabla_direction vec)."""
+        return (cov_deriv_vector(conn, direction, a.apply(vec))
+                - a.apply(cov_deriv_vector(conn, direction, vec)))
 
     return (deriv(a.apply(x), y) - deriv(a.apply(y), x)
             - a.apply(deriv(x, y)) + a.apply(deriv(y, x)))
@@ -78,33 +84,13 @@ def nijenhuis(m: ManifoldModel, conn: ConnectionCoeffs, which: Literal["G", "H"]
 def tensor_S(m: ManifoldModel, conn: ConnectionCoeffs, x: FrameVector,
              y: FrameVector) -> FrameVector:
     """First obstruction tensor, built on the torsion of G."""
-    sigma = sigma_form(m, conn)
-    G, H = m.G, m.H
-    GH = G.compose(H)
-    out = nijenhuis(m, conn, "G", x, y)
-    out = out + m.U.scale(2 * inner_product(x, G.apply(y)))
-    out = out - m.V.scale(2 * inner_product(x, H.apply(y)))
-    out = out + H.apply(x).scale(2 * m.v.value(y)) - H.apply(y).scale(2 * m.v.value(x))
-    out = out + H.apply(x).scale(sigma.value(G.apply(y)))
-    out = out - H.apply(y).scale(sigma.value(G.apply(x)))
-    out = out + GH.apply(y).scale(sigma.value(x)) - GH.apply(x).scale(sigma.value(y))
-    return out
+    return _Derived(m, conn).tensor_S(x, y)
 
 
 def tensor_T(m: ManifoldModel, conn: ConnectionCoeffs, x: FrameVector,
              y: FrameVector) -> FrameVector:
     """Second obstruction tensor, built on the torsion of H."""
-    sigma = sigma_form(m, conn)
-    G, H = m.G, m.H
-    GH = G.compose(H)
-    out = nijenhuis(m, conn, "H", x, y)
-    out = out - m.U.scale(2 * inner_product(x, G.apply(y)))
-    out = out + m.V.scale(2 * inner_product(x, H.apply(y)))
-    out = out + G.apply(x).scale(2 * m.u.value(y)) - G.apply(y).scale(2 * m.u.value(x))
-    out = out + G.apply(y).scale(sigma.value(H.apply(x)))
-    out = out - G.apply(x).scale(sigma.value(H.apply(y)))
-    out = out + GH.apply(y).scale(sigma.value(x)) - GH.apply(x).scale(sigma.value(y))
-    return out
+    return _Derived(m, conn).tensor_T(x, y)
 
 
 @dataclass(frozen=True)
@@ -147,15 +133,56 @@ def _scalar_witness(label: str, slots: tuple[int, ...], lhs: Scalar,
 
 
 class _Derived:
-    """Connection-level quantities shared by the three routes."""
+    """Connection-level quantities shared by the three routes and by the
+    obstruction tensors, each computed on first use."""
 
     def __init__(self, m: ManifoldModel, conn: ConnectionCoeffs):
         self.m = m
         self.conn = conn
-        self.sigma = sigma_form(m, conn)
-        self.dsigma = exterior_d_oneform(m, self.sigma)
-        self.dUV = self.dsigma.value(m.U, m.V)
-        self.nabla_U_J = cov_deriv_endo(conn, m.U, m.J)
+
+    @cached_property
+    def sigma(self) -> OneForm:
+        return sigma_form(self.m, self.conn)
+
+    @cached_property
+    def GH(self) -> Endomorphism:
+        return self.m.G.compose(self.m.H)
+
+    @cached_property
+    def dsigma(self) -> TwoForm:
+        return exterior_d_oneform(self.m, self.sigma)
+
+    @cached_property
+    def dUV(self) -> Scalar:
+        return self.dsigma.value(self.m.U, self.m.V)
+
+    @cached_property
+    def nabla_U_J(self) -> Endomorphism:
+        return cov_deriv_endo(self.conn, self.m.U, self.m.J)
+
+    def tensor_S(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        m, conn, sigma, GH = self.m, self.conn, self.sigma, self.GH
+        G, H = m.G, m.H
+        out = nijenhuis(m, conn, "G", x, y)
+        out = out + m.U.scale(2 * inner_product(x, G.apply(y)))
+        out = out - m.V.scale(2 * inner_product(x, H.apply(y)))
+        out = out + H.apply(x).scale(2 * m.v.value(y)) - H.apply(y).scale(2 * m.v.value(x))
+        out = out + H.apply(x).scale(sigma.value(G.apply(y)))
+        out = out - H.apply(y).scale(sigma.value(G.apply(x)))
+        out = out + GH.apply(y).scale(sigma.value(x)) - GH.apply(x).scale(sigma.value(y))
+        return out
+
+    def tensor_T(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        m, conn, sigma, GH = self.m, self.conn, self.sigma, self.GH
+        G, H = m.G, m.H
+        out = nijenhuis(m, conn, "H", x, y)
+        out = out - m.U.scale(2 * inner_product(x, G.apply(y)))
+        out = out + m.V.scale(2 * inner_product(x, H.apply(y)))
+        out = out + G.apply(x).scale(2 * m.u.value(y)) - G.apply(y).scale(2 * m.u.value(x))
+        out = out + G.apply(y).scale(sigma.value(H.apply(x)))
+        out = out - G.apply(x).scale(sigma.value(H.apply(y)))
+        out = out + GH.apply(y).scale(sigma.value(x)) - GH.apply(x).scale(sigma.value(y))
+        return out
 
     def nabla(self, x: FrameVector, y: FrameVector) -> FrameVector:
         return cov_deriv_vector(self.conn, x, y)
@@ -169,19 +196,19 @@ class _Derived:
 
 def _route_korkmaz(ctx: _Derived, basis_vectors: list[FrameVector],
                    samples: list[tuple[FrameVector, FrameVector]]) -> RouteResult:
-    m, conn = ctx.m, ctx.conn
+    m = ctx.m
     horizontal = list(m.horizontal_indices)
     for i, j in product(horizontal, repeat=2):
-        for label, tensor in (("S", tensor_S), ("T", tensor_T)):
-            value = tensor(m, conn, basis_vectors[i], basis_vectors[j])
+        for label, tensor in (("S", ctx.tensor_S), ("T", ctx.tensor_T)):
+            value = tensor(basis_vectors[i], basis_vectors[j])
             if not value.is_zero():
                 return RouteResult("korkmaz", Status.FAIL,
                                    _vector_witness(label, (i, j), value,
                                                    FrameVector.zero(m.dim)))
     for i in range(m.dim):
-        for label, tensor, vertical in (("S(.,U)", tensor_S, m.U),
-                                        ("T(.,V)", tensor_T, m.V)):
-            value = tensor(m, conn, basis_vectors[i], vertical)
+        for label, tensor, vertical in (("S(.,U)", ctx.tensor_S, m.U),
+                                        ("T(.,V)", ctx.tensor_T, m.V)):
+            value = tensor(basis_vectors[i], vertical)
             if not value.is_zero():
                 slot = (i, m.U_index if label.startswith("S") else m.V_index)
                 return RouteResult("korkmaz", Status.FAIL,
@@ -190,8 +217,8 @@ def _route_korkmaz(ctx: _Derived, basis_vectors: list[FrameVector],
     for index, (x, y) in enumerate(samples):
         x0 = horizontal_projection(m, x)
         y0 = horizontal_projection(m, y)
-        for label, tensor in (("S", tensor_S), ("T", tensor_T)):
-            value = tensor(m, conn, x0, y0)
+        for label, tensor in (("S", ctx.tensor_S), ("T", ctx.tensor_T)):
+            value = tensor(x0, y0)
             if not value.is_zero():
                 return RouteResult("korkmaz", Status.FAIL,
                                    _vector_witness(label, f"sample={index}", value,

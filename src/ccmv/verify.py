@@ -172,24 +172,7 @@ class Workspace:
 
     def R(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """R(x, y) z by trilinear contraction of the stored tensor."""
-        d = self.model.dim
-        out = [ZERO] * d
-        entries = self.curv.r.entries
-        for i, xi in enumerate(x.coefficients):
-            if not xi:
-                continue
-            for j, yj in enumerate(y.coefficients):
-                if not yj:
-                    continue
-                for k, zk in enumerate(z.coefficients):
-                    if not zk:
-                        continue
-                    factor = xi * yj * zk
-                    row = entries[i][j][k]
-                    for el in range(d):
-                        if row[el]:
-                            out[el] += factor * row[el]
-        return FrameVector(tuple(out))
+        return self.curv.r.contract3(x, y, z)
 
     def R4(self, x: FrameVector, y: FrameVector, z: FrameVector,
            w: FrameVector) -> Scalar:

@@ -16,6 +16,7 @@ from ccmv import (
     build_abelian,
     build_heisenberg,
     levi_civita,
+    load_model,
     riemann,
     run_suite,
 )
@@ -65,6 +66,28 @@ def make_nilpotent_model(seed: int) -> ManifoldModel:
     constants = StructureConstants.from_entries(base.dim, entries)
     return ManifoldModel(name=f"nilpotent-{seed}", n=base.n,
                          constants=constants, G=base.G, H=base.H, J=base.J)
+
+
+def make_heisenberg_model(n: int) -> ManifoldModel:
+    """Block-diagonal complex Heisenberg model of dimension 4n + 2.
+
+    n copies of the bundled model's 4-dim horizontal block, every block
+    bracketing into one shared vertical pair U = e_4n, V = e_4n+1; n=1 is
+    the bundled model.
+    """
+    u, v = 4 * n, 4 * n + 1
+    lines = ["version 1", f"name heisenberg-n{n}", f"n {n}"]
+    for o in range(0, 4 * n, 4):
+        lines += [f"bracket {o} {o + 2} {u} -2", f"bracket {o} {o + 3} {v} -2",
+                  f"bracket {o + 1} {o + 2} {v} -2", f"bracket {o + 1} {o + 3} {u} 2",
+                  f"G {o} {o + 2} -1", f"G {o + 1} {o + 3} 1",
+                  f"G {o + 2} {o} 1", f"G {o + 3} {o + 1} -1",
+                  f"H {o} {o + 3} -1", f"H {o + 1} {o + 2} -1",
+                  f"H {o + 2} {o + 1} 1", f"H {o + 3} {o} 1",
+                  f"J {o} {o + 1} -1", f"J {o + 1} {o} 1",
+                  f"J {o + 2} {o + 3} -1", f"J {o + 3} {o + 2} 1"]
+    lines += [f"J {u} {v} -1", f"J {v} {u} 1"]
+    return load_model("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,43 @@
+"""The benchmark's tracer patches named layer calls; keep those names alive.
+
+bench/tracing.py wraps each `(module, attribute)` in LAYER_CALLS with a
+timing span.  A rename in ccmv would silently drop a layer from the
+benchmark's attribution, so tier-1 checks that every name still resolves
+and that a traced suite run records the spans the benchmark pins.
+"""
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+import ccmv
+
+TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+
+
+def _tracing():
+    name = "bench_tracing"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, TRACING)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[name] = module   # dataclasses resolve the module by name
+        spec.loader.exec_module(module)
+    return sys.modules[name]
+
+
+def test_every_layer_call_resolves():
+    for module_name, attr, span_name in _tracing().LAYER_CALLS:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), (module_name, attr, span_name)
+
+
+def test_traced_suite_records_two_lie_check_spans():
+    tracer = _tracing().Tracer()
+    with tracer.installed(), tracer.span("verdict"):
+        ccmv.run_suite(ccmv.build_heisenberg(), "all")
+    assert not tracer.problems(), tracer.problems()
+    names = [s.name for s in tracer.spans]
+    assert names.count("model.lie_checks") == 2, names
+    assert ccmv.verify.riemann is ccmv.curvature.riemann, "tracer left a patch installed"

@@ -266,6 +266,14 @@ class TestErrorPaths:
         assert code == 2
         assert "line 3: bracket 2 0: i must be < j" in err
 
+    def test_huge_n_exits_2_with_a_message(self, capsys, tmp_path):
+        huge = tmp_path / "huge.ccm"
+        huge.write_text("version 1\nn 1000000\n")
+        code, out, err = run_cli(capsys, "verify", str(huge))
+        assert code == 2
+        assert out == ""
+        assert "line 2: n exceeds the supported maximum" in err
+
     def test_non_lie_model_rejected(self, capsys, tmp_path):
         bad = tmp_path / "nonlie.ccm"
         bad.write_text("version 1\nname nonlie\nn 1\n"

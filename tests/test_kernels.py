@@ -1,0 +1,247 @@
+"""The nonzero-driven kernels agree with the dense formulas they replace.
+
+Each reference below is the dense index-range formula, kept here as an
+independent second route: the Jacobi sweep, the curvature assembly, the
+exhaustive second-Bianchi sweep, and the quadrilinear and trilinear
+contractions.  They are compared on the bundled model, generated
+nilpotent perturbations, the n=2 block-diagonal model, and systematic
+mutations of the bundled model.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import product
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ccmv import (
+    HEISENBERG_CCM,
+    CurvTensor,
+    FrameVector,
+    ManifoldModel,
+    Status,
+    StructureConstants,
+    Tensor4,
+    build_heisenberg,
+    format_scalar,
+    levi_civita,
+    lie_checks,
+    load_model,
+    riemann,
+    second_bianchi_cyclic_sum,
+    second_bianchi_failures,
+)
+from ccmv.verify import Workspace
+from conftest import make_heisenberg_model, make_nilpotent_model
+
+ZERO = Fraction(0)
+
+MODELS = {
+    "bundled": build_heisenberg,
+    **{f"nilpotent-{seed}": (lambda seed=seed: make_nilpotent_model(seed))
+       for seed in range(5)},
+    "heisenberg-n2": lambda: make_heisenberg_model(2),
+}
+
+
+# ----- dense reference routes -----
+
+def dense_jacobi_witness(m) -> str | None:
+    d = m.dim
+    c = m.constants.coeff
+    for i, j, el, k in product(range(d), repeat=4):
+        total = sum((c(i, j, mm) * c(mm, el, k)
+                     + c(j, el, mm) * c(mm, i, k)
+                     + c(el, i, mm) * c(mm, j, k) for mm in range(d)), ZERO)
+        if total:
+            return f"entry=({i},{j},{el},{k}) lhs={format_scalar(total)} rhs=0"
+    return None
+
+
+def dense_riemann(m, conn) -> Tensor4:
+    d = m.dim
+    gamma = conn.gamma
+    c = m.constants.c
+
+    def component(i, j, k, el):
+        total = ZERO
+        for mm in range(d):
+            total += gamma[j][k][mm] * gamma[i][mm][el]
+            total -= gamma[i][k][mm] * gamma[j][mm][el]
+            total -= c[i][j][mm] * gamma[mm][k][el]
+        return total
+
+    return Tensor4.from_function(d, component)
+
+
+def dense_cyclic_sum(m, conn, rt, mm, i, j, k, el) -> Fraction:
+    def nabla_r(s, a, b, cc, dd):
+        total = ZERO
+        for p in range(m.dim):
+            total -= conn.gamma[s][a][p] * rt.entry(p, b, cc, dd)
+            total -= conn.gamma[s][b][p] * rt.entry(a, p, cc, dd)
+            total -= conn.gamma[s][cc][p] * rt.entry(a, b, p, dd)
+            total -= conn.gamma[s][dd][p] * rt.entry(a, b, cc, p)
+        return total
+
+    return (nabla_r(mm, i, j, k, el) + nabla_r(i, j, mm, k, el)
+            + nabla_r(j, mm, i, k, el))
+
+
+def dense_bianchi_failure(m, conn, rt) -> tuple[int, ...] | None:
+    """First failing tuple of the exhaustive sweep; the dense formula with
+    the connection read through its zero-free rows only, to stay fast."""
+    d = m.dim
+    r = rt.r.entries
+    rows = [[[(p, conn.gamma[s][a][p]) for p in range(d) if conn.gamma[s][a][p]]
+             for a in range(d)] for s in range(d)]
+
+    def nabla_r(s, a, b, cc, dd):
+        total = ZERO
+        for p, q in rows[s][a]:
+            total -= q * r[p][b][cc][dd]
+        for p, q in rows[s][b]:
+            total -= q * r[a][p][cc][dd]
+        for p, q in rows[s][cc]:
+            total -= q * r[a][b][p][dd]
+        for p, q in rows[s][dd]:
+            total -= q * r[a][b][cc][p]
+        return total
+
+    for mm, i, j, k, el in product(range(d), repeat=5):
+        if (nabla_r(mm, i, j, k, el) + nabla_r(i, j, mm, k, el)
+                + nabla_r(j, mm, i, k, el)):
+            return (mm, i, j, k, el)
+    return None
+
+
+def dense_contract(t: Tensor4, x, y, z, w) -> Fraction:
+    d = t.dim
+    return sum((x[i] * y[j] * z[k] * w[el] * t.entry(i, j, k, el)
+                for i, j, k, el in product(range(d), repeat=4)), ZERO)
+
+
+def dense_contract3(t: Tensor4, x, y, z) -> FrameVector:
+    d = t.dim
+    return FrameVector(tuple(
+        sum((x[i] * y[j] * z[k] * t.entry(i, j, k, el)
+             for i, j, k in product(range(d), repeat=3)), ZERO)
+        for el in range(d)))
+
+
+def _jacobi_witness(m) -> str | None:
+    check = {c.check_id: c for c in lie_checks(m)}["LIE-JACOBI"]
+    assert (check.status is Status.FAIL) == (check.witness is not None)
+    return check.witness
+
+
+# ----- generated models -----
+
+@pytest.fixture(scope="module", params=sorted(MODELS))
+def geometry(request):
+    m = MODELS[request.param]()
+    conn = levi_civita(m)
+    return m, conn, riemann(m, conn)
+
+
+class TestGeneratedModels:
+    def test_jacobi_matches_dense_sweep(self, geometry):
+        m, _, _ = geometry
+        assert _jacobi_witness(m) == dense_jacobi_witness(m)
+
+    def test_riemann_matches_dense_assembly(self, geometry):
+        m, conn, rt = geometry
+        assert rt.r == dense_riemann(m, conn)
+
+    def test_bianchi_sweep_matches_dense_sweep(self, geometry):
+        m, conn, rt = geometry
+        assert second_bianchi_failures(m, conn, rt) == dense_bianchi_failure(m, conn, rt)
+
+
+# ----- mutated models -----
+
+BRACKET_LINES = [line for line in HEISENBERG_CCM.splitlines()
+                 if line.startswith("bracket ")]
+
+
+def _flip_sign(line: str) -> str:
+    *head, value = line.split()
+    return " ".join(head + [value[1:] if value.startswith("-") else f"-{value}"])
+
+
+def _retarget(line: str) -> str:
+    """Send the bracket into the horizontal span: the algebra stops being
+    two-step nilpotent, and the Jacobi identity generally breaks."""
+    keyword, i, j, _, value = line.split()
+    return " ".join([keyword, i, j, str((int(j) + 1) % 4), value])
+
+
+class TestMutatedModels:
+    @pytest.mark.parametrize("line", BRACKET_LINES)
+    def test_sign_flip_gives_the_same_jacobi_witness(self, line):
+        m = load_model(HEISENBERG_CCM.replace(line, _flip_sign(line)))
+        assert _jacobi_witness(m) == dense_jacobi_witness(m)
+
+    def test_retargeted_brackets_give_the_same_jacobi_witness(self):
+        witnesses = []
+        for line in BRACKET_LINES:
+            m = load_model(HEISENBERG_CCM.replace(line, _retarget(line)))
+            witness = _jacobi_witness(m)
+            assert witness == dense_jacobi_witness(m), line
+            witnesses.append(witness)
+        assert sum(w is not None for w in witnesses) >= 2, witnesses
+
+    def test_non_antisymmetric_table_gives_the_same_jacobi_witness(self):
+        base = build_heisenberg()
+        c = [[list(row) for row in plane] for plane in base.constants.c]
+        c[2][0][1] = Fraction(3)           # only one of the pair (0,2), (2,0)
+        raw = StructureConstants(6, tuple(tuple(tuple(r) for r in p) for p in c))
+        m = ManifoldModel("raw", 1, raw, base.G, base.H, base.J)
+        witness = _jacobi_witness(m)
+        assert witness is not None and witness == dense_jacobi_witness(m)
+
+    @pytest.mark.parametrize("where", [(0, 2, 2, 0), (0, 1, 0, 1), (1, 3, 4, 5),
+                                       (4, 5, 4, 5), (5, 4, 0, 1), (3, 3, 2, 0)])
+    def test_bumped_curvature_gives_the_same_bianchi_witness(self, heisenberg,
+                                                             heis_conn, heis_curv, where):
+        def bumped(*idx):
+            return heis_curv.entry(*idx) + (Fraction(1) if idx == where else ZERO)
+
+        bad = CurvTensor(Tensor4.from_function(heisenberg.dim, bumped))
+        found = second_bianchi_failures(heisenberg, heis_conn, bad)
+        assert found is not None
+        assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
+        value = second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *found)
+        assert value != 0
+        assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
+
+
+# ----- contractions on random rational vectors -----
+
+rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+sparse_rationals = st.one_of(st.just(ZERO), rationals)
+vectors6 = st.lists(sparse_rationals, min_size=6, max_size=6).map(
+    lambda cs: FrameVector(tuple(cs)))
+
+
+@pytest.fixture(scope="module")
+def workspace():
+    return Workspace(build_heisenberg())
+
+
+@given(vectors6, vectors6, vectors6, vectors6)
+@settings(max_examples=25, deadline=None)
+def test_contract_matches_dense_sum(x, y, z, w):
+    t = Tensor4.from_function(6, lambda i, j, k, el: Fraction((i - j) * (k - el), el + 1)
+                              if (i + k) % 3 else ZERO)
+    assert t.contract(x, y, z, w) == dense_contract(t, x, y, z, w)
+
+
+@given(vectors6, vectors6, vectors6, vectors6)
+@settings(max_examples=25, deadline=None)
+def test_workspace_contractions_match_dense_sums(workspace, x, y, z, w):
+    r = workspace.curv.r
+    assert workspace.R4(x, y, z, w) == dense_contract(r, x, y, z, w)
+    assert workspace.R(x, y, z) == dense_contract3(r, x, y, z)

@@ -8,6 +8,7 @@ import pytest
 from ccmv.core import ZERO, FrameVector, Status
 from ccmv.model import (
     HEISENBERG_CCM,
+    MAX_N,
     InvalidModelError,
     ManifoldModel,
     ModelFormatError,
@@ -121,6 +122,8 @@ class TestLoadErrors:
         ("version 1\nn 1\nn 1\n", 3, "duplicate n"),
         ("version 1\nn 0\n", 2, "positive integer"),
         ("version 1\nn x\n", 2, "positive integer"),
+        ("version 1\nn \u00b2\n", 2, "positive integer"),
+        ("version 1\nn 1000000\n", 2, "exceeds the supported maximum"),
         ("version 1\nbracket 0 2 4 1\nn 1\n", 2, "n must be declared"),
         ("version 1\nG 0 1 1\nn 1\n", 2, "n must be declared"),
         (MINIMAL + "bracket 0 2 4\n", 4, "bracket takes i j k value"),
@@ -143,6 +146,17 @@ class TestLoadErrors:
         assert err.value.line == line
         assert fragment in str(err.value)
         assert f"line {line}:" in str(err.value)
+
+    def test_huge_n_is_rejected_before_any_table_exists(self):
+        text = "version 1\nn " + "9" * 5000 + "\nbracket 0 1 2 1\n"
+        with pytest.raises(ModelFormatError) as err:
+            load_model(text)
+        assert err.value.line == 2
+        assert f"exceeds the supported maximum {MAX_N}" in str(err.value)
+
+    def test_max_n_bounds_the_dense_curvature_table(self):
+        assert (4 * MAX_N + 2) ** 4 < 10 ** 7 <= (4 * MAX_N + 6) ** 4
+        assert load_model("version 1\nn 3\n").dim == 14
 
     def test_loader_does_not_enforce_jacobi(self):
         # brackets violating Jacobi still load; the gate rejects them later
