@@ -16,15 +16,7 @@ from pathlib import Path
 
 from .connection import ConnectionCoeffs, levi_civita
 from .core import format_scalar, format_sparse_vector
-from .curvature import (
-    CurvTensor,
-    DegeneratePlane,
-    ricci,
-    ricci_operator,
-    riemann,
-    scalar_curvature,
-    sectional,
-)
+from .curvature import CurvTensor, DegeneratePlane, riemann, sectional
 from .model import (
     HEISENBERG_CCM,
     InvalidModelError,
@@ -37,6 +29,7 @@ from .model import (
 from .verify import (
     SELECTORS,
     ExpectedFormatError,
+    Workspace,
     diff_expected,
     diff_text_rows,
     diff_tsv_rows,
@@ -168,28 +161,25 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 
 def _cmd_ricci(args: argparse.Namespace) -> int:
     m = _load_lie(args.model)
-    rt = riemann(m, levi_civita(m))
-    rho = ricci(m, rt)
-    q = ricci_operator(rho)
-    tau = scalar_curvature(rho)
+    ws = Workspace(m)
     rows = []
     for i in range(m.dim):
         for j in range(i, m.dim):
-            value = format_scalar(rho.entry(i, j))
+            value = format_scalar(ws.rho.entry(i, j))
             if args.format == "tsv":
                 rows.append(f"ric\t{i}\t{j}\t{value}")
             else:
                 rows.append(f"ric {i} {j} = {value}")
     for i in range(m.dim):
-        value = format_sparse_vector(q.column(i))
+        value = format_sparse_vector(ws.Q.column(i))
         if args.format == "tsv":
             rows.append(f"Q\t{i}\t{value}")
         else:
             rows.append(f"Q {i} = {value}")
     if args.format == "tsv":
-        rows.append(f"scal\t{format_scalar(tau)}")
+        rows.append(f"scal\t{format_scalar(ws.tau)}")
     else:
-        rows.append(f"scal = {format_scalar(tau)}")
+        rows.append(f"scal = {format_scalar(ws.tau)}")
         rows = [f"# {PROG} ricci model={m.name}"] + rows
     _emit(rows)
     return 0

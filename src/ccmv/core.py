@@ -76,7 +76,16 @@ class NonzeroIndexed:
         return nonzero_rows(getattr(self, self._TABLE))
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z")
+_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z", re.ASCII)
+_INDEX_RE = re.compile(r"-?\d+\Z", re.ASCII)
+
+
+def parse_frame_index(text: str) -> int:
+    """Parse a frame index written in ASCII decimal digits.  A leading minus
+    is accepted so that callers report a negative index as out of range."""
+    if not _INDEX_RE.match(text):
+        raise ValueError(f"not a frame index: {text!r}")
+    return int(text)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -446,7 +455,7 @@ def parse_sparse_vector(text: str, dim: int) -> FrameVector:
             raise ValueError(f"bad sparse vector component: {part!r}")
         coeff = parse_scalar(coeff_text)
         try:
-            idx = int(idx_text)
+            idx = parse_frame_index(idx_text)
         except ValueError:
             raise ValueError(f"bad frame index: {idx_text!r}") from None
         if not 0 <= idx < dim:

@@ -234,12 +234,20 @@ def second_bianchi_failures(m: ManifoldModel, conn: ConnectionCoeffs,
     return None
 
 
+def riemann_symmetry_clauses(rt: CurvTensor, i: int, j: int, k: int,
+                             el: int) -> tuple[tuple[str, Scalar, Scalar], ...]:
+    """The three pair symmetries at one index tuple, as (name, R_ijkl, the
+    entry value the symmetry demands)."""
+    value = rt.entry(i, j, k, el)
+    return (("swap-first-pair", value, -rt.entry(j, i, k, el)),
+            ("swap-second-pair", value, -rt.entry(i, j, el, k)),
+            ("pair-exchange", value, rt.entry(k, el, i, j)))
+
+
 def riemann_symmetry_failures(rt: CurvTensor) -> tuple[int, ...] | None:
-    """First index tuple violating the pair symmetries, or None."""
-    d = rt.dim
-    for i, j, k, el in product(range(d), repeat=4):
-        value = rt.entry(i, j, k, el)
-        if (value != -rt.entry(j, i, k, el) or value != -rt.entry(i, j, el, k)
-                or value != rt.entry(k, el, i, j)):
-            return (i, j, k, el)
+    """First index tuple, in `itertools.product` order, violating the pair
+    symmetries, or None."""
+    for where in product(range(rt.dim), repeat=4):
+        if any(lhs != rhs for _, lhs, rhs in riemann_symmetry_clauses(rt, *where)):
+            return where
     return None

@@ -24,6 +24,7 @@ from .core import (
     Status,
     format_scalar,
     outer,
+    parse_frame_index,
     parse_scalar,
 )
 
@@ -314,7 +315,7 @@ def load_model(source: str) -> ManifoldModel:
 
     def parse_index(token: str, line_no: int) -> int:
         try:
-            value = int(token)
+            value = parse_frame_index(token)
         except ValueError:
             raise ModelFormatError(line_no, f"expected a frame index, got {token!r}")
         if not 0 <= value < dim:

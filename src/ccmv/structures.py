@@ -10,11 +10,13 @@ Normality is decided three independent ways and cross-checked:
 * thm45: the bilinear closed forms of (nabla_X G)Y and (nabla_X H)Y hold
   over all frame pairs.
 
-Routes two and three implement the characterizations in the form that is
-equivalent to the S/T definition (the published displays carry sign and
-term misprints; the identity registry in the verify module keeps the
-as-printed variants under their registry ids, where they FAIL on the
-built-in model).
+Routes two and three use the forms of Prop. 2.1 and Thm. 4.5 that are
+equivalent to the S/T definition.  Their right-hand sides are defined once,
+as methods of ConnectionWorkspace.  The published displays carry sign and
+term misprints; the identity registry in the verify module states each
+as-printed display (EQ-2.4, EQ-2.5, EQ-4.12, EQ-4.13) as the corrected form
+plus a named delta, the literal difference of the printed terms, and those
+with a nonzero delta FAIL on the built-in model.
 """
 from __future__ import annotations
 
@@ -39,9 +41,11 @@ from .core import (
 from .connection import (
     ConnectionCoeffs,
     cov_deriv_endo,
+    cov_deriv_oneform,
     cov_deriv_vector,
     exterior_d_oneform,
     sigma_form,
+    wedge,
 )
 from .model import ManifoldModel
 
@@ -68,29 +72,19 @@ def horizontal_projection(m: ManifoldModel, x: FrameVector) -> FrameVector:
 def nijenhuis(m: ManifoldModel, conn: ConnectionCoeffs, which: Literal["G", "H"],
               x: FrameVector, y: FrameVector) -> FrameVector:
     """Torsion [A,A](X,Y) = (nabla_{AX}A)Y - (nabla_{AY}A)X - A(nabla_X A)Y + A(nabla_Y A)X."""
-    a = {"G": m.G, "H": m.H}.get(which)
-    if a is None:
-        raise ValueError(f"Nijenhuis torsion is defined here for G or H, not {which!r}")
-
-    def deriv(direction: FrameVector, vec: FrameVector) -> FrameVector:
-        """(nabla_direction A) vec = nabla_direction(A vec) - A(nabla_direction vec)."""
-        return (cov_deriv_vector(conn, direction, a.apply(vec))
-                - a.apply(cov_deriv_vector(conn, direction, vec)))
-
-    return (deriv(a.apply(x), y) - deriv(a.apply(y), x)
-            - a.apply(deriv(x, y)) + a.apply(deriv(y, x)))
+    return ConnectionWorkspace(m, conn).nijenhuis(which, x, y)
 
 
 def tensor_S(m: ManifoldModel, conn: ConnectionCoeffs, x: FrameVector,
              y: FrameVector) -> FrameVector:
     """First obstruction tensor, built on the torsion of G."""
-    return _Derived(m, conn).tensor_S(x, y)
+    return ConnectionWorkspace(m, conn).tensor_S(x, y)
 
 
 def tensor_T(m: ManifoldModel, conn: ConnectionCoeffs, x: FrameVector,
              y: FrameVector) -> FrameVector:
     """Second obstruction tensor, built on the torsion of H."""
-    return _Derived(m, conn).tensor_T(x, y)
+    return ConnectionWorkspace(m, conn).tensor_T(x, y)
 
 
 @dataclass(frozen=True)
@@ -132,38 +126,138 @@ def _scalar_witness(label: str, slots: tuple[int, ...], lhs: Scalar,
     return f"{label} slots={where} lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}"
 
 
-class _Derived:
-    """Connection-level quantities shared by the three routes and by the
-    obstruction tensors, each computed on first use."""
+class ConnectionWorkspace:
+    """Connection-level quantities of one model; the derived ones are
+    computed on first use.
+
+    The obstruction tensors, the three normality routes and the identity
+    registry (whose Workspace adds curvature on top) all read them here.
+    """
 
     def __init__(self, m: ManifoldModel, conn: ConnectionCoeffs):
-        self.m = m
+        self.model = m
         self.conn = conn
+        self.basis = [m.basis(i) for i in range(m.dim)]
 
     @cached_property
     def sigma(self) -> OneForm:
-        return sigma_form(self.m, self.conn)
-
-    @cached_property
-    def GH(self) -> Endomorphism:
-        return self.m.G.compose(self.m.H)
+        return sigma_form(self.model, self.conn)
 
     @cached_property
     def dsigma(self) -> TwoForm:
-        return exterior_d_oneform(self.m, self.sigma)
+        return exterior_d_oneform(self.model, self.sigma)
 
     @cached_property
     def dUV(self) -> Scalar:
-        return self.dsigma.value(self.m.U, self.m.V)
+        return self.dsigma.value(self.model.U, self.model.V)
 
     @cached_property
-    def nabla_U_J(self) -> Endomorphism:
-        return cov_deriv_endo(self.conn, self.m.U, self.m.J)
+    def du(self) -> TwoForm:
+        return exterior_d_oneform(self.model, self.model.u)
+
+    @cached_property
+    def dv(self) -> TwoForm:
+        return exterior_d_oneform(self.model, self.model.v)
+
+    @cached_property
+    def wedge_sigma_u(self) -> TwoForm:
+        return wedge(self.sigma, self.model.u)
+
+    @cached_property
+    def wedge_sigma_v(self) -> TwoForm:
+        return wedge(self.sigma, self.model.v)
+
+    @cached_property
+    def GH(self) -> Endomorphism:
+        return self.model.G.compose(self.model.H)
+
+    # nabla_U and nabla_V of the structure tensors
+    @cached_property
+    def nUG(self) -> Endomorphism:
+        return cov_deriv_endo(self.conn, self.model.U, self.model.G)
+
+    @cached_property
+    def nVG(self) -> Endomorphism:
+        return cov_deriv_endo(self.conn, self.model.V, self.model.G)
+
+    @cached_property
+    def nUH(self) -> Endomorphism:
+        return cov_deriv_endo(self.conn, self.model.U, self.model.H)
+
+    @cached_property
+    def nVH(self) -> Endomorphism:
+        return cov_deriv_endo(self.conn, self.model.V, self.model.H)
+
+    @cached_property
+    def nUJ(self) -> Endomorphism:
+        return cov_deriv_endo(self.conn, self.model.U, self.model.J)
+
+    @cached_property
+    def nVJ(self) -> Endomorphism:
+        return cov_deriv_endo(self.conn, self.model.V, self.model.J)
+
+    # short accessors used by the routes and the identity evaluators
+    def G(self, x: FrameVector) -> FrameVector:
+        return self.model.G.apply(x)
+
+    def H(self, x: FrameVector) -> FrameVector:
+        return self.model.H.apply(x)
+
+    def J(self, x: FrameVector) -> FrameVector:
+        return self.model.J.apply(x)
+
+    def u(self, x: FrameVector) -> Scalar:
+        return self.model.u.value(x)
+
+    def v(self, x: FrameVector) -> Scalar:
+        return self.model.v.value(x)
+
+    def sig(self, x: FrameVector) -> Scalar:
+        return self.sigma.value(x)
+
+    def dsig(self, x: FrameVector, y: FrameVector) -> Scalar:
+        return self.dsigma.value(x, y)
+
+    def hproj(self, x: FrameVector) -> FrameVector:
+        return horizontal_projection(self.model, x)
+
+    def uv_bilinear(self, x: FrameVector, y: FrameVector) -> Scalar:
+        """u(X)v(Y) - v(X)u(Y): the unhalved pairing used by the vertical
+        correction terms of the curvature identities."""
+        return self.u(x) * self.v(y) - self.v(x) * self.u(y)
+
+    def vertical_mix(self, y: FrameVector) -> FrameVector:
+        """u(Y) V - v(Y) U."""
+        return self.model.V.scale(self.u(y)) - self.model.U.scale(self.v(y))
+
+    def nabla(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        return cov_deriv_vector(self.conn, x, y)
+
+    def cov_form(self, x: FrameVector, w: OneForm) -> OneForm:
+        return cov_deriv_oneform(self.conn, x, w)
+
+    def cov_G(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        return self.nabla(x, self.G(y)) - self.G(self.nabla(x, y))
+
+    def cov_H(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        return self.nabla(x, self.H(y)) - self.H(self.nabla(x, y))
+
+    def cov_J(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        return self.nabla(x, self.J(y)) - self.J(self.nabla(x, y))
+
+    def nijenhuis(self, which: Literal["G", "H"], x: FrameVector,
+                  y: FrameVector) -> FrameVector:
+        """Torsion [A,A](X,Y) of A = G or H, with nabla A read as cov_G or cov_H."""
+        pair = {"G": (self.G, self.cov_G), "H": (self.H, self.cov_H)}.get(which)
+        if pair is None:
+            raise ValueError(f"Nijenhuis torsion is defined here for G or H, not {which!r}")
+        a, cov = pair
+        return cov(a(x), y) - cov(a(y), x) - a(cov(x, y)) + a(cov(y, x))
 
     def tensor_S(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        m, conn, sigma, GH = self.m, self.conn, self.sigma, self.GH
+        m, sigma, GH = self.model, self.sigma, self.GH
         G, H = m.G, m.H
-        out = nijenhuis(m, conn, "G", x, y)
+        out = self.nijenhuis("G", x, y)
         out = out + m.U.scale(2 * inner_product(x, G.apply(y)))
         out = out - m.V.scale(2 * inner_product(x, H.apply(y)))
         out = out + H.apply(x).scale(2 * m.v.value(y)) - H.apply(y).scale(2 * m.v.value(x))
@@ -173,9 +267,9 @@ class _Derived:
         return out
 
     def tensor_T(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        m, conn, sigma, GH = self.m, self.conn, self.sigma, self.GH
+        m, sigma, GH = self.model, self.sigma, self.GH
         G, H = m.G, m.H
-        out = nijenhuis(m, conn, "H", x, y)
+        out = self.nijenhuis("H", x, y)
         out = out - m.U.scale(2 * inner_product(x, G.apply(y)))
         out = out + m.V.scale(2 * inner_product(x, H.apply(y)))
         out = out + G.apply(x).scale(2 * m.u.value(y)) - G.apply(y).scale(2 * m.u.value(x))
@@ -184,19 +278,63 @@ class _Derived:
         out = out + GH.apply(y).scale(sigma.value(x)) - GH.apply(x).scale(sigma.value(y))
         return out
 
-    def nabla(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return cov_deriv_vector(self.conn, x, y)
+    def prop21_rhs_G(self, x: FrameVector, y: FrameVector, z: FrameVector) -> Scalar:
+        """Prop. 2.1: the value of g((nabla_X G)Y, Z) on a normal structure."""
+        u, v, J = self.u, self.v, self.J
+        return (self.sig(x) * inner_product(self.H(y), z)
+                + v(x) * self.dsig(self.G(z), self.G(y))
+                - 2 * v(x) * inner_product(self.H(self.G(y)), z)
+                - u(y) * inner_product(x, z)
+                - v(y) * inner_product(J(x), z)
+                + u(z) * inner_product(x, y)
+                + v(z) * inner_product(J(x), y))
 
-    def cov_G(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla(x, self.m.G.apply(y)) - self.m.G.apply(self.nabla(x, y))
+    def prop21_rhs_H(self, x: FrameVector, y: FrameVector, z: FrameVector) -> Scalar:
+        """Prop. 2.1: the value of g((nabla_X H)Y, Z) on a normal structure."""
+        u, v, J = self.u, self.v, self.J
+        return (-self.sig(x) * inner_product(self.G(y), z)
+                - u(x) * self.dsig(self.H(z), self.H(y))
+                - 2 * u(x) * inner_product(self.G(self.H(y)), z)
+                + u(y) * inner_product(J(x), z)
+                - v(y) * inner_product(x, z)
+                - u(z) * inner_product(J(x), y)
+                + v(z) * inner_product(x, y))
 
-    def cov_H(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla(x, self.m.H.apply(y)) - self.m.H.apply(self.nabla(x, y))
+    def _thm45_core(self, y: FrameVector) -> FrameVector:
+        """2 J Y0 + (nabla_U J) G Y0, with Y0 the horizontal part of Y."""
+        y0 = self.hproj(y)
+        return self.J(y0).scale(2) + self.nUJ.apply(self.G(y0))
+
+    def thm45_rhs_G(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        """Thm. 4.5: the closed form of (nabla_X G)Y on a normal structure."""
+        u, v, J, m = self.u, self.v, self.J, self.model
+        return (self.H(y).scale(self.sig(x))
+                - J(y).scale(2 * v(x))
+                - x.scale(u(y))
+                - J(x).scale(v(y))
+                + self._thm45_core(y).scale(v(x))
+                + m.U.scale(inner_product(x, y))
+                + m.V.scale(inner_product(J(x), y))
+                - self.vertical_mix(y).scale(2 * v(x))
+                - self.vertical_mix(y).scale(self.dUV * v(x)))
+
+    def thm45_rhs_H(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        """Thm. 4.5: the closed form of (nabla_X H)Y on a normal structure."""
+        u, v, J, m = self.u, self.v, self.J, self.model
+        return (self.G(y).scale(-self.sig(x))
+                + J(y).scale(2 * u(x))
+                + J(x).scale(u(y))
+                - x.scale(v(y))
+                - self._thm45_core(y).scale(u(x))
+                - m.U.scale(inner_product(J(x), y))
+                + m.V.scale(inner_product(x, y))
+                + self.vertical_mix(y).scale(2 * u(x))
+                + self.vertical_mix(y).scale(self.dUV * u(x)))
 
 
-def _route_korkmaz(ctx: _Derived, basis_vectors: list[FrameVector],
+def _route_korkmaz(ctx: ConnectionWorkspace,
                    samples: list[tuple[FrameVector, FrameVector]]) -> RouteResult:
-    m = ctx.m
+    m, basis_vectors = ctx.model, ctx.basis
     horizontal = list(m.horizontal_indices)
     for i, j in product(horizontal, repeat=2):
         for label, tensor in (("S", ctx.tensor_S), ("T", ctx.tensor_T)):
@@ -226,32 +364,12 @@ def _route_korkmaz(ctx: _Derived, basis_vectors: list[FrameVector],
     return RouteResult("korkmaz", Status.PASS)
 
 
-def _route_prop21(ctx: _Derived, basis_vectors: list[FrameVector]) -> RouteResult:
-    m = ctx.m
-    G, H, J = m.G, m.H, m.J
-    u, v, sigma, dsigma = m.u, m.v, ctx.sigma, ctx.dsigma
-
-    def rhs_G(x: FrameVector, y: FrameVector, z: FrameVector) -> Scalar:
-        return (sigma.value(x) * inner_product(H.apply(y), z)
-                + v.value(x) * dsigma.value(G.apply(z), G.apply(y))
-                - 2 * v.value(x) * inner_product(H.apply(G.apply(y)), z)
-                - u.value(y) * inner_product(x, z)
-                - v.value(y) * inner_product(J.apply(x), z)
-                + u.value(z) * inner_product(x, y)
-                + v.value(z) * inner_product(J.apply(x), y))
-
-    def rhs_H(x: FrameVector, y: FrameVector, z: FrameVector) -> Scalar:
-        return (-sigma.value(x) * inner_product(G.apply(y), z)
-                - u.value(x) * dsigma.value(H.apply(z), H.apply(y))
-                - 2 * u.value(x) * inner_product(G.apply(H.apply(y)), z)
-                + u.value(y) * inner_product(J.apply(x), z)
-                - v.value(y) * inner_product(x, z)
-                - u.value(z) * inner_product(J.apply(x), y)
-                + v.value(z) * inner_product(x, y))
-
-    for i, j, k in product(range(m.dim), repeat=3):
-        x, y, z = basis_vectors[i], basis_vectors[j], basis_vectors[k]
-        for label, cov, rhs in (("G", ctx.cov_G, rhs_G), ("H", ctx.cov_H, rhs_H)):
+def _route_prop21(ctx: ConnectionWorkspace) -> RouteResult:
+    b = ctx.basis
+    for i, j, k in product(range(ctx.model.dim), repeat=3):
+        x, y, z = b[i], b[j], b[k]
+        for label, cov, rhs in (("G", ctx.cov_G, ctx.prop21_rhs_G),
+                                ("H", ctx.cov_H, ctx.prop21_rhs_H)):
             lhs_value = inner_product(cov(x, y), z)
             rhs_value = rhs(x, y, z)
             if lhs_value != rhs_value:
@@ -261,45 +379,12 @@ def _route_prop21(ctx: _Derived, basis_vectors: list[FrameVector]) -> RouteResul
     return RouteResult("prop21", Status.PASS)
 
 
-def _route_thm45(ctx: _Derived, basis_vectors: list[FrameVector]) -> RouteResult:
-    m = ctx.m
-    G, H, J = m.G, m.H, m.J
-    u, v, sigma = m.u, m.v, ctx.sigma
-    dUV = ctx.dUV
-    nUJ = ctx.nabla_U_J
-
-    def vertical_mix(y: FrameVector) -> FrameVector:
-        return m.V.scale(u.value(y)) - m.U.scale(v.value(y))
-
-    def core_term(y: FrameVector) -> FrameVector:
-        y0 = horizontal_projection(m, y)
-        return J.apply(y0).scale(2) + nUJ.apply(G.apply(y0))
-
-    def rhs_G(x: FrameVector, y: FrameVector) -> FrameVector:
-        return (H.apply(y).scale(sigma.value(x))
-                - J.apply(y).scale(2 * v.value(x))
-                - x.scale(u.value(y))
-                - J.apply(x).scale(v.value(y))
-                + core_term(y).scale(v.value(x))
-                + m.U.scale(inner_product(x, y))
-                + m.V.scale(inner_product(J.apply(x), y))
-                - vertical_mix(y).scale(2 * v.value(x))
-                - vertical_mix(y).scale(dUV * v.value(x)))
-
-    def rhs_H(x: FrameVector, y: FrameVector) -> FrameVector:
-        return (G.apply(y).scale(-sigma.value(x))
-                + J.apply(y).scale(2 * u.value(x))
-                + J.apply(x).scale(u.value(y))
-                - x.scale(v.value(y))
-                - core_term(y).scale(u.value(x))
-                - m.U.scale(inner_product(J.apply(x), y))
-                + m.V.scale(inner_product(x, y))
-                + vertical_mix(y).scale(2 * u.value(x))
-                + vertical_mix(y).scale(dUV * u.value(x)))
-
-    for i, j in product(range(m.dim), repeat=2):
-        x, y = basis_vectors[i], basis_vectors[j]
-        for label, cov, rhs in (("G", ctx.cov_G, rhs_G), ("H", ctx.cov_H, rhs_H)):
+def _route_thm45(ctx: ConnectionWorkspace) -> RouteResult:
+    b = ctx.basis
+    for i, j in product(range(ctx.model.dim), repeat=2):
+        x, y = b[i], b[j]
+        for label, cov, rhs in (("G", ctx.cov_G, ctx.thm45_rhs_G),
+                                ("H", ctx.cov_H, ctx.thm45_rhs_H)):
             lhs_value = cov(x, y)
             rhs_value = rhs(x, y)
             if lhs_value != rhs_value:
@@ -323,14 +408,13 @@ def check_normality(m: ManifoldModel, conn: ConnectionCoeffs, samples: int = 32,
     multilinear in its slots); the random rational pairs are an extra smoke
     test on the korkmaz route, deterministic in (samples, seed).
     """
-    ctx = _Derived(m, conn)
-    basis_vectors = [m.basis(i) for i in range(m.dim)]
+    ctx = ConnectionWorkspace(m, conn)
     rng = random.Random(f"{seed}:normality")
     sample_pairs = [(random_rational_vector(rng, m.dim),
                      random_rational_vector(rng, m.dim))
                     for _ in range(samples)]
     return NormalityReport(
-        korkmaz=_route_korkmaz(ctx, basis_vectors, sample_pairs),
-        prop21=_route_prop21(ctx, basis_vectors),
-        thm45=_route_thm45(ctx, basis_vectors),
+        korkmaz=_route_korkmaz(ctx, sample_pairs),
+        prop21=_route_prop21(ctx),
+        thm45=_route_thm45(ctx),
     )

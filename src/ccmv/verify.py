@@ -19,50 +19,45 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Callable
 
 from .core import (
     ZERO,
     FrameVector,
-    OneForm,
     Scalar,
     Status,
     format_scalar,
     format_sparse_vector,
     inner_product,
+    parse_frame_index,
     parse_scalar,
     parse_sparse_vector,
 )
-from .connection import (
-    ConnectionCoeffs,
-    cov_deriv_endo,
-    cov_deriv_oneform,
-    cov_deriv_vector,
-    exterior_d_oneform,
-    levi_civita,
-    sigma_form,
-    wedge,
-)
+from .connection import levi_civita
 from .curvature import (
     holomorphic_sectional,
     ricci,
     ricci_operator,
     riemann,
+    riemann_symmetry_clauses,
+    riemann_symmetry_failures,
     scalar_curvature,
     second_bianchi_cyclic_sum,
     second_bianchi_failures,
     sectional,
 )
 from .model import (
+    CheckResult,
     ManifoldModel,
     lie_checks,
     require_lie_algebra,
     structure_tensor_checks,
 )
 from .structures import (
+    ConnectionWorkspace,
     check_normality,
-    horizontal_projection,
     random_rational_vector,
 )
 
@@ -103,72 +98,18 @@ class SuiteReport:
         raise KeyError(identity_id)
 
 
-class Workspace:
-    """Shared derived quantities for one model, computed once per run."""
+class Workspace(ConnectionWorkspace):
+    """Shared derived quantities for one model, computed once per run: the
+    connection-level ones, curvature, Ricci, and the two shared report
+    caches."""
 
     def __init__(self, m: ManifoldModel):
-        self.model = m
-        self.conn = levi_civita(m)
-        self.sigma = sigma_form(m, self.conn)
-        self.dsigma = exterior_d_oneform(m, self.sigma)
-        self.du = exterior_d_oneform(m, m.u)
-        self.dv = exterior_d_oneform(m, m.v)
-        self.wedge_sigma_v = wedge(self.sigma, m.v)
-        self.wedge_sigma_u = wedge(self.sigma, m.u)
+        super().__init__(m, levi_civita(m))
         self.curv = riemann(m, self.conn)
         self.rho = ricci(m, self.curv)
         self.Q = ricci_operator(self.rho)
         self.tau = scalar_curvature(self.rho)
-        self.nUG = cov_deriv_endo(self.conn, m.U, m.G)
-        self.nVG = cov_deriv_endo(self.conn, m.V, m.G)
-        self.nUH = cov_deriv_endo(self.conn, m.U, m.H)
-        self.nVH = cov_deriv_endo(self.conn, m.V, m.H)
-        self.nUJ = cov_deriv_endo(self.conn, m.U, m.J)
-        self.nVJ = cov_deriv_endo(self.conn, m.V, m.J)
-        self.dUV = self.dsigma.value(m.U, m.V)
-        self.basis = [m.basis(i) for i in range(m.dim)]
         self._normality = {}
-        self._model_checks = None
-
-    # short accessors used by the identity evaluators
-    def G(self, x: FrameVector) -> FrameVector:
-        return self.model.G.apply(x)
-
-    def H(self, x: FrameVector) -> FrameVector:
-        return self.model.H.apply(x)
-
-    def J(self, x: FrameVector) -> FrameVector:
-        return self.model.J.apply(x)
-
-    def u(self, x: FrameVector) -> Scalar:
-        return self.model.u.value(x)
-
-    def v(self, x: FrameVector) -> Scalar:
-        return self.model.v.value(x)
-
-    def sig(self, x: FrameVector) -> Scalar:
-        return self.sigma.value(x)
-
-    def dsig(self, x: FrameVector, y: FrameVector) -> Scalar:
-        return self.dsigma.value(x, y)
-
-    def hproj(self, x: FrameVector) -> FrameVector:
-        return horizontal_projection(self.model, x)
-
-    def nabla(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return cov_deriv_vector(self.conn, x, y)
-
-    def cov_form(self, x: FrameVector, w: OneForm) -> OneForm:
-        return cov_deriv_oneform(self.conn, x, w)
-
-    def cov_G(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla(x, self.G(y)) - self.G(self.nabla(x, y))
-
-    def cov_H(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla(x, self.H(y)) - self.H(self.nabla(x, y))
-
-    def cov_J(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla(x, self.J(y)) - self.J(self.nabla(x, y))
 
     def R(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """R(x, y) z by trilinear contraction of the stored tensor."""
@@ -181,11 +122,6 @@ class Workspace:
     def rho_val(self, x: FrameVector, y: FrameVector) -> Scalar:
         return self.rho.value(x, y)
 
-    def uv_bilinear(self, x: FrameVector, y: FrameVector) -> Scalar:
-        """u(X)v(Y) - v(X)u(Y): the unhalved pairing used by the vertical
-        correction terms of the curvature identities."""
-        return self.u(x) * self.v(y) - self.v(x) * self.u(y)
-
     def normality(self, samples: int, seed: int):
         key = (samples, seed)
         if key not in self._normality:
@@ -193,13 +129,10 @@ class Workspace:
                                                    samples=samples, seed=seed)
         return self._normality[key]
 
-    def model_checks(self):
-        if self._model_checks is None:
-            self._model_checks = {
-                check.check_id: check
-                for check in lie_checks(self.model)
-                + structure_tensor_checks(self.model)}
-        return self._model_checks
+    @cached_property
+    def model_checks(self) -> dict[str, CheckResult]:
+        return {check.check_id: check
+                for check in lie_checks(self.model) + structure_tensor_checks(self.model)}
 
 
 @dataclass(frozen=True)
@@ -222,10 +155,6 @@ def render_witness(slots: str, clause: str, lhs, rhs) -> str:
     return f"slots={slots}{part} lhs={_render_value(lhs)} rhs={_render_value(rhs)}"
 
 
-def _values_differ(lhs, rhs) -> bool:
-    return lhs != rhs
-
-
 def _run_slots(ws: Workspace, ident: Identity, samples: int,
                seed: int) -> IdentityResult:
     m = ws.model
@@ -234,7 +163,7 @@ def _run_slots(ws: Workspace, ident: Identity, samples: int,
     for idx in product(*ranges):
         vectors = tuple(ws.basis[i] for i in idx)
         for clause, lhs, rhs in ident.evaluate(ws, vectors):
-            if _values_differ(lhs, rhs):
+            if lhs != rhs:
                 slot_text = ",".join(str(i) for i in idx) if idx else "-"
                 return IdentityResult(ident.identity_id, Status.FAIL,
                                       render_witness(slot_text, clause, lhs, rhs))
@@ -248,7 +177,7 @@ def _run_slots(ws: Workspace, ident: Identity, samples: int,
                     vec = ws.hproj(vec)
                 vectors.append(vec)
             for clause, lhs, rhs in ident.evaluate(ws, tuple(vectors)):
-                if _values_differ(lhs, rhs):
+                if lhs != rhs:
                     return IdentityResult(
                         ident.identity_id, Status.FAIL,
                         render_witness(f"sample:{sample_index}", clause, lhs, rhs))
@@ -257,7 +186,7 @@ def _run_slots(ws: Workspace, ident: Identity, samples: int,
 
 def _wrap_model_check(check_id: str) -> Callable[[Workspace, int, int], IdentityResult]:
     def run(ws: Workspace, samples: int, seed: int) -> IdentityResult:
-        check = ws.model_checks()[check_id]
+        check = ws.model_checks[check_id]
         return IdentityResult(check.check_id, check.status, check.witness)
     return run
 
@@ -403,36 +332,20 @@ def _registry() -> list[Identity]:
         + inner_product(ws.nUJ.apply(ws.G(ws.hproj(vs[0]))), ws.hproj(vs[1]))
         + ws.dUV * ws.uv_bilinear(vs[0], vs[1]))])
 
-    def vertical_mix(ws: Workspace, y: FrameVector) -> FrameVector:
-        return ws.model.V.scale(ws.u(y)) - ws.model.U.scale(ws.v(y))
+    # EQ-4.12 and EQ-4.13 as printed: Thm. 4.5's closed forms (the NORM-THM45
+    # route) plus the literal difference of the printed terms.
+    def eq_4_12_misprint(ws: Workspace, x: FrameVector, y: FrameVector) -> FrameVector:
+        """The printed sign of the nabla_U J term, and 2 v(X)(u(Y)V - v(Y)U) dropped."""
+        return (ws.nUJ.apply(ws.G(ws.hproj(y))).scale(-2 * ws.v(x))
+                + ws.vertical_mix(y).scale(2 * ws.v(x)))
+    add("EQ-4.12", "contact", "any any", lambda ws, vs: [(
+        "", ws.cov_G(*vs), ws.thm45_rhs_G(*vs) + eq_4_12_misprint(ws, *vs))])
 
-    def eq_4_12(ws: Workspace, vs) -> list[Clause]:
-        x, y = vs
-        y0 = ws.hproj(y)
-        rhs = (ws.H(y).scale(ws.sig(x))
-               - ws.J(y).scale(2 * ws.v(x))
-               - x.scale(ws.u(y))
-               - ws.J(x).scale(ws.v(y))
-               + (ws.J(y0).scale(2) - ws.nUJ.apply(ws.G(y0))).scale(ws.v(x))
-               + ws.model.U.scale(inner_product(x, y))
-               + ws.model.V.scale(inner_product(ws.J(x), y))
-               - vertical_mix(ws, y).scale(ws.dUV * ws.v(x)))
-        return [("", ws.cov_G(x, y), rhs)]
-    add("EQ-4.12", "contact", "any any", eq_4_12)
-
-    def eq_4_13(ws: Workspace, vs) -> list[Clause]:
-        x, y = vs
-        y0 = ws.hproj(y)
-        rhs = (ws.G(y).scale(-ws.sig(x))
-               + ws.J(y).scale(2 * ws.u(x))
-               + ws.J(x).scale(ws.u(y))
-               - x.scale(ws.v(y))
-               - (ws.J(y0).scale(2) + ws.nUJ.apply(ws.G(y0))).scale(ws.u(x))
-               - ws.model.U.scale(inner_product(ws.J(x), y))
-               + ws.model.V.scale(inner_product(x, y))
-               + vertical_mix(ws, y).scale(ws.dUV * ws.u(x)))
-        return [("", ws.cov_H(x, y), rhs)]
-    add("EQ-4.13", "contact", "any any", eq_4_13)
+    def eq_4_13_misprint(ws: Workspace, x: FrameVector, y: FrameVector) -> FrameVector:
+        """-2 u(X)(u(Y)V - v(Y)U) dropped."""
+        return ws.vertical_mix(y).scale(-2 * ws.u(x))
+    add("EQ-4.13", "contact", "any any", lambda ws, vs: [(
+        "", ws.cov_H(*vs), ws.thm45_rhs_H(*vs) + eq_4_13_misprint(ws, *vs))])
 
     add("EQ-4.14", "contact", "any any", lambda ws, vs: [(
         "", ws.cov_J(vs[0], vs[1]),
@@ -444,25 +357,20 @@ def _registry() -> list[Identity]:
            + ws.nUJ.apply(ws.J(ws.hproj(vs[1])))).scale(ws.v(vs[0])))])
 
     # ----- normality -----
+    # EQ-2.4 and EQ-2.5 as printed: Prop. 2.1's forms (the NORM-PROP21 route)
+    # plus the literal difference of the printed terms.  EQ-2.4 is printed
+    # correctly.
     add("EQ-2.4", "normality", "any any any", lambda ws, vs: [(
-        "", inner_product(ws.cov_G(vs[0], vs[1]), vs[2]),
-        ws.sig(vs[0]) * inner_product(ws.H(vs[1]), vs[2])
-        + ws.v(vs[0]) * ws.dsig(ws.G(vs[2]), ws.G(vs[1]))
-        - 2 * ws.v(vs[0]) * inner_product(ws.H(ws.G(vs[1])), vs[2])
-        - ws.u(vs[1]) * inner_product(vs[0], vs[2])
-        - ws.v(vs[1]) * inner_product(ws.J(vs[0]), vs[2])
-        + ws.u(vs[2]) * inner_product(vs[0], vs[1])
-        + ws.v(vs[2]) * inner_product(ws.J(vs[0]), vs[1]))])
+        "", inner_product(ws.cov_G(vs[0], vs[1]), vs[2]), ws.prop21_rhs_G(*vs))])
 
+    def eq_2_5_misprint(ws: Workspace, x: FrameVector, y: FrameVector,
+                        z: FrameVector) -> Scalar:
+        """HG printed where GH belongs in the 2 u(X) term."""
+        return (-2 * ws.u(x) * inner_product(ws.H(ws.G(y)), z)
+                + 2 * ws.u(x) * inner_product(ws.G(ws.H(y)), z))
     add("EQ-2.5", "normality", "any any any", lambda ws, vs: [(
         "", inner_product(ws.cov_H(vs[0], vs[1]), vs[2]),
-        -ws.sig(vs[0]) * inner_product(ws.G(vs[1]), vs[2])
-        - ws.u(vs[0]) * ws.dsig(ws.H(vs[2]), ws.H(vs[1]))
-        - 2 * ws.u(vs[0]) * inner_product(ws.H(ws.G(vs[1])), vs[2])
-        + ws.u(vs[1]) * inner_product(ws.J(vs[0]), vs[2])
-        - ws.v(vs[1]) * inner_product(vs[0], vs[2])
-        - ws.u(vs[2]) * inner_product(ws.J(vs[0]), vs[1])
-        + ws.v(vs[2]) * inner_product(vs[0], vs[1]))])
+        ws.prop21_rhs_H(*vs) + eq_2_5_misprint(ws, *vs))])
 
     for route in ("korkmaz", "prop21", "thm45"):
         add_direct(f"NORM-{route.upper()}", "normality", _wrap_normality_route(route))
@@ -547,9 +455,7 @@ def _registry() -> list[Identity]:
         + ws.model.V.scale(2 * ws.dUV * ws.u(vs[0])))])
     add("EQ-4.6", "curvature", "any", lambda ws, vs: [(
         "", ws.R(ws.model.U, ws.model.V, vs[0]),
-        ws.J(ws.hproj(vs[0]))
-        + (ws.model.V.scale(ws.u(vs[0]))
-           - ws.model.U.scale(ws.v(vs[0]))).scale(2 * ws.dUV))])
+        ws.J(ws.hproj(vs[0])) + ws.vertical_mix(vs[0]).scale(2 * ws.dUV))])
 
     def eq_4_7(ws: Workspace, vs) -> list[Clause]:
         x, y = vs
@@ -611,13 +517,15 @@ def _registry() -> list[Identity]:
         return [("", ws.R(x, ws.model.V, y), rhs)]
     add("EQ-4.10", "curvature", "any any", eq_4_10)
 
-    add("RIEM-SYM", "curvature", "any any any any", lambda ws, vs: [
-        ("swap-first-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-         -ws.R4(vs[1], vs[0], vs[2], vs[3])),
-        ("swap-second-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-         -ws.R4(vs[0], vs[1], vs[3], vs[2])),
-        ("pair-exchange", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-         ws.R4(vs[2], vs[3], vs[0], vs[1]))])
+    def riemann_sym(ws: Workspace, samples: int, seed: int) -> IdentityResult:
+        where = riemann_symmetry_failures(ws.curv)
+        if where is None:
+            return IdentityResult("RIEM-SYM", Status.PASS)
+        clause, lhs, rhs = next(part for part in riemann_symmetry_clauses(ws.curv, *where)
+                                if part[1] != part[2])
+        return IdentityResult("RIEM-SYM", Status.FAIL,
+                              render_witness(",".join(map(str, where)), clause, lhs, rhs))
+    add_direct("RIEM-SYM", "curvature", riemann_sym)
 
     add("BIANCHI-1", "curvature", "any any any any", lambda ws, vs: [(
         "", ws.R4(vs[0], vs[1], vs[2], vs[3])
@@ -764,7 +672,7 @@ def parse_expected(source: str, dim: int) -> ExpectedValues:
                 line_no, f"{kind} entry must look like `{kind}"
                          f"{' <i>' * arity} = <value>`")
         try:
-            indices = tuple(int(tok) for tok in tokens[1:arity + 1])
+            indices = tuple(parse_frame_index(tok) for tok in tokens[1:arity + 1])
         except ValueError:
             raise ExpectedFormatError(line_no, "indices must be integers")
         if any(not 0 <= idx < dim for idx in indices):
@@ -817,28 +725,25 @@ class DiffReport:
 def diff_expected(m: ManifoldModel, exp: ExpectedValues) -> DiffReport:
     """Recompute every expected entry exactly and report MATCH/MISMATCH."""
     require_lie_algebra(m)
-    conn = levi_civita(m)
-    rt = riemann(m, conn)
-    rho = ricci(m, rt)
-    tau = scalar_curvature(rho)
+    ws = Workspace(m)
 
     def compute(entry: ExpectedEntry):
         if entry.kind == "R":
             i, j, k = entry.indices
-            return rt.vector(i, j, k)
+            return ws.curv.vector(i, j, k)
         if entry.kind == "conn":
             i, j = entry.indices
-            return conn.vector(i, j)
+            return ws.conn.vector(i, j)
         if entry.kind == "ric":
             i, j = entry.indices
-            return rho.entry(i, j)
+            return ws.rho.entry(i, j)
         if entry.kind == "scal":
-            return tau
+            return ws.tau
         if entry.kind == "sec":
             i, j = entry.indices
-            return sectional(rt, m.basis(i), m.basis(j))
+            return sectional(ws.curv, m.basis(i), m.basis(j))
         i, = entry.indices
-        return holomorphic_sectional(m, rt, m.basis(i))
+        return holomorphic_sectional(m, ws.curv, m.basis(i))
 
     diffs = []
     for entry in exp.entries:

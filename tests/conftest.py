@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from ccmv import (
     StructureConstants,
     build_abelian,
     build_heisenberg,
+    format_scalar,
     levi_civita,
     load_model,
     riemann,
@@ -88,6 +90,19 @@ def make_heisenberg_model(n: int) -> ManifoldModel:
                   f"J {o + 2} {o + 3} -1", f"J {o + 3} {o + 2} 1"]
     lines += [f"J {u} {v} -1", f"J {v} {u} 1"]
     return load_model("\n".join(lines) + "\n")
+
+
+def model_source(m: ManifoldModel) -> str:
+    """The model as a model document that `load_model` reads back."""
+    d = m.dim
+    c = m.constants.coeff
+    lines = ["version 1", f"name {m.name}", f"n {m.n}"]
+    lines += [f"bracket {i} {j} {k} {format_scalar(c(i, j, k))}"
+              for i, j, k in product(range(d), repeat=3) if i < j and c(i, j, k)]
+    for label, tensor in (("G", m.G), ("H", m.H), ("J", m.J)):
+        lines += [f"{label} {i} {k} {format_scalar(tensor.entry(k, i))}"
+                  for i, k in product(range(d), repeat=2) if tensor.entry(k, i)]
+    return "\n".join(lines) + "\n"
 
 
 @pytest.fixture(scope="session")

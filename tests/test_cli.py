@@ -7,6 +7,7 @@ import pytest
 
 from ccmv import HEISENBERG_CCM, load_model
 from ccmv.cli import main
+from conftest import make_heisenberg_model, make_nilpotent_model, model_source
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv")
                     .joinpath("data/iwasawa_expected.ccmx"))
@@ -155,6 +156,20 @@ class TestVerify:
         frozen = open("errata/iwasawa_suite.tsv").read()
         assert out == frozen
 
+    @pytest.mark.parametrize("name,build", [
+        ("heisenberg_n2", lambda: make_heisenberg_model(2)),
+        *[(f"nilpotent{seed}", lambda seed=seed: make_nilpotent_model(seed))
+          for seed in range(5)],
+    ])
+    def test_off_bundle_suite_tsv_matches_errata(self, capsys, tmp_path, name, build):
+        m = build()
+        path = tmp_path / f"{name}.ccm"
+        path.write_text(model_source(m), encoding="utf-8")
+        assert load_model(path.read_text(encoding="utf-8")) == m
+        code, out, _ = run_cli(capsys, "verify", str(path), "--format", "tsv")
+        assert code == 1
+        assert out == open(f"errata/{name}_suite.tsv").read()
+
     def test_subgroup_text_output(self, capsys, heis_path):
         code, out, _ = run_cli(capsys, "verify", heis_path,
                                "--suite", "contact")
@@ -225,6 +240,15 @@ class TestDiff:
         assert code == 2
         assert "line 2: unknown entry kind" in err
 
+    def test_non_ascii_expected_index_exits_2(self, capsys, heis_path, tmp_path):
+        bad = tmp_path / "bad.ccmx"
+        bad.write_text("scal = -8\nhol \u0664 = 0\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, "diff", heis_path,
+                                 "--expected", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "line 2: indices must be integers" in err
+
     def test_missing_expected_file_exits_2(self, capsys, heis_path):
         code, _, err = run_cli(capsys, "diff", heis_path,
                                "--expected", "/nonexistent.ccmx")
@@ -265,6 +289,14 @@ class TestErrorPaths:
         code, _, err = run_cli(capsys, "connection", str(bad))
         assert code == 2
         assert "line 3: bracket 2 0: i must be < j" in err
+
+    def test_signed_model_index_exits_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.ccm"
+        bad.write_text("version 1\nn 1\nbracket 0 2 +4 -2\n")
+        code, out, err = run_cli(capsys, "verify", str(bad))
+        assert code == 2
+        assert out == ""
+        assert "line 3: expected a frame index, got '+4'" in err
 
     def test_huge_n_exits_2_with_a_message(self, capsys, tmp_path):
         huge = tmp_path / "huge.ccm"

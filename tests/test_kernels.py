@@ -2,10 +2,10 @@
 
 Each reference below is the dense index-range formula, kept here as an
 independent second route: the Jacobi sweep, the curvature assembly, the
-exhaustive second-Bianchi sweep, and the quadrilinear and trilinear
-contractions.  They are compared on the bundled model, generated
-nilpotent perturbations, the n=2 block-diagonal model, and systematic
-mutations of the bundled model.
+exhaustive second-Bianchi sweep, the frame sweep of the Riemann
+symmetries, and the quadrilinear and trilinear contractions.  They are
+compared on the bundled model, generated nilpotent perturbations, the n=2
+block-diagonal model, and systematic mutations of the bundled model.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from ccmv import (
     second_bianchi_cyclic_sum,
     second_bianchi_failures,
 )
-from ccmv.verify import Workspace
+from ccmv.verify import REGISTRY, Identity, IdentityResult, Workspace, _run_slots
 from conftest import make_heisenberg_model, make_nilpotent_model
 
 ZERO = Fraction(0)
@@ -131,6 +131,24 @@ def dense_contract3(t: Tensor4, x, y, z) -> FrameVector:
         for el in range(d)))
 
 
+def frame_sweep_riemann_symmetry(ws: Workspace) -> IdentityResult:
+    """RIEM-SYM as a slot identity: three R4 clauses over every frame
+    4-tuple, then the random samples."""
+    ident = Identity("RIEM-SYM", "curvature", ("any",) * 4, evaluate=lambda ws, vs: [
+        ("swap-first-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
+         -ws.R4(vs[1], vs[0], vs[2], vs[3])),
+        ("swap-second-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
+         -ws.R4(vs[0], vs[1], vs[3], vs[2])),
+        ("pair-exchange", ws.R4(vs[0], vs[1], vs[2], vs[3]),
+         ws.R4(vs[2], vs[3], vs[0], vs[1]))])
+    return _run_slots(ws, ident, samples=32, seed=0)
+
+
+def direct_riemann_symmetry(ws: Workspace) -> IdentityResult:
+    ident = next(i for i in REGISTRY if i.identity_id == "RIEM-SYM")
+    return ident.direct(ws, 32, 0)
+
+
 def _jacobi_witness(m) -> str | None:
     check = {c.check_id: c for c in lie_checks(m)}["LIE-JACOBI"]
     assert (check.status is Status.FAIL) == (check.witness is not None)
@@ -158,6 +176,10 @@ class TestGeneratedModels:
     def test_bianchi_sweep_matches_dense_sweep(self, geometry):
         m, conn, rt = geometry
         assert second_bianchi_failures(m, conn, rt) == dense_bianchi_failure(m, conn, rt)
+
+    def test_riemann_symmetry_matches_frame_sweep(self, geometry):
+        ws = Workspace(geometry[0])
+        assert direct_riemann_symmetry(ws) == frame_sweep_riemann_symmetry(ws)
 
 
 # ----- mutated models -----
@@ -216,6 +238,31 @@ class TestMutatedModels:
         value = second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *found)
         assert value != 0
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
+
+    # Each break adds 1 to R(a, b, c, e) and to signed partner entries, so
+    # that every symmetry clause before the named one still holds there.
+    @pytest.mark.parametrize("clause,partners", [
+        ("swap-first-pair", []),
+        ("swap-second-pair", [((1, 0, 2, 3), -1)]),
+        ("pair-exchange", [((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1)]),
+    ])
+    @pytest.mark.parametrize("where", [(0, 1, 2, 3), (5, 4, 1, 0), (3, 0, 5, 2)])
+    def test_broken_symmetry_gives_the_same_riemann_witness(self, heisenberg, heis_curv,
+                                                            clause, partners, where):
+        bumps = {where: 1}
+        for order, sign in partners:
+            bumps[tuple(where[p] for p in order)] = sign
+
+        def broken(*idx):
+            return heis_curv.entry(*idx) + bumps.get(idx, 0)
+
+        ws = Workspace(heisenberg)
+        ws.curv = CurvTensor(Tensor4.from_function(heisenberg.dim, broken))
+        result = direct_riemann_symmetry(ws)
+        assert result.status is Status.FAIL
+        assert result == frame_sweep_riemann_symmetry(ws)
+        if where == (0, 1, 2, 3):
+            assert result.witness.startswith(f"slots=0,1,2,3 part={clause} ")
 
 
 # ----- contractions on random rational vectors -----

@@ -133,6 +133,10 @@ class TestLoadErrors:
          "duplicate bracket entry 0 2 4"),
         (MINIMAL + "bracket 0 6 4 1\n", 4, "out of range"),
         (MINIMAL + "bracket 0 x 4 1\n", 4, "expected a frame index"),
+        (MINIMAL + "bracket +0 2 4 1\n", 4, "expected a frame index"),
+        (MINIMAL + "bracket 0 0_2 4 1\n", 4, "expected a frame index"),
+        (MINIMAL + "G \u0664 1 1\n", 4, "expected a frame index"),
+        (MINIMAL + "J 0 1 \u0663\n", 4, "not an exact rational"),
         (MINIMAL + "G 0 1\n", 4, "G takes i k value"),
         (MINIMAL + "H 0 1 1\nH 0 1 2\n", 5, "duplicate H entry 0 1"),
         (MINIMAL + "J 0 1 1.5\n", 4, "not an exact rational"),

@@ -184,6 +184,13 @@ class TestParseExpected:
         ("R 0 1 = 0\n", 1, "must look like"),
         ("scal -8\n", 1, "must look like"),
         ("ric 0 x = 1\n", 1, "indices must be integers"),
+        ("ric 0 +1 = 1\n", 1, "indices must be integers"),
+        ("ric 0_1 0 = 1\n", 1, "indices must be integers"),
+        ("hol \u0664 = 0\n", 1, "indices must be integers"),
+        ("scal = \u0663\n", 1, "not an exact rational"),
+        ("conn 0 1 = 1:+2\n", 1, "bad frame index"),
+        ("conn 0 1 = 1:0_2\n", 1, "bad frame index"),
+        ("R 0 1 2 = 1:\u0662\n", 1, "bad frame index"),
         ("hol 6 = 0\n", 1, "index out of range"),
         ("sec -1 0 = 0\n", 1, "index out of range"),
         ("scal = 1.5\n", 1, "not an exact rational"),
