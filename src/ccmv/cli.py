@@ -15,8 +15,8 @@ import sys
 from pathlib import Path
 
 from .connection import ConnectionCoeffs, levi_civita
-from .core import format_scalar, format_sparse_vector
-from .curvature import CurvTensor, DegeneratePlane, riemann, sectional
+from .core import Tensor4, format_scalar, format_sparse_vector, parse_frame_index
+from .curvature import DegeneratePlane, riemann, sectional
 from .model import (
     HEISENBERG_CCM,
     InvalidModelError,
@@ -78,6 +78,16 @@ def _emit(rows: list[str]) -> None:
     sys.stdout.write("\n".join(rows) + "\n")
 
 
+def _integer(text: str) -> int:
+    """argparse type of the integer options: ASCII decimal digits with an
+    optional leading minus, so that `+0`, `0_1` and non-ASCII digits are a
+    usage error (exit 2)."""
+    try:
+        return parse_frame_index(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+
+
 def _index_range_check(m: ManifoldModel, indices, what: str) -> None:
     for idx in indices:
         if not 0 <= idx < m.dim:
@@ -108,7 +118,7 @@ def _connection_rows(m: ManifoldModel, conn: ConnectionCoeffs,
     rows = []
     for i in range(m.dim):
         for j in range(m.dim):
-            value = format_sparse_vector(conn.vector(i, j))
+            value = format_sparse_vector(conn.row(i, j))
             if fmt == "tsv":
                 rows.append(f"conn\t{i}\t{j}\t{value}")
             else:
@@ -126,12 +136,12 @@ def _cmd_connection(args: argparse.Namespace) -> int:
     return 0
 
 
-def _curvature_rows(m: ManifoldModel, rt: CurvTensor, fmt: str) -> list[str]:
+def _curvature_rows(m: ManifoldModel, rt: Tensor4, fmt: str) -> list[str]:
     rows = []
     for i in range(m.dim):
         for j in range(i + 1, m.dim):
             for k in range(m.dim):
-                value = format_sparse_vector(rt.vector(i, j, k))
+                value = format_sparse_vector(rt.row(i, j, k))
                 if fmt == "tsv":
                     rows.append(f"R\t{i}\t{j}\t{k}\t{value}")
                 else:
@@ -171,7 +181,7 @@ def _cmd_ricci(args: argparse.Namespace) -> int:
             else:
                 rows.append(f"ric {i} {j} = {value}")
     for i in range(m.dim):
-        value = format_sparse_vector(ws.Q.column(i))
+        value = format_sparse_vector(ws.Q.row(i))
         if args.format == "tsv":
             rows.append(f"Q\t{i}\t{value}")
         else:
@@ -278,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("curvature", parents=[fmt],
                        help="print curvature operator values")
     p.add_argument("model")
-    p.add_argument("--component", nargs=4, type=int,
+    p.add_argument("--component", nargs=4, type=_integer,
                    metavar=("I", "J", "K", "L"),
                    help="print the single scalar component instead")
     p.set_defaults(func=_cmd_curvature)
@@ -292,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sectional", parents=[fmt],
                        help="print the sectional curvature of a frame plane")
     p.add_argument("model")
-    p.add_argument("--plane", nargs=2, type=int, metavar=("I", "J"),
+    p.add_argument("--plane", nargs=2, type=_integer, metavar=("I", "J"),
                    required=True)
     p.set_defaults(func=_cmd_sectional)
 
@@ -300,9 +310,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the identity registry")
     p.add_argument("model")
     p.add_argument("--suite", choices=SELECTORS, default="all")
-    p.add_argument("--samples", type=int, default=32,
+    p.add_argument("--samples", type=_integer, default=32,
                    help="random vector tuples per identity (default: 32)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("diff", parents=[fmt],

@@ -1,11 +1,16 @@
 """Exact linear algebra over a fixed orthonormal frame.
 
-All quantities are coefficient containers over a single global frame of
-some dimension d: vectors, endomorphisms (matrices acting on frame
-vectors), 1-forms, antisymmetric 2-forms, and 4-index tensors.  Every
-coefficient is an exact rational; no floating point appears anywhere.
-The metric is the identity in this frame, so the inner product is the
-plain coefficient dot product.
+Everything lives over one global frame of some dimension d.  The operands,
+frame vectors and 1-forms, are dense coefficient tuples.  Every stored
+multi-index quantity (endomorphisms, 2-forms, bilinear forms, the
+connection and bracket tables, curvature) is a `Table`: its dimension, its
+rank and its nonzero entries only, held as dicts keyed by the leading
+indices whose last level is the tuple of `(index, value)` pairs.  Zeros are
+never stored and empty subtrees are pruned, so `==` is structural and every
+kernel costs in proportion to the nonzeros.  `Table.contract` is the one
+evaluation of a table on frame vectors.  Every coefficient is an exact
+rational; no floating point appears anywhere.  The metric is the identity
+in this frame, so the inner product is the plain coefficient dot product.
 """
 from __future__ import annotations
 
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
 
@@ -38,42 +43,6 @@ class Status(enum.Enum):
 def _require_same_dim(a: int, b: int) -> None:
     if a != b:
         raise DimensionMismatch(f"dimension mismatch: {a} vs {b}")
-
-
-def nonzero_rows(table):
-    """Nonzero index of a nested coefficient table.
-
-    The result has the nesting of `table`, with every innermost row
-    replaced by the tuple of its `(index, value)` pairs whose value is
-    nonzero.  Kernels loop over these pairs, so they never multiply by a
-    stored zero.
-    """
-    if table and isinstance(table[0], tuple):
-        return tuple(nonzero_rows(sub) for sub in table)
-    return tuple((k, a) for k, a in enumerate(table) if a)
-
-
-def nest(flat: list, d: int, depth: int) -> tuple:
-    """Regroup a row-major list of d**depth entries as a nested tuple table."""
-    rows = [tuple(flat[s:s + d]) for s in range(0, len(flat), d)]
-    for _ in range(depth - 2):
-        rows = [tuple(rows[s:s + d]) for s in range(0, len(rows), d)]
-    return tuple(rows)
-
-
-class NonzeroIndexed:
-    """Mixin for frozen coefficient containers: `nonzero` is the
-    `nonzero_rows` index of the table field named by `_TABLE`.
-
-    It is built on first use and cached in the instance dict; it is not a
-    dataclass field, so `==`, `hash` and `repr` are unchanged.
-    """
-
-    _TABLE = "entries"
-
-    @cached_property
-    def nonzero(self):
-        return nonzero_rows(getattr(self, self._TABLE))
 
 
 _RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z", re.ASCII)
@@ -106,10 +75,8 @@ def format_scalar(value: Scalar) -> str:
 
 
 @dataclass(frozen=True)
-class FrameVector(NonzeroIndexed):
+class FrameVector:
     """Vector as a coefficient tuple over the frame."""
-
-    _TABLE = "coefficients"
 
     coefficients: tuple[Scalar, ...]
 
@@ -130,6 +97,12 @@ class FrameVector(NonzeroIndexed):
     @property
     def dim(self) -> int:
         return len(self.coefficients)
+
+    @cached_property
+    def nonzero(self) -> tuple[tuple[int, Scalar], ...]:
+        """The `(index, value)` pairs of the nonzero coefficients; built on
+        first use and kept out of `==`."""
+        return tuple((k, a) for k, a in enumerate(self.coefficients) if a)
 
     def __getitem__(self, index: int) -> Scalar:
         return self.coefficients[index]
@@ -202,99 +175,198 @@ def vector_combine(coeff_pairs: Sequence[tuple[Scalar | int, FrameVector]]) -> F
 
 
 @dataclass(frozen=True)
-class Endomorphism:
-    """Linear map on frame vectors; entries[k][i] = coefficient of e_k in A(e_i)."""
+class Table:
+    """Rank-k coefficient table over a frame of dimension `dim`.
 
-    entries: tuple[tuple[Scalar, ...], ...]
+    `entries` maps the first index to the subtree of the remaining ones;
+    the last level is the tuple of nonzero `(index, value)` pairs in index
+    order.  Build tables with `from_values`, which keeps that form.
+    """
 
-    def __post_init__(self) -> None:
-        side = len(self.entries)
-        if any(len(row) != side for row in self.entries):
-            raise DimensionMismatch("endomorphism matrix must be square")
+    dim: int
+    rank: int
+    entries: dict
+
+    @classmethod
+    def from_values(cls, dim: int, rank: int,
+                    values: Mapping[tuple[int, ...], Scalar | int]):
+        """Build from index tuple -> value; zero values are dropped."""
+        keys = values.keys()
+        if keys and (set(map(len, keys)) != {rank} or min(map(min, keys)) < 0
+                     or max(map(max, keys)) >= dim):
+            bad = next(idx for idx in keys
+                       if len(idx) != rank or min(idx) < 0 or max(idx) >= dim)
+            raise DimensionMismatch(f"index {bad} does not fit a rank-{rank} "
+                                    f"table of dimension {dim}")
+        rows: dict[tuple[int, ...], list[tuple[int, Scalar]]] = {}
+        for idx, value in sorted(values.items()):
+            if value:
+                if not isinstance(value, Fraction):
+                    value = Fraction(value)
+                rows.setdefault(idx[:-1], []).append((idx[-1], value))
+        entries: dict = {}
+        for head, row in rows.items():
+            node = entries
+            for i in head[:-1]:
+                node = node.setdefault(i, {})
+            node[head[-1]] = tuple(row)
+        return cls(dim, rank, entries)
+
+    def items(self) -> list[tuple[tuple[int, ...], Scalar]]:
+        """Every stored `(index tuple, value)` pair, in index order."""
+        level = [((), self.entries)]
+        for _ in range(self.rank - 1):
+            level = [(head + (i,), sub) for head, node in level for i, sub in node.items()]
+        return [(head + (k,), a) for head, row in level for k, a in row]
+
+    def sub(self, *idx: int):
+        """The stored subtree under a leading index prefix shorter than the
+        rank: a dict above the last level, the `(index, value)` pairs at it,
+        and empty where every entry below the prefix is zero."""
+        node = self.entries
+        for i in idx:
+            node = node.get(i)
+            if node is None:
+                return {}
+        return node
+
+    def entry(self, *idx: int) -> Scalar:
+        *head, last = idx
+        for k, a in self.sub(*head):
+            if k == last:
+                return a
+        return ZERO
+
+    def row(self, *idx: int) -> FrameVector:
+        """The last slot at a full leading index, as a frame vector."""
+        out = [ZERO] * self.dim
+        for k, a in self.sub(*idx):
+            out[k] = a
+        return FrameVector(tuple(out))
+
+    def contract(self, *vectors: FrameVector) -> Scalar | FrameVector:
+        """Contract the leading slots with frame vectors.
+
+        With every slot filled the result is the Scalar value; with all but
+        the last filled it is the FrameVector of the last slot.  Only stored
+        rows that the vectors' nonzero coefficients reach are read, and in
+        the scalar case a row's slot coefficients are multiplied in only
+        once the row is known to contribute.
+        """
+        rank, dim, filled = self.rank, self.dim, len(vectors)
+        if filled != rank and filled != rank - 1:
+            raise ValueError(f"a rank-{rank} table contracts {rank - 1} or {rank} "
+                             f"vectors, not {filled}")
+        for v in vectors:
+            if len(v.coefficients) != dim:
+                _require_same_dim(dim, len(v.coefficients))
+        # every combination of nonzeros of the filled slots after the first,
+        # up to but not including the table's last slot
+        paths = list(product(*[v.nonzero for v in vectors[1:rank - 1]]))
+        # accumulators start empty (None), so no sum starts with a zero term
+        total = None
+        if filled == rank:
+            last = vectors[-1].coefficients
+        else:
+            last, out = None, [None] * dim
+        for i, a in vectors[0].nonzero:
+            node = self.entries.get(i)
+            if node is None:
+                continue
+            for path in paths:
+                row = node
+                for j, _ in path:
+                    row = row.get(j)
+                    if row is None:
+                        break
+                else:
+                    if last is None:
+                        factor = a
+                        for _, c in path:
+                            factor *= c
+                        for k, b in row:
+                            term = factor * b
+                            out[k] = term if out[k] is None else out[k] + term
+                    else:
+                        part = None
+                        for k, b in row:
+                            if last[k]:
+                                term = last[k] * b
+                                part = term if part is None else part + term
+                        if part:
+                            part *= a
+                            for _, c in path:
+                                part *= c
+                            total = part if total is None else total + part
+        if last is None:
+            return FrameVector(tuple(ZERO if x is None else x for x in out))
+        return ZERO if total is None else total
+
+    def is_zero(self) -> bool:
+        return not self.entries
+
+
+class Endomorphism(Table):
+    """Linear map on frame vectors, stored input slot first: row(i) is the
+    image A(e_i), and entry(k, i) is the coefficient of e_k in A(e_i)."""
 
     @staticmethod
     def zero(dim: int) -> Endomorphism:
-        return Endomorphism(tuple((ZERO,) * dim for _ in range(dim)))
+        return Endomorphism(dim, 2, {})
 
     @staticmethod
     def identity(dim: int) -> Endomorphism:
-        return Endomorphism(tuple(tuple(ONE if k == i else ZERO for i in range(dim))
-                                  for k in range(dim)))
+        return Endomorphism.from_values(dim, 2, {(i, i): ONE for i in range(dim)})
 
     @staticmethod
     def from_columns(dim: int, columns: dict[int, dict[int, Scalar | int]]) -> Endomorphism:
         """Build from sparse columns: columns[i][k] = coefficient of e_k in A(e_i)."""
-        rows = [[ZERO] * dim for _ in range(dim)]
-        for i, col in columns.items():
-            for k, value in col.items():
-                rows[k][i] = Fraction(value)
-        return Endomorphism(tuple(tuple(row) for row in rows))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
+        return Endomorphism.from_values(dim, 2, {(i, k): value
+                                                 for i, col in columns.items()
+                                                 for k, value in col.items()})
 
     def entry(self, k: int, i: int) -> Scalar:
-        return self.entries[k][i]
+        return Table.entry(self, i, k)
 
-    def column(self, i: int) -> FrameVector:
-        """The image A(e_i)."""
-        return FrameVector(tuple(row[i] for row in self.entries))
-
-    @cached_property
-    def nonzero(self):
-        """Column index, cached like NonzeroIndexed.nonzero: nonzero[i]
-        holds the nonzero (k, value) pairs of the image A(e_i)."""
-        return nonzero_rows(self.transpose().entries)
-
-    def _image(self, pairs) -> list[Scalar]:
-        out = [ZERO] * self.dim
-        columns = self.nonzero
-        for i, xi in pairs:
-            for k, a in columns[i]:
-                out[k] += a * xi
-        return out
-
-    def apply(self, x: FrameVector) -> FrameVector:
-        _require_same_dim(self.dim, x.dim)
-        return FrameVector(tuple(self._image(x.nonzero)))
+    # apply(x) is the contraction of the input slot with x
+    apply = Table.contract
 
     def compose(self, other: Endomorphism) -> Endomorphism:
         """Matrix product self @ other, i.e. x -> self(other(x))."""
         _require_same_dim(self.dim, other.dim)
-        columns = [self._image(column) for column in other.nonzero]
-        return Endomorphism(tuple(zip(*columns)))
+        return Endomorphism.from_values(self.dim, 2, {
+            (i, k): a for i in other.entries
+            for k, a in self.apply(other.row(i)).nonzero})
 
     def __add__(self, other: Endomorphism) -> Endomorphism:
         _require_same_dim(self.dim, other.dim)
-        return Endomorphism(tuple(_add_rows(ra, rb)
-                                  for ra, rb in zip(self.entries, other.entries)))
+        values = dict(self.items())
+        for idx, a in other.items():
+            values[idx] = values[idx] + a if idx in values else a
+        return Endomorphism.from_values(self.dim, 2, values)
 
     def __sub__(self, other: Endomorphism) -> Endomorphism:
-        _require_same_dim(self.dim, other.dim)
-        return Endomorphism(tuple(_sub_rows(ra, rb)
-                                  for ra, rb in zip(self.entries, other.entries)))
+        return self + -other
 
     def __neg__(self) -> Endomorphism:
-        return Endomorphism(tuple(_neg_row(row) for row in self.entries))
+        return Endomorphism.from_values(self.dim, 2, {idx: -a for idx, a in self.items()})
 
     def scale(self, factor: Scalar | int) -> Endomorphism:
         f = Fraction(factor)
-        return Endomorphism(tuple(_scale_row(f, row) for row in self.entries))
+        return Endomorphism.from_values(self.dim, 2, {idx: f * a for idx, a in self.items()}
+                                        if f else {})
 
     def transpose(self) -> Endomorphism:
-        d = self.dim
-        return Endomorphism(tuple(tuple(self.entries[i][k] for i in range(d))
-                                  for k in range(d)))
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+        return Endomorphism.from_values(self.dim, 2,
+                                        {(k, i): a for (i, k), a in self.items()})
 
 
 def outer(vec: FrameVector, form: OneForm) -> Endomorphism:
     """Rank-one map x -> form(x) * vec."""
     _require_same_dim(vec.dim, form.dim)
-    return Endomorphism(tuple(_scale_row(a, form.coefficients) for a in vec.coefficients))
+    return Endomorphism.from_values(vec.dim, 2, {
+        (i, k): f * a for i, f in enumerate(form.coefficients) if f
+        for k, a in vec.nonzero})
 
 
 @dataclass(frozen=True)
@@ -326,114 +398,27 @@ class OneForm:
         return not any(self.coefficients)
 
 
-def bilinear_value(rows, x: FrameVector, y: FrameVector) -> Scalar:
-    """sum x_i y_j a_ij over the `(j, a_ij)` nonzero rows of a square table."""
-    ys = y.coefficients
-    total = ZERO
-    for xi, row in zip(x.coefficients, rows):
-        if not xi:
-            continue
-        for j, a in row:
-            yj = ys[j]
-            if yj:
-                total += xi * yj * a
-    return total
-
-
 @dataclass(frozen=True)
-class TwoForm(NonzeroIndexed):
-    """Antisymmetric bilinear form; entries[i][j] is the value on (e_i, e_j)."""
-
-    entries: tuple[tuple[Scalar, ...], ...]
+class TwoForm(Table):
+    """Antisymmetric bilinear form; entry(i, j) is the value on (e_i, e_j)."""
 
     def __post_init__(self) -> None:
-        side = len(self.entries)
-        if any(len(row) != side for row in self.entries):
-            raise DimensionMismatch("2-form matrix must be square")
-        for i in range(side):
-            for j in range(i, side):
-                if self.entries[i][j] != -self.entries[j][i]:
-                    raise ValueError(f"2-form not antisymmetric at entry ({i}, {j})")
+        for (i, j), a in self.items():
+            if self.entry(j, i) != -a:
+                raise ValueError(f"2-form not antisymmetric at entry ({i}, {j})")
 
-    @staticmethod
-    def zero(dim: int) -> TwoForm:
-        return TwoForm(tuple((ZERO,) * dim for _ in range(dim)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def value(self, x: FrameVector, y: FrameVector) -> Scalar:
-        _require_same_dim(self.dim, x.dim)
-        _require_same_dim(self.dim, y.dim)
-        return bilinear_value(self.nonzero, x, y)
-
-    def is_zero(self) -> bool:
-        return not any(any(row) for row in self.entries)
+    # value(x, y) is the full contraction
+    value = Table.contract
 
 
-@dataclass(frozen=True)
-class Tensor4(NonzeroIndexed):
-    """Dense 4-index coefficient array; no symmetry is imposed here."""
-
-    entries: tuple[tuple[tuple[tuple[Scalar, ...], ...], ...], ...]
-
-    def __post_init__(self) -> None:
-        d = len(self.entries)
-        for block in self.entries:
-            if len(block) != d or any(
-                    len(plane) != d or any(len(row) != d for row in plane)
-                    for plane in block):
-                raise DimensionMismatch("4-index tensor must have equal sides")
+class Tensor4(Table):
+    """4-index coefficient table; no symmetry is imposed here."""
 
     @staticmethod
     def from_function(dim: int, fn) -> Tensor4:
-        return Tensor4(tuple(tuple(tuple(tuple(Fraction(fn(i, j, k, el))
-                                               for el in range(dim))
-                                         for k in range(dim))
-                                   for j in range(dim))
-                             for i in range(dim)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def entry(self, i: int, j: int, k: int, el: int) -> Scalar:
-        return self.entries[i][j][k][el]
-
-    def contract(self, x: FrameVector, y: FrameVector, z: FrameVector,
-                 w: FrameVector) -> Scalar:
-        """Quadrilinear evaluation on four frame vectors."""
-        for v in (x, y, z, w):
-            _require_same_dim(self.dim, v.dim)
-        ws = w.coefficients
-        total = ZERO
-        for (i, xi), (j, yj), (k, zk) in product(x.nonzero, y.nonzero, z.nonzero):
-            row = self.nonzero[i][j][k]
-            if not row:
-                continue
-            part = ZERO
-            for el, a in row:
-                wl = ws[el]
-                if wl:
-                    part += wl * a
-            if part:
-                total += xi * yj * zk * part
-        return total
-
-    def contract3(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
-        """Trilinear contraction of the first three slots: the vector whose
-        e_el component is contract(x, y, z, e_el)."""
-        for v in (x, y, z):
-            _require_same_dim(self.dim, v.dim)
-        out = [ZERO] * self.dim
-        for (i, xi), (j, yj), (k, zk) in product(x.nonzero, y.nonzero, z.nonzero):
-            row = self.nonzero[i][j][k]
-            if row:
-                factor = xi * yj * zk
-                for el, a in row:
-                    out[el] += factor * a
-        return FrameVector(tuple(out))
+        return Tensor4.from_values(dim, 4, {
+            idx: value for idx in product(range(dim), repeat=4)
+            if (value := Fraction(fn(*idx)))})
 
 
 def format_sparse_vector(x: FrameVector) -> str:

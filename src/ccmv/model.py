@@ -18,10 +18,10 @@ from .core import (
     ZERO,
     Endomorphism,
     FrameVector,
-    NonzeroIndexed,
     OneForm,
     Scalar,
     Status,
+    Table,
     format_scalar,
     outer,
     parse_frame_index,
@@ -29,10 +29,11 @@ from .core import (
 )
 
 
-# Largest accepted `n`.  Curvature is stored as a dense d**4 table with
-# d = 4n + 2, so n = 13 (d = 54, about 8.5 million slots) keeps it under
-# about 10**7 entries; a larger `n` is rejected by the loader before any
-# table is allocated.
+# Largest accepted `n`.  Tables store nonzeros only, but the RIEM-SYM sweep
+# still visits all d**4 curvature index tuples and the BIANCHI-2 sweep all
+# d**3 slabs, with d = 4n + 2; n = 13 (d = 54, about 8.5 million tuples)
+# keeps a suite bounded.  A larger `n` is rejected by the loader before
+# any table is built.
 MAX_N = 13
 
 
@@ -48,47 +49,24 @@ class InvalidModelError(ValueError):
     """Model rejected by a structural gate (e.g. brackets not a Lie algebra)."""
 
 
-@dataclass(frozen=True)
-class StructureConstants(NonzeroIndexed):
-    """Bracket coefficients c[i][j][k]: the e_k component of [e_i, e_j]."""
-
-    _TABLE = "c"
-
-    dim: int
-    c: tuple[tuple[tuple[Scalar, ...], ...], ...]
+class StructureConstants(Table):
+    """Bracket coefficients c(i, j, k): the e_k component of [e_i, e_j];
+    row(i, j) is [e_i, e_j]."""
 
     @staticmethod
     def from_entries(dim: int, entries: dict[tuple[int, int, int], Scalar]) -> StructureConstants:
         """Build from sparse (i, j, k) -> value with i < j; filled antisymmetrically."""
-        table = [[[ZERO] * dim for _ in range(dim)] for _ in range(dim)]
+        values = {}
         for (i, j, k), value in entries.items():
             if i >= j:
                 raise ValueError(f"bracket entry ({i},{j},{k}): i must be < j")
-            table[i][j][k] = value
-            table[j][i][k] = -value
-        return StructureConstants(dim, tuple(tuple(tuple(row) for row in plane)
-                                             for plane in table))
-
-    def coeff(self, i: int, j: int, k: int) -> Scalar:
-        return self.c[i][j][k]
-
-    def bracket_basis(self, i: int, j: int) -> FrameVector:
-        """[e_i, e_j] as a frame vector."""
-        return FrameVector(self.c[i][j])
+            values[(i, j, k)] = value
+            values[(j, i, k)] = -value
+        return StructureConstants.from_values(dim, 3, values)
 
     def bracket(self, x: FrameVector, y: FrameVector) -> FrameVector:
         """Bilinear extension of the bracket to arbitrary frame vectors."""
-        out = [ZERO] * self.dim
-        ys = y.coefficients
-        for xi, plane in zip(x.coefficients, self.nonzero):
-            if not xi:
-                continue
-            for yj, row in zip(ys, plane):
-                if yj and row:
-                    factor = xi * yj
-                    for k, value in row:
-                        out[k] += factor * value
-        return FrameVector(tuple(out))
+        return self.contract(x, y)
 
 
 @dataclass(frozen=True)
@@ -187,35 +165,32 @@ def lie_checks(m: ManifoldModel) -> list[CheckResult]:
     """Bracket antisymmetry and the Jacobi identity, exhaustively.
 
     The Jacobi sum at (i, j, l, k) is
-    sum_m c[i][j][m] c[m][l][k] + c[j][l][m] c[m][i][k] + c[l][i][m] c[m][j][k];
+    sum_m c(i, j, m) c(m, l, k) + c(j, l, m) c(m, i, k) + c(l, i, m) c(m, j, k);
     it is accumulated from products of nonzero brackets only, and the
     witness is the first nonzero sum in `itertools.product` order.
     """
-    d = m.dim
-    c = m.constants.c
+    c = m.constants
     results: list[CheckResult] = []
 
+    # (i, j, k) fails iff (j, i, k) does; report the first in product order
+    failing = [key for (i, j, k), a in c.items() if a != -c.entry(j, i, k)
+               for key in ((i, j, k), (j, i, k))]
     witness = None
-    for i, j, k in product(range(d), repeat=3):
-        a, b = c[i][j][k], c[j][i][k]
-        if (a or b) and a != -b:
-            witness = _entry_witness((i, j, k), a, -b)
-            break
+    if failing:
+        i, j, k = min(failing)
+        witness = _entry_witness((i, j, k), c.entry(i, j, k), -c.entry(j, i, k))
     results.append(CheckResult("LIE-ANTISYM", Status.FAIL if witness else Status.PASS,
                                witness))
 
-    rows = m.constants.nonzero
     sums: dict[tuple[int, int, int, int], Scalar] = {}
-    for a, plane in enumerate(rows):
-        for b, row in enumerate(plane):
-            for p, first in row:
-                for e, inner in enumerate(rows[p]):
-                    for k, second in inner:
-                        # c[a][b][p] c[p][e][k] is a term of the sums at
-                        # (a, b, e, k), (e, a, b, k) and (b, e, a, k)
-                        term = first * second
-                        for key in ((a, b, e, k), (e, a, b, k), (b, e, a, k)):
-                            sums[key] = sums.get(key, ZERO) + term
+    for (a, b, p), first in c.items():
+        for e, inner in c.sub(p).items():
+            for k, second in inner:
+                # c(a, b, p) c(p, e, k) is a term of the sums at
+                # (a, b, e, k), (e, a, b, k) and (b, e, a, k)
+                term = first * second
+                for key in ((a, b, e, k), (e, a, b, k), (b, e, a, k)):
+                    sums[key] = sums.get(key, ZERO) + term
     failing = [key for key, total in sums.items() if total]
     witness = None
     if failing:
@@ -399,19 +374,13 @@ def load_model(source: str) -> ManifoldModel:
     if n_value is None:
         raise ModelFormatError(1, "missing n line")
 
-    def build_tensor(kind: str) -> Endomorphism:
-        columns: dict[int, dict[int, Scalar]] = {}
-        for (i, k), value in tensor_entries[kind].items():
-            columns.setdefault(i, {})[k] = value
-        return Endomorphism.from_columns(dim, columns)
-
     return ManifoldModel(
         name=name,
         n=n_value,
         constants=StructureConstants.from_entries(dim, bracket_entries),
-        G=build_tensor("G"),
-        H=build_tensor("H"),
-        J=build_tensor("J"),
+        G=Endomorphism.from_values(dim, 2, tensor_entries["G"]),
+        H=Endomorphism.from_values(dim, 2, tensor_entries["H"]),
+        J=Endomorphism.from_values(dim, 2, tensor_entries["J"]),
     )
 
 

@@ -400,18 +400,19 @@ def random_rational_vector(rng: random.Random, dim: int) -> FrameVector:
                              for _ in range(dim)))
 
 
-def check_normality(m: ManifoldModel, conn: ConnectionCoeffs, samples: int = 32,
+def check_normality(ctx: ConnectionWorkspace, samples: int = 32,
                     seed: int = 0) -> NormalityReport:
     """Decide normality by all three routes and report each with a witness.
 
-    The frame loops are exhaustive and complete (every quantity involved is
-    multilinear in its slots); the random rational pairs are an extra smoke
-    test on the korkmaz route, deterministic in (samples, seed).
+    The routes read the connection-level quantities of `ctx`, so a caller
+    that already holds a workspace derives them once.  The frame loops are
+    exhaustive and complete (every quantity involved is multilinear in its
+    slots); the random rational pairs are an extra smoke test on the korkmaz
+    route, deterministic in (samples, seed).
     """
-    ctx = ConnectionWorkspace(m, conn)
+    dim = ctx.model.dim
     rng = random.Random(f"{seed}:normality")
-    sample_pairs = [(random_rational_vector(rng, m.dim),
-                     random_rational_vector(rng, m.dim))
+    sample_pairs = [(random_rational_vector(rng, dim), random_rational_vector(rng, dim))
                     for _ in range(samples)]
     return NormalityReport(
         korkmaz=_route_korkmaz(ctx, sample_pairs),

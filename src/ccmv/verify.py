@@ -113,11 +113,11 @@ class Workspace(ConnectionWorkspace):
 
     def R(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """R(x, y) z by trilinear contraction of the stored tensor."""
-        return self.curv.r.contract3(x, y, z)
+        return self.curv.contract(x, y, z)
 
     def R4(self, x: FrameVector, y: FrameVector, z: FrameVector,
            w: FrameVector) -> Scalar:
-        return self.curv.r.contract(x, y, z, w)
+        return self.curv.contract(x, y, z, w)
 
     def rho_val(self, x: FrameVector, y: FrameVector) -> Scalar:
         return self.rho.value(x, y)
@@ -125,8 +125,7 @@ class Workspace(ConnectionWorkspace):
     def normality(self, samples: int, seed: int):
         key = (samples, seed)
         if key not in self._normality:
-            self._normality[key] = check_normality(self.model, self.conn,
-                                                   samples=samples, seed=seed)
+            self._normality[key] = check_normality(self, samples=samples, seed=seed)
         return self._normality[key]
 
     @cached_property
@@ -730,10 +729,10 @@ def diff_expected(m: ManifoldModel, exp: ExpectedValues) -> DiffReport:
     def compute(entry: ExpectedEntry):
         if entry.kind == "R":
             i, j, k = entry.indices
-            return ws.curv.vector(i, j, k)
+            return ws.curv.row(i, j, k)
         if entry.kind == "conn":
             i, j = entry.indices
-            return ws.conn.vector(i, j)
+            return ws.conn.row(i, j)
         if entry.kind == "ric":
             i, j = entry.indices
             return ws.rho.entry(i, j)

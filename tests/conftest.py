@@ -95,7 +95,7 @@ def make_heisenberg_model(n: int) -> ManifoldModel:
 def model_source(m: ManifoldModel) -> str:
     """The model as a model document that `load_model` reads back."""
     d = m.dim
-    c = m.constants.coeff
+    c = m.constants.entry
     lines = ["version 1", f"name {m.name}", f"n {m.n}"]
     lines += [f"bracket {i} {j} {k} {format_scalar(c(i, j, k))}"
               for i, j, k in product(range(d), repeat=3) if i < j and c(i, j, k)]

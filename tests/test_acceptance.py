@@ -33,6 +33,7 @@ from ccmv import (
 from ccmv.cli import main
 from ccmv.core import Status
 from ccmv.curvature import holomorphic_sectional
+from ccmv.structures import ConnectionWorkspace
 from ccmv.verify import parse_expected
 from tests.conftest import make_nilpotent_model
 
@@ -70,7 +71,7 @@ def test_c02_connection_table_matches_published_values(heisenberg, heis_conn):
     assert len(conn_entries) == 21
     for entry in conn_entries:
         i, j = entry.indices
-        assert heis_conn.vector(i, j) == entry.expected, entry.key
+        assert heis_conn.row(i, j) == entry.expected, entry.key
     print("criterion 2 PASS")
 
 
@@ -84,11 +85,11 @@ def test_c03_rotation_form_and_its_derivative_vanish(heisenberg, heis_conn):
 
 
 def test_c04_normality_routes_agree_both_ways(heisenberg, heis_conn):
-    report = check_normality(heisenberg, heis_conn)
+    report = check_normality(ConnectionWorkspace(heisenberg, heis_conn))
     assert report.all_pass and report.agreement
 
     flat = build_abelian()
-    control = check_normality(flat, levi_civita(flat))
+    control = check_normality(ConnectionWorkspace(flat, levi_civita(flat)))
     assert control.agreement
     for route in control.routes:
         assert route.status is Status.FAIL
@@ -98,11 +99,11 @@ def test_c04_normality_routes_agree_both_ways(heisenberg, heis_conn):
 
 def test_c05_curvature_operator_spot_values(heisenberg, heis_curv):
     e = [heisenberg.basis(i) for i in range(6)]
-    assert heis_curv.vector(0, 2, 0) == e[2].scale(3)
-    assert heis_curv.vector(0, 2, 2) == e[0].scale(-3)
-    assert heis_curv.vector(0, 4, 4) == e[0]
-    assert heis_curv.vector(4, 5, 5).is_zero()
-    assert heis_curv.vector(4, 5, 0) == e[1].scale(2)
+    assert heis_curv.row(0, 2, 0) == e[2].scale(3)
+    assert heis_curv.row(0, 2, 2) == e[0].scale(-3)
+    assert heis_curv.row(0, 4, 4) == e[0]
+    assert heis_curv.row(4, 5, 5).is_zero()
+    assert heis_curv.row(4, 5, 0) == e[1].scale(2)
     print("criterion 5 PASS")
 
 
@@ -174,8 +175,8 @@ def test_c10_symmetry_and_bianchi_properties_on_perturbed_models(heis_suite,
         rt = riemann(m, conn)
         assert riemann_symmetry_failures(rt) is None, seed
         for i, j, k in product(range(6), repeat=3):
-            cyclic = (rt.vector(i, j, k) + rt.vector(j, k, i)
-                      + rt.vector(k, i, j))
+            cyclic = (rt.row(i, j, k) + rt.row(j, k, i)
+                      + rt.row(k, i, j))
             assert cyclic.is_zero(), (seed, i, j, k)
         assert second_bianchi_failures(m, conn, rt) is None, seed
     print("criterion 10 PASS")

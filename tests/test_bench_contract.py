@@ -41,3 +41,11 @@ def test_traced_suite_records_two_lie_check_spans():
     names = [s.name for s in tracer.spans]
     assert names.count("model.lie_checks") == 2, names
     assert ccmv.verify.riemann is ccmv.curvature.riemann, "tracer left a patch installed"
+
+
+def test_traced_suite_records_one_normality_span():
+    tracer = _tracing().Tracer()
+    with tracer.installed(), tracer.span("verdict"):
+        ccmv.run_suite(ccmv.build_heisenberg(), "all")
+    names = [s.name for s in tracer.spans]
+    assert names.count("structures.check_normality") == 1, names

@@ -90,6 +90,12 @@ class TestCurvature:
         assert code == 0
         assert out == "R\t0\t2\t0\t2\t3\n"
 
+    def test_non_canonical_component_is_usage_error(self, capsys, heis_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["curvature", heis_path, "--component", "+0", "0_1", "2", "4"])
+        assert exc.value.code == 2
+        assert "argument --component: not an integer: '+0'" in capsys.readouterr().err
+
     def test_component_out_of_range(self, capsys, heis_path):
         code, out, err = run_cli(capsys, "curvature", heis_path,
                                  "--component", "0", "2", "0", "9")
@@ -141,6 +147,14 @@ class TestSectional:
         assert code == 2
         assert "nondegenerate plane" in err
 
+    def test_non_ascii_plane_is_usage_error(self, capsys, heis_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["sectional", heis_path, "--plane", "\u0660", "2"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "argument --plane: not an integer: '\u0660'" in captured.err
+
     def test_out_of_range_exits_2(self, capsys, heis_path):
         code, _, err = run_cli(capsys, "sectional", heis_path,
                                "--plane", "0", "6")
@@ -170,6 +184,19 @@ class TestVerify:
         assert code == 1
         assert out == open(f"errata/{name}_suite.tsv").read()
 
+    @pytest.mark.parametrize("command", ["connection", "curvature", "ricci"])
+    @pytest.mark.parametrize("name,build", [
+        ("heisenberg_n2", lambda: make_heisenberg_model(2)),
+        ("nilpotent3", lambda: make_nilpotent_model(3)),
+    ])
+    def test_off_bundle_table_tsv_matches_errata(self, capsys, tmp_path, name, build,
+                                                 command):
+        path = tmp_path / f"{name}.ccm"
+        path.write_text(model_source(build()), encoding="utf-8")
+        code, out, err = run_cli(capsys, command, str(path), "--format", "tsv")
+        assert (code, err) == (0, "")
+        assert out == open(f"errata/{name}_{command}.tsv").read()
+
     def test_subgroup_text_output(self, capsys, heis_path):
         code, out, _ = run_cli(capsys, "verify", heis_path,
                                "--suite", "contact")
@@ -198,6 +225,14 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", heis_path, "--samples", "-1")
         assert code == 2
         assert "--samples must be non-negative" in err
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "1_0"), ("--seed", "\u0663")])
+    def test_non_canonical_integer_option_is_usage_error(self, capsys, heis_path,
+                                                         flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", heis_path, flag, value])
+        assert exc.value.code == 2
+        assert f"argument {flag}: not an integer: {value!r}" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self, capsys, heis_path):
         with pytest.raises(SystemExit) as exc:

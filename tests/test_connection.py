@@ -41,17 +41,17 @@ class TestCoefficientTable:
             for j in range(6):
                 for k in range(6):
                     expected = GAMMA_TABLE.get((i, j, k), 0)
-                    assert heis_conn.coeff(i, j, k) == expected, (i, j, k)
+                    assert heis_conn.entry(i, j, k) == expected, (i, j, k)
 
     def test_vector_accessor(self, heis_conn):
-        assert heis_conn.vector(0, 2) == FrameVector.basis(6, 4).scale(-1)
-        assert heis_conn.vector(4, 0) == FrameVector.basis(6, 2)
-        assert heis_conn.vector(0, 0).is_zero()
-        assert heis_conn.vector(4, 5).is_zero()
+        assert heis_conn.row(0, 2) == FrameVector.basis(6, 4).scale(-1)
+        assert heis_conn.row(4, 0) == FrameVector.basis(6, 2)
+        assert heis_conn.row(0, 0).is_zero()
+        assert heis_conn.row(4, 5).is_zero()
 
     def test_abelian_connection_is_flat(self, abelian):
         conn = levi_civita(abelian)
-        assert all(conn.coeff(i, j, k) == 0
+        assert all(conn.entry(i, j, k) == 0
                    for i in range(6) for j in range(6) for k in range(6))
 
     @pytest.mark.parametrize("seed", range(3))
@@ -62,18 +62,18 @@ class TestCoefficientTable:
         for i in range(6):
             for j in range(6):
                 for k in range(6):
-                    assert conn.coeff(i, j, k) == -conn.coeff(i, k, j)
+                    assert conn.entry(i, j, k) == -conn.entry(i, k, j)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_torsion_free(self, heisenberg, seed):
         models = {0: heisenberg}
         m = models.get(seed) or make_nilpotent_model(seed)
         conn = levi_civita(m)
-        c = m.constants.coeff
+        c = m.constants.entry
         for i in range(6):
             for j in range(6):
                 for k in range(6):
-                    assert (conn.coeff(i, j, k) - conn.coeff(j, i, k)
+                    assert (conn.entry(i, j, k) - conn.entry(j, i, k)
                             == c(i, j, k))
 
 
@@ -85,7 +85,7 @@ class TestCovariantDerivatives:
         expected = FrameVector.zero(6)
         for i, xi in enumerate(x.coefficients):
             for j, yj in enumerate(y.coefficients):
-                expected = expected + heis_conn.vector(i, j).scale(xi * yj)
+                expected = expected + heis_conn.row(i, j).scale(xi * yj)
         assert lhs == expected
 
     @given(x=coeffs6, y=coeffs6)

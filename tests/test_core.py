@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from ccmv.core import (
     FrameVector,
     OneForm,
     Status,
+    Table,
     Tensor4,
     TwoForm,
     format_scalar,
@@ -106,7 +108,7 @@ class TestEndomorphism:
     def test_from_columns_entry_column(self):
         a = Endomorphism.from_columns(2, {0: {1: Fraction(5)}})
         assert a.entry(1, 0) == 5
-        assert a.column(0).coefficients == (0, 5)
+        assert a.row(0).coefficients == (0, 5)
         assert a.apply(FrameVector.basis(2, 0)).coefficients == (0, 5)
 
     def test_compose_order(self):
@@ -138,10 +140,10 @@ class TestForms:
 
     def test_twoform_requires_antisymmetry(self):
         with pytest.raises(ValueError):
-            TwoForm(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(0))))
+            TwoForm.from_values(2, 2, {(0, 0): Fraction(1)})
 
     def test_twoform_value(self):
-        w = TwoForm(((Fraction(0), Fraction(2)), (Fraction(-2), Fraction(0))))
+        w = TwoForm.from_values(2, 2, {(0, 1): Fraction(2), (1, 0): Fraction(-2)})
         x = FrameVector.basis(2, 0)
         y = FrameVector.basis(2, 1)
         assert w.value(x, y) == 2
@@ -168,6 +170,78 @@ class TestTensor4:
         w = FrameVector.basis(6, 5)
         assert t.contract(x.scale(a) + y, z, w, z) == \
             a * t.contract(x, z, w, z) + t.contract(y, z, w, z)
+
+
+def dense_contract(values: dict, dim: int, rank: int, vectors) -> Fraction | FrameVector:
+    """The contraction as the plain sum over every index tuple."""
+    def term(idx):
+        coeff = values.get(idx, Fraction(0))
+        for v, i in zip(vectors, idx):
+            coeff *= v[i]
+        return coeff
+    if len(vectors) == rank:
+        return sum((term(idx) for idx in product(range(dim), repeat=rank)), Fraction(0))
+    return FrameVector(tuple(
+        sum((term(head + (k,)) for head in product(range(dim), repeat=rank - 1)),
+            Fraction(0))
+        for k in range(dim)))
+
+
+sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def tables_and_vectors(draw, rank):
+    """A random sparse rank-k table over dim 4 (explicit zeros included),
+    with rank or rank - 1 random vectors, some of them zero."""
+    dim = 4
+    index = st.tuples(*[st.integers(0, dim - 1)] * rank)
+    values = draw(st.dictionaries(index, sparse_rationals, max_size=3 * dim))
+    filled = draw(st.sampled_from([rank, rank - 1]))
+    vector = st.one_of(st.just(FrameVector.zero(dim)),
+                       st.lists(sparse_rationals, min_size=dim, max_size=dim)
+                       .map(lambda cs: FrameVector(tuple(cs))))
+    return values, dim, [draw(vector) for _ in range(filled)]
+
+
+class TestTable:
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_contract_matches_dense_sum(self, rank, data):
+        values, dim, vectors = data.draw(tables_and_vectors(rank))
+        table = Table.from_values(dim, rank, values)
+        result = table.contract(*vectors)
+        assert result == dense_contract(values, dim, rank, vectors)
+        assert isinstance(result, Fraction if len(vectors) == rank else FrameVector)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    def test_zero_table_contracts_to_zero(self, rank):
+        table = Table.from_values(3, rank, {})
+        ones = FrameVector.from_coeffs([1, 2, 3])
+        assert table.is_zero() and table.entries == {}
+        assert table.contract(*[ones] * rank) == 0
+        assert table.contract(*[ones] * (rank - 1)) == FrameVector.zero(3)
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_explicit_zeros_are_not_stored(self, data):
+        values, dim, _ = data.draw(tables_and_vectors(3))
+        nonzero = {idx: value for idx, value in values.items() if value}
+        table = Table.from_values(dim, 3, values)
+        assert table == Table.from_values(dim, 3, nonzero)
+        assert dict(table.items()) == nonzero
+        assert all(table.entry(*idx) == values.get(idx, 0)
+                   for idx in product(range(dim), repeat=3))
+
+    def test_contract_rejects_wrong_slot_count(self):
+        table = Table.from_values(2, 3, {(0, 1, 1): Fraction(1)})
+        with pytest.raises(ValueError):
+            table.contract(FrameVector.basis(2, 0))
+
+    def test_from_values_rejects_out_of_range_index(self):
+        with pytest.raises(DimensionMismatch):
+            Table.from_values(2, 2, {(0, 2): Fraction(1)})
 
 
 class TestSparseVectorText:

@@ -12,7 +12,6 @@ from ccmv.connection import levi_civita
 from ccmv.core import DimensionMismatch, FrameVector, Tensor4, parse_sparse_vector
 from ccmv.curvature import (
     BilinearForm,
-    CurvTensor,
     DegeneratePlane,
     curvature_value,
     holomorphic_sectional,
@@ -67,15 +66,15 @@ class TestCurvatureTensor:
                     text = CURV_TABLE.get((i, j, k))
                     expected = (parse_sparse_vector(text, 6) if text
                                 else FrameVector.zero(6))
-                    assert heis_curv.vector(i, j, k) == expected, (i, j, k)
+                    assert heis_curv.row(i, j, k) == expected, (i, j, k)
 
     def test_operator_spot_values(self, heisenberg, heis_curv):
         e = [heisenberg.basis(i) for i in range(6)]
-        assert heis_curv.vector(0, 2, 0) == e[2].scale(3)
-        assert heis_curv.vector(0, 2, 2) == e[0].scale(-3)
-        assert heis_curv.vector(0, 4, 4) == e[0]
-        assert heis_curv.vector(4, 5, 5).is_zero()
-        assert heis_curv.vector(4, 5, 0) == e[1].scale(2)
+        assert heis_curv.row(0, 2, 0) == e[2].scale(3)
+        assert heis_curv.row(0, 2, 2) == e[0].scale(-3)
+        assert heis_curv.row(0, 4, 4) == e[0]
+        assert heis_curv.row(4, 5, 5).is_zero()
+        assert heis_curv.row(4, 5, 0) == e[1].scale(2)
 
     def test_nonzero_entry_count(self, heis_curv):
         count = sum(1 for i, j, k, el in product(range(6), repeat=4)
@@ -87,8 +86,8 @@ class TestCurvatureTensor:
 
     def test_first_bianchi_spot(self, heis_curv):
         for i, j, k in product(range(6), repeat=3):
-            total = (heis_curv.vector(i, j, k) + heis_curv.vector(j, k, i)
-                     + heis_curv.vector(k, i, j))
+            total = (heis_curv.row(i, j, k) + heis_curv.row(j, k, i)
+                     + heis_curv.row(k, i, j))
             assert total.is_zero(), (i, j, k)
 
     def test_abelian_curvature_vanishes(self, abelian):
@@ -152,14 +151,12 @@ class TestRicci:
         assert scalar_curvature(rho) == 0
 
     def test_form_rejects_asymmetric_matrix(self):
-        rows = [[Fraction(0)] * 6 for _ in range(6)]
-        rows[0][1] = Fraction(1)
         with pytest.raises(ValueError):
-            BilinearForm(tuple(tuple(r) for r in rows))
+            BilinearForm.from_values(6, 2, {(0, 1): Fraction(1)})
 
     def test_form_rejects_ragged_matrix(self):
         with pytest.raises(DimensionMismatch):
-            BilinearForm(((Fraction(0),), (Fraction(0), Fraction(0))))
+            BilinearForm.from_values(1, 2, {(0, 1): Fraction(1), (1, 0): Fraction(1)})
 
 
 class TestSectional:
@@ -226,7 +223,7 @@ class TestSecondBianchi:
             bump = Fraction(1) if (i, j, k, el) == (0, 2, 2, 0) else Fraction(0)
             return heis_curv.entry(i, j, k, el) + bump
 
-        bad = CurvTensor(Tensor4.from_function(6, corrupted))
+        bad = Tensor4.from_function(6, corrupted)
         where = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert where is not None
         value = second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *where)

@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from ccmv import (
     HEISENBERG_CCM,
-    CurvTensor,
     FrameVector,
     ManifoldModel,
     Status,
@@ -48,9 +47,25 @@ MODELS = {
 
 # ----- dense reference routes -----
 
+def dense_view(t) -> list:
+    """The table as dense nested lists, for the index-range formulas."""
+    def block(depth):
+        if depth == t.rank - 1:
+            return [ZERO] * t.dim
+        return [block(depth + 1) for _ in range(t.dim)]
+
+    view = block(0)
+    for idx, value in t.items():
+        node = view
+        for i in idx[:-1]:
+            node = node[i]
+        node[idx[-1]] = value
+    return view
+
+
 def dense_jacobi_witness(m) -> str | None:
     d = m.dim
-    c = m.constants.coeff
+    c = m.constants.entry
     for i, j, el, k in product(range(d), repeat=4):
         total = sum((c(i, j, mm) * c(mm, el, k)
                      + c(j, el, mm) * c(mm, i, k)
@@ -62,8 +77,8 @@ def dense_jacobi_witness(m) -> str | None:
 
 def dense_riemann(m, conn) -> Tensor4:
     d = m.dim
-    gamma = conn.gamma
-    c = m.constants.c
+    gamma = dense_view(conn)
+    c = dense_view(m.constants)
 
     def component(i, j, k, el):
         total = ZERO
@@ -77,13 +92,15 @@ def dense_riemann(m, conn) -> Tensor4:
 
 
 def dense_cyclic_sum(m, conn, rt, mm, i, j, k, el) -> Fraction:
+    gamma = dense_view(conn)
+
     def nabla_r(s, a, b, cc, dd):
         total = ZERO
         for p in range(m.dim):
-            total -= conn.gamma[s][a][p] * rt.entry(p, b, cc, dd)
-            total -= conn.gamma[s][b][p] * rt.entry(a, p, cc, dd)
-            total -= conn.gamma[s][cc][p] * rt.entry(a, b, p, dd)
-            total -= conn.gamma[s][dd][p] * rt.entry(a, b, cc, p)
+            total -= gamma[s][a][p] * rt.entry(p, b, cc, dd)
+            total -= gamma[s][b][p] * rt.entry(a, p, cc, dd)
+            total -= gamma[s][cc][p] * rt.entry(a, b, p, dd)
+            total -= gamma[s][dd][p] * rt.entry(a, b, cc, p)
         return total
 
     return (nabla_r(mm, i, j, k, el) + nabla_r(i, j, mm, k, el)
@@ -94,8 +111,9 @@ def dense_bianchi_failure(m, conn, rt) -> tuple[int, ...] | None:
     """First failing tuple of the exhaustive sweep; the dense formula with
     the connection read through its zero-free rows only, to stay fast."""
     d = m.dim
-    r = rt.r.entries
-    rows = [[[(p, conn.gamma[s][a][p]) for p in range(d) if conn.gamma[s][a][p]]
+    r = dense_view(rt)
+    gamma = dense_view(conn)
+    rows = [[[(p, gamma[s][a][p]) for p in range(d) if gamma[s][a][p]]
              for a in range(d)] for s in range(d)]
 
     def nabla_r(s, a, b, cc, dd):
@@ -171,7 +189,7 @@ class TestGeneratedModels:
 
     def test_riemann_matches_dense_assembly(self, geometry):
         m, conn, rt = geometry
-        assert rt.r == dense_riemann(m, conn)
+        assert rt == dense_riemann(m, conn)
 
     def test_bianchi_sweep_matches_dense_sweep(self, geometry):
         m, conn, rt = geometry
@@ -217,9 +235,9 @@ class TestMutatedModels:
 
     def test_non_antisymmetric_table_gives_the_same_jacobi_witness(self):
         base = build_heisenberg()
-        c = [[list(row) for row in plane] for plane in base.constants.c]
-        c[2][0][1] = Fraction(3)           # only one of the pair (0,2), (2,0)
-        raw = StructureConstants(6, tuple(tuple(tuple(r) for r in p) for p in c))
+        c = dict(base.constants.items())
+        c[(2, 0, 1)] = Fraction(3)           # only one of the pair (0,2), (2,0)
+        raw = StructureConstants.from_values(6, 3, c)
         m = ManifoldModel("raw", 1, raw, base.G, base.H, base.J)
         witness = _jacobi_witness(m)
         assert witness is not None and witness == dense_jacobi_witness(m)
@@ -231,13 +249,17 @@ class TestMutatedModels:
         def bumped(*idx):
             return heis_curv.entry(*idx) + (Fraction(1) if idx == where else ZERO)
 
-        bad = CurvTensor(Tensor4.from_function(heisenberg.dim, bumped))
+        bad = Tensor4.from_function(heisenberg.dim, bumped)
         found = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert found is not None
         assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
         value = second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *found)
         assert value != 0
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
+        slab = found[:3]
+        for k, el in product(range(heisenberg.dim), repeat=2):
+            assert (second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *slab, k, el)
+                    == dense_cyclic_sum(heisenberg, heis_conn, bad, *slab, k, el)), (k, el)
 
     # Each break adds 1 to R(a, b, c, e) and to signed partner entries, so
     # that every symmetry clause before the named one still holds there.
@@ -257,7 +279,7 @@ class TestMutatedModels:
             return heis_curv.entry(*idx) + bumps.get(idx, 0)
 
         ws = Workspace(heisenberg)
-        ws.curv = CurvTensor(Tensor4.from_function(heisenberg.dim, broken))
+        ws.curv = Tensor4.from_function(heisenberg.dim, broken)
         result = direct_riemann_symmetry(ws)
         assert result.status is Status.FAIL
         assert result == frame_sweep_riemann_symmetry(ws)
@@ -289,6 +311,6 @@ def test_contract_matches_dense_sum(x, y, z, w):
 @given(vectors6, vectors6, vectors6, vectors6)
 @settings(max_examples=25, deadline=None)
 def test_workspace_contractions_match_dense_sums(workspace, x, y, z, w):
-    r = workspace.curv.r
+    r = workspace.curv
     assert workspace.R4(x, y, z, w) == dense_contract(r, x, y, z, w)
     assert workspace.R(x, y, z) == dense_contract3(r, x, y, z)

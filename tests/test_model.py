@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ccmv.core import ZERO, FrameVector, Status
+from ccmv.core import FrameVector, Status
 from ccmv.model import (
     HEISENBERG_CCM,
     MAX_N,
@@ -76,7 +76,7 @@ class TestLoadHappyPath:
                     (1, 3): (4, 2)}
         for i in range(6):
             for j in range(6):
-                vec = c.bracket_basis(i, j)
+                vec = c.row(i, j)
                 if (i, j) in expected:
                     k, q = expected[(i, j)]
                     assert vec == heisenberg.basis(k).scale(q)
@@ -91,9 +91,9 @@ class TestLoadHappyPath:
         x = FrameVector.from_coeffs([1, 2, 0, 0, 0, 0])
         y = FrameVector.from_coeffs([0, 0, 3, -1, 0, 0])
         # [e0 + 2e1, 3e2 - e3] = 3[e0,e2] - [e0,e3] + 6[e1,e2] - 2[e1,e3]
-        expected = (c.bracket_basis(0, 2).scale(3) - c.bracket_basis(0, 3)
-                    + c.bracket_basis(1, 2).scale(6)
-                    - c.bracket_basis(1, 3).scale(2))
+        expected = (c.row(0, 2).scale(3) - c.row(0, 3)
+                    + c.row(1, 2).scale(6)
+                    - c.row(1, 3).scale(2))
         assert c.bracket(x, y) == expected
 
     def test_comments_and_blanks_ignored(self):
@@ -106,7 +106,7 @@ class TestLoadHappyPath:
         m = load_model(MINIMAL + "G 0 1 1\n")
         assert m.G.apply(m.basis(0)) == m.basis(1)
         assert m.G.apply(m.basis(1)).is_zero()
-        assert m.constants.bracket_basis(0, 1).is_zero()
+        assert m.constants.row(0, 1).is_zero()
 
     def test_default_name(self):
         assert load_model("version 1\nn 1\n").name == "model"
@@ -189,16 +189,20 @@ class TestValidation:
 
     def test_antisym_failure_witness(self):
         # build raw constants that break antisymmetry (loader cannot)
-        d = 6
-        c = [[[ZERO] * d for _ in range(d)] for _ in range(d)]
-        c[0][1][2] = Fraction(1)
-        raw = StructureConstants(d, tuple(tuple(tuple(r) for r in p) for p in c))
+        raw = StructureConstants.from_values(6, 3, {(0, 1, 2): Fraction(1)})
         base = build_heisenberg()
         m = ManifoldModel("broken", 1, raw, base.G, base.H, base.J)
         checks = {r.check_id: r for r in lie_checks(m)}
         assert checks["LIE-ANTISYM"].status is Status.FAIL
         assert "entry=(0,1,2)" in checks["LIE-ANTISYM"].witness
         assert "lhs=1" in checks["LIE-ANTISYM"].witness
+
+    def test_from_entries_stores_only_the_nonzero_brackets(self):
+        c = StructureConstants.from_entries(54, {(0, 2, 52): Fraction(-2),
+                                                 (1, 3, 53): Fraction(1, 3),
+                                                 (7, 40, 0): Fraction(5)})
+        assert len(list(c.items())) == 6
+        assert c.entry(2, 0, 52) == 2 and c.entry(40, 7, 0) == -5
 
     def test_from_entries_rejects_unordered(self):
         with pytest.raises(ValueError):
@@ -234,7 +238,7 @@ class TestPerturbation:
 
 class TestAbelian:
     def test_brackets_all_zero(self, abelian):
-        assert all(abelian.constants.bracket_basis(i, j).is_zero()
+        assert all(abelian.constants.row(i, j).is_zero()
                    for i in range(6) for j in range(6))
 
     def test_algebraic_axioms_still_pass(self, abelian):

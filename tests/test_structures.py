@@ -9,6 +9,7 @@ import pytest
 from ccmv.connection import cov_deriv_endo, levi_civita
 from ccmv.core import Endomorphism, FrameVector, Status
 from ccmv.structures import (
+    ConnectionWorkspace,
     apply_structure,
     check_normality,
     horizontal_projection,
@@ -139,7 +140,7 @@ class TestHelpers:
 
 class TestNormalityRoutes:
     def test_builtin_model_passes_all_routes(self, heisenberg, heis_conn):
-        report = check_normality(heisenberg, heis_conn)
+        report = check_normality(ConnectionWorkspace(heisenberg, heis_conn))
         assert report.all_pass
         assert report.agreement
         assert [r.route for r in report.routes] == ["korkmaz", "prop21", "thm45"]
@@ -148,7 +149,7 @@ class TestNormalityRoutes:
 
     def test_abelian_fails_all_routes_with_witnesses(self, abelian):
         conn = levi_civita(abelian)
-        report = check_normality(abelian, conn)
+        report = check_normality(ConnectionWorkspace(abelian, conn))
         assert not report.all_pass
         assert report.agreement  # all three agree on FAIL
         assert report.korkmaz.status is Status.FAIL
@@ -159,6 +160,8 @@ class TestNormalityRoutes:
         assert report.thm45.witness == "G slots=0,0 lhs=0 rhs=1:4"
 
     def test_deterministic_in_samples_and_seed(self, heisenberg, heis_conn):
-        first = check_normality(heisenberg, heis_conn, samples=8, seed=7)
-        second = check_normality(heisenberg, heis_conn, samples=8, seed=7)
+        first = check_normality(ConnectionWorkspace(heisenberg, heis_conn),
+                                samples=8, seed=7)
+        second = check_normality(ConnectionWorkspace(heisenberg, heis_conn),
+                                 samples=8, seed=7)
         assert first == second

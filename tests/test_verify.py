@@ -124,6 +124,19 @@ class TestSuite:
         with pytest.raises(ValueError, match="unknown selector"):
             run_suite(heisenberg, "everything")
 
+    def test_connection_quantities_are_derived_once(self, heisenberg, monkeypatch):
+        # the normality routes read the run's own workspace: one sigma, the
+        # six nabla_U/nabla_V of G, H and J, and the three d of sigma, u, v
+        import ccmv.structures as structures
+        calls = {}
+        for name in ("sigma_form", "cov_deriv_endo", "exterior_d_oneform"):
+            def counted(*args, _name=name, _fn=getattr(structures, name)):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(structures, name, counted)
+        run_suite(heisenberg)
+        assert calls == {"sigma_form": 1, "cov_deriv_endo": 6, "exterior_d_oneform": 3}
+
     def test_rejects_non_lie_model(self):
         text = "version 1\nn 1\nbracket 0 1 2 1\nbracket 0 2 0 1\n"
         with pytest.raises(InvalidModelError, match="LIE-JACOBI"):
@@ -132,7 +145,7 @@ class TestSuite:
     def test_failed_identity_is_an_honest_mismatch(self, heisenberg, heis_curv):
         # the first EQ-2.19 witness compares R(U, V) e0 against J e0
         e0, e1 = heisenberg.basis(0), heisenberg.basis(1)
-        lhs = heis_curv.vector(heisenberg.U_index, heisenberg.V_index, 0)
+        lhs = heis_curv.row(heisenberg.U_index, heisenberg.V_index, 0)
         assert lhs == e1.scale(2)  # rendered as 2:1
         assert heisenberg.J.apply(e0) == e1.scale(-1)  # rendered as -1:1
 
