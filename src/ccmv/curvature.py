@@ -169,15 +169,39 @@ def second_bianchi_failures(m: ManifoldModel, conn: ConnectionCoeffs,
     """First (m, i, j, k, l) tuple, in `itertools.product` order, violating
     the differential Bianchi identity, or None.
 
-    Streams one (m, i, j) slab of the cyclic sum at a time and returns at
-    the first slab with a nonzero entry.
+    The cyclic slab at (i, j, m) or (j, m, i) is the same three nabla R
+    terms as at (m, i, j), so the failing triples are closed under rotation
+    and the first of them in product order is the smallest of its orbit.
+    Only those orbit minima are built, one slab at a time, and the sweep
+    returns at the first slab with a nonzero entry.
     """
     for mm, i, j in product(range(m.dim), repeat=3):
+        if (i, j, mm) < (mm, i, j) or (j, mm, i) < (mm, i, j):
+            continue
         slab = second_bianchi_slab(conn, rt, mm, i, j)
         failing = [key for key, total in slab.items() if total]
         if failing:
             return (mm, i, j, *min(failing))
     return None
+
+
+def first_bianchi_cyclic_sum(rt: Tensor4, i: int, j: int, k: int, el: int) -> Scalar:
+    """R_ijkl + R_jkil + R_kijl; zero when the first Bianchi identity holds."""
+    return rt.entry(i, j, k, el) + rt.entry(j, k, i, el) + rt.entry(k, i, j, el)
+
+
+def first_bianchi_failures(rt: Tensor4) -> tuple[int, ...] | None:
+    """First index tuple, in `itertools.product` order, with a nonzero
+    cyclic sum, or None.
+
+    A nonzero sum has a nonzero term, so the tuple is one of the three
+    rotations of the first three indices of a stored entry; only those
+    candidates are read, in sorted order.
+    """
+    candidates = {where for (a, b, c, el), _ in rt.items()
+                  for where in ((a, b, c, el), (c, a, b, el), (b, c, a, el))}
+    return next((where for where in sorted(candidates)
+                 if first_bianchi_cyclic_sum(rt, *where)), None)
 
 
 def riemann_symmetry_clauses(rt: Tensor4, i: int, j: int, k: int,
@@ -192,8 +216,15 @@ def riemann_symmetry_clauses(rt: Tensor4, i: int, j: int, k: int,
 
 def riemann_symmetry_failures(rt: Tensor4) -> tuple[int, ...] | None:
     """First index tuple, in `itertools.product` order, violating the pair
-    symmetries, or None."""
-    for where in product(range(rt.dim), repeat=4):
-        if any(lhs != rhs for _, lhs, rhs in riemann_symmetry_clauses(rt, *where)):
-            return where
-    return None
+    symmetries, or None.
+
+    The clauses at (i, j, k, l) read R there and at (j, i, k, l),
+    (i, j, l, k) and (k, l, i, j); where all four are zero every clause
+    holds.  So only the stored entries and those three partners of each
+    are candidates, checked in sorted order.
+    """
+    candidates = {where for (i, j, k, el), _ in rt.items()
+                  for where in ((i, j, k, el), (j, i, k, el), (i, j, el, k), (k, el, i, j))}
+    return next((where for where in sorted(candidates)
+                 if any(lhs != rhs for _, lhs, rhs in riemann_symmetry_clauses(rt, *where))),
+                None)

@@ -29,12 +29,19 @@ from .core import (
 )
 
 
-# Largest accepted `n`.  Tables store nonzeros only, but the RIEM-SYM sweep
-# still visits all d**4 curvature index tuples and the BIANCHI-2 sweep all
-# d**3 slabs, with d = 4n + 2; n = 13 (d = 54, about 8.5 million tuples)
-# keeps a suite bounded.  A larger `n` is rejected by the loader before
-# any table is built.
+# Largest accepted `n`.  Tables store nonzeros only, and RIEM-SYM and
+# BIANCHI-1 read only the curvature entries that can fail.  What still
+# scales with d = 4n + 2 is the (4n)**4 horizontal frame sweeps of EQ-2.20,
+# EQ-2.21 and EQ-4.1 and the d**3 / 3 cyclic-orbit slabs of BIANCHI-2;
+# n = 13 (d = 54, about 7.3 million horizontal tuples) keeps a suite
+# bounded.  A larger `n` is rejected by the loader before any table is built.
 MAX_N = 13
+
+# Largest accepted `ccmv verify --samples`.  Each sample evaluates every
+# slotted identity once more on random dense vectors (about 15 ms per
+# sample on the bundled model, more at larger n), so the cap bounds the
+# sampling to seconds or minutes instead of an unbounded run.
+MAX_SAMPLES = 1000
 
 
 class ModelFormatError(ValueError):

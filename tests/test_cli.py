@@ -5,8 +5,9 @@ import importlib.resources
 
 import pytest
 
-from ccmv import HEISENBERG_CCM, load_model
+from ccmv import HEISENBERG_CCM, load_model, run_suite
 from ccmv.cli import main
+from ccmv.model import MAX_SAMPLES
 from conftest import make_heisenberg_model, make_nilpotent_model, model_source
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv")
@@ -225,6 +226,37 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", heis_path, "--samples", "-1")
         assert code == 2
         assert "--samples must be non-negative" in err
+
+    def test_samples_above_cap_exits_2_before_loading(self, capsys, tmp_path,
+                                                      monkeypatch):
+        # the model path does not exist: the cap is checked before any load
+        def no_suite(*args, **kwargs):
+            raise AssertionError("run_suite called")
+        monkeypatch.setattr("ccmv.cli.run_suite", no_suite)
+        code, out, err = run_cli(capsys, "verify", str(tmp_path / "absent.ccm"),
+                                 "--samples", str(MAX_SAMPLES + 1))
+        assert (code, out) == (2, "")
+        assert err == f"ccmv: --samples must be at most {MAX_SAMPLES}\n"
+
+    def test_samples_at_cap_reach_the_suite(self, capsys, heis_path, monkeypatch):
+        # the cap itself is accepted; the suite is stubbed to a cheap group
+        seen = []
+
+        def recorded(m, selector, samples, seed):
+            seen.append(samples)
+            return run_suite(m, "ricci", samples=0, seed=seed)
+        monkeypatch.setattr("ccmv.cli.run_suite", recorded)
+        code, _, err = run_cli(capsys, "verify", heis_path, "--samples", str(MAX_SAMPLES))
+        assert (code, err, seen) == (0, "", [MAX_SAMPLES])
+
+    def test_small_sample_count_runs(self, capsys, heis_path):
+        code, out, err = run_cli(capsys, "verify", heis_path, "--suite", "curvature",
+                                 "--samples", "2", "--seed", "5")
+        assert (code, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[0] == ("# ccmv verify model=heisenberg suite=curvature "
+                            "samples=2 seed=5")
+        assert "EQ-2.19 FAIL slots=0 lhs=2:1 rhs=-1:1" in lines
 
     @pytest.mark.parametrize("flag,value", [("--samples", "1_0"), ("--seed", "\u0663")])
     def test_non_canonical_integer_option_is_usage_error(self, capsys, heis_path,

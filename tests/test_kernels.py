@@ -2,15 +2,18 @@
 
 Each reference below is the dense index-range formula, kept here as an
 independent second route: the Jacobi sweep, the curvature assembly, the
-exhaustive second-Bianchi sweep, the frame sweep of the Riemann
-symmetries, and the quadrilinear and trilinear contractions.  They are
-compared on the bundled model, generated nilpotent perturbations, the n=2
-block-diagonal model, and systematic mutations of the bundled model.
+exhaustive second-Bianchi sweep, the frame sweeps and product-order index
+sweeps of the Riemann symmetries and of the first Bianchi identity, and
+the quadrilinear and trilinear contractions.  They are compared on the
+bundled model, generated nilpotent perturbations, the n=2 block-diagonal
+model, systematic mutations of the bundled model, and random sparse
+4-tensors.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from hypothesis import strategies as st
 
 from ccmv import (
     HEISENBERG_CCM,
+    ConnectionCoeffs,
     FrameVector,
     ManifoldModel,
     Status,
@@ -29,9 +33,11 @@ from ccmv import (
     lie_checks,
     load_model,
     riemann,
+    riemann_symmetry_failures,
     second_bianchi_cyclic_sum,
     second_bianchi_failures,
 )
+from ccmv.curvature import add_nabla_r, first_bianchi_failures
 from ccmv.verify import REGISTRY, Identity, IdentityResult, Workspace, _run_slots
 from conftest import make_heisenberg_model, make_nilpotent_model
 
@@ -162,8 +168,36 @@ def frame_sweep_riemann_symmetry(ws: Workspace) -> IdentityResult:
     return _run_slots(ws, ident, samples=32, seed=0)
 
 
-def direct_riemann_symmetry(ws: Workspace) -> IdentityResult:
-    ident = next(i for i in REGISTRY if i.identity_id == "RIEM-SYM")
+def frame_sweep_first_bianchi(ws: Workspace) -> IdentityResult:
+    """BIANCHI-1 as a slot identity: the cyclic R4 sum over every frame
+    4-tuple, then the random samples."""
+    ident = Identity("BIANCHI-1", "curvature", ("any",) * 4, evaluate=lambda ws, vs: [(
+        "", ws.R4(vs[0], vs[1], vs[2], vs[3])
+        + ws.R4(vs[1], vs[2], vs[0], vs[3])
+        + ws.R4(vs[2], vs[0], vs[1], vs[3]), ZERO)])
+    return _run_slots(ws, ident, samples=32, seed=0)
+
+
+def product_order_riemann_symmetry_failure(rt: Tensor4) -> tuple[int, ...] | None:
+    r = rt.entry
+    for i, j, k, el in product(range(rt.dim), repeat=4):
+        value = r(i, j, k, el)
+        if (value != -r(j, i, k, el) or value != -r(i, j, el, k)
+                or value != r(k, el, i, j)):
+            return (i, j, k, el)
+    return None
+
+
+def product_order_first_bianchi_failure(rt: Tensor4) -> tuple[int, ...] | None:
+    r = rt.entry
+    for i, j, k, el in product(range(rt.dim), repeat=4):
+        if r(i, j, k, el) + r(j, k, i, el) + r(k, i, j, el):
+            return (i, j, k, el)
+    return None
+
+
+def direct_result(ws: Workspace, identity_id: str) -> IdentityResult:
+    ident = next(i for i in REGISTRY if i.identity_id == identity_id)
     return ident.direct(ws, 32, 0)
 
 
@@ -197,7 +231,16 @@ class TestGeneratedModels:
 
     def test_riemann_symmetry_matches_frame_sweep(self, geometry):
         ws = Workspace(geometry[0])
-        assert direct_riemann_symmetry(ws) == frame_sweep_riemann_symmetry(ws)
+        assert direct_result(ws, "RIEM-SYM") == frame_sweep_riemann_symmetry(ws)
+
+    def test_first_bianchi_matches_frame_sweep(self, geometry):
+        ws = Workspace(geometry[0])
+        assert direct_result(ws, "BIANCHI-1") == frame_sweep_first_bianchi(ws)
+
+    def test_index_sweeps_match_product_order(self, geometry):
+        _, _, rt = geometry
+        assert riemann_symmetry_failures(rt) == product_order_riemann_symmetry_failure(rt)
+        assert first_bianchi_failures(rt) == product_order_first_bianchi_failure(rt)
 
 
 # ----- mutated models -----
@@ -280,11 +323,130 @@ class TestMutatedModels:
 
         ws = Workspace(heisenberg)
         ws.curv = Tensor4.from_function(heisenberg.dim, broken)
-        result = direct_riemann_symmetry(ws)
+        result = direct_result(ws, "RIEM-SYM")
         assert result.status is Status.FAIL
         assert result == frame_sweep_riemann_symmetry(ws)
         if where == (0, 1, 2, 3):
             assert result.witness.startswith(f"slots=0,1,2,3 part={clause} ")
+
+
+# ----- witnesses reached only through a rotation, a partner or an orbit -----
+
+def _bumped(rt: Tensor4, bumps: dict[tuple[int, ...], int]) -> Tensor4:
+    values = dict(rt.items())
+    for idx, delta in bumps.items():
+        values[idx] = values.get(idx, ZERO) + delta
+    return Tensor4.from_values(rt.dim, 4, values)
+
+
+class TestCandidateWitnesses:
+    """Each first failure is a tuple whose own entry is zero, so a sweep that
+    read only the stored entries, or only one slab of an orbit, would
+    report another tuple."""
+
+    @pytest.mark.parametrize("bump", [(2, 4, 1, 3), (4, 1, 2, 3)])
+    def test_first_bianchi_witness_is_a_rotation(self, heisenberg, heis_curv, bump):
+        # either bump first shows at its rotation (1, 2, 4, 3)
+        ws = Workspace(heisenberg)
+        ws.curv = _bumped(heis_curv, {bump: 1})
+        assert ws.curv.entry(1, 2, 4, 3) == 0
+        result = direct_result(ws, "BIANCHI-1")
+        assert result.status is Status.FAIL
+        assert result.witness == "slots=1,2,4,3 lhs=1 rhs=0"
+        assert result == frame_sweep_first_bianchi(ws)
+        assert first_bianchi_failures(ws.curv) == product_order_first_bianchi_failure(ws.curv)
+
+    @pytest.mark.parametrize("bumps,where,clause", [
+        ({(2, 0, 1, 4): 1}, (0, 2, 1, 4), "swap-first-pair"),
+        ({(0, 2, 4, 1): 1}, (0, 2, 1, 4), "swap-second-pair"),
+        ({(2, 3, 0, 4): 1, (3, 2, 0, 4): -1, (2, 3, 4, 0): -1, (3, 2, 4, 0): 1},
+         (0, 4, 2, 3), "pair-exchange"),
+    ])
+    def test_riemann_symmetry_witness_is_a_partner(self, heisenberg, heis_curv,
+                                                   bumps, where, clause):
+        ws = Workspace(heisenberg)
+        ws.curv = _bumped(heis_curv, bumps)
+        assert ws.curv.entry(*where) == 0
+        result = direct_result(ws, "RIEM-SYM")
+        slots = ",".join(map(str, where))
+        assert result.witness.startswith(f"slots={slots} part={clause} lhs=0 ")
+        assert result == frame_sweep_riemann_symmetry(ws)
+        assert (riemann_symmetry_failures(ws.curv)
+                == product_order_riemann_symmetry_failure(ws.curv))
+
+    def test_second_bianchi_witness_comes_from_a_rotated_term(self, heisenberg,
+                                                              heis_conn, heis_curv):
+        # the bump at (0, 4, 1, 0) first breaks the slab (0, 1, 3), and there
+        # only through the rotated terms: nabla_0 R(e_1, e_3) is zero at (1, 0)
+        bad = _bumped(heis_curv, {(0, 4, 1, 0): 1})
+        found = second_bianchi_failures(heisenberg, heis_conn, bad)
+        assert found == (0, 1, 3, 1, 0)
+        assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
+        own: dict = {}
+        add_nabla_r(own, heis_conn, bad, 0, 1, 3)
+        assert not own.get((1, 0))
+        value = second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *found)
+        assert value != 0
+        assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
+
+
+# ----- the curvature sweeps on random sparse tensors -----
+
+small_values = st.integers(-3, 3).filter(bool).map(Fraction)
+
+
+def algebraic_part(dim: int, values: dict) -> dict:
+    """Project a 4-tensor onto the tensors with the Riemann symmetries: the
+    average over the pair swaps and the pair exchange, minus a third of
+    its cyclic sum (which is then alternating)."""
+    t = {}
+    for (i, j, k, el), a in values.items():
+        for idx, sign in (((i, j, k, el), 1), ((j, i, k, el), -1),
+                          ((i, j, el, k), -1), ((j, i, el, k), 1)):
+            for key in (idx, idx[2:] + idx[:2]):
+                t[key] = t.get(key, ZERO) + Fraction(sign, 8) * a
+    r = t.get
+    return {(i, j, k, el): r((i, j, k, el), ZERO)
+            - (r((i, j, k, el), ZERO) + r((j, k, i, el), ZERO) + r((k, i, j, el), ZERO)) / 3
+            for i, j, k, el in product(range(dim), repeat=4)}
+
+
+@st.composite
+def sparse_curvature(draw):
+    """(dim, connection, curvature, clean): random sparse tables of dim 2-5;
+    half the curvature tensors are projected onto the Riemann symmetries,
+    and `clean` marks those left unbumped."""
+    dim = draw(st.integers(2, 5))
+    index = st.integers(0, dim - 1)
+    values = draw(st.dictionaries(st.tuples(index, index, index, index), small_values,
+                                  max_size=6))
+    clean = False
+    if draw(st.booleans()):
+        values = algebraic_part(dim, values)
+        bump = draw(st.none() | st.tuples(index, index, index, index))
+        if bump is None:
+            clean = True
+        else:
+            values[bump] = values.get(bump, ZERO) + 1
+    gamma = draw(st.dictionaries(st.tuples(index, index, index), small_values, max_size=5))
+    return (dim, ConnectionCoeffs.from_values(dim, 3, gamma),
+            Tensor4.from_values(dim, 4, values), clean)
+
+
+@given(sparse_curvature())
+@settings(max_examples=150, deadline=None)
+def test_curvature_sweeps_match_product_order(case):
+    dim, conn, rt, clean = case
+    sym = riemann_symmetry_failures(rt)
+    first = first_bianchi_failures(rt)
+    assert sym == product_order_riemann_symmetry_failure(rt)
+    assert first == product_order_first_bianchi_failure(rt)
+    if clean:
+        assert sym is None and first is None
+    # the sweeps read only the frame dimension of the model
+    model = SimpleNamespace(dim=dim)
+    assert (second_bianchi_failures(model, conn, rt)
+            == dense_bianchi_failure(model, conn, rt))
 
 
 # ----- contractions on random rational vectors -----

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import pytest
 
+from ccmv import build_heisenberg
 from ccmv.core import Status
 from ccmv.curvature import DegeneratePlane
 from ccmv.model import InvalidModelError, load_model
@@ -19,6 +20,7 @@ from ccmv.verify import (
     suite_text_rows,
     suite_tsv_rows,
 )
+from conftest import make_heisenberg_model
 
 # every identity that fails on the built-in model, with its exact witness
 FROZEN_FAILURES = {
@@ -123,6 +125,31 @@ class TestSuite:
     def test_unknown_selector(self, heisenberg):
         with pytest.raises(ValueError, match="unknown selector"):
             run_suite(heisenberg, "everything")
+
+    @pytest.mark.parametrize("build", [build_heisenberg, lambda: make_heisenberg_model(2)],
+                             ids=["bundled", "heisenberg-n2"])
+    def test_curvature_rows_ignore_the_sampling_knobs(self, build, monkeypatch):
+        # RIEM-SYM and the two Bianchi identities are direct sweeps of the
+        # stored tables and draw no samples; the slotted curvature
+        # identities still draw theirs
+        import ccmv.verify as verify
+        direct = {ident.identity_id for ident in REGISTRY
+                  if ident.group == "curvature" and ident.direct is not None}
+        assert direct == {"RIEM-SYM", "BIANCHI-1", "BIANCHI-2"}
+        draws = []
+
+        def counted(rng, dim, _fn=verify.random_rational_vector):
+            draws.append(dim)
+            return _fn(rng, dim)
+        monkeypatch.setattr(verify, "random_rational_vector", counted)
+        m = build()
+        rows, counts = [], []
+        for knobs in ({"samples": 0}, {}, {"seed": 7}):
+            del draws[:]
+            rows.append(suite_tsv_rows(run_suite(m, "curvature", **knobs)))
+            counts.append(len(draws))
+        assert rows[0] == rows[1] == rows[2]
+        assert counts[0] == 0 and counts[1] == counts[2] > 0
 
     def test_connection_quantities_are_derived_once(self, heisenberg, monkeypatch):
         # the normality routes read the run's own workspace: one sigma, the
