@@ -212,12 +212,19 @@ class Table:
             node[head[-1]] = tuple(row)
         return cls(dim, rank, entries)
 
-    def items(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Every stored `(index tuple, value)` pair, in index order."""
+    def items(self, within: Sequence | None = None) -> list[tuple[tuple[int, ...], Scalar]]:
+        """Every stored `(index tuple, value)` pair, in index order; with
+        `within`, only those whose index in each slot lies in within[slot]
+        (a subtree outside it is never walked)."""
         level = [((), self.entries)]
-        for _ in range(self.rank - 1):
-            level = [(head + (i,), sub) for head, node in level for i, sub in node.items()]
-        return [(head + (k,), a) for head, row in level for k, a in row]
+        if within is None:
+            for _ in range(self.rank - 1):
+                level = [(head + (i,), sub) for head, node in level for i, sub in node.items()]
+            return [(head + (k,), a) for head, row in level for k, a in row]
+        for s in range(self.rank - 1):
+            level = [(head + (i,), sub) for head, node in level for i, sub in node.items()
+                     if i in within[s]]
+        return [(head + (k,), a) for head, row in level for k, a in row if k in within[-1]]
 
     def sub(self, *idx: int):
         """The stored subtree under a leading index prefix shorter than the
@@ -304,6 +311,64 @@ class Table:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    def restrict(self, keep: range) -> Table:
+        """The entries whose every index lies in `keep`, as a plain Table."""
+        return Table.from_values(self.dim, self.rank, dict(self.items([keep] * self.rank)))
+
+    def pullback(self, endo: Endomorphism, slots: Sequence[int], keep: range) -> Table:
+        """The plain Table on index tuples in `keep` whose slots in `slots`
+        take `endo` of their argument: for slots = (0,), entry (i, ...) is
+        the sum over p of endo(e_i)[p] * entry(p, ...).
+
+        One pass over the stored entries per slot, each entry reaching only
+        the inputs i whose image has a nonzero coefficient on e_p.  So each
+        pass costs the nonzeros times the most inputs any e_p is reached
+        from, and never the power of that count the product over the slots
+        would cost.
+        """
+        # into[p] lists (i, c) for every nonzero c = endo(e_i)[p], i in
+        # `keep`; a c of 1 or -1, the common case for the structure tensors,
+        # is kept as an int so that it costs no multiplication
+        _require_same_dim(self.dim, endo.dim)
+        into: dict[int, list[tuple[int, Scalar | int]]] = {}
+        for (i, p), c in endo.items():
+            if i in keep:
+                if c.denominator == 1 and abs(c.numerator) == 1:
+                    c = c.numerator
+                into.setdefault(p, []).append((i, c))
+        # an entry contributes only if every pulled slot reaches `keep` and
+        # every other slot lies in it
+        values = dict(self.items([into if s in slots else keep for s in range(self.rank)]))
+        for slot in slots:
+            pulled: dict[tuple[int, ...], Scalar] = {}
+            for idx, a in values.items():
+                for i, c in into.get(idx[slot], ()):
+                    key = idx[:slot] + (i,) + idx[slot + 1:]
+                    term = a if c == 1 else -a if c == -1 else c * a
+                    pulled[key] = pulled[key] + term if key in pulled else term
+            values = pulled
+        return Table.from_values(self.dim, self.rank, values)
+
+    def add_outer(self, terms: Iterable[tuple[Scalar | int, Table, Table]]) -> Table:
+        """This table plus c * (a ⊗ b) for every term (c, a, b), as a plain
+        Table: (a ⊗ b) at (i, j, k, ...) is a(i, j, ...) * b(k, ...), and the
+        ranks of a and b add up to this table's."""
+        values = dict(self.items())
+        for c, a, b in terms:
+            _require_same_dim(self.dim, a.dim)
+            _require_same_dim(self.dim, b.dim)
+            if a.rank + b.rank != self.rank:
+                raise ValueError(f"a rank-{a.rank} by rank-{b.rank} outer product "
+                                 f"is not rank {self.rank}")
+            right = b.items()
+            for head, x in a.items():
+                factor = c * x
+                for tail, y in right:
+                    key = head + tail
+                    term = factor * y
+                    values[key] = values[key] + term if key in values else term
+        return Table.from_values(self.dim, self.rank, values)
 
 
 class Endomorphism(Table):

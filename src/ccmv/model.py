@@ -29,12 +29,16 @@ from .core import (
 )
 
 
-# Largest accepted `n`.  Tables store nonzeros only, and RIEM-SYM and
-# BIANCHI-1 read only the curvature entries that can fail.  What still
-# scales with d = 4n + 2 is the (4n)**4 horizontal frame sweeps of EQ-2.20,
-# EQ-2.21 and EQ-4.1 and the d**3 / 3 cyclic-orbit slabs of BIANCHI-2;
-# n = 13 (d = 54, about 7.3 million horizontal tuples) keeps a suite
-# bounded.  A larger `n` is rejected by the loader before any table is built.
+# Largest accepted `n`.  Tables store nonzeros only, and RIEM-SYM,
+# BIANCHI-1, EQ-2.20, EQ-2.21 and EQ-4.1 read only the table entries that
+# can fail.  What still scales with d = 4n + 2 is the d**3 frame sweeps of
+# the three-slot identities (EQ-2.4, EQ-2.5, EQ-2.6 and NORM-PROP21), the S
+# and T evaluations of NORM-KORKMAZ, the d**3 / 3 cyclic-orbit slabs of
+# BIANCHI-2, and the random samples: each contracts a 4-slot table with
+# dense vectors in about (4n)**3 row lookups.  The cap bounds the size of
+# every table; the running time of a suite at n = 13 (d = 54) is not
+# bounded by it.  A larger `n` is rejected by the loader before any table
+# is built.
 MAX_N = 13
 
 # Largest accepted `ccmv verify --samples`.  Each sample evaluates every

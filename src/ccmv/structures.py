@@ -49,42 +49,12 @@ from .connection import (
 )
 from .model import ManifoldModel
 
-StructureName = Literal["G", "H", "J"]
-
-
-def apply_structure(m: ManifoldModel, which: StructureName,
-                    x: FrameVector) -> FrameVector:
-    """Apply one of the structure tensors to a frame vector."""
-    tensor = {"G": m.G, "H": m.H, "J": m.J}.get(which)
-    if tensor is None:
-        raise ValueError(f"unknown structure tensor {which!r}")
-    return tensor.apply(x)
-
-
 def horizontal_projection(m: ManifoldModel, x: FrameVector) -> FrameVector:
     """X - u(X) U - v(X) V: zero out the two vertical coefficients."""
     coeffs = list(x.coefficients)
     coeffs[m.U_index] = Fraction(0)
     coeffs[m.V_index] = Fraction(0)
     return FrameVector(tuple(coeffs))
-
-
-def nijenhuis(m: ManifoldModel, conn: ConnectionCoeffs, which: Literal["G", "H"],
-              x: FrameVector, y: FrameVector) -> FrameVector:
-    """Torsion [A,A](X,Y) = (nabla_{AX}A)Y - (nabla_{AY}A)X - A(nabla_X A)Y + A(nabla_Y A)X."""
-    return ConnectionWorkspace(m, conn).nijenhuis(which, x, y)
-
-
-def tensor_S(m: ManifoldModel, conn: ConnectionCoeffs, x: FrameVector,
-             y: FrameVector) -> FrameVector:
-    """First obstruction tensor, built on the torsion of G."""
-    return ConnectionWorkspace(m, conn).tensor_S(x, y)
-
-
-def tensor_T(m: ManifoldModel, conn: ConnectionCoeffs, x: FrameVector,
-             y: FrameVector) -> FrameVector:
-    """Second obstruction tensor, built on the torsion of H."""
-    return ConnectionWorkspace(m, conn).tensor_T(x, y)
 
 
 @dataclass(frozen=True)
@@ -247,7 +217,8 @@ class ConnectionWorkspace:
 
     def nijenhuis(self, which: Literal["G", "H"], x: FrameVector,
                   y: FrameVector) -> FrameVector:
-        """Torsion [A,A](X,Y) of A = G or H, with nabla A read as cov_G or cov_H."""
+        """Torsion [A,A](X,Y) = (nabla_{AX}A)Y - (nabla_{AY}A)X - A(nabla_X A)Y
+        + A(nabla_Y A)X of A = G or H, with nabla A read as cov_G or cov_H."""
         pair = {"G": (self.G, self.cov_G), "H": (self.H, self.cov_H)}.get(which)
         if pair is None:
             raise ValueError(f"Nijenhuis torsion is defined here for G or H, not {which!r}")
@@ -255,6 +226,7 @@ class ConnectionWorkspace:
         return cov(a(x), y) - cov(a(y), x) - a(cov(x, y)) + a(cov(y, x))
 
     def tensor_S(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        """First obstruction tensor, built on the torsion of G."""
         m, sigma, GH = self.model, self.sigma, self.GH
         G, H = m.G, m.H
         out = self.nijenhuis("G", x, y)
@@ -267,6 +239,7 @@ class ConnectionWorkspace:
         return out
 
     def tensor_T(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        """Second obstruction tensor, built on the torsion of H."""
         m, sigma, GH = self.model, self.sigma, self.GH
         G, H = m.G, m.H
         out = self.nijenhuis("H", x, y)

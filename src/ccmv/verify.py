@@ -15,6 +15,14 @@ index tuples that can fail (stored entries with their partners or
 rotations, and one slab per cyclic orbit), still report the first failing
 tuple in `itertools.product` order, and draw no samples.
 
+EQ-2.20, EQ-2.21 and EQ-4.1 state each side as a table on horizontal
+indices, built once from stored nonzeros: R pulled back through G or H,
+and R plus outer products of the 2-forms <J., .>, <G., .>, <H., .>,
+dsigma and its pullbacks.  Their frame phase compares the two tables'
+entries at the stored keys of either side only, and reports the first
+failing tuple in `itertools.product` order as a frame sweep would.  They
+still draw the random samples, each a contraction of both tables.
+
 Registry ids are stable opaque labels (the EQ-*/AX-*/NORM-* vocabulary
 used by the report formats); several identities are recorded here in a
 published form that is internally inconsistent with the rest of the
@@ -36,6 +44,7 @@ from .core import (
     FrameVector,
     Scalar,
     Status,
+    Table,
     format_scalar,
     format_sparse_vector,
     inner_product,
@@ -74,6 +83,8 @@ from .structures import (
 SELECTORS = ("all", "axioms", "contact", "normality", "curvature", "ricci")
 
 Clause = tuple[str, object, object]
+# a clause whose two sides are tables over the identity's slots
+TableClause = tuple[str, Table, Table]
 
 
 @dataclass(frozen=True)
@@ -143,6 +154,25 @@ class Workspace(ConnectionWorkspace):
         return {check.check_id: check
                 for check in lie_checks(self.model) + structure_tensor_checks(self.model)}
 
+    # Sides of the horizontal 4-slot identities (EQ-2.20, EQ-2.21, EQ-4.1):
+    # tables on horizontal indices, built once from stored nonzeros.
+    def horizontal(self, t: Table) -> Table:
+        return t.restrict(self.model.horizontal_indices)
+
+    @cached_property
+    def curv_hor(self) -> Table:
+        return self.horizontal(self.curv)
+
+    @cached_property
+    def curv_G(self) -> Table:
+        """R(G., G., G., G.), pulled back one slot at a time."""
+        return self.curv.pullback(self.model.G, range(4), self.model.horizontal_indices)
+
+    @cached_property
+    def curv_H(self) -> Table:
+        """R(H., H., H., H.), pulled back one slot at a time."""
+        return self.curv.pullback(self.model.H, range(4), self.model.horizontal_indices)
+
 
 @dataclass(frozen=True)
 class Identity:
@@ -150,6 +180,8 @@ class Identity:
     group: str
     slots: tuple[str, ...]
     evaluate: Callable[[Workspace, tuple[FrameVector, ...]], list[Clause]] | None = None
+    # each side a table holding only index tuples in the slot ranges
+    tables: Callable[[Workspace], list[TableClause]] | None = None
     direct: Callable[[Workspace, int, int], IdentityResult] | None = None
 
 
@@ -164,18 +196,50 @@ def render_witness(slots: str, clause: str, lhs, rhs) -> str:
     return f"slots={slots}{part} lhs={_render_value(lhs)} rhs={_render_value(rhs)}"
 
 
+def _first_table_failure(clauses: list[TableClause]):
+    """First index tuple, in `itertools.product` order, where some clause's
+    two tables differ, with the first such clause and both entries; None
+    when they agree on every frame tuple.
+
+    A tuple where neither side of any clause is stored holds every clause,
+    so only the stored keys of both sides are candidates.
+    """
+    stored = [(name, dict(lhs.items()), dict(rhs.items())) for name, lhs, rhs in clauses]
+    failing = [key for _, lhs, rhs in stored for key in lhs.keys() | rhs.keys()
+               if lhs.get(key, ZERO) != rhs.get(key, ZERO)]
+    if not failing:
+        return None
+    where = min(failing)
+    name, lhs, rhs = next(clause for clause in stored
+                          if clause[1].get(where, ZERO) != clause[2].get(where, ZERO))
+    return where, name, lhs.get(where, ZERO), rhs.get(where, ZERO)
+
+
 def _run_slots(ws: Workspace, ident: Identity, samples: int,
                seed: int) -> IdentityResult:
     m = ws.model
-    ranges = [m.horizontal_indices if kind == "hor" else range(m.dim)
-              for kind in ident.slots]
-    for idx in product(*ranges):
-        vectors = tuple(ws.basis[i] for i in idx)
-        for clause, lhs, rhs in ident.evaluate(ws, vectors):
-            if lhs != rhs:
-                slot_text = ",".join(str(i) for i in idx) if idx else "-"
-                return IdentityResult(ident.identity_id, Status.FAIL,
-                                      render_witness(slot_text, clause, lhs, rhs))
+    if ident.tables is not None:
+        clauses = ident.tables(ws)
+        failure = _first_table_failure(clauses)
+        if failure is not None:
+            idx, clause, lhs, rhs = failure
+            return IdentityResult(ident.identity_id, Status.FAIL,
+                                  render_witness(",".join(map(str, idx)), clause, lhs, rhs))
+
+        def evaluate(ws: Workspace, vectors: tuple[FrameVector, ...]) -> list[Clause]:
+            return [(name, lhs.contract(*vectors), rhs.contract(*vectors))
+                    for name, lhs, rhs in clauses]
+    else:
+        evaluate = ident.evaluate
+        ranges = [m.horizontal_indices if kind == "hor" else range(m.dim)
+                  for kind in ident.slots]
+        for idx in product(*ranges):
+            vectors = tuple(ws.basis[i] for i in idx)
+            for clause, lhs, rhs in evaluate(ws, vectors):
+                if lhs != rhs:
+                    slot_text = ",".join(str(i) for i in idx) if idx else "-"
+                    return IdentityResult(ident.identity_id, Status.FAIL,
+                                          render_witness(slot_text, clause, lhs, rhs))
     if ident.slots:
         rng = random.Random(f"{seed}:{ident.identity_id}")
         for sample_index in range(samples):
@@ -185,7 +249,7 @@ def _run_slots(ws: Workspace, ident: Identity, samples: int,
                 if kind == "hor":
                     vec = ws.hproj(vec)
                 vectors.append(vec)
-            for clause, lhs, rhs in ident.evaluate(ws, tuple(vectors)):
+            for clause, lhs, rhs in evaluate(ws, tuple(vectors)):
                 if lhs != rhs:
                     return IdentityResult(
                         ident.identity_id, Status.FAIL,
@@ -216,6 +280,9 @@ def _registry() -> list[Identity]:
     def add(identity_id: str, group: str, slots: str, fn) -> None:
         ids.append(Identity(identity_id, group, tuple(slots.split()) if slots else (),
                             evaluate=fn))
+
+    def add_tables(identity_id: str, group: str, slots: str, fn) -> None:
+        ids.append(Identity(identity_id, group, tuple(slots.split()), tables=fn))
 
     def add_direct(identity_id: str, group: str, fn) -> None:
         ids.append(Identity(identity_id, group, (), direct=fn))
@@ -425,26 +492,25 @@ def _registry() -> list[Identity]:
     add("EQ-2.19", "curvature", "hor", lambda ws, vs: [(
         "", ws.R(ws.model.U, ws.model.V, vs[0]), ws.J(vs[0]))])
 
-    add("EQ-2.20", "curvature", "hor hor hor hor", lambda ws, vs: [(
-        "", ws.R4(ws.G(vs[0]), ws.G(vs[1]), ws.G(vs[2]), ws.G(vs[3])),
-        ws.R4(vs[0], vs[1], vs[2], vs[3])
-        - 2 * inner_product(ws.J(vs[2]), vs[3]) * ws.dsig(vs[0], vs[1])
-        + 2 * inner_product(ws.H(vs[0]), vs[1]) * ws.dsig(ws.G(vs[2]), vs[3])
-        + 2 * inner_product(ws.J(vs[0]), vs[1]) * ws.dsig(vs[2], vs[3])
-        - 2 * inner_product(ws.H(vs[2]), vs[3]) * ws.dsig(ws.G(vs[0]), vs[1]))])
-    add("EQ-2.21", "curvature", "hor hor hor hor", lambda ws, vs: [(
-        "", ws.R4(ws.H(vs[0]), ws.H(vs[1]), ws.H(vs[2]), ws.H(vs[3])),
-        ws.R4(vs[0], vs[1], vs[2], vs[3])
-        - 2 * inner_product(ws.J(vs[2]), vs[3]) * ws.dsig(vs[0], vs[1])
-        + 2 * inner_product(ws.G(vs[0]), vs[1]) * ws.dsig(ws.H(vs[2]), vs[3])
-        + 2 * inner_product(ws.J(vs[0]), vs[1]) * ws.dsig(vs[2], vs[3])
-        - 2 * inner_product(ws.G(vs[2]), vs[3]) * ws.dsig(ws.H(vs[0]), vs[1]))])
+    # EQ-2.20 (A = G, B = H) and EQ-2.21 (A = H, B = G): R(AX, AY, AZ, AW) =
+    # R(X, Y, Z, W) - 2 <JZ, W> dsigma(X, Y) + 2 <BX, Y> dsigma(AZ, W)
+    # + 2 <JX, Y> dsigma(Z, W) - 2 <BZ, W> dsigma(AX, Y), on horizontal
+    # vectors.  <J., .> and <B., .> are the stored entries of J and B.
+    def pulled_back_curvature(a: str, b: str):
+        def tables(ws: Workspace) -> list[TableClause]:
+            m = ws.model
+            form_b, form_j = ws.horizontal(getattr(m, b)), ws.horizontal(m.J)
+            ds = ws.horizontal(ws.dsigma)
+            ds_a = ws.dsigma.pullback(getattr(m, a), (0,), m.horizontal_indices)
+            rhs = ws.curv_hor.add_outer([(-2, ds, form_j), (2, form_b, ds_a),
+                                         (2, form_j, ds), (-2, ds_a, form_b)])
+            return [("", getattr(ws, f"curv_{a}"), rhs)]
+        return tables
+    add_tables("EQ-2.20", "curvature", "hor hor hor hor", pulled_back_curvature("G", "H"))
+    add_tables("EQ-2.21", "curvature", "hor hor hor hor", pulled_back_curvature("H", "G"))
 
-    add("EQ-4.1", "curvature", "hor hor hor hor", lambda ws, vs: [
-        ("G", ws.R4(ws.G(vs[0]), ws.G(vs[1]), ws.G(vs[2]), ws.G(vs[3])),
-         ws.R4(vs[0], vs[1], vs[2], vs[3])),
-        ("H", ws.R4(ws.H(vs[0]), ws.H(vs[1]), ws.H(vs[2]), ws.H(vs[3])),
-         ws.R4(vs[0], vs[1], vs[2], vs[3]))])
+    add_tables("EQ-4.1", "curvature", "hor hor hor hor", lambda ws: [
+        ("G", ws.curv_G, ws.curv_hor), ("H", ws.curv_H, ws.curv_hor)])
 
     add("EQ-4.2", "curvature", "any", lambda ws, vs: [(
         "", ws.R(vs[0], ws.model.U, ws.model.U),

@@ -3,11 +3,13 @@
 Each reference below is the dense index-range formula, kept here as an
 independent second route: the Jacobi sweep, the curvature assembly, the
 exhaustive second-Bianchi sweep, the frame sweeps and product-order index
-sweeps of the Riemann symmetries and of the first Bianchi identity, and
-the quadrilinear and trilinear contractions.  They are compared on the
-bundled model, generated nilpotent perturbations, the n=2 block-diagonal
-model, systematic mutations of the bundled model, and random sparse
-4-tensors.
+sweeps of the Riemann symmetries and of the first Bianchi identity, the
+per-tuple evaluators of EQ-2.20, EQ-2.21 and EQ-4.1, the pullback of a
+table through an endomorphism, and the quadrilinear and trilinear
+contractions.  They are compared on the bundled model, generated
+nilpotent perturbations, the n=2 block-diagonal model, systematic
+mutations of the bundled model, random two-step nilpotent models with
+random structure tensors, and random sparse 4-tensors.
 """
 from __future__ import annotations
 
@@ -22,13 +24,16 @@ from hypothesis import strategies as st
 from ccmv import (
     HEISENBERG_CCM,
     ConnectionCoeffs,
+    Endomorphism,
     FrameVector,
     ManifoldModel,
     Status,
     StructureConstants,
+    Table,
     Tensor4,
     build_heisenberg,
     format_scalar,
+    inner_product,
     levi_civita,
     lie_checks,
     load_model,
@@ -178,6 +183,67 @@ def frame_sweep_first_bianchi(ws: Workspace) -> IdentityResult:
     return _run_slots(ws, ident, samples=32, seed=0)
 
 
+# EQ-2.20, EQ-2.21 and EQ-4.1 as the per-tuple evaluators the table
+# equations replaced: R4 contracted on the G or H images of each frame tuple.
+HORIZONTAL_REFERENCES = {
+    "EQ-2.20": lambda ws, vs: [(
+        "", ws.R4(ws.G(vs[0]), ws.G(vs[1]), ws.G(vs[2]), ws.G(vs[3])),
+        ws.R4(vs[0], vs[1], vs[2], vs[3])
+        - 2 * inner_product(ws.J(vs[2]), vs[3]) * ws.dsig(vs[0], vs[1])
+        + 2 * inner_product(ws.H(vs[0]), vs[1]) * ws.dsig(ws.G(vs[2]), vs[3])
+        + 2 * inner_product(ws.J(vs[0]), vs[1]) * ws.dsig(vs[2], vs[3])
+        - 2 * inner_product(ws.H(vs[2]), vs[3]) * ws.dsig(ws.G(vs[0]), vs[1]))],
+    "EQ-2.21": lambda ws, vs: [(
+        "", ws.R4(ws.H(vs[0]), ws.H(vs[1]), ws.H(vs[2]), ws.H(vs[3])),
+        ws.R4(vs[0], vs[1], vs[2], vs[3])
+        - 2 * inner_product(ws.J(vs[2]), vs[3]) * ws.dsig(vs[0], vs[1])
+        + 2 * inner_product(ws.G(vs[0]), vs[1]) * ws.dsig(ws.H(vs[2]), vs[3])
+        + 2 * inner_product(ws.J(vs[0]), vs[1]) * ws.dsig(vs[2], vs[3])
+        - 2 * inner_product(ws.G(vs[2]), vs[3]) * ws.dsig(ws.H(vs[0]), vs[1]))],
+    "EQ-4.1": lambda ws, vs: [
+        ("G", ws.R4(ws.G(vs[0]), ws.G(vs[1]), ws.G(vs[2]), ws.G(vs[3])),
+         ws.R4(vs[0], vs[1], vs[2], vs[3])),
+        ("H", ws.R4(ws.H(vs[0]), ws.H(vs[1]), ws.H(vs[2]), ws.H(vs[3])),
+         ws.R4(vs[0], vs[1], vs[2], vs[3]))],
+}
+
+
+def frame_sweep_horizontal(ws: Workspace, identity_id: str,
+                           samples: int = 32) -> IdentityResult:
+    """EQ-2.20, EQ-2.21 or EQ-4.1 by its reference evaluator over every
+    horizontal frame 4-tuple, then the random samples."""
+    ident = Identity(identity_id, "curvature", ("hor",) * 4,
+                     evaluate=HORIZONTAL_REFERENCES[identity_id])
+    return _run_slots(ws, ident, samples=samples, seed=0)
+
+
+def registry_identity(identity_id: str) -> Identity:
+    return next(i for i in REGISTRY if i.identity_id == identity_id)
+
+
+def table_result(ws: Workspace, identity_id: str, samples: int = 32) -> IdentityResult:
+    ident = registry_identity(identity_id)
+    assert ident.tables is not None
+    return _run_slots(ws, ident, samples=samples, seed=0)
+
+
+def dense_pullback(t: Table, endo: Endomorphism, slots, keep) -> dict:
+    """Every nonzero entry of the pullback on index tuples in `keep`: the
+    dense 4-fold sum of t over the images of the pulled-back slots."""
+    d = t.dim
+    view = dense_view(t)
+    out = {}
+    for idx in product(keep, repeat=4):
+        x, y, z, w = (endo.row(i) if s in slots else FrameVector.basis(d, i)
+                      for s, i in enumerate(idx))
+        total = sum((x[a] * y[b] * z[c] * w[e] * view[a][b][c][e]
+                     for a, b, c, e in product(range(d), repeat=4)
+                     if x[a] and y[b] and z[c] and w[e]), ZERO)
+        if total:
+            out[idx] = total
+    return out
+
+
 def product_order_riemann_symmetry_failure(rt: Tensor4) -> tuple[int, ...] | None:
     r = rt.entry
     for i, j, k, el in product(range(rt.dim), repeat=4):
@@ -197,8 +263,7 @@ def product_order_first_bianchi_failure(rt: Tensor4) -> tuple[int, ...] | None:
 
 
 def direct_result(ws: Workspace, identity_id: str) -> IdentityResult:
-    ident = next(i for i in REGISTRY if i.identity_id == identity_id)
-    return ident.direct(ws, 32, 0)
+    return registry_identity(identity_id).direct(ws, 32, 0)
 
 
 def _jacobi_witness(m) -> str | None:
@@ -236,6 +301,11 @@ class TestGeneratedModels:
     def test_first_bianchi_matches_frame_sweep(self, geometry):
         ws = Workspace(geometry[0])
         assert direct_result(ws, "BIANCHI-1") == frame_sweep_first_bianchi(ws)
+
+    @pytest.mark.parametrize("identity_id", sorted(HORIZONTAL_REFERENCES))
+    def test_horizontal_identities_match_frame_sweep(self, geometry, identity_id):
+        ws = Workspace(geometry[0])
+        assert table_result(ws, identity_id) == frame_sweep_horizontal(ws, identity_id)
 
     def test_index_sweeps_match_product_order(self, geometry):
         _, _, rt = geometry
@@ -374,6 +444,34 @@ class TestCandidateWitnesses:
         assert (riemann_symmetry_failures(ws.curv)
                 == product_order_riemann_symmetry_failure(ws.curv))
 
+    # EQ-4.1 on the bundled model, where G and H act on horizontal frame
+    # indices as signed permutations.  The first bump is the sum of a
+    # delta and its G-pullback, so the G clause holds everywhere; the
+    # second and third are one delta at a zero entry, whose first failure
+    # is the delta's own tuple (only the rhs, R, is stored there) or its
+    # G-image (only the lhs, G*R, is stored there).
+    @pytest.mark.parametrize("bumps,where,clause,witness", [
+        ({(1, 2, 0, 3): 1, (3, 0, 2, 1): 1}, (0, 3, 1, 2), "H",
+         "slots=0,3,1,2 part=H lhs=2 rhs=1"),
+        ({(0, 0, 0, 0): 1}, (0, 0, 0, 0), "G", "slots=0,0,0,0 part=G lhs=0 rhs=1"),
+        ({(2, 0, 0, 0): 1}, (0, 2, 2, 2), "G", "slots=0,2,2,2 part=G lhs=-1 rhs=0"),
+    ])
+    def test_pulled_back_curvature_witness(self, heisenberg, heis_curv, bumps, where,
+                                           clause, witness):
+        ws = Workspace(heisenberg)
+        ws.curv = _bumped(heis_curv, bumps)
+        result = table_result(ws, "EQ-4.1")
+        assert result.status is Status.FAIL
+        assert result.witness == witness
+        assert result == frame_sweep_horizontal(ws, "EQ-4.1")
+        # an entry the witness prints as 0 is not stored in its table
+        lhs = ws.curv_G if clause == "G" else ws.curv_H
+        assert (where in dict(lhs.items())) == (" lhs=0 " not in witness)
+        assert (where in dict(ws.curv_hor.items())) == (not witness.endswith(" rhs=0"))
+        if clause == "H":
+            assert ws.curv_G == ws.curv_hor
+            assert where not in bumps
+
     def test_second_bianchi_witness_comes_from_a_rotated_term(self, heisenberg,
                                                               heis_conn, heis_curv):
         # the bump at (0, 4, 1, 0) first breaks the slab (0, 1, 3), and there
@@ -447,6 +545,110 @@ def test_curvature_sweeps_match_product_order(case):
     model = SimpleNamespace(dim=dim)
     assert (second_bianchi_failures(model, conn, rt)
             == dense_bianchi_failure(model, conn, rt))
+
+
+# ----- the table equations on random models and random tables -----
+
+@st.composite
+def two_step_models(draw):
+    """Random two-step nilpotent model of dim 6 with random sparse G, H, J.
+
+    The brackets map the span of A = {0, 1, U, V} into Z = {2, 3}, so the
+    Jacobi identity holds.  [U, V] and [e_0, e_1] both have an e_2
+    component, so sigma(e_2) and dsigma(e_0, e_1) are nonzero and the
+    dsigma terms of EQ-2.20 and EQ-2.21 take part.  G, H and J are not
+    signed permutations: one input has two image coefficients and one
+    output coefficient is reached from two inputs.
+    """
+    a_pairs = [(0, 1), (0, 4), (0, 5), (1, 4), (1, 5), (4, 5)]
+    brackets = draw(st.dictionaries(
+        st.tuples(st.sampled_from(a_pairs), st.sampled_from([2, 3])).map(
+            lambda pair: (*pair[0], pair[1])), small_values, max_size=6))
+    brackets[(0, 1, 2)] = draw(small_values)
+    brackets[(4, 5, 2)] = draw(small_values)
+    index = st.integers(0, 5)
+
+    def endomorphism():
+        values = draw(st.dictionaries(st.tuples(index, index), small_values, max_size=8))
+        i, j = draw(st.lists(st.integers(0, 3), min_size=2, max_size=2, unique=True))
+        values.update({(i, i): draw(small_values), (i, j): draw(small_values),
+                       (j, i): draw(small_values)})
+        return Endomorphism.from_values(6, 2, values)
+
+    return ManifoldModel("two-step", 1, StructureConstants.from_entries(6, brackets),
+                         endomorphism(), endomorphism(), endomorphism())
+
+
+@given(two_step_models())
+@settings(max_examples=15, deadline=None)
+def test_horizontal_tables_match_reference_evaluators(m):
+    # entry by entry on every horizontal tuple, not only at the witness
+    assert _jacobi_witness(m) is None
+    ws = Workspace(m)
+    assert ws.horizontal(ws.dsigma).entry(0, 1) != 0
+    for identity_id, reference in sorted(HORIZONTAL_REFERENCES.items()):
+        clauses = registry_identity(identity_id).tables(ws)
+        for idx in product(m.horizontal_indices, repeat=4):
+            expected = reference(ws, tuple(ws.basis[i] for i in idx))
+            assert [(name, lhs.entry(*idx), rhs.entry(*idx))
+                    for name, lhs, rhs in clauses] == expected, (identity_id, idx)
+        assert (table_result(ws, identity_id, samples=2)
+                == frame_sweep_horizontal(ws, identity_id, samples=2)), identity_id
+
+
+@st.composite
+def pullback_cases(draw):
+    """(table, endomorphism, slots, keep): a random sparse 4-tensor of dim
+    2-4 and an endomorphism with more than one nonzero per row and per
+    column, pulled back through a random set of slots on a leading range."""
+    dim = draw(st.integers(2, 4))
+    index = st.integers(0, dim - 1)
+    values = draw(st.dictionaries(st.tuples(index, index, index, index), small_values,
+                                  max_size=8))
+    endo = draw(st.dictionaries(st.tuples(index, index), small_values, max_size=5))
+    i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    endo.update({(i, i): draw(small_values), (i, j): draw(small_values),
+                 (j, i): draw(small_values)})
+    slots = tuple(sorted(draw(st.sets(st.integers(0, 3)))))
+    keep = range(draw(st.integers(1, dim)))
+    return (Tensor4.from_values(dim, 4, values), Endomorphism.from_values(dim, 2, endo),
+            slots, keep)
+
+
+@given(pullback_cases())
+@settings(max_examples=60, deadline=None)
+def test_pullback_matches_dense_sum(case):
+    t, endo, slots, keep = case
+    pulled = t.pullback(endo, slots, keep)
+    assert type(pulled) is Table
+    assert dict(pulled.items()) == dense_pullback(t, endo, slots, keep)
+
+
+def test_horizontal_identities_sweep_without_contractions(monkeypatch):
+    """With no samples, EQ-2.20, EQ-2.21 and EQ-4.1 compare stored table
+    entries only: no contraction of any table (Table.contract and its
+    aliases apply/value) runs, not even while the tables are built."""
+    ws = Workspace(make_heisenberg_model(2))
+    calls = []
+    original = Table.contract
+
+    def counted(self, *vectors):
+        calls.append(type(self).__name__)
+        return original(self, *vectors)
+
+    classes = [Table]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    for cls in classes:
+        for name, attr in list(vars(cls).items()):
+            if attr is original:
+                monkeypatch.setattr(cls, name, counted)
+    for identity_id in ("EQ-2.20", "EQ-2.21", "EQ-4.1"):
+        assert table_result(ws, identity_id, samples=0).status is Status.PASS
+    assert calls == []
+    # the wrapper does see the contractions of the sample phase
+    table_result(ws, "EQ-4.1", samples=1)
+    assert calls
 
 
 # ----- contractions on random rational vectors -----

@@ -10,13 +10,9 @@ from ccmv.connection import cov_deriv_endo, levi_civita
 from ccmv.core import Endomorphism, FrameVector, Status
 from ccmv.structures import (
     ConnectionWorkspace,
-    apply_structure,
     check_normality,
     horizontal_projection,
-    nijenhuis,
     random_rational_vector,
-    tensor_S,
-    tensor_T,
 )
 
 
@@ -59,60 +55,65 @@ class TestDerivativeTables:
             assert nabla.is_zero(), h
 
 
+@pytest.fixture(scope="module")
+def heis_ws(heisenberg, heis_conn) -> ConnectionWorkspace:
+    return ConnectionWorkspace(heisenberg, heis_conn)
+
+
+@pytest.fixture(scope="module")
+def abelian_ws(abelian) -> ConnectionWorkspace:
+    return ConnectionWorkspace(abelian, levi_civita(abelian))
+
+
 class TestNijenhuis:
-    def test_frozen_values(self, heisenberg, heis_conn):
+    def test_frozen_values(self, heisenberg, heis_ws):
         e0 = heisenberg.basis(0)
         e2 = heisenberg.basis(2)
         e4 = heisenberg.basis(4)
-        assert nijenhuis(heisenberg, heis_conn, "G", e0, e2) == e4.scale(-2)
-        assert nijenhuis(heisenberg, heis_conn, "H", e0, e2) == e4.scale(2)
-        assert nijenhuis(heisenberg, heis_conn, "G", e0, e4).is_zero()
+        assert heis_ws.nijenhuis("G", e0, e2) == e4.scale(-2)
+        assert heis_ws.nijenhuis("H", e0, e2) == e4.scale(2)
+        assert heis_ws.nijenhuis("G", e0, e4).is_zero()
 
-    def test_antisymmetry(self, heisenberg, heis_conn):
+    def test_antisymmetry(self, heisenberg, heis_ws):
         for i, j in product(range(6), repeat=2):
             x, y = heisenberg.basis(i), heisenberg.basis(j)
-            forward = nijenhuis(heisenberg, heis_conn, "G", x, y)
-            assert forward == nijenhuis(heisenberg, heis_conn, "G", y, x).scale(-1)
+            forward = heis_ws.nijenhuis("G", x, y)
+            assert forward == heis_ws.nijenhuis("G", y, x).scale(-1)
 
-    def test_rejects_J(self, heisenberg, heis_conn):
+    def test_rejects_J(self, heisenberg, heis_ws):
         with pytest.raises(ValueError):
-            nijenhuis(heisenberg, heis_conn, "J",
-                      heisenberg.basis(0), heisenberg.basis(1))
+            heis_ws.nijenhuis("J", heisenberg.basis(0), heisenberg.basis(1))
 
-    def test_abelian_torsion_vanishes(self, abelian):
-        conn = levi_civita(abelian)
+    def test_abelian_torsion_vanishes(self, abelian, abelian_ws):
         for i, j in product(range(6), repeat=2):
-            value = nijenhuis(abelian, conn, "G", abelian.basis(i), abelian.basis(j))
+            value = abelian_ws.nijenhuis("G", abelian.basis(i), abelian.basis(j))
             assert value.is_zero()
 
 
 class TestObstructionTensors:
-    def test_vanish_on_horizontal_pairs(self, heisenberg, heis_conn):
+    def test_vanish_on_horizontal_pairs(self, heisenberg, heis_ws):
         for i, j in product(heisenberg.horizontal_indices, repeat=2):
             x, y = heisenberg.basis(i), heisenberg.basis(j)
-            assert tensor_S(heisenberg, heis_conn, x, y).is_zero(), ("S", i, j)
-            assert tensor_T(heisenberg, heis_conn, x, y).is_zero(), ("T", i, j)
+            assert heis_ws.tensor_S(x, y).is_zero(), ("S", i, j)
+            assert heis_ws.tensor_T(x, y).is_zero(), ("T", i, j)
 
-    def test_constrained_vertical_slots_vanish(self, heisenberg, heis_conn):
+    def test_constrained_vertical_slots_vanish(self, heisenberg, heis_ws):
         # normality pins S(., U) and T(., V); the other vertical slots are free
         for i in range(6):
             x = heisenberg.basis(i)
-            assert tensor_S(heisenberg, heis_conn, x, heisenberg.U).is_zero()
-            assert tensor_T(heisenberg, heis_conn, x, heisenberg.V).is_zero()
+            assert heis_ws.tensor_S(x, heisenberg.U).is_zero()
+            assert heis_ws.tensor_T(x, heisenberg.V).is_zero()
 
-    def test_unconstrained_vertical_slots(self, heisenberg, heis_conn):
+    def test_unconstrained_vertical_slots(self, heisenberg, heis_ws):
         # frozen values showing the free slots really are nonzero here:
         # S(X, V) = 2 H X and T(X, U) = 2 G X on horizontal X
         for i in heisenberg.horizontal_indices:
             x = heisenberg.basis(i)
-            assert (tensor_S(heisenberg, heis_conn, x, heisenberg.V)
-                    == heisenberg.H.apply(x).scale(2))
-            assert (tensor_T(heisenberg, heis_conn, x, heisenberg.U)
-                    == heisenberg.G.apply(x).scale(2))
+            assert heis_ws.tensor_S(x, heisenberg.V) == heisenberg.H.apply(x).scale(2)
+            assert heis_ws.tensor_T(x, heisenberg.U) == heisenberg.G.apply(x).scale(2)
 
-    def test_abelian_S_nonzero(self, abelian):
-        conn = levi_civita(abelian)
-        value = tensor_S(abelian, conn, abelian.basis(0), abelian.basis(2))
+    def test_abelian_S_nonzero(self, abelian, abelian_ws):
+        value = abelian_ws.tensor_S(abelian.basis(0), abelian.basis(2))
         assert value == abelian.basis(4).scale(2)
 
 
@@ -123,13 +124,11 @@ class TestHelpers:
         assert proj == FrameVector.from_coeffs([1, 2, 3, 4, 0, 0])
         assert horizontal_projection(heisenberg, proj) == proj
 
-    def test_apply_structure_dispatch(self, heisenberg):
+    def test_structure_accessors(self, heisenberg, heis_ws):
         e0 = heisenberg.basis(0)
-        assert apply_structure(heisenberg, "G", e0) == heisenberg.G.apply(e0)
-        assert apply_structure(heisenberg, "H", e0) == heisenberg.H.apply(e0)
-        assert apply_structure(heisenberg, "J", e0) == heisenberg.J.apply(e0)
-        with pytest.raises(ValueError):
-            apply_structure(heisenberg, "K", e0)
+        assert heis_ws.G(e0) == heisenberg.G.apply(e0)
+        assert heis_ws.H(e0) == heisenberg.H.apply(e0)
+        assert heis_ws.J(e0) == heisenberg.J.apply(e0)
 
     def test_random_vector_deterministic(self):
         a = random_rational_vector(random.Random("x"), 6)
