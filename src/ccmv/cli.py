@@ -56,6 +56,9 @@ def _read_text(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise _fail(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _fail(f"cannot read {path}: not UTF-8 text "
+                    f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})") from exc
 
 
 def _load(path: str) -> ManifoldModel:

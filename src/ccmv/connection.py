@@ -49,16 +49,28 @@ def cov_deriv_vector(conn: ConnectionCoeffs, x: FrameVector,
     return conn.contract(x, y)
 
 
+def cov_deriv_table(conn: ConnectionCoeffs, a: Endomorphism) -> Table:
+    """g((nabla_{e_i} A) e_j, e_k) = g(nabla_{e_i}(A e_j), e_k) - g(A(nabla_{e_i} e_j), e_k),
+    that is sum_q A(e_j)_q gamma(i, q, k) - sum_p gamma(i, j, p) A(e_p)_k:
+    gamma with its middle slot pulled back through A, minus gamma with its
+    last slot pulled back through the transpose of A.  Row (i, j) is the
+    vector (nabla_{e_i} A) e_j.  No property of A is assumed."""
+    every = range(conn.dim)
+    return conn.pullback(a, (1,), every).add([(-1, conn.pullback(a.transpose(), (2,), every))])
+
+
 def cov_deriv_endo(conn: ConnectionCoeffs, x: FrameVector,
                    a: Endomorphism) -> Endomorphism:
-    """(nabla_x A) as the endomorphism y -> nabla_x(Ay) - A(nabla_x y)."""
-    d = conn.dim
-    columns = {}
-    for j in range(d):
-        column = (cov_deriv_vector(conn, x, a.row(j))
-                  - a.apply(cov_deriv_vector(conn, x, FrameVector.basis(d, j))))
-        columns[j] = dict(column.nonzero)
-    return Endomorphism.from_columns(d, columns)
+    """(nabla_x A) as the endomorphism y -> nabla_x(Ay) - A(nabla_x y): the
+    first slot of cov_deriv_table contracted with x, the table built from
+    the connection rows that x reaches only."""
+    reached = Table(conn.dim, 3, {i: conn.entries[i] for i, _ in x.nonzero
+                                  if i in conn.entries})
+    values: dict[tuple[int, int], Scalar] = {}
+    for (i, j, k), value in cov_deriv_table(reached, a).items():
+        term = x[i] * value
+        values[(j, k)] = values[(j, k)] + term if (j, k) in values else term
+    return Endomorphism.from_values(conn.dim, 2, values)
 
 
 def cov_deriv_oneform(conn: ConnectionCoeffs, x: FrameVector,

@@ -180,7 +180,8 @@ class Table:
 
     `entries` maps the first index to the subtree of the remaining ones;
     the last level is the tuple of nonzero `(index, value)` pairs in index
-    order.  Build tables with `from_values`, which keeps that form.
+    order, and at rank 1 `entries` is that tuple.  Build tables with
+    `from_values`, which keeps that form.
     """
 
     dim: int
@@ -204,6 +205,8 @@ class Table:
                 if not isinstance(value, Fraction):
                     value = Fraction(value)
                 rows.setdefault(idx[:-1], []).append((idx[-1], value))
+        if rank == 1:
+            return cls(dim, rank, tuple(rows.get((), ())))
         entries: dict = {}
         for head, row in rows.items():
             node = entries
@@ -350,24 +353,43 @@ class Table:
             values = pulled
         return Table.from_values(self.dim, self.rank, values)
 
-    def add_outer(self, terms: Iterable[tuple[Scalar | int, Table, Table]]) -> Table:
-        """This table plus c * (a ⊗ b) for every term (c, a, b), as a plain
-        Table: (a ⊗ b) at (i, j, k, ...) is a(i, j, ...) * b(k, ...), and the
-        ranks of a and b add up to this table's."""
+    def add(self, terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
+        """This table plus c * t for every term (c, t) of the same rank, as
+        a plain Table."""
         values = dict(self.items())
-        for c, a, b in terms:
-            _require_same_dim(self.dim, a.dim)
-            _require_same_dim(self.dim, b.dim)
-            if a.rank + b.rank != self.rank:
-                raise ValueError(f"a rank-{a.rank} by rank-{b.rank} outer product "
-                                 f"is not rank {self.rank}")
-            right = b.items()
-            for head, x in a.items():
-                factor = c * x
-                for tail, y in right:
-                    key = head + tail
-                    term = factor * y
-                    values[key] = values[key] + term if key in values else term
+        for c, t in terms:
+            _require_same_dim(self.dim, t.dim)
+            if t.rank != self.rank:
+                raise ValueError(f"a rank-{t.rank} table does not add to rank {self.rank}")
+            for key, a in t.items():
+                if key not in values:
+                    values[key] = a if c == 1 else -a if c == -1 else c * a
+                elif c == -1:
+                    values[key] -= a
+                else:
+                    values[key] += a if c == 1 else c * a
+        return Table.from_values(self.dim, self.rank, values)
+
+    def tensor(self, other: Table) -> Table:
+        """The tensor product self ⊗ other, as a plain Table: its entry at
+        (i, j, ..., k, ...) is self(i, j, ...) * other(k, ...)."""
+        _require_same_dim(self.dim, other.dim)
+        right = other.items()
+        return Table.from_values(self.dim, self.rank + other.rank, {
+            head + tail: x * y for head, x in self.items() for tail, y in right})
+
+    def permute(self, order: Sequence[int]) -> Table:
+        """The plain Table whose entry at (i_0, ..., i_r-1) is this table's
+        entry at (i_order[0], ..., i_order[r-1]): order (1, 0, 2) swaps
+        the first two slots of a rank-3 table."""
+        if sorted(order) != list(range(self.rank)):
+            raise ValueError(f"{tuple(order)} is not an order of {self.rank} slots")
+        values = {}
+        for key, a in self.items():
+            idx = [0] * self.rank
+            for s, i in zip(order, key):
+                idx[s] = i
+            values[tuple(idx)] = a
         return Table.from_values(self.dim, self.rank, values)
 
 
@@ -397,11 +419,10 @@ class Endomorphism(Table):
     apply = Table.contract
 
     def compose(self, other: Endomorphism) -> Endomorphism:
-        """Matrix product self @ other, i.e. x -> self(other(x))."""
-        _require_same_dim(self.dim, other.dim)
-        return Endomorphism.from_values(self.dim, 2, {
-            (i, k): a for i in other.entries
-            for k, a in self.apply(other.row(i)).nonzero})
+        """Matrix product self @ other, i.e. x -> self(other(x)): the input
+        slot pulled back through `other`."""
+        return Endomorphism(self.dim, 2,
+                            self.pullback(other, (0,), range(self.dim)).entries)
 
     def __add__(self, other: Endomorphism) -> Endomorphism:
         _require_same_dim(self.dim, other.dim)

@@ -11,12 +11,24 @@ Normality is decided three independent ways and cross-checked:
   over all frame pairs.
 
 Routes two and three use the forms of Prop. 2.1 and Thm. 4.5 that are
-equivalent to the S/T definition.  Their right-hand sides are defined once,
-as methods of ConnectionWorkspace.  The published displays carry sign and
-term misprints; the identity registry in the verify module states each
-as-printed display (EQ-2.4, EQ-2.5, EQ-4.12, EQ-4.13) as the corrected form
-plus a named delta, the literal difference of the printed terms, and those
-with a nonzero delta FAIL on the built-in model.
+equivalent to the S/T definition.  Every quantity involved is a rank-3
+table built once per workspace from stored nonzeros: g((nabla_{e_i} A)
+e_j, e_k) for A = G, H, J straight from the connection, the Prop. 2.1
+right-hand sides as sums of tensor products of sigma, u and v with the
+structure tensors, and Thm. 4.5's closed forms, the torsions and S and T
+as vector-valued tables whose row (i, j) is the vector at (e_i, e_j).  A
+route compares tables at their stored keys only and reports what a sweep
+of frame tuples in `itertools.product` order would: the first tuple where
+a clause fails, then the first failing clause there.  For vector-valued
+tables the tuple is the key without its last index and a clause fails
+there when its rows differ.  The per-vector methods (cov_G, tensor_S,
+prop21_rhs_G and the rest) are contractions of the same tables.
+
+The published displays carry sign and term misprints; the identity
+registry in the verify module states each as-printed display (EQ-2.4,
+EQ-2.5, EQ-4.12, EQ-4.13) as the corrected form plus a named delta, the
+literal difference of the printed terms, and those with a nonzero delta
+FAIL on the built-in model.
 """
 from __future__ import annotations
 
@@ -24,24 +36,25 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 from typing import Literal
 
 from .core import (
+    ZERO,
     Endomorphism,
     FrameVector,
     OneForm,
     Scalar,
     Status,
+    Table,
     format_scalar,
     format_sparse_vector,
     TwoForm,
-    inner_product,
 )
 from .connection import (
     ConnectionCoeffs,
     cov_deriv_endo,
     cov_deriv_oneform,
+    cov_deriv_table,
     cov_deriv_vector,
     exterior_d_oneform,
     sigma_form,
@@ -96,6 +109,54 @@ def _scalar_witness(label: str, slots: tuple[int, ...], lhs: Scalar,
     return f"{label} slots={where} lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}"
 
 
+def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
+    """First frame tuple, in `itertools.product` order, where some clause's
+    two tables differ, with the first such clause and both sides there;
+    None when they agree on every frame tuple.
+
+    A frame tuple is the first `width` indices of a key.  When `width` is
+    the tables' rank the sides are entries.  When it is one less they are
+    rows, the vectors of the last slot, and a clause differs at a tuple
+    when its rows do: the first clause wins there even if a later one
+    differs at a smaller last index.  A key stored on neither side holds
+    every clause, so only the stored keys of both sides are candidates.
+    """
+    failing = []
+    for c, (_, lhs, rhs) in enumerate(clauses):
+        left, right = dict(lhs.items()), dict(rhs.items())
+        failing += [(key[:width], c) for key in left.keys() | right.keys()
+                    if left.get(key, ZERO) != right.get(key, ZERO)]
+    if not failing:
+        return None
+    where, c = min(failing)
+    name, lhs, rhs = clauses[c]
+    if width == lhs.rank:
+        return where, name, lhs.entry(*where), rhs.entry(*where)
+    return where, name, lhs.row(*where), rhs.row(*where)
+
+
+def _form_table(w: OneForm) -> Table:
+    """A 1-form as a rank-1 table."""
+    return Table.from_values(w.dim, 1, {(i,): a for i, a in enumerate(w.coefficients) if a})
+
+
+def _middle(f: Table, b: Table) -> Table:
+    """f(Y) b(X, Z) at (X, Y, Z): a 1-form in the middle slot."""
+    return Table.from_values(b.dim, 3, {(i, j, k): x * y for (j,), x in f.items()
+                                        for (i, k), y in b.items()})
+
+
+def _alternate(t: Table) -> Table:
+    """t(X, Y) - t(Y, X), alternating the first two slots."""
+    return t.add([(-1, t.permute((1, 0, 2)))])
+
+
+def _sum(terms: list[tuple[Scalar | int, Table]]) -> Table:
+    """The sum of c * t over the terms (c, t), all of one rank."""
+    first = terms[0][1]
+    return Table(first.dim, first.rank, {}).add(terms)
+
+
 class ConnectionWorkspace:
     """Connection-level quantities of one model; the derived ones are
     computed on first use.
@@ -119,7 +180,7 @@ class ConnectionWorkspace:
 
     @cached_property
     def dUV(self) -> Scalar:
-        return self.dsigma.value(self.model.U, self.model.V)
+        return self.dsigma.entry(self.model.U_index, self.model.V_index)
 
     @cached_property
     def du(self) -> TwoForm:
@@ -140,6 +201,10 @@ class ConnectionWorkspace:
     @cached_property
     def GH(self) -> Endomorphism:
         return self.model.G.compose(self.model.H)
+
+    @cached_property
+    def HG(self) -> Endomorphism:
+        return self.model.H.compose(self.model.G)
 
     # nabla_U and nabla_V of the structure tensors
     @cached_property
@@ -165,6 +230,157 @@ class ConnectionWorkspace:
     @cached_property
     def nVJ(self) -> Endomorphism:
         return cov_deriv_endo(self.conn, self.model.V, self.model.J)
+
+    # ----- rank-3 tables: slots (X, Y, Z), or (X, Y) and the output vector -----
+
+    @cached_property
+    def nabla_G(self) -> Table:
+        """g((nabla_X G)Y, Z); row (i, j) is (nabla_{e_i} G) e_j."""
+        return cov_deriv_table(self.conn, self.model.G)
+
+    @cached_property
+    def nabla_H(self) -> Table:
+        """g((nabla_X H)Y, Z); row (i, j) is (nabla_{e_i} H) e_j."""
+        return cov_deriv_table(self.conn, self.model.H)
+
+    @cached_property
+    def nabla_J(self) -> Table:
+        """g((nabla_X J)Y, Z); row (i, j) is (nabla_{e_i} J) e_j."""
+        return cov_deriv_table(self.conn, self.model.J)
+
+    @cached_property
+    def forms(self) -> tuple[Table, Table, Table]:
+        """sigma, u and v as rank-1 tables."""
+        m = self.model
+        return _form_table(self.sigma), _form_table(m.u), _form_table(m.v)
+
+    @cached_property
+    def delta(self) -> Endomorphism:
+        """The metric <X, Y>."""
+        return Endomorphism.identity(self.model.dim)
+
+    @cached_property
+    def vertical_mix_table(self) -> Table:
+        """<u(Y) V - v(Y) U, Z> at (Y, Z)."""
+        _, u, v = self.forms
+        return u.tensor(v).add([(-1, v.tensor(u))])
+
+    def _horizontal_rows(self, t: Table) -> Table:
+        """A rank-2 table with its first argument projected to the
+        horizontal part: the rows of U and V dropped."""
+        m = self.model
+        return Table.from_values(m.dim, 2, dict(t.items([m.horizontal_indices,
+                                                         range(m.dim)])))
+
+    @cached_property
+    def nUJ_G0(self) -> Table:
+        """<(nabla_U J) G Y0, Z> at (Y, Z), with Y0 the horizontal part of Y."""
+        return self._horizontal_rows(self.nUJ.compose(self.model.G))
+
+    def reversed_dsigma(self, a: Endomorphism, slots: tuple[int, ...]) -> Table:
+        """dsigma(Z, Y) at (Y, Z), with the arguments in `slots` fed through
+        A: slots (1,) give dsigma(Z, AY), slots (0, 1) dsigma(AZ, AY)."""
+        return self.dsigma.pullback(a, slots, range(self.model.dim)).permute((1, 0))
+
+    # Prop. 2.1 and Thm. 4.5 write (nabla_X G)Y alike except for its v(X)
+    # terms, and (nabla_X H)Y except for its u(X) terms.
+    @cached_property
+    def _shared_G(self) -> Table:
+        """sigma(X) HY - u(Y) X - v(Y) JX + <X, Y> U + <JX, Y> V."""
+        m, (s, u, v) = self.model, self.forms
+        return _sum([(1, s.tensor(m.H)), (-1, _middle(u, self.delta)),
+                     (-1, _middle(v, m.J)), (1, self.delta.tensor(u)),
+                     (1, m.J.tensor(v))])
+
+    @cached_property
+    def _shared_H(self) -> Table:
+        """-sigma(X) GY + u(Y) JX - v(Y) X - <JX, Y> U + <X, Y> V."""
+        m, (s, u, v) = self.model, self.forms
+        return _sum([(-1, s.tensor(m.G)), (1, _middle(u, m.J)),
+                     (-1, _middle(v, self.delta)), (-1, m.J.tensor(u)),
+                     (1, self.delta.tensor(v))])
+
+    @cached_property
+    def prop21_G(self) -> Table:
+        """Prop. 2.1: the value of g((nabla_X G)Y, Z) on a normal structure,
+        the shared terms plus v(X) (dsigma(GZ, GY) - 2 <HGY, Z>)."""
+        m, (_, _, v) = self.model, self.forms
+        at_v = self.reversed_dsigma(m.G, (0, 1)).add([(-2, self.HG)])
+        return self._shared_G.add([(1, v.tensor(at_v))])
+
+    @cached_property
+    def prop21_H(self) -> Table:
+        """Prop. 2.1: the value of g((nabla_X H)Y, Z) on a normal structure,
+        the shared terms minus u(X) (dsigma(HZ, HY) + 2 <GHY, Z>)."""
+        m, (_, u, _) = self.model, self.forms
+        at_u = self.reversed_dsigma(m.H, (0, 1)).add([(2, self.GH)])
+        return self._shared_H.add([(-1, u.tensor(at_u))])
+
+    @cached_property
+    def _thm45_vertical(self) -> Table:
+        """2 J Y0 + (nabla_U J) G Y0 - 2 JY - (2 + dsigma(U, V)) (u(Y) V - v(Y) U)
+        at (Y, Z), with Y0 the horizontal part of Y: the coefficient of v(X)
+        in Thm. 4.5's (nabla_X G)Y, and of -u(X) in its (nabla_X H)Y."""
+        m = self.model
+        return self.nUJ_G0.add([(2, self._horizontal_rows(m.J)), (-2, m.J),
+                                (-(2 + self.dUV), self.vertical_mix_table)])
+
+    @cached_property
+    def thm45_G(self) -> Table:
+        """Thm. 4.5: the closed form of (nabla_X G)Y on a normal structure,
+        the shared terms plus their v(X) part."""
+        _, _, v = self.forms
+        return self._shared_G.add([(1, v.tensor(self._thm45_vertical))])
+
+    @cached_property
+    def thm45_H(self) -> Table:
+        """Thm. 4.5: the closed form of (nabla_X H)Y on a normal structure,
+        the shared terms plus their u(X) part."""
+        _, u, _ = self.forms
+        return self._shared_H.add([(-1, u.tensor(self._thm45_vertical))])
+
+    def _torsion(self, a: Endomorphism, nabla_a: Table) -> Table:
+        """[A,A](X,Y) = (nabla_{AX}A)Y - (nabla_{AY}A)X - A(nabla_X A)Y
+        + A(nabla_Y A)X: the first and third terms, alternated."""
+        every = range(self.model.dim)
+        return _alternate(nabla_a.pullback(a, (0,), every).add(
+            [(-1, nabla_a.pullback(a.transpose(), (2,), every))]))
+
+    @cached_property
+    def torsion_G(self) -> Table:
+        return self._torsion(self.model.G, self.nabla_G)
+
+    @cached_property
+    def torsion_H(self) -> Table:
+        return self._torsion(self.model.H, self.nabla_H)
+
+    @cached_property
+    def _vertical_pairing(self) -> Table:
+        """2 <X, GY> U - 2 <X, HY> V."""
+        m, (_, u, v) = self.model, self.forms
+        return _sum([(2, m.G.transpose().tensor(u)), (-2, m.H.transpose().tensor(v))])
+
+    @cached_property
+    def obstruction_S(self) -> Table:
+        """First obstruction tensor, built on the torsion of G: [G,G](X,Y)
+        + 2 <X, GY> U - 2 <X, HY> V + 2 v(Y) HX - 2 v(X) HY
+        + sigma(GY) HX - sigma(GX) HY + sigma(X) GHY - sigma(Y) GHX."""
+        m, (s, _, v) = self.model, self.forms
+        s_G = s.pullback(m.G, (0,), range(m.dim))             # sigma(G.)
+        # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
+        tail = _sum([(-2, v.tensor(m.H)), (-1, s_G.tensor(m.H)), (1, s.tensor(self.GH))])
+        return self.torsion_G.add([(1, self._vertical_pairing), (1, _alternate(tail))])
+
+    @cached_property
+    def obstruction_T(self) -> Table:
+        """Second obstruction tensor, built on the torsion of H: [H,H](X,Y)
+        - 2 <X, GY> U + 2 <X, HY> V + 2 u(Y) GX - 2 u(X) GY
+        + sigma(HX) GY - sigma(HY) GX + sigma(X) GHY - sigma(Y) GHX."""
+        m, (s, u, _) = self.model, self.forms
+        s_H = s.pullback(m.H, (0,), range(m.dim))             # sigma(H.)
+        # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
+        tail = _sum([(-2, u.tensor(m.G)), (1, s_H.tensor(m.G)), (1, s.tensor(self.GH))])
+        return self.torsion_H.add([(-1, self._vertical_pairing), (1, _alternate(tail))])
 
     # short accessors used by the routes and the identity evaluators
     def G(self, x: FrameVector) -> FrameVector:
@@ -207,164 +423,97 @@ class ConnectionWorkspace:
         return cov_deriv_oneform(self.conn, x, w)
 
     def cov_G(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla(x, self.G(y)) - self.G(self.nabla(x, y))
+        return self.nabla_G.contract(x, y)
 
     def cov_H(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla(x, self.H(y)) - self.H(self.nabla(x, y))
+        return self.nabla_H.contract(x, y)
 
     def cov_J(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla(x, self.J(y)) - self.J(self.nabla(x, y))
+        return self.nabla_J.contract(x, y)
 
     def nijenhuis(self, which: Literal["G", "H"], x: FrameVector,
                   y: FrameVector) -> FrameVector:
         """Torsion [A,A](X,Y) = (nabla_{AX}A)Y - (nabla_{AY}A)X - A(nabla_X A)Y
-        + A(nabla_Y A)X of A = G or H, with nabla A read as cov_G or cov_H."""
-        pair = {"G": (self.G, self.cov_G), "H": (self.H, self.cov_H)}.get(which)
-        if pair is None:
+        + A(nabla_Y A)X of A = G or H."""
+        if which not in ("G", "H"):
             raise ValueError(f"Nijenhuis torsion is defined here for G or H, not {which!r}")
-        a, cov = pair
-        return cov(a(x), y) - cov(a(y), x) - a(cov(x, y)) + a(cov(y, x))
+        return getattr(self, f"torsion_{which}").contract(x, y)
 
     def tensor_S(self, x: FrameVector, y: FrameVector) -> FrameVector:
         """First obstruction tensor, built on the torsion of G."""
-        m, sigma, GH = self.model, self.sigma, self.GH
-        G, H = m.G, m.H
-        out = self.nijenhuis("G", x, y)
-        out = out + m.U.scale(2 * inner_product(x, G.apply(y)))
-        out = out - m.V.scale(2 * inner_product(x, H.apply(y)))
-        out = out + H.apply(x).scale(2 * m.v.value(y)) - H.apply(y).scale(2 * m.v.value(x))
-        out = out + H.apply(x).scale(sigma.value(G.apply(y)))
-        out = out - H.apply(y).scale(sigma.value(G.apply(x)))
-        out = out + GH.apply(y).scale(sigma.value(x)) - GH.apply(x).scale(sigma.value(y))
-        return out
+        return self.obstruction_S.contract(x, y)
 
     def tensor_T(self, x: FrameVector, y: FrameVector) -> FrameVector:
         """Second obstruction tensor, built on the torsion of H."""
-        m, sigma, GH = self.model, self.sigma, self.GH
-        G, H = m.G, m.H
-        out = self.nijenhuis("H", x, y)
-        out = out - m.U.scale(2 * inner_product(x, G.apply(y)))
-        out = out + m.V.scale(2 * inner_product(x, H.apply(y)))
-        out = out + G.apply(x).scale(2 * m.u.value(y)) - G.apply(y).scale(2 * m.u.value(x))
-        out = out + G.apply(y).scale(sigma.value(H.apply(x)))
-        out = out - G.apply(x).scale(sigma.value(H.apply(y)))
-        out = out + GH.apply(y).scale(sigma.value(x)) - GH.apply(x).scale(sigma.value(y))
-        return out
+        return self.obstruction_T.contract(x, y)
 
     def prop21_rhs_G(self, x: FrameVector, y: FrameVector, z: FrameVector) -> Scalar:
         """Prop. 2.1: the value of g((nabla_X G)Y, Z) on a normal structure."""
-        u, v, J = self.u, self.v, self.J
-        return (self.sig(x) * inner_product(self.H(y), z)
-                + v(x) * self.dsig(self.G(z), self.G(y))
-                - 2 * v(x) * inner_product(self.H(self.G(y)), z)
-                - u(y) * inner_product(x, z)
-                - v(y) * inner_product(J(x), z)
-                + u(z) * inner_product(x, y)
-                + v(z) * inner_product(J(x), y))
+        return self.prop21_G.contract(x, y, z)
 
     def prop21_rhs_H(self, x: FrameVector, y: FrameVector, z: FrameVector) -> Scalar:
         """Prop. 2.1: the value of g((nabla_X H)Y, Z) on a normal structure."""
-        u, v, J = self.u, self.v, self.J
-        return (-self.sig(x) * inner_product(self.G(y), z)
-                - u(x) * self.dsig(self.H(z), self.H(y))
-                - 2 * u(x) * inner_product(self.G(self.H(y)), z)
-                + u(y) * inner_product(J(x), z)
-                - v(y) * inner_product(x, z)
-                - u(z) * inner_product(J(x), y)
-                + v(z) * inner_product(x, y))
-
-    def _thm45_core(self, y: FrameVector) -> FrameVector:
-        """2 J Y0 + (nabla_U J) G Y0, with Y0 the horizontal part of Y."""
-        y0 = self.hproj(y)
-        return self.J(y0).scale(2) + self.nUJ.apply(self.G(y0))
+        return self.prop21_H.contract(x, y, z)
 
     def thm45_rhs_G(self, x: FrameVector, y: FrameVector) -> FrameVector:
         """Thm. 4.5: the closed form of (nabla_X G)Y on a normal structure."""
-        u, v, J, m = self.u, self.v, self.J, self.model
-        return (self.H(y).scale(self.sig(x))
-                - J(y).scale(2 * v(x))
-                - x.scale(u(y))
-                - J(x).scale(v(y))
-                + self._thm45_core(y).scale(v(x))
-                + m.U.scale(inner_product(x, y))
-                + m.V.scale(inner_product(J(x), y))
-                - self.vertical_mix(y).scale(2 * v(x))
-                - self.vertical_mix(y).scale(self.dUV * v(x)))
+        return self.thm45_G.contract(x, y)
 
     def thm45_rhs_H(self, x: FrameVector, y: FrameVector) -> FrameVector:
         """Thm. 4.5: the closed form of (nabla_X H)Y on a normal structure."""
-        u, v, J, m = self.u, self.v, self.J, self.model
-        return (self.G(y).scale(-self.sig(x))
-                + J(y).scale(2 * u(x))
-                + J(x).scale(u(y))
-                - x.scale(v(y))
-                - self._thm45_core(y).scale(u(x))
-                - m.U.scale(inner_product(J(x), y))
-                + m.V.scale(inner_product(x, y))
-                + self.vertical_mix(y).scale(2 * u(x))
-                + self.vertical_mix(y).scale(self.dUV * u(x)))
+        return self.thm45_H.contract(x, y)
 
 
 def _route_korkmaz(ctx: ConnectionWorkspace,
                    samples: list[tuple[FrameVector, FrameVector]]) -> RouteResult:
-    m, basis_vectors = ctx.model, ctx.basis
-    horizontal = list(m.horizontal_indices)
-    for i, j in product(horizontal, repeat=2):
-        for label, tensor in (("S", ctx.tensor_S), ("T", ctx.tensor_T)):
-            value = tensor(basis_vectors[i], basis_vectors[j])
-            if not value.is_zero():
-                return RouteResult("korkmaz", Status.FAIL,
-                                   _vector_witness(label, (i, j), value,
-                                                   FrameVector.zero(m.dim)))
-    for i in range(m.dim):
-        for label, tensor, vertical in (("S(.,U)", ctx.tensor_S, m.U),
-                                        ("T(.,V)", ctx.tensor_T, m.V)):
-            value = tensor(basis_vectors[i], vertical)
-            if not value.is_zero():
-                slot = (i, m.U_index if label.startswith("S") else m.V_index)
-                return RouteResult("korkmaz", Status.FAIL,
-                                   _vector_witness(label, slot, value,
-                                                   FrameVector.zero(m.dim)))
+    m, S, T = ctx.model, ctx.obstruction_S, ctx.obstruction_T
+    hor, every = m.horizontal_indices, range(m.dim)
+    zero = FrameVector.zero(m.dim)
+
+    def fail(label: str, slots, value: FrameVector) -> RouteResult:
+        return RouteResult("korkmaz", Status.FAIL, _vector_witness(label, slots, value, zero))
+
+    # the first horizontal pair where S or T is nonzero, S before T there
+    pairs = [((i, j), c) for c, t in enumerate((S, T))
+             for (i, j, _), _ in t.items([hor, hor, every])]
+    if pairs:
+        where, c = min(pairs)
+        label, t = (("S", S), ("T", T))[c]
+        return fail(label, where, t.row(*where))
+    # then S(e_i, U) and T(e_i, V) for every frame index i, S before T at each i
+    vertical = (("S(.,U)", S, m.U_index), ("T(.,V)", T, m.V_index))
+    firsts = [(i, c) for c, (_, t, w) in enumerate(vertical)
+              for (i, _, _), _ in t.items([every, (w,), every])]
+    if firsts:
+        i, c = min(firsts)
+        label, t, w = vertical[c]
+        return fail(label, (i, w), t.row(i, w))
     for index, (x, y) in enumerate(samples):
         x0 = horizontal_projection(m, x)
         y0 = horizontal_projection(m, y)
-        for label, tensor in (("S", ctx.tensor_S), ("T", ctx.tensor_T)):
-            value = tensor(x0, y0)
+        for label, t in (("S", S), ("T", T)):
+            value = t.contract(x0, y0)
             if not value.is_zero():
-                return RouteResult("korkmaz", Status.FAIL,
-                                   _vector_witness(label, f"sample={index}", value,
-                                                   FrameVector.zero(m.dim)))
+                return fail(label, f"sample={index}", value)
     return RouteResult("korkmaz", Status.PASS)
 
 
 def _route_prop21(ctx: ConnectionWorkspace) -> RouteResult:
-    b = ctx.basis
-    for i, j, k in product(range(ctx.model.dim), repeat=3):
-        x, y, z = b[i], b[j], b[k]
-        for label, cov, rhs in (("G", ctx.cov_G, ctx.prop21_rhs_G),
-                                ("H", ctx.cov_H, ctx.prop21_rhs_H)):
-            lhs_value = inner_product(cov(x, y), z)
-            rhs_value = rhs(x, y, z)
-            if lhs_value != rhs_value:
-                return RouteResult("prop21", Status.FAIL,
-                                   _scalar_witness(label, (i, j, k),
-                                                   lhs_value, rhs_value))
-    return RouteResult("prop21", Status.PASS)
+    failure = first_table_failure([("G", ctx.nabla_G, ctx.prop21_G),
+                                   ("H", ctx.nabla_H, ctx.prop21_H)], 3)
+    if failure is None:
+        return RouteResult("prop21", Status.PASS)
+    where, label, lhs, rhs = failure
+    return RouteResult("prop21", Status.FAIL, _scalar_witness(label, where, lhs, rhs))
 
 
 def _route_thm45(ctx: ConnectionWorkspace) -> RouteResult:
-    b = ctx.basis
-    for i, j in product(range(ctx.model.dim), repeat=2):
-        x, y = b[i], b[j]
-        for label, cov, rhs in (("G", ctx.cov_G, ctx.thm45_rhs_G),
-                                ("H", ctx.cov_H, ctx.thm45_rhs_H)):
-            lhs_value = cov(x, y)
-            rhs_value = rhs(x, y)
-            if lhs_value != rhs_value:
-                return RouteResult("thm45", Status.FAIL,
-                                   _vector_witness(label, (i, j),
-                                                   lhs_value, rhs_value))
-    return RouteResult("thm45", Status.PASS)
+    failure = first_table_failure([("G", ctx.nabla_G, ctx.thm45_G),
+                                   ("H", ctx.nabla_H, ctx.thm45_H)], 2)
+    if failure is None:
+        return RouteResult("thm45", Status.PASS)
+    where, label, lhs, rhs = failure
+    return RouteResult("thm45", Status.FAIL, _vector_witness(label, where, lhs, rhs))
 
 
 def random_rational_vector(rng: random.Random, dim: int) -> FrameVector:
@@ -377,8 +526,8 @@ def check_normality(ctx: ConnectionWorkspace, samples: int = 32,
                     seed: int = 0) -> NormalityReport:
     """Decide normality by all three routes and report each with a witness.
 
-    The routes read the connection-level quantities of `ctx`, so a caller
-    that already holds a workspace derives them once.  The frame loops are
+    The routes read the connection-level tables of `ctx`, so a caller that
+    already holds a workspace builds them once.  The table comparisons are
     exhaustive and complete (every quantity involved is multilinear in its
     slots); the random rational pairs are an extra smoke test on the korkmaz
     route, deterministic in (samples, seed).

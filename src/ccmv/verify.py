@@ -8,20 +8,28 @@ rational combinations.  Comparison is exact; the first inequality is
 reported as the witness.
 
 Direct identities do not go through that frame-tuple sweep.  The
-structural checks and the normality routes report the results of their
-own loops.  RIEM-SYM, BIANCHI-1 and BIANCHI-2 sweep no frame tuples at
-all: they read the stored curvature and connection tables, visit only the
+structural checks and the three normality routes report the results of
+their own checks; the routes compare the structures module's tables (see
+there).  RIEM-SYM, BIANCHI-1 and BIANCHI-2 sweep no frame tuples at all:
+they read the stored curvature and connection tables, visit only the
 index tuples that can fail (stored entries with their partners or
 rotations, and one slab per cyclic orbit), still report the first failing
 tuple in `itertools.product` order, and draw no samples.
 
-EQ-2.20, EQ-2.21 and EQ-4.1 state each side as a table on horizontal
-indices, built once from stored nonzeros: R pulled back through G or H,
-and R plus outer products of the 2-forms <J., .>, <G., .>, <H., .>,
-dsigma and its pullbacks.  Their frame phase compares the two tables'
-entries at the stored keys of either side only, and reports the first
-failing tuple in `itertools.product` order as a frame sweep would.  They
-still draw the random samples, each a contraction of both tables.
+Table identities state each side as a table built once from stored
+nonzeros.  EQ-2.20, EQ-2.21 and EQ-4.1 use tables on horizontal indices:
+R pulled back through G or H, and R plus tensor products of the 2-forms
+<J., .>, <G., .>, <H., .>, dsigma and its pullbacks.  EQ-2.4, EQ-2.5 and
+EQ-2.6 compare g((nabla_X A)Y, Z) for A = G, H, J with Prop. 2.1's
+right-hand sides, and EQ-4.12 and EQ-4.13 compare nabla G and nabla H with
+Thm. 4.5's closed forms as vector-valued tables, one slot more than the
+identity's, whose last slot is the output vector.  The frame phase reads
+the stored keys of either side only and reports what a frame sweep would:
+the first failing frame tuple in `itertools.product` order, then the first
+clause failing there.  For a vector-valued side the frame tuple is the key
+without its last index, and a clause fails there when its rows differ.
+These identities still draw the random samples, each a contraction of
+both tables.
 
 Registry ids are stable opaque labels (the EQ-*/AX-*/NORM-* vocabulary
 used by the report formats); several identities are recorded here in a
@@ -77,6 +85,7 @@ from .model import (
 from .structures import (
     ConnectionWorkspace,
     check_normality,
+    first_table_failure,
     random_rational_vector,
 )
 
@@ -180,7 +189,8 @@ class Identity:
     group: str
     slots: tuple[str, ...]
     evaluate: Callable[[Workspace, tuple[FrameVector, ...]], list[Clause]] | None = None
-    # each side a table holding only index tuples in the slot ranges
+    # each side a table holding only index tuples in the slot ranges, with
+    # one slot per frame slot, or one more for a vector-valued side
     tables: Callable[[Workspace], list[TableClause]] | None = None
     direct: Callable[[Workspace, int, int], IdentityResult] | None = None
 
@@ -196,31 +206,12 @@ def render_witness(slots: str, clause: str, lhs, rhs) -> str:
     return f"slots={slots}{part} lhs={_render_value(lhs)} rhs={_render_value(rhs)}"
 
 
-def _first_table_failure(clauses: list[TableClause]):
-    """First index tuple, in `itertools.product` order, where some clause's
-    two tables differ, with the first such clause and both entries; None
-    when they agree on every frame tuple.
-
-    A tuple where neither side of any clause is stored holds every clause,
-    so only the stored keys of both sides are candidates.
-    """
-    stored = [(name, dict(lhs.items()), dict(rhs.items())) for name, lhs, rhs in clauses]
-    failing = [key for _, lhs, rhs in stored for key in lhs.keys() | rhs.keys()
-               if lhs.get(key, ZERO) != rhs.get(key, ZERO)]
-    if not failing:
-        return None
-    where = min(failing)
-    name, lhs, rhs = next(clause for clause in stored
-                          if clause[1].get(where, ZERO) != clause[2].get(where, ZERO))
-    return where, name, lhs.get(where, ZERO), rhs.get(where, ZERO)
-
-
 def _run_slots(ws: Workspace, ident: Identity, samples: int,
                seed: int) -> IdentityResult:
     m = ws.model
     if ident.tables is not None:
         clauses = ident.tables(ws)
-        failure = _first_table_failure(clauses)
+        failure = first_table_failure(clauses, len(ident.slots))
         if failure is not None:
             idx, clause, lhs, rhs = failure
             return IdentityResult(ident.identity_id, Status.FAIL,
@@ -305,12 +296,14 @@ def _registry() -> list[Identity]:
         ("U", ws.nUG.apply(vs[0]), ws.H(vs[0]).scale(ws.sig(ws.model.U))),
         ("V", ws.nVH.apply(vs[0]), ws.G(vs[0]).scale(-ws.sig(ws.model.V)))])
 
-    add("EQ-2.6", "contact", "any any any", lambda ws, vs: [(
-        "", inner_product(ws.cov_J(vs[0], vs[1]), vs[2]),
-        ws.u(vs[0]) * (ws.dsig(vs[2], ws.G(vs[1]))
-                       - 2 * inner_product(ws.H(vs[1]), vs[2]))
-        + ws.v(vs[0]) * (ws.dsig(vs[2], ws.H(vs[1]))
-                         + 2 * inner_product(ws.G(vs[1]), vs[2])))])
+    # g((nabla_X J)Y, Z) = u(X)(dsigma(Z, GY) - 2 <HY, Z>)
+    #                      + v(X)(dsigma(Z, HY) + 2 <GY, Z>)
+    def eq_2_6(ws: Workspace) -> list[TableClause]:
+        m, (_, u, v) = ws.model, ws.forms
+        at_u = ws.reversed_dsigma(m.G, (1,)).add([(-2, m.H)])
+        at_v = ws.reversed_dsigma(m.H, (1,)).add([(2, m.G)])
+        return [("", ws.nabla_J, u.tensor(at_u).add([(1, v.tensor(at_v))]))]
+    add_tables("EQ-2.6", "contact", "any any any", eq_2_6)
 
     add("EQ-2.7", "contact", "any", lambda ws, vs: [
         ("U", ws.nabla(vs[0], ws.model.U),
@@ -409,19 +402,20 @@ def _registry() -> list[Identity]:
         + ws.dUV * ws.uv_bilinear(vs[0], vs[1]))])
 
     # EQ-4.12 and EQ-4.13 as printed: Thm. 4.5's closed forms (the NORM-THM45
-    # route) plus the literal difference of the printed terms.
-    def eq_4_12_misprint(ws: Workspace, x: FrameVector, y: FrameVector) -> FrameVector:
+    # route) plus the literal difference of the printed terms.  Both sides
+    # are vector-valued: row (i, j) is the vector at (e_i, e_j).
+    def eq_4_12(ws: Workspace) -> list[TableClause]:
         """The printed sign of the nabla_U J term, and 2 v(X)(u(Y)V - v(Y)U) dropped."""
-        return (ws.nUJ.apply(ws.G(ws.hproj(y))).scale(-2 * ws.v(x))
-                + ws.vertical_mix(y).scale(2 * ws.v(x)))
-    add("EQ-4.12", "contact", "any any", lambda ws, vs: [(
-        "", ws.cov_G(*vs), ws.thm45_rhs_G(*vs) + eq_4_12_misprint(ws, *vs))])
+        _, _, v = ws.forms
+        return [("", ws.nabla_G, ws.thm45_G.add([(-2, v.tensor(ws.nUJ_G0)),
+                                                 (2, v.tensor(ws.vertical_mix_table))]))]
+    add_tables("EQ-4.12", "contact", "any any", eq_4_12)
 
-    def eq_4_13_misprint(ws: Workspace, x: FrameVector, y: FrameVector) -> FrameVector:
+    def eq_4_13(ws: Workspace) -> list[TableClause]:
         """-2 u(X)(u(Y)V - v(Y)U) dropped."""
-        return ws.vertical_mix(y).scale(-2 * ws.u(x))
-    add("EQ-4.13", "contact", "any any", lambda ws, vs: [(
-        "", ws.cov_H(*vs), ws.thm45_rhs_H(*vs) + eq_4_13_misprint(ws, *vs))])
+        _, u, _ = ws.forms
+        return [("", ws.nabla_H, ws.thm45_H.add([(-2, u.tensor(ws.vertical_mix_table))]))]
+    add_tables("EQ-4.13", "contact", "any any", eq_4_13)
 
     add("EQ-4.14", "contact", "any any", lambda ws, vs: [(
         "", ws.cov_J(vs[0], vs[1]),
@@ -436,17 +430,15 @@ def _registry() -> list[Identity]:
     # EQ-2.4 and EQ-2.5 as printed: Prop. 2.1's forms (the NORM-PROP21 route)
     # plus the literal difference of the printed terms.  EQ-2.4 is printed
     # correctly.
-    add("EQ-2.4", "normality", "any any any", lambda ws, vs: [(
-        "", inner_product(ws.cov_G(vs[0], vs[1]), vs[2]), ws.prop21_rhs_G(*vs))])
+    add_tables("EQ-2.4", "normality", "any any any", lambda ws: [
+        ("", ws.nabla_G, ws.prop21_G)])
 
-    def eq_2_5_misprint(ws: Workspace, x: FrameVector, y: FrameVector,
-                        z: FrameVector) -> Scalar:
+    def eq_2_5(ws: Workspace) -> list[TableClause]:
         """HG printed where GH belongs in the 2 u(X) term."""
-        return (-2 * ws.u(x) * inner_product(ws.H(ws.G(y)), z)
-                + 2 * ws.u(x) * inner_product(ws.G(ws.H(y)), z))
-    add("EQ-2.5", "normality", "any any any", lambda ws, vs: [(
-        "", inner_product(ws.cov_H(vs[0], vs[1]), vs[2]),
-        ws.prop21_rhs_H(*vs) + eq_2_5_misprint(ws, *vs))])
+        _, u, _ = ws.forms
+        return [("", ws.nabla_H, ws.prop21_H.add([(-2, u.tensor(ws.HG)),
+                                                  (2, u.tensor(ws.GH))]))]
+    add_tables("EQ-2.5", "normality", "any any any", eq_2_5)
 
     for route in ("korkmaz", "prop21", "thm45"):
         add_direct(f"NORM-{route.upper()}", "normality", _wrap_normality_route(route))
@@ -502,8 +494,8 @@ def _registry() -> list[Identity]:
             form_b, form_j = ws.horizontal(getattr(m, b)), ws.horizontal(m.J)
             ds = ws.horizontal(ws.dsigma)
             ds_a = ws.dsigma.pullback(getattr(m, a), (0,), m.horizontal_indices)
-            rhs = ws.curv_hor.add_outer([(-2, ds, form_j), (2, form_b, ds_a),
-                                         (2, form_j, ds), (-2, ds_a, form_b)])
+            rhs = ws.curv_hor.add([(-2, ds.tensor(form_j)), (2, form_b.tensor(ds_a)),
+                                   (2, form_j.tensor(ds)), (-2, ds_a.tensor(form_b))])
             return [("", getattr(ws, f"curv_{a}"), rhs)]
         return tables
     add_tables("EQ-2.20", "curvature", "hor hor hor hor", pulled_back_curvature("G", "H"))

@@ -381,6 +381,37 @@ class TestErrorPaths:
         assert code == 2
         assert "rejected: LIE-JACOBI fails" in err
 
+    # every command that reads a model, and diff reading --expected, on the
+    # same hostile files; None is a directory at the path
+    @pytest.mark.parametrize("argv", [
+        ("validate", "{file}"), ("verify", "{file}"),
+        ("diff", "{file}", "--expected", EXPECTED_FILE),
+        ("diff", "{model}", "--expected", "{file}")],
+        ids=["validate", "verify", "diff-model", "diff-expected"])
+    @pytest.mark.parametrize("content", [
+        b"version 1\nn 1\n\xff\n", b"version 1\nn 1\x00\n", None,
+        b"version 1\nn 1000000\n", b""],
+        ids=["invalid-utf8", "nul-bytes", "directory", "huge-n", "empty"])
+    def test_hostile_file_exits_2_with_a_message(self, capsys, tmp_path, heis_path,
+                                                 argv, content):
+        path = tmp_path / "hostile"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run_cli(capsys, *(arg.format(file=path, model=heis_path)
+                                           for arg in argv))
+        if content == b"" and argv[-2:] == ("--expected", "{file}"):
+            # an empty expected-values file is an empty table
+            assert (code, err) == (0, "")
+            return
+        assert code == 2
+        assert out == ""
+        assert err.startswith("ccmv: ") and str(path) in err.splitlines()[0]
+        assert "Traceback" not in err
+        if content and content.startswith(b"version 1\nn 1\n\xff"):
+            assert err == f"ccmv: cannot read {path}: not UTF-8 text (byte 0xff at offset 14)\n"
+
     def test_validate_still_reports_non_lie_model(self, capsys, tmp_path):
         # validate is the diagnostic entry point: it reports rather than refuses
         bad = tmp_path / "nonlie.ccm"

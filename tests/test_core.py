@@ -243,6 +243,46 @@ class TestTable:
         with pytest.raises(DimensionMismatch):
             Table.from_values(2, 2, {(0, 2): Fraction(1)})
 
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_add_tensor_permute_match_dense_entries(self, data):
+        a, dim, _ = data.draw(tables_and_vectors(2))
+        b, _, _ = data.draw(tables_and_vectors(2))
+        form = {(i,): c for i, c in enumerate(data.draw(st.lists(
+            sparse_rationals, min_size=dim, max_size=dim))) if c}
+        c = data.draw(st.sampled_from([1, -1, 0, Fraction(2, 3)]))
+        ta, tb, tf = (Table.from_values(dim, 2, a), Table.from_values(dim, 2, b),
+                      Table.from_values(dim, 1, form))
+        total, swapped = ta.add([(c, tb)]), ta.permute((1, 0))
+        left, right = tf.tensor(ta), ta.tensor(tf)
+        middle = left.permute((1, 0, 2))
+        for i, j in product(range(dim), repeat=2):
+            assert total.entry(i, j) == a.get((i, j), 0) + c * b.get((i, j), 0)
+            assert swapped.entry(i, j) == a.get((j, i), 0)
+            for k in range(dim):
+                f, g = form.get((i,), 0), form.get((j,), 0)
+                assert left.entry(i, j, k) == f * a.get((j, k), 0)
+                assert right.entry(i, j, k) == a.get((i, j), 0) * form.get((k,), 0)
+                assert middle.entry(i, j, k) == g * a.get((i, k), 0)
+        assert all(type(t) is Table for t in (total, swapped, left, right, middle))
+
+    def test_rank_one_tables(self):
+        form = Table.from_values(3, 1, {(2,): Fraction(5), (0,): Fraction(-1), (1,): 0})
+        assert form.entries == ((0, Fraction(-1)), (2, Fraction(5)))
+        assert form.items() == [((0,), -1), ((2,), 5)]
+        assert form.entry(2) == 5 and form.entry(1) == 0
+        assert form.row() == FrameVector.from_coeffs([-1, 0, 5])
+        assert Table.from_values(3, 1, {}).is_zero()
+        swap = Endomorphism.from_values(3, 2, {(0, 1): 1, (1, 0): 1, (2, 2): 1})
+        assert form.pullback(swap, (0,), range(3)).items() == [((1,), -1), ((2,), 5)]
+
+    def test_add_and_permute_reject_mismatched_slots(self):
+        table = Table.from_values(2, 2, {(0, 1): Fraction(1)})
+        with pytest.raises(ValueError, match="does not add"):
+            table.add([(1, table.tensor(table))])
+        with pytest.raises(ValueError, match="is not an order"):
+            table.permute((0, 0))
+
 
 class TestSparseVectorText:
     def test_format_zero(self):

@@ -4,21 +4,27 @@ Each reference below is the dense index-range formula, kept here as an
 independent second route: the Jacobi sweep, the curvature assembly, the
 exhaustive second-Bianchi sweep, the frame sweeps and product-order index
 sweeps of the Riemann symmetries and of the first Bianchi identity, the
-per-tuple evaluators of EQ-2.20, EQ-2.21 and EQ-4.1, the pullback of a
-table through an endomorphism, and the quadrilinear and trilinear
+per-tuple evaluators of EQ-2.20, EQ-2.21 and EQ-4.1, the per-vector
+formulas of nabla G/H/J, the torsions, S, T and the Prop. 2.1 and Thm. 4.5
+right-hand sides with the three normality route loops and the evaluators
+of EQ-2.4, EQ-2.5, EQ-2.6, EQ-4.12 and EQ-4.13, the pullback of a table
+through an endomorphism, and the quadrilinear and trilinear
 contractions.  They are compared on the bundled model, generated
 nilpotent perturbations, the n=2 block-diagonal model, systematic
-mutations of the bundled model, random two-step nilpotent models with
-random structure tensors, and random sparse 4-tensors.
+mutations and single-entry bumps of the bundled model, random two-step
+nilpotent models with random structure tensors, and random sparse
+4-tensors.
 """
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccmv import (
@@ -33,6 +39,7 @@ from ccmv import (
     Tensor4,
     build_heisenberg,
     format_scalar,
+    format_sparse_vector,
     inner_product,
     levi_civita,
     lie_checks,
@@ -43,6 +50,12 @@ from ccmv import (
     second_bianchi_failures,
 )
 from ccmv.curvature import add_nabla_r, first_bianchi_failures
+from ccmv.structures import (
+    NormalityReport,
+    RouteResult,
+    check_normality,
+    random_rational_vector,
+)
 from ccmv.verify import REGISTRY, Identity, IdentityResult, Workspace, _run_slots
 from conftest import make_heisenberg_model, make_nilpotent_model
 
@@ -208,6 +221,225 @@ HORIZONTAL_REFERENCES = {
 }
 
 
+# The per-vector formulas that the normality tables replaced: nabla A, the
+# torsions, S and T, and the right-hand sides of Prop. 2.1 and Thm. 4.5,
+# each read off the connection by contraction on frame vectors.
+
+def ref_cov(ws: Workspace, a, x, y) -> FrameVector:
+    """(nabla_X A)Y = nabla_X(AY) - A(nabla_X Y)."""
+    return ws.nabla(x, a(y)) - a(ws.nabla(x, y))
+
+
+def ref_nijenhuis(ws: Workspace, which: str, x, y) -> FrameVector:
+    a = {"G": ws.G, "H": ws.H}[which]
+
+    def cov(p, q):
+        return ref_cov(ws, a, p, q)
+    return cov(a(x), y) - cov(a(y), x) - a(cov(x, y)) + a(cov(y, x))
+
+
+def ref_tensor_S(ws: Workspace, x, y) -> FrameVector:
+    m, sig = ws.model, ws.sig
+    G, H = ws.G, ws.H
+    out = ref_nijenhuis(ws, "G", x, y)
+    out = out + m.U.scale(2 * inner_product(x, G(y)))
+    out = out - m.V.scale(2 * inner_product(x, H(y)))
+    out = out + H(x).scale(2 * ws.v(y)) - H(y).scale(2 * ws.v(x))
+    out = out + H(x).scale(sig(G(y)))
+    out = out - H(y).scale(sig(G(x)))
+    out = out + G(H(y)).scale(sig(x)) - G(H(x)).scale(sig(y))
+    return out
+
+
+def ref_tensor_T(ws: Workspace, x, y) -> FrameVector:
+    m, sig = ws.model, ws.sig
+    G, H = ws.G, ws.H
+    out = ref_nijenhuis(ws, "H", x, y)
+    out = out - m.U.scale(2 * inner_product(x, G(y)))
+    out = out + m.V.scale(2 * inner_product(x, H(y)))
+    out = out + G(x).scale(2 * ws.u(y)) - G(y).scale(2 * ws.u(x))
+    out = out + G(y).scale(sig(H(x)))
+    out = out - G(x).scale(sig(H(y)))
+    out = out + G(H(y)).scale(sig(x)) - G(H(x)).scale(sig(y))
+    return out
+
+
+def ref_prop21_rhs_G(ws: Workspace, x, y, z) -> Fraction:
+    u, v, J = ws.u, ws.v, ws.J
+    return (ws.sig(x) * inner_product(ws.H(y), z)
+            + v(x) * ws.dsig(ws.G(z), ws.G(y))
+            - 2 * v(x) * inner_product(ws.H(ws.G(y)), z)
+            - u(y) * inner_product(x, z)
+            - v(y) * inner_product(J(x), z)
+            + u(z) * inner_product(x, y)
+            + v(z) * inner_product(J(x), y))
+
+
+def ref_prop21_rhs_H(ws: Workspace, x, y, z) -> Fraction:
+    u, v, J = ws.u, ws.v, ws.J
+    return (-ws.sig(x) * inner_product(ws.G(y), z)
+            - u(x) * ws.dsig(ws.H(z), ws.H(y))
+            - 2 * u(x) * inner_product(ws.G(ws.H(y)), z)
+            + u(y) * inner_product(J(x), z)
+            - v(y) * inner_product(x, z)
+            - u(z) * inner_product(J(x), y)
+            + v(z) * inner_product(x, y))
+
+
+def ref_nabla_U_J_G0(ws: Workspace, y) -> FrameVector:
+    """(nabla_U J) G Y0, with Y0 the horizontal part of Y."""
+    return ref_cov(ws, ws.J, ws.model.U, ws.G(ws.hproj(y)))
+
+
+def ref_dUV(ws: Workspace) -> Fraction:
+    return ws.dsig(ws.model.U, ws.model.V)
+
+
+def ref_thm45_core(ws: Workspace, y) -> FrameVector:
+    return ws.J(ws.hproj(y)).scale(2) + ref_nabla_U_J_G0(ws, y)
+
+
+def ref_thm45_rhs_G(ws: Workspace, x, y) -> FrameVector:
+    u, v, J, m = ws.u, ws.v, ws.J, ws.model
+    return (ws.H(y).scale(ws.sig(x))
+            - J(y).scale(2 * v(x))
+            - x.scale(u(y))
+            - J(x).scale(v(y))
+            + ref_thm45_core(ws, y).scale(v(x))
+            + m.U.scale(inner_product(x, y))
+            + m.V.scale(inner_product(J(x), y))
+            - ws.vertical_mix(y).scale(2 * v(x))
+            - ws.vertical_mix(y).scale(ref_dUV(ws) * v(x)))
+
+
+def ref_thm45_rhs_H(ws: Workspace, x, y) -> FrameVector:
+    u, v, J, m = ws.u, ws.v, ws.J, ws.model
+    return (ws.G(y).scale(-ws.sig(x))
+            + J(y).scale(2 * u(x))
+            + J(x).scale(u(y))
+            - x.scale(v(y))
+            - ref_thm45_core(ws, y).scale(u(x))
+            - m.U.scale(inner_product(J(x), y))
+            + m.V.scale(inner_product(x, y))
+            + ws.vertical_mix(y).scale(2 * u(x))
+            + ws.vertical_mix(y).scale(ref_dUV(ws) * u(x)))
+
+
+def _vector_witness(label, slots, lhs, rhs) -> str:
+    where = slots if isinstance(slots, str) else ",".join(str(s) for s in slots)
+    return (f"{label} slots={where} lhs={format_sparse_vector(lhs)} "
+            f"rhs={format_sparse_vector(rhs)}")
+
+
+def ref_route_korkmaz(ws: Workspace, samples) -> RouteResult:
+    """S and T on every horizontal frame pair, S before T; then S(e_i, U)
+    and T(e_i, V); then the horizontal parts of the sample pairs."""
+    m, b = ws.model, ws.basis
+    zero = FrameVector.zero(m.dim)
+    for i, j in product(m.horizontal_indices, repeat=2):
+        for label, tensor in (("S", ref_tensor_S), ("T", ref_tensor_T)):
+            value = tensor(ws, b[i], b[j])
+            if not value.is_zero():
+                return RouteResult("korkmaz", Status.FAIL,
+                                   _vector_witness(label, (i, j), value, zero))
+    for i in range(m.dim):
+        for label, tensor, w in (("S(.,U)", ref_tensor_S, m.U_index),
+                                 ("T(.,V)", ref_tensor_T, m.V_index)):
+            value = tensor(ws, b[i], b[w])
+            if not value.is_zero():
+                return RouteResult("korkmaz", Status.FAIL,
+                                   _vector_witness(label, (i, w), value, zero))
+    for index, (x, y) in enumerate(samples):
+        for label, tensor in (("S", ref_tensor_S), ("T", ref_tensor_T)):
+            value = tensor(ws, ws.hproj(x), ws.hproj(y))
+            if not value.is_zero():
+                return RouteResult("korkmaz", Status.FAIL,
+                                   _vector_witness(label, f"sample={index}", value, zero))
+    return RouteResult("korkmaz", Status.PASS)
+
+
+def ref_route_prop21(ws: Workspace) -> RouteResult:
+    b = ws.basis
+    for i, j, k in product(range(ws.model.dim), repeat=3):
+        for label, a, rhs in (("G", ws.G, ref_prop21_rhs_G), ("H", ws.H, ref_prop21_rhs_H)):
+            lhs_value = inner_product(ref_cov(ws, a, b[i], b[j]), b[k])
+            rhs_value = rhs(ws, b[i], b[j], b[k])
+            if lhs_value != rhs_value:
+                return RouteResult("prop21", Status.FAIL,
+                                   f"{label} slots={i},{j},{k} lhs={format_scalar(lhs_value)} "
+                                   f"rhs={format_scalar(rhs_value)}")
+    return RouteResult("prop21", Status.PASS)
+
+
+def ref_route_thm45(ws: Workspace) -> RouteResult:
+    b = ws.basis
+    for i, j in product(range(ws.model.dim), repeat=2):
+        for label, a, rhs in (("G", ws.G, ref_thm45_rhs_G), ("H", ws.H, ref_thm45_rhs_H)):
+            lhs_value = ref_cov(ws, a, b[i], b[j])
+            rhs_value = rhs(ws, b[i], b[j])
+            if lhs_value != rhs_value:
+                return RouteResult("thm45", Status.FAIL,
+                                   _vector_witness(label, (i, j), lhs_value, rhs_value))
+    return RouteResult("thm45", Status.PASS)
+
+
+def ref_check_normality(ws: Workspace, samples: int = 32, seed: int = 0) -> NormalityReport:
+    rng = random.Random(f"{seed}:normality")
+    pairs = [(random_rational_vector(rng, ws.model.dim), random_rational_vector(rng, ws.model.dim))
+             for _ in range(samples)]
+    return NormalityReport(ref_route_korkmaz(ws, pairs), ref_route_prop21(ws),
+                           ref_route_thm45(ws))
+
+
+# EQ-2.4, EQ-2.5, EQ-2.6, EQ-4.12 and EQ-4.13 as the per-tuple evaluators the
+# table equations replaced, with the literal differences of the printed terms.
+def eq_2_5_misprint(ws: Workspace, x, y, z) -> Fraction:
+    """HG printed where GH belongs in the 2 u(X) term."""
+    return (-2 * ws.u(x) * inner_product(ws.H(ws.G(y)), z)
+            + 2 * ws.u(x) * inner_product(ws.G(ws.H(y)), z))
+
+
+def eq_4_12_misprint(ws: Workspace, x, y) -> FrameVector:
+    """The printed sign of the nabla_U J term, and 2 v(X)(u(Y)V - v(Y)U) dropped."""
+    return (ref_nabla_U_J_G0(ws, y).scale(-2 * ws.v(x))
+            + ws.vertical_mix(y).scale(2 * ws.v(x)))
+
+
+def eq_4_13_misprint(ws: Workspace, x, y) -> FrameVector:
+    """-2 u(X)(u(Y)V - v(Y)U) dropped."""
+    return ws.vertical_mix(y).scale(-2 * ws.u(x))
+
+
+NORMALITY_REFERENCES = {
+    "EQ-2.4": lambda ws, vs: [(
+        "", inner_product(ref_cov(ws, ws.G, vs[0], vs[1]), vs[2]),
+        ref_prop21_rhs_G(ws, *vs))],
+    "EQ-2.5": lambda ws, vs: [(
+        "", inner_product(ref_cov(ws, ws.H, vs[0], vs[1]), vs[2]),
+        ref_prop21_rhs_H(ws, *vs) + eq_2_5_misprint(ws, *vs))],
+    "EQ-2.6": lambda ws, vs: [(
+        "", inner_product(ref_cov(ws, ws.J, vs[0], vs[1]), vs[2]),
+        ws.u(vs[0]) * (ws.dsig(vs[2], ws.G(vs[1]))
+                       - 2 * inner_product(ws.H(vs[1]), vs[2]))
+        + ws.v(vs[0]) * (ws.dsig(vs[2], ws.H(vs[1]))
+                         + 2 * inner_product(ws.G(vs[1]), vs[2])))],
+    "EQ-4.12": lambda ws, vs: [(
+        "", ref_cov(ws, ws.G, *vs), ref_thm45_rhs_G(ws, *vs) + eq_4_12_misprint(ws, *vs))],
+    "EQ-4.13": lambda ws, vs: [(
+        "", ref_cov(ws, ws.H, *vs), ref_thm45_rhs_H(ws, *vs) + eq_4_13_misprint(ws, *vs))],
+}
+NORMALITY_SLOTS = {"EQ-2.4": 3, "EQ-2.5": 3, "EQ-2.6": 3, "EQ-4.12": 2, "EQ-4.13": 2}
+
+
+def frame_sweep_normality(ws: Workspace, identity_id: str,
+                          samples: int = 32, seed: int = 0) -> IdentityResult:
+    """A converted identity by its reference evaluator over every frame
+    tuple, then the random samples."""
+    ident = Identity(identity_id, "normality", ("any",) * NORMALITY_SLOTS[identity_id],
+                     evaluate=NORMALITY_REFERENCES[identity_id])
+    return _run_slots(ws, ident, samples=samples, seed=seed)
+
+
 def frame_sweep_horizontal(ws: Workspace, identity_id: str,
                            samples: int = 32) -> IdentityResult:
     """EQ-2.20, EQ-2.21 or EQ-4.1 by its reference evaluator over every
@@ -221,10 +453,11 @@ def registry_identity(identity_id: str) -> Identity:
     return next(i for i in REGISTRY if i.identity_id == identity_id)
 
 
-def table_result(ws: Workspace, identity_id: str, samples: int = 32) -> IdentityResult:
+def table_result(ws: Workspace, identity_id: str, samples: int = 32,
+                 seed: int = 0) -> IdentityResult:
     ident = registry_identity(identity_id)
     assert ident.tables is not None
-    return _run_slots(ws, ident, samples=samples, seed=0)
+    return _run_slots(ws, ident, samples=samples, seed=seed)
 
 
 def dense_pullback(t: Table, endo: Endomorphism, slots, keep) -> dict:
@@ -306,6 +539,16 @@ class TestGeneratedModels:
     def test_horizontal_identities_match_frame_sweep(self, geometry, identity_id):
         ws = Workspace(geometry[0])
         assert table_result(ws, identity_id) == frame_sweep_horizontal(ws, identity_id)
+
+    @pytest.mark.parametrize("identity_id", sorted(NORMALITY_REFERENCES))
+    def test_normality_identities_match_frame_sweep(self, geometry, identity_id):
+        ws = Workspace(geometry[0])
+        assert table_result(ws, identity_id) == frame_sweep_normality(ws, identity_id)
+
+    def test_normality_routes_match_reference_loops(self, geometry):
+        ws = Workspace(geometry[0])
+        assert check_normality(ws) == ref_check_normality(ws)
+        assert check_normality(ws, samples=3, seed=7) == ref_check_normality(ws, 3, 7)
 
     def test_index_sweeps_match_product_order(self, geometry):
         _, _, rt = geometry
@@ -402,11 +645,12 @@ class TestMutatedModels:
 
 # ----- witnesses reached only through a rotation, a partner or an orbit -----
 
-def _bumped(rt: Tensor4, bumps: dict[tuple[int, ...], int]) -> Tensor4:
-    values = dict(rt.items())
+def _bumped(t: Table, bumps: dict[tuple[int, ...], int]) -> Table:
+    """The table, of the same class, with each delta added at its index."""
+    values = dict(t.items())
     for idx, delta in bumps.items():
         values[idx] = values.get(idx, ZERO) + delta
-    return Tensor4.from_values(rt.dim, 4, values)
+    return type(t).from_values(t.dim, t.rank, values)
 
 
 class TestCandidateWitnesses:
@@ -471,6 +715,82 @@ class TestCandidateWitnesses:
         if clause == "H":
             assert ws.curv_G == ws.curv_hor
             assert where not in bumps
+
+    # Single bumps of the bundled connection (kind "conn", a gamma index) or
+    # of one structure tensor (an (input, output) index); each first failure
+    # is reachable one way only, named by the test.
+    @staticmethod
+    def _bumped_normality(kind: str, idx: tuple[int, ...]) -> Workspace:
+        m = build_heisenberg()
+        if kind == "conn":
+            ws = Workspace(m)
+            ws.conn = _bumped(ws.conn, {idx: 1})
+            return ws
+        return Workspace(replace(m, **{kind: _bumped(getattr(m, kind), {idx: 1})}))
+
+    @pytest.mark.parametrize("kind,idx,witness", [
+        ("conn", (5, 4, 5), "H slots=4,0,3 lhs=0 rhs=1"),
+        ("H", (4, 0), "H slots=0,2,0 lhs=1 rhs=0"),
+    ])
+    def test_prop21_witness_only_through_H(self, kind, idx, witness):
+        ws = self._bumped_normality(kind, idx)
+        report = check_normality(ws)
+        assert report.prop21.witness == witness
+        assert ws.nabla_G == ws.prop21_G
+        assert report == ref_check_normality(ws)
+
+    @pytest.mark.parametrize("idx,witness", [
+        ((0, 2, 0), "T slots=0,1 lhs=-1:3 rhs=0"),
+        ((0, 5, 0), "T(.,V) slots=0,5 lhs=-1:0 rhs=0"),
+    ])
+    def test_korkmaz_witness_only_through_T(self, idx, witness):
+        ws = self._bumped_normality("conn", idx)
+        m, every = ws.model, range(ws.model.dim)
+        report = check_normality(ws)
+        assert report.korkmaz.witness == witness
+        assert not ws.obstruction_S.items([m.horizontal_indices] * 2 + [every])
+        assert not ws.obstruction_S.items([every, [m.U_index], every])
+        assert report == ref_check_normality(ws)
+
+    def test_korkmaz_witness_only_in_the_vertical_phase(self):
+        ws = self._bumped_normality("conn", (1, 4, 0))
+        m, every = ws.model, range(ws.model.dim)
+        report = check_normality(ws)
+        assert report.korkmaz.witness == "S(.,U) slots=1,4 lhs=-1:0 rhs=0"
+        for t in (ws.obstruction_S, ws.obstruction_T):
+            assert not t.items([m.horizontal_indices] * 2 + [every])
+        assert report == ref_check_normality(ws)
+
+    def test_thm45_witness_is_the_first_clause_whose_row_differs(self):
+        # at the witness pair (0, 0), H's row differs at a smaller output
+        # index than G's; a per-key minimum would report H
+        ws = self._bumped_normality("conn", (0, 0, 1))
+        report = check_normality(ws)
+        assert report.thm45.witness == "G slots=0,0 lhs=-1:3,1:4 rhs=1:4"
+
+        def first_k(lhs, rhs):
+            return min(k for k in range(ws.model.dim)
+                       if lhs.entry(0, 0, k) != rhs.entry(0, 0, k))
+        assert first_k(ws.nabla_H, ws.thm45_H) < first_k(ws.nabla_G, ws.thm45_G)
+        assert report == ref_check_normality(ws)
+        assert (table_result(ws, "EQ-4.12", samples=0)
+                == frame_sweep_normality(ws, "EQ-4.12", samples=0))
+
+    @pytest.mark.parametrize("idx,witness,stored", [
+        ((0, 2, 4), "G slots=0,0,4 lhs=0 rhs=1", "rhs"),
+        ((0, 0, 0), "G slots=0,0,2 lhs=1 rhs=0", "lhs"),
+    ])
+    def test_prop21_witness_stored_on_one_side(self, idx, witness, stored):
+        ws = self._bumped_normality("conn", idx)
+        report = check_normality(ws)
+        assert report.prop21.witness == witness
+        where = tuple(int(i) for i in witness.split()[1][len("slots="):].split(","))
+        assert (where in dict(ws.nabla_G.items())) == (stored == "lhs")
+        assert (where in dict(ws.prop21_G.items())) == (stored == "rhs")
+        assert report == ref_check_normality(ws)
+        result = table_result(ws, "EQ-2.4")
+        assert result.witness == "slots=" + witness.split("slots=")[1]
+        assert result == frame_sweep_normality(ws, "EQ-2.4")
 
     def test_second_bianchi_witness_comes_from_a_rotated_term(self, heisenberg,
                                                               heis_conn, heis_curv):
@@ -555,8 +875,9 @@ def two_step_models(draw):
 
     The brackets map the span of A = {0, 1, U, V} into Z = {2, 3}, so the
     Jacobi identity holds.  [U, V] and [e_0, e_1] both have an e_2
-    component, so sigma(e_2) and dsigma(e_0, e_1) are nonzero and the
-    dsigma terms of EQ-2.20 and EQ-2.21 take part.  G, H and J are not
+    component, so sigma(e_2) is nonzero; draws where the e_3 components
+    cancel dsigma(e_0, e_1) are rejected, so the dsigma terms of EQ-2.20
+    and EQ-2.21 take part.  G, H and J are not
     signed permutations: one input has two image coefficients and one
     output coefficient is reached from two inputs.
     """
@@ -566,6 +887,8 @@ def two_step_models(draw):
             lambda pair: (*pair[0], pair[1])), small_values, max_size=6))
     brackets[(0, 1, 2)] = draw(small_values)
     brackets[(4, 5, 2)] = draw(small_values)
+    # sigma(e_k) = -c(U, V, k) / 2, so dsigma(e_0, e_1) = sum_k c(0, 1, k) c(U, V, k) / 4
+    assume(sum(brackets.get((0, 1, k), 0) * brackets.get((4, 5, k), 0) for k in (2, 3)))
     index = st.integers(0, 5)
 
     def endomorphism():
@@ -594,6 +917,43 @@ def test_horizontal_tables_match_reference_evaluators(m):
                     for name, lhs, rhs in clauses] == expected, (identity_id, idx)
         assert (table_result(ws, identity_id, samples=2)
                 == frame_sweep_horizontal(ws, identity_id, samples=2)), identity_id
+
+
+@given(two_step_models())
+@settings(max_examples=15, deadline=None)
+def test_normality_tables_match_reference_formulas(m):
+    # entry by entry on every frame tuple: the structure tensors are not
+    # signed permutations, so no AX-* identity holds to lean on
+    assert _jacobi_witness(m) is None
+    ws = Workspace(m)
+    b, d = ws.basis, m.dim
+    vectors = {"nabla_G": lambda x, y: ref_cov(ws, ws.G, x, y),
+               "nabla_H": lambda x, y: ref_cov(ws, ws.H, x, y),
+               "nabla_J": lambda x, y: ref_cov(ws, ws.J, x, y),
+               "torsion_G": lambda x, y: ref_nijenhuis(ws, "G", x, y),
+               "torsion_H": lambda x, y: ref_nijenhuis(ws, "H", x, y),
+               "obstruction_S": lambda x, y: ref_tensor_S(ws, x, y),
+               "obstruction_T": lambda x, y: ref_tensor_T(ws, x, y),
+               "thm45_G": lambda x, y: ref_thm45_rhs_G(ws, x, y),
+               "thm45_H": lambda x, y: ref_thm45_rhs_H(ws, x, y)}
+    for i, j in product(range(d), repeat=2):
+        for name, reference in vectors.items():
+            assert getattr(ws, name).row(i, j) == reference(b[i], b[j]), (name, i, j)
+        for k in range(d):
+            assert ws.prop21_G.entry(i, j, k) == ref_prop21_rhs_G(ws, b[i], b[j], b[k])
+            assert ws.prop21_H.entry(i, j, k) == ref_prop21_rhs_H(ws, b[i], b[j], b[k])
+    for name, a, w in (("nUG", ws.G, m.U), ("nVG", ws.G, m.V), ("nUH", ws.H, m.U),
+                       ("nVH", ws.H, m.V), ("nUJ", ws.J, m.U), ("nVJ", ws.J, m.V)):
+        assert all(getattr(ws, name).row(j) == ref_cov(ws, a, w, b[j]) for j in range(d)), name
+    for identity_id, reference in sorted(NORMALITY_REFERENCES.items()):
+        clauses = registry_identity(identity_id).tables(ws)
+        for idx in product(range(d), repeat=NORMALITY_SLOTS[identity_id]):
+            side = (Table.entry if len(idx) == 3 else Table.row)
+            assert ([(name, side(lhs, *idx), side(rhs, *idx)) for name, lhs, rhs in clauses]
+                    == reference(ws, tuple(b[i] for i in idx))), (identity_id, idx)
+        assert (table_result(ws, identity_id, samples=2)
+                == frame_sweep_normality(ws, identity_id, samples=2)), identity_id
+    assert check_normality(ws, samples=2) == ref_check_normality(ws, samples=2)
 
 
 @st.composite
@@ -648,6 +1008,46 @@ def test_horizontal_identities_sweep_without_contractions(monkeypatch):
     assert calls == []
     # the wrapper does see the contractions of the sample phase
     table_result(ws, "EQ-4.1", samples=1)
+    assert calls
+
+
+NORMALITY_IDS = ("EQ-2.4", "EQ-2.5", "EQ-2.6", "EQ-4.12", "EQ-4.13",
+                 "NORM-KORKMAZ", "NORM-PROP21", "NORM-THM45")
+
+
+def test_normality_identities_sweep_without_contractions(monkeypatch):
+    """With no samples, the normality routes and the nabla G/H/J identities
+    compare stored table entries only: no contraction of any table runs,
+    not even while the tables are built, and no reference formula runs."""
+    ws = Workspace(make_heisenberg_model(2))
+    calls = []
+    original = Table.contract
+
+    def counted(self, *vectors):
+        calls.append(type(self).__name__)
+        return original(self, *vectors)
+
+    classes = [Table]
+    for cls in classes:
+        classes.extend(cls.__subclasses__())
+    for cls in classes:
+        for name, attr in list(vars(cls).items()):
+            if attr is original:
+                monkeypatch.setattr(cls, name, counted)
+    module = globals()
+    for name in [name for name in module if name.startswith("ref_")]:
+        monkeypatch.setitem(module, name, lambda *args, _name=name: calls.append(_name))
+    frozen = {row.split("\t")[0]: row for row in
+              open("errata/heisenberg_n2_suite.tsv").read().splitlines()}
+    for identity_id in NORMALITY_IDS:
+        ident = registry_identity(identity_id)
+        result = (ident.direct(ws, 0, 0) if ident.direct is not None
+                  else _run_slots(ws, ident, samples=0, seed=0))
+        assert (f"{identity_id}\t{result.status}\t{result.witness or ''}"
+                == frozen[identity_id])
+    assert calls == []
+    # the wrapper does see the contractions of the sample phase
+    table_result(ws, "EQ-2.4", samples=1)
     assert calls
 
 

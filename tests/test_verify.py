@@ -1,6 +1,9 @@
 """Identity registry, suite runner, and expected-value diffing."""
 from __future__ import annotations
 
+import importlib.resources
+from functools import cached_property
+
 import pytest
 
 from ccmv import build_heisenberg
@@ -21,6 +24,8 @@ from ccmv.verify import (
     suite_tsv_rows,
 )
 from conftest import make_heisenberg_model
+
+EXPECTED_FILE = str(importlib.resources.files("ccmv").joinpath("data/iwasawa_expected.ccmx"))
 
 # every identity that fails on the built-in model, with its exact witness
 FROZEN_FAILURES = {
@@ -150,6 +155,54 @@ class TestSuite:
             counts.append(len(draws))
         assert rows[0] == rows[1] == rows[2]
         assert counts[0] == 0 and counts[1] == counts[2] > 0
+
+    @pytest.mark.parametrize("build", [build_heisenberg, lambda: make_heisenberg_model(2)],
+                             ids=["bundled", "heisenberg-n2"])
+    def test_normality_rows_ignore_the_sampling_knobs(self, build, monkeypatch):
+        # the normality routes and the nabla G/H/J identities compare
+        # tables; the samples they still draw cannot change a row
+        import ccmv.structures as structures
+        import ccmv.verify as verify
+        chosen = set(registry_ids("normality")) | {"EQ-2.6", "EQ-4.12", "EQ-4.13"}
+        draws = []
+        for module in (verify, structures):
+            def counted(rng, dim, _fn=module.random_rational_vector):
+                draws.append(dim)
+                return _fn(rng, dim)
+            monkeypatch.setattr(module, "random_rational_vector", counted)
+        m = build()
+
+        def run(samples=32, seed=0):
+            ws = verify.Workspace(m)
+            return [ident.direct(ws, samples, seed) if ident.direct is not None
+                    else verify._run_slots(ws, ident, samples, seed)
+                    for ident in REGISTRY if ident.identity_id in chosen]
+        rows, counts = [], []
+        for knobs in ({"samples": 0}, {}, {"seed": 7}):
+            del draws[:]
+            rows.append(run(**knobs))
+            counts.append(len(draws))
+        assert len(rows[0]) == len(chosen)
+        assert rows[0] == rows[1] == rows[2]
+        assert counts[0] == 0 and counts[1] == counts[2] > 0
+
+    def test_diff_builds_no_normality_tables(self, heisenberg, monkeypatch):
+        import ccmv.structures as structures
+        import ccmv.verify as verify
+        built = []
+
+        class Recorded(verify.Workspace):
+            def __init__(self, m):
+                super().__init__(m)
+                built.append(self)
+        monkeypatch.setattr(verify, "Workspace", Recorded)
+        exp = parse_expected(open(EXPECTED_FILE).read(), 6)
+        assert diff_expected(heisenberg, exp).entries
+        tables = {name for name, attr in vars(structures.ConnectionWorkspace).items()
+                  if isinstance(attr, cached_property)}
+        assert {"nabla_G", "prop21_G", "thm45_G", "obstruction_S"} <= tables
+        assert len(built) == 1
+        assert not tables & set(vars(built[0]))
 
     def test_connection_quantities_are_derived_once(self, heisenberg, monkeypatch):
         # the normality routes read the run's own workspace: one sigma, the
