@@ -20,7 +20,6 @@ from .curvature import DegeneratePlane, riemann, sectional
 from .model import (
     HEISENBERG_CCM,
     InvalidModelError,
-    MAX_SAMPLES,
     ManifoldModel,
     ModelFormatError,
     load_model,
@@ -217,18 +216,12 @@ def _cmd_sectional(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.samples < 0:
-        raise _fail("--samples must be non-negative")
-    if args.samples > MAX_SAMPLES:
-        raise _fail(f"--samples must be at most {MAX_SAMPLES}")
     m = _load_lie(args.model)
-    report = run_suite(m, selector=args.suite, samples=args.samples,
-                       seed=args.seed)
+    report = run_suite(m, selector=args.suite)
     if args.format == "tsv":
         rows = suite_tsv_rows(report)
     else:
-        rows = [f"# {PROG} verify model={m.name} suite={report.selector} "
-                f"samples={args.samples} seed={args.seed}"]
+        rows = [f"# {PROG} verify model={m.name} suite={report.selector}"]
         rows += suite_text_rows(report)
         rows.append(f"# {len(report.results)} identities: "
                     f"{report.pass_count} pass, {report.fail_count} fail")
@@ -316,10 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="evaluate the identity registry")
     p.add_argument("model")
     p.add_argument("--suite", choices=SELECTORS, default="all")
-    p.add_argument("--samples", type=_integer, default=32,
-                   help="random vector tuples per identity "
-                        f"(default: 32, at most {MAX_SAMPLES})")
-    p.add_argument("--seed", type=_integer, default=0)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("diff", parents=[fmt],

@@ -33,20 +33,12 @@ from .core import (
 # BIANCHI-1, the table identities (EQ-2.20, EQ-2.21, EQ-4.1, EQ-2.4,
 # EQ-2.5, EQ-2.6, EQ-4.12, EQ-4.13) and the three normality routes read
 # only the table entries that can fail.  What still scales with
-# d = 4n + 2 is the d**2 frame sweeps of the two-slot identities, the
-# d**3 / 3 cyclic-orbit slabs of BIANCHI-2, and the random samples, which
-# evaluate every slotted identity on dense vectors (contracting a 4-slot
-# table takes about (4n)**3 row lookups).  The cap bounds
-# the size of every table; the running time of a suite at n = 13
-# (d = 54) is not bounded by it.  A larger `n` is rejected by the loader
-# before any table is built.
+# d = 4n + 2 is the d**2 frame sweeps of the two-slot identities and the
+# d**3 / 3 cyclic-orbit slabs of BIANCHI-2.  The cap bounds the size of
+# every table; the running time of a suite at n = 13 (d = 54) is not
+# bounded by it.  A larger `n` is rejected by the loader before any table
+# is built.
 MAX_N = 13
-
-# Largest accepted `ccmv verify --samples`.  Each sample evaluates every
-# slotted identity once more on random dense vectors (about 5 ms per
-# sample on the bundled model and 15 ms at n = 2), so the cap bounds the
-# sampling to seconds or minutes instead of an unbounded run.
-MAX_SAMPLES = 1000
 
 
 class ModelFormatError(ValueError):

@@ -3,9 +3,11 @@
 Every registered identity is an independent claim about a model,
 evaluated exhaustively over frame tuples in its free slots (slots the
 statement restricts to the horizontal distribution range over horizontal
-frame indices only) and then over a deterministic batch of random
-rational combinations.  Comparison is exact; the first inequality is
-reported as the witness.
+frame indices only).  Comparison is exact; the first inequality is
+reported as the witness.  Each side of every identity is linear in each
+slot, so a side that agrees on every frame tuple agrees on every vector
+tuple: the frame sweep decides the identity, and no vector beyond the
+frame is evaluated.
 
 Direct identities do not go through that frame-tuple sweep.  The
 structural checks and the three normality routes report the results of
@@ -13,8 +15,8 @@ their own checks; the routes compare the structures module's tables (see
 there).  RIEM-SYM, BIANCHI-1 and BIANCHI-2 sweep no frame tuples at all:
 they read the stored curvature and connection tables, visit only the
 index tuples that can fail (stored entries with their partners or
-rotations, and one slab per cyclic orbit), still report the first failing
-tuple in `itertools.product` order, and draw no samples.
+rotations, and one slab per cyclic orbit), and still report the first
+failing tuple in `itertools.product` order.
 
 Table identities state each side as a table built once from stored
 nonzeros.  EQ-2.20, EQ-2.21 and EQ-4.1 use tables on horizontal indices:
@@ -23,13 +25,11 @@ R pulled back through G or H, and R plus tensor products of the 2-forms
 EQ-2.6 compare g((nabla_X A)Y, Z) for A = G, H, J with Prop. 2.1's
 right-hand sides, and EQ-4.12 and EQ-4.13 compare nabla G and nabla H with
 Thm. 4.5's closed forms as vector-valued tables, one slot more than the
-identity's, whose last slot is the output vector.  The frame phase reads
-the stored keys of either side only and reports what a frame sweep would:
+identity's, whose last slot is the output vector.  The check reads the
+stored keys of either side only and reports what a frame sweep would:
 the first failing frame tuple in `itertools.product` order, then the first
 clause failing there.  For a vector-valued side the frame tuple is the key
 without its last index, and a clause fails there when its rows differ.
-These identities still draw the random samples, each a contraction of
-both tables.
 
 Registry ids are stable opaque labels (the EQ-*/AX-*/NORM-* vocabulary
 used by the report formats); several identities are recorded here in a
@@ -40,7 +40,6 @@ adjudicates which side of an inconsistency was intended.
 """
 from __future__ import annotations
 
-import random
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -84,9 +83,9 @@ from .model import (
 )
 from .structures import (
     ConnectionWorkspace,
+    NormalityReport,
     check_normality,
     first_table_failure,
-    random_rational_vector,
 )
 
 SELECTORS = ("all", "axioms", "contact", "normality", "curvature", "ricci")
@@ -139,7 +138,6 @@ class Workspace(ConnectionWorkspace):
         self.rho = ricci(m, self.curv)
         self.Q = ricci_operator(self.rho)
         self.tau = scalar_curvature(self.rho)
-        self._normality = {}
 
     def R(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
         """R(x, y) z by trilinear contraction of the stored tensor."""
@@ -152,11 +150,9 @@ class Workspace(ConnectionWorkspace):
     def rho_val(self, x: FrameVector, y: FrameVector) -> Scalar:
         return self.rho.value(x, y)
 
-    def normality(self, samples: int, seed: int):
-        key = (samples, seed)
-        if key not in self._normality:
-            self._normality[key] = check_normality(self, samples=samples, seed=seed)
-        return self._normality[key]
+    @cached_property
+    def normality(self) -> NormalityReport:
+        return check_normality(self)
 
     @cached_property
     def model_checks(self) -> dict[str, CheckResult]:
@@ -192,7 +188,7 @@ class Identity:
     # each side a table holding only index tuples in the slot ranges, with
     # one slot per frame slot, or one more for a vector-valued side
     tables: Callable[[Workspace], list[TableClause]] | None = None
-    direct: Callable[[Workspace, int, int], IdentityResult] | None = None
+    direct: Callable[[Workspace], IdentityResult] | None = None
 
 
 def _render_value(value) -> str:
@@ -206,61 +202,39 @@ def render_witness(slots: str, clause: str, lhs, rhs) -> str:
     return f"slots={slots}{part} lhs={_render_value(lhs)} rhs={_render_value(rhs)}"
 
 
-def _run_slots(ws: Workspace, ident: Identity, samples: int,
-               seed: int) -> IdentityResult:
-    m = ws.model
+def _run_slots(ws: Workspace, ident: Identity) -> IdentityResult:
     if ident.tables is not None:
-        clauses = ident.tables(ws)
-        failure = first_table_failure(clauses, len(ident.slots))
-        if failure is not None:
-            idx, clause, lhs, rhs = failure
-            return IdentityResult(ident.identity_id, Status.FAIL,
-                                  render_witness(",".join(map(str, idx)), clause, lhs, rhs))
-
-        def evaluate(ws: Workspace, vectors: tuple[FrameVector, ...]) -> list[Clause]:
-            return [(name, lhs.contract(*vectors), rhs.contract(*vectors))
-                    for name, lhs, rhs in clauses]
-    else:
-        evaluate = ident.evaluate
-        ranges = [m.horizontal_indices if kind == "hor" else range(m.dim)
-                  for kind in ident.slots]
-        for idx in product(*ranges):
-            vectors = tuple(ws.basis[i] for i in idx)
-            for clause, lhs, rhs in evaluate(ws, vectors):
-                if lhs != rhs:
-                    slot_text = ",".join(str(i) for i in idx) if idx else "-"
-                    return IdentityResult(ident.identity_id, Status.FAIL,
-                                          render_witness(slot_text, clause, lhs, rhs))
-    if ident.slots:
-        rng = random.Random(f"{seed}:{ident.identity_id}")
-        for sample_index in range(samples):
-            vectors = []
-            for kind in ident.slots:
-                vec = random_rational_vector(rng, m.dim)
-                if kind == "hor":
-                    vec = ws.hproj(vec)
-                vectors.append(vec)
-            for clause, lhs, rhs in evaluate(ws, tuple(vectors)):
-                if lhs != rhs:
-                    return IdentityResult(
-                        ident.identity_id, Status.FAIL,
-                        render_witness(f"sample:{sample_index}", clause, lhs, rhs))
+        failure = first_table_failure(ident.tables(ws), len(ident.slots))
+        if failure is None:
+            return IdentityResult(ident.identity_id, Status.PASS)
+        idx, clause, lhs, rhs = failure
+        return IdentityResult(ident.identity_id, Status.FAIL,
+                              render_witness(",".join(map(str, idx)), clause, lhs, rhs))
+    m = ws.model
+    ranges = [m.horizontal_indices if kind == "hor" else range(m.dim)
+              for kind in ident.slots]
+    for idx in product(*ranges):
+        vectors = tuple(ws.basis[i] for i in idx)
+        for clause, lhs, rhs in ident.evaluate(ws, vectors):
+            if lhs != rhs:
+                slot_text = ",".join(str(i) for i in idx) if idx else "-"
+                return IdentityResult(ident.identity_id, Status.FAIL,
+                                      render_witness(slot_text, clause, lhs, rhs))
     return IdentityResult(ident.identity_id, Status.PASS)
 
 
-def _wrap_model_check(check_id: str) -> Callable[[Workspace, int, int], IdentityResult]:
-    def run(ws: Workspace, samples: int, seed: int) -> IdentityResult:
+def _wrap_model_check(check_id: str) -> Callable[[Workspace], IdentityResult]:
+    def run(ws: Workspace) -> IdentityResult:
         check = ws.model_checks[check_id]
         return IdentityResult(check.check_id, check.status, check.witness)
     return run
 
 
-def _wrap_normality_route(route_name: str) -> Callable[[Workspace, int, int], IdentityResult]:
+def _wrap_normality_route(route_name: str) -> Callable[[Workspace], IdentityResult]:
     identity_id = f"NORM-{route_name.upper()}"
 
-    def run(ws: Workspace, samples: int, seed: int) -> IdentityResult:
-        report = ws.normality(samples, seed)
-        route = getattr(report, route_name)
+    def run(ws: Workspace) -> IdentityResult:
+        route = getattr(ws.normality, route_name)
         return IdentityResult(identity_id, route.status, route.witness)
     return run
 
@@ -584,7 +558,7 @@ def _registry() -> list[Identity]:
         return [("", ws.R(x, ws.model.V, y), rhs)]
     add("EQ-4.10", "curvature", "any any", eq_4_10)
 
-    def riemann_sym(ws: Workspace, samples: int, seed: int) -> IdentityResult:
+    def riemann_sym(ws: Workspace) -> IdentityResult:
         where = riemann_symmetry_failures(ws.curv)
         if where is None:
             return IdentityResult("RIEM-SYM", Status.PASS)
@@ -594,7 +568,7 @@ def _registry() -> list[Identity]:
                               render_witness(",".join(map(str, where)), clause, lhs, rhs))
     add_direct("RIEM-SYM", "curvature", riemann_sym)
 
-    def bianchi_1(ws: Workspace, samples: int, seed: int) -> IdentityResult:
+    def bianchi_1(ws: Workspace) -> IdentityResult:
         where = first_bianchi_failures(ws.curv)
         if where is None:
             return IdentityResult("BIANCHI-1", Status.PASS)
@@ -604,7 +578,7 @@ def _registry() -> list[Identity]:
                            first_bianchi_cyclic_sum(ws.curv, *where), ZERO))
     add_direct("BIANCHI-1", "curvature", bianchi_1)
 
-    def bianchi_2(ws: Workspace, samples: int, seed: int) -> IdentityResult:
+    def bianchi_2(ws: Workspace) -> IdentityResult:
         where = second_bianchi_failures(ws.model, ws.conn, ws.curv)
         if where is None:
             return IdentityResult("BIANCHI-2", Status.PASS)
@@ -677,8 +651,7 @@ def registry_ids(selector: str = "all") -> list[str]:
     return sorted(chosen, key=_natural_key)
 
 
-def run_suite(m: ManifoldModel, selector: str = "all", samples: int = 32,
-              seed: int = 0) -> SuiteReport:
+def run_suite(m: ManifoldModel, selector: str = "all") -> SuiteReport:
     """Evaluate every selected identity on the model; exact, deterministic."""
     if selector not in SELECTORS:
         raise ValueError(f"unknown selector {selector!r}; choose from {SELECTORS}")
@@ -689,9 +662,9 @@ def run_suite(m: ManifoldModel, selector: str = "all", samples: int = 32,
         if selector != "all" and ident.group != selector:
             continue
         if ident.direct is not None:
-            results.append(ident.direct(ws, samples, seed))
+            results.append(ident.direct(ws))
         else:
-            results.append(_run_slots(ws, ident, samples, seed))
+            results.append(_run_slots(ws, ident))
     results.sort(key=lambda r: _natural_key(r.identity_id))
     return SuiteReport(m.name, selector, tuple(results))
 

@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from ccmv import (
+    FrameVector,
     ManifoldModel,
     StructureConstants,
     build_abelian,
@@ -47,6 +48,13 @@ def heis_curv(heisenberg, heis_conn):
 @pytest.fixture(scope="session")
 def heis_suite(heisenberg):
     return run_suite(heisenberg)
+
+
+def random_rational_vector(rng: random.Random, dim: int) -> FrameVector:
+    """Small deterministic rational vector: each coefficient p/q with p in
+    [-3, 3] and q in [1, 3], drawn in frame order."""
+    return FrameVector(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                             for _ in range(dim)))
 
 
 def make_nilpotent_model(seed: int) -> ManifoldModel:

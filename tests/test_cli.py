@@ -5,9 +5,8 @@ import importlib.resources
 
 import pytest
 
-from ccmv import HEISENBERG_CCM, load_model, run_suite
+from ccmv import HEISENBERG_CCM, load_model
 from ccmv.cli import main
-from ccmv.model import MAX_SAMPLES
 from conftest import make_heisenberg_model, make_nilpotent_model, model_source
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv")
@@ -203,8 +202,7 @@ class TestVerify:
                                "--suite", "contact")
         assert code == 1
         lines = out.splitlines()
-        assert lines[0] == ("# ccmv verify model=heisenberg suite=contact "
-                            "samples=32 seed=0")
+        assert lines[0] == "# ccmv verify model=heisenberg suite=contact"
         assert lines[-1] == "# 22 identities: 19 pass, 3 fail"
         assert "EQ-3.11 FAIL slots=0,0 lhs=-2 rhs=0" in lines
         assert "EQ-2.22 PASS" in lines
@@ -215,56 +213,42 @@ class TestVerify:
         assert code == 0
         assert out.splitlines()[-1] == "# 8 identities: 8 pass, 0 fail"
 
-    def test_seed_and_samples_in_banner(self, capsys, heis_path):
-        code, out, _ = run_cli(capsys, "verify", heis_path, "--suite",
-                               "axioms", "--samples", "4", "--seed", "7")
-        assert code == 0
-        assert out.splitlines()[0] == ("# ccmv verify model=heisenberg "
-                                       "suite=axioms samples=4 seed=7")
-
-    def test_negative_samples_exits_2(self, capsys, heis_path):
-        code, _, err = run_cli(capsys, "verify", heis_path, "--samples", "-1")
-        assert code == 2
-        assert "--samples must be non-negative" in err
-
-    def test_samples_above_cap_exits_2_before_loading(self, capsys, tmp_path,
-                                                      monkeypatch):
-        # the model path does not exist: the cap is checked before any load
-        def no_suite(*args, **kwargs):
-            raise AssertionError("run_suite called")
-        monkeypatch.setattr("ccmv.cli.run_suite", no_suite)
-        code, out, err = run_cli(capsys, "verify", str(tmp_path / "absent.ccm"),
-                                 "--samples", str(MAX_SAMPLES + 1))
-        assert (code, out) == (2, "")
-        assert err == f"ccmv: --samples must be at most {MAX_SAMPLES}\n"
-
-    def test_samples_at_cap_reach_the_suite(self, capsys, heis_path, monkeypatch):
-        # the cap itself is accepted; the suite is stubbed to a cheap group
-        seen = []
-
-        def recorded(m, selector, samples, seed):
-            seen.append(samples)
-            return run_suite(m, "ricci", samples=0, seed=seed)
-        monkeypatch.setattr("ccmv.cli.run_suite", recorded)
-        code, _, err = run_cli(capsys, "verify", heis_path, "--samples", str(MAX_SAMPLES))
-        assert (code, err, seen) == (0, "", [MAX_SAMPLES])
-
-    def test_small_sample_count_runs(self, capsys, heis_path):
-        code, out, err = run_cli(capsys, "verify", heis_path, "--suite", "curvature",
-                                 "--samples", "2", "--seed", "5")
+    def test_curvature_subgroup_text_output(self, capsys, heis_path):
+        code, out, err = run_cli(capsys, "verify", heis_path, "--suite", "curvature")
         assert (code, err) == (1, "")
         lines = out.splitlines()
-        assert lines[0] == ("# ccmv verify model=heisenberg suite=curvature "
-                            "samples=2 seed=5")
+        assert lines[0] == "# ccmv verify model=heisenberg suite=curvature"
         assert "EQ-2.19 FAIL slots=0 lhs=2:1 rhs=-1:1" in lines
 
-    @pytest.mark.parametrize("flag,value", [("--samples", "1_0"), ("--seed", "\u0663")])
-    def test_non_canonical_integer_option_is_usage_error(self, capsys, heis_path,
-                                                         flag, value):
+    # the frame sweep decides every identity, so there is nothing to sample
+    @pytest.mark.parametrize("flag,value", [("--samples", "4"), ("--seed", "7")])
+    def test_sampling_options_are_unrecognized(self, capsys, heis_path, flag, value):
         with pytest.raises(SystemExit) as exc:
             main(["verify", heis_path, flag, value])
         assert exc.value.code == 2
-        assert f"argument {flag}: not an integer: {value!r}" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_help_names_no_sampling_option(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert "--suite" in out
+        assert "--samples" not in out and "--seed" not in out
+
+    @pytest.mark.parametrize("command,flag,values,bad", [
+        ("curvature", "--component", ("0", "1_0", "2", "4"), "1_0"),
+        ("sectional", "--plane", ("\u0663", "2"), "\u0663"),
+    ], ids=["component", "plane"])
+    def test_non_canonical_integer_option_is_usage_error(self, capsys, heis_path,
+                                                         command, flag, values, bad):
+        with pytest.raises(SystemExit) as exc:
+            main([command, heis_path, flag, *values])
+        assert exc.value.code == 2
+        assert f"argument {flag}: not an integer: {bad!r}" in capsys.readouterr().err
 
     def test_unknown_suite_is_usage_error(self, capsys, heis_path):
         with pytest.raises(SystemExit) as exc:

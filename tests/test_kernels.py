@@ -9,17 +9,19 @@ formulas of nabla G/H/J, the torsions, S, T and the Prop. 2.1 and Thm. 4.5
 right-hand sides with the three normality route loops and the evaluators
 of EQ-2.4, EQ-2.5, EQ-2.6, EQ-4.12 and EQ-4.13, the pullback of a table
 through an endomorphism, and the quadrilinear and trilinear
-contractions.  They are compared on the bundled model, generated
-nilpotent perturbations, the n=2 block-diagonal model, systematic
-mutations and single-entry bumps of the bundled model, random two-step
-nilpotent models with random structure tensors, and random sparse
-4-tensors.
+contractions.  The random-sample phase the engine dropped is kept here
+too, as a reference the suite's rows must equal.  They are compared on
+the bundled model, generated nilpotent perturbations, the n=2
+block-diagonal model, systematic mutations and single-entry bumps of the
+bundled model, random two-step nilpotent models with random structure
+tensors, and random sparse 4-tensors.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from types import SimpleNamespace
 
@@ -46,18 +48,24 @@ from ccmv import (
     load_model,
     riemann,
     riemann_symmetry_failures,
+    run_suite,
     second_bianchi_cyclic_sum,
     second_bianchi_failures,
+    suite_tsv_rows,
 )
 from ccmv.curvature import add_nabla_r, first_bianchi_failures
-from ccmv.structures import (
-    NormalityReport,
-    RouteResult,
-    check_normality,
-    random_rational_vector,
+from ccmv.structures import NormalityReport, RouteResult, check_normality
+from ccmv.verify import (
+    REGISTRY,
+    Identity,
+    IdentityResult,
+    SuiteReport,
+    Workspace,
+    _run_slots,
+    registry_ids,
+    render_witness,
 )
-from ccmv.verify import REGISTRY, Identity, IdentityResult, Workspace, _run_slots
-from conftest import make_heisenberg_model, make_nilpotent_model
+from conftest import make_heisenberg_model, make_nilpotent_model, random_rational_vector
 
 ZERO = Fraction(0)
 
@@ -173,6 +181,81 @@ def dense_contract3(t: Tensor4, x, y, z) -> FrameVector:
         for el in range(d)))
 
 
+# The random-sample phase the engine dropped.  Every side is linear in each
+# slot, so once the frame tuples agree no sample can fail; the suite's rows
+# must equal these.
+
+def sampled_run_slots(ws: Workspace, ident: Identity, samples: int,
+                      seed: int) -> IdentityResult:
+    """A slotted identity by the engine's frame check, then `samples` tuples
+    of random rational vectors (horizontally projected in `hor` slots),
+    drawn from a stream seeded by `seed` and the identity id."""
+    result = _run_slots(ws, ident)
+    if result.status is Status.FAIL or not ident.slots:
+        return result
+    if ident.tables is not None:
+        clauses = ident.tables(ws)
+
+        def evaluate(ws, vectors):
+            return [(name, lhs.contract(*vectors), rhs.contract(*vectors))
+                    for name, lhs, rhs in clauses]
+    else:
+        evaluate = ident.evaluate
+    rng = random.Random(f"{seed}:{ident.identity_id}")
+    for sample_index in range(samples):
+        vectors = []
+        for kind in ident.slots:
+            vec = random_rational_vector(rng, ws.model.dim)
+            vectors.append(ws.hproj(vec) if kind == "hor" else vec)
+        for clause, lhs, rhs in evaluate(ws, tuple(vectors)):
+            if lhs != rhs:
+                return IdentityResult(ident.identity_id, Status.FAIL,
+                                      render_witness(f"sample:{sample_index}", clause,
+                                                     lhs, rhs))
+    return result
+
+
+def sample_pairs(ws: Workspace, samples: int, seed: int) -> list:
+    """The random rational vector pairs of the normality sample phase."""
+    rng = random.Random(f"{seed}:normality")
+    d = ws.model.dim
+    return [(random_rational_vector(rng, d), random_rational_vector(rng, d))
+            for _ in range(samples)]
+
+
+def sampled_korkmaz(ws: Workspace, samples: int, seed: int) -> RouteResult:
+    """The engine's korkmaz route, then S and T on the horizontal parts of
+    the sample pairs."""
+    route = ws.normality.korkmaz
+    if route.status is Status.FAIL:
+        return route
+    zero = FrameVector.zero(ws.model.dim)
+    for index, (x, y) in enumerate(sample_pairs(ws, samples, seed)):
+        for label, t in (("S", ws.obstruction_S), ("T", ws.obstruction_T)):
+            value = t.contract(ws.hproj(x), ws.hproj(y))
+            if not value.is_zero():
+                return RouteResult("korkmaz", Status.FAIL,
+                                   _vector_witness(label, f"sample={index}", value, zero))
+    return route
+
+
+def sampled_suite_rows(m: ManifoldModel, samples: int, seed: int) -> list[str]:
+    """`run_suite(m)` as TSV rows with the sample phase put back."""
+    ws = Workspace(m)
+    results = []
+    for ident in REGISTRY:
+        if ident.identity_id == "NORM-KORKMAZ":
+            route = sampled_korkmaz(ws, samples, seed)
+            results.append(IdentityResult(ident.identity_id, route.status, route.witness))
+        elif ident.direct is not None:
+            results.append(ident.direct(ws))
+        else:
+            results.append(sampled_run_slots(ws, ident, samples, seed))
+    order = registry_ids("all")
+    results.sort(key=lambda r: order.index(r.identity_id))
+    return suite_tsv_rows(SuiteReport(m.name, "all", tuple(results)))
+
+
 def frame_sweep_riemann_symmetry(ws: Workspace) -> IdentityResult:
     """RIEM-SYM as a slot identity: three R4 clauses over every frame
     4-tuple, then the random samples."""
@@ -183,7 +266,7 @@ def frame_sweep_riemann_symmetry(ws: Workspace) -> IdentityResult:
          -ws.R4(vs[0], vs[1], vs[3], vs[2])),
         ("pair-exchange", ws.R4(vs[0], vs[1], vs[2], vs[3]),
          ws.R4(vs[2], vs[3], vs[0], vs[1]))])
-    return _run_slots(ws, ident, samples=32, seed=0)
+    return sampled_run_slots(ws, ident, 32, 0)
 
 
 def frame_sweep_first_bianchi(ws: Workspace) -> IdentityResult:
@@ -193,7 +276,7 @@ def frame_sweep_first_bianchi(ws: Workspace) -> IdentityResult:
         "", ws.R4(vs[0], vs[1], vs[2], vs[3])
         + ws.R4(vs[1], vs[2], vs[0], vs[3])
         + ws.R4(vs[2], vs[0], vs[1], vs[3]), ZERO)])
-    return _run_slots(ws, ident, samples=32, seed=0)
+    return sampled_run_slots(ws, ident, 32, 0)
 
 
 # EQ-2.20, EQ-2.21 and EQ-4.1 as the per-tuple evaluators the table
@@ -384,11 +467,8 @@ def ref_route_thm45(ws: Workspace) -> RouteResult:
 
 
 def ref_check_normality(ws: Workspace, samples: int = 32, seed: int = 0) -> NormalityReport:
-    rng = random.Random(f"{seed}:normality")
-    pairs = [(random_rational_vector(rng, ws.model.dim), random_rational_vector(rng, ws.model.dim))
-             for _ in range(samples)]
-    return NormalityReport(ref_route_korkmaz(ws, pairs), ref_route_prop21(ws),
-                           ref_route_thm45(ws))
+    return NormalityReport(ref_route_korkmaz(ws, sample_pairs(ws, samples, seed)),
+                           ref_route_prop21(ws), ref_route_thm45(ws))
 
 
 # EQ-2.4, EQ-2.5, EQ-2.6, EQ-4.12 and EQ-4.13 as the per-tuple evaluators the
@@ -437,7 +517,7 @@ def frame_sweep_normality(ws: Workspace, identity_id: str,
     tuple, then the random samples."""
     ident = Identity(identity_id, "normality", ("any",) * NORMALITY_SLOTS[identity_id],
                      evaluate=NORMALITY_REFERENCES[identity_id])
-    return _run_slots(ws, ident, samples=samples, seed=seed)
+    return sampled_run_slots(ws, ident, samples, seed)
 
 
 def frame_sweep_horizontal(ws: Workspace, identity_id: str,
@@ -446,18 +526,17 @@ def frame_sweep_horizontal(ws: Workspace, identity_id: str,
     horizontal frame 4-tuple, then the random samples."""
     ident = Identity(identity_id, "curvature", ("hor",) * 4,
                      evaluate=HORIZONTAL_REFERENCES[identity_id])
-    return _run_slots(ws, ident, samples=samples, seed=0)
+    return sampled_run_slots(ws, ident, samples, 0)
 
 
 def registry_identity(identity_id: str) -> Identity:
     return next(i for i in REGISTRY if i.identity_id == identity_id)
 
 
-def table_result(ws: Workspace, identity_id: str, samples: int = 32,
-                 seed: int = 0) -> IdentityResult:
+def table_result(ws: Workspace, identity_id: str) -> IdentityResult:
     ident = registry_identity(identity_id)
     assert ident.tables is not None
-    return _run_slots(ws, ident, samples=samples, seed=seed)
+    return _run_slots(ws, ident)
 
 
 def dense_pullback(t: Table, endo: Endomorphism, slots, keep) -> dict:
@@ -496,7 +575,7 @@ def product_order_first_bianchi_failure(rt: Tensor4) -> tuple[int, ...] | None:
 
 
 def direct_result(ws: Workspace, identity_id: str) -> IdentityResult:
-    return registry_identity(identity_id).direct(ws, 32, 0)
+    return registry_identity(identity_id).direct(ws)
 
 
 def _jacobi_witness(m) -> str | None:
@@ -547,8 +626,14 @@ class TestGeneratedModels:
 
     def test_normality_routes_match_reference_loops(self, geometry):
         ws = Workspace(geometry[0])
-        assert check_normality(ws) == ref_check_normality(ws)
-        assert check_normality(ws, samples=3, seed=7) == ref_check_normality(ws, 3, 7)
+        report = check_normality(ws)
+        assert report == ref_check_normality(ws)
+        assert report == ref_check_normality(ws, 3, 7)
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_suite_rows_equal_the_sampled_rows(self, geometry, seed):
+        m = geometry[0]
+        assert suite_tsv_rows(run_suite(m)) == sampled_suite_rows(m, 32, seed)
 
     def test_index_sweeps_match_product_order(self, geometry):
         _, _, rt = geometry
@@ -773,7 +858,7 @@ class TestCandidateWitnesses:
                        if lhs.entry(0, 0, k) != rhs.entry(0, 0, k))
         assert first_k(ws.nabla_H, ws.thm45_H) < first_k(ws.nabla_G, ws.thm45_G)
         assert report == ref_check_normality(ws)
-        assert (table_result(ws, "EQ-4.12", samples=0)
+        assert (table_result(ws, "EQ-4.12")
                 == frame_sweep_normality(ws, "EQ-4.12", samples=0))
 
     @pytest.mark.parametrize("idx,witness,stored", [
@@ -915,7 +1000,7 @@ def test_horizontal_tables_match_reference_evaluators(m):
             expected = reference(ws, tuple(ws.basis[i] for i in idx))
             assert [(name, lhs.entry(*idx), rhs.entry(*idx))
                     for name, lhs, rhs in clauses] == expected, (identity_id, idx)
-        assert (table_result(ws, identity_id, samples=2)
+        assert (table_result(ws, identity_id)
                 == frame_sweep_horizontal(ws, identity_id, samples=2)), identity_id
 
 
@@ -951,9 +1036,9 @@ def test_normality_tables_match_reference_formulas(m):
             side = (Table.entry if len(idx) == 3 else Table.row)
             assert ([(name, side(lhs, *idx), side(rhs, *idx)) for name, lhs, rhs in clauses]
                     == reference(ws, tuple(b[i] for i in idx))), (identity_id, idx)
-        assert (table_result(ws, identity_id, samples=2)
+        assert (table_result(ws, identity_id)
                 == frame_sweep_normality(ws, identity_id, samples=2)), identity_id
-    assert check_normality(ws, samples=2) == ref_check_normality(ws, samples=2)
+    assert check_normality(ws) == ref_check_normality(ws, samples=2)
 
 
 @st.composite
@@ -985,9 +1070,9 @@ def test_pullback_matches_dense_sum(case):
 
 
 def test_horizontal_identities_sweep_without_contractions(monkeypatch):
-    """With no samples, EQ-2.20, EQ-2.21 and EQ-4.1 compare stored table
-    entries only: no contraction of any table (Table.contract and its
-    aliases apply/value) runs, not even while the tables are built."""
+    """EQ-2.20, EQ-2.21 and EQ-4.1 compare stored table entries only: no
+    contraction of any table (Table.contract and its aliases apply/value)
+    runs, not even while the tables are built."""
     ws = Workspace(make_heisenberg_model(2))
     calls = []
     original = Table.contract
@@ -1004,11 +1089,11 @@ def test_horizontal_identities_sweep_without_contractions(monkeypatch):
             if attr is original:
                 monkeypatch.setattr(cls, name, counted)
     for identity_id in ("EQ-2.20", "EQ-2.21", "EQ-4.1"):
-        assert table_result(ws, identity_id, samples=0).status is Status.PASS
+        assert table_result(ws, identity_id).status is Status.PASS
     assert calls == []
-    # the wrapper does see the contractions of the sample phase
-    table_result(ws, "EQ-4.1", samples=1)
-    assert calls
+    # the wrapper does see a contraction of one of those tables
+    ws.curv_G.contract(*ws.basis[:4])
+    assert calls == ["Table"]
 
 
 NORMALITY_IDS = ("EQ-2.4", "EQ-2.5", "EQ-2.6", "EQ-4.12", "EQ-4.13",
@@ -1016,9 +1101,9 @@ NORMALITY_IDS = ("EQ-2.4", "EQ-2.5", "EQ-2.6", "EQ-4.12", "EQ-4.13",
 
 
 def test_normality_identities_sweep_without_contractions(monkeypatch):
-    """With no samples, the normality routes and the nabla G/H/J identities
-    compare stored table entries only: no contraction of any table runs,
-    not even while the tables are built, and no reference formula runs."""
+    """The normality routes and the nabla G/H/J identities compare stored
+    table entries only: no contraction of any table runs, not even while
+    the tables are built, and no reference formula runs."""
     ws = Workspace(make_heisenberg_model(2))
     calls = []
     original = Table.contract
@@ -1041,14 +1126,13 @@ def test_normality_identities_sweep_without_contractions(monkeypatch):
               open("errata/heisenberg_n2_suite.tsv").read().splitlines()}
     for identity_id in NORMALITY_IDS:
         ident = registry_identity(identity_id)
-        result = (ident.direct(ws, 0, 0) if ident.direct is not None
-                  else _run_slots(ws, ident, samples=0, seed=0))
+        result = ident.direct(ws) if ident.direct is not None else _run_slots(ws, ident)
         assert (f"{identity_id}\t{result.status}\t{result.witness or ''}"
                 == frozen[identity_id])
     assert calls == []
-    # the wrapper does see the contractions of the sample phase
-    table_result(ws, "EQ-2.4", samples=1)
-    assert calls
+    # the wrapper does see a contraction of one of those tables
+    ws.nabla_G.contract(*ws.basis[:2])
+    assert calls == ["Table"]
 
 
 # ----- contractions on random rational vectors -----
@@ -1078,3 +1162,63 @@ def test_workspace_contractions_match_dense_sums(workspace, x, y, z, w):
     r = workspace.curv
     assert workspace.R4(x, y, z, w) == dense_contract(r, x, y, z, w)
     assert workspace.R(x, y, z) == dense_contract3(r, x, y, z)
+
+
+# ----- linearity: why the frame sweep decides an identity -----
+
+# Each side of a slotted identity is linear in each slot, so sides that agree
+# on every frame tuple agree on every tuple of rational combinations of frame
+# vectors.  A side that is not linear in some slot fails here.
+SLOTTED_IDS = sorted(i.identity_id for i in REGISTRY if i.evaluate is not None and i.slots)
+LINEARITY_MODELS = {
+    "bundled": build_heisenberg,
+    "heisenberg-n2": lambda: make_heisenberg_model(2),
+    "nilpotent-0": lambda: make_nilpotent_model(0),
+}
+
+
+@lru_cache(maxsize=None)
+def linearity_workspace(name: str) -> Workspace:
+    return Workspace(LINEARITY_MODELS[name]())
+
+
+# p/q with |p| <= 4 and q <= 5, drawn as two integers: several times
+# cheaper than st.fractions, and a case draws hundreds of coefficients
+coefficients = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 5))
+
+
+@lru_cache(maxsize=None)
+def frame_vectors(dim: int):
+    """Random rational vectors of a dimension; one strategy per dim."""
+    return st.lists(coefficients, min_size=dim, max_size=dim).map(
+        lambda cs: FrameVector(tuple(cs)))
+
+
+def _combine(a, b, c):
+    """a + c b, for scalars or frame vectors."""
+    return a + b.scale(c) if isinstance(a, FrameVector) else a + c * b
+
+
+@pytest.mark.parametrize("identity_id", SLOTTED_IDS)
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_slotted_sides_are_linear_in_each_slot(identity_id, data):
+    ident = registry_identity(identity_id)
+    ws = linearity_workspace(data.draw(st.sampled_from(sorted(LINEARITY_MODELS))))
+
+    def draw_slot(kind):
+        v = data.draw(frame_vectors(ws.model.dim))
+        return ws.hproj(v) if kind == "hor" else v
+
+    base = [draw_slot(kind) for kind in ident.slots]
+    for slot, kind in enumerate(ident.slots):
+        x, y, c = draw_slot(kind), draw_slot(kind), data.draw(coefficients)
+
+        def sides(v):
+            vectors = tuple(base[:slot] + [v] + base[slot + 1:])
+            return [(lhs, rhs) for _, lhs, rhs in ident.evaluate(ws, vectors)]
+
+        at_x, at_y = sides(x), sides(y)
+        expected = [tuple(_combine(p, q, c) for p, q in zip(sx, sy))
+                    for sx, sy in zip(at_x, at_y)]
+        assert sides(_combine(x, y, c)) == expected, (identity_id, slot)

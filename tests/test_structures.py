@@ -12,8 +12,8 @@ from ccmv.structures import (
     ConnectionWorkspace,
     check_normality,
     horizontal_projection,
-    random_rational_vector,
 )
+from conftest import random_rational_vector
 
 
 def endo_from_table(table: dict[tuple[int, int], int]) -> Endomorphism:
@@ -157,10 +157,3 @@ class TestNormalityRoutes:
         assert report.prop21.witness == "G slots=0,0,4 lhs=0 rhs=1"
         assert report.thm45.status is Status.FAIL
         assert report.thm45.witness == "G slots=0,0 lhs=0 rhs=1:4"
-
-    def test_deterministic_in_samples_and_seed(self, heisenberg, heis_conn):
-        first = check_normality(ConnectionWorkspace(heisenberg, heis_conn),
-                                samples=8, seed=7)
-        second = check_normality(ConnectionWorkspace(heisenberg, heis_conn),
-                                 samples=8, seed=7)
-        assert first == second

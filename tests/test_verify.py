@@ -6,7 +6,6 @@ from functools import cached_property
 
 import pytest
 
-from ccmv import build_heisenberg
 from ccmv.core import Status
 from ccmv.curvature import DegeneratePlane
 from ccmv.model import InvalidModelError, load_model
@@ -23,7 +22,6 @@ from ccmv.verify import (
     suite_text_rows,
     suite_tsv_rows,
 )
-from conftest import make_heisenberg_model
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv").joinpath("data/iwasawa_expected.ccmx"))
 
@@ -75,6 +73,12 @@ class TestRegistry:
         ids = [ident.identity_id for ident in REGISTRY]
         assert len(set(ids)) == len(ids)
 
+    def test_direct_curvature_identities(self):
+        # RIEM-SYM and the two Bianchi identities read the stored tables
+        direct = {ident.identity_id for ident in REGISTRY
+                  if ident.group == "curvature" and ident.direct is not None}
+        assert direct == {"RIEM-SYM", "BIANCHI-1", "BIANCHI-2"}
+
 
 class TestSuite:
     def test_frozen_outcome(self, heis_suite):
@@ -122,69 +126,9 @@ class TestSuite:
         second = run_suite(heisenberg, "axioms")
         assert first == second
 
-    def test_sampling_knobs_do_not_change_statuses(self, heisenberg, heis_suite):
-        few = run_suite(heisenberg, "axioms", samples=4, seed=9)
-        frozen = {r.identity_id: r.status for r in heis_suite.results}
-        assert all(frozen[r.identity_id] is r.status for r in few.results)
-
     def test_unknown_selector(self, heisenberg):
         with pytest.raises(ValueError, match="unknown selector"):
             run_suite(heisenberg, "everything")
-
-    @pytest.mark.parametrize("build", [build_heisenberg, lambda: make_heisenberg_model(2)],
-                             ids=["bundled", "heisenberg-n2"])
-    def test_curvature_rows_ignore_the_sampling_knobs(self, build, monkeypatch):
-        # RIEM-SYM and the two Bianchi identities are direct sweeps of the
-        # stored tables and draw no samples; the slotted curvature
-        # identities still draw theirs
-        import ccmv.verify as verify
-        direct = {ident.identity_id for ident in REGISTRY
-                  if ident.group == "curvature" and ident.direct is not None}
-        assert direct == {"RIEM-SYM", "BIANCHI-1", "BIANCHI-2"}
-        draws = []
-
-        def counted(rng, dim, _fn=verify.random_rational_vector):
-            draws.append(dim)
-            return _fn(rng, dim)
-        monkeypatch.setattr(verify, "random_rational_vector", counted)
-        m = build()
-        rows, counts = [], []
-        for knobs in ({"samples": 0}, {}, {"seed": 7}):
-            del draws[:]
-            rows.append(suite_tsv_rows(run_suite(m, "curvature", **knobs)))
-            counts.append(len(draws))
-        assert rows[0] == rows[1] == rows[2]
-        assert counts[0] == 0 and counts[1] == counts[2] > 0
-
-    @pytest.mark.parametrize("build", [build_heisenberg, lambda: make_heisenberg_model(2)],
-                             ids=["bundled", "heisenberg-n2"])
-    def test_normality_rows_ignore_the_sampling_knobs(self, build, monkeypatch):
-        # the normality routes and the nabla G/H/J identities compare
-        # tables; the samples they still draw cannot change a row
-        import ccmv.structures as structures
-        import ccmv.verify as verify
-        chosen = set(registry_ids("normality")) | {"EQ-2.6", "EQ-4.12", "EQ-4.13"}
-        draws = []
-        for module in (verify, structures):
-            def counted(rng, dim, _fn=module.random_rational_vector):
-                draws.append(dim)
-                return _fn(rng, dim)
-            monkeypatch.setattr(module, "random_rational_vector", counted)
-        m = build()
-
-        def run(samples=32, seed=0):
-            ws = verify.Workspace(m)
-            return [ident.direct(ws, samples, seed) if ident.direct is not None
-                    else verify._run_slots(ws, ident, samples, seed)
-                    for ident in REGISTRY if ident.identity_id in chosen]
-        rows, counts = [], []
-        for knobs in ({"samples": 0}, {}, {"seed": 7}):
-            del draws[:]
-            rows.append(run(**knobs))
-            counts.append(len(draws))
-        assert len(rows[0]) == len(chosen)
-        assert rows[0] == rows[1] == rows[2]
-        assert counts[0] == 0 and counts[1] == counts[2] > 0
 
     def test_diff_builds_no_normality_tables(self, heisenberg, monkeypatch):
         import ccmv.structures as structures
