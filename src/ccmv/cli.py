@@ -15,7 +15,13 @@ import sys
 from pathlib import Path
 
 from .connection import ConnectionCoeffs, levi_civita
-from .core import Tensor4, format_scalar, format_sparse_vector, parse_frame_index
+from .core import (
+    Tensor4,
+    UnprintableValue,
+    format_scalar,
+    format_sparse_vector,
+    parse_frame_index,
+)
 from .curvature import DegeneratePlane, riemann, sectional
 from .model import (
     HEISENBERG_CCM,
@@ -331,7 +337,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
+    except (_CliError, UnprintableValue) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
 

@@ -9,17 +9,22 @@ indices whose last level is the tuple of `(index, value)` pairs.  Zeros are
 never stored and empty subtrees are pruned, so `==` is structural and every
 kernel costs in proportion to the nonzeros.  `Table.contract` is the one
 evaluation of a table on frame vectors.  Every coefficient is an exact
-rational; no floating point appears anywhere.  The metric is the identity
-in this frame, so the inner product is the plain coefficient dot product.
+rational; `Table.scaled` holds a table's integer numerators over one
+common denominator, for the checks that only ask where a homogeneous
+expression vanishes.  No floating point appears anywhere.  The metric is
+the identity in this frame, so the inner product is the plain coefficient
+dot product.
 """
 from __future__ import annotations
 
 import enum
 import re
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -67,11 +72,22 @@ def parse_scalar(text: str) -> Scalar:
         raise ValueError(f"not an exact rational: {text!r}") from exc
 
 
+class UnprintableValue(ValueError):
+    """A rational too long to render: its numerator or denominator has more
+    decimal digits than the interpreter converts to text."""
+
+
 def format_scalar(value: Scalar) -> str:
-    """Render a rational as `p` when integral, else `p/q`."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Render a rational as `p` when integral, else `p/q`; UnprintableValue
+    when a part exceeds the interpreter's int-to-text digit limit."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise UnprintableValue(
+            f"a computed value has more than {sys.get_int_max_str_digits()} "
+            f"decimal digits and cannot be printed") from None
 
 
 @dataclass(frozen=True)
@@ -314,6 +330,22 @@ class Table:
 
     def is_zero(self) -> bool:
         return not self.entries
+
+    @cached_property
+    def scaled(self) -> tuple[int, Table]:
+        """(D, t): D is the lcm of the stored values' denominators (1 for an
+        empty table), and t is this tree with each value a replaced by the
+        int a * D.  A check that only asks where a homogeneous expression in
+        the table vanishes can run on t: one positive factor keeps the zero
+        set.  Built on first use and kept out of `==`."""
+        factor = lcm(*(a.denominator for _, a in self.items()))
+
+        def scale(node, depth: int):
+            if depth == 1:
+                return tuple((k, a.numerator * (factor // a.denominator)) for k, a in node)
+            return {i: scale(sub, depth - 1) for i, sub in node.items()}
+
+        return factor, Table(self.dim, self.rank, scale(self.entries, self.rank))
 
     def restrict(self, keep: range) -> Table:
         """The entries whose every index lies in `keep`, as a plain Table."""

@@ -4,6 +4,16 @@ Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_{[X,Y]} Z, lowered as R(X,Y,Z,W) = g(R(X,Y)Z, W).  On an
 invariant frame this reduces to a closed polynomial in the connection
 coefficients and structure constants.
+
+The three checks of R on arbitrary vector fields (RIEM-SYM, BIANCHI-1,
+BIANCHI-2) only ask where a quantity vanishes, and each quantity is
+homogeneous in its tables: the pair symmetries and the cyclic sum are
+linear in R, the cyclic nabla R sum is bilinear in (gamma, R).  Scaling a
+table by one positive integer D therefore keeps the zero set, and so the
+first failing tuple in `itertools.product` order.  The sweeps run on
+`Table.scaled`, each table times the lcm of its denominators, with int
+arithmetic only; the value a witness prints is read from the Fraction
+tables at the tuple found.
 """
 from __future__ import annotations
 
@@ -117,6 +127,41 @@ def holomorphic_sectional(m: ManifoldModel, rt: Tensor4,
     return sectional(rt, x, m.J.apply(x))
 
 
+def _connection_index(conn: Table, s: int) -> tuple[dict, dict]:
+    """gamma(s, ., .) as stored, and into[p] listing (e, q) for every
+    nonzero gamma(s, e, p) = q."""
+    gamma = conn.sub(s)
+    into: dict = {}
+    for e, row in gamma.items():
+        for p, q in row:
+            into.setdefault(p, []).append((e, q))
+    return gamma, into
+
+
+def _subtract_nabla_r(slab: dict, gamma: dict, into: dict, rt: Table,
+                      a: int, b: int) -> None:
+    """slab[(k, l)] -= the four gamma contractions of R at (a, b, k, l), with
+    gamma and into from `_connection_index` at one s.  Exact on Fraction
+    tables and on the scaled int copies alike."""
+    plane, get = rt.sub(a, b), slab.get
+    for p, q in gamma.get(a, ()):
+        for k, row in rt.sub(p, b).items():
+            for el, v in row:
+                slab[k, el] = get((k, el), 0) - q * v
+    for p, q in gamma.get(b, ()):
+        for k, row in rt.sub(a, p).items():
+            for el, v in row:
+                slab[k, el] = get((k, el), 0) - q * v
+    for k, krow in gamma.items():
+        for p, q in krow:
+            for el, v in plane.get(p, ()):
+                slab[k, el] = get((k, el), 0) - q * v
+    for k, row in plane.items():
+        for p, v in row:
+            for el, q in into.get(p, ()):
+                slab[k, el] = get((k, el), 0) - q * v
+
+
 def add_nabla_r(slab: dict[tuple[int, int], Scalar], conn: ConnectionCoeffs,
                 rt: Tensor4, s: int, a: int, b: int) -> None:
     """slab[(k, l)] += (nabla_{e_s} R)(e_a, e_b, e_k, e_l) for every (k, l).
@@ -125,24 +170,7 @@ def add_nabla_r(slab: dict[tuple[int, int], Scalar], conn: ConnectionCoeffs,
     a -gamma contraction; the four terms are read from the nonzero
     connection and curvature entries only.
     """
-    gamma = conn.sub(s)
-    plane = rt.sub(a, b)
-    # into[p] lists (e, q) for every nonzero gamma(s, e, p) = q
-    into: dict[int, list[tuple[int, Scalar]]] = {}
-    for e, row in gamma.items():
-        for p, q in row:
-            into.setdefault(p, []).append((e, q))
-    terms = []
-    for p, q in gamma.get(a, ()):
-        terms.extend(((k, el), q * v) for k, row in rt.sub(p, b).items() for el, v in row)
-    for p, q in gamma.get(b, ()):
-        terms.extend(((k, el), q * v) for k, row in rt.sub(a, p).items() for el, v in row)
-    for k, krow in gamma.items():
-        terms.extend(((k, el), q * v) for p, q in krow for el, v in plane.get(p, ()))
-    for k, row in plane.items():
-        terms.extend(((k, el), q * v) for p, v in row for el, q in into.get(p, ()))
-    for key, term in terms:
-        slab[key] = slab[key] - term if key in slab else -term
+    _subtract_nabla_r(slab, *_connection_index(conn, s), rt, a, b)
 
 
 def second_bianchi_slab(conn: ConnectionCoeffs, rt: Tensor4, mm: int, i: int,
@@ -174,11 +202,22 @@ def second_bianchi_failures(m: ManifoldModel, conn: ConnectionCoeffs,
     and the first of them in product order is the smallest of its orbit.
     Only those orbit minima are built, one slab at a time, and the sweep
     returns at the first slab with a nonzero entry.
+
+    The slabs are built on the scaled int copies of the connection and of
+    R (`Table.scaled`).  Every nabla R term is one connection value times
+    one R value, so each slab entry comes out multiplied by the positive
+    D_conn * D_R and is zero exactly where the Fraction entry is.
     """
-    for mm, i, j in product(range(m.dim), repeat=3):
+    dim = m.dim
+    _, gamma = conn.scaled
+    _, ints = rt.scaled
+    index = [_connection_index(gamma, s) for s in range(dim)]
+    for mm, i, j in product(range(dim), repeat=3):
         if (i, j, mm) < (mm, i, j) or (j, mm, i) < (mm, i, j):
             continue
-        slab = second_bianchi_slab(conn, rt, mm, i, j)
+        slab: dict[tuple[int, int], int] = {}
+        for s, a, b in ((mm, i, j), (i, j, mm), (j, mm, i)):
+            _subtract_nabla_r(slab, *index[s], ints, a, b)
         failing = [key for key, total in slab.items() if total]
         if failing:
             return (mm, i, j, *min(failing))
@@ -196,12 +235,18 @@ def first_bianchi_failures(rt: Tensor4) -> tuple[int, ...] | None:
 
     A nonzero sum has a nonzero term, so the tuple is one of the three
     rotations of the first three indices of a stored entry; only those
-    candidates are read, in sorted order.
+    candidates are read, in sorted order.  The sum is linear in R, so it is
+    read from the scaled int copy (`Table.scaled`), whose positive factor
+    keeps every zero.
     """
-    candidates = {where for (a, b, c, el), _ in rt.items()
+    r = dict(rt.scaled[1].items())
+    candidates = {where for a, b, c, el in r
                   for where in ((a, b, c, el), (c, a, b, el), (b, c, a, el))}
-    return next((where for where in sorted(candidates)
-                 if first_bianchi_cyclic_sum(rt, *where)), None)
+    for where in sorted(candidates):
+        i, j, k, el = where
+        if r.get(where, 0) + r.get((j, k, i, el), 0) + r.get((k, i, j, el), 0):
+            return where
+    return None
 
 
 def riemann_symmetry_clauses(rt: Tensor4, i: int, j: int, k: int,
@@ -221,10 +266,17 @@ def riemann_symmetry_failures(rt: Tensor4) -> tuple[int, ...] | None:
     The clauses at (i, j, k, l) read R there and at (j, i, k, l),
     (i, j, l, k) and (k, l, i, j); where all four are zero every clause
     holds.  So only the stored entries and those three partners of each
-    are candidates, checked in sorted order.
+    are candidates, checked in sorted order.  Each clause is linear in R,
+    so it is read from the scaled int copy (`Table.scaled`), whose positive
+    factor keeps every equality.
     """
-    candidates = {where for (i, j, k, el), _ in rt.items()
+    r = dict(rt.scaled[1].items())
+    candidates = {where for i, j, k, el in r
                   for where in ((i, j, k, el), (j, i, k, el), (i, j, el, k), (k, el, i, j))}
-    return next((where for where in sorted(candidates)
-                 if any(lhs != rhs for _, lhs, rhs in riemann_symmetry_clauses(rt, *where))),
-                None)
+    for where in sorted(candidates):
+        i, j, k, el = where
+        value = r.get(where, 0)
+        if (value != -r.get((j, i, k, el), 0) or value != -r.get((i, j, el, k), 0)
+                or value != r.get((k, el, i, j), 0)):
+            return where
+    return None

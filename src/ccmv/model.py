@@ -34,7 +34,9 @@ from .core import (
 # EQ-2.5, EQ-2.6, EQ-4.12, EQ-4.13) and the three normality routes read
 # only the table entries that can fail.  What still scales with
 # d = 4n + 2 is the d**2 frame sweeps of the two-slot identities and the
-# d**3 / 3 cyclic-orbit slabs of BIANCHI-2.  The cap bounds the size of
+# d**3 / 3 cyclic-orbit slabs of BIANCHI-2, which run on the int numerators
+# of the connection and of R; those ints grow with the model's
+# denominators, not with d.  The cap bounds the size of
 # every table; the running time of a suite at n = 13 (d = 54) is not
 # bounded by it.  A larger `n` is rejected by the loader before any table
 # is built.

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import importlib.resources
+import sys
 
 import pytest
 
@@ -356,6 +357,21 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert "line 2: n exceeds the supported maximum" in err
+
+    # a 3001-digit bracket loads and the connection, linear in the brackets,
+    # prints; the curvature is quadratic in them, and its values pass the
+    # interpreter's limit on converting an int to text
+    @pytest.mark.parametrize("command", ["verify", "curvature"])
+    def test_unprintable_value_exits_2_with_a_message(self, capsys, tmp_path, command):
+        big = tmp_path / "big.ccm"
+        big.write_text(HEISENBERG_CCM.replace("bracket 0 2 4 -2",
+                                              "bracket 0 2 4 -1" + "0" * 3000))
+        for printable in ("validate", "connection"):
+            assert run_cli(capsys, printable, str(big))[0] == 0
+        code, out, err = run_cli(capsys, command, str(big))
+        assert (code, out) == (2, "")
+        assert err == (f"ccmv: a computed value has more than "
+                       f"{sys.get_int_max_str_digits()} decimal digits and cannot be printed\n")
 
     def test_non_lie_model_rejected(self, capsys, tmp_path):
         bad = tmp_path / "nonlie.ccm"

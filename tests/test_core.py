@@ -276,6 +276,44 @@ class TestTable:
         swap = Endomorphism.from_values(3, 2, {(0, 1): 1, (1, 0): 1, (2, 2): 1})
         assert form.pullback(swap, (0,), range(3)).items() == [((1,), -1), ((2,), 5)]
 
+    @pytest.mark.parametrize("rank", [1, 2, 4])
+    def test_scaled_copy_of_an_empty_table(self, rank):
+        table = Table.from_values(3, rank, {})
+        factor, ints = table.scaled
+        assert factor == 1
+        assert ints == table and ints.items() == []
+
+    def test_scaled_copy_of_a_rank_one_table(self):
+        form = Table.from_values(4, 1, {(0,): Fraction(-1, 2), (3,): Fraction(2, 3)})
+        factor, ints = form.scaled
+        assert factor == 6
+        assert ints.entries == ((0, -3), (3, 4))
+
+    def test_scaled_copy_keeps_signs_and_takes_the_lcm(self):
+        # denominators 4, 6 and 10: the lcm is 60, their product 240, the
+        # largest 10
+        values = {(0, 1, 2): Fraction(-3, 4), (1, 0, 0): Fraction(5, 6),
+                  (1, 2, 2): Fraction(-7, 10), (2, 2, 1): Fraction(-4)}
+        table = Table.from_values(3, 3, values)
+        factor, ints = table.scaled
+        assert factor == 60
+        assert dict(ints.items()) == {(0, 1, 2): -45, (1, 0, 0): 50,
+                                      (1, 2, 2): -42, (2, 2, 1): -240}
+        assert all(type(a) is int for _, a in ints.items())
+
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_scaled_copy_round_trips(self, data):
+        values, dim, _ = data.draw(tables_and_vectors(3))
+        table = Table.from_values(dim, 3, values)
+        factor, ints = table.scaled
+        assert factor > 0
+        assert all(factor % a.denominator == 0 for _, a in table.items())
+        assert [(idx, Fraction(a, factor)) for idx, a in ints.items()] == table.items()
+        # the copy is built once, and `==` does not see it
+        assert table.scaled is table.scaled
+        assert table == Table.from_values(dim, 3, values)
+
     def test_add_and_permute_reject_mismatched_slots(self):
         table = Table.from_values(2, 2, {(0, 1): Fraction(1)})
         with pytest.raises(ValueError, match="does not add"):

@@ -18,6 +18,7 @@ tensors, and random sparse 4-tensors.
 """
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -53,7 +54,7 @@ from ccmv import (
     second_bianchi_failures,
     suite_tsv_rows,
 )
-from ccmv.curvature import add_nabla_r, first_bianchi_failures
+from ccmv.curvature import add_nabla_r, first_bianchi_cyclic_sum, first_bianchi_failures
 from ccmv.structures import NormalityReport, RouteResult, check_normality
 from ccmv.verify import (
     REGISTRY,
@@ -893,6 +894,58 @@ class TestCandidateWitnesses:
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
 
 
+def dense_second_bianchi(ws: Workspace) -> IdentityResult:
+    """The BIANCHI-2 row from the exhaustive dense sweep and sum."""
+    where = dense_bianchi_failure(ws.model, ws.conn, ws.curv)
+    if where is None:
+        return IdentityResult("BIANCHI-2", Status.PASS)
+    return IdentityResult("BIANCHI-2", Status.FAIL, render_witness(
+        ",".join(map(str, where)), "",
+        dense_cyclic_sum(ws.model, ws.conn, ws.curv, *where), ZERO))
+
+
+def _slots(result: IdentityResult) -> tuple[int, ...]:
+    return tuple(int(i) for i in result.witness.split()[0][len("slots="):].split(","))
+
+
+class TestRationalBumps:
+    """The bundled model's connection and curvature are integral, so their
+    scaled copies are the tables themselves.  A bump of R by 1/3 and of
+    the connection by 1/5 gives the two tables coprime denominators, and
+    every failing row must still be the reference row, printing the
+    non-integral value the Fraction tables give."""
+
+    @pytest.mark.parametrize("r_bump,conn_bump,failing,witness", [
+        (Fraction(1, 3), None, ("RIEM-SYM", "BIANCHI-1", "BIANCHI-2"),
+         "slots=0,0,1,2,5 lhs=-1/3 rhs=0"),
+        (None, Fraction(1, 5), ("BIANCHI-2",), "slots=0,1,2,0,1 lhs=3/5 rhs=0"),
+        (Fraction(1, 3), Fraction(1, 5), ("RIEM-SYM", "BIANCHI-1", "BIANCHI-2"),
+         "slots=0,0,1,0,3 lhs=-1/15 rhs=0"),
+    ], ids=["curvature", "connection", "both"])
+    def test_rows_equal_the_reference_rows(self, heisenberg, heis_conn, heis_curv,
+                                           r_bump, conn_bump, failing, witness):
+        ws = Workspace(heisenberg)
+        if r_bump is not None:
+            ws.curv = _bumped(heis_curv, {(0, 1, 2, 3): r_bump})
+        if conn_bump is not None:
+            ws.conn = _bumped(heis_conn, {(0, 0, 2): conn_bump})
+        rows = {i: direct_result(ws, i) for i in ("RIEM-SYM", "BIANCHI-1", "BIANCHI-2")}
+        assert rows["RIEM-SYM"] == frame_sweep_riemann_symmetry(ws)
+        assert rows["BIANCHI-1"] == frame_sweep_first_bianchi(ws)
+        assert rows["BIANCHI-2"] == dense_second_bianchi(ws)
+        assert rows["BIANCHI-2"].witness == witness
+        for identity_id, result in rows.items():
+            assert (result.status is Status.FAIL) == (identity_id in failing)
+            if result.status is Status.FAIL:
+                lhs = result.witness.split(" lhs=")[1].split()[0]
+                assert "/" in lhs, result.witness
+        if r_bump is not None:
+            assert (_slots(rows["RIEM-SYM"])
+                    == product_order_riemann_symmetry_failure(ws.curv))
+            assert (_slots(rows["BIANCHI-1"])
+                    == product_order_first_bianchi_failure(ws.curv))
+
+
 # ----- the curvature sweeps on random sparse tensors -----
 
 small_values = st.integers(-3, 3).filter(bool).map(Fraction)
@@ -936,9 +989,9 @@ def sparse_curvature(draw):
             Tensor4.from_values(dim, 4, values), clean)
 
 
-@given(sparse_curvature())
-@settings(max_examples=150, deadline=None)
-def test_curvature_sweeps_match_product_order(case):
+def assert_sweeps_match_references(case) -> None:
+    """The three sweeps find the product-order and dense first failures,
+    and the BIANCHI-2 witness value is the dense cyclic sum there."""
     dim, conn, rt, clean = case
     sym = riemann_symmetry_failures(rt)
     first = first_bianchi_failures(rt)
@@ -948,8 +1001,57 @@ def test_curvature_sweeps_match_product_order(case):
         assert sym is None and first is None
     # the sweeps read only the frame dimension of the model
     model = SimpleNamespace(dim=dim)
-    assert (second_bianchi_failures(model, conn, rt)
-            == dense_bianchi_failure(model, conn, rt))
+    found = second_bianchi_failures(model, conn, rt)
+    assert found == dense_bianchi_failure(model, conn, rt)
+    if found is not None:
+        value = second_bianchi_cyclic_sum(model, conn, rt, *found)
+        assert value != 0
+        assert value == dense_cyclic_sum(model, conn, rt, *found)
+
+
+@given(sparse_curvature())
+@settings(max_examples=150, deadline=None)
+def test_curvature_sweeps_match_product_order(case):
+    assert_sweeps_match_references(case)
+
+
+def ratios(denominators) -> st.SearchStrategy:
+    """Nonzero p/q with 0 < |p| <= 3 and q drawn from `denominators`."""
+    return st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]),
+                     st.sampled_from(denominators))
+
+
+@st.composite
+def rational_curvature(draw):
+    """(dim, connection, curvature, clean) as in `sparse_curvature`, with
+    entries p/q for q in {1, 2, 3, 5, 7}.  The primes 2, 3, 5 and 7 are
+    split between the two tables, so the connection and the curvature
+    have different denominators and are scaled by different factors."""
+    dim = draw(st.integers(2, 5))
+    index = st.integers(0, dim - 1)
+    primes = draw(st.permutations([2, 3, 5, 7]))
+    cut = draw(st.integers(1, 3))
+    gamma_values, r_values = ratios([1, *primes[:cut]]), ratios([1, *primes[cut:]])
+    values = draw(st.dictionaries(st.tuples(index, index, index, index), r_values,
+                                  max_size=6))
+    clean = False
+    if draw(st.booleans()):
+        values = algebraic_part(dim, values)
+        bump = draw(st.none() | st.tuples(index, index, index, index))
+        if bump is None:
+            clean = True
+        else:
+            values[bump] = values.get(bump, ZERO) + draw(r_values)
+    gamma = draw(st.dictionaries(st.tuples(index, index, index), gamma_values,
+                                 min_size=1, max_size=5))
+    return (dim, ConnectionCoeffs.from_values(dim, 3, gamma),
+            Tensor4.from_values(dim, 4, values), clean)
+
+
+@given(rational_curvature())
+@settings(max_examples=150, deadline=None)
+def test_curvature_sweeps_match_product_order_on_rational_tables(case):
+    assert_sweeps_match_references(case)
 
 
 # ----- the table equations on random models and random tables -----
@@ -1133,6 +1235,36 @@ def test_normality_identities_sweep_without_contractions(monkeypatch):
     # the wrapper does see a contraction of one of those tables
     ws.nabla_G.contract(*ws.basis[:2])
     assert calls == ["Table"]
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, lambda: make_heisenberg_model(2)],
+                         ids=["bundled", "heisenberg-n2"])
+def test_curvature_sweeps_run_without_fraction_arithmetic(monkeypatch, build):
+    """RIEM-SYM, BIANCHI-1 and BIANCHI-2 sweep the scaled int copies of the
+    tables: on a passing model no Fraction product or sum runs, not even
+    while the copies are built.  Calls are counted as the benchmark counts
+    them, through Fraction._mul and Fraction._add."""
+    m = build()
+    conn = levi_civita(m)
+    rt = riemann(m, conn)
+    calls = []
+
+    for name, op in (("mul", operator.mul), ("add", operator.add)):
+        def counted(a, b, _name=name, _kernel=getattr(Fraction, f"_{name}")):
+            calls.append(_name)
+            return _kernel(a, b)
+
+        forward, reverse = Fraction._operator_fallbacks(counted, op)
+        monkeypatch.setattr(Fraction, f"__{name}__", forward)
+        monkeypatch.setattr(Fraction, f"__r{name}__", reverse)
+    assert riemann_symmetry_failures(rt) is None
+    assert first_bianchi_failures(rt) is None
+    assert second_bianchi_failures(m, conn, rt) is None
+    assert calls == []
+    # the counters do see the Fraction routes of the witness values
+    assert second_bianchi_cyclic_sum(m, conn, rt, 0, 1, 2, 0, 1) == 0
+    assert first_bianchi_cyclic_sum(rt, 0, 1, 2, 3) == 0
+    assert {"mul", "add"} <= set(calls)
 
 
 # ----- contractions on random rational vectors -----
