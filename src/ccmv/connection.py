@@ -43,12 +43,6 @@ def levi_civita(m: ManifoldModel) -> ConnectionCoeffs:
     return ConnectionCoeffs.from_values(m.dim, 3, values)
 
 
-def cov_deriv_vector(conn: ConnectionCoeffs, x: FrameVector,
-                     y: FrameVector) -> FrameVector:
-    """nabla_x y for invariant fields: the bilinear extension of gamma."""
-    return conn.contract(x, y)
-
-
 def cov_deriv_table(conn: ConnectionCoeffs, a: Endomorphism) -> Table:
     """g((nabla_{e_i} A) e_j, e_k) = g(nabla_{e_i}(A e_j), e_k) - g(A(nabla_{e_i} e_j), e_k),
     that is sum_q A(e_j)_q gamma(i, q, k) - sum_p gamma(i, j, p) A(e_p)_k:
@@ -71,14 +65,6 @@ def cov_deriv_endo(conn: ConnectionCoeffs, x: FrameVector,
         term = x[i] * value
         values[(j, k)] = values[(j, k)] + term if (j, k) in values else term
     return Endomorphism.from_values(conn.dim, 2, values)
-
-
-def cov_deriv_oneform(conn: ConnectionCoeffs, x: FrameVector,
-                      w: OneForm) -> OneForm:
-    """(nabla_x w) for an invariant form: (nabla_x w)(e_j) = -w(nabla_x e_j)."""
-    return OneForm(tuple(-w.value(cov_deriv_vector(conn, x,
-                                                   FrameVector.basis(conn.dim, j)))
-                         for j in range(conn.dim)))
 
 
 def sigma_form(m: ManifoldModel, conn: ConnectionCoeffs) -> OneForm:

@@ -70,6 +70,11 @@ def parse_scalar(text: str) -> Scalar:
         return Fraction(text)
     except ZeroDivisionError as exc:
         raise ValueError(f"not an exact rational: {text!r}") from exc
+    except ValueError:
+        # the only other failure of a matched token: the interpreter's
+        # text-to-int digit limit, whose message advises a setting
+        raise ValueError(f"a value has more than {sys.get_int_max_str_digits()} "
+                         f"decimal digits") from None
 
 
 class UnprintableValue(ValueError):
@@ -173,23 +178,6 @@ def inner_product(x: FrameVector, y: FrameVector) -> Scalar:
     return _dot(x.coefficients, y.coefficients)
 
 
-def vector_combine(coeff_pairs: Sequence[tuple[Scalar | int, FrameVector]]) -> FrameVector:
-    """Exact linear combination sum(c_i * v_i); needs at least one pair."""
-    if not coeff_pairs:
-        raise ValueError("vector_combine needs at least one (coefficient, vector) pair")
-    dim = coeff_pairs[0][1].dim
-    acc = [ZERO] * dim
-    for coeff, vec in coeff_pairs:
-        _require_same_dim(dim, vec.dim)
-        f = Fraction(coeff)
-        if not f:
-            continue
-        for k, a in enumerate(vec.coefficients):
-            if a:
-                acc[k] += f * a
-    return FrameVector(tuple(acc))
-
-
 @dataclass(frozen=True)
 class Table:
     """Rank-k coefficient table over a frame of dimension `dim`.
@@ -209,8 +197,8 @@ class Table:
                     values: Mapping[tuple[int, ...], Scalar | int]):
         """Build from index tuple -> value; zero values are dropped."""
         keys = values.keys()
-        if keys and (set(map(len, keys)) != {rank} or min(map(min, keys)) < 0
-                     or max(map(max, keys)) >= dim):
+        used = set().union(*keys)
+        if keys and (set(map(len, keys)) != {rank} or min(used) < 0 or max(used) >= dim):
             bad = next(idx for idx in keys
                        if len(idx) != rank or min(idx) < 0 or max(idx) >= dim)
             raise DimensionMismatch(f"index {bad} does not fit a rank-{rank} "
@@ -256,6 +244,32 @@ class Table:
                 return {}
         return node
 
+    def fix(self, slot: int, index: int) -> Table:
+        """The plain rank-(k-1) Table of the entries whose index in `slot` is
+        `index`, that slot dropped: fix(2, u) of R is R(., ., e_u, .).  Only
+        the levels down to `slot` are walked; below it the subtree at
+        `index` is kept as it is."""
+        if self.rank < 2:
+            raise ValueError("fixing a slot needs a table of rank 2 or more")
+        last = self.rank - 1
+
+        def walk(node, depth: int):
+            if depth == slot:
+                return node.get(index)
+            if depth == last - 1 and slot == last:
+                # the level above the last: keep the one pair at `index`
+                # of each row, the row index taking its place
+                return tuple((i, a) for i, row in node.items()
+                             for k, a in row if k == index)
+            out = {}
+            for i, sub in node.items():
+                kept = walk(sub, depth + 1)
+                if kept:
+                    out[i] = kept
+            return out
+
+        return Table(self.dim, last, walk(self.entries, 0) or ({} if last > 1 else ()))
+
     def entry(self, *idx: int) -> Scalar:
         *head, last = idx
         for k, a in self.sub(*head):
@@ -286,6 +300,9 @@ class Table:
         for v in vectors:
             if len(v.coefficients) != dim:
                 _require_same_dim(dim, len(v.coefficients))
+        if rank == 1:
+            # `entries` is the row itself
+            return _dot(vectors[0].coefficients, self.row().coefficients) if vectors else self.row()
         # every combination of nonzeros of the filled slots after the first,
         # up to but not including the table's last slot
         paths = list(product(*[v.nonzero for v in vectors[1:rank - 1]]))
@@ -347,9 +364,27 @@ class Table:
 
         return factor, Table(self.dim, self.rank, scale(self.entries, self.rank))
 
-    def restrict(self, keep: range) -> Table:
-        """The entries whose every index lies in `keep`, as a plain Table."""
-        return Table.from_values(self.dim, self.rank, dict(self.items([keep] * self.rank)))
+    def restrict(self, keep: range, width: int | None = None) -> Table:
+        """The entries whose index in each of the first `width` slots (every
+        slot by default) lies in `keep`, as a plain Table.  A subtree outside
+        `keep` is never walked, and one below the first `width` slots is
+        kept as it is."""
+        width = self.rank if width is None else width
+
+        def walk(node, depth: int):
+            if depth == width:
+                return node
+            if depth == self.rank - 1:
+                return tuple((k, a) for k, a in node if k in keep)
+            out = {}
+            for i, sub in node.items():
+                if i in keep:
+                    kept = walk(sub, depth + 1)
+                    if kept:
+                        out[i] = kept
+            return out
+
+        return Table(self.dim, self.rank, walk(self.entries, 0) or ({} if self.rank > 1 else ()))
 
     def pullback(self, endo: Endomorphism, slots: Sequence[int], keep: range) -> Table:
         """The plain Table on index tuples in `keep` whose slots in `slots`
@@ -406,9 +441,22 @@ class Table:
         """The tensor product self ⊗ other, as a plain Table: its entry at
         (i, j, ..., k, ...) is self(i, j, ...) * other(k, ...)."""
         _require_same_dim(self.dim, other.dim)
-        right = other.items()
-        return Table.from_values(self.dim, self.rank + other.rank, {
-            head + tail: x * y for head, x in self.items() for tail, y in right})
+        rank = self.rank + other.rank
+        if not self.entries or not other.entries:
+            return Table(self.dim, rank, {})
+
+        # each stored x of self gets a copy of other's tree scaled by x
+        def scaled(node, x: Scalar, depth: int):
+            if depth == 1:
+                return tuple((k, x * a) for k, a in node)
+            return {i: scaled(sub, x, depth - 1) for i, sub in node.items()}
+
+        def graft(node, depth: int):
+            if depth == 1:
+                return {k: scaled(other.entries, x, other.rank) for k, x in node}
+            return {i: graft(sub, depth - 1) for i, sub in node.items()}
+
+        return Table(self.dim, rank, graft(self.entries, self.rank))
 
     def permute(self, order: Sequence[int]) -> Table:
         """The plain Table whose entry at (i_0, ..., i_r-1) is this table's

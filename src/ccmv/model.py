@@ -29,17 +29,16 @@ from .core import (
 )
 
 
-# Largest accepted `n`.  Tables store nonzeros only, and RIEM-SYM,
-# BIANCHI-1, the table identities (EQ-2.20, EQ-2.21, EQ-4.1, EQ-2.4,
-# EQ-2.5, EQ-2.6, EQ-4.12, EQ-4.13) and the three normality routes read
-# only the table entries that can fail.  What still scales with
-# d = 4n + 2 is the d**2 frame sweeps of the two-slot identities and the
-# d**3 / 3 cyclic-orbit slabs of BIANCHI-2, which run on the int numerators
-# of the connection and of R; those ints grow with the model's
-# denominators, not with d.  The cap bounds the size of
-# every table; the running time of a suite at n = 13 (d = 54) is not
-# bounded by it.  A larger `n` is rejected by the loader before any table
-# is built.
+# Largest accepted `n`.  Tables store nonzeros only, every slotted
+# identity compares tables built from them, and RIEM-SYM, BIANCHI-1 and the
+# three normality routes read only the table entries that can fail.  What
+# still scales with d = 4n + 2 is the d**3 / 3 cyclic-orbit slabs of
+# BIANCHI-2, which run on the int numerators of the connection and of R;
+# those ints grow with the model's denominators, not with d.  The cap
+# bounds the size of every table; a suite at n = 13 (d = 54) on the
+# block-diagonal Heisenberg model takes seconds, but the cap does not bound
+# the running time of a model with long denominators.  A larger `n` is
+# rejected by the loader before any table is built.
 MAX_N = 13
 
 

@@ -23,8 +23,8 @@ a clause fails, then the first failing clause there.  For vector-valued
 tables the tuple is the key without its last index and a clause fails
 there when its rows differ.  Every quantity is linear in each slot, so a
 route that holds on every frame tuple holds on all vectors, and no route
-evaluates any other vector.  The per-vector methods (cov_G, tensor_S,
-prop21_rhs_G and the rest) are contractions of the same tables.
+evaluates any other vector.  The same comparison, `first_table_failure`,
+decides every table identity of the verify module's registry.
 
 The published displays carry sign and term misprints; the identity
 registry in the verify module states each as-printed display (EQ-2.4,
@@ -35,9 +35,7 @@ FAIL on the built-in model.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from typing import Literal
 
 from .core import (
     ZERO,
@@ -54,21 +52,12 @@ from .core import (
 from .connection import (
     ConnectionCoeffs,
     cov_deriv_endo,
-    cov_deriv_oneform,
     cov_deriv_table,
-    cov_deriv_vector,
     exterior_d_oneform,
     sigma_form,
     wedge,
 )
 from .model import ManifoldModel
-
-def horizontal_projection(m: ManifoldModel, x: FrameVector) -> FrameVector:
-    """X - u(X) U - v(X) V: zero out the two vertical coefficients."""
-    coeffs = list(x.coefficients)
-    coeffs[m.U_index] = Fraction(0)
-    coeffs[m.V_index] = Fraction(0)
-    return FrameVector(tuple(coeffs))
 
 
 @dataclass(frozen=True)
@@ -122,17 +111,22 @@ def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
     differs at a smaller last index.  A key stored on neither side holds
     every clause, so only the stored keys of both sides are candidates.
     """
-    failing = []
+    failing, sides = [], []
     for c, (_, lhs, rhs) in enumerate(clauses):
         left, right = dict(lhs.items()), dict(rhs.items())
-        failing += [(key[:width], c) for key in left.keys() | right.keys()
-                    if left.get(key, ZERO) != right.get(key, ZERO)]
+        sides.append((left, right))
+        if left != right:
+            failing += [(key[:width], c) for key in left.keys() | right.keys()
+                        if left.get(key, ZERO) != right.get(key, ZERO)]
     if not failing:
         return None
     where, c = min(failing)
     name, lhs, rhs = clauses[c]
     if width == lhs.rank:
-        return where, name, lhs.entry(*where), rhs.entry(*where)
+        # read from the keys, not `entry`: an Endomorphism's entry(k, i)
+        # takes its output index first
+        left, right = sides[c]
+        return where, name, left.get(where, ZERO), right.get(where, ZERO)
     return where, name, lhs.row(*where), rhs.row(*where)
 
 
@@ -169,7 +163,6 @@ class ConnectionWorkspace:
     def __init__(self, m: ManifoldModel, conn: ConnectionCoeffs):
         self.model = m
         self.conn = conn
-        self.basis = [m.basis(i) for i in range(m.dim)]
 
     @cached_property
     def sigma(self) -> OneForm:
@@ -266,12 +259,10 @@ class ConnectionWorkspace:
         _, u, v = self.forms
         return u.tensor(v).add([(-1, v.tensor(u))])
 
-    def _horizontal_rows(self, t: Table) -> Table:
-        """A rank-2 table with its first argument projected to the
-        horizontal part: the rows of U and V dropped."""
-        m = self.model
-        return Table.from_values(m.dim, 2, dict(t.items([m.horizontal_indices,
-                                                         range(m.dim)])))
+    def _horizontal_rows(self, t: Table, width: int = 1) -> Table:
+        """t with its first `width` arguments projected to the horizontal
+        part: the keys with U or V in those slots dropped."""
+        return t.restrict(self.model.horizontal_indices, width)
 
     @cached_property
     def nUJ_G0(self) -> Table:
@@ -382,87 +373,6 @@ class ConnectionWorkspace:
         # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
         tail = _sum([(-2, u.tensor(m.G)), (1, s_H.tensor(m.G)), (1, s.tensor(self.GH))])
         return self.torsion_H.add([(-1, self._vertical_pairing), (1, _alternate(tail))])
-
-    # short accessors used by the routes and the identity evaluators
-    def G(self, x: FrameVector) -> FrameVector:
-        return self.model.G.apply(x)
-
-    def H(self, x: FrameVector) -> FrameVector:
-        return self.model.H.apply(x)
-
-    def J(self, x: FrameVector) -> FrameVector:
-        return self.model.J.apply(x)
-
-    def u(self, x: FrameVector) -> Scalar:
-        return self.model.u.value(x)
-
-    def v(self, x: FrameVector) -> Scalar:
-        return self.model.v.value(x)
-
-    def sig(self, x: FrameVector) -> Scalar:
-        return self.sigma.value(x)
-
-    def dsig(self, x: FrameVector, y: FrameVector) -> Scalar:
-        return self.dsigma.value(x, y)
-
-    def hproj(self, x: FrameVector) -> FrameVector:
-        return horizontal_projection(self.model, x)
-
-    def uv_bilinear(self, x: FrameVector, y: FrameVector) -> Scalar:
-        """u(X)v(Y) - v(X)u(Y): the unhalved pairing used by the vertical
-        correction terms of the curvature identities."""
-        return self.u(x) * self.v(y) - self.v(x) * self.u(y)
-
-    def vertical_mix(self, y: FrameVector) -> FrameVector:
-        """u(Y) V - v(Y) U."""
-        return self.model.V.scale(self.u(y)) - self.model.U.scale(self.v(y))
-
-    def nabla(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return cov_deriv_vector(self.conn, x, y)
-
-    def cov_form(self, x: FrameVector, w: OneForm) -> OneForm:
-        return cov_deriv_oneform(self.conn, x, w)
-
-    def cov_G(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla_G.contract(x, y)
-
-    def cov_H(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla_H.contract(x, y)
-
-    def cov_J(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        return self.nabla_J.contract(x, y)
-
-    def nijenhuis(self, which: Literal["G", "H"], x: FrameVector,
-                  y: FrameVector) -> FrameVector:
-        """Torsion [A,A](X,Y) = (nabla_{AX}A)Y - (nabla_{AY}A)X - A(nabla_X A)Y
-        + A(nabla_Y A)X of A = G or H."""
-        if which not in ("G", "H"):
-            raise ValueError(f"Nijenhuis torsion is defined here for G or H, not {which!r}")
-        return getattr(self, f"torsion_{which}").contract(x, y)
-
-    def tensor_S(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        """First obstruction tensor, built on the torsion of G."""
-        return self.obstruction_S.contract(x, y)
-
-    def tensor_T(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        """Second obstruction tensor, built on the torsion of H."""
-        return self.obstruction_T.contract(x, y)
-
-    def prop21_rhs_G(self, x: FrameVector, y: FrameVector, z: FrameVector) -> Scalar:
-        """Prop. 2.1: the value of g((nabla_X G)Y, Z) on a normal structure."""
-        return self.prop21_G.contract(x, y, z)
-
-    def prop21_rhs_H(self, x: FrameVector, y: FrameVector, z: FrameVector) -> Scalar:
-        """Prop. 2.1: the value of g((nabla_X H)Y, Z) on a normal structure."""
-        return self.prop21_H.contract(x, y, z)
-
-    def thm45_rhs_G(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        """Thm. 4.5: the closed form of (nabla_X G)Y on a normal structure."""
-        return self.thm45_G.contract(x, y)
-
-    def thm45_rhs_H(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        """Thm. 4.5: the closed form of (nabla_X H)Y on a normal structure."""
-        return self.thm45_H.contract(x, y)
 
 
 def _route_korkmaz(ctx: ConnectionWorkspace) -> RouteResult:

@@ -1,35 +1,31 @@
 """Identity registry, suite runner, and expected-values diffing.
 
-Every registered identity is an independent claim about a model,
-evaluated exhaustively over frame tuples in its free slots (slots the
-statement restricts to the horizontal distribution range over horizontal
-frame indices only).  Comparison is exact; the first inequality is
-reported as the witness.  Each side of every identity is linear in each
-slot, so a side that agrees on every frame tuple agrees on every vector
-tuple: the frame sweep decides the identity, and no vector beyond the
-frame is evaluated.
+Every registered identity is an independent claim about a model, checked
+exhaustively and exactly; the first inequality is reported as the
+witness.  A registry entry is one of two kinds.
 
-Direct identities do not go through that frame-tuple sweep.  The
-structural checks and the three normality routes report the results of
-their own checks; the routes compare the structures module's tables (see
-there).  RIEM-SYM, BIANCHI-1 and BIANCHI-2 sweep no frame tuples at all:
-they read the stored curvature and connection tables, visit only the
-index tuples that can fail (stored entries with their partners or
-rotations, and one slab per cyclic orbit), and still report the first
-failing tuple in `itertools.product` order.
+Table identities state each side of each clause as a `Table` built once
+from stored nonzeros, with one slot per slot of the identity, or one more
+for a vector-valued side, whose last slot is the output vector.  A slot
+the statement restricts to the horizontal distribution holds horizontal
+indices only.  The check (`structures.first_table_failure`) reads the
+stored keys of either side only and reports what a sweep of every frame
+tuple would: the first failing frame tuple in `itertools.product` order,
+then the first clause failing there.  For a vector-valued side the frame
+tuple is the key without its last index, and a clause fails there when
+its rows differ.  Each side is linear in each slot, so sides that agree on
+every frame tuple agree on every vector tuple, and no vector beyond the
+frame is evaluated.  EQ-2.8 has no slots: its sides are single rows,
+compared at the empty tuple, printed `-`.
 
-Table identities state each side as a table built once from stored
-nonzeros.  EQ-2.20, EQ-2.21 and EQ-4.1 use tables on horizontal indices:
-R pulled back through G or H, and R plus tensor products of the 2-forms
-<J., .>, <G., .>, <H., .>, dsigma and its pullbacks.  EQ-2.4, EQ-2.5 and
-EQ-2.6 compare g((nabla_X A)Y, Z) for A = G, H, J with Prop. 2.1's
-right-hand sides, and EQ-4.12 and EQ-4.13 compare nabla G and nabla H with
-Thm. 4.5's closed forms as vector-valued tables, one slot more than the
-identity's, whose last slot is the output vector.  The check reads the
-stored keys of either side only and reports what a frame sweep would:
-the first failing frame tuple in `itertools.product` order, then the first
-clause failing there.  For a vector-valued side the frame tuple is the key
-without its last index, and a clause fails there when its rows differ.
+Direct identities report the results of their own checks: the structural
+checks; the three normality routes, which compare the structures
+module's tables the same way; EQ-2.11 and EQ-5.7, whose sides are
+scalars; and RIEM-SYM, BIANCHI-1 and BIANCHI-2, which read the stored
+curvature and connection tables, visit only the index tuples that can
+fail (stored entries with their partners or rotations, and one slab per
+cyclic orbit), and still report the first failing tuple in
+`itertools.product` order.
 
 Registry ids are stable opaque labels (the EQ-*/AX-*/NORM-* vocabulary
 used by the report formats); several identities are recorded here in a
@@ -43,7 +39,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 from typing import Callable
 
 from .core import (
@@ -54,7 +49,6 @@ from .core import (
     Table,
     format_scalar,
     format_sparse_vector,
-    inner_product,
     parse_frame_index,
     parse_scalar,
     parse_sparse_vector,
@@ -84,13 +78,14 @@ from .model import (
 from .structures import (
     ConnectionWorkspace,
     NormalityReport,
+    _middle,
+    _sum,
     check_normality,
     first_table_failure,
 )
 
 SELECTORS = ("all", "axioms", "contact", "normality", "curvature", "ricci")
 
-Clause = tuple[str, object, object]
 # a clause whose two sides are tables over the identity's slots
 TableClause = tuple[str, Table, Table]
 
@@ -129,8 +124,8 @@ class SuiteReport:
 
 class Workspace(ConnectionWorkspace):
     """Shared derived quantities for one model, computed once per run: the
-    connection-level ones, curvature, Ricci, and the two shared report
-    caches."""
+    connection-level ones, curvature, Ricci, the two shared report caches,
+    and the tables that several identities share."""
 
     def __init__(self, m: ManifoldModel):
         super().__init__(m, levi_civita(m))
@@ -138,17 +133,6 @@ class Workspace(ConnectionWorkspace):
         self.rho = ricci(m, self.curv)
         self.Q = ricci_operator(self.rho)
         self.tau = scalar_curvature(self.rho)
-
-    def R(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
-        """R(x, y) z by trilinear contraction of the stored tensor."""
-        return self.curv.contract(x, y, z)
-
-    def R4(self, x: FrameVector, y: FrameVector, z: FrameVector,
-           w: FrameVector) -> Scalar:
-        return self.curv.contract(x, y, z, w)
-
-    def rho_val(self, x: FrameVector, y: FrameVector) -> Scalar:
-        return self.rho.value(x, y)
 
     @cached_property
     def normality(self) -> NormalityReport:
@@ -159,11 +143,11 @@ class Workspace(ConnectionWorkspace):
         return {check.check_id: check
                 for check in lie_checks(self.model) + structure_tensor_checks(self.model)}
 
-    # Sides of the horizontal 4-slot identities (EQ-2.20, EQ-2.21, EQ-4.1):
-    # tables on horizontal indices, built once from stored nonzeros.
     def horizontal(self, t: Table) -> Table:
+        """t on horizontal indices only."""
         return t.restrict(self.model.horizontal_indices)
 
+    # Sides of the horizontal 4-slot identities (EQ-2.20, EQ-2.21, EQ-4.1).
     @cached_property
     def curv_hor(self) -> Table:
         return self.horizontal(self.curv)
@@ -178,13 +162,94 @@ class Workspace(ConnectionWorkspace):
         """R(H., H., H., H.), pulled back one slot at a time."""
         return self.curv.pullback(self.model.H, range(4), self.model.horizontal_indices)
 
+    # R with a vertical argument, read by EQ-2.12-2.19 and EQ-4.2-4.10.
+    @cached_property
+    def curv_xU(self) -> Table:
+        """R(X, U, Z, W) at (X, Z, W)."""
+        return self.curv.fix(1, self.model.U_index)
+
+    @cached_property
+    def curv_xV(self) -> Table:
+        """R(X, V, Z, W) at (X, Z, W)."""
+        return self.curv.fix(1, self.model.V_index)
+
+    @cached_property
+    def curv_xyU(self) -> Table:
+        """R(X, Y, U, W) at (X, Y, W)."""
+        return self.curv.fix(2, self.model.U_index)
+
+    @cached_property
+    def curv_xyV(self) -> Table:
+        """R(X, Y, V, W) at (X, Y, W)."""
+        return self.curv.fix(2, self.model.V_index)
+
+    @cached_property
+    def curv_UV(self) -> Table:
+        """R(U, V, Z, W) at (Z, W)."""
+        return self.curv.fix(0, self.model.U_index).fix(0, self.model.V_index)
+
+    # Right-hand-side terms shared by several identities; X0 and Y0 are the
+    # horizontal parts of X and Y.
+    @cached_property
+    def sigma_UV(self) -> tuple[Scalar, Scalar]:
+        """sigma(U) and sigma(V)."""
+        m = self.model
+        return self.sigma.coefficients[m.U_index], self.sigma.coefficients[m.V_index]
+
+    @cached_property
+    def hor_delta(self) -> Table:
+        """X0 at (X, Z)."""
+        return self._horizontal_rows(self.delta)
+
+    @cached_property
+    def hor_J(self) -> Table:
+        """J X0 at (X, Z)."""
+        return self._horizontal_rows(self.model.J)
+
+    @cached_property
+    def hor_J_dsigma(self) -> Table:
+        """<X0, J Y0> + dsigma(X0, Y0)."""
+        return self.horizontal(self.model.J.transpose().add([(1, self.dsigma)]))
+
+    @cached_property
+    def hor_dsigma_J(self) -> Table:
+        """dsigma(Y0, X0) - <J X0, Y0>."""
+        return self.horizontal(self.dsigma.permute((1, 0)).add([(-1, self.model.J)]))
+
+    @cached_property
+    def hor_dsigma_formula(self) -> Table:
+        """2 <J X0, Y0> + <(nabla_U J) G X0, Y0>: EQ-2.22's dsigma(X, Y)."""
+        return self.horizontal(self.nUJ.compose(self.model.G).add([(2, self.model.J)]))
+
+    @cached_property
+    def R_xUV(self) -> Table:
+        """sigma(U) G X0 + (nabla_U H) X0 - J X0 at (X, Z): EQ-2.15's R(X, U)V."""
+        m, (s_u, _) = self.model, self.sigma_UV
+        return self._horizontal_rows(_sum([(s_u, m.G), (1, self.nUH), (-1, m.J)]))
+
+    @cached_property
+    def R_xVU(self) -> Table:
+        """-sigma(V) H X0 + (nabla_V G) X0 + J X0 at (X, Z): EQ-2.16's R(X, V)U."""
+        m, (_, s_v) = self.model, self.sigma_UV
+        return self._horizontal_rows(_sum([(-s_v, m.H), (1, self.nVG), (1, m.J)]))
+
+    @cached_property
+    def ricci_target(self) -> Scalar:
+        """4n - 2 dsigma(U, V): EQ-5.7's rho(U, U) and rho(V, V)."""
+        return 4 * self.model.n - 2 * self.dUV
+
+    @cached_property
+    def vertical_square(self) -> Table:
+        """u(X) u(Y) + v(X) v(Y)."""
+        _, u, v = self.forms
+        return u.tensor(u).add([(1, v.tensor(v))])
+
 
 @dataclass(frozen=True)
 class Identity:
     identity_id: str
     group: str
     slots: tuple[str, ...]
-    evaluate: Callable[[Workspace, tuple[FrameVector, ...]], list[Clause]] | None = None
     # each side a table holding only index tuples in the slot ranges, with
     # one slot per frame slot, or one more for a vector-valued side
     tables: Callable[[Workspace], list[TableClause]] | None = None
@@ -202,25 +267,22 @@ def render_witness(slots: str, clause: str, lhs, rhs) -> str:
     return f"slots={slots}{part} lhs={_render_value(lhs)} rhs={_render_value(rhs)}"
 
 
-def _run_slots(ws: Workspace, ident: Identity) -> IdentityResult:
-    if ident.tables is not None:
-        failure = first_table_failure(ident.tables(ws), len(ident.slots))
-        if failure is None:
-            return IdentityResult(ident.identity_id, Status.PASS)
-        idx, clause, lhs, rhs = failure
-        return IdentityResult(ident.identity_id, Status.FAIL,
-                              render_witness(",".join(map(str, idx)), clause, lhs, rhs))
-    m = ws.model
-    ranges = [m.horizontal_indices if kind == "hor" else range(m.dim)
-              for kind in ident.slots]
-    for idx in product(*ranges):
-        vectors = tuple(ws.basis[i] for i in idx)
-        for clause, lhs, rhs in ident.evaluate(ws, vectors):
-            if lhs != rhs:
-                slot_text = ",".join(str(i) for i in idx) if idx else "-"
-                return IdentityResult(ident.identity_id, Status.FAIL,
-                                      render_witness(slot_text, clause, lhs, rhs))
-    return IdentityResult(ident.identity_id, Status.PASS)
+def _run_tables(ws: Workspace, ident: Identity) -> IdentityResult:
+    failure = first_table_failure(ident.tables(ws), len(ident.slots))
+    if failure is None:
+        return IdentityResult(ident.identity_id, Status.PASS)
+    idx, clause, lhs, rhs = failure
+    return IdentityResult(ident.identity_id, Status.FAIL,
+                          render_witness(",".join(map(str, idx)) or "-", clause, lhs, rhs))
+
+
+def _first_scalar_failure(identity_id: str,
+                          clauses: list[tuple[str, Scalar, Scalar]]) -> IdentityResult:
+    """A slotless identity of scalar clauses: the first clause that fails."""
+    for clause, lhs, rhs in clauses:
+        if lhs != rhs:
+            return IdentityResult(identity_id, Status.FAIL, render_witness("-", clause, lhs, rhs))
+    return IdentityResult(identity_id, Status.PASS)
 
 
 def _wrap_model_check(check_id: str) -> Callable[[Workspace], IdentityResult]:
@@ -242,15 +304,19 @@ def _wrap_normality_route(route_name: str) -> Callable[[Workspace], IdentityResu
 def _registry() -> list[Identity]:
     ids: list[Identity] = []
 
-    def add(identity_id: str, group: str, slots: str, fn) -> None:
-        ids.append(Identity(identity_id, group, tuple(slots.split()) if slots else (),
-                            evaluate=fn))
-
     def add_tables(identity_id: str, group: str, slots: str, fn) -> None:
         ids.append(Identity(identity_id, group, tuple(slots.split()), tables=fn))
 
     def add_direct(identity_id: str, group: str, fn) -> None:
         ids.append(Identity(identity_id, group, (), direct=fn))
+
+    # A table's value at (X, Y, ...) is named below: the frame vectors of the
+    # identity's slots, then the output vector for a vector-valued side.  u,
+    # v and s are the rank-1 tables of u, v and sigma; u.tensor(t) is
+    # u(X) t(Y, ...) and _middle(u, t) is u(Y) t(X, Z).  X0 and Y0 are the
+    # horizontal parts of X and Y: hrows(ws, t, k) keeps the keys of t whose
+    # first k indices are horizontal.
+    hrows = ConnectionWorkspace._horizontal_rows
 
     # ----- axioms -----
     for check_id in ("LIE-ANTISYM", "LIE-JACOBI", "AX-G2", "AX-H2", "AX-J2",
@@ -258,17 +324,17 @@ def _registry() -> list[Identity]:
                      "AX-JV", "AX-HERM"):
         add_direct(check_id, "axioms", _wrap_model_check(check_id))
 
-    add("AX-du", "axioms", "any any", lambda ws, vs: [(
-        "", ws.du.value(vs[0], vs[1]),
-        inner_product(vs[0], ws.G(vs[1])) + ws.wedge_sigma_v.value(vs[0], vs[1]))])
-    add("AX-dv", "axioms", "any any", lambda ws, vs: [(
-        "", ws.dv.value(vs[0], vs[1]),
-        inner_product(vs[0], ws.H(vs[1])) - ws.wedge_sigma_u.value(vs[0], vs[1]))])
+    # du(X, Y) = <X, GY> + (sigma ^ v)(X, Y); dv(X, Y) = <X, HY> - (sigma ^ u)(X, Y)
+    add_tables("AX-du", "axioms", "any any", lambda ws: [
+        ("", ws.du, ws.model.G.transpose().add([(1, ws.wedge_sigma_v)]))])
+    add_tables("AX-dv", "axioms", "any any", lambda ws: [
+        ("", ws.dv, ws.model.H.transpose().add([(-1, ws.wedge_sigma_u)]))])
 
     # ----- contact: structure-tensor derivative identities -----
-    add("EQ-2.1", "contact", "any", lambda ws, vs: [
-        ("U", ws.nUG.apply(vs[0]), ws.H(vs[0]).scale(ws.sig(ws.model.U))),
-        ("V", ws.nVH.apply(vs[0]), ws.G(vs[0]).scale(-ws.sig(ws.model.V)))])
+    # (nabla_U G)X = sigma(U) HX; (nabla_V H)X = -sigma(V) GX
+    add_tables("EQ-2.1", "contact", "any", lambda ws: [
+        ("U", ws.nUG, _sum([(ws.sigma_UV[0], ws.model.H)])),
+        ("V", ws.nVH, _sum([(-ws.sigma_UV[1], ws.model.G)]))])
 
     # g((nabla_X J)Y, Z) = u(X)(dsigma(Z, GY) - 2 <HY, Z>)
     #                      + v(X)(dsigma(Z, HY) + 2 <GY, Z>)
@@ -279,101 +345,93 @@ def _registry() -> list[Identity]:
         return [("", ws.nabla_J, u.tensor(at_u).add([(1, v.tensor(at_v))]))]
     add_tables("EQ-2.6", "contact", "any any any", eq_2_6)
 
-    add("EQ-2.7", "contact", "any", lambda ws, vs: [
-        ("U", ws.nabla(vs[0], ws.model.U),
-         -ws.G(vs[0]) + ws.model.V.scale(ws.sig(vs[0]))),
-        ("V", ws.nabla(vs[0], ws.model.V),
-         -ws.H(vs[0]) - ws.model.U.scale(ws.sig(vs[0])))])
+    # nabla_X U = -GX + sigma(X) V; nabla_X V = -HX - sigma(X) U
+    def eq_2_7(ws: Workspace) -> list[TableClause]:
+        m, (s, u, v) = ws.model, ws.forms
+        return [("U", ws.conn.fix(1, m.U_index), _sum([(-1, m.G), (1, s.tensor(v))])),
+                ("V", ws.conn.fix(1, m.V_index), _sum([(-1, m.H), (-1, s.tensor(u))]))]
+    add_tables("EQ-2.7", "contact", "any", eq_2_7)
 
-    add("EQ-2.8", "contact", "", lambda ws, vs: [
-        ("UU", ws.nabla(ws.model.U, ws.model.U),
-         ws.model.V.scale(ws.sig(ws.model.U))),
-        ("UV", ws.nabla(ws.model.U, ws.model.V),
-         ws.model.U.scale(-ws.sig(ws.model.U))),
-        ("VU", ws.nabla(ws.model.V, ws.model.U),
-         ws.model.V.scale(ws.sig(ws.model.V))),
-        ("VV", ws.nabla(ws.model.V, ws.model.V),
-         ws.model.U.scale(-ws.sig(ws.model.V)))])
+    # nabla_U U = sigma(U) V, nabla_U V = -sigma(U) U, and the same along V
+    def eq_2_8(ws: Workspace) -> list[TableClause]:
+        m, (_, u, v), (s_u, s_v) = ws.model, ws.forms, ws.sigma_UV
+        from_u, from_v = ws.conn.fix(0, m.U_index), ws.conn.fix(0, m.V_index)
+        return [("UU", from_u.fix(0, m.U_index), _sum([(s_u, v)])),
+                ("UV", from_u.fix(0, m.V_index), _sum([(-s_u, u)])),
+                ("VU", from_v.fix(0, m.U_index), _sum([(s_v, v)])),
+                ("VV", from_v.fix(0, m.V_index), _sum([(-s_v, u)]))]
+    add_tables("EQ-2.8", "contact", "", eq_2_8)
 
-    add("EQ-2.9", "contact", "any any", lambda ws, vs: [
-        ("GH", ws.dsig(ws.G(vs[0]), ws.G(vs[1])),
-         ws.dsig(ws.H(vs[0]), ws.H(vs[1]))),
-        ("flip", ws.dsig(ws.G(vs[0]), ws.G(vs[1])),
-         ws.dsig(vs[1], vs[0]) - 2 * ws.uv_bilinear(vs[1], vs[0]) * ws.dUV)])
+    # dsigma(GX, GY) = dsigma(HX, HY) = dsigma(Y, X) - 2 (u(Y)v(X) - v(Y)u(X)) dsigma(U, V)
+    def eq_2_9(ws: Workspace) -> list[TableClause]:
+        m, every = ws.model, range(ws.model.dim)
+        ds_g = ws.dsigma.pullback(m.G, (0, 1), every)
+        return [("GH", ds_g, ws.dsigma.pullback(m.H, (0, 1), every)),
+                ("flip", ds_g,
+                 ws.dsigma.permute((1, 0)).add([(2 * ws.dUV, ws.vertical_mix_table)]))]
+    add_tables("EQ-2.9", "contact", "any any", eq_2_9)
 
-    add("EQ-2.10", "contact", "any", lambda ws, vs: [
-        ("U", ws.dsig(ws.model.U, vs[0]), ws.v(vs[0]) * ws.dUV),
-        ("V", ws.dsig(ws.model.V, vs[0]), -ws.u(vs[0]) * ws.dUV)])
+    # dsigma(U, X) = v(X) dsigma(U, V); dsigma(V, X) = -u(X) dsigma(U, V)
+    add_tables("EQ-2.10", "contact", "any", lambda ws: [
+        ("U", ws.dsigma.fix(0, ws.model.U_index), _sum([(ws.dUV, ws.forms[2])])),
+        ("V", ws.dsigma.fix(0, ws.model.V_index), _sum([(-ws.dUV, ws.forms[1])]))])
 
-    add("EQ-2.22", "contact", "hor hor", lambda ws, vs: [(
-        "", ws.dsig(vs[0], vs[1]),
-        2 * inner_product(ws.J(vs[0]), vs[1])
-        + inner_product(ws.nUJ.apply(ws.G(vs[0])), vs[1]))])
+    add_tables("EQ-2.22", "contact", "hor hor", lambda ws: [
+        ("", ws.horizontal(ws.dsigma), ws.hor_dsigma_formula)])
 
-    add("EQ-3.1", "contact", "any any", lambda ws, vs: [
-        ("u", ws.cov_form(vs[0], ws.model.u).value(vs[1]),
-         inner_product(vs[0], ws.G(vs[1])) + ws.sig(vs[0]) * ws.v(vs[1])),
-        ("v", ws.cov_form(vs[0], ws.model.v).value(vs[1]),
-         inner_product(vs[0], ws.H(vs[1])) - ws.sig(vs[0]) * ws.u(vs[1]))])
+    # (nabla_X u)Y = -u(nabla_X Y) = <X, GY> + sigma(X) v(Y), and
+    # (nabla_X v)Y = <X, HY> - sigma(X) u(Y)
+    def eq_3_1(ws: Workspace) -> list[TableClause]:
+        m, (s, u, v) = ws.model, ws.forms
+        return [("u", _sum([(-1, ws.conn.fix(2, m.U_index))]),
+                 m.G.transpose().add([(1, s.tensor(v))])),
+                ("v", _sum([(-1, ws.conn.fix(2, m.V_index))]),
+                 m.H.transpose().add([(-1, s.tensor(u))]))]
+    add_tables("EQ-3.1", "contact", "any any", eq_3_1)
 
-    def eq_3_2_block(ws: Workspace, vs) -> list[Clause]:
-        x = vs[0]
-        U, V = ws.model.U, ws.model.V
-        return [
-            ("GU.V", inner_product(ws.nUG.apply(x), V), ZERO),
-            ("HU.V", inner_product(ws.nUH.apply(x), V), ZERO),
-            ("GU.U", inner_product(ws.nUG.apply(x), U), ZERO),
-            ("HU.U", inner_product(ws.nUH.apply(x), U), ZERO),
-            ("GV.U", inner_product(ws.nVG.apply(x), U), ZERO),
-            ("HV.U", inner_product(ws.nVH.apply(x), U), ZERO),
-            ("GV.V", inner_product(ws.nVG.apply(x), V), ZERO),
-            ("HV.V", inner_product(ws.nVH.apply(x), V), ZERO),
-            ("JU.V", inner_product(ws.nUJ.apply(x), V), ZERO),
-            ("JU.U", inner_product(ws.nUJ.apply(x), U), ZERO),
-            ("JV.U", inner_product(ws.nVJ.apply(x), U), ZERO),
-            ("JV.V", inner_product(ws.nVJ.apply(x), V), ZERO),
-        ]
-    add("EQ-3.2-BLOCK", "contact", "hor", eq_3_2_block)
+    # <(nabla_W A)X, W'> = 0 for A = G, H, J, W and W' vertical, X horizontal
+    def eq_3_2_block(ws: Workspace) -> list[TableClause]:
+        m = ws.model
+        zero = Table.from_values(m.dim, 1, {})
+        parts = [("GU.V", ws.nUG, m.V_index), ("HU.V", ws.nUH, m.V_index),
+                 ("GU.U", ws.nUG, m.U_index), ("HU.U", ws.nUH, m.U_index),
+                 ("GV.U", ws.nVG, m.U_index), ("HV.U", ws.nVH, m.U_index),
+                 ("GV.V", ws.nVG, m.V_index), ("HV.V", ws.nVH, m.V_index),
+                 ("JU.V", ws.nUJ, m.V_index), ("JU.U", ws.nUJ, m.U_index),
+                 ("JV.U", ws.nVJ, m.U_index), ("JV.V", ws.nVJ, m.V_index)]
+        return [(name, ws.horizontal(a.fix(1, w)), zero) for name, a, w in parts]
+    add_tables("EQ-3.2-BLOCK", "contact", "hor", eq_3_2_block)
 
+    # (nabla_U A)X = (nabla_U A)X0 and (nabla_V A)X = (nabla_V A)X0
     for eq_id, attr_u, attr_v in (("EQ-3.3", "nUG", "nVG"),
                                   ("EQ-3.4", "nUH", "nVH"),
                                   ("EQ-3.5", "nUJ", "nVJ")):
-        def projector(ws: Workspace, vs, a=attr_u, b=attr_v) -> list[Clause]:
-            x = vs[0]
-            return [("U", getattr(ws, a).apply(x), getattr(ws, a).apply(ws.hproj(x))),
-                    ("V", getattr(ws, b).apply(x), getattr(ws, b).apply(ws.hproj(x)))]
-        add(eq_id, "contact", "any", projector)
+        def projector(ws: Workspace, a=attr_u, b=attr_v) -> list[TableClause]:
+            at_u, at_v = getattr(ws, a), getattr(ws, b)
+            return [("U", at_u, hrows(ws, at_u)), ("V", at_v, hrows(ws, at_v))]
+        add_tables(eq_id, "contact", "any", projector)
 
-    add("EQ-3.6", "contact", "any any", lambda ws, vs: [(
-        "", inner_product(ws.nUG.apply(vs[0]), vs[1]),
-        ws.sig(ws.model.U) * inner_product(ws.H(ws.hproj(vs[0])), ws.hproj(vs[1])))])
-    add("EQ-3.7", "contact", "any any", lambda ws, vs: [(
-        "", inner_product(ws.nVG.apply(vs[0]), vs[1]),
-        ws.sig(ws.model.V) * inner_product(ws.H(ws.hproj(vs[0])), ws.hproj(vs[1]))
-        + ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
-        - 2 * inner_product(ws.J(ws.hproj(vs[0])), ws.hproj(vs[1])))])
-    add("EQ-3.8", "contact", "any any", lambda ws, vs: [(
-        "", inner_product(ws.nVH.apply(vs[0]), vs[1]),
-        -ws.sig(ws.model.V) * inner_product(ws.G(ws.hproj(vs[0])), ws.hproj(vs[1])))])
-    add("EQ-3.9", "contact", "any any", lambda ws, vs: [(
-        "", inner_product(ws.nUH.apply(vs[0]), vs[1]),
-        -ws.sig(ws.model.U) * inner_product(ws.G(ws.hproj(vs[0])), ws.hproj(vs[1]))
-        - ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
-        + 2 * inner_product(ws.J(ws.hproj(vs[0])), ws.hproj(vs[1])))])
-    add("EQ-3.10", "contact", "any any", lambda ws, vs: [(
-        "", inner_product(ws.nUJ.apply(ws.G(vs[0])), vs[1]),
-        -ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
-        - 2 * inner_product(ws.J(ws.hproj(vs[0])), ws.hproj(vs[1])))])
-    add("EQ-3.11", "contact", "any any", lambda ws, vs: [(
-        "", inner_product(ws.nVJ.apply(ws.G(vs[0])), vs[1]),
-        ws.dsig(ws.hproj(vs[1]), ws.G(ws.hproj(vs[0])))
-        - 2 * inner_product(ws.H(ws.hproj(vs[0])), ws.hproj(vs[1])))])
+    # <(nabla_W A)X, Y> for W = U, V, with the right-hand sides on X0 and Y0
+    add_tables("EQ-3.6", "contact", "any any", lambda ws: [
+        ("", ws.nUG, ws.horizontal(_sum([(ws.sigma_UV[0], ws.model.H)])))])
+    add_tables("EQ-3.7", "contact", "any any", lambda ws: [
+        ("", ws.nVG, ws.horizontal(_sum([(ws.sigma_UV[1], ws.model.H),
+                                         (1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)])))])
+    add_tables("EQ-3.8", "contact", "any any", lambda ws: [
+        ("", ws.nVH, ws.horizontal(_sum([(-ws.sigma_UV[1], ws.model.G)])))])
+    add_tables("EQ-3.9", "contact", "any any", lambda ws: [
+        ("", ws.nUH, ws.horizontal(_sum([(-ws.sigma_UV[0], ws.model.G),
+                                         (-1, ws.dsigma.permute((1, 0))), (2, ws.model.J)])))])
+    add_tables("EQ-3.10", "contact", "any any", lambda ws: [
+        ("", ws.nUJ.compose(ws.model.G),
+         ws.horizontal(_sum([(-1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)])))])
+    # dsigma(Y0, G X0) - 2 <H X0, Y0>
+    add_tables("EQ-3.11", "contact", "any any", lambda ws: [
+        ("", ws.nVJ.compose(ws.model.G),
+         ws.horizontal(ws.reversed_dsigma(ws.model.G, (1,)).add([(-2, ws.model.H)])))])
 
-    add("EQ-4.11", "contact", "any any", lambda ws, vs: [(
-        "", ws.dsig(vs[0], vs[1]),
-        2 * inner_product(ws.J(ws.hproj(vs[0])), ws.hproj(vs[1]))
-        + inner_product(ws.nUJ.apply(ws.G(ws.hproj(vs[0]))), ws.hproj(vs[1]))
-        + ws.dUV * ws.uv_bilinear(vs[0], vs[1]))])
+    add_tables("EQ-4.11", "contact", "any any", lambda ws: [
+        ("", ws.dsigma, ws.hor_dsigma_formula.add([(ws.dUV, ws.vertical_mix_table)]))])
 
     # EQ-4.12 and EQ-4.13 as printed: Thm. 4.5's closed forms (the NORM-THM45
     # route) plus the literal difference of the printed terms.  Both sides
@@ -391,14 +449,15 @@ def _registry() -> list[Identity]:
         return [("", ws.nabla_H, ws.thm45_H.add([(-2, u.tensor(ws.vertical_mix_table))]))]
     add_tables("EQ-4.13", "contact", "any any", eq_4_13)
 
-    add("EQ-4.14", "contact", "any any", lambda ws, vs: [(
-        "", ws.cov_J(vs[0], vs[1]),
-        ws.H(vs[1]).scale(-2 * ws.u(vs[0]))
-        + ws.G(vs[1]).scale(2 * ws.v(vs[0]))
-        + (ws.H(ws.hproj(vs[1])).scale(2)
-           + ws.nUJ.apply(ws.hproj(vs[1]))).scale(ws.u(vs[0]))
-        + (ws.G(ws.hproj(vs[1])).scale(-2)
-           + ws.nUJ.apply(ws.J(ws.hproj(vs[1])))).scale(ws.v(vs[0])))])
+    # (nabla_X J)Y = -2 u(X) HY + 2 v(X) GY + u(X)(2 H Y0 + (nabla_U J) Y0)
+    #                + v(X)(-2 G Y0 + (nabla_U J) J Y0)
+    def eq_4_14(ws: Workspace) -> list[TableClause]:
+        m, (_, u, v) = ws.model, ws.forms
+        at_u = hrows(ws, ws.nUJ.add([(2, m.H)]))
+        at_v = hrows(ws, ws.nUJ.compose(m.J).add([(-2, m.G)]))
+        return [("", ws.nabla_J, _sum([(-2, u.tensor(m.H)), (2, v.tensor(m.G)),
+                                       (1, u.tensor(at_u)), (1, v.tensor(at_v))]))]
+    add_tables("EQ-4.14", "contact", "any any", eq_4_14)
 
     # ----- normality -----
     # EQ-2.4 and EQ-2.5 as printed: Prop. 2.1's forms (the NORM-PROP21 route)
@@ -418,45 +477,45 @@ def _registry() -> list[Identity]:
         add_direct(f"NORM-{route.upper()}", "normality", _wrap_normality_route(route))
 
     # ----- curvature -----
-    add("EQ-2.11", "curvature", "", lambda ws, vs: [
-        ("UVVU", ws.R4(ws.model.U, ws.model.V, ws.model.V, ws.model.U),
-         -2 * ws.dUV),
-        ("VUUV", ws.R4(ws.model.V, ws.model.U, ws.model.U, ws.model.V),
-         -2 * ws.dUV)])
+    # R(U, V, V, U) = R(V, U, U, V) = -2 dsigma(U, V)
+    def eq_2_11(ws: Workspace) -> IdentityResult:
+        u, v, target = ws.model.U_index, ws.model.V_index, -2 * ws.dUV
+        return _first_scalar_failure("EQ-2.11", [("UVVU", ws.curv.entry(u, v, v, u), target),
+                                                 ("VUUV", ws.curv.entry(v, u, u, v), target)])
+    add_direct("EQ-2.11", "curvature", eq_2_11)
 
-    add("EQ-2.12", "curvature", "hor", lambda ws, vs: [
-        ("U", ws.R(vs[0], ws.model.U, ws.model.U), vs[0]),
-        ("V", ws.R(vs[0], ws.model.V, ws.model.V), vs[0])])
+    # EQ-2.12 - EQ-2.19: R with vertical arguments, on horizontal X, Y.
+    # R(X, U)U = R(X, V)V = X
+    add_tables("EQ-2.12", "curvature", "hor", lambda ws: [
+        ("U", hrows(ws, ws.curv_xU.fix(1, ws.model.U_index)), ws.hor_delta),
+        ("V", hrows(ws, ws.curv_xV.fix(1, ws.model.V_index)), ws.hor_delta)])
+    # R(X, Y)U = 2 (<X, JY> + dsigma(X, Y)) V and R(X, Y)V = -2 (...) U
+    add_tables("EQ-2.13", "curvature", "hor hor", lambda ws: [
+        ("", hrows(ws, ws.curv_xyU, 2), _sum([(2, ws.hor_J_dsigma.tensor(ws.forms[2]))]))])
+    add_tables("EQ-2.14", "curvature", "hor hor", lambda ws: [
+        ("", hrows(ws, ws.curv_xyV, 2), _sum([(-2, ws.hor_J_dsigma.tensor(ws.forms[1]))]))])
+    add_tables("EQ-2.15", "curvature", "hor", lambda ws: [
+        ("", hrows(ws, ws.curv_xU.fix(1, ws.model.V_index)), ws.R_xUV)])
+    add_tables("EQ-2.16", "curvature", "hor", lambda ws: [
+        ("", hrows(ws, ws.curv_xV.fix(1, ws.model.U_index)), ws.R_xVU)])
 
-    add("EQ-2.13", "curvature", "hor hor", lambda ws, vs: [(
-        "", ws.R(vs[0], vs[1], ws.model.U),
-        ws.model.V.scale(2 * (inner_product(vs[0], ws.J(vs[1]))
-                              + ws.dsig(vs[0], vs[1]))))])
-    add("EQ-2.14", "curvature", "hor hor", lambda ws, vs: [(
-        "", ws.R(vs[0], vs[1], ws.model.V),
-        ws.model.U.scale(-2 * (inner_product(vs[0], ws.J(vs[1]))
-                               + ws.dsig(vs[0], vs[1]))))])
+    # R(X, U)Y = -<X, Y> U + (dsigma(Y, X) - <JX, Y>) V and
+    # R(X, V)Y = -<X, Y> V + (<JX, Y> - dsigma(Y, X)) U
+    def eq_2_17(ws: Workspace) -> list[TableClause]:
+        _, u, v = ws.forms
+        return [("", hrows(ws, ws.curv_xU, 2), _sum([(-1, ws.horizontal(ws.delta).tensor(u)),
+                                                     (1, ws.hor_dsigma_J.tensor(v))]))]
+    add_tables("EQ-2.17", "curvature", "hor hor", eq_2_17)
 
-    add("EQ-2.15", "curvature", "hor", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.U, ws.model.V),
-        ws.G(vs[0]).scale(ws.sig(ws.model.U)) + ws.nUH.apply(vs[0]) - ws.J(vs[0]))])
-    add("EQ-2.16", "curvature", "hor", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.V, ws.model.U),
-        ws.H(vs[0]).scale(-ws.sig(ws.model.V)) + ws.nVG.apply(vs[0]) + ws.J(vs[0]))])
+    def eq_2_18(ws: Workspace) -> list[TableClause]:
+        _, u, v = ws.forms
+        return [("", hrows(ws, ws.curv_xV, 2), _sum([(-1, ws.horizontal(ws.delta).tensor(v)),
+                                                     (-1, ws.hor_dsigma_J.tensor(u))]))]
+    add_tables("EQ-2.18", "curvature", "hor hor", eq_2_18)
 
-    add("EQ-2.17", "curvature", "hor hor", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.U, vs[1]),
-        ws.model.U.scale(-inner_product(vs[0], vs[1]))
-        + ws.model.V.scale(ws.dsig(vs[1], vs[0])
-                           - inner_product(ws.J(vs[0]), vs[1])))])
-    add("EQ-2.18", "curvature", "hor hor", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.V, vs[1]),
-        ws.model.V.scale(-inner_product(vs[0], vs[1]))
-        + ws.model.U.scale(inner_product(ws.J(vs[0]), vs[1])
-                           - ws.dsig(vs[1], vs[0])))])
-
-    add("EQ-2.19", "curvature", "hor", lambda ws, vs: [(
-        "", ws.R(ws.model.U, ws.model.V, vs[0]), ws.J(vs[0]))])
+    # R(U, V)X = JX
+    add_tables("EQ-2.19", "curvature", "hor", lambda ws: [
+        ("", hrows(ws, ws.curv_UV), ws.hor_J)])
 
     # EQ-2.20 (A = G, B = H) and EQ-2.21 (A = H, B = G): R(AX, AY, AZ, AW) =
     # R(X, Y, Z, W) - 2 <JZ, W> dsigma(X, Y) + 2 <BX, Y> dsigma(AZ, W)
@@ -478,85 +537,71 @@ def _registry() -> list[Identity]:
     add_tables("EQ-4.1", "curvature", "hor hor hor hor", lambda ws: [
         ("G", ws.curv_G, ws.curv_hor), ("H", ws.curv_H, ws.curv_hor)])
 
-    add("EQ-4.2", "curvature", "any", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.U, ws.model.U),
-        ws.hproj(vs[0]) + ws.model.V.scale(-2 * ws.dUV * ws.v(vs[0])))])
-    add("EQ-4.3", "curvature", "any", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.V, ws.model.V),
-        ws.hproj(vs[0]) + ws.model.U.scale(-2 * ws.dUV * ws.u(vs[0])))])
-    add("EQ-4.4", "curvature", "any", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.U, ws.model.V),
-        ws.G(ws.hproj(vs[0])).scale(ws.sig(ws.model.U))
-        + ws.nUH.apply(ws.hproj(vs[0])) - ws.J(ws.hproj(vs[0]))
-        + ws.model.U.scale(2 * ws.dUV * ws.v(vs[0])))])
-    add("EQ-4.5", "curvature", "any", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.V, ws.model.U),
-        ws.H(ws.hproj(vs[0])).scale(-ws.sig(ws.model.V))
-        + ws.nVG.apply(ws.hproj(vs[0])) + ws.J(ws.hproj(vs[0]))
-        + ws.model.V.scale(2 * ws.dUV * ws.u(vs[0])))])
-    add("EQ-4.6", "curvature", "any", lambda ws, vs: [(
-        "", ws.R(ws.model.U, ws.model.V, vs[0]),
-        ws.J(ws.hproj(vs[0])) + ws.vertical_mix(vs[0]).scale(2 * ws.dUV))])
+    # EQ-4.2 - EQ-4.10: the same for any X, Y, with terms in u, v and
+    # dsigma(U, V) added
+    add_tables("EQ-4.2", "curvature", "any", lambda ws: [
+        ("", ws.curv_xU.fix(1, ws.model.U_index),
+         ws.hor_delta.add([(-2 * ws.dUV, ws.forms[2].tensor(ws.forms[2]))]))])
+    add_tables("EQ-4.3", "curvature", "any", lambda ws: [
+        ("", ws.curv_xV.fix(1, ws.model.V_index),
+         ws.hor_delta.add([(-2 * ws.dUV, ws.forms[1].tensor(ws.forms[1]))]))])
+    add_tables("EQ-4.4", "curvature", "any", lambda ws: [
+        ("", ws.curv_xU.fix(1, ws.model.V_index),
+         ws.R_xUV.add([(2 * ws.dUV, ws.forms[2].tensor(ws.forms[1]))]))])
+    add_tables("EQ-4.5", "curvature", "any", lambda ws: [
+        ("", ws.curv_xV.fix(1, ws.model.U_index),
+         ws.R_xVU.add([(2 * ws.dUV, ws.forms[1].tensor(ws.forms[2]))]))])
+    add_tables("EQ-4.6", "curvature", "any", lambda ws: [
+        ("", ws.curv_UV, ws.hor_J.add([(2 * ws.dUV, ws.vertical_mix_table)]))])
 
-    def eq_4_7(ws: Workspace, vs) -> list[Clause]:
-        x, y = vs
-        x0, y0 = ws.hproj(x), ws.hproj(y)
-        rhs = (y0.scale(-ws.u(x))
-               + (ws.H(y0).scale(ws.sig(ws.model.V)) + ws.nVG.apply(y0)
-                  + ws.J(y0)).scale(ws.v(x))
-               + x0.scale(ws.u(y))
-               + (ws.H(x0).scale(-ws.sig(ws.model.V)) + ws.nVG.apply(x0)
-                  + ws.J(x0)).scale(ws.v(y))
-               + ws.model.V.scale(2 * (inner_product(x0, ws.J(y0))
-                                       + ws.dsig(x0, y0))
-                                  + 2 * ws.dUV * ws.uv_bilinear(x, y)))
-        return [("", ws.R(x, y, ws.model.U), rhs)]
-    add("EQ-4.7", "curvature", "any any", eq_4_7)
+    def eq_4_7(ws: Workspace) -> list[TableClause]:
+        """R(X, Y)U = -u(X) Y0 + v(X)(sigma(V) H Y0 + (nabla_V G) Y0 + J Y0)
+        + u(Y) X0 + v(Y) R_xVU + 2 (<X0, J Y0> + dsigma(X0, Y0)
+        + dsigma(U, V)(u(X)v(Y) - v(X)u(Y))) V."""
+        m, (_, u, v), (_, s_v) = ws.model, ws.forms, ws.sigma_UV
+        at_v = hrows(ws, _sum([(s_v, m.H), (1, ws.nVG), (1, m.J)]))
+        vertical = _sum([(2, ws.hor_J_dsigma), (2 * ws.dUV, ws.vertical_mix_table)])
+        return [("", ws.curv_xyU, _sum([(-1, u.tensor(ws.hor_delta)), (1, v.tensor(at_v)),
+                                        (1, _middle(u, ws.hor_delta)), (1, _middle(v, ws.R_xVU)),
+                                        (1, vertical.tensor(v))]))]
+    add_tables("EQ-4.7", "curvature", "any any", eq_4_7)
 
-    def eq_4_8(ws: Workspace, vs) -> list[Clause]:
-        x, y = vs
-        x0, y0 = ws.hproj(x), ws.hproj(y)
-        rhs = ((ws.G(y0).scale(ws.sig(ws.model.U)) + ws.nUH.apply(y0)
-                - ws.J(y0)).scale(-ws.u(x))
-               + y0.scale(-ws.v(x))
-               + (ws.G(x0).scale(-ws.sig(ws.model.U)) + ws.nUH.apply(x0)
-                  - ws.J(x0)).scale(ws.u(y))
-               + x0.scale(ws.v(y))
-               + ws.model.U.scale(-2 * (inner_product(x0, ws.J(y0))
-                                        + ws.dsig(x0, y0))
-                                  - 2 * ws.dUV * ws.uv_bilinear(x, y)))
-        return [("", ws.R(x, y, ws.model.V), rhs)]
-    add("EQ-4.8", "curvature", "any any", eq_4_8)
+    def eq_4_8(ws: Workspace) -> list[TableClause]:
+        """R(X, Y)V = -u(X) R_xUV(Y) - v(X) Y0 + u(Y)(-sigma(U) G X0
+        + (nabla_U H) X0 - J X0) + v(Y) X0 - 2 (<X0, J Y0> + dsigma(X0, Y0)
+        + dsigma(U, V)(u(X)v(Y) - v(X)u(Y))) U."""
+        m, (_, u, v), (s_u, _) = ws.model, ws.forms, ws.sigma_UV
+        at_u = hrows(ws, _sum([(-s_u, m.G), (1, ws.nUH), (-1, m.J)]))
+        vertical = _sum([(-2, ws.hor_J_dsigma), (-2 * ws.dUV, ws.vertical_mix_table)])
+        return [("", ws.curv_xyV, _sum([(-1, u.tensor(ws.R_xUV)), (-1, v.tensor(ws.hor_delta)),
+                                        (1, _middle(u, at_u)), (1, _middle(v, ws.hor_delta)),
+                                        (1, vertical.tensor(u))]))]
+    add_tables("EQ-4.8", "curvature", "any any", eq_4_8)
 
-    def eq_4_9(ws: Workspace, vs) -> list[Clause]:
-        x, y = vs
-        x0, y0 = ws.hproj(x), ws.hproj(y)
-        rhs = (x0.scale(ws.u(y))
-               - ws.J(y0).scale(ws.v(x))
-               + (ws.G(x0).scale(ws.sig(ws.model.U)) + ws.nUH.apply(x0)
-                  - ws.J(x0)).scale(ws.v(y))
-               + ws.model.U.scale(-inner_product(x0, y0)
-                                  - 2 * ws.dUV * ws.v(x) * ws.v(y))
-               + ws.model.V.scale(ws.dsig(y0, x0)
-                                  - inner_product(ws.J(x0), y0)
-                                  - 2 * ws.dUV * ws.v(x) * ws.u(y)))
-        return [("", ws.R(x, ws.model.U, y), rhs)]
-    add("EQ-4.9", "curvature", "any any", eq_4_9)
+    def eq_4_9(ws: Workspace) -> list[TableClause]:
+        """R(X, U)Y = u(Y) X0 - v(X) J Y0 + v(Y) R_xUV + (-<X0, Y0>
+        - 2 dsigma(U, V) v(X)v(Y)) U + (dsigma(Y0, X0) - <J X0, Y0>
+        - 2 dsigma(U, V) v(X)u(Y)) V."""
+        _, u, v = ws.forms
+        at_u = _sum([(-1, ws.horizontal(ws.delta)), (-2 * ws.dUV, v.tensor(v))])
+        at_v = ws.hor_dsigma_J.add([(-2 * ws.dUV, v.tensor(u))])
+        return [("", ws.curv_xU, _sum([(1, _middle(u, ws.hor_delta)), (-1, v.tensor(ws.hor_J)),
+                                       (1, _middle(v, ws.R_xUV)),
+                                       (1, at_u.tensor(u)), (1, at_v.tensor(v))]))]
+    add_tables("EQ-4.9", "curvature", "any any", eq_4_9)
 
-    def eq_4_10(ws: Workspace, vs) -> list[Clause]:
-        x, y = vs
-        x0, y0 = ws.hproj(x), ws.hproj(y)
-        rhs = (ws.J(y0).scale(ws.u(x))
-               + x0.scale(ws.v(y))
-               + (ws.H(x0).scale(-ws.sig(ws.model.U)) + ws.nVG.apply(x0)
-                  + ws.J(x0)).scale(ws.u(y))
-               + ws.model.V.scale(-inner_product(x0, y0)
-                                  + 2 * ws.dUV * ws.u(x) * ws.u(y))
-               + ws.model.U.scale(inner_product(ws.J(x0), y0)
-                                  - ws.dsig(y0, x0)
-                                  - 2 * ws.dUV * ws.u(x) * ws.v(y)))
-        return [("", ws.R(x, ws.model.V, y), rhs)]
-    add("EQ-4.10", "curvature", "any any", eq_4_10)
+    def eq_4_10(ws: Workspace) -> list[TableClause]:
+        """R(X, V)Y = u(X) J Y0 + v(Y) X0 + u(Y)(-sigma(U) H X0 + (nabla_V G) X0
+        + J X0) + (-<X0, Y0> + 2 dsigma(U, V) u(X)u(Y)) V + (<J X0, Y0>
+        - dsigma(Y0, X0) - 2 dsigma(U, V) u(X)v(Y)) U."""
+        m, (_, u, v), (s_u, _) = ws.model, ws.forms, ws.sigma_UV
+        at_y = hrows(ws, _sum([(-s_u, m.H), (1, ws.nVG), (1, m.J)]))
+        at_v = _sum([(-1, ws.horizontal(ws.delta)), (2 * ws.dUV, u.tensor(u))])
+        at_u = _sum([(-1, ws.hor_dsigma_J), (-2 * ws.dUV, u.tensor(v))])
+        return [("", ws.curv_xV, _sum([(1, u.tensor(ws.hor_J)), (1, _middle(v, ws.hor_delta)),
+                                       (1, _middle(u, at_y)),
+                                       (1, at_v.tensor(v)), (1, at_u.tensor(u))]))]
+    add_tables("EQ-4.10", "curvature", "any any", eq_4_10)
 
     def riemann_sym(ws: Workspace) -> IdentityResult:
         where = riemann_symmetry_failures(ws.curv)
@@ -591,45 +636,44 @@ def _registry() -> list[Identity]:
     add_direct("BIANCHI-2", "curvature", bianchi_2)
 
     # ----- ricci -----
-    add("EQ-5.1", "ricci", "hor hor", lambda ws, vs: [
-        ("G", ws.rho_val(ws.G(vs[0]), ws.G(vs[1])), ws.rho_val(vs[0], vs[1])),
-        ("H", ws.rho_val(ws.H(vs[0]), ws.H(vs[1])), ws.rho_val(vs[0], vs[1]))])
-    add("EQ-5.2", "ricci", "hor hor", lambda ws, vs: [
-        ("G", ws.rho_val(ws.G(vs[0]), vs[1]), -ws.rho_val(vs[0], ws.G(vs[1]))),
-        ("H", ws.rho_val(ws.H(vs[0]), vs[1]), -ws.rho_val(vs[0], ws.H(vs[1])))])
-    add("EQ-5.6", "ricci", "hor", lambda ws, vs: [
-        ("U", ws.rho_val(vs[0], ws.model.U), ZERO),
-        ("V", ws.rho_val(vs[0], ws.model.V), ZERO)])
+    # rho(AX, AY) = rho(X, Y) and rho(AX, Y) = -rho(X, AY) for A = G, H, on
+    # horizontal X, Y; rho(X, U) = rho(X, V) = 0 on horizontal X
+    add_tables("EQ-5.1", "ricci", "hor hor", lambda ws: [
+        (name, ws.rho.pullback(a, (0, 1), ws.model.horizontal_indices), ws.horizontal(ws.rho))
+        for name, a in (("G", ws.model.G), ("H", ws.model.H))])
+    add_tables("EQ-5.2", "ricci", "hor hor", lambda ws: [
+        (name, ws.rho.pullback(a, (0,), ws.model.horizontal_indices),
+         _sum([(-1, ws.rho.pullback(a, (1,), ws.model.horizontal_indices))]))
+        for name, a in (("G", ws.model.G), ("H", ws.model.H))])
+    add_tables("EQ-5.6", "ricci", "hor", lambda ws: [
+        (name, ws.horizontal(ws.rho.fix(1, w)), Table.from_values(ws.model.dim, 1, {}))
+        for name, w in (("U", ws.model.U_index), ("V", ws.model.V_index))])
 
-    def vertical_ricci_target(ws: Workspace) -> Scalar:
-        return 4 * ws.model.n - 2 * ws.dUV
+    # rho(U, U) = rho(V, V) = 4n - 2 dsigma(U, V), rho(U, V) = 0; and so
+    # rho(X, U) = (4n - 2 dsigma(U, V)) u(X), and for V
+    def eq_5_7(ws: Workspace) -> IdentityResult:
+        u, v, target = ws.model.U_index, ws.model.V_index, ws.ricci_target
+        return _first_scalar_failure("EQ-5.7", [("UU", ws.rho.entry(u, u), target),
+                                                ("VV", ws.rho.entry(v, v), target),
+                                                ("UV", ws.rho.entry(u, v), ZERO)])
+    add_direct("EQ-5.7", "ricci", eq_5_7)
+    add_tables("EQ-5.10", "ricci", "any", lambda ws: [
+        ("U", ws.rho.fix(1, ws.model.U_index), _sum([(ws.ricci_target, ws.forms[1])])),
+        ("V", ws.rho.fix(1, ws.model.V_index), _sum([(ws.ricci_target, ws.forms[2])]))])
 
-    add("EQ-5.7", "ricci", "", lambda ws, vs: [
-        ("UU", ws.rho_val(ws.model.U, ws.model.U), vertical_ricci_target(ws)),
-        ("VV", ws.rho_val(ws.model.V, ws.model.V), vertical_ricci_target(ws)),
-        ("UV", ws.rho_val(ws.model.U, ws.model.V), ZERO)])
-    add("EQ-5.10", "ricci", "any", lambda ws, vs: [
-        ("U", ws.rho_val(vs[0], ws.model.U),
-         vertical_ricci_target(ws) * ws.u(vs[0])),
-        ("V", ws.rho_val(vs[0], ws.model.V),
-         vertical_ricci_target(ws) * ws.v(vs[0]))])
-    add("EQ-5.11", "ricci", "any any", lambda ws, vs: [(
-        "", ws.rho_val(vs[0], vs[1]),
-        ws.rho_val(ws.hproj(vs[0]), ws.hproj(vs[1]))
-        + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
-                                       + ws.v(vs[0]) * ws.v(vs[1])))])
-    add("EQ-5.12", "ricci", "any any", lambda ws, vs: [
-        ("G", ws.rho_val(vs[0], vs[1]),
-         ws.rho_val(ws.G(vs[0]), ws.G(vs[1]))
-         + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
-                                        + ws.v(vs[0]) * ws.v(vs[1]))),
-        ("H", ws.rho_val(vs[0], vs[1]),
-         ws.rho_val(ws.H(vs[0]), ws.H(vs[1]))
-         + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
-                                        + ws.v(vs[0]) * ws.v(vs[1])))])
-    add("EQ-5.13", "ricci", "any", lambda ws, vs: [
-        ("G", ws.Q.apply(ws.G(vs[0])), ws.G(ws.Q.apply(vs[0]))),
-        ("H", ws.Q.apply(ws.H(vs[0])), ws.H(ws.Q.apply(vs[0])))])
+    # rho(X, Y) = rho(X0, Y0) + (4n - 2 dsigma(U, V))(u(X)u(Y) + v(X)v(Y)),
+    # and rho(X0, Y0) = rho(AX, AY) for A = G, H
+    add_tables("EQ-5.11", "ricci", "any any", lambda ws: [
+        ("", ws.rho, ws.horizontal(ws.rho).add([(ws.ricci_target, ws.vertical_square)]))])
+    add_tables("EQ-5.12", "ricci", "any any", lambda ws: [
+        (name, ws.rho, ws.rho.pullback(a, (0, 1), range(ws.model.dim)).add(
+            [(ws.ricci_target, ws.vertical_square)]))
+        for name, a in (("G", ws.model.G), ("H", ws.model.H))])
+
+    # Q commutes with G and H
+    add_tables("EQ-5.13", "ricci", "any", lambda ws: [
+        (name, ws.Q.compose(a), a.compose(ws.Q)) for name, a in (("G", ws.model.G),
+                                                               ("H", ws.model.H))])
 
     return ids
 
@@ -664,7 +708,7 @@ def run_suite(m: ManifoldModel, selector: str = "all") -> SuiteReport:
         if ident.direct is not None:
             results.append(ident.direct(ws))
         else:
-            results.append(_run_slots(ws, ident))
+            results.append(_run_tables(ws, ident))
     results.sort(key=lambda r: _natural_key(r.identity_id))
     return SuiteReport(m.name, selector, tuple(results))
 

@@ -57,6 +57,13 @@ def random_rational_vector(rng: random.Random, dim: int) -> FrameVector:
                              for _ in range(dim)))
 
 
+def horizontal_projection(m: ManifoldModel, x: FrameVector) -> FrameVector:
+    """X - u(X) U - v(X) V: the vector with its two vertical coefficients zeroed."""
+    coeffs = list(x.coefficients)
+    coeffs[m.U_index] = coeffs[m.V_index] = Fraction(0)
+    return FrameVector(tuple(coeffs))
+
+
 def make_nilpotent_model(seed: int) -> ManifoldModel:
     """Random two-step nilpotent perturbation of the bundled model.
 

@@ -373,6 +373,28 @@ class TestErrorPaths:
         assert err == (f"ccmv: a computed value has more than "
                        f"{sys.get_int_max_str_digits()} decimal digits and cannot be printed\n")
 
+    # a 5,001-digit value passes the interpreter's limit on converting text
+    # to an int; the message names the limit, not the interpreter setting
+    def test_overlong_bracket_exits_2_with_a_message(self, capsys, tmp_path):
+        line = "bracket 0 2 4 -2"
+        line_no = HEISENBERG_CCM.splitlines().index(line) + 1
+        big = tmp_path / "big.ccm"
+        big.write_text(HEISENBERG_CCM.replace(line, "bracket 0 2 4 -1" + "0" * 5000))
+        code, out, err = run_cli(capsys, "validate", str(big))
+        assert (code, out) == (2, "")
+        assert f"line {line_no}: a value has more than " in err
+        assert "Traceback" not in err and "set_int_max_str_digits" not in err
+        assert "0" * 100 not in err
+
+    def test_overlong_expected_value_exits_2_with_a_message(self, capsys, tmp_path,
+                                                           heis_path):
+        bad = tmp_path / "big.ccmx"
+        bad.write_text("scal = -8\nscal = 1" + "0" * 5000 + "\n")
+        code, out, err = run_cli(capsys, "diff", heis_path, "--expected", str(bad))
+        assert (code, out) == (2, "")
+        assert err == (f"ccmv: {bad}: line 2: a value has more than "
+                       f"{sys.get_int_max_str_digits()} decimal digits\n")
+
     def test_non_lie_model_rejected(self, capsys, tmp_path):
         bad = tmp_path / "nonlie.ccm"
         bad.write_text("version 1\nname nonlie\nn 1\n"

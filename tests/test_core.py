@@ -1,6 +1,7 @@
 """Exact arithmetic primitives."""
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -23,7 +24,6 @@ from ccmv.core import (
     outer,
     parse_scalar,
     parse_sparse_vector,
-    vector_combine,
 )
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -37,6 +37,15 @@ class TestScalarText:
 
     def test_parse_fraction(self):
         assert parse_scalar("3/4") == Fraction(3, 4)
+
+    def test_parse_names_the_digit_limit(self):
+        # the interpreter's own message advises sys.set_int_max_str_digits()
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ValueError) as info:
+            parse_scalar("7" * (limit + 701))
+        assert str(info.value) == f"a value has more than {limit} decimal digits"
+        with pytest.raises(ValueError, match="more than"):
+            parse_scalar("1/" + "3" * (limit + 1))
 
     def test_format_integer(self):
         assert format_scalar(Fraction(-2)) == "-2"
@@ -75,16 +84,6 @@ class TestFrameVector:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             FrameVector.from_coeffs([1]) + FrameVector.from_coeffs([1, 2])
-
-    def test_vector_combine(self):
-        x = FrameVector.basis(3, 0)
-        y = FrameVector.basis(3, 2)
-        combo = vector_combine([(Fraction(2), x), (Fraction(-1), y)])
-        assert combo.coefficients == (2, 0, -1)
-
-    def test_vector_combine_empty_rejected(self):
-        with pytest.raises(ValueError):
-            vector_combine([])
 
     @given(vectors6, vectors6, rationals)
     @settings(max_examples=30, deadline=None)
@@ -205,7 +204,7 @@ def tables_and_vectors(draw, rank):
 
 
 class TestTable:
-    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @given(data=st.data())
     @settings(max_examples=40, deadline=None)
     def test_contract_matches_dense_sum(self, rank, data):
@@ -313,6 +312,40 @@ class TestTable:
         # the copy is built once, and `==` does not see it
         assert table.scaled is table.scaled
         assert table == Table.from_values(dim, 3, values)
+
+    @pytest.mark.parametrize("rank", [2, 3, 4])
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_tree_walks_equal_tables_built_from_values(self, rank, data):
+        # fix, restrict and tensor build their trees directly; each must be
+        # the table from_values builds from the same entries, empty
+        # subtrees pruned, or `==` would tell them apart
+        values, dim, _ = data.draw(tables_and_vectors(rank))
+        table = Table.from_values(dim, rank, values)
+        stored = dict(table.items())
+        slot, index = data.draw(st.integers(0, rank - 1)), data.draw(st.integers(0, dim - 1))
+        assert table.fix(slot, index) == Table.from_values(dim, rank - 1, {
+            key[:slot] + key[slot + 1:]: a for key, a in stored.items() if key[slot] == index})
+        keep, width = range(data.draw(st.integers(0, dim))), data.draw(st.integers(0, rank))
+        assert table.restrict(keep, width) == Table.from_values(dim, rank, {
+            key: a for key, a in stored.items() if all(i in keep for i in key[:width])})
+        assert table.restrict(keep) == table.restrict(keep, rank)
+        form = Table.from_values(dim, 1, {(i,): c for i, c in enumerate(data.draw(st.lists(
+            sparse_rationals, min_size=dim, max_size=dim))) if c})
+        for left, right in ((table, form), (form, table)):
+            assert left.tensor(right) == Table.from_values(dim, rank + 1, {
+                head + tail: x * y for head, x in left.items() for tail, y in right.items()})
+
+    def test_fix_reads_one_slot(self):
+        table = Table.from_values(3, 3, {(0, 1, 2): Fraction(1), (2, 1, 0): Fraction(-2),
+                                         (2, 0, 2): Fraction(3)})
+        assert table.fix(1, 1).items() == [((0, 2), 1), ((2, 0), -2)]
+        assert table.fix(2, 2).items() == [((0, 1), 1), ((2, 0), 3)]
+        assert table.fix(0, 2).fix(0, 0).items() == [((2,), 3)]
+        assert table.fix(0, 1) == Table.from_values(3, 2, {})
+        assert type(Endomorphism.identity(3).fix(0, 1)) is Table
+        with pytest.raises(ValueError, match="rank 2 or more"):
+            table.fix(0, 0).fix(0, 2).fix(0, 0)
 
     def test_add_and_permute_reject_mismatched_slots(self):
         table = Table.from_values(2, 2, {(0, 1): Fraction(1)})

@@ -2,19 +2,21 @@
 
 Each reference below is the dense index-range formula, kept here as an
 independent second route: the Jacobi sweep, the curvature assembly, the
-exhaustive second-Bianchi sweep, the frame sweeps and product-order index
-sweeps of the Riemann symmetries and of the first Bianchi identity, the
-per-tuple evaluators of EQ-2.20, EQ-2.21 and EQ-4.1, the per-vector
+exhaustive second-Bianchi sweep, the product-order index sweeps of the
+Riemann symmetries and of the first Bianchi identity, the per-vector
 formulas of nabla G/H/J, the torsions, S, T and the Prop. 2.1 and Thm. 4.5
-right-hand sides with the three normality route loops and the evaluators
-of EQ-2.4, EQ-2.5, EQ-2.6, EQ-4.12 and EQ-4.13, the pullback of a table
-through an endomorphism, and the quadrilinear and trilinear
-contractions.  The random-sample phase the engine dropped is kept here
-too, as a reference the suite's rows must equal.  They are compared on
-the bundled model, generated nilpotent perturbations, the n=2
-block-diagonal model, systematic mutations and single-entry bumps of the
-bundled model, random two-step nilpotent models with random structure
-tensors, and random sparse 4-tensors.
+right-hand sides with the three normality route loops, the pullback of a
+table through an endomorphism, and the quadrilinear and trilinear
+contractions.  Every identity the engine checks as a table equation keeps
+its per-tuple evaluator here, on the per-vector layer the engine dropped
+(`VectorWorkspace`), with the frame sweep that ran it (`reference_sweep`);
+so do RIEM-SYM and BIANCHI-1, and the slotless EQ-2.11 and EQ-5.7.  The
+random-sample phase the engine dropped is kept here too, as a reference
+the suite's rows must equal.  They are compared on the bundled model,
+generated nilpotent perturbations, the n=2 block-diagonal model,
+systematic mutations and single-entry bumps of the bundled model, random
+two-step nilpotent models with random structure tensors, and random
+sparse 4-tensors.
 """
 from __future__ import annotations
 
@@ -23,8 +25,9 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import chain, product
 from types import SimpleNamespace
+from typing import Callable
 
 import pytest
 from hypothesis import assume, given, settings
@@ -36,6 +39,7 @@ from ccmv import (
     Endomorphism,
     FrameVector,
     ManifoldModel,
+    OneForm,
     Status,
     StructureConstants,
     Table,
@@ -55,18 +59,23 @@ from ccmv import (
     suite_tsv_rows,
 )
 from ccmv.curvature import add_nabla_r, first_bianchi_cyclic_sum, first_bianchi_failures
-from ccmv.structures import NormalityReport, RouteResult, check_normality
+from ccmv.structures import NormalityReport, RouteResult, check_normality, first_table_failure
 from ccmv.verify import (
     REGISTRY,
     Identity,
     IdentityResult,
     SuiteReport,
     Workspace,
-    _run_slots,
+    _run_tables,
     registry_ids,
     render_witness,
 )
-from conftest import make_heisenberg_model, make_nilpotent_model, random_rational_vector
+from conftest import (
+    horizontal_projection,
+    make_heisenberg_model,
+    make_nilpotent_model,
+    random_rational_vector,
+)
 
 ZERO = Fraction(0)
 
@@ -182,38 +191,442 @@ def dense_contract3(t: Tensor4, x, y, z) -> FrameVector:
         for el in range(d)))
 
 
+# ----- the per-vector layer and the frame sweep the engine dropped -----
+
+class VectorWorkspace(Workspace):
+    """A workspace with the per-vector accessors the references read: the
+    structure tensors applied to frame vectors, and the stored tables
+    contracted with them."""
+
+    def __init__(self, m: ManifoldModel):
+        super().__init__(m)
+        self.basis = [m.basis(i) for i in range(m.dim)]
+
+    def G(self, x: FrameVector) -> FrameVector:
+        return self.model.G.apply(x)
+
+    def H(self, x: FrameVector) -> FrameVector:
+        return self.model.H.apply(x)
+
+    def J(self, x: FrameVector) -> FrameVector:
+        return self.model.J.apply(x)
+
+    def u(self, x: FrameVector) -> Fraction:
+        return self.model.u.value(x)
+
+    def v(self, x: FrameVector) -> Fraction:
+        return self.model.v.value(x)
+
+    def sig(self, x: FrameVector) -> Fraction:
+        return self.sigma.value(x)
+
+    def dsig(self, x: FrameVector, y: FrameVector) -> Fraction:
+        return self.dsigma.value(x, y)
+
+    def hproj(self, x: FrameVector) -> FrameVector:
+        return horizontal_projection(self.model, x)
+
+    def uv_bilinear(self, x: FrameVector, y: FrameVector) -> Fraction:
+        """u(X)v(Y) - v(X)u(Y)."""
+        return self.u(x) * self.v(y) - self.v(x) * self.u(y)
+
+    def vertical_mix(self, y: FrameVector) -> FrameVector:
+        """u(Y) V - v(Y) U."""
+        return self.model.V.scale(self.u(y)) - self.model.U.scale(self.v(y))
+
+    def nabla(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        return self.conn.contract(x, y)
+
+    def cov_form(self, x: FrameVector, w: OneForm) -> OneForm:
+        """(nabla_X w)(e_j) = -w(nabla_X e_j)."""
+        return OneForm(tuple(-w.value(self.nabla(x, e)) for e in self.basis))
+
+    def cov_J(self, x: FrameVector, y: FrameVector) -> FrameVector:
+        return self.nabla_J.contract(x, y)
+
+    def R(self, x: FrameVector, y: FrameVector, z: FrameVector) -> FrameVector:
+        return self.curv.contract(x, y, z)
+
+    def R4(self, x: FrameVector, y: FrameVector, z: FrameVector, w: FrameVector) -> Fraction:
+        return self.curv.contract(x, y, z, w)
+
+    def rho_val(self, x: FrameVector, y: FrameVector) -> Fraction:
+        return self.rho.value(x, y)
+
+
+# The per-tuple evaluators the table identities replaced: for each id, the
+# slot kinds, and a function of the workspace and one frame vector per slot
+# that returns the (clause, lhs, rhs) triples.  Each side is a vector
+# expression in the accessors above.
+REFERENCES: dict[str, tuple[tuple[str, ...], Callable]] = {}
+
+
+def _references() -> None:
+    def reference(identity_id: str, slots: str, fn) -> None:
+        REFERENCES[identity_id] = (tuple(slots.split()), fn)
+
+    reference("AX-du", "any any", lambda ws, vs: [(
+        "", ws.du.value(vs[0], vs[1]),
+        inner_product(vs[0], ws.G(vs[1])) + ws.wedge_sigma_v.value(vs[0], vs[1]))])
+
+    reference("AX-dv", "any any", lambda ws, vs: [(
+        "", ws.dv.value(vs[0], vs[1]),
+        inner_product(vs[0], ws.H(vs[1])) - ws.wedge_sigma_u.value(vs[0], vs[1]))])
+
+    # ----- contact: structure-tensor derivative identities -----
+    reference("EQ-2.1", "any", lambda ws, vs: [
+        ("U", ws.nUG.apply(vs[0]), ws.H(vs[0]).scale(ws.sig(ws.model.U))),
+        ("V", ws.nVH.apply(vs[0]), ws.G(vs[0]).scale(-ws.sig(ws.model.V)))])
+
+    reference("EQ-2.7", "any", lambda ws, vs: [
+        ("U", ws.nabla(vs[0], ws.model.U),
+         -ws.G(vs[0]) + ws.model.V.scale(ws.sig(vs[0]))),
+        ("V", ws.nabla(vs[0], ws.model.V),
+         -ws.H(vs[0]) - ws.model.U.scale(ws.sig(vs[0])))])
+
+    reference("EQ-2.8", "", lambda ws, vs: [
+        ("UU", ws.nabla(ws.model.U, ws.model.U),
+         ws.model.V.scale(ws.sig(ws.model.U))),
+        ("UV", ws.nabla(ws.model.U, ws.model.V),
+         ws.model.U.scale(-ws.sig(ws.model.U))),
+        ("VU", ws.nabla(ws.model.V, ws.model.U),
+         ws.model.V.scale(ws.sig(ws.model.V))),
+        ("VV", ws.nabla(ws.model.V, ws.model.V),
+         ws.model.U.scale(-ws.sig(ws.model.V)))])
+
+    reference("EQ-2.9", "any any", lambda ws, vs: [
+        ("GH", ws.dsig(ws.G(vs[0]), ws.G(vs[1])),
+         ws.dsig(ws.H(vs[0]), ws.H(vs[1]))),
+        ("flip", ws.dsig(ws.G(vs[0]), ws.G(vs[1])),
+         ws.dsig(vs[1], vs[0]) - 2 * ws.uv_bilinear(vs[1], vs[0]) * ws.dUV)])
+
+    reference("EQ-2.10", "any", lambda ws, vs: [
+        ("U", ws.dsig(ws.model.U, vs[0]), ws.v(vs[0]) * ws.dUV),
+        ("V", ws.dsig(ws.model.V, vs[0]), -ws.u(vs[0]) * ws.dUV)])
+
+    reference("EQ-2.22", "hor hor", lambda ws, vs: [(
+        "", ws.dsig(vs[0], vs[1]),
+        2 * inner_product(ws.J(vs[0]), vs[1])
+        + inner_product(ws.nUJ.apply(ws.G(vs[0])), vs[1]))])
+
+    reference("EQ-3.1", "any any", lambda ws, vs: [
+        ("u", ws.cov_form(vs[0], ws.model.u).value(vs[1]),
+         inner_product(vs[0], ws.G(vs[1])) + ws.sig(vs[0]) * ws.v(vs[1])),
+        ("v", ws.cov_form(vs[0], ws.model.v).value(vs[1]),
+         inner_product(vs[0], ws.H(vs[1])) - ws.sig(vs[0]) * ws.u(vs[1]))])
+
+    def eq_3_2_block(ws: Workspace, vs) -> list:
+        x = vs[0]
+        U, V = ws.model.U, ws.model.V
+        return [
+            ("GU.V", inner_product(ws.nUG.apply(x), V), ZERO),
+            ("HU.V", inner_product(ws.nUH.apply(x), V), ZERO),
+            ("GU.U", inner_product(ws.nUG.apply(x), U), ZERO),
+            ("HU.U", inner_product(ws.nUH.apply(x), U), ZERO),
+            ("GV.U", inner_product(ws.nVG.apply(x), U), ZERO),
+            ("HV.U", inner_product(ws.nVH.apply(x), U), ZERO),
+            ("GV.V", inner_product(ws.nVG.apply(x), V), ZERO),
+            ("HV.V", inner_product(ws.nVH.apply(x), V), ZERO),
+            ("JU.V", inner_product(ws.nUJ.apply(x), V), ZERO),
+            ("JU.U", inner_product(ws.nUJ.apply(x), U), ZERO),
+            ("JV.U", inner_product(ws.nVJ.apply(x), U), ZERO),
+            ("JV.V", inner_product(ws.nVJ.apply(x), V), ZERO),
+        ]
+
+    reference("EQ-3.2-BLOCK", "hor", eq_3_2_block)
+
+    for eq_id, attr_u, attr_v in (("EQ-3.3", "nUG", "nVG"),
+                                  ("EQ-3.4", "nUH", "nVH"),
+                                  ("EQ-3.5", "nUJ", "nVJ")):
+        def projector(ws: Workspace, vs, a=attr_u, b=attr_v) -> list:
+            x = vs[0]
+            return [("U", getattr(ws, a).apply(x), getattr(ws, a).apply(ws.hproj(x))),
+                    ("V", getattr(ws, b).apply(x), getattr(ws, b).apply(ws.hproj(x)))]
+        reference(eq_id, "any", projector)
+
+    reference("EQ-3.6", "any any", lambda ws, vs: [(
+        "", inner_product(ws.nUG.apply(vs[0]), vs[1]),
+        ws.sig(ws.model.U) * inner_product(ws.H(ws.hproj(vs[0])), ws.hproj(vs[1])))])
+
+    reference("EQ-3.7", "any any", lambda ws, vs: [(
+        "", inner_product(ws.nVG.apply(vs[0]), vs[1]),
+        ws.sig(ws.model.V) * inner_product(ws.H(ws.hproj(vs[0])), ws.hproj(vs[1]))
+        + ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
+        - 2 * inner_product(ws.J(ws.hproj(vs[0])), ws.hproj(vs[1])))])
+
+    reference("EQ-3.8", "any any", lambda ws, vs: [(
+        "", inner_product(ws.nVH.apply(vs[0]), vs[1]),
+        -ws.sig(ws.model.V) * inner_product(ws.G(ws.hproj(vs[0])), ws.hproj(vs[1])))])
+
+    reference("EQ-3.9", "any any", lambda ws, vs: [(
+        "", inner_product(ws.nUH.apply(vs[0]), vs[1]),
+        -ws.sig(ws.model.U) * inner_product(ws.G(ws.hproj(vs[0])), ws.hproj(vs[1]))
+        - ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
+        + 2 * inner_product(ws.J(ws.hproj(vs[0])), ws.hproj(vs[1])))])
+
+    reference("EQ-3.10", "any any", lambda ws, vs: [(
+        "", inner_product(ws.nUJ.apply(ws.G(vs[0])), vs[1]),
+        -ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
+        - 2 * inner_product(ws.J(ws.hproj(vs[0])), ws.hproj(vs[1])))])
+
+    reference("EQ-3.11", "any any", lambda ws, vs: [(
+        "", inner_product(ws.nVJ.apply(ws.G(vs[0])), vs[1]),
+        ws.dsig(ws.hproj(vs[1]), ws.G(ws.hproj(vs[0])))
+        - 2 * inner_product(ws.H(ws.hproj(vs[0])), ws.hproj(vs[1])))])
+
+    reference("EQ-4.11", "any any", lambda ws, vs: [(
+        "", ws.dsig(vs[0], vs[1]),
+        2 * inner_product(ws.J(ws.hproj(vs[0])), ws.hproj(vs[1]))
+        + inner_product(ws.nUJ.apply(ws.G(ws.hproj(vs[0]))), ws.hproj(vs[1]))
+        + ws.dUV * ws.uv_bilinear(vs[0], vs[1]))])
+
+    reference("EQ-4.14", "any any", lambda ws, vs: [(
+        "", ws.cov_J(vs[0], vs[1]),
+        ws.H(vs[1]).scale(-2 * ws.u(vs[0]))
+        + ws.G(vs[1]).scale(2 * ws.v(vs[0]))
+        + (ws.H(ws.hproj(vs[1])).scale(2)
+           + ws.nUJ.apply(ws.hproj(vs[1]))).scale(ws.u(vs[0]))
+        + (ws.G(ws.hproj(vs[1])).scale(-2)
+           + ws.nUJ.apply(ws.J(ws.hproj(vs[1])))).scale(ws.v(vs[0])))])
+
+    # ----- curvature -----
+    reference("EQ-2.11", "", lambda ws, vs: [
+        ("UVVU", ws.R4(ws.model.U, ws.model.V, ws.model.V, ws.model.U),
+         -2 * ws.dUV),
+        ("VUUV", ws.R4(ws.model.V, ws.model.U, ws.model.U, ws.model.V),
+         -2 * ws.dUV)])
+
+    reference("EQ-2.12", "hor", lambda ws, vs: [
+        ("U", ws.R(vs[0], ws.model.U, ws.model.U), vs[0]),
+        ("V", ws.R(vs[0], ws.model.V, ws.model.V), vs[0])])
+
+    reference("EQ-2.13", "hor hor", lambda ws, vs: [(
+        "", ws.R(vs[0], vs[1], ws.model.U),
+        ws.model.V.scale(2 * (inner_product(vs[0], ws.J(vs[1]))
+                              + ws.dsig(vs[0], vs[1]))))])
+
+    reference("EQ-2.14", "hor hor", lambda ws, vs: [(
+        "", ws.R(vs[0], vs[1], ws.model.V),
+        ws.model.U.scale(-2 * (inner_product(vs[0], ws.J(vs[1]))
+                               + ws.dsig(vs[0], vs[1]))))])
+
+    reference("EQ-2.15", "hor", lambda ws, vs: [(
+        "", ws.R(vs[0], ws.model.U, ws.model.V),
+        ws.G(vs[0]).scale(ws.sig(ws.model.U)) + ws.nUH.apply(vs[0]) - ws.J(vs[0]))])
+
+    reference("EQ-2.16", "hor", lambda ws, vs: [(
+        "", ws.R(vs[0], ws.model.V, ws.model.U),
+        ws.H(vs[0]).scale(-ws.sig(ws.model.V)) + ws.nVG.apply(vs[0]) + ws.J(vs[0]))])
+
+    reference("EQ-2.17", "hor hor", lambda ws, vs: [(
+        "", ws.R(vs[0], ws.model.U, vs[1]),
+        ws.model.U.scale(-inner_product(vs[0], vs[1]))
+        + ws.model.V.scale(ws.dsig(vs[1], vs[0])
+                           - inner_product(ws.J(vs[0]), vs[1])))])
+
+    reference("EQ-2.18", "hor hor", lambda ws, vs: [(
+        "", ws.R(vs[0], ws.model.V, vs[1]),
+        ws.model.V.scale(-inner_product(vs[0], vs[1]))
+        + ws.model.U.scale(inner_product(ws.J(vs[0]), vs[1])
+                           - ws.dsig(vs[1], vs[0])))])
+
+    reference("EQ-2.19", "hor", lambda ws, vs: [(
+        "", ws.R(ws.model.U, ws.model.V, vs[0]), ws.J(vs[0]))])
+
+    reference("EQ-4.2", "any", lambda ws, vs: [(
+        "", ws.R(vs[0], ws.model.U, ws.model.U),
+        ws.hproj(vs[0]) + ws.model.V.scale(-2 * ws.dUV * ws.v(vs[0])))])
+
+    reference("EQ-4.3", "any", lambda ws, vs: [(
+        "", ws.R(vs[0], ws.model.V, ws.model.V),
+        ws.hproj(vs[0]) + ws.model.U.scale(-2 * ws.dUV * ws.u(vs[0])))])
+
+    reference("EQ-4.4", "any", lambda ws, vs: [(
+        "", ws.R(vs[0], ws.model.U, ws.model.V),
+        ws.G(ws.hproj(vs[0])).scale(ws.sig(ws.model.U))
+        + ws.nUH.apply(ws.hproj(vs[0])) - ws.J(ws.hproj(vs[0]))
+        + ws.model.U.scale(2 * ws.dUV * ws.v(vs[0])))])
+
+    reference("EQ-4.5", "any", lambda ws, vs: [(
+        "", ws.R(vs[0], ws.model.V, ws.model.U),
+        ws.H(ws.hproj(vs[0])).scale(-ws.sig(ws.model.V))
+        + ws.nVG.apply(ws.hproj(vs[0])) + ws.J(ws.hproj(vs[0]))
+        + ws.model.V.scale(2 * ws.dUV * ws.u(vs[0])))])
+
+    reference("EQ-4.6", "any", lambda ws, vs: [(
+        "", ws.R(ws.model.U, ws.model.V, vs[0]),
+        ws.J(ws.hproj(vs[0])) + ws.vertical_mix(vs[0]).scale(2 * ws.dUV))])
+
+    def eq_4_7(ws: Workspace, vs) -> list:
+        x, y = vs
+        x0, y0 = ws.hproj(x), ws.hproj(y)
+        rhs = (y0.scale(-ws.u(x))
+               + (ws.H(y0).scale(ws.sig(ws.model.V)) + ws.nVG.apply(y0)
+                  + ws.J(y0)).scale(ws.v(x))
+               + x0.scale(ws.u(y))
+               + (ws.H(x0).scale(-ws.sig(ws.model.V)) + ws.nVG.apply(x0)
+                  + ws.J(x0)).scale(ws.v(y))
+               + ws.model.V.scale(2 * (inner_product(x0, ws.J(y0))
+                                       + ws.dsig(x0, y0))
+                                  + 2 * ws.dUV * ws.uv_bilinear(x, y)))
+        return [("", ws.R(x, y, ws.model.U), rhs)]
+
+    reference("EQ-4.7", "any any", eq_4_7)
+
+    def eq_4_8(ws: Workspace, vs) -> list:
+        x, y = vs
+        x0, y0 = ws.hproj(x), ws.hproj(y)
+        rhs = ((ws.G(y0).scale(ws.sig(ws.model.U)) + ws.nUH.apply(y0)
+                - ws.J(y0)).scale(-ws.u(x))
+               + y0.scale(-ws.v(x))
+               + (ws.G(x0).scale(-ws.sig(ws.model.U)) + ws.nUH.apply(x0)
+                  - ws.J(x0)).scale(ws.u(y))
+               + x0.scale(ws.v(y))
+               + ws.model.U.scale(-2 * (inner_product(x0, ws.J(y0))
+                                        + ws.dsig(x0, y0))
+                                  - 2 * ws.dUV * ws.uv_bilinear(x, y)))
+        return [("", ws.R(x, y, ws.model.V), rhs)]
+
+    reference("EQ-4.8", "any any", eq_4_8)
+
+    def eq_4_9(ws: Workspace, vs) -> list:
+        x, y = vs
+        x0, y0 = ws.hproj(x), ws.hproj(y)
+        rhs = (x0.scale(ws.u(y))
+               - ws.J(y0).scale(ws.v(x))
+               + (ws.G(x0).scale(ws.sig(ws.model.U)) + ws.nUH.apply(x0)
+                  - ws.J(x0)).scale(ws.v(y))
+               + ws.model.U.scale(-inner_product(x0, y0)
+                                  - 2 * ws.dUV * ws.v(x) * ws.v(y))
+               + ws.model.V.scale(ws.dsig(y0, x0)
+                                  - inner_product(ws.J(x0), y0)
+                                  - 2 * ws.dUV * ws.v(x) * ws.u(y)))
+        return [("", ws.R(x, ws.model.U, y), rhs)]
+
+    reference("EQ-4.9", "any any", eq_4_9)
+
+    def eq_4_10(ws: Workspace, vs) -> list:
+        x, y = vs
+        x0, y0 = ws.hproj(x), ws.hproj(y)
+        rhs = (ws.J(y0).scale(ws.u(x))
+               + x0.scale(ws.v(y))
+               + (ws.H(x0).scale(-ws.sig(ws.model.U)) + ws.nVG.apply(x0)
+                  + ws.J(x0)).scale(ws.u(y))
+               + ws.model.V.scale(-inner_product(x0, y0)
+                                  + 2 * ws.dUV * ws.u(x) * ws.u(y))
+               + ws.model.U.scale(inner_product(ws.J(x0), y0)
+                                  - ws.dsig(y0, x0)
+                                  - 2 * ws.dUV * ws.u(x) * ws.v(y)))
+        return [("", ws.R(x, ws.model.V, y), rhs)]
+
+    reference("EQ-4.10", "any any", eq_4_10)
+
+    # ----- ricci -----
+    reference("EQ-5.1", "hor hor", lambda ws, vs: [
+        ("G", ws.rho_val(ws.G(vs[0]), ws.G(vs[1])), ws.rho_val(vs[0], vs[1])),
+        ("H", ws.rho_val(ws.H(vs[0]), ws.H(vs[1])), ws.rho_val(vs[0], vs[1]))])
+
+    reference("EQ-5.2", "hor hor", lambda ws, vs: [
+        ("G", ws.rho_val(ws.G(vs[0]), vs[1]), -ws.rho_val(vs[0], ws.G(vs[1]))),
+        ("H", ws.rho_val(ws.H(vs[0]), vs[1]), -ws.rho_val(vs[0], ws.H(vs[1])))])
+
+    reference("EQ-5.6", "hor", lambda ws, vs: [
+        ("U", ws.rho_val(vs[0], ws.model.U), ZERO),
+        ("V", ws.rho_val(vs[0], ws.model.V), ZERO)])
+
+    def vertical_ricci_target(ws: Workspace) -> Fraction:
+        return 4 * ws.model.n - 2 * ws.dUV
+
+    reference("EQ-5.7", "", lambda ws, vs: [
+        ("UU", ws.rho_val(ws.model.U, ws.model.U), vertical_ricci_target(ws)),
+        ("VV", ws.rho_val(ws.model.V, ws.model.V), vertical_ricci_target(ws)),
+        ("UV", ws.rho_val(ws.model.U, ws.model.V), ZERO)])
+
+    reference("EQ-5.10", "any", lambda ws, vs: [
+        ("U", ws.rho_val(vs[0], ws.model.U),
+         vertical_ricci_target(ws) * ws.u(vs[0])),
+        ("V", ws.rho_val(vs[0], ws.model.V),
+         vertical_ricci_target(ws) * ws.v(vs[0]))])
+
+    reference("EQ-5.11", "any any", lambda ws, vs: [(
+        "", ws.rho_val(vs[0], vs[1]),
+        ws.rho_val(ws.hproj(vs[0]), ws.hproj(vs[1]))
+        + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
+                                       + ws.v(vs[0]) * ws.v(vs[1])))])
+
+    reference("EQ-5.12", "any any", lambda ws, vs: [
+        ("G", ws.rho_val(vs[0], vs[1]),
+         ws.rho_val(ws.G(vs[0]), ws.G(vs[1]))
+         + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
+                                        + ws.v(vs[0]) * ws.v(vs[1]))),
+        ("H", ws.rho_val(vs[0], vs[1]),
+         ws.rho_val(ws.H(vs[0]), ws.H(vs[1]))
+         + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
+                                        + ws.v(vs[0]) * ws.v(vs[1])))])
+
+    reference("EQ-5.13", "any", lambda ws, vs: [
+        ("G", ws.Q.apply(ws.G(vs[0])), ws.G(ws.Q.apply(vs[0]))),
+        ("H", ws.Q.apply(ws.H(vs[0])), ws.H(ws.Q.apply(vs[0])))])
+
+_references()
+# the identities that were swept frame tuple by frame tuple until the
+# registry held only tables and direct checks
+CONVERTED_IDS = sorted(REFERENCES)
+
+
+def first_failure(identity_id: str, evaluate, points) -> IdentityResult:
+    """The first clause that fails at the first (where, vectors) point."""
+    for where, vectors in points:
+        for clause, lhs, rhs in evaluate(vectors):
+            if lhs != rhs:
+                return IdentityResult(identity_id, Status.FAIL,
+                                      render_witness(where, clause, lhs, rhs))
+    return IdentityResult(identity_id, Status.PASS)
+
+
+def sample_points(ws: Workspace, identity_id: str, slots, samples: int, seed: int):
+    """`samples` tuples of random rational vectors (horizontally projected
+    in `hor` slots), drawn from a stream seeded by `seed` and the id."""
+    rng = random.Random(f"{seed}:{identity_id}")
+    for sample_index in range(samples):
+        vectors = []
+        for kind in slots:
+            vec = random_rational_vector(rng, ws.model.dim)
+            vectors.append(horizontal_projection(ws.model, vec) if kind == "hor" else vec)
+        yield f"sample:{sample_index}", tuple(vectors)
+
+
+def reference_sweep(ws: VectorWorkspace, identity_id: str, samples: int = 0,
+                    seed: int = 0) -> IdentityResult:
+    """An identity by its reference evaluator: every frame tuple of its slot
+    ranges in `itertools.product` order, then the random samples."""
+    slots, evaluate = REFERENCES[identity_id]
+    m = ws.model
+    ranges = [m.horizontal_indices if kind == "hor" else range(m.dim) for kind in slots]
+    frame = ((",".join(map(str, idx)) or "-", tuple(ws.basis[i] for i in idx))
+             for idx in product(*ranges))
+    return first_failure(identity_id, lambda vs: evaluate(ws, vs),
+                         chain(frame, sample_points(ws, identity_id, slots, samples, seed)))
+
+
 # The random-sample phase the engine dropped.  Every side is linear in each
 # slot, so once the frame tuples agree no sample can fail; the suite's rows
 # must equal these.
 
-def sampled_run_slots(ws: Workspace, ident: Identity, samples: int,
-                      seed: int) -> IdentityResult:
-    """A slotted identity by the engine's frame check, then `samples` tuples
-    of random rational vectors (horizontally projected in `hor` slots),
-    drawn from a stream seeded by `seed` and the identity id."""
-    result = _run_slots(ws, ident)
+def sampled_tables(ws: Workspace, ident: Identity, samples: int,
+                   seed: int) -> IdentityResult:
+    """A table identity by the engine's check, then its tables contracted
+    with the sample tuples."""
+    result = _run_tables(ws, ident)
     if result.status is Status.FAIL or not ident.slots:
         return result
-    if ident.tables is not None:
-        clauses = ident.tables(ws)
+    clauses = ident.tables(ws)
 
-        def evaluate(ws, vectors):
-            return [(name, lhs.contract(*vectors), rhs.contract(*vectors))
-                    for name, lhs, rhs in clauses]
-    else:
-        evaluate = ident.evaluate
-    rng = random.Random(f"{seed}:{ident.identity_id}")
-    for sample_index in range(samples):
-        vectors = []
-        for kind in ident.slots:
-            vec = random_rational_vector(rng, ws.model.dim)
-            vectors.append(ws.hproj(vec) if kind == "hor" else vec)
-        for clause, lhs, rhs in evaluate(ws, tuple(vectors)):
-            if lhs != rhs:
-                return IdentityResult(ident.identity_id, Status.FAIL,
-                                      render_witness(f"sample:{sample_index}", clause,
-                                                     lhs, rhs))
-    return result
+    def evaluate(vectors):
+        return [(name, lhs.contract(*vectors), rhs.contract(*vectors))
+                for name, lhs, rhs in clauses]
+    return first_failure(ident.identity_id, evaluate,
+                         sample_points(ws, ident.identity_id, ident.slots, samples, seed))
 
 
 def sample_pairs(ws: Workspace, samples: int, seed: int) -> list:
@@ -224,7 +637,7 @@ def sample_pairs(ws: Workspace, samples: int, seed: int) -> list:
             for _ in range(samples)]
 
 
-def sampled_korkmaz(ws: Workspace, samples: int, seed: int) -> RouteResult:
+def sampled_korkmaz(ws: VectorWorkspace, samples: int, seed: int) -> RouteResult:
     """The engine's korkmaz route, then S and T on the horizontal parts of
     the sample pairs."""
     route = ws.normality.korkmaz
@@ -242,7 +655,7 @@ def sampled_korkmaz(ws: Workspace, samples: int, seed: int) -> RouteResult:
 
 def sampled_suite_rows(m: ManifoldModel, samples: int, seed: int) -> list[str]:
     """`run_suite(m)` as TSV rows with the sample phase put back."""
-    ws = Workspace(m)
+    ws = VectorWorkspace(m)
     results = []
     for ident in REGISTRY:
         if ident.identity_id == "NORM-KORKMAZ":
@@ -251,33 +664,24 @@ def sampled_suite_rows(m: ManifoldModel, samples: int, seed: int) -> list[str]:
         elif ident.direct is not None:
             results.append(ident.direct(ws))
         else:
-            results.append(sampled_run_slots(ws, ident, samples, seed))
+            results.append(sampled_tables(ws, ident, samples, seed))
     order = registry_ids("all")
     results.sort(key=lambda r: order.index(r.identity_id))
     return suite_tsv_rows(SuiteReport(m.name, "all", tuple(results)))
 
 
-def frame_sweep_riemann_symmetry(ws: Workspace) -> IdentityResult:
-    """RIEM-SYM as a slot identity: three R4 clauses over every frame
-    4-tuple, then the random samples."""
-    ident = Identity("RIEM-SYM", "curvature", ("any",) * 4, evaluate=lambda ws, vs: [
-        ("swap-first-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-         -ws.R4(vs[1], vs[0], vs[2], vs[3])),
-        ("swap-second-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-         -ws.R4(vs[0], vs[1], vs[3], vs[2])),
-        ("pair-exchange", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-         ws.R4(vs[2], vs[3], vs[0], vs[1]))])
-    return sampled_run_slots(ws, ident, 32, 0)
-
-
-def frame_sweep_first_bianchi(ws: Workspace) -> IdentityResult:
-    """BIANCHI-1 as a slot identity: the cyclic R4 sum over every frame
-    4-tuple, then the random samples."""
-    ident = Identity("BIANCHI-1", "curvature", ("any",) * 4, evaluate=lambda ws, vs: [(
-        "", ws.R4(vs[0], vs[1], vs[2], vs[3])
-        + ws.R4(vs[1], vs[2], vs[0], vs[3])
-        + ws.R4(vs[2], vs[0], vs[1], vs[3]), ZERO)])
-    return sampled_run_slots(ws, ident, 32, 0)
+# RIEM-SYM and BIANCHI-1 as slot identities: R4 clauses over every frame 4-tuple.
+REFERENCES["RIEM-SYM"] = (("any",) * 4, lambda ws, vs: [
+    ("swap-first-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
+     -ws.R4(vs[1], vs[0], vs[2], vs[3])),
+    ("swap-second-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
+     -ws.R4(vs[0], vs[1], vs[3], vs[2])),
+    ("pair-exchange", ws.R4(vs[0], vs[1], vs[2], vs[3]),
+     ws.R4(vs[2], vs[3], vs[0], vs[1]))])
+REFERENCES["BIANCHI-1"] = (("any",) * 4, lambda ws, vs: [(
+    "", ws.R4(vs[0], vs[1], vs[2], vs[3])
+    + ws.R4(vs[1], vs[2], vs[0], vs[3])
+    + ws.R4(vs[2], vs[0], vs[1], vs[3]), ZERO)])
 
 
 # EQ-2.20, EQ-2.21 and EQ-4.1 as the per-tuple evaluators the table
@@ -512,22 +916,10 @@ NORMALITY_REFERENCES = {
 NORMALITY_SLOTS = {"EQ-2.4": 3, "EQ-2.5": 3, "EQ-2.6": 3, "EQ-4.12": 2, "EQ-4.13": 2}
 
 
-def frame_sweep_normality(ws: Workspace, identity_id: str,
-                          samples: int = 32, seed: int = 0) -> IdentityResult:
-    """A converted identity by its reference evaluator over every frame
-    tuple, then the random samples."""
-    ident = Identity(identity_id, "normality", ("any",) * NORMALITY_SLOTS[identity_id],
-                     evaluate=NORMALITY_REFERENCES[identity_id])
-    return sampled_run_slots(ws, ident, samples, seed)
-
-
-def frame_sweep_horizontal(ws: Workspace, identity_id: str,
-                           samples: int = 32) -> IdentityResult:
-    """EQ-2.20, EQ-2.21 or EQ-4.1 by its reference evaluator over every
-    horizontal frame 4-tuple, then the random samples."""
-    ident = Identity(identity_id, "curvature", ("hor",) * 4,
-                     evaluate=HORIZONTAL_REFERENCES[identity_id])
-    return sampled_run_slots(ws, ident, samples, 0)
+REFERENCES.update({identity_id: (("hor",) * 4, fn)
+                   for identity_id, fn in HORIZONTAL_REFERENCES.items()})
+REFERENCES.update({identity_id: (("any",) * NORMALITY_SLOTS[identity_id], fn)
+                   for identity_id, fn in NORMALITY_REFERENCES.items()})
 
 
 def registry_identity(identity_id: str) -> Identity:
@@ -537,7 +929,7 @@ def registry_identity(identity_id: str) -> Identity:
 def table_result(ws: Workspace, identity_id: str) -> IdentityResult:
     ident = registry_identity(identity_id)
     assert ident.tables is not None
-    return _run_slots(ws, ident)
+    return _run_tables(ws, ident)
 
 
 def dense_pullback(t: Table, endo: Endomorphism, slots, keep) -> dict:
@@ -608,25 +1000,48 @@ class TestGeneratedModels:
         assert second_bianchi_failures(m, conn, rt) == dense_bianchi_failure(m, conn, rt)
 
     def test_riemann_symmetry_matches_frame_sweep(self, geometry):
-        ws = Workspace(geometry[0])
-        assert direct_result(ws, "RIEM-SYM") == frame_sweep_riemann_symmetry(ws)
+        ws = VectorWorkspace(geometry[0])
+        assert direct_result(ws, "RIEM-SYM") == reference_sweep(ws, "RIEM-SYM", 32)
 
     def test_first_bianchi_matches_frame_sweep(self, geometry):
-        ws = Workspace(geometry[0])
-        assert direct_result(ws, "BIANCHI-1") == frame_sweep_first_bianchi(ws)
+        ws = VectorWorkspace(geometry[0])
+        assert direct_result(ws, "BIANCHI-1") == reference_sweep(ws, "BIANCHI-1", 32)
 
     @pytest.mark.parametrize("identity_id", sorted(HORIZONTAL_REFERENCES))
     def test_horizontal_identities_match_frame_sweep(self, geometry, identity_id):
-        ws = Workspace(geometry[0])
-        assert table_result(ws, identity_id) == frame_sweep_horizontal(ws, identity_id)
+        ws = VectorWorkspace(geometry[0])
+        assert table_result(ws, identity_id) == reference_sweep(ws, identity_id, 32)
 
     @pytest.mark.parametrize("identity_id", sorted(NORMALITY_REFERENCES))
     def test_normality_identities_match_frame_sweep(self, geometry, identity_id):
+        ws = VectorWorkspace(geometry[0])
+        assert table_result(ws, identity_id) == reference_sweep(ws, identity_id, 32)
+
+    def test_converted_identities_match_frame_sweep(self, geometry):
+        ws = VectorWorkspace(geometry[0])
+        for identity_id in CONVERTED_IDS:
+            assert_tables_match_reference(ws, identity_id)
+            assert (registry_identity(identity_id).direct is not None
+                    or table_result(ws, identity_id) == reference_sweep(ws, identity_id, 32))
+
+    def test_table_sides_hold_only_their_slot_ranges(self, geometry):
+        # the invariant of `Identity.tables`: a side unrestricted in a `hor`
+        # slot would print a vertical witness there
         ws = Workspace(geometry[0])
-        assert table_result(ws, identity_id) == frame_sweep_normality(ws, identity_id)
+        m = ws.model
+        for ident in REGISTRY:
+            if ident.tables is None:
+                continue
+            ranges = [m.horizontal_indices if kind == "hor" else range(m.dim)
+                      for kind in ident.slots]
+            for name, lhs, rhs in ident.tables(ws):
+                for side in (lhs, rhs):
+                    assert side.rank in (len(ranges), len(ranges) + 1), (ident.identity_id, name)
+                    assert all(i in r for key, _ in side.items()
+                               for i, r in zip(key, ranges)), (ident.identity_id, name)
 
     def test_normality_routes_match_reference_loops(self, geometry):
-        ws = Workspace(geometry[0])
+        ws = VectorWorkspace(geometry[0])
         report = check_normality(ws)
         assert report == ref_check_normality(ws)
         assert report == ref_check_normality(ws, 3, 7)
@@ -720,11 +1135,11 @@ class TestMutatedModels:
         def broken(*idx):
             return heis_curv.entry(*idx) + bumps.get(idx, 0)
 
-        ws = Workspace(heisenberg)
+        ws = VectorWorkspace(heisenberg)
         ws.curv = Tensor4.from_function(heisenberg.dim, broken)
         result = direct_result(ws, "RIEM-SYM")
         assert result.status is Status.FAIL
-        assert result == frame_sweep_riemann_symmetry(ws)
+        assert result == reference_sweep(ws, "RIEM-SYM", 32)
         if where == (0, 1, 2, 3):
             assert result.witness.startswith(f"slots=0,1,2,3 part={clause} ")
 
@@ -747,13 +1162,13 @@ class TestCandidateWitnesses:
     @pytest.mark.parametrize("bump", [(2, 4, 1, 3), (4, 1, 2, 3)])
     def test_first_bianchi_witness_is_a_rotation(self, heisenberg, heis_curv, bump):
         # either bump first shows at its rotation (1, 2, 4, 3)
-        ws = Workspace(heisenberg)
+        ws = VectorWorkspace(heisenberg)
         ws.curv = _bumped(heis_curv, {bump: 1})
         assert ws.curv.entry(1, 2, 4, 3) == 0
         result = direct_result(ws, "BIANCHI-1")
         assert result.status is Status.FAIL
         assert result.witness == "slots=1,2,4,3 lhs=1 rhs=0"
-        assert result == frame_sweep_first_bianchi(ws)
+        assert result == reference_sweep(ws, "BIANCHI-1", 32)
         assert first_bianchi_failures(ws.curv) == product_order_first_bianchi_failure(ws.curv)
 
     @pytest.mark.parametrize("bumps,where,clause", [
@@ -764,13 +1179,13 @@ class TestCandidateWitnesses:
     ])
     def test_riemann_symmetry_witness_is_a_partner(self, heisenberg, heis_curv,
                                                    bumps, where, clause):
-        ws = Workspace(heisenberg)
+        ws = VectorWorkspace(heisenberg)
         ws.curv = _bumped(heis_curv, bumps)
         assert ws.curv.entry(*where) == 0
         result = direct_result(ws, "RIEM-SYM")
         slots = ",".join(map(str, where))
         assert result.witness.startswith(f"slots={slots} part={clause} lhs=0 ")
-        assert result == frame_sweep_riemann_symmetry(ws)
+        assert result == reference_sweep(ws, "RIEM-SYM", 32)
         assert (riemann_symmetry_failures(ws.curv)
                 == product_order_riemann_symmetry_failure(ws.curv))
 
@@ -788,12 +1203,12 @@ class TestCandidateWitnesses:
     ])
     def test_pulled_back_curvature_witness(self, heisenberg, heis_curv, bumps, where,
                                            clause, witness):
-        ws = Workspace(heisenberg)
+        ws = VectorWorkspace(heisenberg)
         ws.curv = _bumped(heis_curv, bumps)
         result = table_result(ws, "EQ-4.1")
         assert result.status is Status.FAIL
         assert result.witness == witness
-        assert result == frame_sweep_horizontal(ws, "EQ-4.1")
+        assert result == reference_sweep(ws, "EQ-4.1", 32)
         # an entry the witness prints as 0 is not stored in its table
         lhs = ws.curv_G if clause == "G" else ws.curv_H
         assert (where in dict(lhs.items())) == (" lhs=0 " not in witness)
@@ -809,10 +1224,10 @@ class TestCandidateWitnesses:
     def _bumped_normality(kind: str, idx: tuple[int, ...]) -> Workspace:
         m = build_heisenberg()
         if kind == "conn":
-            ws = Workspace(m)
+            ws = VectorWorkspace(m)
             ws.conn = _bumped(ws.conn, {idx: 1})
             return ws
-        return Workspace(replace(m, **{kind: _bumped(getattr(m, kind), {idx: 1})}))
+        return VectorWorkspace(replace(m, **{kind: _bumped(getattr(m, kind), {idx: 1})}))
 
     @pytest.mark.parametrize("kind,idx,witness", [
         ("conn", (5, 4, 5), "H slots=4,0,3 lhs=0 rhs=1"),
@@ -860,7 +1275,7 @@ class TestCandidateWitnesses:
         assert first_k(ws.nabla_H, ws.thm45_H) < first_k(ws.nabla_G, ws.thm45_G)
         assert report == ref_check_normality(ws)
         assert (table_result(ws, "EQ-4.12")
-                == frame_sweep_normality(ws, "EQ-4.12", samples=0))
+                == reference_sweep(ws, "EQ-4.12"))
 
     @pytest.mark.parametrize("idx,witness,stored", [
         ((0, 2, 4), "G slots=0,0,4 lhs=0 rhs=1", "rhs"),
@@ -876,7 +1291,30 @@ class TestCandidateWitnesses:
         assert report == ref_check_normality(ws)
         result = table_result(ws, "EQ-2.4")
         assert result.witness == "slots=" + witness.split("slots=")[1]
-        assert result == frame_sweep_normality(ws, "EQ-2.4")
+        assert result == reference_sweep(ws, "EQ-2.4", 32)
+
+    # Single-entry bumps of one table of the bundled model, each failing
+    # only through a later clause, or in a vector-valued row only at a later
+    # output index, than a first-clause or first-entry check would see.
+    @pytest.mark.parametrize("identity_id,attr,bumps,witness", [
+        ("EQ-2.12", "curv", {(0, 5, 5, 1): 1}, "slots=0 part=V lhs=1:0,1:1 rhs=1:0"),
+        # the delta and its G-pullback: the G clause holds everywhere
+        ("EQ-5.1", "rho", {(0, 0): 1, (2, 2): 1}, "slots=0,0 part=H lhs=-4 rhs=-3"),
+        ("EQ-3.2-BLOCK", "nVJ", {(1, 5): 1}, "slots=1 part=JV.V lhs=1 rhs=0"),
+        ("EQ-4.7", "curv", {(0, 1, 4, 5): 1}, "slots=0,1 lhs=3:5 rhs=2:5"),
+        ("EQ-4.14", "nabla_J", {(1, 2, 5): 1}, "slots=1,2 lhs=1:5 rhs=0"),
+    ], ids=["EQ-2.12", "EQ-5.1", "EQ-3.2-BLOCK", "EQ-4.7", "EQ-4.14"])
+    def test_later_clause_witness(self, heisenberg, identity_id, attr, bumps, witness):
+        ws = VectorWorkspace(heisenberg)
+        setattr(ws, attr, _bumped(getattr(ws, attr), bumps))
+        result = table_result(ws, identity_id)
+        assert result.witness == witness
+        assert result == reference_sweep(ws, identity_id, 32)
+        clauses = registry_identity(identity_id).tables(ws)
+        if len(clauses) > 1:
+            name = witness.split(" part=")[1].split()[0]
+            others = [c for c in clauses if c[0] != name]
+            assert first_table_failure(others, len(registry_identity(identity_id).slots)) is None
 
     def test_second_bianchi_witness_comes_from_a_rotated_term(self, heisenberg,
                                                               heis_conn, heis_curv):
@@ -924,14 +1362,14 @@ class TestRationalBumps:
     ], ids=["curvature", "connection", "both"])
     def test_rows_equal_the_reference_rows(self, heisenberg, heis_conn, heis_curv,
                                            r_bump, conn_bump, failing, witness):
-        ws = Workspace(heisenberg)
+        ws = VectorWorkspace(heisenberg)
         if r_bump is not None:
             ws.curv = _bumped(heis_curv, {(0, 1, 2, 3): r_bump})
         if conn_bump is not None:
             ws.conn = _bumped(heis_conn, {(0, 0, 2): conn_bump})
         rows = {i: direct_result(ws, i) for i in ("RIEM-SYM", "BIANCHI-1", "BIANCHI-2")}
-        assert rows["RIEM-SYM"] == frame_sweep_riemann_symmetry(ws)
-        assert rows["BIANCHI-1"] == frame_sweep_first_bianchi(ws)
+        assert rows["RIEM-SYM"] == reference_sweep(ws, "RIEM-SYM", 32)
+        assert rows["BIANCHI-1"] == reference_sweep(ws, "BIANCHI-1", 32)
         assert rows["BIANCHI-2"] == dense_second_bianchi(ws)
         assert rows["BIANCHI-2"].witness == witness
         for identity_id, result in rows.items():
@@ -1094,7 +1532,7 @@ def two_step_models(draw):
 def test_horizontal_tables_match_reference_evaluators(m):
     # entry by entry on every horizontal tuple, not only at the witness
     assert _jacobi_witness(m) is None
-    ws = Workspace(m)
+    ws = VectorWorkspace(m)
     assert ws.horizontal(ws.dsigma).entry(0, 1) != 0
     for identity_id, reference in sorted(HORIZONTAL_REFERENCES.items()):
         clauses = registry_identity(identity_id).tables(ws)
@@ -1103,7 +1541,7 @@ def test_horizontal_tables_match_reference_evaluators(m):
             assert [(name, lhs.entry(*idx), rhs.entry(*idx))
                     for name, lhs, rhs in clauses] == expected, (identity_id, idx)
         assert (table_result(ws, identity_id)
-                == frame_sweep_horizontal(ws, identity_id, samples=2)), identity_id
+                == reference_sweep(ws, identity_id, 2)), identity_id
 
 
 @given(two_step_models())
@@ -1112,7 +1550,7 @@ def test_normality_tables_match_reference_formulas(m):
     # entry by entry on every frame tuple: the structure tensors are not
     # signed permutations, so no AX-* identity holds to lean on
     assert _jacobi_witness(m) is None
-    ws = Workspace(m)
+    ws = VectorWorkspace(m)
     b, d = ws.basis, m.dim
     vectors = {"nabla_G": lambda x, y: ref_cov(ws, ws.G, x, y),
                "nabla_H": lambda x, y: ref_cov(ws, ws.H, x, y),
@@ -1139,8 +1577,46 @@ def test_normality_tables_match_reference_formulas(m):
             assert ([(name, side(lhs, *idx), side(rhs, *idx)) for name, lhs, rhs in clauses]
                     == reference(ws, tuple(b[i] for i in idx))), (identity_id, idx)
         assert (table_result(ws, identity_id)
-                == frame_sweep_normality(ws, identity_id, samples=2)), identity_id
+                == reference_sweep(ws, identity_id, 2)), identity_id
     assert check_normality(ws) == ref_check_normality(ws, samples=2)
+
+
+def side_values(t: Table, width: int):
+    """A side's value at each frame tuple: entries read from the stored keys
+    (an Endomorphism's `entry` takes its output index first), or rows."""
+    if t.rank == width:
+        stored = dict(t.items())
+        return lambda idx: stored.get(idx, ZERO)
+    return lambda idx: t.row(*idx)
+
+
+def assert_tables_match_reference(ws: VectorWorkspace, identity_id: str) -> None:
+    """Entry by entry, or row by row, on every frame tuple of the slot
+    ranges, not only at the witness; then the rows."""
+    slots, reference = REFERENCES[identity_id]
+    m, ident = ws.model, registry_identity(identity_id)
+    if ident.direct is not None:
+        assert ident.direct(ws) == reference_sweep(ws, identity_id), identity_id
+        return
+    sides = [(name, side_values(lhs, len(slots)), side_values(rhs, len(slots)))
+             for name, lhs, rhs in ident.tables(ws)]
+    ranges = [m.horizontal_indices if kind == "hor" else range(m.dim) for kind in slots]
+    for idx in product(*ranges):
+        expected = reference(ws, tuple(ws.basis[i] for i in idx))
+        assert [(name, lhs(idx), rhs(idx)) for name, lhs, rhs in sides] == expected, (
+            identity_id, idx)
+    assert table_result(ws, identity_id) == reference_sweep(ws, identity_id, 2), identity_id
+
+
+@given(two_step_models())
+@settings(max_examples=15, deadline=None)
+def test_converted_tables_match_reference_evaluators(m):
+    # G, H and J are not signed permutations, so nearly every identity
+    # fails, at many tuples, and every entry of every side is compared
+    assert _jacobi_witness(m) is None
+    ws = VectorWorkspace(m)
+    for identity_id in CONVERTED_IDS:
+        assert_tables_match_reference(ws, identity_id)
 
 
 @st.composite
@@ -1171,41 +1647,16 @@ def test_pullback_matches_dense_sum(case):
     assert dict(pulled.items()) == dense_pullback(t, endo, slots, keep)
 
 
-def test_horizontal_identities_sweep_without_contractions(monkeypatch):
-    """EQ-2.20, EQ-2.21 and EQ-4.1 compare stored table entries only: no
-    contraction of any table (Table.contract and its aliases apply/value)
-    runs, not even while the tables are built."""
-    ws = Workspace(make_heisenberg_model(2))
-    calls = []
-    original = Table.contract
-
-    def counted(self, *vectors):
-        calls.append(type(self).__name__)
-        return original(self, *vectors)
-
-    classes = [Table]
-    for cls in classes:
-        classes.extend(cls.__subclasses__())
-    for cls in classes:
-        for name, attr in list(vars(cls).items()):
-            if attr is original:
-                monkeypatch.setattr(cls, name, counted)
-    for identity_id in ("EQ-2.20", "EQ-2.21", "EQ-4.1"):
-        assert table_result(ws, identity_id).status is Status.PASS
-    assert calls == []
-    # the wrapper does see a contraction of one of those tables
-    ws.curv_G.contract(*ws.basis[:4])
-    assert calls == ["Table"]
+MODEL_CHECK_IDS = ("LIE-ANTISYM", "LIE-JACOBI", "AX-G2", "AX-H2", "AX-J2", "AX-ANTICOMM",
+                   "AX-KERNEL", "AX-SKEW", "AX-HGJ", "AX-JH", "AX-JV", "AX-HERM")
 
 
-NORMALITY_IDS = ("EQ-2.4", "EQ-2.5", "EQ-2.6", "EQ-4.12", "EQ-4.13",
-                 "NORM-KORKMAZ", "NORM-PROP21", "NORM-THM45")
-
-
-def test_normality_identities_sweep_without_contractions(monkeypatch):
-    """The normality routes and the nabla G/H/J identities compare stored
-    table entries only: no contraction of any table runs, not even while
-    the tables are built, and no reference formula runs."""
+def test_identities_run_without_contractions(monkeypatch):
+    """Every registry identity but the twelve model checks (AX-KERNEL and
+    AX-JV apply the structure tensors to vectors) compares stored table
+    entries only: no contraction of any table (Table.contract and its
+    aliases apply and value) runs, not even while the tables are built, and
+    no reference formula runs.  The rows are the frozen ones."""
     ws = Workspace(make_heisenberg_model(2))
     calls = []
     original = Table.contract
@@ -1226,14 +1677,15 @@ def test_normality_identities_sweep_without_contractions(monkeypatch):
         monkeypatch.setitem(module, name, lambda *args, _name=name: calls.append(_name))
     frozen = {row.split("\t")[0]: row for row in
               open("errata/heisenberg_n2_suite.tsv").read().splitlines()}
-    for identity_id in NORMALITY_IDS:
-        ident = registry_identity(identity_id)
-        result = ident.direct(ws) if ident.direct is not None else _run_slots(ws, ident)
-        assert (f"{identity_id}\t{result.status}\t{result.witness or ''}"
-                == frozen[identity_id])
+    checked = [ident for ident in REGISTRY if ident.identity_id not in MODEL_CHECK_IDS]
+    assert len(checked) == len(REGISTRY) - 12
+    for ident in checked:
+        result = ident.direct(ws) if ident.direct is not None else _run_tables(ws, ident)
+        assert (f"{ident.identity_id}\t{result.status}\t{result.witness or ''}"
+                == frozen[ident.identity_id])
     assert calls == []
     # the wrapper does see a contraction of one of those tables
-    ws.nabla_G.contract(*ws.basis[:2])
+    ws.nabla_G.contract(*[ws.model.basis(i) for i in range(2)])
     assert calls == ["Table"]
 
 
@@ -1277,7 +1729,7 @@ vectors6 = st.lists(sparse_rationals, min_size=6, max_size=6).map(
 
 @pytest.fixture(scope="module")
 def workspace():
-    return Workspace(build_heisenberg())
+    return VectorWorkspace(build_heisenberg())
 
 
 @given(vectors6, vectors6, vectors6, vectors6)
@@ -1300,8 +1752,9 @@ def test_workspace_contractions_match_dense_sums(workspace, x, y, z, w):
 
 # Each side of a slotted identity is linear in each slot, so sides that agree
 # on every frame tuple agree on every tuple of rational combinations of frame
-# vectors.  A side that is not linear in some slot fails here.
-SLOTTED_IDS = sorted(i.identity_id for i in REGISTRY if i.evaluate is not None and i.slots)
+# vectors.  A side that is not linear in some slot fails here.  The sides are
+# the reference evaluators', which the tables equal on every frame tuple.
+SLOTTED_IDS = [identity_id for identity_id in CONVERTED_IDS if REFERENCES[identity_id][0]]
 LINEARITY_MODELS = {
     "bundled": build_heisenberg,
     "heisenberg-n2": lambda: make_heisenberg_model(2),
@@ -1310,8 +1763,8 @@ LINEARITY_MODELS = {
 
 
 @lru_cache(maxsize=None)
-def linearity_workspace(name: str) -> Workspace:
-    return Workspace(LINEARITY_MODELS[name]())
+def linearity_workspace(name: str) -> VectorWorkspace:
+    return VectorWorkspace(LINEARITY_MODELS[name]())
 
 
 # p/q with |p| <= 4 and q <= 5, drawn as two integers: several times
@@ -1335,20 +1788,20 @@ def _combine(a, b, c):
 @given(data=st.data())
 @settings(max_examples=10, deadline=None)
 def test_slotted_sides_are_linear_in_each_slot(identity_id, data):
-    ident = registry_identity(identity_id)
+    slots, evaluate = REFERENCES[identity_id]
     ws = linearity_workspace(data.draw(st.sampled_from(sorted(LINEARITY_MODELS))))
 
     def draw_slot(kind):
         v = data.draw(frame_vectors(ws.model.dim))
         return ws.hproj(v) if kind == "hor" else v
 
-    base = [draw_slot(kind) for kind in ident.slots]
-    for slot, kind in enumerate(ident.slots):
+    base = [draw_slot(kind) for kind in slots]
+    for slot, kind in enumerate(slots):
         x, y, c = draw_slot(kind), draw_slot(kind), data.draw(coefficients)
 
         def sides(v):
             vectors = tuple(base[:slot] + [v] + base[slot + 1:])
-            return [(lhs, rhs) for _, lhs, rhs in ident.evaluate(ws, vectors)]
+            return [(lhs, rhs) for _, lhs, rhs in evaluate(ws, vectors)]
 
         at_x, at_y = sides(x), sides(y)
         expected = [tuple(_combine(p, q, c) for p, q in zip(sx, sy))

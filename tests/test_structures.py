@@ -8,12 +8,8 @@ import pytest
 
 from ccmv.connection import cov_deriv_endo, levi_civita
 from ccmv.core import Endomorphism, FrameVector, Status
-from ccmv.structures import (
-    ConnectionWorkspace,
-    check_normality,
-    horizontal_projection,
-)
-from conftest import random_rational_vector
+from ccmv.structures import ConnectionWorkspace, check_normality, first_table_failure
+from conftest import horizontal_projection, random_rational_vector
 
 
 def endo_from_table(table: dict[tuple[int, int], int]) -> Endomorphism:
@@ -70,50 +66,44 @@ class TestNijenhuis:
         e0 = heisenberg.basis(0)
         e2 = heisenberg.basis(2)
         e4 = heisenberg.basis(4)
-        assert heis_ws.nijenhuis("G", e0, e2) == e4.scale(-2)
-        assert heis_ws.nijenhuis("H", e0, e2) == e4.scale(2)
-        assert heis_ws.nijenhuis("G", e0, e4).is_zero()
+        assert heis_ws.torsion_G.contract(e0, e2) == e4.scale(-2)
+        assert heis_ws.torsion_H.contract(e0, e2) == e4.scale(2)
+        assert heis_ws.torsion_G.contract(e0, e4).is_zero()
 
     def test_antisymmetry(self, heisenberg, heis_ws):
         for i, j in product(range(6), repeat=2):
             x, y = heisenberg.basis(i), heisenberg.basis(j)
-            forward = heis_ws.nijenhuis("G", x, y)
-            assert forward == heis_ws.nijenhuis("G", y, x).scale(-1)
-
-    def test_rejects_J(self, heisenberg, heis_ws):
-        with pytest.raises(ValueError):
-            heis_ws.nijenhuis("J", heisenberg.basis(0), heisenberg.basis(1))
+            forward = heis_ws.torsion_G.contract(x, y)
+            assert forward == heis_ws.torsion_G.contract(y, x).scale(-1)
 
     def test_abelian_torsion_vanishes(self, abelian, abelian_ws):
-        for i, j in product(range(6), repeat=2):
-            value = abelian_ws.nijenhuis("G", abelian.basis(i), abelian.basis(j))
-            assert value.is_zero()
+        assert abelian_ws.torsion_G.is_zero()
 
 
 class TestObstructionTensors:
     def test_vanish_on_horizontal_pairs(self, heisenberg, heis_ws):
         for i, j in product(heisenberg.horizontal_indices, repeat=2):
-            x, y = heisenberg.basis(i), heisenberg.basis(j)
-            assert heis_ws.tensor_S(x, y).is_zero(), ("S", i, j)
-            assert heis_ws.tensor_T(x, y).is_zero(), ("T", i, j)
+            assert heis_ws.obstruction_S.row(i, j).is_zero(), ("S", i, j)
+            assert heis_ws.obstruction_T.row(i, j).is_zero(), ("T", i, j)
 
     def test_constrained_vertical_slots_vanish(self, heisenberg, heis_ws):
         # normality pins S(., U) and T(., V); the other vertical slots are free
         for i in range(6):
-            x = heisenberg.basis(i)
-            assert heis_ws.tensor_S(x, heisenberg.U).is_zero()
-            assert heis_ws.tensor_T(x, heisenberg.V).is_zero()
+            assert heis_ws.obstruction_S.row(i, heisenberg.U_index).is_zero()
+            assert heis_ws.obstruction_T.row(i, heisenberg.V_index).is_zero()
 
     def test_unconstrained_vertical_slots(self, heisenberg, heis_ws):
         # frozen values showing the free slots really are nonzero here:
         # S(X, V) = 2 H X and T(X, U) = 2 G X on horizontal X
         for i in heisenberg.horizontal_indices:
             x = heisenberg.basis(i)
-            assert heis_ws.tensor_S(x, heisenberg.V) == heisenberg.H.apply(x).scale(2)
-            assert heis_ws.tensor_T(x, heisenberg.U) == heisenberg.G.apply(x).scale(2)
+            assert (heis_ws.obstruction_S.contract(x, heisenberg.V)
+                    == heisenberg.H.apply(x).scale(2))
+            assert (heis_ws.obstruction_T.contract(x, heisenberg.U)
+                    == heisenberg.G.apply(x).scale(2))
 
     def test_abelian_S_nonzero(self, abelian, abelian_ws):
-        value = abelian_ws.tensor_S(abelian.basis(0), abelian.basis(2))
+        value = abelian_ws.obstruction_S.contract(abelian.basis(0), abelian.basis(2))
         assert value == abelian.basis(4).scale(2)
 
 
@@ -123,12 +113,6 @@ class TestHelpers:
         proj = horizontal_projection(heisenberg, x)
         assert proj == FrameVector.from_coeffs([1, 2, 3, 4, 0, 0])
         assert horizontal_projection(heisenberg, proj) == proj
-
-    def test_structure_accessors(self, heisenberg, heis_ws):
-        e0 = heisenberg.basis(0)
-        assert heis_ws.G(e0) == heisenberg.G.apply(e0)
-        assert heis_ws.H(e0) == heisenberg.H.apply(e0)
-        assert heis_ws.J(e0) == heisenberg.J.apply(e0)
 
     def test_random_vector_deterministic(self):
         a = random_rational_vector(random.Random("x"), 6)
@@ -157,3 +141,17 @@ class TestNormalityRoutes:
         assert report.prop21.witness == "G slots=0,0,4 lhs=0 rhs=1"
         assert report.thm45.status is Status.FAIL
         assert report.thm45.witness == "G slots=0,0 lhs=0 rhs=1:4"
+
+
+class TestFirstTableFailure:
+    def test_endomorphism_side_prints_its_own_entries(self, heisenberg):
+        # Endomorphism.entry(k, i) takes the output index first, so the
+        # witness values come from the stored keys, not from `entry`
+        g = heisenberg.G
+        bumped = Endomorphism.from_values(6, 2, {**dict(g.items()), (0, 1): 5})
+        assert g.entry(1, 0) == 0 and g.entry(0, 1) == 0 and dict(g.items())[(0, 2)] == -1
+        assert first_table_failure([("", g, bumped)], 2) == ((0, 1), "", 0, 5)
+        assert first_table_failure([("", bumped, g)], 2) == ((0, 1), "", 5, 0)
+        # the same clause as rows: the vectors G e_0 and G2 e_0
+        assert first_table_failure([("", g, bumped)], 1) == (
+            (0,), "", g.row(0), FrameVector.from_coeffs([0, 5, -1, 0, 0, 0]))

@@ -2,15 +2,18 @@
 from __future__ import annotations
 
 import importlib.resources
+from dataclasses import fields
 from functools import cached_property
 
 import pytest
 
+import ccmv
 from ccmv.core import Status
 from ccmv.curvature import DegeneratePlane
 from ccmv.model import InvalidModelError, load_model
 from ccmv.verify import (
     REGISTRY,
+    Identity,
     SELECTORS,
     ExpectedFormatError,
     diff_expected,
@@ -74,10 +77,25 @@ class TestRegistry:
         assert len(set(ids)) == len(ids)
 
     def test_direct_curvature_identities(self):
-        # RIEM-SYM and the two Bianchi identities read the stored tables
+        # RIEM-SYM and the two Bianchi identities read the stored tables;
+        # EQ-2.11 compares two scalars
         direct = {ident.identity_id for ident in REGISTRY
                   if ident.group == "curvature" and ident.direct is not None}
-        assert direct == {"RIEM-SYM", "BIANCHI-1", "BIANCHI-2"}
+        assert direct == {"RIEM-SYM", "BIANCHI-1", "BIANCHI-2", "EQ-2.11"}
+
+    def test_every_identity_is_tables_or_direct(self):
+        assert [f.name for f in fields(Identity)] == ["identity_id", "group", "slots",
+                                                       "tables", "direct"]
+        for ident in REGISTRY:
+            assert (ident.tables is None) != (ident.direct is None), ident.identity_id
+            assert ident.direct is None or ident.slots == (), ident.identity_id
+        slotless = {i.identity_id for i in REGISTRY if i.tables is not None and not i.slots}
+        assert slotless == {"EQ-2.8"}
+
+    def test_every_exported_name_resolves(self):
+        assert len(set(ccmv.__all__)) == len(ccmv.__all__)
+        for name in ccmv.__all__:
+            assert getattr(ccmv, name) is not None, name
 
 
 class TestSuite:
