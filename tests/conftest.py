@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from ccmv import (
+    Endomorphism,
     FrameVector,
     ManifoldModel,
     StructureConstants,
@@ -105,6 +106,35 @@ def make_heisenberg_model(n: int) -> ManifoldModel:
                   f"J {o + 2} {o + 3} -1", f"J {o + 3} {o + 2} 1"]
     lines += [f"J {u} {v} -1", f"J {v} {u} 1"]
     return load_model("\n".join(lines) + "\n")
+
+
+def make_two_step_model() -> ManifoldModel:
+    """A fixed model drawn from the `two_step_models` recipe in
+    test_kernels.py, with [U, V] != 0.
+
+    The brackets map the span of A = {0, 1, U, V} into Z = {2, 3}, so the
+    Jacobi identity holds.  [U, V] and [e_0, e_1] both have an e_2
+    component, so dsigma(U, V) and dsigma(e_0, e_1) are nonzero and every
+    dsigma(U, V) term of the registry counts.  The values have
+    denominators 2, 3 and 5, so no table is integral.  G, H and J are the
+    bundled model's with one extra coefficient each: one input then has two
+    image coefficients and one output is reached from two inputs.
+    """
+    base = build_heisenberg()
+    brackets = {(0, 1, 2): Fraction(1, 2), (0, 1, 3): Fraction(-2, 3),
+                (0, 4, 3): Fraction(-1, 2), (1, 5, 2): Fraction(2, 5),
+                (4, 5, 2): Fraction(3, 5), (4, 5, 3): Fraction(1, 3)}
+
+    def perturbed(tensor, extra):
+        values = dict(tensor.items())
+        values.update(extra)
+        return Endomorphism.from_values(base.dim, 2, values)
+
+    return ManifoldModel(name="two-step", n=1,
+                         constants=StructureConstants.from_entries(base.dim, brackets),
+                         G=perturbed(base.G, {(0, 3): Fraction(1, 2)}),
+                         H=perturbed(base.H, {(1, 3): Fraction(-2, 3)}),
+                         J=perturbed(base.J, {(2, 0): Fraction(3, 5)}))
 
 
 def model_source(m: ManifoldModel) -> str:

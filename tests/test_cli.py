@@ -8,7 +8,12 @@ import pytest
 
 from ccmv import HEISENBERG_CCM, load_model
 from ccmv.cli import main
-from conftest import make_heisenberg_model, make_nilpotent_model, model_source
+from conftest import (
+    make_heisenberg_model,
+    make_nilpotent_model,
+    make_two_step_model,
+    model_source,
+)
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv")
                     .joinpath("data/iwasawa_expected.ccmx"))
@@ -175,6 +180,7 @@ class TestVerify:
         ("heisenberg_n2", lambda: make_heisenberg_model(2)),
         *[(f"nilpotent{seed}", lambda seed=seed: make_nilpotent_model(seed))
           for seed in range(5)],
+        ("two_step", make_two_step_model),
     ])
     def test_off_bundle_suite_tsv_matches_errata(self, capsys, tmp_path, name, build):
         m = build()
@@ -189,6 +195,7 @@ class TestVerify:
     @pytest.mark.parametrize("name,build", [
         ("heisenberg_n2", lambda: make_heisenberg_model(2)),
         ("nilpotent3", lambda: make_nilpotent_model(3)),
+        ("two_step", make_two_step_model),
     ])
     def test_off_bundle_table_tsv_matches_errata(self, capsys, tmp_path, name, build,
                                                  command):

@@ -74,6 +74,7 @@ from conftest import (
     horizontal_projection,
     make_heisenberg_model,
     make_nilpotent_model,
+    make_two_step_model,
     random_rational_vector,
 )
 
@@ -84,6 +85,7 @@ MODELS = {
     **{f"nilpotent-{seed}": (lambda seed=seed: make_nilpotent_model(seed))
        for seed in range(5)},
     "heisenberg-n2": lambda: make_heisenberg_model(2),
+    "two-step": make_two_step_model,
 }
 
 
