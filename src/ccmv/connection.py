@@ -11,13 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .core import (
-    ZERO,
     Endomorphism,
     FrameVector,
     OneForm,
-    Scalar,
     Table,
     TwoForm,
+    as_table,
 )
 from .model import ManifoldModel
 
@@ -33,14 +32,14 @@ def levi_civita(m: ManifoldModel) -> ConnectionCoeffs:
     """Koszul formula on an orthonormal invariant frame.
 
     gamma(i, j, k) = (c(i, j, k) + c(k, i, j) - c(j, k, i)) / 2,
-    accumulated from the nonzero structure constants only.
+    accumulated from the nonzero structure constants only; the 1/2 goes
+    into the den.
     """
-    values: dict[tuple[int, int, int], Scalar] = {}
-    for (a, b, e), value in m.constants.items():
-        half = HALF * value
-        for key, term in (((a, b, e), half), ((b, e, a), half), ((e, a, b), -half)):
-            values[key] = values[key] + term if key in values else term
-    return ConnectionCoeffs.from_values(m.dim, 3, values)
+    values: dict[tuple[int, int, int], int] = {}
+    for (a, b, e), value in m.constants.numerators():
+        for key, term in (((a, b, e), value), ((b, e, a), value), ((e, a, b), -value)):
+            values[key] = values.get(key, 0) + term
+    return ConnectionCoeffs.from_numerators(m.dim, 3, values, 2 * m.constants.den)
 
 
 def cov_deriv_table(conn: ConnectionCoeffs, a: Endomorphism) -> Table:
@@ -58,13 +57,13 @@ def cov_deriv_endo(conn: ConnectionCoeffs, x: FrameVector,
     """(nabla_x A) as the endomorphism y -> nabla_x(Ay) - A(nabla_x y): the
     first slot of cov_deriv_table contracted with x, the table built from
     the connection rows that x reaches only."""
-    reached = Table(conn.dim, 3, {i: conn.entries[i] for i, _ in x.nonzero
-                                  if i in conn.entries})
-    values: dict[tuple[int, int], Scalar] = {}
-    for (i, j, k), value in cov_deriv_table(reached, a).items():
-        term = x[i] * value
-        values[(j, k)] = values[(j, k)] + term if (j, k) in values else term
-    return Endomorphism.from_values(conn.dim, 2, values)
+    weights = as_table(x)
+    weight = {i: p for (i,), p in weights.numerators()}
+    table = cov_deriv_table(conn.restrict(weight.keys(), 1), a)
+    values: dict[tuple[int, int], int] = {}
+    for (i, j, k), value in table.numerators():
+        values[(j, k)] = values.get((j, k), 0) + weight[i] * value
+    return Endomorphism.from_numerators(conn.dim, 2, values, weights.den * table.den)
 
 
 def sigma_form(m: ManifoldModel, conn: ConnectionCoeffs) -> OneForm:
@@ -74,10 +73,13 @@ def sigma_form(m: ManifoldModel, conn: ConnectionCoeffs) -> OneForm:
 
 def exterior_d_oneform(m: ManifoldModel, w: OneForm) -> TwoForm:
     """d of an invariant 1-form: dw(e_i, e_j) = -(1/2) w([e_i, e_j])."""
-    c = m.constants
-    return TwoForm.from_values(m.dim, 2, {(i, j): -HALF * w.value(c.row(i, j))
-                                          for i, plane in c.entries.items()
-                                          for j in plane})
+    c, weights = m.constants, as_table(w)
+    weight = {k: p for (k,), p in weights.numerators()}
+    values: dict[tuple[int, int], int] = {}
+    for (i, j, k), a in c.numerators():
+        if k in weight:
+            values[(i, j)] = values.get((i, j), 0) - weight[k] * a
+    return TwoForm.from_numerators(m.dim, 2, values, 2 * weights.den * c.den)
 
 
 def wedge(a: OneForm, b: OneForm) -> TwoForm:
@@ -87,11 +89,6 @@ def wedge(a: OneForm, b: OneForm) -> TwoForm:
     unique normalization under which the built-in model satisfies the
     contact compatibility du(X, Y) = g(X, GY) with vanishing sigma.
     """
-    values: dict[tuple[int, int], Scalar] = {}
-    for i, ai in enumerate(a.coefficients):
-        for j, bj in enumerate(b.coefficients):
-            if ai and bj:
-                term = HALF * ai * bj
-                values[(i, j)] = values.get((i, j), ZERO) + term
-                values[(j, i)] = values.get((j, i), ZERO) - term
-    return TwoForm.from_values(len(a.coefficients), 2, values)
+    ta, tb = as_table(a), as_table(b)
+    t = Table(ta.dim, 2, {}).add([(HALF, ta.tensor(tb)), (-HALF, tb.tensor(ta))])
+    return TwoForm(t.dim, 2, t.entries, t.den)

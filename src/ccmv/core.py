@@ -4,16 +4,15 @@ Everything lives over one global frame of some dimension d.  The operands,
 frame vectors and 1-forms, are dense coefficient tuples.  Every stored
 multi-index quantity (endomorphisms, 2-forms, bilinear forms, the
 connection and bracket tables, curvature) is a `Table`: its dimension, its
-rank and its nonzero entries only, held as dicts keyed by the leading
-indices whose last level is the tuple of `(index, value)` pairs.  Zeros are
-never stored and empty subtrees are pruned, so `==` is structural and every
-kernel costs in proportion to the nonzeros.  `Table.contract` is the one
-evaluation of a table on frame vectors.  Every coefficient is an exact
-rational; `Table.scaled` holds a table's integer numerators over one
-common denominator, for the checks that only ask where a homogeneous
-expression vanishes.  No floating point appears anywhere.  The metric is
-the identity in this frame, so the inner product is the plain coefficient
-dot product.
+rank, one positive int denominator and the int numerators of its nonzero
+entries only, held as dicts keyed by the leading indices whose last level
+is the tuple of `(index, numerator)` pairs.  Zeros are never stored, empty
+subtrees are pruned and the denominator is reduced, so `==` is structural
+and every kernel costs in proportion to the nonzeros, in int arithmetic.
+`Table.contract` is the one evaluation of a table on frame vectors.  Every
+value handed out is an exact rational; no floating point appears
+anywhere.  The metric is the identity in this frame, so the inner product
+is the plain coefficient dot product.
 """
 from __future__ import annotations
 
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -182,15 +181,21 @@ def inner_product(x: FrameVector, y: FrameVector) -> Scalar:
 class Table:
     """Rank-k coefficient table over a frame of dimension `dim`.
 
-    `entries` maps the first index to the subtree of the remaining ones;
-    the last level is the tuple of nonzero `(index, value)` pairs in index
-    order, and at rank 1 `entries` is that tuple.  Build tables with
-    `from_values`, which keeps that form.
+    The value at an index tuple is a stored int numerator over `den`, one
+    positive int for the whole table.  `entries` maps the first index to
+    the subtree of the remaining ones; the last level is the tuple of
+    nonzero `(index, numerator)` pairs in index order, and at rank 1
+    `entries` is that tuple.  The pair is canonical: den and the
+    numerators have no common factor, and den is 1 for an empty table, so
+    `==` is structural and exact.  Build tables with `from_values` or
+    `from_numerators`, which keep that form; `entry`, `items` and `row`
+    hand out the values as Fractions.
     """
 
     dim: int
     rank: int
     entries: dict
+    den: int = 1
 
     @classmethod
     def from_values(cls, dim: int, rank: int,
@@ -203,26 +208,38 @@ class Table:
                        if len(idx) != rank or min(idx) < 0 or max(idx) >= dim)
             raise DimensionMismatch(f"index {bad} does not fit a rank-{rank} "
                                     f"table of dimension {dim}")
-        rows: dict[tuple[int, ...], list[tuple[int, Scalar]]] = {}
-        for idx, value in sorted(values.items()):
-            if value:
-                if not isinstance(value, Fraction):
-                    value = Fraction(value)
-                rows.setdefault(idx[:-1], []).append((idx[-1], value))
+        den = lcm(*(a.denominator for a in values.values()))
+        return cls.from_numerators(dim, rank, {idx: a.numerator * (den // a.denominator)
+                                               for idx, a in values.items()}, den)
+
+    @classmethod
+    def from_numerators(cls, dim: int, rank: int, values: dict[tuple[int, ...], int],
+                        den: int = 1):
+        """Build from index tuple -> int numerator over the positive int
+        `den`; zeros are dropped and the common factor is divided out."""
+        if den != 1:
+            common = gcd(den, *values.values())
+            if common != 1:
+                den //= common
+                values = {idx: a // common for idx, a in values.items()}
+        rows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for idx, a in sorted(values.items()):
+            if a:
+                rows.setdefault(idx[:-1], []).append((idx[-1], a))
         if rank == 1:
-            return cls(dim, rank, tuple(rows.get((), ())))
+            return cls(dim, rank, tuple(rows.get((), ())), den)
         entries: dict = {}
         for head, row in rows.items():
             node = entries
             for i in head[:-1]:
                 node = node.setdefault(i, {})
             node[head[-1]] = tuple(row)
-        return cls(dim, rank, entries)
+        return cls(dim, rank, entries, den)
 
-    def items(self, within: Sequence | None = None) -> list[tuple[tuple[int, ...], Scalar]]:
-        """Every stored `(index tuple, value)` pair, in index order; with
-        `within`, only those whose index in each slot lies in within[slot]
-        (a subtree outside it is never walked)."""
+    def numerators(self, within: Sequence | None = None) -> list[tuple[tuple[int, ...], int]]:
+        """Every stored `(index tuple, numerator)` pair, in index order;
+        with `within`, only those whose index in each slot lies in
+        within[slot] (a subtree outside it is never walked)."""
         level = [((), self.entries)]
         if within is None:
             for _ in range(self.rank - 1):
@@ -233,16 +250,26 @@ class Table:
                      if i in within[s]]
         return [(head + (k,), a) for head, row in level for k, a in row if k in within[-1]]
 
+    def items(self) -> list[tuple[tuple[int, ...], Scalar]]:
+        """Every stored `(index tuple, value)` pair, in index order."""
+        return [(idx, Fraction(a, self.den)) for idx, a in self.numerators()]
+
     def sub(self, *idx: int):
         """The stored subtree under a leading index prefix shorter than the
-        rank: a dict above the last level, the `(index, value)` pairs at it,
-        and empty where every entry below the prefix is zero."""
+        rank: a dict above the last level, the `(index, numerator)` pairs
+        at it, and empty where every entry below the prefix is zero."""
         node = self.entries
         for i in idx:
             node = node.get(i)
             if node is None:
                 return {}
         return node
+
+    def _reduced(self) -> Table:
+        """This plain Table with den and the numerators divided by their gcd."""
+        if self.den == 1 or gcd(self.den, *(a for _, a in self.numerators())) == 1:
+            return self
+        return Table.from_numerators(self.dim, self.rank, dict(self.numerators()), self.den)
 
     def fix(self, slot: int, index: int) -> Table:
         """The plain rank-(k-1) Table of the entries whose index in `slot` is
@@ -268,20 +295,21 @@ class Table:
                     out[i] = kept
             return out
 
-        return Table(self.dim, last, walk(self.entries, 0) or ({} if last > 1 else ()))
+        kept = walk(self.entries, 0) or ({} if last > 1 else ())
+        return Table(self.dim, last, kept, self.den)._reduced()
 
     def entry(self, *idx: int) -> Scalar:
         *head, last = idx
         for k, a in self.sub(*head):
             if k == last:
-                return a
+                return Fraction(a, self.den)
         return ZERO
 
     def row(self, *idx: int) -> FrameVector:
         """The last slot at a full leading index, as a frame vector."""
         out = [ZERO] * self.dim
         for k, a in self.sub(*idx):
-            out[k] = a
+            out[k] = Fraction(a, self.den)
         return FrameVector(tuple(out))
 
     def contract(self, *vectors: FrameVector) -> Scalar | FrameVector:
@@ -341,28 +369,13 @@ class Table:
                             for _, c in path:
                                 part *= c
                             total = part if total is None else total + part
+        # the sums are of numerators: one division by den each
         if last is None:
-            return FrameVector(tuple(ZERO if x is None else x for x in out))
-        return ZERO if total is None else total
+            return FrameVector(tuple(ZERO if x is None else Fraction(x, self.den) for x in out))
+        return ZERO if total is None else Fraction(total, self.den)
 
     def is_zero(self) -> bool:
         return not self.entries
-
-    @cached_property
-    def scaled(self) -> tuple[int, Table]:
-        """(D, t): D is the lcm of the stored values' denominators (1 for an
-        empty table), and t is this tree with each value a replaced by the
-        int a * D.  A check that only asks where a homogeneous expression in
-        the table vanishes can run on t: one positive factor keeps the zero
-        set.  Built on first use and kept out of `==`."""
-        factor = lcm(*(a.denominator for _, a in self.items()))
-
-        def scale(node, depth: int):
-            if depth == 1:
-                return tuple((k, a.numerator * (factor // a.denominator)) for k, a in node)
-            return {i: scale(sub, depth - 1) for i, sub in node.items()}
-
-        return factor, Table(self.dim, self.rank, scale(self.entries, self.rank))
 
     def restrict(self, keep: range, width: int | None = None) -> Table:
         """The entries whose index in each of the first `width` slots (every
@@ -384,7 +397,8 @@ class Table:
                         out[i] = kept
             return out
 
-        return Table(self.dim, self.rank, walk(self.entries, 0) or ({} if self.rank > 1 else ()))
+        kept = walk(self.entries, 0) or ({} if self.rank > 1 else ())
+        return Table(self.dim, self.rank, kept, self.den)._reduced()
 
     def pullback(self, endo: Endomorphism, slots: Sequence[int], keep: range) -> Table:
         """The plain Table on index tuples in `keep` whose slots in `slots`
@@ -395,58 +409,57 @@ class Table:
         the inputs i whose image has a nonzero coefficient on e_p.  So each
         pass costs the nonzeros times the most inputs any e_p is reached
         from, and never the power of that count the product over the slots
-        would cost.
+        would cost.  Each pass multiplies den by endo's.
         """
-        # into[p] lists (i, c) for every nonzero c = endo(e_i)[p], i in
-        # `keep`; a c of 1 or -1, the common case for the structure tensors,
-        # is kept as an int so that it costs no multiplication
+        # into[p] lists (i, c) for every nonzero numerator c of endo(e_i)[p],
+        # i in `keep`
         _require_same_dim(self.dim, endo.dim)
-        into: dict[int, list[tuple[int, Scalar | int]]] = {}
-        for (i, p), c in endo.items():
+        into: dict[int, list[tuple[int, int]]] = {}
+        for (i, p), c in endo.numerators():
             if i in keep:
-                if c.denominator == 1 and abs(c.numerator) == 1:
-                    c = c.numerator
                 into.setdefault(p, []).append((i, c))
         # an entry contributes only if every pulled slot reaches `keep` and
         # every other slot lies in it
-        values = dict(self.items([into if s in slots else keep for s in range(self.rank)]))
+        values = dict(self.numerators([into if s in slots else keep for s in range(self.rank)]))
         for slot in slots:
-            pulled: dict[tuple[int, ...], Scalar] = {}
+            pulled: dict[tuple[int, ...], int] = {}
             for idx, a in values.items():
                 for i, c in into.get(idx[slot], ()):
                     key = idx[:slot] + (i,) + idx[slot + 1:]
-                    term = a if c == 1 else -a if c == -1 else c * a
-                    pulled[key] = pulled[key] + term if key in pulled else term
+                    pulled[key] = pulled.get(key, 0) + c * a
             values = pulled
-        return Table.from_values(self.dim, self.rank, values)
+        return Table.from_numerators(self.dim, self.rank, values,
+                                     self.den * endo.den ** len(slots))
 
     def add(self, terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
         """This table plus c * t for every term (c, t) of the same rank, as
-        a plain Table."""
-        values = dict(self.items())
+        a plain Table, over the lcm of the terms' denominators."""
+        terms = list(terms)
         for c, t in terms:
             _require_same_dim(self.dim, t.dim)
             if t.rank != self.rank:
                 raise ValueError(f"a rank-{t.rank} table does not add to rank {self.rank}")
-            for key, a in t.items():
-                if key not in values:
-                    values[key] = a if c == 1 else -a if c == -1 else c * a
-                elif c == -1:
-                    values[key] -= a
-                else:
-                    values[key] += a if c == 1 else c * a
-        return Table.from_values(self.dim, self.rank, values)
+        den = lcm(self.den, *(c.denominator * t.den for c, t in terms))
+        scale = den // self.den
+        values = {key: scale * a for key, a in self.numerators()}
+        for c, t in terms:
+            # c * t's numerators brought over den
+            scale = c.numerator * (den // (c.denominator * t.den))
+            for key, a in t.numerators():
+                values[key] = values.get(key, 0) + scale * a
+        return Table.from_numerators(self.dim, self.rank, values, den)
 
     def tensor(self, other: Table) -> Table:
         """The tensor product self ⊗ other, as a plain Table: its entry at
-        (i, j, ..., k, ...) is self(i, j, ...) * other(k, ...)."""
+        (i, j, ..., k, ...) is self(i, j, ...) * other(k, ...), over the
+        product of the two dens."""
         _require_same_dim(self.dim, other.dim)
         rank = self.rank + other.rank
         if not self.entries or not other.entries:
             return Table(self.dim, rank, {})
 
         # each stored x of self gets a copy of other's tree scaled by x
-        def scaled(node, x: Scalar, depth: int):
+        def scaled(node, x: int, depth: int):
             if depth == 1:
                 return tuple((k, x * a) for k, a in node)
             return {i: scaled(sub, x, depth - 1) for i, sub in node.items()}
@@ -456,7 +469,8 @@ class Table:
                 return {k: scaled(other.entries, x, other.rank) for k, x in node}
             return {i: graft(sub, depth - 1) for i, sub in node.items()}
 
-        return Table(self.dim, rank, graft(self.entries, self.rank))
+        return Table(self.dim, rank, graft(self.entries, self.rank),
+                     self.den * other.den)._reduced()
 
     def permute(self, order: Sequence[int]) -> Table:
         """The plain Table whose entry at (i_0, ..., i_r-1) is this table's
@@ -465,12 +479,12 @@ class Table:
         if sorted(order) != list(range(self.rank)):
             raise ValueError(f"{tuple(order)} is not an order of {self.rank} slots")
         values = {}
-        for key, a in self.items():
+        for key, a in self.numerators():
             idx = [0] * self.rank
             for s, i in zip(order, key):
                 idx[s] = i
             values[tuple(idx)] = a
-        return Table.from_values(self.dim, self.rank, values)
+        return Table.from_numerators(self.dim, self.rank, values, self.den)
 
 
 class Endomorphism(Table):
@@ -483,7 +497,7 @@ class Endomorphism(Table):
 
     @staticmethod
     def identity(dim: int) -> Endomorphism:
-        return Endomorphism.from_values(dim, 2, {(i, i): ONE for i in range(dim)})
+        return Endomorphism.from_numerators(dim, 2, {(i, i): 1 for i in range(dim)})
 
     @staticmethod
     def from_columns(dim: int, columns: dict[int, dict[int, Scalar | int]]) -> Endomorphism:
@@ -501,38 +515,74 @@ class Endomorphism(Table):
     def compose(self, other: Endomorphism) -> Endomorphism:
         """Matrix product self @ other, i.e. x -> self(other(x)): the input
         slot pulled back through `other`."""
-        return Endomorphism(self.dim, 2,
-                            self.pullback(other, (0,), range(self.dim)).entries)
+        return Endomorphism._of(self.pullback(other, (0,), range(self.dim)))
+
+    @classmethod
+    def _of(cls, t: Table) -> Endomorphism:
+        return cls(t.dim, 2, t.entries, t.den)
 
     def __add__(self, other: Endomorphism) -> Endomorphism:
-        _require_same_dim(self.dim, other.dim)
-        values = dict(self.items())
-        for idx, a in other.items():
-            values[idx] = values[idx] + a if idx in values else a
-        return Endomorphism.from_values(self.dim, 2, values)
+        return Endomorphism._of(self.add([(1, other)]))
 
     def __sub__(self, other: Endomorphism) -> Endomorphism:
-        return self + -other
+        return Endomorphism._of(self.add([(-1, other)]))
 
     def __neg__(self) -> Endomorphism:
-        return Endomorphism.from_values(self.dim, 2, {idx: -a for idx, a in self.items()})
+        return self.scale(-1)
 
     def scale(self, factor: Scalar | int) -> Endomorphism:
-        f = Fraction(factor)
-        return Endomorphism.from_values(self.dim, 2, {idx: f * a for idx, a in self.items()}
-                                        if f else {})
+        return Endomorphism._of(Table(self.dim, 2, {}).add([(factor, self)]))
 
     def transpose(self) -> Endomorphism:
-        return Endomorphism.from_values(self.dim, 2,
-                                        {(k, i): a for (i, k), a in self.items()})
+        return Endomorphism.from_numerators(self.dim, 2, {(k, i): a for (i, k), a
+                                                          in self.numerators()}, self.den)
+
+
+def as_table(x: FrameVector | OneForm) -> Table:
+    """The coefficients of a vector or a 1-form as a rank-1 Table."""
+    return Table.from_values(len(x.coefficients), 1,
+                             {(i,): a for i, a in enumerate(x.coefficients) if a})
 
 
 def outer(vec: FrameVector, form: OneForm) -> Endomorphism:
     """Rank-one map x -> form(x) * vec."""
     _require_same_dim(vec.dim, form.dim)
-    return Endomorphism.from_values(vec.dim, 2, {
-        (i, k): f * a for i, f in enumerate(form.coefficients) if f
-        for k, a in vec.nonzero})
+    return Endomorphism._of(as_table(form).tensor(as_table(vec)))
+
+
+def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
+    """First frame tuple, in `itertools.product` order, where some clause's
+    two tables differ, with the first such clause and both sides there;
+    None when they agree on every frame tuple.
+
+    A frame tuple is the first `width` indices of a key.  When `width` is
+    the tables' rank the sides are entries.  When it is one less they are
+    rows, the vectors of the last slot, and a clause differs at a tuple
+    when its rows do: the first clause wins there even if a later one
+    differs at a smaller last index.  A key stored on neither side holds
+    every clause, so only the stored keys of both sides are candidates.
+    Sides in canonical form are equal exactly when their trees and dens
+    are; otherwise the keys are compared by cross-multiplied numerators,
+    and no Fraction is built before the witness.
+    """
+    failing, sides = [], {}
+    for c, (_, lhs, rhs) in enumerate(clauses):
+        dl, dr = lhs.den, rhs.den
+        if dl != dr or lhs.entries != rhs.entries:
+            left, right = sides[c] = dict(lhs.numerators()), dict(rhs.numerators())
+            failing += [(key[:width], c) for key in left.keys() | right.keys()
+                        if left.get(key, 0) * dr != right.get(key, 0) * dl]
+    if not failing:
+        return None
+    where, c = min(failing)
+    name, lhs, rhs = clauses[c]
+    if width == lhs.rank:
+        # read from the keys, not `entry`: an Endomorphism's entry(k, i)
+        # takes its output index first
+        left, right = sides[c]
+        return (where, name, Fraction(left.get(where, 0), lhs.den),
+                Fraction(right.get(where, 0), rhs.den))
+    return where, name, lhs.row(*where), rhs.row(*where)
 
 
 @dataclass(frozen=True)
@@ -569,8 +619,9 @@ class TwoForm(Table):
     """Antisymmetric bilinear form; entry(i, j) is the value on (e_i, e_j)."""
 
     def __post_init__(self) -> None:
-        for (i, j), a in self.items():
-            if self.entry(j, i) != -a:
+        values = dict(self.numerators())
+        for (i, j), a in values.items():
+            if values.get((j, i), 0) != -a:
                 raise ValueError(f"2-form not antisymmetric at entry ({i}, {j})")
 
     # value(x, y) is the full contraction

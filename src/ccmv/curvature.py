@@ -3,25 +3,23 @@
 Curvature convention: R(X,Y)Z = nabla_X nabla_Y Z - nabla_Y nabla_X Z
 - nabla_{[X,Y]} Z, lowered as R(X,Y,Z,W) = g(R(X,Y)Z, W).  On an
 invariant frame this reduces to a closed polynomial in the connection
-coefficients and structure constants.
+coefficients and structure constants, assembled here on the tables' int
+numerators over one den.
 
 The three checks of R on arbitrary vector fields (RIEM-SYM, BIANCHI-1,
-BIANCHI-2) only ask where a quantity vanishes, and each quantity is
-homogeneous in its tables: the pair symmetries and the cyclic sum are
-linear in R, the cyclic nabla R sum is bilinear in (gamma, R).  Scaling a
-table by one positive integer D therefore keeps the zero set, and so the
-first failing tuple in `itertools.product` order.  The sweeps run on
-`Table.scaled`, each table times the lcm of its denominators, with int
-arithmetic only; the value a witness prints is read from the Fraction
-tables at the tuple found.
+BIANCHI-2) sweep the int numerators too: the pair symmetries and the
+cyclic sum compare numerators over R's one den, and each cyclic nabla R
+term is a connection numerator times an R numerator, over the product of
+the two dens.  A witness value is the failing numerator over its den.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from .core import (
-    ZERO,
     Endomorphism,
     FrameVector,
     Scalar,
@@ -42,8 +40,9 @@ class BilinearForm(Table):
     """Symmetric bilinear form over the frame."""
 
     def __post_init__(self) -> None:
-        for (i, j), a in self.items():
-            if self.entry(j, i) != a:
+        values = dict(self.numerators())
+        for (i, j), a in values.items():
+            if values.get((j, i), 0) != a:
                 raise ValueError(f"bilinear form not symmetric at ({i}, {j})")
 
     # value(x, y) is the full contraction
@@ -61,27 +60,28 @@ def riemann(m: ManifoldModel, conn: ConnectionCoeffs) -> Tensor4:
     Symmetry of the entries is a consequence of the construction and is
     asserted by the verification suite, not by the table.
     """
-    # through[p] lists (i, el, g) for every nonzero gamma(i, p, el) = g
-    through: dict[int, list[tuple[int, int, Scalar]]] = {}
-    for (i, p, el), g in conn.items():
-        through.setdefault(p, []).append((i, el, g))
-    # each entry is summed from its first term, not from zero
-    values: dict[tuple[int, int, int, int], Scalar] = {}
+    # through[p] lists (i, el, g) for every nonzero gamma(i, p, el) = g; the
+    # terms are brought over den = D_conn * lcm(D_conn, D_c)
+    gd, cd = conn.den, m.constants.den
+    den = gd * lcm(gd, cd)
+    through: dict[int, list[tuple[int, int, int]]] = {}
+    for (i, p, el), g in conn.numerators():
+        through.setdefault(p, []).append((i, el, g * (den // (gd * gd))))
+    values: dict[tuple[int, int, int, int], int] = {}
+    get = values.get
     # gamma(a, k, p) * gamma(b, p, el) is the first term of R(b, a, k, el)
     # and minus the second term of R(a, b, k, el).
-    for (a, k, p), g in conn.items():
+    for (a, k, p), g in conn.numerators():
         for b, el, h in through.get(p, ()):
             term = g * h
-            key = (b, a, k, el)
-            values[key] = values[key] + term if key in values else term
-            key = (a, b, k, el)
-            values[key] = values[key] - term if key in values else -term
-    for (i, j, p), c in m.constants.items():
+            values[b, a, k, el] = get((b, a, k, el), 0) + term
+            values[a, b, k, el] = get((a, b, k, el), 0) - term
+    for (i, j, p), c in m.constants.numerators():
+        c *= den // (cd * gd)
         for k, row in conn.sub(p).items():
             for el, g in row:
-                key = (i, j, k, el)
-                values[key] = values[key] - c * g if key in values else -(c * g)
-    return Tensor4.from_values(m.dim, 4, values)
+                values[i, j, k, el] = get((i, j, k, el), 0) - c * g
+    return Tensor4.from_numerators(m.dim, 4, values, den)
 
 
 def curvature_value(rt: Tensor4, x: FrameVector, y: FrameVector,
@@ -92,22 +92,22 @@ def curvature_value(rt: Tensor4, x: FrameVector, y: FrameVector,
 
 def ricci(m: ManifoldModel, rt: Tensor4) -> BilinearForm:
     """Frame trace rho(e_j, e_k) = sum_a R(e_a, e_j, e_k, e_a)."""
-    values: dict[tuple[int, int], Scalar] = {}
-    for (a, j, k, el), value in rt.items():
+    values: dict[tuple[int, int], int] = {}
+    for (a, j, k, el), value in rt.numerators():
         if el == a:
-            values[(j, k)] = values[(j, k)] + value if (j, k) in values else value
-    return BilinearForm.from_values(m.dim, 2, values)
+            values[(j, k)] = values.get((j, k), 0) + value
+    return BilinearForm.from_numerators(m.dim, 2, values, rt.den)
 
 
 def ricci_operator(rho: BilinearForm) -> Endomorphism:
     """Metric-equivalent endomorphism Q; with an identity metric the
     matrix coincides with the form's matrix."""
-    return Endomorphism(rho.dim, 2, rho.entries)
+    return Endomorphism(rho.dim, 2, rho.entries, rho.den)
 
 
 def scalar_curvature(rho: BilinearForm) -> Scalar:
     """Trace of the Ricci form over the orthonormal frame."""
-    return sum((rho.entry(a, a) for a in range(rho.dim)), ZERO)
+    return Fraction(sum(a for (i, j), a in rho.numerators() if i == j), rho.den)
 
 
 def sectional(rt: Tensor4, x: FrameVector, y: FrameVector) -> Scalar:
@@ -141,8 +141,9 @@ def _connection_index(conn: Table, s: int) -> tuple[dict, dict]:
 def _subtract_nabla_r(slab: dict, gamma: dict, into: dict, rt: Table,
                       a: int, b: int) -> None:
     """slab[(k, l)] -= the four gamma contractions of R at (a, b, k, l), with
-    gamma and into from `_connection_index` at one s.  Exact on Fraction
-    tables and on the scaled int copies alike."""
+    gamma and into from `_connection_index` at one s: the numerators of
+    (nabla_{e_s} R)(e_a, e_b, e_k, e_l) over D_conn * D_R, R differentiated
+    as an invariant 4-tensor, so that each slot picks up a -gamma term."""
     plane, get = rt.sub(a, b), slab.get
     for p, q in gamma.get(a, ()):
         for k, row in rt.sub(p, b).items():
@@ -162,65 +163,29 @@ def _subtract_nabla_r(slab: dict, gamma: dict, into: dict, rt: Table,
                 slab[k, el] = get((k, el), 0) - q * v
 
 
-def add_nabla_r(slab: dict[tuple[int, int], Scalar], conn: ConnectionCoeffs,
-                rt: Tensor4, s: int, a: int, b: int) -> None:
-    """slab[(k, l)] += (nabla_{e_s} R)(e_a, e_b, e_k, e_l) for every (k, l).
-
-    R is differentiated as an invariant 4-tensor, so each slot of R picks up
-    a -gamma contraction; the four terms are read from the nonzero
-    connection and curvature entries only.
-    """
-    _subtract_nabla_r(slab, *_connection_index(conn, s), rt, a, b)
-
-
-def second_bianchi_slab(conn: ConnectionCoeffs, rt: Tensor4, mm: int, i: int,
-                        j: int) -> dict[tuple[int, int], Scalar]:
-    """The cyclic sum over the first three indices of nabla R at (mm, i, j),
-    keyed by the last two; a key that is absent or maps to zero satisfies
-    the differential Bianchi identity."""
-    slab: dict[tuple[int, int], Scalar] = {}
-    for s, a, b in ((mm, i, j), (i, j, mm), (j, mm, i)):
-        add_nabla_r(slab, conn, rt, s, a, b)
-    return slab
-
-
-def second_bianchi_cyclic_sum(m: ManifoldModel, conn: ConnectionCoeffs,
-                              rt: Tensor4, mm: int, i: int, j: int,
-                              k: int, el: int) -> Scalar:
-    """Cyclic sum over the first three indices of (nabla R); zero when the
-    differential Bianchi identity holds."""
-    return second_bianchi_slab(conn, rt, mm, i, j).get((k, el), ZERO)
-
-
 def second_bianchi_failures(m: ManifoldModel, conn: ConnectionCoeffs,
-                            rt: Tensor4) -> tuple[int, ...] | None:
+                            rt: Tensor4) -> tuple[tuple[int, ...], Scalar] | None:
     """First (m, i, j, k, l) tuple, in `itertools.product` order, violating
-    the differential Bianchi identity, or None.
+    the differential Bianchi identity, with the cyclic sum over the first
+    three indices of nabla R there; None when there is none.
 
     The cyclic slab at (i, j, m) or (j, m, i) is the same three nabla R
     terms as at (m, i, j), so the failing triples are closed under rotation
     and the first of them in product order is the smallest of its orbit.
-    Only those orbit minima are built, one slab at a time, and the sweep
-    returns at the first slab with a nonzero entry.
-
-    The slabs are built on the scaled int copies of the connection and of
-    R (`Table.scaled`).  Every nabla R term is one connection value times
-    one R value, so each slab entry comes out multiplied by the positive
-    D_conn * D_R and is zero exactly where the Fraction entry is.
+    Only those orbit minima are built, one slab of numerators at a time,
+    and the sweep returns at the first slab with a nonzero entry.
     """
-    dim = m.dim
-    _, gamma = conn.scaled
-    _, ints = rt.scaled
-    index = [_connection_index(gamma, s) for s in range(dim)]
-    for mm, i, j in product(range(dim), repeat=3):
+    index = [_connection_index(conn, s) for s in range(m.dim)]
+    for mm, i, j in product(range(m.dim), repeat=3):
         if (i, j, mm) < (mm, i, j) or (j, mm, i) < (mm, i, j):
             continue
         slab: dict[tuple[int, int], int] = {}
         for s, a, b in ((mm, i, j), (i, j, mm), (j, mm, i)):
-            _subtract_nabla_r(slab, *index[s], ints, a, b)
+            _subtract_nabla_r(slab, *index[s], rt, a, b)
         failing = [key for key, total in slab.items() if total]
         if failing:
-            return (mm, i, j, *min(failing))
+            key = min(failing)
+            return (mm, i, j, *key), Fraction(slab[key], conn.den * rt.den)
     return None
 
 
@@ -235,11 +200,9 @@ def first_bianchi_failures(rt: Tensor4) -> tuple[int, ...] | None:
 
     A nonzero sum has a nonzero term, so the tuple is one of the three
     rotations of the first three indices of a stored entry; only those
-    candidates are read, in sorted order.  The sum is linear in R, so it is
-    read from the scaled int copy (`Table.scaled`), whose positive factor
-    keeps every zero.
+    candidates are read, in sorted order, and summed on R's numerators.
     """
-    r = dict(rt.scaled[1].items())
+    r = dict(rt.numerators())
     candidates = {where for a, b, c, el in r
                   for where in ((a, b, c, el), (c, a, b, el), (b, c, a, el))}
     for where in sorted(candidates):
@@ -266,11 +229,9 @@ def riemann_symmetry_failures(rt: Tensor4) -> tuple[int, ...] | None:
     The clauses at (i, j, k, l) read R there and at (j, i, k, l),
     (i, j, l, k) and (k, l, i, j); where all four are zero every clause
     holds.  So only the stored entries and those three partners of each
-    are candidates, checked in sorted order.  Each clause is linear in R,
-    so it is read from the scaled int copy (`Table.scaled`), whose positive
-    factor keeps every equality.
+    are candidates, checked in sorted order on R's numerators.
     """
-    r = dict(rt.scaled[1].items())
+    r = dict(rt.numerators())
     candidates = {where for i, j, k, el in r
                   for where in ((i, j, k, el), (j, i, k, el), (i, j, el, k), (k, el, i, j))}
     for where in sorted(candidates):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
 
 from .core import (
     ZERO,
@@ -22,6 +21,7 @@ from .core import (
     Scalar,
     Status,
     Table,
+    first_table_failure,
     format_scalar,
     outer,
     parse_frame_index,
@@ -29,16 +29,16 @@ from .core import (
 )
 
 
-# Largest accepted `n`.  Tables store nonzeros only, every slotted
-# identity compares tables built from them, and RIEM-SYM, BIANCHI-1 and the
-# three normality routes read only the table entries that can fail.  What
-# still scales with d = 4n + 2 is the d**3 / 3 cyclic-orbit slabs of
-# BIANCHI-2, which run on the int numerators of the connection and of R;
-# those ints grow with the model's denominators, not with d.  The cap
-# bounds the size of every table; a suite at n = 13 (d = 54) on the
-# block-diagonal Heisenberg model takes seconds, but the cap does not bound
-# the running time of a model with long denominators.  A larger `n` is
-# rejected by the loader before any table is built.
+# Largest accepted `n`.  Tables store nonzero int numerators over one den,
+# every slotted identity compares tables built from them, and RIEM-SYM,
+# BIANCHI-1 and the three normality routes read only the table entries that
+# can fail.  What still scales with d = 4n + 2 is the d**3 / 3 cyclic-orbit
+# slabs of BIANCHI-2.  Every kernel runs on ints, whose length grows with
+# the model's denominators, not with d.  The cap bounds the size of every
+# table; a suite at n = 13 (d = 54) on the block-diagonal Heisenberg model
+# takes seconds, but the cap does not bound the running time of a model with
+# long denominators.  A larger `n` is rejected by the loader before any
+# table is built.
 MAX_N = 13
 
 
@@ -149,20 +149,16 @@ def _entry_witness(indices: tuple[int, ...], lhs: Scalar, rhs: Scalar,
     return f"{head}entry=({idx}) lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}"
 
 
-def _first_matrix_diff(a: Endomorphism, b: Endomorphism,
-                       clause: str = "") -> str | None:
-    for k, i in product(range(a.dim), repeat=2):
-        if a.entry(k, i) != b.entry(k, i):
-            return _entry_witness((k, i), a.entry(k, i), b.entry(k, i), clause)
-    return None
-
-
 def _check_matrices(check_id: str,
                     pairs: list[tuple[str, Endomorphism, Endomorphism]]) -> CheckResult:
+    """The first clause whose matrices differ, at its first entry (k, i) in
+    `itertools.product` order: the sides are compared transposed, so that
+    their keys run output index first."""
     for clause, lhs, rhs in pairs:
-        witness = _first_matrix_diff(lhs, rhs, clause)
-        if witness is not None:
-            return CheckResult(check_id, Status.FAIL, witness)
+        failure = first_table_failure([(clause, lhs.transpose(), rhs.transpose())], 2)
+        if failure is not None:
+            where, _, left, right = failure
+            return CheckResult(check_id, Status.FAIL, _entry_witness(where, left, right, clause))
     return CheckResult(check_id, Status.PASS)
 
 
@@ -178,7 +174,8 @@ def lie_checks(m: ManifoldModel) -> list[CheckResult]:
     results: list[CheckResult] = []
 
     # (i, j, k) fails iff (j, i, k) does; report the first in product order
-    failing = [key for (i, j, k), a in c.items() if a != -c.entry(j, i, k)
+    values = dict(c.numerators())
+    failing = [key for (i, j, k), a in values.items() if a != -values.get((j, i, k), 0)
                for key in ((i, j, k), (j, i, k))]
     witness = None
     if failing:
@@ -187,20 +184,21 @@ def lie_checks(m: ManifoldModel) -> list[CheckResult]:
     results.append(CheckResult("LIE-ANTISYM", Status.FAIL if witness else Status.PASS,
                                witness))
 
-    sums: dict[tuple[int, int, int, int], Scalar] = {}
-    for (a, b, p), first in c.items():
+    # the sums of products of numerators, over the den squared
+    sums: dict[tuple[int, int, int, int], int] = {}
+    for (a, b, p), first in values.items():
         for e, inner in c.sub(p).items():
             for k, second in inner:
                 # c(a, b, p) c(p, e, k) is a term of the sums at
                 # (a, b, e, k), (e, a, b, k) and (b, e, a, k)
                 term = first * second
                 for key in ((a, b, e, k), (e, a, b, k), (b, e, a, k)):
-                    sums[key] = sums.get(key, ZERO) + term
+                    sums[key] = sums.get(key, 0) + term
     failing = [key for key, total in sums.items() if total]
     witness = None
     if failing:
         first_key = min(failing)
-        witness = _entry_witness(first_key, sums[first_key], ZERO)
+        witness = _entry_witness(first_key, Fraction(sums[first_key], c.den ** 2), ZERO)
     results.append(CheckResult("LIE-JACOBI", Status.FAIL if witness else Status.PASS,
                                witness))
     return results

@@ -38,16 +38,17 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
-    ZERO,
     Endomorphism,
     FrameVector,
     OneForm,
     Scalar,
     Status,
     Table,
+    TwoForm,
+    as_table,
+    first_table_failure,
     format_scalar,
     format_sparse_vector,
-    TwoForm,
 )
 from .connection import (
     ConnectionCoeffs,
@@ -99,46 +100,10 @@ def _scalar_witness(label: str, slots: tuple[int, ...], lhs: Scalar,
     return f"{label} slots={where} lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}"
 
 
-def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
-    """First frame tuple, in `itertools.product` order, where some clause's
-    two tables differ, with the first such clause and both sides there;
-    None when they agree on every frame tuple.
-
-    A frame tuple is the first `width` indices of a key.  When `width` is
-    the tables' rank the sides are entries.  When it is one less they are
-    rows, the vectors of the last slot, and a clause differs at a tuple
-    when its rows do: the first clause wins there even if a later one
-    differs at a smaller last index.  A key stored on neither side holds
-    every clause, so only the stored keys of both sides are candidates.
-    """
-    failing, sides = [], []
-    for c, (_, lhs, rhs) in enumerate(clauses):
-        left, right = dict(lhs.items()), dict(rhs.items())
-        sides.append((left, right))
-        if left != right:
-            failing += [(key[:width], c) for key in left.keys() | right.keys()
-                        if left.get(key, ZERO) != right.get(key, ZERO)]
-    if not failing:
-        return None
-    where, c = min(failing)
-    name, lhs, rhs = clauses[c]
-    if width == lhs.rank:
-        # read from the keys, not `entry`: an Endomorphism's entry(k, i)
-        # takes its output index first
-        left, right = sides[c]
-        return where, name, left.get(where, ZERO), right.get(where, ZERO)
-    return where, name, lhs.row(*where), rhs.row(*where)
-
-
-def _form_table(w: OneForm) -> Table:
-    """A 1-form as a rank-1 table."""
-    return Table.from_values(w.dim, 1, {(i,): a for i, a in enumerate(w.coefficients) if a})
-
-
 def _middle(f: Table, b: Table) -> Table:
     """f(Y) b(X, Z) at (X, Y, Z): a 1-form in the middle slot."""
-    return Table.from_values(b.dim, 3, {(i, j, k): x * y for (j,), x in f.items()
-                                        for (i, k), y in b.items()})
+    return Table.from_numerators(b.dim, 3, {(i, j, k): x * y for (j,), x in f.numerators()
+                                            for (i, k), y in b.numerators()}, f.den * b.den)
 
 
 def _alternate(t: Table) -> Table:
@@ -246,7 +211,7 @@ class ConnectionWorkspace:
     def forms(self) -> tuple[Table, Table, Table]:
         """sigma, u and v as rank-1 tables."""
         m = self.model
-        return _form_table(self.sigma), _form_table(m.u), _form_table(m.v)
+        return as_table(self.sigma), as_table(m.u), as_table(m.v)
 
     @cached_property
     def delta(self) -> Endomorphism:
@@ -385,7 +350,7 @@ def _route_korkmaz(ctx: ConnectionWorkspace) -> RouteResult:
 
     # the first horizontal pair where S or T is nonzero, S before T there
     pairs = [((i, j), c) for c, t in enumerate((S, T))
-             for (i, j, _), _ in t.items([hor, hor, every])]
+             for (i, j, _), _ in t.numerators([hor, hor, every])]
     if pairs:
         where, c = min(pairs)
         label, t = (("S", S), ("T", T))[c]
@@ -393,7 +358,7 @@ def _route_korkmaz(ctx: ConnectionWorkspace) -> RouteResult:
     # then S(e_i, U) and T(e_i, V) for every frame index i, S before T at each i
     vertical = (("S(.,U)", S, m.U_index), ("T(.,V)", T, m.V_index))
     firsts = [(i, c) for c, (_, t, w) in enumerate(vertical)
-              for (i, _, _), _ in t.items([every, (w,), every])]
+              for (i, _, _), _ in t.numerators([every, (w,), every])]
     if firsts:
         i, c = min(firsts)
         label, t, w = vertical[c]

@@ -8,7 +8,7 @@ Table identities state each side of each clause as a `Table` built once
 from stored nonzeros, with one slot per slot of the identity, or one more
 for a vector-valued side, whose last slot is the output vector.  A slot
 the statement restricts to the horizontal distribution holds horizontal
-indices only.  The check (`structures.first_table_failure`) reads the
+indices only.  The check (`core.first_table_failure`) reads the
 stored keys of either side only and reports what a sweep of every frame
 tuple would: the first failing frame tuple in `itertools.product` order,
 then the first clause failing there.  For a vector-valued side the frame
@@ -47,6 +47,7 @@ from .core import (
     Scalar,
     Status,
     Table,
+    first_table_failure,
     format_scalar,
     format_sparse_vector,
     parse_frame_index,
@@ -64,7 +65,6 @@ from .curvature import (
     riemann_symmetry_clauses,
     riemann_symmetry_failures,
     scalar_curvature,
-    second_bianchi_cyclic_sum,
     second_bianchi_failures,
     sectional,
 )
@@ -81,7 +81,6 @@ from .structures import (
     _middle,
     _sum,
     check_normality,
-    first_table_failure,
 )
 
 SELECTORS = ("all", "axioms", "contact", "normality", "curvature", "ricci")
@@ -624,15 +623,12 @@ def _registry() -> list[Identity]:
     add_direct("BIANCHI-1", "curvature", bianchi_1)
 
     def bianchi_2(ws: Workspace) -> IdentityResult:
-        where = second_bianchi_failures(ws.model, ws.conn, ws.curv)
-        if where is None:
+        failure = second_bianchi_failures(ws.model, ws.conn, ws.curv)
+        if failure is None:
             return IdentityResult("BIANCHI-2", Status.PASS)
-        mm, i, j, k, el = where
-        total = second_bianchi_cyclic_sum(ws.model, ws.conn, ws.curv,
-                                          mm, i, j, k, el)
-        return IdentityResult(
-            "BIANCHI-2", Status.FAIL,
-            render_witness(f"{mm},{i},{j},{k},{el}", "", total, ZERO))
+        where, total = failure
+        return IdentityResult("BIANCHI-2", Status.FAIL,
+                              render_witness(",".join(map(str, where)), "", total, ZERO))
     add_direct("BIANCHI-2", "curvature", bianchi_2)
 
     # ----- ricci -----

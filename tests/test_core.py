@@ -4,6 +4,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -187,6 +188,16 @@ def dense_contract(values: dict, dim: int, rank: int, vectors) -> Fraction | Fra
 
 
 sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
+# values over prime denominators, so that sums and products of them carry
+# dens that must be reduced
+prime_ratios = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 3, 5, 7]))
+
+
+@st.composite
+def prime_tables(draw, rank):
+    """A random sparse rank-k table over dim 4 with prime-denominator values."""
+    index = st.tuples(*[st.integers(0, 3)] * rank)
+    return Table.from_values(4, rank, draw(st.dictionaries(index, prime_ratios, max_size=12)))
 
 
 @st.composite
@@ -267,7 +278,7 @@ class TestTable:
 
     def test_rank_one_tables(self):
         form = Table.from_values(3, 1, {(2,): Fraction(5), (0,): Fraction(-1), (1,): 0})
-        assert form.entries == ((0, Fraction(-1)), (2, Fraction(5)))
+        assert (form.den, form.entries) == (1, ((0, -1), (2, 5)))
         assert form.items() == [((0,), -1), ((2,), 5)]
         assert form.entry(2) == 5 and form.entry(1) == 0
         assert form.row() == FrameVector.from_coeffs([-1, 0, 5])
@@ -276,42 +287,101 @@ class TestTable:
         assert form.pullback(swap, (0,), range(3)).items() == [((1,), -1), ((2,), 5)]
 
     @pytest.mark.parametrize("rank", [1, 2, 4])
-    def test_scaled_copy_of_an_empty_table(self, rank):
-        table = Table.from_values(3, rank, {})
-        factor, ints = table.scaled
-        assert factor == 1
-        assert ints == table and ints.items() == []
+    def test_an_empty_table_has_den_one(self, rank):
+        empty = Table.from_values(3, rank, {})
+        assert empty.den == 1 and empty.items() == [] and empty.is_zero()
+        # zeros over any den, and a fix or restrict that keeps nothing
+        assert Table.from_numerators(3, rank, {(0,) * rank: 0}, 6) == empty
+        full = Table.from_values(3, rank, {(1,) * rank: Fraction(1, 6)})
+        assert full.restrict(range(1)) == empty
+        if rank > 1:
+            assert full.fix(0, 0) == Table.from_values(3, rank - 1, {})
 
-    def test_scaled_copy_of_a_rank_one_table(self):
-        form = Table.from_values(4, 1, {(0,): Fraction(-1, 2), (3,): Fraction(2, 3)})
-        factor, ints = form.scaled
-        assert factor == 6
-        assert ints.entries == ((0, -3), (3, 4))
-
-    def test_scaled_copy_keeps_signs_and_takes_the_lcm(self):
-        # denominators 4, 6 and 10: the lcm is 60, their product 240, the
-        # largest 10
+    def test_den_is_the_reduced_common_denominator(self):
+        # denominators 4, 6 and 10: the lcm is 60, their product 240
         values = {(0, 1, 2): Fraction(-3, 4), (1, 0, 0): Fraction(5, 6),
                   (1, 2, 2): Fraction(-7, 10), (2, 2, 1): Fraction(-4)}
         table = Table.from_values(3, 3, values)
-        factor, ints = table.scaled
-        assert factor == 60
-        assert dict(ints.items()) == {(0, 1, 2): -45, (1, 0, 0): 50,
-                                      (1, 2, 2): -42, (2, 2, 1): -240}
-        assert all(type(a) is int for _, a in ints.items())
+        assert table.den == 60
+        assert table.numerators() == [((0, 1, 2), -45), ((1, 0, 0), 50),
+                                      ((1, 2, 2), -42), ((2, 2, 1), -240)]
+        assert all(type(a) is int for _, a in table.numerators())
+        form = Table.from_values(4, 1, {(0,): Fraction(-1, 2), (3,): Fraction(2, 3)})
+        assert (form.den, form.entries) == (6, ((0, -3), (3, 4)))
+        # a common factor of den and every numerator is divided out
+        reduced = Table.from_numerators(3, 2, {(0, 1): 6, (1, 2): -9}, 12)
+        assert (reduced.den, reduced.entries) == (4, {0: ((1, 2),), 1: ((2, -3),)})
+        # keeping part of a table leaves a common factor to divide out
+        assert table.restrict(range(1), 1).numerators() == [((0, 1, 2), -3)]
+        assert table.restrict(range(1), 1).den == 4 and table.fix(0, 2).den == 1
+
+    def test_equality_is_structural(self):
+        t = Table.from_values(3, 2, {(0, 1): Fraction(1, 2), (2, 2): Fraction(-1, 3)})
+        u = Table.from_values(3, 2, {(0, 1): Fraction(3, 5), (1, 0): 7})
+        assert t.add([(1, u), (-1, u)]) == t
+        assert t.add([(Fraction(2, 7), u)]).add([(Fraction(-2, 7), u)]) == t
+        assert t.permute((1, 0)).permute((1, 0)) == t
+        half = Table.from_values(3, 1, {(0,): Fraction(1, 2)})
+        two = Table.from_values(3, 1, {(1,): 2})
+        assert half.tensor(two) == Table.from_values(3, 2, {(0, 1): 1})
+        assert half.tensor(two).den == 1
+        assert t.restrict(range(2)) == Table.from_values(3, 2, {(0, 1): Fraction(1, 2)})
+        assert t != t.add([(1, u)]) and t.add([(1, u)]) == u.add([(1, t)])
+
+    def test_values_are_handed_out_as_fractions(self):
+        for t in (Table.from_values(3, 2, {(0, 1): 2, (2, 0): -1}),
+                  Table.from_values(3, 2, {(0, 1): Fraction(2, 3), (2, 0): -1})):
+            assert all(type(a) is Fraction for _, a in t.items())
+            assert all(type(t.entry(i, j)) is Fraction for i, j in product(range(3), repeat=2))
+            assert all(type(a) is Fraction for i in range(3) for a in t.row(i).coefficients)
+            assert t.entry(0, 1) == dict(t.items())[(0, 1)] == t.row(0)[1]
+        assert Table.from_values(3, 2, {(0, 1): Fraction(2, 3)}).entry(0, 1) == Fraction(2, 3)
 
     @given(data=st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_scaled_copy_round_trips(self, data):
-        values, dim, _ = data.draw(tables_and_vectors(3))
-        table = Table.from_values(dim, 3, values)
-        factor, ints = table.scaled
-        assert factor > 0
-        assert all(factor % a.denominator == 0 for _, a in table.items())
-        assert [(idx, Fraction(a, factor)) for idx, a in ints.items()] == table.items()
-        # the copy is built once, and `==` does not see it
-        assert table.scaled is table.scaled
-        assert table == Table.from_values(dim, 3, values)
+    @settings(max_examples=60, deadline=None)
+    def test_kernels_match_fraction_references_on_prime_dens(self, data):
+        dim, t, other = 4, data.draw(prime_tables(3)), data.draw(prime_tables(3))
+        form, endo = data.draw(prime_tables(1)), data.draw(prime_tables(2))
+        endo = Endomorphism(dim, 2, endo.entries, endo.den)
+        c = data.draw(prime_ratios)
+        keep, width = range(data.draw(st.integers(0, dim))), data.draw(st.integers(0, 3))
+        slots = data.draw(st.sampled_from([(0,), (2,), (0, 1), (0, 1, 2)]))
+        slot, index = data.draw(st.integers(0, 2)), data.draw(st.integers(0, dim - 1))
+        order = data.draw(st.permutations(range(3)))
+        a, b, f, e = dict(t.items()), dict(other.items()), dict(form.items()), dict(endo.items())
+        total = dict(a)
+        for key, v in b.items():
+            total[key] = total.get(key, 0) + c * v
+        pulled = {}
+        for key, v in a.items():
+            # each pulled slot s reaches every i in keep whose image has a
+            # nonzero coefficient on e_key[s]
+            choices = [[(i, e[i, key[s]]) for i in keep if (i, key[s]) in e] if s in slots
+                       else [(key[s], 1)] if key[s] in keep else [] for s in range(3)]
+            for combo in product(*choices):
+                idx = tuple(i for i, _ in combo)
+                term = v
+                for _, x in combo:
+                    term *= x
+                pulled[idx] = pulled.get(idx, 0) + term
+        cases = [
+            (t.add([(c, other)]), total),
+            (t.tensor(form), {x + y: v * w for x, v in a.items() for y, w in f.items()}),
+            (form.tensor(t), {y + x: w * v for x, v in a.items() for y, w in f.items()}),
+            (t.permute(order), {tuple(key[order.index(s)] for s in range(3)): v
+                                for key, v in a.items()}),
+            (t.fix(slot, index), {key[:slot] + key[slot + 1:]: v for key, v in a.items()
+                                  if key[slot] == index}),
+            (t.restrict(keep, width), {key: v for key, v in a.items()
+                                       if all(i in keep for i in key[:width])}),
+            (t.pullback(endo, slots, keep), pulled),
+        ]
+        for result, expected in cases:
+            expected = {key: v for key, v in expected.items() if v}
+            assert type(result) is Table
+            assert dict(result.items()) == expected
+            assert result == Table.from_values(dim, result.rank, expected)
+            assert gcd(result.den, *(x for _, x in result.numerators())) == 1
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     @given(data=st.data())

@@ -2,7 +2,8 @@
 
 Each reference below is the dense index-range formula, kept here as an
 independent second route: the Jacobi sweep, the curvature assembly, the
-exhaustive second-Bianchi sweep, the product-order index sweeps of the
+exhaustive second-Bianchi sweep and its cyclic nabla R slabs on Fraction
+values, the product-order index sweeps of the
 Riemann symmetries and of the first Bianchi identity, the per-vector
 formulas of nabla G/H/J, the torsions, S, T and the Prop. 2.1 and Thm. 4.5
 right-hand sides with the three normality route loops, the pullback of a
@@ -13,8 +14,9 @@ its per-tuple evaluator here, on the per-vector layer the engine dropped
 so do RIEM-SYM and BIANCHI-1, and the slotless EQ-2.11 and EQ-5.7.  The
 random-sample phase the engine dropped is kept here too, as a reference
 the suite's rows must equal.  They are compared on the bundled model,
-generated nilpotent perturbations, the n=2 block-diagonal model,
-systematic mutations and single-entry bumps of the bundled model, random
+generated nilpotent perturbations, the n=2 block-diagonal model, a fixed
+two-step model with [U, V] != 0 and non-integral tables, systematic
+mutations and single-entry bumps of the bundled model, random
 two-step nilpotent models with random structure tensors, and random
 sparse 4-tensors.
 """
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import operator
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
@@ -54,11 +57,10 @@ from ccmv import (
     riemann,
     riemann_symmetry_failures,
     run_suite,
-    second_bianchi_cyclic_sum,
     second_bianchi_failures,
     suite_tsv_rows,
 )
-from ccmv.curvature import add_nabla_r, first_bianchi_cyclic_sum, first_bianchi_failures
+from ccmv.curvature import first_bianchi_cyclic_sum, first_bianchi_failures
 from ccmv.structures import NormalityReport, RouteResult, check_normality, first_table_failure
 from ccmv.verify import (
     REGISTRY,
@@ -149,6 +151,37 @@ def dense_cyclic_sum(m, conn, rt, mm, i, j, k, el) -> Fraction:
 
     return (nabla_r(mm, i, j, k, el) + nabla_r(i, j, mm, k, el)
             + nabla_r(j, mm, i, k, el))
+
+
+def add_nabla_r(slab: dict, conn, rt, s: int, a: int, b: int) -> None:
+    """slab[(k, l)] += (nabla_{e_s} R)(e_a, e_b, e_k, e_l) for every (k, l),
+    on the Fraction values: R is differentiated as an invariant 4-tensor, so
+    each slot of R picks up a -gamma contraction, read from the nonzero
+    connection and curvature entries only."""
+    gamma = [((x, p), q) for (t, x, p), q in conn.items() if t == s]
+    for (i, j, k, el), v in rt.items():
+        for (x, p), q in gamma:
+            for hit, key in (((x, p, j) == (a, i, b), (k, el)),
+                             ((x, p, i) == (b, j, a), (k, el)),
+                             ((i, j, p) == (a, b, k), (x, el)),
+                             ((i, j, p) == (a, b, el), (k, x))):
+                if hit:
+                    slab[key] = slab.get(key, ZERO) - q * v
+
+
+def second_bianchi_slab(conn, rt, mm: int, i: int, j: int) -> dict:
+    """The cyclic sum over the first three indices of nabla R at (mm, i, j),
+    keyed by the last two, on the Fraction values."""
+    slab: dict = {}
+    for s, a, b in ((mm, i, j), (i, j, mm), (j, mm, i)):
+        add_nabla_r(slab, conn, rt, s, a, b)
+    return slab
+
+
+def second_bianchi_cyclic_sum(conn, rt, mm, i, j, k, el) -> Fraction:
+    """One entry of `second_bianchi_slab`; zero where the differential
+    Bianchi identity holds."""
+    return second_bianchi_slab(conn, rt, mm, i, j).get((k, el), ZERO)
 
 
 def dense_bianchi_failure(m, conn, rt) -> tuple[int, ...] | None:
@@ -999,7 +1032,8 @@ class TestGeneratedModels:
 
     def test_bianchi_sweep_matches_dense_sweep(self, geometry):
         m, conn, rt = geometry
-        assert second_bianchi_failures(m, conn, rt) == dense_bianchi_failure(m, conn, rt)
+        found = second_bianchi_failures(m, conn, rt)
+        assert (found and found[0]) == dense_bianchi_failure(m, conn, rt)
 
     def test_riemann_symmetry_matches_frame_sweep(self, geometry):
         ws = VectorWorkspace(geometry[0])
@@ -1109,16 +1143,15 @@ class TestMutatedModels:
             return heis_curv.entry(*idx) + (Fraction(1) if idx == where else ZERO)
 
         bad = Tensor4.from_function(heisenberg.dim, bumped)
-        found = second_bianchi_failures(heisenberg, heis_conn, bad)
-        assert found is not None
+        found, value = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
-        value = second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *found)
         assert value != 0
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
-        slab = found[:3]
+        slab = second_bianchi_slab(heis_conn, bad, *found[:3])
+        assert value == slab[found[3:]]
         for k, el in product(range(heisenberg.dim), repeat=2):
-            assert (second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *slab, k, el)
-                    == dense_cyclic_sum(heisenberg, heis_conn, bad, *slab, k, el)), (k, el)
+            assert (slab.get((k, el), ZERO)
+                    == dense_cyclic_sum(heisenberg, heis_conn, bad, *found[:3], k, el)), (k, el)
 
     # Each break adds 1 to R(a, b, c, e) and to signed partner entries, so
     # that every symmetry clause before the named one still holds there.
@@ -1251,8 +1284,8 @@ class TestCandidateWitnesses:
         m, every = ws.model, range(ws.model.dim)
         report = check_normality(ws)
         assert report.korkmaz.witness == witness
-        assert not ws.obstruction_S.items([m.horizontal_indices] * 2 + [every])
-        assert not ws.obstruction_S.items([every, [m.U_index], every])
+        assert not ws.obstruction_S.numerators([m.horizontal_indices] * 2 + [every])
+        assert not ws.obstruction_S.numerators([every, [m.U_index], every])
         assert report == ref_check_normality(ws)
 
     def test_korkmaz_witness_only_in_the_vertical_phase(self):
@@ -1261,7 +1294,7 @@ class TestCandidateWitnesses:
         report = check_normality(ws)
         assert report.korkmaz.witness == "S(.,U) slots=1,4 lhs=-1:0 rhs=0"
         for t in (ws.obstruction_S, ws.obstruction_T):
-            assert not t.items([m.horizontal_indices] * 2 + [every])
+            assert not t.numerators([m.horizontal_indices] * 2 + [every])
         assert report == ref_check_normality(ws)
 
     def test_thm45_witness_is_the_first_clause_whose_row_differs(self):
@@ -1323,14 +1356,14 @@ class TestCandidateWitnesses:
         # the bump at (0, 4, 1, 0) first breaks the slab (0, 1, 3), and there
         # only through the rotated terms: nabla_0 R(e_1, e_3) is zero at (1, 0)
         bad = _bumped(heis_curv, {(0, 4, 1, 0): 1})
-        found = second_bianchi_failures(heisenberg, heis_conn, bad)
+        found, value = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert found == (0, 1, 3, 1, 0)
         assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
         own: dict = {}
         add_nabla_r(own, heis_conn, bad, 0, 1, 3)
         assert not own.get((1, 0))
-        value = second_bianchi_cyclic_sum(heisenberg, heis_conn, bad, *found)
         assert value != 0
+        assert value == second_bianchi_cyclic_sum(heis_conn, bad, *found)
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
 
 
@@ -1349,11 +1382,11 @@ def _slots(result: IdentityResult) -> tuple[int, ...]:
 
 
 class TestRationalBumps:
-    """The bundled model's connection and curvature are integral, so their
-    scaled copies are the tables themselves.  A bump of R by 1/3 and of
-    the connection by 1/5 gives the two tables coprime denominators, and
-    every failing row must still be the reference row, printing the
-    non-integral value the Fraction tables give."""
+    """The bundled model's connection and curvature are integral, so both
+    dens are 1.  A bump of R by 1/3 and of the connection by 1/5 gives the
+    two tables coprime dens, and every failing row must still be the
+    reference row, printing the non-integral value the reference's
+    Fraction arithmetic gives."""
 
     @pytest.mark.parametrize("r_bump,conn_bump,failing,witness", [
         (Fraction(1, 3), None, ("RIEM-SYM", "BIANCHI-1", "BIANCHI-2"),
@@ -1441,11 +1474,12 @@ def assert_sweeps_match_references(case) -> None:
         assert sym is None and first is None
     # the sweeps read only the frame dimension of the model
     model = SimpleNamespace(dim=dim)
-    found = second_bianchi_failures(model, conn, rt)
-    assert found == dense_bianchi_failure(model, conn, rt)
-    if found is not None:
-        value = second_bianchi_cyclic_sum(model, conn, rt, *found)
+    failure = second_bianchi_failures(model, conn, rt)
+    assert (failure and failure[0]) == dense_bianchi_failure(model, conn, rt)
+    if failure is not None:
+        found, value = failure
         assert value != 0
+        assert value == second_bianchi_cyclic_sum(conn, rt, *found)
         assert value == dense_cyclic_sum(model, conn, rt, *found)
 
 
@@ -1466,7 +1500,7 @@ def rational_curvature(draw):
     """(dim, connection, curvature, clean) as in `sparse_curvature`, with
     entries p/q for q in {1, 2, 3, 5, 7}.  The primes 2, 3, 5 and 7 are
     split between the two tables, so the connection and the curvature
-    have different denominators and are scaled by different factors."""
+    have different, coprime dens."""
     dim = draw(st.integers(2, 5))
     index = st.integers(0, dim - 1)
     primes = draw(st.permutations([2, 3, 5, 7]))
@@ -1691,34 +1725,73 @@ def test_identities_run_without_contractions(monkeypatch):
     assert calls == ["Table"]
 
 
-@pytest.mark.parametrize("build", [build_heisenberg, lambda: make_heisenberg_model(2)],
-                         ids=["bundled", "heisenberg-n2"])
-def test_curvature_sweeps_run_without_fraction_arithmetic(monkeypatch, build):
-    """RIEM-SYM, BIANCHI-1 and BIANCHI-2 sweep the scaled int copies of the
-    tables: on a passing model no Fraction product or sum runs, not even
-    while the copies are built.  Calls are counted as the benchmark counts
-    them, through Fraction._mul and Fraction._add."""
+@contextmanager
+def fraction_op_counts():
+    """Count calls of Fraction.__new__, Fraction._mul and Fraction._add, as
+    the benchmark's op counters do.  Fraction's operator methods are
+    rebuilt with the class's own `_operator_fallbacks`, so dispatch is
+    unchanged."""
+    counts = {"new": 0, "mul": 0, "add": 0}
+    names = ("__new__", "__mul__", "__rmul__", "__add__", "__radd__")
+    saved = {name: Fraction.__dict__[name] for name in names}
+    original_new = saved["__new__"].__func__
+
+    def new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return original_new(cls, *args, **kwargs)
+
+    def counted(key, fn):
+        def op(a, b):
+            counts[key] += 1
+            return fn(a, b)
+        return op
+
+    try:
+        Fraction.__new__ = staticmethod(new)
+        Fraction.__mul__, Fraction.__rmul__ = Fraction._operator_fallbacks(
+            counted("mul", Fraction._mul), operator.mul)
+        Fraction.__add__, Fraction.__radd__ = Fraction._operator_fallbacks(
+            counted("add", Fraction._add), operator.add)
+        yield counts
+    finally:
+        for name, value in saved.items():
+            setattr(Fraction, name, value)
+
+
+@pytest.mark.parametrize("build", [build_heisenberg, lambda: make_heisenberg_model(2),
+                                   make_two_step_model],
+                         ids=["bundled", "heisenberg-n2", "two-step"])
+def test_curvature_sweeps_run_without_fraction_arithmetic(build):
+    """The connection, R and the RIEM-SYM, BIANCHI-1 and BIANCHI-2 sweeps
+    run on int numerators: on a passing model no Fraction product or sum
+    runs, not even on a model whose tables are not integral."""
     m = build()
-    conn = levi_civita(m)
-    rt = riemann(m, conn)
-    calls = []
-
-    for name, op in (("mul", operator.mul), ("add", operator.add)):
-        def counted(a, b, _name=name, _kernel=getattr(Fraction, f"_{name}")):
-            calls.append(_name)
-            return _kernel(a, b)
-
-        forward, reverse = Fraction._operator_fallbacks(counted, op)
-        monkeypatch.setattr(Fraction, f"__{name}__", forward)
-        monkeypatch.setattr(Fraction, f"__r{name}__", reverse)
-    assert riemann_symmetry_failures(rt) is None
-    assert first_bianchi_failures(rt) is None
-    assert second_bianchi_failures(m, conn, rt) is None
-    assert calls == []
+    with fraction_op_counts() as counts:
+        conn = levi_civita(m)
+        rt = riemann(m, conn)
+        assert riemann_symmetry_failures(rt) is None
+        assert first_bianchi_failures(rt) is None
+        assert second_bianchi_failures(m, conn, rt) is None
+    assert (counts["mul"], counts["add"]) == (0, 0)
     # the counters do see the Fraction routes of the witness values
-    assert second_bianchi_cyclic_sum(m, conn, rt, 0, 1, 2, 0, 1) == 0
-    assert first_bianchi_cyclic_sum(rt, 0, 1, 2, 3) == 0
-    assert {"mul", "add"} <= set(calls)
+    with fraction_op_counts() as counts:
+        assert first_bianchi_cyclic_sum(rt, 0, 1, 2, 3) == 0
+    assert counts["add"] > 0
+
+
+def test_suite_fraction_arithmetic_does_not_grow_with_n():
+    """Every table kernel of the suite runs on int numerators, so the
+    Fraction products and sums left are the few scalars of the registry
+    (sigma(U), dsigma(U, V), 4n - 2 dsigma(U, V), ...): the same count at
+    every n, where a kernel on Fraction values would add work per entry."""
+    counts = []
+    for n in (1, 2, 3):
+        m = make_heisenberg_model(n)
+        with fraction_op_counts() as ops:
+            run_suite(m, "all")
+        counts.append((ops["mul"], ops["add"]))
+    assert counts[0] == counts[1] == counts[2], counts
+    assert sum(counts[0]) <= 20, counts
 
 
 # ----- contractions on random rational vectors -----
