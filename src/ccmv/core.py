@@ -512,14 +512,14 @@ class Endomorphism(Table):
     # apply(x) is the contraction of the input slot with x
     apply = Table.contract
 
+    @classmethod
+    def _of(cls, t: Table) -> Endomorphism:
+        return cls(t.dim, 2, t.entries, t.den)
+
     def compose(self, other: Endomorphism) -> Endomorphism:
         """Matrix product self @ other, i.e. x -> self(other(x)): the input
         slot pulled back through `other`."""
         return Endomorphism._of(self.pullback(other, (0,), range(self.dim)))
-
-    @classmethod
-    def _of(cls, t: Table) -> Endomorphism:
-        return cls(t.dim, 2, t.entries, t.den)
 
     def __add__(self, other: Endomorphism) -> Endomorphism:
         return Endomorphism._of(self.add([(1, other)]))

@@ -140,10 +140,10 @@ def _connection_index(conn: Table, s: int) -> tuple[dict, dict]:
 
 def _subtract_nabla_r(slab: dict, gamma: dict, into: dict, rt: Table,
                       a: int, b: int) -> None:
-    """slab[(k, l)] -= the four gamma contractions of R at (a, b, k, l), with
-    gamma and into from `_connection_index` at one s: the numerators of
-    (nabla_{e_s} R)(e_a, e_b, e_k, e_l) over D_conn * D_R, R differentiated
-    as an invariant 4-tensor, so that each slot picks up a -gamma term."""
+    """slab[(k, l)] += (nabla_{e_s} R)(e_a, e_b, e_k, e_l) as a numerator over
+    D_conn * D_R, with gamma and into from `_connection_index` at one s.  R
+    is differentiated as an invariant 4-tensor, so each of its slots picks
+    up a -gamma contraction."""
     plane, get = rt.sub(a, b), slab.get
     for p, q in gamma.get(a, ()):
         for k, row in rt.sub(p, b).items():
