@@ -1775,8 +1775,9 @@ def test_curvature_sweeps_run_without_fraction_arithmetic(build):
     assert (counts["mul"], counts["add"]) == (0, 0)
     # the counters do see the Fraction routes of the witness values
     with fraction_op_counts() as counts:
+        assert second_bianchi_cyclic_sum(conn, rt, 0, 1, 2, 0, 1) == 0
         assert first_bianchi_cyclic_sum(rt, 0, 1, 2, 3) == 0
-    assert counts["add"] > 0
+    assert counts["mul"] > 0 and counts["add"] > 0
 
 
 def test_suite_fraction_arithmetic_does_not_grow_with_n():
@@ -1791,6 +1792,8 @@ def test_suite_fraction_arithmetic_does_not_grow_with_n():
             run_suite(m, "all")
         counts.append((ops["mul"], ops["add"]))
     assert counts[0] == counts[1] == counts[2], counts
+    # both counters are live: the registry's scalars do reach them
+    assert counts[0][0] > 0 and counts[0][1] > 0, counts
     assert sum(counts[0]) <= 20, counts
 
 
