@@ -19,11 +19,11 @@ from __future__ import annotations
 import enum
 import re
 import sys
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -94,11 +94,88 @@ def format_scalar(value: Scalar) -> str:
             f"decimal digits and cannot be printed") from None
 
 
-@dataclass(frozen=True)
-class FrameVector:
+class Record:
+    """Base of the immutable value classes: the tables, the model and the
+    result records.
+
+    A subclass declares its fields as annotated class attributes, in
+    order; a field given a value in the class body has it as its default.
+    `_fields` names them, a base class's first.  The generic `__init__`
+    takes them by position or keyword; a class built once per table or per
+    row defines its own, with the fields as its parameters in the same
+    order.  Either stores each field with `object.__setattr__`, which
+    keeps the values in the instance's inline storage: writing through
+    `self.__dict__` would build a dict and slow every later attribute
+    read.  Assignment and deletion raise AttributeError; `cached_property`
+    still works, as it writes the instance dict.  Two records are equal
+    only when they are of the same class with equal fields, so an
+    Endomorphism never equals a Tensor4; the hash is that of the fields,
+    and the repr names every field.
+
+    Defining a record generates and compiles no functions, so a fresh
+    process pays only for the class bodies when it imports ccmv.  The
+    modules use `from __future__ import annotations`, so the annotations
+    read here are strings and nothing in them is evaluated.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        own = vars(cls).get("__annotations__", {})
+        if own:
+            cls._fields = cls._fields + tuple(own)
+            cls._defaults = {**cls._defaults,
+                             **{name: vars(cls)[name] for name in own if name in vars(cls)}}
+            # the fields read at C speed: their tuple, or the one field
+            cls._key = attrgetter(*cls._fields)
+
+    def __init__(self, *args, **kwargs) -> None:
+        cls = type(self)
+        if len(args) > len(cls._fields):
+            raise TypeError(f"{cls.__name__}() takes {len(cls._fields)} arguments "
+                            f"but {len(args)} were given")
+        values = dict(zip(cls._fields, args))
+        for name, value in kwargs.items():
+            if name not in cls._fields or name in values:
+                raise TypeError(f"{cls.__name__}() got an unexpected or repeated "
+                                f"argument {name!r}")
+            values[name] = value
+        for name in cls._fields:
+            if name in values:
+                object.__setattr__(self, name, values[name])
+            elif name in cls._defaults:
+                object.__setattr__(self, name, cls._defaults[name])
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        parts = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({parts})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: {type(self).__name__} is frozen")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
+
+
+class FrameVector(Record):
     """Vector as a coefficient tuple over the frame."""
 
     coefficients: tuple[Scalar, ...]
+
+    def __init__(self, coefficients: tuple[Scalar, ...]) -> None:
+        object.__setattr__(self, "coefficients", coefficients)
 
     @staticmethod
     def zero(dim: int) -> FrameVector:
@@ -177,8 +254,7 @@ def inner_product(x: FrameVector, y: FrameVector) -> Scalar:
     return _dot(x.coefficients, y.coefficients)
 
 
-@dataclass(frozen=True)
-class Table:
+class Table(Record):
     """Rank-k coefficient table over a frame of dimension `dim`.
 
     The value at an index tuple is a stored int numerator over `den`, one
@@ -196,6 +272,12 @@ class Table:
     rank: int
     entries: dict
     den: int = 1
+
+    def __init__(self, dim: int, rank: int, entries: dict, den: int = 1) -> None:
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "den", den)
 
     @classmethod
     def from_values(cls, dim: int, rank: int,
@@ -585,8 +667,7 @@ def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
     return where, name, lhs.row(*where), rhs.row(*where)
 
 
-@dataclass(frozen=True)
-class OneForm:
+class OneForm(Record):
     """Covector; coefficients[i] is the value on e_i."""
 
     coefficients: tuple[Scalar, ...]
@@ -614,11 +695,11 @@ class OneForm:
         return not any(self.coefficients)
 
 
-@dataclass(frozen=True)
 class TwoForm(Table):
     """Antisymmetric bilinear form; entry(i, j) is the value on (e_i, e_j)."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, rank: int, entries: dict, den: int = 1) -> None:
+        super().__init__(dim, rank, entries, den)
         values = dict(self.numerators())
         for (i, j), a in values.items():
             if values.get((j, i), 0) != -a:
@@ -630,12 +711,6 @@ class TwoForm(Table):
 
 class Tensor4(Table):
     """4-index coefficient table; no symmetry is imposed here."""
-
-    @staticmethod
-    def from_function(dim: int, fn) -> Tensor4:
-        return Tensor4.from_values(dim, 4, {
-            idx: value for idx in product(range(dim), repeat=4)
-            if (value := Fraction(fn(*idx)))})
 
 
 def format_sparse_vector(x: FrameVector) -> str:

@@ -14,7 +14,6 @@ the two dens.  A witness value is the failing numerator over its den.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
@@ -35,11 +34,11 @@ class DegeneratePlane(ValueError):
     """Sectional curvature requested for vectors that do not span a plane."""
 
 
-@dataclass(frozen=True)
 class BilinearForm(Table):
     """Symmetric bilinear form over the frame."""
 
-    def __post_init__(self) -> None:
+    def __init__(self, dim: int, rank: int, entries: dict, den: int = 1) -> None:
+        super().__init__(dim, rank, entries, den)
         values = dict(self.numerators())
         for (i, j), a in values.items():
             if values.get((j, i), 0) != a:

@@ -9,7 +9,6 @@ therefore need no separate storage.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -18,6 +17,7 @@ from .core import (
     Endomorphism,
     FrameVector,
     OneForm,
+    Record,
     Scalar,
     Status,
     Table,
@@ -74,8 +74,7 @@ class StructureConstants(Table):
         return self.contract(x, y)
 
 
-@dataclass(frozen=True)
-class ManifoldModel:
+class ManifoldModel(Record):
     """Frame model: structure constants plus the G, H, J structure tensors."""
 
     name: str
@@ -121,15 +120,18 @@ class ManifoldModel:
         return FrameVector.basis(self.dim, index)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     check_id: str
     status: Status
     witness: str | None = None
 
+    def __init__(self, check_id: str, status: Status, witness: str | None = None) -> None:
+        object.__setattr__(self, "check_id", check_id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class ValidationReport:
+
+class ValidationReport(Record):
     model_name: str
     checks: tuple[CheckResult, ...]
 

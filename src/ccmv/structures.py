@@ -34,13 +34,13 @@ FAIL on the built-in model.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .core import (
     Endomorphism,
     FrameVector,
     OneForm,
+    Record,
     Scalar,
     Status,
     Table,
@@ -61,15 +61,13 @@ from .connection import (
 from .model import ManifoldModel
 
 
-@dataclass(frozen=True)
-class RouteResult:
+class RouteResult(Record):
     route: str
     status: Status
     witness: str | None = None
 
 
-@dataclass(frozen=True)
-class NormalityReport:
+class NormalityReport(Record):
     korkmaz: RouteResult
     prop21: RouteResult
     thm45: RouteResult

@@ -37,13 +37,13 @@ adjudicates which side of an inconsistency was intended.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
 from .core import (
     ZERO,
     FrameVector,
+    Record,
     Scalar,
     Status,
     Table,
@@ -89,15 +89,18 @@ SELECTORS = ("all", "axioms", "contact", "normality", "curvature", "ricci")
 TableClause = tuple[str, Table, Table]
 
 
-@dataclass(frozen=True)
-class IdentityResult:
+class IdentityResult(Record):
     identity_id: str
     status: Status
     witness: str | None = None
 
+    def __init__(self, identity_id: str, status: Status, witness: str | None = None) -> None:
+        object.__setattr__(self, "identity_id", identity_id)
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "witness", witness)
 
-@dataclass(frozen=True)
-class SuiteReport:
+
+class SuiteReport(Record):
     model_name: str
     selector: str
     results: tuple[IdentityResult, ...]
@@ -244,8 +247,7 @@ class Workspace(ConnectionWorkspace):
         return u.tensor(u).add([(1, v.tensor(v))])
 
 
-@dataclass(frozen=True)
-class Identity:
+class Identity(Record):
     identity_id: str
     group: str
     slots: tuple[str, ...]
@@ -719,20 +721,25 @@ class ExpectedFormatError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class ExpectedEntry:
+class ExpectedEntry(Record):
     kind: str
     indices: tuple[int, ...]
     expected: object  # FrameVector for R/conn, Scalar otherwise
     line: int
+
+    def __init__(self, kind: str, indices: tuple[int, ...], expected: object,
+                 line: int) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "line", line)
 
     @property
     def key(self) -> str:
         return " ".join([self.kind, *map(str, self.indices)])
 
 
-@dataclass(frozen=True)
-class ExpectedValues:
+class ExpectedValues(Record):
     entries: tuple[ExpectedEntry, ...]
 
 
@@ -774,16 +781,21 @@ def parse_expected(source: str, dim: int) -> ExpectedValues:
     return ExpectedValues(tuple(entries))
 
 
-@dataclass(frozen=True)
-class DiffEntry:
+class DiffEntry(Record):
     key: str
     matched: bool
     expected_text: str
     computed_text: str
 
+    def __init__(self, key: str, matched: bool, expected_text: str,
+                 computed_text: str) -> None:
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "matched", matched)
+        object.__setattr__(self, "expected_text", expected_text)
+        object.__setattr__(self, "computed_text", computed_text)
 
-@dataclass(frozen=True)
-class DiffReport:
+
+class DiffReport(Record):
     model_name: str
     entries: tuple[DiffEntry, ...]
 

@@ -5,17 +5,23 @@ the rest of the tests, so it is computed once per session and shared.
 """
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+import ccmv
 from ccmv import (
     Endomorphism,
     FrameVector,
     ManifoldModel,
     StructureConstants,
+    Tensor4,
     build_abelian,
     build_heisenberg,
     format_scalar,
@@ -51,11 +57,29 @@ def heis_suite(heisenberg):
     return run_suite(heisenberg)
 
 
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter with the source tree of the ccmv under test
+    first on its path, capturing stdout and stderr as text."""
+    src = str(Path(ccmv.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + path if path else src}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=60)
+
+
 def random_rational_vector(rng: random.Random, dim: int) -> FrameVector:
     """Small deterministic rational vector: each coefficient p/q with p in
     [-3, 3] and q in [1, 3], drawn in frame order."""
     return FrameVector(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                              for _ in range(dim)))
+
+
+def tensor4_from_function(dim: int, fn) -> Tensor4:
+    """The rank-4 table of fn(i, j, k, el) over every frame tuple; zeros
+    are dropped."""
+    return Tensor4.from_values(dim, 4, {
+        idx: value for idx in product(range(dim), repeat=4)
+        if (value := Fraction(fn(*idx)))})
 
 
 def horizontal_projection(m: ManifoldModel, x: FrameVector) -> FrameVector:

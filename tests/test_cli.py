@@ -13,6 +13,7 @@ from conftest import (
     make_nilpotent_model,
     make_two_step_model,
     model_source,
+    run_python,
 )
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv")
@@ -334,6 +335,10 @@ class TestExample:
         with pytest.raises(SystemExit) as exc:
             main(["example", "nilmanifold"])
         assert exc.value.code == 2
+
+    def test_runs_as_a_module(self):
+        done = run_python("-m", "ccmv", "example", "heisenberg")
+        assert (done.returncode, done.stdout, done.stderr) == (0, HEISENBERG_CCM, "")
 
 
 class TestErrorPaths:

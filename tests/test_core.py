@@ -17,7 +17,6 @@ from ccmv.core import (
     OneForm,
     Status,
     Table,
-    Tensor4,
     TwoForm,
     format_scalar,
     format_sparse_vector,
@@ -26,6 +25,8 @@ from ccmv.core import (
     parse_scalar,
     parse_sparse_vector,
 )
+
+from conftest import tensor4_from_function
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 vectors6 = st.lists(rationals, min_size=6, max_size=6).map(
@@ -152,7 +153,7 @@ class TestForms:
 
 class TestTensor4:
     def test_from_function_and_contract(self):
-        t = Tensor4.from_function(
+        t = tensor4_from_function(
             2, lambda i, j, k, el: Fraction(1) if (i, j, k, el) == (0, 1, 1, 0)
             else Fraction(0))
         assert t.entry(0, 1, 1, 0) == 1
@@ -164,7 +165,7 @@ class TestTensor4:
     @given(vectors6, vectors6, rationals)
     @settings(max_examples=15, deadline=None)
     def test_contract_linear_in_first_slot(self, x, y, a):
-        t = Tensor4.from_function(
+        t = tensor4_from_function(
             6, lambda i, j, k, el: Fraction((i - j) * (k - el)))
         z = FrameVector.basis(6, 2)
         w = FrameVector.basis(6, 5)

@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccmv.connection import levi_civita
-from ccmv.core import DimensionMismatch, FrameVector, Tensor4, parse_sparse_vector
+from ccmv.core import DimensionMismatch, FrameVector, parse_sparse_vector
 from ccmv.curvature import (
     BilinearForm,
     DegeneratePlane,
@@ -23,6 +23,7 @@ from ccmv.curvature import (
     second_bianchi_failures,
     sectional,
 )
+from conftest import tensor4_from_function
 from test_kernels import dense_cyclic_sum, second_bianchi_slab
 
 # every nonzero R(e_i, e_j) e_k with i < j, as sparse "coeff:index" text
@@ -222,7 +223,7 @@ class TestSecondBianchi:
             bump = Fraction(1) if (i, j, k, el) == (0, 2, 2, 0) else Fraction(0)
             return heis_curv.entry(i, j, k, el) + bump
 
-        bad = Tensor4.from_function(6, corrupted)
+        bad = tensor4_from_function(6, corrupted)
         where, value = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert value != 0
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *where)

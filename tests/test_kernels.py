@@ -25,7 +25,6 @@ from __future__ import annotations
 import operator
 import random
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
@@ -78,6 +77,7 @@ from conftest import (
     make_nilpotent_model,
     make_two_step_model,
     random_rational_vector,
+    tensor4_from_function,
 )
 
 ZERO = Fraction(0)
@@ -134,7 +134,7 @@ def dense_riemann(m, conn) -> Tensor4:
             total -= c[i][j][mm] * gamma[mm][k][el]
         return total
 
-    return Tensor4.from_function(d, component)
+    return tensor4_from_function(d, component)
 
 
 def dense_cyclic_sum(m, conn, rt, mm, i, j, k, el) -> Fraction:
@@ -1142,7 +1142,7 @@ class TestMutatedModels:
         def bumped(*idx):
             return heis_curv.entry(*idx) + (Fraction(1) if idx == where else ZERO)
 
-        bad = Tensor4.from_function(heisenberg.dim, bumped)
+        bad = tensor4_from_function(heisenberg.dim, bumped)
         found, value = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
         assert value != 0
@@ -1171,7 +1171,7 @@ class TestMutatedModels:
             return heis_curv.entry(*idx) + bumps.get(idx, 0)
 
         ws = VectorWorkspace(heisenberg)
-        ws.curv = Tensor4.from_function(heisenberg.dim, broken)
+        ws.curv = tensor4_from_function(heisenberg.dim, broken)
         result = direct_result(ws, "RIEM-SYM")
         assert result.status is Status.FAIL
         assert result == reference_sweep(ws, "RIEM-SYM", 32)
@@ -1262,7 +1262,8 @@ class TestCandidateWitnesses:
             ws = VectorWorkspace(m)
             ws.conn = _bumped(ws.conn, {idx: 1})
             return ws
-        return VectorWorkspace(replace(m, **{kind: _bumped(getattr(m, kind), {idx: 1})}))
+        tensors = {"G": m.G, "H": m.H, "J": m.J, kind: _bumped(getattr(m, kind), {idx: 1})}
+        return VectorWorkspace(ManifoldModel(m.name, m.n, m.constants, **tensors))
 
     @pytest.mark.parametrize("kind,idx,witness", [
         ("conn", (5, 4, 5), "H slots=4,0,3 lhs=0 rhs=1"),
@@ -1813,7 +1814,7 @@ def workspace():
 @given(vectors6, vectors6, vectors6, vectors6)
 @settings(max_examples=25, deadline=None)
 def test_contract_matches_dense_sum(x, y, z, w):
-    t = Tensor4.from_function(6, lambda i, j, k, el: Fraction((i - j) * (k - el), el + 1)
+    t = tensor4_from_function(6, lambda i, j, k, el: Fraction((i - j) * (k - el), el + 1)
                               if (i + k) % 3 else ZERO)
     assert t.contract(x, y, z, w) == dense_contract(t, x, y, z, w)
 

@@ -1,0 +1,201 @@
+"""The value classes: construction, defaults, frozen fields, same-class
+equality, repr, hashing and cached properties; and what importing the
+command line pulls in."""
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+from ccmv import build_heisenberg
+from ccmv.core import Endomorphism, FrameVector, OneForm, Status, Table, Tensor4, TwoForm
+from ccmv.curvature import BilinearForm
+from ccmv.model import CheckResult, ManifoldModel, ValidationReport
+from ccmv.structures import NormalityReport, RouteResult
+from ccmv.verify import (
+    DiffEntry,
+    DiffReport,
+    ExpectedEntry,
+    ExpectedValues,
+    Identity,
+    IdentityResult,
+    SuiteReport,
+)
+from conftest import run_python
+
+
+def _run(ws):
+    return IdentityResult("X", Status.PASS)
+
+
+_MODEL = build_heisenberg()
+_CHECK = CheckResult("LIE-JACOBI", Status.FAIL, "slots=0,1,2")
+_ROUTE = RouteResult("korkmaz", Status.PASS)
+_RESULT = IdentityResult("EQ-2.1", Status.FAIL, "slots=0 lhs=1 rhs=0")
+_EXPECTED = ExpectedEntry("ric", (0, 0), Fraction(1, 2), 3)
+_DIFF = DiffEntry("ric 0 0", True, "1/2", "1/2")
+
+# class, its fields in order with one value each, and whether it hashes
+# (a table whose entries are a dict, or a record holding one, does not)
+CASES = [
+    (FrameVector, {"coefficients": (Fraction(1), Fraction(0), Fraction(-2, 3))}, True),
+    (OneForm, {"coefficients": (Fraction(0), Fraction(5))}, True),
+    (Table, {"dim": 3, "rank": 1, "entries": ((0, 3), (2, -1)), "den": 2}, True),
+    (Endomorphism, {"dim": 2, "rank": 2, "entries": {0: ((1, 1),)}, "den": 1}, False),
+    (Tensor4, {"dim": 2, "rank": 4, "entries": {0: {1: {1: ((0, 1),)}}}, "den": 3}, False),
+    (TwoForm, {"dim": 2, "rank": 2, "entries": {0: ((1, 1),), 1: ((0, -1),)}, "den": 2},
+     False),
+    (BilinearForm, {"dim": 2, "rank": 2, "entries": {0: ((1, 1),), 1: ((0, 1),)}, "den": 1},
+     False),
+    (ManifoldModel, {"name": _MODEL.name, "n": _MODEL.n, "constants": _MODEL.constants,
+                     "G": _MODEL.G, "H": _MODEL.H, "J": _MODEL.J}, False),
+    (CheckResult, {"check_id": "LIE-JACOBI", "status": Status.FAIL, "witness": "slots=0,1,2"},
+     True),
+    (ValidationReport, {"model_name": "heisenberg", "checks": (_CHECK,)}, True),
+    (RouteResult, {"route": "korkmaz", "status": Status.FAIL, "witness": "G slots=0"}, True),
+    (NormalityReport, {"korkmaz": _ROUTE, "prop21": _ROUTE, "thm45": _ROUTE}, True),
+    (IdentityResult, {"identity_id": "EQ-2.1", "status": Status.PASS, "witness": None}, True),
+    (SuiteReport, {"model_name": "heisenberg", "selector": "all", "results": (_RESULT,)},
+     True),
+    (Identity, {"identity_id": "X", "group": "axioms", "slots": (), "tables": None,
+                "direct": _run}, True),
+    (ExpectedEntry, {"kind": "ric", "indices": (0, 0), "expected": Fraction(1, 2), "line": 3},
+     True),
+    (ExpectedValues, {"entries": (_EXPECTED,)}, True),
+    (DiffEntry, {"key": "ric 0 0", "matched": False, "expected_text": "1",
+                 "computed_text": "1/2"}, True),
+    (DiffReport, {"model_name": "heisenberg", "entries": (_DIFF,)}, True),
+]
+IDS = [cls.__name__ for cls, _, _ in CASES]
+
+
+@pytest.mark.parametrize("cls,fields,hashes", CASES, ids=IDS)
+def test_positional_and_keyword_construction_agree(cls, fields, hashes):
+    by_position = cls(*fields.values())
+    by_keyword = cls(**fields)
+    assert by_position == by_keyword
+    for name, value in fields.items():
+        assert getattr(by_position, name) is value
+        assert getattr(by_keyword, name) is value
+
+
+@pytest.mark.parametrize("cls,fields,hashes", CASES, ids=IDS)
+def test_repr_names_every_field_in_order(cls, fields, hashes):
+    parts = ", ".join(f"{name}={value!r}" for name, value in fields.items())
+    assert repr(cls(**fields)) == f"{cls.__name__}({parts})"
+
+
+@pytest.mark.parametrize("cls,fields,hashes", CASES, ids=IDS)
+def test_fields_are_frozen(cls, fields, hashes):
+    record = cls(**fields)
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert getattr(record, name) is value
+
+
+@pytest.mark.parametrize("cls,fields,hashes", CASES, ids=IDS)
+def test_equality_is_by_class_and_fields(cls, fields, hashes):
+    record = cls(**fields)
+    assert record == cls(**fields)
+    assert not record != cls(**fields)
+    assert record != object()
+    name, value = next(iter(fields.items()))
+    changed = cls(**{**fields, name: (value, "changed")})
+    assert record != changed
+
+
+@pytest.mark.parametrize("cls,fields,hashes", CASES, ids=IDS)
+def test_hashing(cls, fields, hashes):
+    if hashes:
+        assert hash(cls(**fields)) == hash(cls(**fields))
+        assert len({cls(**fields), cls(**fields)}) == 1
+    else:
+        # the fields hold a dict
+        with pytest.raises(TypeError):
+            hash(cls(**fields))
+
+
+@pytest.mark.parametrize("left,right", [
+    (Endomorphism, Tensor4),
+    (Table, Endomorphism),
+    (TwoForm, BilinearForm),
+])
+def test_tables_of_different_classes_are_never_equal(left, right):
+    assert left(2, 2, {}) != right(2, 2, {})
+    assert not left(2, 2, {}) == right(2, 2, {})
+    assert left(2, 2, {}) == left(2, 2, {})
+
+
+def test_records_of_different_classes_are_never_equal():
+    records = [FrameVector((Fraction(1),)), OneForm((Fraction(1),)),
+               CheckResult("X", Status.PASS), RouteResult("X", Status.PASS),
+               IdentityResult("X", Status.PASS)]
+    for i, a in enumerate(records):
+        for b in records[i + 1:]:
+            assert a != b, (a, b)
+
+
+def test_defaults():
+    assert Table(2, 2, {}).den == 1
+    assert Endomorphism(2, 2, {}) == Endomorphism(2, 2, {}, 1)
+    for record in (CheckResult("X", Status.PASS), RouteResult("X", Status.PASS),
+                   IdentityResult("X", Status.PASS)):
+        assert record.witness is None
+    ident = Identity("X", "axioms", ())
+    assert ident.tables is None and ident.direct is None
+    ident = Identity(identity_id="X", group="axioms", slots=(), direct=_run)
+    assert ident.tables is None and ident.direct is _run
+    assert ident == Identity("X", "axioms", (), None, _run)
+
+
+@pytest.mark.parametrize("cls,args,kwargs", [
+    (SuiteReport, ("m", "all"), {}),
+    (SuiteReport, ("m", "all", (), ()), {}),
+    (SuiteReport, ("m", "all", ()), {"selector": "all"}),
+    (SuiteReport, ("m", "all", ()), {"extra": 1}),
+    (IdentityResult, ("X",), {}),
+    (IdentityResult, ("X", Status.PASS), {"extra": 1}),
+    (Table, (2, 2), {}),
+])
+def test_wrong_arguments_raise_type_error(cls, args, kwargs):
+    with pytest.raises(TypeError):
+        cls(*args, **kwargs)
+
+
+def test_cached_properties_are_kept_out_of_equality_and_repr():
+    v = FrameVector((Fraction(0), Fraction(2), Fraction(0)))
+    assert v.nonzero == ((1, Fraction(2)),)
+    assert v.nonzero is v.nonzero
+    assert v == FrameVector(v.coefficients)
+    assert repr(v) == f"FrameVector(coefficients={v.coefficients!r})"
+
+    m = build_heisenberg()
+    assert m.U == FrameVector.basis(m.dim, m.U_index)
+    assert m.U is m.U and m.v is m.v
+    assert m == build_heisenberg()
+    assert "U=" not in repr(m)
+
+
+# `wrong` is the value at (1, 0) that breaks the symmetry when (0, 1) is 1/3
+@pytest.mark.parametrize("cls,wrong,message", [
+    (TwoForm, Fraction(1, 3), r"2-form not antisymmetric at entry \(0, 1\)"),
+    (BilinearForm, Fraction(-1, 3), r"bilinear form not symmetric at \(0, 1\)"),
+])
+def test_forms_validate_their_symmetry(cls, wrong, message):
+    with pytest.raises(ValueError, match=message):
+        cls(2, 2, {0: ((1, 1),)})
+    with pytest.raises(ValueError, match=message):
+        cls.from_values(2, 2, {(0, 1): Fraction(1, 3), (1, 0): wrong})
+    assert cls.from_values(2, 2, {(0, 1): Fraction(1, 3), (1, 0): -wrong}).den == 3
+
+
+def test_importing_the_cli_loads_no_code_generation_modules():
+    done = run_python("-c", "import sys; before = set(sys.modules); import ccmv.cli; "
+                            "print(' '.join(sorted(set(sys.modules) - before)))")
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert {"ccmv", "ccmv.cli", "ccmv.verify"} <= loaded
+    assert not loaded & {"dataclasses", "inspect"}

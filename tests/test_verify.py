@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import importlib.resources
-from dataclasses import fields
 from functools import cached_property
 
 import pytest
@@ -84,8 +83,7 @@ class TestRegistry:
         assert direct == {"RIEM-SYM", "BIANCHI-1", "BIANCHI-2", "EQ-2.11"}
 
     def test_every_identity_is_tables_or_direct(self):
-        assert [f.name for f in fields(Identity)] == ["identity_id", "group", "slots",
-                                                       "tables", "direct"]
+        assert Identity._fields == ("identity_id", "group", "slots", "tables", "direct")
         for ident in REGISTRY:
             assert (ident.tables is None) != (ident.direct is None), ident.identity_id
             assert ident.direct is None or ident.slots == (), ident.identity_id
