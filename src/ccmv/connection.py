@@ -12,11 +12,8 @@ from fractions import Fraction
 
 from .core import (
     Endomorphism,
-    FrameVector,
-    OneForm,
     Table,
     TwoForm,
-    as_table,
 )
 from .model import ManifoldModel
 
@@ -52,43 +49,41 @@ def cov_deriv_table(conn: ConnectionCoeffs, a: Endomorphism) -> Table:
     return conn.pullback(a, (1,), every).add([(-1, conn.pullback(a.transpose(), (2,), every))])
 
 
-def cov_deriv_endo(conn: ConnectionCoeffs, x: FrameVector,
+def cov_deriv_endo(conn: ConnectionCoeffs, x: Table,
                    a: Endomorphism) -> Endomorphism:
     """(nabla_x A) as the endomorphism y -> nabla_x(Ay) - A(nabla_x y): the
-    first slot of cov_deriv_table contracted with x, the table built from
-    the connection rows that x reaches only."""
-    weights = as_table(x)
-    weight = {i: p for (i,), p in weights.numerators()}
+    first slot of cov_deriv_table contracted with the vector x, the table
+    built from the connection rows that x reaches only."""
+    weight = dict(x.entries)
     table = cov_deriv_table(conn.restrict(weight.keys(), 1), a)
     values: dict[tuple[int, int], int] = {}
     for (i, j, k), value in table.numerators():
         values[(j, k)] = values.get((j, k), 0) + weight[i] * value
-    return Endomorphism.from_numerators(conn.dim, 2, values, weights.den * table.den)
+    return Endomorphism.from_numerators(conn.dim, 2, values, x.den * table.den)
 
 
-def sigma_form(m: ManifoldModel, conn: ConnectionCoeffs) -> OneForm:
-    """The rotation form: sigma(X) = g(nabla_X U, V), read off the table."""
-    return OneForm(tuple(conn.entry(i, m.U_index, m.V_index) for i in range(m.dim)))
+def sigma_form(m: ManifoldModel, conn: ConnectionCoeffs) -> Table:
+    """The rotation form: sigma(X) = g(nabla_X U, V), read off the table as
+    a rank-1 table."""
+    return conn.fix(1, m.U_index).fix(1, m.V_index)
 
 
-def exterior_d_oneform(m: ManifoldModel, w: OneForm) -> TwoForm:
+def exterior_d_oneform(m: ManifoldModel, w: Table) -> TwoForm:
     """d of an invariant 1-form: dw(e_i, e_j) = -(1/2) w([e_i, e_j])."""
-    c, weights = m.constants, as_table(w)
-    weight = {k: p for (k,), p in weights.numerators()}
+    c, weight = m.constants, dict(w.entries)
     values: dict[tuple[int, int], int] = {}
     for (i, j, k), a in c.numerators():
         if k in weight:
             values[(i, j)] = values.get((i, j), 0) - weight[k] * a
-    return TwoForm.from_numerators(m.dim, 2, values, 2 * weights.den * c.den)
+    return TwoForm.from_numerators(m.dim, 2, values, 2 * w.den * c.den)
 
 
-def wedge(a: OneForm, b: OneForm) -> TwoForm:
+def wedge(a: Table, b: Table) -> TwoForm:
     """(a ^ b)(X, Y) = (1/2)(a(X) b(Y) - a(Y) b(X)).
 
     The 1/2 matches the exterior-derivative convention above, which is the
     unique normalization under which the built-in model satisfies the
     contact compatibility du(X, Y) = g(X, GY) with vanishing sigma.
     """
-    ta, tb = as_table(a), as_table(b)
-    t = Table(ta.dim, 2, {}).add([(HALF, ta.tensor(tb)), (-HALF, tb.tensor(ta))])
+    t = Table(a.dim, 2, {}).add([(HALF, a.tensor(b)), (-HALF, b.tensor(a))])
     return TwoForm(t.dim, 2, t.entries, t.den)

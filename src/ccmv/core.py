@@ -1,25 +1,25 @@
 """Exact linear algebra over a fixed orthonormal frame.
 
-Everything lives over one global frame of some dimension d.  The operands,
-frame vectors and 1-forms, are dense coefficient tuples.  Every stored
-multi-index quantity (endomorphisms, 2-forms, bilinear forms, the
-connection and bracket tables, curvature) is a `Table`: its dimension, its
-rank, one positive int denominator and the int numerators of its nonzero
-entries only, held as dicts keyed by the leading indices whose last level
-is the tuple of `(index, numerator)` pairs.  Zeros are never stored, empty
-subtrees are pruned and the denominator is reduced, so `==` is structural
-and every kernel costs in proportion to the nonzeros, in int arithmetic.
-`Table.contract` is the one evaluation of a table on frame vectors.  Every
-value handed out is an exact rational; no floating point appears
-anywhere.  The metric is the identity in this frame, so the inner product
-is the plain coefficient dot product.
+Everything lives over one global frame of some dimension d.  Every
+quantity, from a frame vector or a 1-form to the endomorphisms, 2-forms,
+bilinear forms, the connection and bracket tables and the curvature, is a
+`Table`: its dimension, its rank, one positive int denominator and the int
+numerators of its nonzero entries only, held as dicts keyed by the leading
+indices whose last level is the tuple of `(index, numerator)` pairs; a
+vector or a 1-form is a rank-1 Table, that tuple itself.  Zeros are never
+stored, empty subtrees are pruned and the denominator is reduced, so `==`
+is structural and every kernel costs in proportion to the nonzeros, in int
+arithmetic.  `Table.contract` is the one evaluation of a table on vectors.
+Every value handed out is an exact rational; no floating point appears
+anywhere.  The metric is the identity in this frame, so a 1-form and its
+dual vector are the same table, and the inner product of two vectors is
+their contraction.
 """
 from __future__ import annotations
 
 import enum
 import re
 import sys
-from functools import cached_property
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
@@ -29,7 +29,6 @@ from typing import Iterable, Mapping, Sequence
 Scalar = Fraction
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class DimensionMismatch(ValueError):
@@ -169,91 +168,6 @@ class Record:
         raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is frozen")
 
 
-class FrameVector(Record):
-    """Vector as a coefficient tuple over the frame."""
-
-    coefficients: tuple[Scalar, ...]
-
-    def __init__(self, coefficients: tuple[Scalar, ...]) -> None:
-        object.__setattr__(self, "coefficients", coefficients)
-
-    @staticmethod
-    def zero(dim: int) -> FrameVector:
-        return FrameVector((ZERO,) * dim)
-
-    @staticmethod
-    def basis(dim: int, index: int) -> FrameVector:
-        if not 0 <= index < dim:
-            raise IndexError(f"frame index {index} out of range for dim {dim}")
-        return FrameVector(tuple(ONE if k == index else ZERO for k in range(dim)))
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[Scalar | int]) -> FrameVector:
-        return FrameVector(tuple(Fraction(c) for c in coeffs))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coefficients)
-
-    @cached_property
-    def nonzero(self) -> tuple[tuple[int, Scalar], ...]:
-        """The `(index, value)` pairs of the nonzero coefficients; built on
-        first use and kept out of `==`."""
-        return tuple((k, a) for k, a in enumerate(self.coefficients) if a)
-
-    def __getitem__(self, index: int) -> Scalar:
-        return self.coefficients[index]
-
-    def __add__(self, other: FrameVector) -> FrameVector:
-        _require_same_dim(self.dim, other.dim)
-        return FrameVector(_add_rows(self.coefficients, other.coefficients))
-
-    def __sub__(self, other: FrameVector) -> FrameVector:
-        _require_same_dim(self.dim, other.dim)
-        return FrameVector(_sub_rows(self.coefficients, other.coefficients))
-
-    def __neg__(self) -> FrameVector:
-        return FrameVector(_neg_row(self.coefficients))
-
-    def scale(self, factor: Scalar | int) -> FrameVector:
-        return FrameVector(_scale_row(Fraction(factor), self.coefficients))
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
-
-def _add_rows(xs: tuple[Scalar, ...], ys: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    return tuple((a + b if b else a) if a else b for a, b in zip(xs, ys))
-
-
-def _sub_rows(xs: tuple[Scalar, ...], ys: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    return tuple((a - b if b else a) if a else (-b if b else b) for a, b in zip(xs, ys))
-
-
-def _neg_row(xs: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    return tuple(-a if a else a for a in xs)
-
-
-def _scale_row(f: Scalar, xs: tuple[Scalar, ...]) -> tuple[Scalar, ...]:
-    if not f:
-        return (ZERO,) * len(xs)
-    return tuple(f * a if a else a for a in xs)
-
-
-def _dot(xs: tuple[Scalar, ...], ys: tuple[Scalar, ...]) -> Scalar:
-    total = ZERO
-    for a, b in zip(xs, ys):
-        if a and b:
-            total += a * b
-    return total
-
-
-def inner_product(x: FrameVector, y: FrameVector) -> Scalar:
-    """Metric pairing; the frame is orthonormal so this is the dot product."""
-    _require_same_dim(x.dim, y.dim)
-    return _dot(x.coefficients, y.coefficients)
-
-
 class Table(Record):
     """Rank-k coefficient table over a frame of dimension `dim`.
 
@@ -264,8 +178,8 @@ class Table(Record):
     `entries` is that tuple.  The pair is canonical: den and the
     numerators have no common factor, and den is 1 for an empty table, so
     `==` is structural and exact.  Build tables with `from_values` or
-    `from_numerators`, which keep that form; `entry`, `items` and `row`
-    hand out the values as Fractions.
+    `from_numerators`, which keep that form; `entry` and `items` hand
+    out the values as Fractions, and `row` a reduced rank-1 Table.
     """
 
     dim: int
@@ -387,42 +301,40 @@ class Table(Record):
                 return Fraction(a, self.den)
         return ZERO
 
-    def row(self, *idx: int) -> FrameVector:
-        """The last slot at a full leading index, as a frame vector."""
-        out = [ZERO] * self.dim
-        for k, a in self.sub(*idx):
-            out[k] = Fraction(a, self.den)
-        return FrameVector(tuple(out))
+    def row(self, *idx: int) -> Table:
+        """The last slot at a full leading index, as a reduced rank-1 Table."""
+        return Table(self.dim, 1, tuple(self.sub(*idx)), self.den)._reduced()
 
-    def contract(self, *vectors: FrameVector) -> Scalar | FrameVector:
-        """Contract the leading slots with frame vectors.
+    def contract(self, *vectors: Table) -> Scalar | Table:
+        """Contract the leading slots with vectors, rank-1 Tables.
 
         With every slot filled the result is the Scalar value; with all but
-        the last filled it is the FrameVector of the last slot.  Only stored
-        rows that the vectors' nonzero coefficients reach are read, and in
-        the scalar case a row's slot coefficients are multiplied in only
-        once the row is known to contribute.
+        the last filled it is the rank-1 Table of the last slot.  Only stored
+        rows that the vectors' stored entries reach are read, and in the
+        scalar case a row's slot coefficients are multiplied in only once
+        the row is known to contribute.  The sums are of int numerators,
+        divided once by den times the vectors' dens.
         """
-        rank, dim, filled = self.rank, self.dim, len(vectors)
+        rank, filled = self.rank, len(vectors)
         if filled != rank and filled != rank - 1:
             raise ValueError(f"a rank-{rank} table contracts {rank - 1} or {rank} "
                              f"vectors, not {filled}")
+        den = self.den
         for v in vectors:
-            if len(v.coefficients) != dim:
-                _require_same_dim(dim, len(v.coefficients))
+            _require_same_dim(self.dim, v.dim)
+            den *= v.den
         if rank == 1:
             # `entries` is the row itself
-            return _dot(vectors[0].coefficients, self.row().coefficients) if vectors else self.row()
-        # every combination of nonzeros of the filled slots after the first,
-        # up to but not including the table's last slot
-        paths = list(product(*[v.nonzero for v in vectors[1:rank - 1]]))
-        # accumulators start empty (None), so no sum starts with a zero term
-        total = None
-        if filled == rank:
-            last = vectors[-1].coefficients
-        else:
-            last, out = None, [None] * dim
-        for i, a in vectors[0].nonzero:
+            if not vectors:
+                return self.row()
+            last = dict(vectors[0].entries)
+            return Fraction(sum(a * last[k] for k, a in self.entries if k in last), den)
+        # every combination of stored entries of the filled slots after the
+        # first, up to but not including the table's last slot
+        paths = list(product(*[v.entries for v in vectors[1:rank - 1]]))
+        total, out = 0, {}
+        last = dict(vectors[-1].entries) if filled == rank else None
+        for i, a in vectors[0].entries:
             node = self.entries.get(i)
             if node is None:
                 continue
@@ -438,23 +350,17 @@ class Table(Record):
                         for _, c in path:
                             factor *= c
                         for k, b in row:
-                            term = factor * b
-                            out[k] = term if out[k] is None else out[k] + term
+                            out[k] = out.get(k, 0) + factor * b
                     else:
-                        part = None
-                        for k, b in row:
-                            if last[k]:
-                                term = last[k] * b
-                                part = term if part is None else part + term
+                        part = sum(last[k] * b for k, b in row if k in last)
                         if part:
                             part *= a
                             for _, c in path:
                                 part *= c
-                            total = part if total is None else total + part
-        # the sums are of numerators: one division by den each
+                            total += part
         if last is None:
-            return FrameVector(tuple(ZERO if x is None else Fraction(x, self.den) for x in out))
-        return ZERO if total is None else Fraction(total, self.den)
+            return Table.from_numerators(self.dim, 1, {(k,): x for k, x in out.items()}, den)
+        return Fraction(total, den)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -574,19 +480,8 @@ class Endomorphism(Table):
     image A(e_i), and entry(k, i) is the coefficient of e_k in A(e_i)."""
 
     @staticmethod
-    def zero(dim: int) -> Endomorphism:
-        return Endomorphism(dim, 2, {})
-
-    @staticmethod
     def identity(dim: int) -> Endomorphism:
         return Endomorphism.from_numerators(dim, 2, {(i, i): 1 for i in range(dim)})
-
-    @staticmethod
-    def from_columns(dim: int, columns: dict[int, dict[int, Scalar | int]]) -> Endomorphism:
-        """Build from sparse columns: columns[i][k] = coefficient of e_k in A(e_i)."""
-        return Endomorphism.from_values(dim, 2, {(i, k): value
-                                                 for i, col in columns.items()
-                                                 for k, value in col.items()})
 
     def entry(self, k: int, i: int) -> Scalar:
         return Table.entry(self, i, k)
@@ -620,16 +515,9 @@ class Endomorphism(Table):
                                                           in self.numerators()}, self.den)
 
 
-def as_table(x: FrameVector | OneForm) -> Table:
-    """The coefficients of a vector or a 1-form as a rank-1 Table."""
-    return Table.from_values(len(x.coefficients), 1,
-                             {(i,): a for i, a in enumerate(x.coefficients) if a})
-
-
-def outer(vec: FrameVector, form: OneForm) -> Endomorphism:
-    """Rank-one map x -> form(x) * vec."""
-    _require_same_dim(vec.dim, form.dim)
-    return Endomorphism._of(as_table(form).tensor(as_table(vec)))
+def outer(vec: Table, form: Table) -> Endomorphism:
+    """Rank-one map x -> form(x) * vec, of a vector and a 1-form."""
+    return Endomorphism._of(form.tensor(vec))
 
 
 def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
@@ -667,34 +555,6 @@ def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
     return where, name, lhs.row(*where), rhs.row(*where)
 
 
-class OneForm(Record):
-    """Covector; coefficients[i] is the value on e_i."""
-
-    coefficients: tuple[Scalar, ...]
-
-    @staticmethod
-    def zero(dim: int) -> OneForm:
-        return OneForm((ZERO,) * dim)
-
-    @staticmethod
-    def dual(dim: int, index: int) -> OneForm:
-        """Metric dual of a frame vector: the form x -> x[index]."""
-        if not 0 <= index < dim:
-            raise IndexError(f"frame index {index} out of range for dim {dim}")
-        return OneForm(tuple(ONE if k == index else ZERO for k in range(dim)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.coefficients)
-
-    def value(self, x: FrameVector) -> Scalar:
-        _require_same_dim(self.dim, x.dim)
-        return _dot(self.coefficients, x.coefficients)
-
-    def is_zero(self) -> bool:
-        return not any(self.coefficients)
-
-
 class TwoForm(Table):
     """Antisymmetric bilinear form; entry(i, j) is the value on (e_i, e_j)."""
 
@@ -705,27 +565,24 @@ class TwoForm(Table):
             if values.get((j, i), 0) != -a:
                 raise ValueError(f"2-form not antisymmetric at entry ({i}, {j})")
 
-    # value(x, y) is the full contraction
-    value = Table.contract
-
 
 class Tensor4(Table):
     """4-index coefficient table; no symmetry is imposed here."""
 
 
-def format_sparse_vector(x: FrameVector) -> str:
-    """Render as comma-joined `coeff:index` pairs, or `0` when zero."""
-    parts = [f"{format_scalar(a)}:{k}" for k, a in enumerate(x.coefficients) if a]
+def format_sparse_vector(x: Table) -> str:
+    """Render a vector as comma-joined `coeff:index` pairs, or `0` when zero."""
+    parts = [f"{format_scalar(a)}:{k}" for (k,), a in x.items()]
     return ",".join(parts) if parts else "0"
 
 
-def parse_sparse_vector(text: str, dim: int) -> FrameVector:
-    """Parse the `coeff:index[,coeff:index...]` / `0` sparse vector notation."""
+def parse_sparse_vector(text: str, dim: int) -> Table:
+    """Parse the `coeff:index[,coeff:index...]` / `0` sparse vector notation
+    into a rank-1 Table."""
     text = text.strip()
+    values: dict[tuple[int], Scalar] = {}
     if text == "0":
-        return FrameVector.zero(dim)
-    acc = [ZERO] * dim
-    seen: set[int] = set()
+        return Table.from_values(dim, 1, values)
     for part in text.split(","):
         coeff_text, _, idx_text = part.partition(":")
         if not idx_text:
@@ -737,8 +594,7 @@ def parse_sparse_vector(text: str, dim: int) -> FrameVector:
             raise ValueError(f"bad frame index: {idx_text!r}") from None
         if not 0 <= idx < dim:
             raise ValueError(f"frame index {idx} out of range for dim {dim}")
-        if idx in seen:
+        if (idx,) in values:
             raise ValueError(f"duplicate frame index {idx} in sparse vector")
-        seen.add(idx)
-        acc[idx] = coeff
-    return FrameVector(tuple(acc))
+        values[(idx,)] = coeff
+    return Table.from_values(dim, 1, values)

@@ -20,11 +20,9 @@ from math import lcm
 
 from .core import (
     Endomorphism,
-    FrameVector,
     Scalar,
     Table,
     Tensor4,
-    inner_product,
 )
 from .connection import ConnectionCoeffs
 from .model import ManifoldModel
@@ -43,9 +41,6 @@ class BilinearForm(Table):
         for (i, j), a in values.items():
             if values.get((j, i), 0) != a:
                 raise ValueError(f"bilinear form not symmetric at ({i}, {j})")
-
-    # value(x, y) is the full contraction
-    value = Table.contract
 
 
 def riemann(m: ManifoldModel, conn: ConnectionCoeffs) -> Tensor4:
@@ -83,8 +78,7 @@ def riemann(m: ManifoldModel, conn: ConnectionCoeffs) -> Tensor4:
     return Tensor4.from_numerators(m.dim, 4, values, den)
 
 
-def curvature_value(rt: Tensor4, x: FrameVector, y: FrameVector,
-                    z: FrameVector, w: FrameVector) -> Scalar:
+def curvature_value(rt: Tensor4, x: Table, y: Table, z: Table, w: Table) -> Scalar:
     """R(x, y, z, w) by quadrilinear contraction."""
     return rt.contract(x, y, z, w)
 
@@ -109,17 +103,16 @@ def scalar_curvature(rho: BilinearForm) -> Scalar:
     return Fraction(sum(a for (i, j), a in rho.numerators() if i == j), rho.den)
 
 
-def sectional(rt: Tensor4, x: FrameVector, y: FrameVector) -> Scalar:
-    """K(x, y) = R(x, y, y, x) / (g(x,x) g(y,y) - g(x,y)^2)."""
-    denominator = (inner_product(x, x) * inner_product(y, y)
-                   - inner_product(x, y) ** 2)
+def sectional(rt: Tensor4, x: Table, y: Table) -> Scalar:
+    """K(x, y) = R(x, y, y, x) / (g(x,x) g(y,y) - g(x,y)^2), the inner
+    products the contractions of the two vectors."""
+    denominator = x.contract(x) * y.contract(y) - x.contract(y) ** 2
     if not denominator:
         raise DegeneratePlane("vectors do not span a nondegenerate plane")
     return curvature_value(rt, x, y, y, x) / denominator
 
 
-def holomorphic_sectional(m: ManifoldModel, rt: Tensor4,
-                          x: FrameVector) -> Scalar:
+def holomorphic_sectional(m: ManifoldModel, rt: Tensor4, x: Table) -> Scalar:
     """K(x, Jx); defined for nonzero x since J is a Hermitian isometry."""
     if x.is_zero():
         raise DegeneratePlane("holomorphic sectional curvature of the zero vector")

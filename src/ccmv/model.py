@@ -4,8 +4,9 @@ A model is a Lie algebra given by structure constants over an orthonormal
 frame of dimension 4n+2, together with three endomorphisms G, H, J that
 are required (by the validation suite, not the loader) to satisfy the
 complex contact metric axioms.  The last two frame indices play the role
-of the distinguished vertical fields U and V; the dual 1-forms u and v
-therefore need no separate storage.
+of the distinguished vertical fields U and V.  The metric is the identity
+in this frame, so the dual 1-forms u and v are the rank-1 tables of U and
+V and need no separate storage.
 """
 from __future__ import annotations
 
@@ -15,8 +16,6 @@ from functools import cached_property
 from .core import (
     ZERO,
     Endomorphism,
-    FrameVector,
-    OneForm,
     Record,
     Scalar,
     Status,
@@ -69,10 +68,6 @@ class StructureConstants(Table):
             values[(j, i, k)] = -value
         return StructureConstants.from_values(dim, 3, values)
 
-    def bracket(self, x: FrameVector, y: FrameVector) -> FrameVector:
-        """Bilinear extension of the bracket to arbitrary frame vectors."""
-        return self.contract(x, y)
-
 
 class ManifoldModel(Record):
     """Frame model: structure constants plus the G, H, J structure tensors."""
@@ -97,27 +92,24 @@ class ManifoldModel(Record):
         return 4 * self.n + 1
 
     @cached_property
-    def U(self) -> FrameVector:
-        return FrameVector.basis(self.dim, self.U_index)
+    def U(self) -> Table:
+        """U, and the 1-form u = g(U, .), as a rank-1 table."""
+        return self.basis(self.U_index)
 
     @cached_property
-    def V(self) -> FrameVector:
-        return FrameVector.basis(self.dim, self.V_index)
-
-    @cached_property
-    def u(self) -> OneForm:
-        return OneForm.dual(self.dim, self.U_index)
-
-    @cached_property
-    def v(self) -> OneForm:
-        return OneForm.dual(self.dim, self.V_index)
+    def V(self) -> Table:
+        """V, and the 1-form v = g(V, .), as a rank-1 table."""
+        return self.basis(self.V_index)
 
     @property
     def horizontal_indices(self) -> range:
         return range(4 * self.n)
 
-    def basis(self, index: int) -> FrameVector:
-        return FrameVector.basis(self.dim, index)
+    def basis(self, index: int) -> Table:
+        """The frame vector e_index as a rank-1 table."""
+        if not 0 <= index < self.dim:
+            raise IndexError(f"frame index {index} out of range for dim {self.dim}")
+        return Table(self.dim, 1, ((index, 1),))
 
 
 class CheckResult(Record):
@@ -211,7 +203,7 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     d = m.dim
     G, H, J = m.G, m.H, m.J
     ident = Endomorphism.identity(d)
-    vertical_square = -ident + outer(m.U, m.u) + outer(m.V, m.v)
+    vertical_square = -ident + outer(m.U, m.U) + outer(m.V, m.V)
     results = [
         _check_matrices("AX-G2", [("", G.compose(G), vertical_square)]),
         _check_matrices("AX-H2", [("", H.compose(H), vertical_square)]),
@@ -223,11 +215,9 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     for clause, tensor, field in (("G@U", G, m.U), ("G@V", G, m.V),
                                   ("H@U", H, m.U), ("H@V", H, m.V)):
         image = tensor.apply(field)
-        for k, value in enumerate(image.coefficients):
-            if value:
-                kernel_witness = _entry_witness((k,), value, ZERO, clause)
-                break
-        if kernel_witness:
+        if image.entries:
+            where, value = image.items()[0]
+            kernel_witness = _entry_witness(where, value, ZERO, clause)
             break
     results.append(CheckResult("AX-KERNEL",
                                Status.FAIL if kernel_witness else Status.PASS,
@@ -239,7 +229,7 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
         ("J", J, -(J.transpose())),
     ]))
 
-    hg_target = J + outer(m.V, m.u) - outer(m.U, m.v)
+    hg_target = J + outer(m.V, m.U) - outer(m.U, m.V)
     results.append(_check_matrices("AX-HGJ", [
         ("HG", H.compose(G), hg_target),
         ("-GH", -(G.compose(H)), hg_target),
@@ -250,12 +240,10 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     ]))
 
     jv_witness = None
-    jv = J.apply(m.V)
-    for k in range(d):
-        expected = m.U[k]
-        if jv[k] != expected:
-            jv_witness = _entry_witness((k,), jv[k], expected, "JV")
-            break
+    failure = first_table_failure([("JV", J.apply(m.V), m.U)], 1)
+    if failure is not None:
+        where, clause, left, right = failure
+        jv_witness = _entry_witness(where, left, right, clause)
     results.append(CheckResult("AX-JV", Status.FAIL if jv_witness else Status.PASS,
                                jv_witness))
 

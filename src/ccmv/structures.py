@@ -38,14 +38,11 @@ from functools import cached_property
 
 from .core import (
     Endomorphism,
-    FrameVector,
-    OneForm,
     Record,
     Scalar,
     Status,
     Table,
     TwoForm,
-    as_table,
     first_table_failure,
     format_scalar,
     format_sparse_vector,
@@ -85,8 +82,7 @@ class NormalityReport(Record):
         return (self.korkmaz, self.prop21, self.thm45)
 
 
-def _vector_witness(label: str, slots: tuple[int, ...], lhs: FrameVector,
-                    rhs: FrameVector) -> str:
+def _vector_witness(label: str, slots: tuple[int, ...], lhs: Table, rhs: Table) -> str:
     where = ",".join(str(s) for s in slots)
     return (f"{label} slots={where} lhs={format_sparse_vector(lhs)} "
             f"rhs={format_sparse_vector(rhs)}")
@@ -128,7 +124,7 @@ class ConnectionWorkspace:
         self.conn = conn
 
     @cached_property
-    def sigma(self) -> OneForm:
+    def sigma(self) -> Table:
         return sigma_form(self.model, self.conn)
 
     @cached_property
@@ -141,19 +137,19 @@ class ConnectionWorkspace:
 
     @cached_property
     def du(self) -> TwoForm:
-        return exterior_d_oneform(self.model, self.model.u)
+        return exterior_d_oneform(self.model, self.model.U)
 
     @cached_property
     def dv(self) -> TwoForm:
-        return exterior_d_oneform(self.model, self.model.v)
+        return exterior_d_oneform(self.model, self.model.V)
 
     @cached_property
     def wedge_sigma_u(self) -> TwoForm:
-        return wedge(self.sigma, self.model.u)
+        return wedge(self.sigma, self.model.U)
 
     @cached_property
     def wedge_sigma_v(self) -> TwoForm:
-        return wedge(self.sigma, self.model.v)
+        return wedge(self.sigma, self.model.V)
 
     @cached_property
     def GH(self) -> Endomorphism:
@@ -207,9 +203,8 @@ class ConnectionWorkspace:
 
     @cached_property
     def forms(self) -> tuple[Table, Table, Table]:
-        """sigma, u and v as rank-1 tables."""
-        m = self.model
-        return as_table(self.sigma), as_table(m.u), as_table(m.v)
+        """sigma, u and v: the rank-1 tables of sigma, U and V."""
+        return self.sigma, self.model.U, self.model.V
 
     @cached_property
     def delta(self) -> Endomorphism:
@@ -339,29 +334,23 @@ class ConnectionWorkspace:
 
 
 def _route_korkmaz(ctx: ConnectionWorkspace) -> RouteResult:
+    """S and T on horizontal pairs, S before T at each pair; then S(e_i, U)
+    and T(e_i, V) for every frame index i, S before T at each i: each
+    compared with the empty table."""
     m, S, T = ctx.model, ctx.obstruction_S, ctx.obstruction_T
-    hor, every = m.horizontal_indices, range(m.dim)
-    zero = FrameVector.zero(m.dim)
-
-    def fail(label: str, slots, value: FrameVector) -> RouteResult:
-        return RouteResult("korkmaz", Status.FAIL, _vector_witness(label, slots, value, zero))
-
-    # the first horizontal pair where S or T is nonzero, S before T there
-    pairs = [((i, j), c) for c, t in enumerate((S, T))
-             for (i, j, _), _ in t.numerators([hor, hor, every])]
-    if pairs:
-        where, c = min(pairs)
-        label, t = (("S", S), ("T", T))[c]
-        return fail(label, where, t.row(*where))
-    # then S(e_i, U) and T(e_i, V) for every frame index i, S before T at each i
-    vertical = (("S(.,U)", S, m.U_index), ("T(.,V)", T, m.V_index))
-    firsts = [(i, c) for c, (_, t, w) in enumerate(vertical)
-              for (i, _, _), _ in t.numerators([every, (w,), every])]
-    if firsts:
-        i, c = min(firsts)
-        label, t, w = vertical[c]
-        return fail(label, (i, w), t.row(i, w))
-    return RouteResult("korkmaz", Status.PASS)
+    hor, zero = m.horizontal_indices, Table(m.dim, 3, {})
+    failure = first_table_failure([("S", S.restrict(hor, 2), zero),
+                                   ("T", T.restrict(hor, 2), zero)], 2)
+    if failure is None:
+        zero = Table(m.dim, 2, {})
+        vertical = first_table_failure([("S(.,U)", S.fix(1, m.U_index), zero),
+                                        ("T(.,V)", T.fix(1, m.V_index), zero)], 1)
+        if vertical is None:
+            return RouteResult("korkmaz", Status.PASS)
+        (i,), label, lhs, rhs = vertical
+        failure = (i, m.U_index if label == "S(.,U)" else m.V_index), label, lhs, rhs
+    where, label, lhs, rhs = failure
+    return RouteResult("korkmaz", Status.FAIL, _vector_witness(label, where, lhs, rhs))
 
 
 def _route_prop21(ctx: ConnectionWorkspace) -> RouteResult:

@@ -42,7 +42,6 @@ from typing import Callable
 
 from .core import (
     ZERO,
-    FrameVector,
     Record,
     Scalar,
     Status,
@@ -196,7 +195,7 @@ class Workspace(ConnectionWorkspace):
     def sigma_UV(self) -> tuple[Scalar, Scalar]:
         """sigma(U) and sigma(V)."""
         m = self.model
-        return self.sigma.coefficients[m.U_index], self.sigma.coefficients[m.V_index]
+        return self.sigma.entry(m.U_index), self.sigma.entry(m.V_index)
 
     @cached_property
     def hor_delta(self) -> Table:
@@ -258,7 +257,7 @@ class Identity(Record):
 
 
 def _render_value(value) -> str:
-    if isinstance(value, FrameVector):
+    if isinstance(value, Table):
         return format_sparse_vector(value)
     return format_scalar(value)
 
@@ -724,7 +723,7 @@ class ExpectedFormatError(ValueError):
 class ExpectedEntry(Record):
     kind: str
     indices: tuple[int, ...]
-    expected: object  # FrameVector for R/conn, Scalar otherwise
+    expected: object  # a rank-1 Table for R/conn, Scalar otherwise
     line: int
 
     def __init__(self, kind: str, indices: tuple[int, ...], expected: object,

@@ -18,9 +18,9 @@ import pytest
 import ccmv
 from ccmv import (
     Endomorphism,
-    FrameVector,
     ManifoldModel,
     StructureConstants,
+    Table,
     Tensor4,
     build_abelian,
     build_heisenberg,
@@ -67,11 +67,28 @@ def run_python(*args: str) -> subprocess.CompletedProcess:
                           env=env, timeout=60)
 
 
-def random_rational_vector(rng: random.Random, dim: int) -> FrameVector:
-    """Small deterministic rational vector: each coefficient p/q with p in
-    [-3, 3] and q in [1, 3], drawn in frame order."""
-    return FrameVector(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                             for _ in range(dim)))
+def random_rational_vector(rng: random.Random, dim: int) -> Table:
+    """Small deterministic rational vector, a rank-1 table: each coefficient
+    p/q with p in [-3, 3] and q in [1, 3], drawn in frame order."""
+    return Table.from_values(dim, 1, {(i,): Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                      for i in range(dim)})
+
+
+def vector(coefficients) -> Table:
+    """The rank-1 table of a coefficient list over the frame."""
+    return Table.from_values(len(coefficients), 1, {(i,): Fraction(c)
+                                                    for i, c in enumerate(coefficients)})
+
+
+def basis(dim: int, index: int) -> Table:
+    """The frame vector e_index as a rank-1 table."""
+    return Table.from_values(dim, 1, {(index,): 1})
+
+
+def combine(*terms) -> Table:
+    """The sum of c * x over the terms (c, x), tables of one rank."""
+    first = terms[0][1]
+    return Table(first.dim, first.rank, {}).add(terms)
 
 
 def tensor4_from_function(dim: int, fn) -> Tensor4:
@@ -82,11 +99,9 @@ def tensor4_from_function(dim: int, fn) -> Tensor4:
         if (value := Fraction(fn(*idx)))})
 
 
-def horizontal_projection(m: ManifoldModel, x: FrameVector) -> FrameVector:
+def horizontal_projection(m: ManifoldModel, x: Table) -> Table:
     """X - u(X) U - v(X) V: the vector with its two vertical coefficients zeroed."""
-    coeffs = list(x.coefficients)
-    coeffs[m.U_index] = coeffs[m.V_index] = Fraction(0)
-    return FrameVector(tuple(coeffs))
+    return x.restrict(m.horizontal_indices)
 
 
 def make_nilpotent_model(seed: int) -> ManifoldModel:

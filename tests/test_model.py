@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from ccmv.core import FrameVector, Status
+from ccmv.core import Status
 from ccmv.model import (
     HEISENBERG_CCM,
     MAX_N,
@@ -20,6 +20,7 @@ from ccmv.model import (
     require_lie_algebra,
     validate_structure,
 )
+from tests.conftest import combine, vector
 
 MINIMAL = "version 1\nname tiny\nn 1\n"
 
@@ -46,23 +47,26 @@ class TestLoadHappyPath:
     def test_vertical_fields_and_duals(self, heisenberg):
         assert heisenberg.U == heisenberg.basis(4)
         assert heisenberg.V == heisenberg.basis(5)
-        assert heisenberg.u.value(heisenberg.U) == 1
-        assert heisenberg.u.value(heisenberg.V) == 0
-        assert heisenberg.v.value(heisenberg.V) == 1
+        # a 1-form is its dual vector: u = g(U, .), v = g(V, .)
+        assert heisenberg.U.contract(heisenberg.U) == 1
+        assert heisenberg.U.contract(heisenberg.V) == 0
+        assert heisenberg.V.contract(heisenberg.V) == 1
+        with pytest.raises(IndexError):
+            heisenberg.basis(6)
 
     @pytest.mark.parametrize("column,image,coeff", G_ACTION)
     def test_G_action(self, heisenberg, column, image, coeff):
-        expected = heisenberg.basis(image).scale(coeff)
+        expected = combine((coeff, heisenberg.basis(image)))
         assert heisenberg.G.apply(heisenberg.basis(column)) == expected
 
     @pytest.mark.parametrize("column,image,coeff", H_ACTION)
     def test_H_action(self, heisenberg, column, image, coeff):
-        expected = heisenberg.basis(image).scale(coeff)
+        expected = combine((coeff, heisenberg.basis(image)))
         assert heisenberg.H.apply(heisenberg.basis(column)) == expected
 
     @pytest.mark.parametrize("column,image,coeff", J_ACTION)
     def test_J_action(self, heisenberg, column, image, coeff):
-        expected = heisenberg.basis(image).scale(coeff)
+        expected = combine((coeff, heisenberg.basis(image)))
         assert heisenberg.J.apply(heisenberg.basis(column)) == expected
 
     def test_tensors_kill_vertical_fields(self, heisenberg):
@@ -79,22 +83,21 @@ class TestLoadHappyPath:
                 vec = c.row(i, j)
                 if (i, j) in expected:
                     k, q = expected[(i, j)]
-                    assert vec == heisenberg.basis(k).scale(q)
+                    assert vec == combine((q, heisenberg.basis(k)))
                 elif (j, i) in expected:
                     k, q = expected[(j, i)]
-                    assert vec == heisenberg.basis(k).scale(-q)
+                    assert vec == combine((-q, heisenberg.basis(k)))
                 else:
                     assert vec.is_zero(), (i, j)
 
     def test_bracket_bilinear(self, heisenberg):
         c = heisenberg.constants
-        x = FrameVector.from_coeffs([1, 2, 0, 0, 0, 0])
-        y = FrameVector.from_coeffs([0, 0, 3, -1, 0, 0])
+        x = vector([1, 2, 0, 0, 0, 0])
+        y = vector([0, 0, 3, -1, 0, 0])
         # [e0 + 2e1, 3e2 - e3] = 3[e0,e2] - [e0,e3] + 6[e1,e2] - 2[e1,e3]
-        expected = (c.row(0, 2).scale(3) - c.row(0, 3)
-                    + c.row(1, 2).scale(6)
-                    - c.row(1, 3).scale(2))
-        assert c.bracket(x, y) == expected
+        expected = combine((3, c.row(0, 2)), (-1, c.row(0, 3)),
+                           (6, c.row(1, 2)), (-2, c.row(1, 3)))
+        assert c.contract(x, y) == expected
 
     def test_comments_and_blanks_ignored(self):
         text = "# leading comment\n\nversion 1  # trailing\n\nname x\nn 1\n# end\n"

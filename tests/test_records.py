@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from ccmv import build_heisenberg
-from ccmv.core import Endomorphism, FrameVector, OneForm, Status, Table, Tensor4, TwoForm
+from ccmv.core import Endomorphism, Status, Table, Tensor4, TwoForm
 from ccmv.curvature import BilinearForm
 from ccmv.model import CheckResult, ManifoldModel, ValidationReport
 from ccmv.structures import NormalityReport, RouteResult
@@ -38,8 +38,6 @@ _DIFF = DiffEntry("ric 0 0", True, "1/2", "1/2")
 # class, its fields in order with one value each, and whether it hashes
 # (a table whose entries are a dict, or a record holding one, does not)
 CASES = [
-    (FrameVector, {"coefficients": (Fraction(1), Fraction(0), Fraction(-2, 3))}, True),
-    (OneForm, {"coefficients": (Fraction(0), Fraction(5))}, True),
     (Table, {"dim": 3, "rank": 1, "entries": ((0, 3), (2, -1)), "den": 2}, True),
     (Endomorphism, {"dim": 2, "rank": 2, "entries": {0: ((1, 1),)}, "den": 1}, False),
     (Tensor4, {"dim": 2, "rank": 4, "entries": {0: {1: {1: ((0, 1),)}}}, "den": 3}, False),
@@ -130,7 +128,7 @@ def test_tables_of_different_classes_are_never_equal(left, right):
 
 
 def test_records_of_different_classes_are_never_equal():
-    records = [FrameVector((Fraction(1),)), OneForm((Fraction(1),)),
+    records = [Table(1, 1, ((0, 1),)), ExpectedValues(()),
                CheckResult("X", Status.PASS), RouteResult("X", Status.PASS),
                IdentityResult("X", Status.PASS)]
     for i, a in enumerate(records):
@@ -166,15 +164,9 @@ def test_wrong_arguments_raise_type_error(cls, args, kwargs):
 
 
 def test_cached_properties_are_kept_out_of_equality_and_repr():
-    v = FrameVector((Fraction(0), Fraction(2), Fraction(0)))
-    assert v.nonzero == ((1, Fraction(2)),)
-    assert v.nonzero is v.nonzero
-    assert v == FrameVector(v.coefficients)
-    assert repr(v) == f"FrameVector(coefficients={v.coefficients!r})"
-
     m = build_heisenberg()
-    assert m.U == FrameVector.basis(m.dim, m.U_index)
-    assert m.U is m.U and m.v is m.v
+    assert m.U == Table(m.dim, 1, ((m.U_index, 1),))
+    assert m.U is m.U and m.V is m.V
     assert m == build_heisenberg()
     assert "U=" not in repr(m)
 

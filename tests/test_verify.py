@@ -2,19 +2,21 @@
 from __future__ import annotations
 
 import importlib.resources
+from fractions import Fraction
 from functools import cached_property
 
 import pytest
 
 import ccmv
-from ccmv.core import Status
+from ccmv.core import Status, Table, format_sparse_vector
 from ccmv.curvature import DegeneratePlane
-from ccmv.model import InvalidModelError, load_model
+from ccmv.model import InvalidModelError, build_heisenberg, load_model
 from ccmv.verify import (
     REGISTRY,
     Identity,
     SELECTORS,
     ExpectedFormatError,
+    Workspace,
     diff_expected,
     diff_text_rows,
     diff_tsv_rows,
@@ -24,6 +26,7 @@ from ccmv.verify import (
     suite_text_rows,
     suite_tsv_rows,
 )
+from conftest import combine, make_heisenberg_model, make_nilpotent_model, make_two_step_model
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv").joinpath("data/iwasawa_expected.ccmx"))
 
@@ -94,6 +97,24 @@ class TestRegistry:
         assert len(set(ccmv.__all__)) == len(ccmv.__all__)
         for name in ccmv.__all__:
             assert getattr(ccmv, name) is not None, name
+
+    def test_exported_names_are_pinned(self):
+        # a removed name cannot come back, nor a new one arrive, unnoticed
+        assert sorted(ccmv.__all__) == [
+        "BilinearForm", "CheckResult", "ConnectionCoeffs", "DegeneratePlane", "DiffReport",
+        "DimensionMismatch", "Endomorphism", "ExpectedFormatError", "ExpectedValues",
+        "HEISENBERG_CCM", "IdentityResult", "InvalidModelError", "MAX_N", "ManifoldModel",
+        "ModelFormatError", "NormalityReport", "RouteResult", "SELECTORS", "Scalar",
+        "Status", "StructureConstants", "SuiteReport", "Table", "Tensor4", "TwoForm",
+        "ValidationReport", "Workspace", "build_abelian", "build_heisenberg",
+        "check_normality", "cov_deriv_endo", "curvature_value", "diff_expected",
+        "diff_text_rows", "diff_tsv_rows", "exterior_d_oneform", "format_scalar",
+        "format_sparse_vector", "holomorphic_sectional", "levi_civita", "lie_checks",
+        "load_model", "parse_expected", "parse_scalar", "parse_sparse_vector",
+        "registry_ids", "require_lie_algebra", "ricci", "ricci_operator", "riemann",
+        "riemann_symmetry_failures", "run_suite", "scalar_curvature",
+        "second_bianchi_failures", "sectional", "sigma_form", "structure_tensor_checks",
+        "suite_text_rows", "suite_tsv_rows", "validate_structure", "wedge"]
 
 
 class TestSuite:
@@ -186,8 +207,8 @@ class TestSuite:
         # the first EQ-2.19 witness compares R(U, V) e0 against J e0
         e0, e1 = heisenberg.basis(0), heisenberg.basis(1)
         lhs = heis_curv.row(heisenberg.U_index, heisenberg.V_index, 0)
-        assert lhs == e1.scale(2)  # rendered as 2:1
-        assert heisenberg.J.apply(e0) == e1.scale(-1)  # rendered as -1:1
+        assert lhs == combine((2, e1))  # rendered as 2:1
+        assert heisenberg.J.apply(e0) == combine((-1, e1))  # rendered as -1:1
 
     def test_abelian_failures_are_witnessed(self, abelian):
         report = run_suite(abelian, "normality")
@@ -293,6 +314,36 @@ class TestDiff:
         text = "version 1\nn 1\nbracket 0 1 2 1\nbracket 0 2 0 1\n"
         with pytest.raises(InvalidModelError):
             diff_expected(load_model(text), parse_expected("scal = 0\n", 6))
+
+    @pytest.mark.parametrize("build", [
+        build_heisenberg, lambda: make_heisenberg_model(2), make_two_step_model,
+        *[lambda seed=seed: make_nilpotent_model(seed) for seed in range(5)]],
+        ids=["bundled", "heisenberg-n2", "two-step",
+             *[f"nilpotent-{seed}" for seed in range(5)]])
+    def test_printed_rows_diff_as_matches(self, build):
+        # `diff` compares a parsed row with a computed one by `==`: every
+        # printed conn and R row must read back as a MATCH, and a bump of one
+        # coefficient of one row must turn exactly that entry into a MISMATCH
+        m = build()
+        ws = Workspace(m)
+        d = m.dim
+        rows = {f"conn {i} {j}": ws.conn.row(i, j) for i in range(d) for j in range(d)}
+        rows.update({f"R {i} {j} {k}": ws.curv.row(i, j, k)
+                     for i in range(d) for j in range(d) for k in range(d)})
+        lines = [f"{key} = {format_sparse_vector(row)}" for key, row in rows.items()]
+        report = diff_expected(m, parse_expected("\n".join(lines) + "\n", d))
+        assert report.match_count == len(rows) and report.all_match
+        for kind in ("conn", "R"):
+            # the last stored row of the kind, its first coefficient bumped by 1/7
+            key, row = [(key, row) for key, row in rows.items()
+                        if key.startswith(kind + " ") and not row.is_zero()][-1]
+            (k,), value = row.items()[0]
+            bumped = row.add([(Fraction(1, 7), Table(d, 1, ((k, 1),)))])
+            text = "\n".join(f"{key} = {format_sparse_vector(bumped)}" if line.startswith(key + " =")
+                             else line for line in lines)
+            report = diff_expected(m, parse_expected(text + "\n", d))
+            assert [e.key for e in report.entries if not e.matched] == [key], kind
+            assert report.entry(key).computed_text == format_sparse_vector(row)
 
     def test_missing_key_lookup(self, heisenberg):
         report = diff_expected(heisenberg, parse_expected("scal = -8\n", 6))
