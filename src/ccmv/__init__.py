@@ -10,12 +10,9 @@ inequality is a theorem about the model, not a numerical impression.
 """
 from .core import (
     DimensionMismatch,
-    Endomorphism,
     Scalar,
     Status,
     Table,
-    Tensor4,
-    TwoForm,
     format_scalar,
     format_sparse_vector,
     parse_scalar,
@@ -28,7 +25,6 @@ from .model import (
     MAX_N,
     ManifoldModel,
     ModelFormatError,
-    StructureConstants,
     ValidationReport,
     build_abelian,
     build_heisenberg,
@@ -39,7 +35,6 @@ from .model import (
     validate_structure,
 )
 from .connection import (
-    ConnectionCoeffs,
     cov_deriv_endo,
     exterior_d_oneform,
     levi_civita,
@@ -52,12 +47,9 @@ from .structures import (
     check_normality,
 )
 from .curvature import (
-    BilinearForm,
     DegeneratePlane,
-    curvature_value,
     holomorphic_sectional,
     ricci,
-    ricci_operator,
     riemann,
     riemann_symmetry_failures,
     scalar_curvature,
@@ -85,13 +77,10 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BilinearForm",
     "CheckResult",
-    "ConnectionCoeffs",
     "DegeneratePlane",
     "DiffReport",
     "DimensionMismatch",
-    "Endomorphism",
     "ExpectedFormatError",
     "ExpectedValues",
     "HEISENBERG_CCM",
@@ -105,18 +94,14 @@ __all__ = [
     "SELECTORS",
     "Scalar",
     "Status",
-    "StructureConstants",
     "SuiteReport",
     "Table",
-    "Tensor4",
-    "TwoForm",
     "ValidationReport",
     "Workspace",
     "build_abelian",
     "build_heisenberg",
     "check_normality",
     "cov_deriv_endo",
-    "curvature_value",
     "diff_expected",
     "diff_text_rows",
     "diff_tsv_rows",
@@ -133,7 +118,6 @@ __all__ = [
     "registry_ids",
     "require_lie_algebra",
     "ricci",
-    "ricci_operator",
     "riemann",
     "riemann_symmetry_failures",
     "run_suite",

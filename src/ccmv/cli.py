@@ -14,9 +14,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .connection import ConnectionCoeffs, levi_civita
+from .connection import levi_civita
 from .core import (
-    Tensor4,
+    Table,
     UnprintableValue,
     format_scalar,
     format_sparse_vector,
@@ -122,8 +122,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
-def _connection_rows(m: ManifoldModel, conn: ConnectionCoeffs,
-                     fmt: str) -> list[str]:
+def _connection_rows(m: ManifoldModel, conn: Table, fmt: str) -> list[str]:
     rows = []
     for i in range(m.dim):
         for j in range(m.dim):
@@ -145,7 +144,7 @@ def _cmd_connection(args: argparse.Namespace) -> int:
     return 0
 
 
-def _curvature_rows(m: ManifoldModel, rt: Tensor4, fmt: str) -> list[str]:
+def _curvature_rows(m: ManifoldModel, rt: Table, fmt: str) -> list[str]:
     rows = []
     for i in range(m.dim):
         for j in range(i + 1, m.dim):
@@ -190,7 +189,7 @@ def _cmd_ricci(args: argparse.Namespace) -> int:
             else:
                 rows.append(f"ric {i} {j} = {value}")
     for i in range(m.dim):
-        value = format_sparse_vector(ws.Q.row(i))
+        value = format_sparse_vector(ws.rho.row(i))
         if args.format == "tsv":
             rows.append(f"Q\t{i}\t{value}")
         else:

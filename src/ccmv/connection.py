@@ -4,28 +4,20 @@ Everything here works on frame-constant (left-invariant) fields, so the
 directional-derivative terms of coefficient functions vanish identically
 and the Koszul formula collapses to a linear expression in the structure
 constants.  The connection is the rank-3 table of the nonzero
-gamma(i, j, k) = g(nabla_{e_i} e_j, e_k).
+gamma(i, j, k) = g(nabla_{e_i} e_j, e_k), metric-compatible and
+torsion-free; row(i, j) is nabla_{e_i} e_j.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .core import (
-    Endomorphism,
-    Table,
-    TwoForm,
-)
+from .core import Table, combine
 from .model import ManifoldModel
 
 HALF = Fraction(1, 2)
 
 
-class ConnectionCoeffs(Table):
-    """gamma(i, j, k) = g(nabla_{e_i} e_j, e_k); metric-compatible and
-    torsion-free.  row(i, j) is nabla_{e_i} e_j."""
-
-
-def levi_civita(m: ManifoldModel) -> ConnectionCoeffs:
+def levi_civita(m: ManifoldModel) -> Table:
     """Koszul formula on an orthonormal invariant frame.
 
     gamma(i, j, k) = (c(i, j, k) + c(k, i, j) - c(j, k, i)) / 2,
@@ -36,21 +28,21 @@ def levi_civita(m: ManifoldModel) -> ConnectionCoeffs:
     for (a, b, e), value in m.constants.numerators():
         for key, term in (((a, b, e), value), ((b, e, a), value), ((e, a, b), -value)):
             values[key] = values.get(key, 0) + term
-    return ConnectionCoeffs.from_numerators(m.dim, 3, values, 2 * m.constants.den)
+    return Table.from_numerators(m.dim, 3, values, 2 * m.constants.den)
 
 
-def cov_deriv_table(conn: ConnectionCoeffs, a: Endomorphism) -> Table:
+def cov_deriv_table(conn: Table, a: Table) -> Table:
     """g((nabla_{e_i} A) e_j, e_k) = g(nabla_{e_i}(A e_j), e_k) - g(A(nabla_{e_i} e_j), e_k),
     that is sum_q A(e_j)_q gamma(i, q, k) - sum_p gamma(i, j, p) A(e_p)_k:
     gamma with its middle slot pulled back through A, minus gamma with its
     last slot pulled back through the transpose of A.  Row (i, j) is the
     vector (nabla_{e_i} A) e_j.  No property of A is assumed."""
     every = range(conn.dim)
-    return conn.pullback(a, (1,), every).add([(-1, conn.pullback(a.transpose(), (2,), every))])
+    return conn.pullback(a, (1,), every).add(
+        [(-1, conn.pullback(a.permute((1, 0)), (2,), every))])
 
 
-def cov_deriv_endo(conn: ConnectionCoeffs, x: Table,
-                   a: Endomorphism) -> Endomorphism:
+def cov_deriv_endo(conn: Table, x: Table, a: Table) -> Table:
     """(nabla_x A) as the endomorphism y -> nabla_x(Ay) - A(nabla_x y): the
     first slot of cov_deriv_table contracted with the vector x, the table
     built from the connection rows that x reaches only."""
@@ -59,31 +51,30 @@ def cov_deriv_endo(conn: ConnectionCoeffs, x: Table,
     values: dict[tuple[int, int], int] = {}
     for (i, j, k), value in table.numerators():
         values[(j, k)] = values.get((j, k), 0) + weight[i] * value
-    return Endomorphism.from_numerators(conn.dim, 2, values, x.den * table.den)
+    return Table.from_numerators(conn.dim, 2, values, x.den * table.den)
 
 
-def sigma_form(m: ManifoldModel, conn: ConnectionCoeffs) -> Table:
+def sigma_form(m: ManifoldModel, conn: Table) -> Table:
     """The rotation form: sigma(X) = g(nabla_X U, V), read off the table as
     a rank-1 table."""
     return conn.fix(1, m.U_index).fix(1, m.V_index)
 
 
-def exterior_d_oneform(m: ManifoldModel, w: Table) -> TwoForm:
+def exterior_d_oneform(m: ManifoldModel, w: Table) -> Table:
     """d of an invariant 1-form: dw(e_i, e_j) = -(1/2) w([e_i, e_j])."""
     c, weight = m.constants, dict(w.entries)
     values: dict[tuple[int, int], int] = {}
     for (i, j, k), a in c.numerators():
         if k in weight:
             values[(i, j)] = values.get((i, j), 0) - weight[k] * a
-    return TwoForm.from_numerators(m.dim, 2, values, 2 * w.den * c.den)
+    return Table.from_numerators(m.dim, 2, values, 2 * w.den * c.den)
 
 
-def wedge(a: Table, b: Table) -> TwoForm:
+def wedge(a: Table, b: Table) -> Table:
     """(a ^ b)(X, Y) = (1/2)(a(X) b(Y) - a(Y) b(X)).
 
     The 1/2 matches the exterior-derivative convention above, which is the
     unique normalization under which the built-in model satisfies the
     contact compatibility du(X, Y) = g(X, GY) with vanishing sigma.
     """
-    t = Table(a.dim, 2, {}).add([(HALF, a.tensor(b)), (-HALF, b.tensor(a))])
-    return TwoForm(t.dim, 2, t.entries, t.den)
+    return combine([(HALF, a.tensor(b)), (-HALF, b.tensor(a))])

@@ -9,11 +9,14 @@ indices whose last level is the tuple of `(index, numerator)` pairs; a
 vector or a 1-form is a rank-1 Table, that tuple itself.  Zeros are never
 stored, empty subtrees are pruned and the denominator is reduced, so `==`
 is structural and every kernel costs in proportion to the nonzeros, in int
-arithmetic.  `Table.contract` is the one evaluation of a table on vectors.
-Every value handed out is an exact rational; no floating point appears
-anywhere.  The metric is the identity in this frame, so a 1-form and its
-dual vector are the same table, and the inner product of two vectors is
-their contraction.
+arithmetic.  `Table.contract` is the one evaluation of a table on vectors
+and `combine` the one linear combination of tables.  A rank-2 table read
+as a map A stores its input slot first: row(i) is A(e_i), `contract(x)` is
+A(x) and `compose` composes maps.  Every value handed out is an exact
+rational; no floating point appears anywhere.  The metric is the identity
+in this frame, so a 1-form and its dual vector are the same table, so are
+a bilinear form and its endomorphism, and the inner product of two vectors
+is their contraction.
 """
 from __future__ import annotations
 
@@ -107,9 +110,9 @@ class Record:
     `self.__dict__` would build a dict and slow every later attribute
     read.  Assignment and deletion raise AttributeError; `cached_property`
     still works, as it writes the instance dict.  Two records are equal
-    only when they are of the same class with equal fields, so an
-    Endomorphism never equals a Tensor4; the hash is that of the fields,
-    and the repr names every field.
+    only when they are of the same class with equal fields, so a
+    CheckResult never equals an IdentityResult with the same fields; the
+    hash is that of the fields, and the repr names every field.
 
     Defining a record generates and compiles no functions, so a fresh
     process pays only for the class bodies when it imports ccmv.  The
@@ -262,13 +265,13 @@ class Table(Record):
         return node
 
     def _reduced(self) -> Table:
-        """This plain Table with den and the numerators divided by their gcd."""
+        """This table with den and the numerators divided by their gcd."""
         if self.den == 1 or gcd(self.den, *(a for _, a in self.numerators())) == 1:
             return self
         return Table.from_numerators(self.dim, self.rank, dict(self.numerators()), self.den)
 
     def fix(self, slot: int, index: int) -> Table:
-        """The plain rank-(k-1) Table of the entries whose index in `slot` is
+        """The rank-(k-1) Table of the entries whose index in `slot` is
         `index`, that slot dropped: fix(2, u) of R is R(., ., e_u, .).  Only
         the levels down to `slot` are walked; below it the subtree at
         `index` is kept as it is."""
@@ -367,9 +370,8 @@ class Table(Record):
 
     def restrict(self, keep: range, width: int | None = None) -> Table:
         """The entries whose index in each of the first `width` slots (every
-        slot by default) lies in `keep`, as a plain Table.  A subtree outside
-        `keep` is never walked, and one below the first `width` slots is
-        kept as it is."""
+        slot by default) lies in `keep`.  A subtree outside `keep` is never
+        walked, and one below the first `width` slots is kept as it is."""
         width = self.rank if width is None else width
 
         def walk(node, depth: int):
@@ -388,8 +390,8 @@ class Table(Record):
         kept = walk(self.entries, 0) or ({} if self.rank > 1 else ())
         return Table(self.dim, self.rank, kept, self.den)._reduced()
 
-    def pullback(self, endo: Endomorphism, slots: Sequence[int], keep: range) -> Table:
-        """The plain Table on index tuples in `keep` whose slots in `slots`
+    def pullback(self, endo: Table, slots: Sequence[int], keep: range) -> Table:
+        """The Table on index tuples in `keep` whose slots in `slots`
         take `endo` of their argument: for slots = (0,), entry (i, ...) is
         the sum over p of endo(e_i)[p] * entry(p, ...).
 
@@ -420,8 +422,8 @@ class Table(Record):
                                      self.den * endo.den ** len(slots))
 
     def add(self, terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
-        """This table plus c * t for every term (c, t) of the same rank, as
-        a plain Table, over the lcm of the terms' denominators."""
+        """This table plus c * t for every term (c, t) of the same rank, over
+        the lcm of the terms' denominators."""
         terms = list(terms)
         for c, t in terms:
             _require_same_dim(self.dim, t.dim)
@@ -438,9 +440,9 @@ class Table(Record):
         return Table.from_numerators(self.dim, self.rank, values, den)
 
     def tensor(self, other: Table) -> Table:
-        """The tensor product self ⊗ other, as a plain Table: its entry at
-        (i, j, ..., k, ...) is self(i, j, ...) * other(k, ...), over the
-        product of the two dens."""
+        """The tensor product self ⊗ other: its entry at (i, j, ..., k, ...)
+        is self(i, j, ...) * other(k, ...), over the product of the two
+        dens."""
         _require_same_dim(self.dim, other.dim)
         rank = self.rank + other.rank
         if not self.entries or not other.entries:
@@ -461,9 +463,9 @@ class Table(Record):
                      self.den * other.den)._reduced()
 
     def permute(self, order: Sequence[int]) -> Table:
-        """The plain Table whose entry at (i_0, ..., i_r-1) is this table's
-        entry at (i_order[0], ..., i_order[r-1]): order (1, 0, 2) swaps
-        the first two slots of a rank-3 table."""
+        """The Table whose entry at (i_0, ..., i_r-1) is this table's entry
+        at (i_order[0], ..., i_order[r-1]): order (1, 0, 2) swaps the first
+        two slots of a rank-3 table, and order (1, 0) transposes a map."""
         if sorted(order) != list(range(self.rank)):
             raise ValueError(f"{tuple(order)} is not an order of {self.rank} slots")
         values = {}
@@ -474,50 +476,22 @@ class Table(Record):
             values[tuple(idx)] = a
         return Table.from_numerators(self.dim, self.rank, values, self.den)
 
-
-class Endomorphism(Table):
-    """Linear map on frame vectors, stored input slot first: row(i) is the
-    image A(e_i), and entry(k, i) is the coefficient of e_k in A(e_i)."""
-
     @staticmethod
-    def identity(dim: int) -> Endomorphism:
-        return Endomorphism.from_numerators(dim, 2, {(i, i): 1 for i in range(dim)})
+    def identity(dim: int) -> Table:
+        """The identity map, which is also the metric, as a rank-2 table."""
+        return Table.from_numerators(dim, 2, {(i, i): 1 for i in range(dim)})
 
-    def entry(self, k: int, i: int) -> Scalar:
-        return Table.entry(self, i, k)
-
-    # apply(x) is the contraction of the input slot with x
-    apply = Table.contract
-
-    @classmethod
-    def _of(cls, t: Table) -> Endomorphism:
-        return cls(t.dim, 2, t.entries, t.den)
-
-    def compose(self, other: Endomorphism) -> Endomorphism:
-        """Matrix product self @ other, i.e. x -> self(other(x)): the input
-        slot pulled back through `other`."""
-        return Endomorphism._of(self.pullback(other, (0,), range(self.dim)))
-
-    def __add__(self, other: Endomorphism) -> Endomorphism:
-        return Endomorphism._of(self.add([(1, other)]))
-
-    def __sub__(self, other: Endomorphism) -> Endomorphism:
-        return Endomorphism._of(self.add([(-1, other)]))
-
-    def __neg__(self) -> Endomorphism:
-        return self.scale(-1)
-
-    def scale(self, factor: Scalar | int) -> Endomorphism:
-        return Endomorphism._of(Table(self.dim, 2, {}).add([(factor, self)]))
-
-    def transpose(self) -> Endomorphism:
-        return Endomorphism.from_numerators(self.dim, 2, {(k, i): a for (i, k), a
-                                                          in self.numerators()}, self.den)
+    def compose(self, other: Table) -> Table:
+        """Of two rank-2 tables read as maps, self after other, x ->
+        self(other(x)): the input slot pulled back through `other`."""
+        return self.pullback(other, (0,), range(self.dim))
 
 
-def outer(vec: Table, form: Table) -> Endomorphism:
-    """Rank-one map x -> form(x) * vec, of a vector and a 1-form."""
-    return Endomorphism._of(form.tensor(vec))
+def combine(terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
+    """The sum of c * t over the terms (c, t), at least one, all of one rank."""
+    terms = list(terms)
+    first = terms[0][1]
+    return Table(first.dim, first.rank, {}).add(terms)
 
 
 def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
@@ -547,27 +521,10 @@ def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
     where, c = min(failing)
     name, lhs, rhs = clauses[c]
     if width == lhs.rank:
-        # read from the keys, not `entry`: an Endomorphism's entry(k, i)
-        # takes its output index first
         left, right = sides[c]
         return (where, name, Fraction(left.get(where, 0), lhs.den),
                 Fraction(right.get(where, 0), rhs.den))
     return where, name, lhs.row(*where), rhs.row(*where)
-
-
-class TwoForm(Table):
-    """Antisymmetric bilinear form; entry(i, j) is the value on (e_i, e_j)."""
-
-    def __init__(self, dim: int, rank: int, entries: dict, den: int = 1) -> None:
-        super().__init__(dim, rank, entries, den)
-        values = dict(self.numerators())
-        for (i, j), a in values.items():
-            if values.get((j, i), 0) != -a:
-                raise ValueError(f"2-form not antisymmetric at entry ({i}, {j})")
-
-
-class Tensor4(Table):
-    """4-index coefficient table; no symmetry is imposed here."""
 
 
 def format_sparse_vector(x: Table) -> str:
@@ -576,13 +533,20 @@ def format_sparse_vector(x: Table) -> str:
     return ",".join(parts) if parts else "0"
 
 
+def format_value(value: Table | Scalar) -> str:
+    """Render a rank-1 Table as a sparse vector and a scalar as `p` or `p/q`."""
+    if isinstance(value, Table):
+        return format_sparse_vector(value)
+    return format_scalar(value)
+
+
 def parse_sparse_vector(text: str, dim: int) -> Table:
     """Parse the `coeff:index[,coeff:index...]` / `0` sparse vector notation
     into a rank-1 Table."""
     text = text.strip()
-    values: dict[tuple[int], Scalar] = {}
     if text == "0":
-        return Table.from_values(dim, 1, values)
+        return Table(dim, 1, ())
+    values: dict[int, Scalar] = {}
     for part in text.split(","):
         coeff_text, _, idx_text = part.partition(":")
         if not idx_text:
@@ -594,7 +558,10 @@ def parse_sparse_vector(text: str, dim: int) -> Table:
             raise ValueError(f"bad frame index: {idx_text!r}") from None
         if not 0 <= idx < dim:
             raise ValueError(f"frame index {idx} out of range for dim {dim}")
-        if (idx,) in values:
+        if idx in values:
             raise ValueError(f"duplicate frame index {idx} in sparse vector")
-        values[(idx,)] = coeff
-    return Table.from_values(dim, 1, values)
+        values[idx] = coeff
+    # every index is checked above; the numerators over the lcm go straight in
+    den = lcm(*(a.denominator for a in values.values()))
+    return Table.from_numerators(dim, 1, {(k,): a.numerator * (den // a.denominator)
+                                          for k, a in values.items()}, den)

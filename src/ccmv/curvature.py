@@ -18,13 +18,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm
 
-from .core import (
-    Endomorphism,
-    Scalar,
-    Table,
-    Tensor4,
-)
-from .connection import ConnectionCoeffs
+from .core import Scalar, Table
 from .model import ManifoldModel
 
 
@@ -32,18 +26,7 @@ class DegeneratePlane(ValueError):
     """Sectional curvature requested for vectors that do not span a plane."""
 
 
-class BilinearForm(Table):
-    """Symmetric bilinear form over the frame."""
-
-    def __init__(self, dim: int, rank: int, entries: dict, den: int = 1) -> None:
-        super().__init__(dim, rank, entries, den)
-        values = dict(self.numerators())
-        for (i, j), a in values.items():
-            if values.get((j, i), 0) != a:
-                raise ValueError(f"bilinear form not symmetric at ({i}, {j})")
-
-
-def riemann(m: ManifoldModel, conn: ConnectionCoeffs) -> Tensor4:
+def riemann(m: ManifoldModel, conn: Table) -> Table:
     """Assemble the lowered curvature tensor R(i, j, k, el) = R(e_i, e_j, e_k, e_el)
     from the connection table:
 
@@ -75,48 +58,39 @@ def riemann(m: ManifoldModel, conn: ConnectionCoeffs) -> Tensor4:
         for k, row in conn.sub(p).items():
             for el, g in row:
                 values[i, j, k, el] = get((i, j, k, el), 0) - c * g
-    return Tensor4.from_numerators(m.dim, 4, values, den)
+    return Table.from_numerators(m.dim, 4, values, den)
 
 
-def curvature_value(rt: Tensor4, x: Table, y: Table, z: Table, w: Table) -> Scalar:
-    """R(x, y, z, w) by quadrilinear contraction."""
-    return rt.contract(x, y, z, w)
-
-
-def ricci(m: ManifoldModel, rt: Tensor4) -> BilinearForm:
-    """Frame trace rho(e_j, e_k) = sum_a R(e_a, e_j, e_k, e_a)."""
+def ricci(m: ManifoldModel, rt: Table) -> Table:
+    """Frame trace rho(e_j, e_k) = sum_a R(e_a, e_j, e_k, e_a).  The metric
+    is the identity in this frame, so the same table read as a map is the
+    Ricci operator Q: row(j) is Q e_j."""
     values: dict[tuple[int, int], int] = {}
     for (a, j, k, el), value in rt.numerators():
         if el == a:
             values[(j, k)] = values.get((j, k), 0) + value
-    return BilinearForm.from_numerators(m.dim, 2, values, rt.den)
+    return Table.from_numerators(m.dim, 2, values, rt.den)
 
 
-def ricci_operator(rho: BilinearForm) -> Endomorphism:
-    """Metric-equivalent endomorphism Q; with an identity metric the
-    matrix coincides with the form's matrix."""
-    return Endomorphism(rho.dim, 2, rho.entries, rho.den)
-
-
-def scalar_curvature(rho: BilinearForm) -> Scalar:
+def scalar_curvature(rho: Table) -> Scalar:
     """Trace of the Ricci form over the orthonormal frame."""
     return Fraction(sum(a for (i, j), a in rho.numerators() if i == j), rho.den)
 
 
-def sectional(rt: Tensor4, x: Table, y: Table) -> Scalar:
+def sectional(rt: Table, x: Table, y: Table) -> Scalar:
     """K(x, y) = R(x, y, y, x) / (g(x,x) g(y,y) - g(x,y)^2), the inner
     products the contractions of the two vectors."""
     denominator = x.contract(x) * y.contract(y) - x.contract(y) ** 2
     if not denominator:
         raise DegeneratePlane("vectors do not span a nondegenerate plane")
-    return curvature_value(rt, x, y, y, x) / denominator
+    return rt.contract(x, y, y, x) / denominator
 
 
-def holomorphic_sectional(m: ManifoldModel, rt: Tensor4, x: Table) -> Scalar:
+def holomorphic_sectional(m: ManifoldModel, rt: Table, x: Table) -> Scalar:
     """K(x, Jx); defined for nonzero x since J is a Hermitian isometry."""
     if x.is_zero():
         raise DegeneratePlane("holomorphic sectional curvature of the zero vector")
-    return sectional(rt, x, m.J.apply(x))
+    return sectional(rt, x, m.J.contract(x))
 
 
 def _connection_index(conn: Table, s: int) -> tuple[dict, dict]:
@@ -155,8 +129,8 @@ def _subtract_nabla_r(slab: dict, gamma: dict, into: dict, rt: Table,
                 slab[k, el] = get((k, el), 0) - q * v
 
 
-def second_bianchi_failures(m: ManifoldModel, conn: ConnectionCoeffs,
-                            rt: Tensor4) -> tuple[tuple[int, ...], Scalar] | None:
+def second_bianchi_failures(m: ManifoldModel, conn: Table,
+                            rt: Table) -> tuple[tuple[int, ...], Scalar] | None:
     """First (m, i, j, k, l) tuple, in `itertools.product` order, violating
     the differential Bianchi identity, with the cyclic sum over the first
     three indices of nabla R there; None when there is none.
@@ -181,12 +155,12 @@ def second_bianchi_failures(m: ManifoldModel, conn: ConnectionCoeffs,
     return None
 
 
-def first_bianchi_cyclic_sum(rt: Tensor4, i: int, j: int, k: int, el: int) -> Scalar:
+def first_bianchi_cyclic_sum(rt: Table, i: int, j: int, k: int, el: int) -> Scalar:
     """R_ijkl + R_jkil + R_kijl; zero when the first Bianchi identity holds."""
     return rt.entry(i, j, k, el) + rt.entry(j, k, i, el) + rt.entry(k, i, j, el)
 
 
-def first_bianchi_failures(rt: Tensor4) -> tuple[int, ...] | None:
+def first_bianchi_failures(rt: Table) -> tuple[int, ...] | None:
     """First index tuple, in `itertools.product` order, with a nonzero
     cyclic sum, or None.
 
@@ -204,7 +178,7 @@ def first_bianchi_failures(rt: Tensor4) -> tuple[int, ...] | None:
     return None
 
 
-def riemann_symmetry_clauses(rt: Tensor4, i: int, j: int, k: int,
+def riemann_symmetry_clauses(rt: Table, i: int, j: int, k: int,
                              el: int) -> tuple[tuple[str, Scalar, Scalar], ...]:
     """The three pair symmetries at one index tuple, as (name, R_ijkl, the
     entry value the symmetry demands)."""
@@ -214,7 +188,7 @@ def riemann_symmetry_clauses(rt: Tensor4, i: int, j: int, k: int,
             ("pair-exchange", value, rt.entry(k, el, i, j)))
 
 
-def riemann_symmetry_failures(rt: Tensor4) -> tuple[int, ...] | None:
+def riemann_symmetry_failures(rt: Table) -> tuple[int, ...] | None:
     """First index tuple, in `itertools.product` order, violating the pair
     symmetries, or None.
 

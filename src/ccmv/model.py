@@ -15,14 +15,13 @@ from functools import cached_property
 
 from .core import (
     ZERO,
-    Endomorphism,
     Record,
     Scalar,
     Status,
     Table,
+    combine,
     first_table_failure,
     format_scalar,
-    outer,
     parse_frame_index,
     parse_scalar,
 )
@@ -53,31 +52,29 @@ class InvalidModelError(ValueError):
     """Model rejected by a structural gate (e.g. brackets not a Lie algebra)."""
 
 
-class StructureConstants(Table):
-    """Bracket coefficients c(i, j, k): the e_k component of [e_i, e_j];
-    row(i, j) is [e_i, e_j]."""
-
-    @staticmethod
-    def from_entries(dim: int, entries: dict[tuple[int, int, int], Scalar]) -> StructureConstants:
-        """Build from sparse (i, j, k) -> value with i < j; filled antisymmetrically."""
-        values = {}
-        for (i, j, k), value in entries.items():
-            if i >= j:
-                raise ValueError(f"bracket entry ({i},{j},{k}): i must be < j")
-            values[(i, j, k)] = value
-            values[(j, i, k)] = -value
-        return StructureConstants.from_values(dim, 3, values)
+def structure_constants(dim: int, entries: dict[tuple[int, int, int], Scalar]) -> Table:
+    """The bracket table c(i, j, k), the e_k component of [e_i, e_j], so that
+    row(i, j) is [e_i, e_j]: built from sparse (i, j, k) -> value with
+    i < j and filled antisymmetrically."""
+    values = {}
+    for (i, j, k), value in entries.items():
+        if i >= j:
+            raise ValueError(f"bracket entry ({i},{j},{k}): i must be < j")
+        values[(i, j, k)] = value
+        values[(j, i, k)] = -value
+    return Table.from_values(dim, 3, values)
 
 
 class ManifoldModel(Record):
-    """Frame model: structure constants plus the G, H, J structure tensors."""
+    """Frame model: the bracket table plus the G, H, J structure tensors,
+    rank-2 tables read as maps (row(i) of G is G e_i)."""
 
     name: str
     n: int
-    constants: StructureConstants
-    G: Endomorphism
-    H: Endomorphism
-    J: Endomorphism
+    constants: Table
+    G: Table
+    H: Table
+    J: Table
 
     @property
     def dim(self) -> int:
@@ -143,13 +140,12 @@ def _entry_witness(indices: tuple[int, ...], lhs: Scalar, rhs: Scalar,
     return f"{head}entry=({idx}) lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}"
 
 
-def _check_matrices(check_id: str,
-                    pairs: list[tuple[str, Endomorphism, Endomorphism]]) -> CheckResult:
+def _check_matrices(check_id: str, pairs: list[tuple[str, Table, Table]]) -> CheckResult:
     """The first clause whose matrices differ, at its first entry (k, i) in
     `itertools.product` order: the sides are compared transposed, so that
     their keys run output index first."""
     for clause, lhs, rhs in pairs:
-        failure = first_table_failure([(clause, lhs.transpose(), rhs.transpose())], 2)
+        failure = first_table_failure([(clause, lhs.permute((1, 0)), rhs.permute((1, 0)))], 2)
         if failure is not None:
             where, _, left, right = failure
             return CheckResult(check_id, Status.FAIL, _entry_witness(where, left, right, clause))
@@ -202,19 +198,19 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     """The algebraic axioms on G, H, J, evaluated as exact matrix identities."""
     d = m.dim
     G, H, J = m.G, m.H, m.J
-    ident = Endomorphism.identity(d)
-    vertical_square = -ident + outer(m.U, m.U) + outer(m.V, m.V)
+    ident = Table.identity(d)
+    vertical_square = combine([(-1, ident), (1, m.U.tensor(m.U)), (1, m.V.tensor(m.V))])
     results = [
         _check_matrices("AX-G2", [("", G.compose(G), vertical_square)]),
         _check_matrices("AX-H2", [("", H.compose(H), vertical_square)]),
-        _check_matrices("AX-J2", [("", J.compose(J), -ident)]),
-        _check_matrices("AX-ANTICOMM", [("", G.compose(J), -(J.compose(G)))]),
+        _check_matrices("AX-J2", [("", J.compose(J), combine([(-1, ident)]))]),
+        _check_matrices("AX-ANTICOMM", [("", G.compose(J), combine([(-1, J.compose(G))]))]),
     ]
 
     kernel_witness = None
     for clause, tensor, field in (("G@U", G, m.U), ("G@V", G, m.V),
                                   ("H@U", H, m.U), ("H@V", H, m.V)):
-        image = tensor.apply(field)
+        image = tensor.contract(field)
         if image.entries:
             where, value = image.items()[0]
             kernel_witness = _entry_witness(where, value, ZERO, clause)
@@ -224,23 +220,24 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
                                kernel_witness))
 
     results.append(_check_matrices("AX-SKEW", [
-        ("G", G, -(G.transpose())),
-        ("H", H, -(H.transpose())),
-        ("J", J, -(J.transpose())),
+        ("G", G, combine([(-1, G.permute((1, 0)))])),
+        ("H", H, combine([(-1, H.permute((1, 0)))])),
+        ("J", J, combine([(-1, J.permute((1, 0)))])),
     ]))
 
-    hg_target = J + outer(m.V, m.U) - outer(m.U, m.V)
+    # HG = -GH = J + u ⊗ V - v ⊗ U, as maps X -> J X + u(X) V - v(X) U
+    hg_target = combine([(1, J), (1, m.U.tensor(m.V)), (-1, m.V.tensor(m.U))])
     results.append(_check_matrices("AX-HGJ", [
         ("HG", H.compose(G), hg_target),
-        ("-GH", -(G.compose(H)), hg_target),
+        ("-GH", combine([(-1, G.compose(H))]), hg_target),
     ]))
     results.append(_check_matrices("AX-JH", [
         ("JH", J.compose(H), G),
-        ("-HJ", -(H.compose(J)), G),
+        ("-HJ", combine([(-1, H.compose(J))]), G),
     ]))
 
     jv_witness = None
-    failure = first_table_failure([("JV", J.apply(m.V), m.U)], 1)
+    failure = first_table_failure([("JV", J.contract(m.V), m.U)], 1)
     if failure is not None:
         where, clause, left, right = failure
         jv_witness = _entry_witness(where, left, right, clause)
@@ -248,7 +245,7 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
                                jv_witness))
 
     results.append(_check_matrices("AX-HERM",
-                                   [("", J.transpose().compose(J), ident)]))
+                                   [("", J.permute((1, 0)).compose(J), ident)]))
     return results
 
 
@@ -370,10 +367,10 @@ def load_model(source: str) -> ManifoldModel:
     return ManifoldModel(
         name=name,
         n=n_value,
-        constants=StructureConstants.from_entries(dim, bracket_entries),
-        G=Endomorphism.from_values(dim, 2, tensor_entries["G"]),
-        H=Endomorphism.from_values(dim, 2, tensor_entries["H"]),
-        J=Endomorphism.from_values(dim, 2, tensor_entries["J"]),
+        constants=structure_constants(dim, bracket_entries),
+        G=Table.from_values(dim, 2, tensor_entries["G"]),
+        H=Table.from_values(dim, 2, tensor_entries["H"]),
+        J=Table.from_values(dim, 2, tensor_entries["J"]),
     )
 
 
@@ -423,7 +420,7 @@ def build_abelian() -> ManifoldModel:
     return ManifoldModel(
         name="abelian",
         n=h.n,
-        constants=StructureConstants.from_entries(h.dim, {}),
+        constants=structure_constants(h.dim, {}),
         G=h.G,
         H=h.H,
         J=h.J,

@@ -37,18 +37,15 @@ from __future__ import annotations
 from functools import cached_property
 
 from .core import (
-    Endomorphism,
     Record,
     Scalar,
     Status,
     Table,
-    TwoForm,
+    combine,
     first_table_failure,
-    format_scalar,
-    format_sparse_vector,
+    format_value,
 )
 from .connection import (
-    ConnectionCoeffs,
     cov_deriv_endo,
     cov_deriv_table,
     exterior_d_oneform,
@@ -82,16 +79,10 @@ class NormalityReport(Record):
         return (self.korkmaz, self.prop21, self.thm45)
 
 
-def _vector_witness(label: str, slots: tuple[int, ...], lhs: Table, rhs: Table) -> str:
+def _route_witness(label: str, slots: tuple[int, ...], lhs: Table | Scalar,
+                   rhs: Table | Scalar) -> str:
     where = ",".join(str(s) for s in slots)
-    return (f"{label} slots={where} lhs={format_sparse_vector(lhs)} "
-            f"rhs={format_sparse_vector(rhs)}")
-
-
-def _scalar_witness(label: str, slots: tuple[int, ...], lhs: Scalar,
-                    rhs: Scalar) -> str:
-    where = ",".join(str(s) for s in slots)
-    return f"{label} slots={where} lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}"
+    return f"{label} slots={where} lhs={format_value(lhs)} rhs={format_value(rhs)}"
 
 
 def _middle(f: Table, b: Table) -> Table:
@@ -105,12 +96,6 @@ def _alternate(t: Table) -> Table:
     return t.add([(-1, t.permute((1, 0, 2)))])
 
 
-def _sum(terms: list[tuple[Scalar | int, Table]]) -> Table:
-    """The sum of c * t over the terms (c, t), all of one rank."""
-    first = terms[0][1]
-    return Table(first.dim, first.rank, {}).add(terms)
-
-
 class ConnectionWorkspace:
     """Connection-level quantities of one model; the derived ones are
     computed on first use.
@@ -119,7 +104,7 @@ class ConnectionWorkspace:
     registry (whose Workspace adds curvature on top) all read them here.
     """
 
-    def __init__(self, m: ManifoldModel, conn: ConnectionCoeffs):
+    def __init__(self, m: ManifoldModel, conn: Table):
         self.model = m
         self.conn = conn
 
@@ -128,7 +113,7 @@ class ConnectionWorkspace:
         return sigma_form(self.model, self.conn)
 
     @cached_property
-    def dsigma(self) -> TwoForm:
+    def dsigma(self) -> Table:
         return exterior_d_oneform(self.model, self.sigma)
 
     @cached_property
@@ -136,52 +121,52 @@ class ConnectionWorkspace:
         return self.dsigma.entry(self.model.U_index, self.model.V_index)
 
     @cached_property
-    def du(self) -> TwoForm:
+    def du(self) -> Table:
         return exterior_d_oneform(self.model, self.model.U)
 
     @cached_property
-    def dv(self) -> TwoForm:
+    def dv(self) -> Table:
         return exterior_d_oneform(self.model, self.model.V)
 
     @cached_property
-    def wedge_sigma_u(self) -> TwoForm:
+    def wedge_sigma_u(self) -> Table:
         return wedge(self.sigma, self.model.U)
 
     @cached_property
-    def wedge_sigma_v(self) -> TwoForm:
+    def wedge_sigma_v(self) -> Table:
         return wedge(self.sigma, self.model.V)
 
     @cached_property
-    def GH(self) -> Endomorphism:
+    def GH(self) -> Table:
         return self.model.G.compose(self.model.H)
 
     @cached_property
-    def HG(self) -> Endomorphism:
+    def HG(self) -> Table:
         return self.model.H.compose(self.model.G)
 
     # nabla_U and nabla_V of the structure tensors
     @cached_property
-    def nUG(self) -> Endomorphism:
+    def nUG(self) -> Table:
         return cov_deriv_endo(self.conn, self.model.U, self.model.G)
 
     @cached_property
-    def nVG(self) -> Endomorphism:
+    def nVG(self) -> Table:
         return cov_deriv_endo(self.conn, self.model.V, self.model.G)
 
     @cached_property
-    def nUH(self) -> Endomorphism:
+    def nUH(self) -> Table:
         return cov_deriv_endo(self.conn, self.model.U, self.model.H)
 
     @cached_property
-    def nVH(self) -> Endomorphism:
+    def nVH(self) -> Table:
         return cov_deriv_endo(self.conn, self.model.V, self.model.H)
 
     @cached_property
-    def nUJ(self) -> Endomorphism:
+    def nUJ(self) -> Table:
         return cov_deriv_endo(self.conn, self.model.U, self.model.J)
 
     @cached_property
-    def nVJ(self) -> Endomorphism:
+    def nVJ(self) -> Table:
         return cov_deriv_endo(self.conn, self.model.V, self.model.J)
 
     # ----- rank-3 tables: slots (X, Y, Z), or (X, Y) and the output vector -----
@@ -207,9 +192,9 @@ class ConnectionWorkspace:
         return self.sigma, self.model.U, self.model.V
 
     @cached_property
-    def delta(self) -> Endomorphism:
+    def delta(self) -> Table:
         """The metric <X, Y>."""
-        return Endomorphism.identity(self.model.dim)
+        return Table.identity(self.model.dim)
 
     @cached_property
     def vertical_mix_table(self) -> Table:
@@ -217,17 +202,18 @@ class ConnectionWorkspace:
         _, u, v = self.forms
         return u.tensor(v).add([(-1, v.tensor(u))])
 
-    def _horizontal_rows(self, t: Table, width: int = 1) -> Table:
-        """t with its first `width` arguments projected to the horizontal
-        part: the keys with U or V in those slots dropped."""
+    def horizontal(self, t: Table, width: int | None = None) -> Table:
+        """t with its first `width` arguments (every one by default)
+        projected to the horizontal part: the keys with U or V in those
+        slots dropped."""
         return t.restrict(self.model.horizontal_indices, width)
 
     @cached_property
     def nUJ_G0(self) -> Table:
         """<(nabla_U J) G Y0, Z> at (Y, Z), with Y0 the horizontal part of Y."""
-        return self._horizontal_rows(self.nUJ.compose(self.model.G))
+        return self.horizontal(self.nUJ.compose(self.model.G), 1)
 
-    def reversed_dsigma(self, a: Endomorphism, slots: tuple[int, ...]) -> Table:
+    def reversed_dsigma(self, a: Table, slots: tuple[int, ...]) -> Table:
         """dsigma(Z, Y) at (Y, Z), with the arguments in `slots` fed through
         A: slots (1,) give dsigma(Z, AY), slots (0, 1) dsigma(AZ, AY)."""
         return self.dsigma.pullback(a, slots, range(self.model.dim)).permute((1, 0))
@@ -238,17 +224,17 @@ class ConnectionWorkspace:
     def _shared_G(self) -> Table:
         """sigma(X) HY - u(Y) X - v(Y) JX + <X, Y> U + <JX, Y> V."""
         m, (s, u, v) = self.model, self.forms
-        return _sum([(1, s.tensor(m.H)), (-1, _middle(u, self.delta)),
+        return combine([(1, s.tensor(m.H)), (-1, _middle(u, self.delta)),
                      (-1, _middle(v, m.J)), (1, self.delta.tensor(u)),
-                     (1, m.J.tensor(v))])
+                        (1, m.J.tensor(v))])
 
     @cached_property
     def _shared_H(self) -> Table:
         """-sigma(X) GY + u(Y) JX - v(Y) X - <JX, Y> U + <X, Y> V."""
         m, (s, u, v) = self.model, self.forms
-        return _sum([(-1, s.tensor(m.G)), (1, _middle(u, m.J)),
+        return combine([(-1, s.tensor(m.G)), (1, _middle(u, m.J)),
                      (-1, _middle(v, self.delta)), (-1, m.J.tensor(u)),
-                     (1, self.delta.tensor(v))])
+                        (1, self.delta.tensor(v))])
 
     @cached_property
     def prop21_G(self) -> Table:
@@ -272,7 +258,7 @@ class ConnectionWorkspace:
         at (Y, Z), with Y0 the horizontal part of Y: the coefficient of v(X)
         in Thm. 4.5's (nabla_X G)Y, and of -u(X) in its (nabla_X H)Y."""
         m = self.model
-        return self.nUJ_G0.add([(2, self._horizontal_rows(m.J)), (-2, m.J),
+        return self.nUJ_G0.add([(2, self.horizontal(m.J, 1)), (-2, m.J),
                                 (-(2 + self.dUV), self.vertical_mix_table)])
 
     @cached_property
@@ -289,12 +275,12 @@ class ConnectionWorkspace:
         _, u, _ = self.forms
         return self._shared_H.add([(-1, u.tensor(self._thm45_vertical))])
 
-    def _torsion(self, a: Endomorphism, nabla_a: Table) -> Table:
+    def _torsion(self, a: Table, nabla_a: Table) -> Table:
         """[A,A](X,Y) = (nabla_{AX}A)Y - (nabla_{AY}A)X - A(nabla_X A)Y
         + A(nabla_Y A)X: the first and third terms, alternated."""
         every = range(self.model.dim)
         return _alternate(nabla_a.pullback(a, (0,), every).add(
-            [(-1, nabla_a.pullback(a.transpose(), (2,), every))]))
+            [(-1, nabla_a.pullback(a.permute((1, 0)), (2,), every))]))
 
     @cached_property
     def torsion_G(self) -> Table:
@@ -308,7 +294,8 @@ class ConnectionWorkspace:
     def _vertical_pairing(self) -> Table:
         """2 <X, GY> U - 2 <X, HY> V."""
         m, (_, u, v) = self.model, self.forms
-        return _sum([(2, m.G.transpose().tensor(u)), (-2, m.H.transpose().tensor(v))])
+        return combine([(2, m.G.permute((1, 0)).tensor(u)),
+                        (-2, m.H.permute((1, 0)).tensor(v))])
 
     @cached_property
     def obstruction_S(self) -> Table:
@@ -318,7 +305,7 @@ class ConnectionWorkspace:
         m, (s, _, v) = self.model, self.forms
         s_G = s.pullback(m.G, (0,), range(m.dim))             # sigma(G.)
         # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
-        tail = _sum([(-2, v.tensor(m.H)), (-1, s_G.tensor(m.H)), (1, s.tensor(self.GH))])
+        tail = combine([(-2, v.tensor(m.H)), (-1, s_G.tensor(m.H)), (1, s.tensor(self.GH))])
         return self.torsion_G.add([(1, self._vertical_pairing), (1, _alternate(tail))])
 
     @cached_property
@@ -329,7 +316,7 @@ class ConnectionWorkspace:
         m, (s, u, _) = self.model, self.forms
         s_H = s.pullback(m.H, (0,), range(m.dim))             # sigma(H.)
         # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
-        tail = _sum([(-2, u.tensor(m.G)), (1, s_H.tensor(m.G)), (1, s.tensor(self.GH))])
+        tail = combine([(-2, u.tensor(m.G)), (1, s_H.tensor(m.G)), (1, s.tensor(self.GH))])
         return self.torsion_H.add([(-1, self._vertical_pairing), (1, _alternate(tail))])
 
 
@@ -350,7 +337,7 @@ def _route_korkmaz(ctx: ConnectionWorkspace) -> RouteResult:
         (i,), label, lhs, rhs = vertical
         failure = (i, m.U_index if label == "S(.,U)" else m.V_index), label, lhs, rhs
     where, label, lhs, rhs = failure
-    return RouteResult("korkmaz", Status.FAIL, _vector_witness(label, where, lhs, rhs))
+    return RouteResult("korkmaz", Status.FAIL, _route_witness(label, where, lhs, rhs))
 
 
 def _route_prop21(ctx: ConnectionWorkspace) -> RouteResult:
@@ -359,7 +346,7 @@ def _route_prop21(ctx: ConnectionWorkspace) -> RouteResult:
     if failure is None:
         return RouteResult("prop21", Status.PASS)
     where, label, lhs, rhs = failure
-    return RouteResult("prop21", Status.FAIL, _scalar_witness(label, where, lhs, rhs))
+    return RouteResult("prop21", Status.FAIL, _route_witness(label, where, lhs, rhs))
 
 
 def _route_thm45(ctx: ConnectionWorkspace) -> RouteResult:
@@ -368,7 +355,7 @@ def _route_thm45(ctx: ConnectionWorkspace) -> RouteResult:
     if failure is None:
         return RouteResult("thm45", Status.PASS)
     where, label, lhs, rhs = failure
-    return RouteResult("thm45", Status.FAIL, _vector_witness(label, where, lhs, rhs))
+    return RouteResult("thm45", Status.FAIL, _route_witness(label, where, lhs, rhs))
 
 
 def check_normality(ctx: ConnectionWorkspace) -> NormalityReport:

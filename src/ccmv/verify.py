@@ -46,9 +46,9 @@ from .core import (
     Scalar,
     Status,
     Table,
+    combine,
     first_table_failure,
-    format_scalar,
-    format_sparse_vector,
+    format_value,
     parse_frame_index,
     parse_scalar,
     parse_sparse_vector,
@@ -59,7 +59,6 @@ from .curvature import (
     first_bianchi_failures,
     holomorphic_sectional,
     ricci,
-    ricci_operator,
     riemann,
     riemann_symmetry_clauses,
     riemann_symmetry_failures,
@@ -78,7 +77,6 @@ from .structures import (
     ConnectionWorkspace,
     NormalityReport,
     _middle,
-    _sum,
     check_normality,
 )
 
@@ -132,7 +130,6 @@ class Workspace(ConnectionWorkspace):
         super().__init__(m, levi_civita(m))
         self.curv = riemann(m, self.conn)
         self.rho = ricci(m, self.curv)
-        self.Q = ricci_operator(self.rho)
         self.tau = scalar_curvature(self.rho)
 
     @cached_property
@@ -143,10 +140,6 @@ class Workspace(ConnectionWorkspace):
     def model_checks(self) -> dict[str, CheckResult]:
         return {check.check_id: check
                 for check in lie_checks(self.model) + structure_tensor_checks(self.model)}
-
-    def horizontal(self, t: Table) -> Table:
-        """t on horizontal indices only."""
-        return t.restrict(self.model.horizontal_indices)
 
     # Sides of the horizontal 4-slot identities (EQ-2.20, EQ-2.21, EQ-4.1).
     @cached_property
@@ -200,17 +193,17 @@ class Workspace(ConnectionWorkspace):
     @cached_property
     def hor_delta(self) -> Table:
         """X0 at (X, Z)."""
-        return self._horizontal_rows(self.delta)
+        return self.horizontal(self.delta, 1)
 
     @cached_property
     def hor_J(self) -> Table:
         """J X0 at (X, Z)."""
-        return self._horizontal_rows(self.model.J)
+        return self.horizontal(self.model.J, 1)
 
     @cached_property
     def hor_J_dsigma(self) -> Table:
         """<X0, J Y0> + dsigma(X0, Y0)."""
-        return self.horizontal(self.model.J.transpose().add([(1, self.dsigma)]))
+        return self.horizontal(self.model.J.permute((1, 0)).add([(1, self.dsigma)]))
 
     @cached_property
     def hor_dsigma_J(self) -> Table:
@@ -226,13 +219,13 @@ class Workspace(ConnectionWorkspace):
     def R_xUV(self) -> Table:
         """sigma(U) G X0 + (nabla_U H) X0 - J X0 at (X, Z): EQ-2.15's R(X, U)V."""
         m, (s_u, _) = self.model, self.sigma_UV
-        return self._horizontal_rows(_sum([(s_u, m.G), (1, self.nUH), (-1, m.J)]))
+        return self.horizontal(combine([(s_u, m.G), (1, self.nUH), (-1, m.J)]), 1)
 
     @cached_property
     def R_xVU(self) -> Table:
         """-sigma(V) H X0 + (nabla_V G) X0 + J X0 at (X, Z): EQ-2.16's R(X, V)U."""
         m, (_, s_v) = self.model, self.sigma_UV
-        return self._horizontal_rows(_sum([(-s_v, m.H), (1, self.nVG), (1, m.J)]))
+        return self.horizontal(combine([(-s_v, m.H), (1, self.nVG), (1, m.J)]), 1)
 
     @cached_property
     def ricci_target(self) -> Scalar:
@@ -256,15 +249,9 @@ class Identity(Record):
     direct: Callable[[Workspace], IdentityResult] | None = None
 
 
-def _render_value(value) -> str:
-    if isinstance(value, Table):
-        return format_sparse_vector(value)
-    return format_scalar(value)
-
-
 def render_witness(slots: str, clause: str, lhs, rhs) -> str:
     part = f" part={clause}" if clause else ""
-    return f"slots={slots}{part} lhs={_render_value(lhs)} rhs={_render_value(rhs)}"
+    return f"slots={slots}{part} lhs={format_value(lhs)} rhs={format_value(rhs)}"
 
 
 def _run_tables(ws: Workspace, ident: Identity) -> IdentityResult:
@@ -314,9 +301,8 @@ def _registry() -> list[Identity]:
     # identity's slots, then the output vector for a vector-valued side.  u,
     # v and s are the rank-1 tables of u, v and sigma; u.tensor(t) is
     # u(X) t(Y, ...) and _middle(u, t) is u(Y) t(X, Z).  X0 and Y0 are the
-    # horizontal parts of X and Y: hrows(ws, t, k) keeps the keys of t whose
-    # first k indices are horizontal.
-    hrows = ConnectionWorkspace._horizontal_rows
+    # horizontal parts of X and Y: ws.horizontal(t, k) keeps the keys of t
+    # whose first k indices are horizontal, and ws.horizontal(t) every slot.
 
     # ----- axioms -----
     for check_id in ("LIE-ANTISYM", "LIE-JACOBI", "AX-G2", "AX-H2", "AX-J2",
@@ -326,15 +312,15 @@ def _registry() -> list[Identity]:
 
     # du(X, Y) = <X, GY> + (sigma ^ v)(X, Y); dv(X, Y) = <X, HY> - (sigma ^ u)(X, Y)
     add_tables("AX-du", "axioms", "any any", lambda ws: [
-        ("", ws.du, ws.model.G.transpose().add([(1, ws.wedge_sigma_v)]))])
+        ("", ws.du, ws.model.G.permute((1, 0)).add([(1, ws.wedge_sigma_v)]))])
     add_tables("AX-dv", "axioms", "any any", lambda ws: [
-        ("", ws.dv, ws.model.H.transpose().add([(-1, ws.wedge_sigma_u)]))])
+        ("", ws.dv, ws.model.H.permute((1, 0)).add([(-1, ws.wedge_sigma_u)]))])
 
     # ----- contact: structure-tensor derivative identities -----
     # (nabla_U G)X = sigma(U) HX; (nabla_V H)X = -sigma(V) GX
     add_tables("EQ-2.1", "contact", "any", lambda ws: [
-        ("U", ws.nUG, _sum([(ws.sigma_UV[0], ws.model.H)])),
-        ("V", ws.nVH, _sum([(-ws.sigma_UV[1], ws.model.G)]))])
+        ("U", ws.nUG, combine([(ws.sigma_UV[0], ws.model.H)])),
+        ("V", ws.nVH, combine([(-ws.sigma_UV[1], ws.model.G)]))])
 
     # g((nabla_X J)Y, Z) = u(X)(dsigma(Z, GY) - 2 <HY, Z>)
     #                      + v(X)(dsigma(Z, HY) + 2 <GY, Z>)
@@ -348,18 +334,18 @@ def _registry() -> list[Identity]:
     # nabla_X U = -GX + sigma(X) V; nabla_X V = -HX - sigma(X) U
     def eq_2_7(ws: Workspace) -> list[TableClause]:
         m, (s, u, v) = ws.model, ws.forms
-        return [("U", ws.conn.fix(1, m.U_index), _sum([(-1, m.G), (1, s.tensor(v))])),
-                ("V", ws.conn.fix(1, m.V_index), _sum([(-1, m.H), (-1, s.tensor(u))]))]
+        return [("U", ws.conn.fix(1, m.U_index), combine([(-1, m.G), (1, s.tensor(v))])),
+                ("V", ws.conn.fix(1, m.V_index), combine([(-1, m.H), (-1, s.tensor(u))]))]
     add_tables("EQ-2.7", "contact", "any", eq_2_7)
 
     # nabla_U U = sigma(U) V, nabla_U V = -sigma(U) U, and the same along V
     def eq_2_8(ws: Workspace) -> list[TableClause]:
         m, (_, u, v), (s_u, s_v) = ws.model, ws.forms, ws.sigma_UV
         from_u, from_v = ws.conn.fix(0, m.U_index), ws.conn.fix(0, m.V_index)
-        return [("UU", from_u.fix(0, m.U_index), _sum([(s_u, v)])),
-                ("UV", from_u.fix(0, m.V_index), _sum([(-s_u, u)])),
-                ("VU", from_v.fix(0, m.U_index), _sum([(s_v, v)])),
-                ("VV", from_v.fix(0, m.V_index), _sum([(-s_v, u)]))]
+        return [("UU", from_u.fix(0, m.U_index), combine([(s_u, v)])),
+                ("UV", from_u.fix(0, m.V_index), combine([(-s_u, u)])),
+                ("VU", from_v.fix(0, m.U_index), combine([(s_v, v)])),
+                ("VV", from_v.fix(0, m.V_index), combine([(-s_v, u)]))]
     add_tables("EQ-2.8", "contact", "", eq_2_8)
 
     # dsigma(GX, GY) = dsigma(HX, HY) = dsigma(Y, X) - 2 (u(Y)v(X) - v(Y)u(X)) dsigma(U, V)
@@ -373,8 +359,8 @@ def _registry() -> list[Identity]:
 
     # dsigma(U, X) = v(X) dsigma(U, V); dsigma(V, X) = -u(X) dsigma(U, V)
     add_tables("EQ-2.10", "contact", "any", lambda ws: [
-        ("U", ws.dsigma.fix(0, ws.model.U_index), _sum([(ws.dUV, ws.forms[2])])),
-        ("V", ws.dsigma.fix(0, ws.model.V_index), _sum([(-ws.dUV, ws.forms[1])]))])
+        ("U", ws.dsigma.fix(0, ws.model.U_index), combine([(ws.dUV, ws.forms[2])])),
+        ("V", ws.dsigma.fix(0, ws.model.V_index), combine([(-ws.dUV, ws.forms[1])]))])
 
     add_tables("EQ-2.22", "contact", "hor hor", lambda ws: [
         ("", ws.horizontal(ws.dsigma), ws.hor_dsigma_formula)])
@@ -383,10 +369,10 @@ def _registry() -> list[Identity]:
     # (nabla_X v)Y = <X, HY> - sigma(X) u(Y)
     def eq_3_1(ws: Workspace) -> list[TableClause]:
         m, (s, u, v) = ws.model, ws.forms
-        return [("u", _sum([(-1, ws.conn.fix(2, m.U_index))]),
-                 m.G.transpose().add([(1, s.tensor(v))])),
-                ("v", _sum([(-1, ws.conn.fix(2, m.V_index))]),
-                 m.H.transpose().add([(-1, s.tensor(u))]))]
+        return [("u", combine([(-1, ws.conn.fix(2, m.U_index))]),
+                 m.G.permute((1, 0)).add([(1, s.tensor(v))])),
+                ("v", combine([(-1, ws.conn.fix(2, m.V_index))]),
+                 m.H.permute((1, 0)).add([(-1, s.tensor(u))]))]
     add_tables("EQ-3.1", "contact", "any any", eq_3_1)
 
     # <(nabla_W A)X, W'> = 0 for A = G, H, J, W and W' vertical, X horizontal
@@ -408,23 +394,23 @@ def _registry() -> list[Identity]:
                                   ("EQ-3.5", "nUJ", "nVJ")):
         def projector(ws: Workspace, a=attr_u, b=attr_v) -> list[TableClause]:
             at_u, at_v = getattr(ws, a), getattr(ws, b)
-            return [("U", at_u, hrows(ws, at_u)), ("V", at_v, hrows(ws, at_v))]
+            return [("U", at_u, ws.horizontal(at_u, 1)), ("V", at_v, ws.horizontal(at_v, 1))]
         add_tables(eq_id, "contact", "any", projector)
 
     # <(nabla_W A)X, Y> for W = U, V, with the right-hand sides on X0 and Y0
     add_tables("EQ-3.6", "contact", "any any", lambda ws: [
-        ("", ws.nUG, ws.horizontal(_sum([(ws.sigma_UV[0], ws.model.H)])))])
+        ("", ws.nUG, ws.horizontal(combine([(ws.sigma_UV[0], ws.model.H)])))])
     add_tables("EQ-3.7", "contact", "any any", lambda ws: [
-        ("", ws.nVG, ws.horizontal(_sum([(ws.sigma_UV[1], ws.model.H),
-                                         (1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)])))])
+        ("", ws.nVG, ws.horizontal(combine([(ws.sigma_UV[1], ws.model.H),
+                                            (1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)])))])
     add_tables("EQ-3.8", "contact", "any any", lambda ws: [
-        ("", ws.nVH, ws.horizontal(_sum([(-ws.sigma_UV[1], ws.model.G)])))])
+        ("", ws.nVH, ws.horizontal(combine([(-ws.sigma_UV[1], ws.model.G)])))])
     add_tables("EQ-3.9", "contact", "any any", lambda ws: [
-        ("", ws.nUH, ws.horizontal(_sum([(-ws.sigma_UV[0], ws.model.G),
-                                         (-1, ws.dsigma.permute((1, 0))), (2, ws.model.J)])))])
+        ("", ws.nUH, ws.horizontal(combine([(-ws.sigma_UV[0], ws.model.G),
+                                            (-1, ws.dsigma.permute((1, 0))), (2, ws.model.J)])))])
     add_tables("EQ-3.10", "contact", "any any", lambda ws: [
         ("", ws.nUJ.compose(ws.model.G),
-         ws.horizontal(_sum([(-1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)])))])
+         ws.horizontal(combine([(-1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)])))])
     # dsigma(Y0, G X0) - 2 <H X0, Y0>
     add_tables("EQ-3.11", "contact", "any any", lambda ws: [
         ("", ws.nVJ.compose(ws.model.G),
@@ -453,10 +439,10 @@ def _registry() -> list[Identity]:
     #                + v(X)(-2 G Y0 + (nabla_U J) J Y0)
     def eq_4_14(ws: Workspace) -> list[TableClause]:
         m, (_, u, v) = ws.model, ws.forms
-        at_u = hrows(ws, ws.nUJ.add([(2, m.H)]))
-        at_v = hrows(ws, ws.nUJ.compose(m.J).add([(-2, m.G)]))
-        return [("", ws.nabla_J, _sum([(-2, u.tensor(m.H)), (2, v.tensor(m.G)),
-                                       (1, u.tensor(at_u)), (1, v.tensor(at_v))]))]
+        at_u = ws.horizontal(ws.nUJ.add([(2, m.H)]), 1)
+        at_v = ws.horizontal(ws.nUJ.compose(m.J).add([(-2, m.G)]), 1)
+        return [("", ws.nabla_J, combine([(-2, u.tensor(m.H)), (2, v.tensor(m.G)),
+                                          (1, u.tensor(at_u)), (1, v.tensor(at_v))]))]
     add_tables("EQ-4.14", "contact", "any any", eq_4_14)
 
     # ----- normality -----
@@ -487,35 +473,39 @@ def _registry() -> list[Identity]:
     # EQ-2.12 - EQ-2.19: R with vertical arguments, on horizontal X, Y.
     # R(X, U)U = R(X, V)V = X
     add_tables("EQ-2.12", "curvature", "hor", lambda ws: [
-        ("U", hrows(ws, ws.curv_xU.fix(1, ws.model.U_index)), ws.hor_delta),
-        ("V", hrows(ws, ws.curv_xV.fix(1, ws.model.V_index)), ws.hor_delta)])
+        ("U", ws.horizontal(ws.curv_xU.fix(1, ws.model.U_index), 1), ws.hor_delta),
+        ("V", ws.horizontal(ws.curv_xV.fix(1, ws.model.V_index), 1), ws.hor_delta)])
     # R(X, Y)U = 2 (<X, JY> + dsigma(X, Y)) V and R(X, Y)V = -2 (...) U
     add_tables("EQ-2.13", "curvature", "hor hor", lambda ws: [
-        ("", hrows(ws, ws.curv_xyU, 2), _sum([(2, ws.hor_J_dsigma.tensor(ws.forms[2]))]))])
+        ("", ws.horizontal(ws.curv_xyU, 2),
+         combine([(2, ws.hor_J_dsigma.tensor(ws.forms[2]))]))])
     add_tables("EQ-2.14", "curvature", "hor hor", lambda ws: [
-        ("", hrows(ws, ws.curv_xyV, 2), _sum([(-2, ws.hor_J_dsigma.tensor(ws.forms[1]))]))])
+        ("", ws.horizontal(ws.curv_xyV, 2),
+         combine([(-2, ws.hor_J_dsigma.tensor(ws.forms[1]))]))])
     add_tables("EQ-2.15", "curvature", "hor", lambda ws: [
-        ("", hrows(ws, ws.curv_xU.fix(1, ws.model.V_index)), ws.R_xUV)])
+        ("", ws.horizontal(ws.curv_xU.fix(1, ws.model.V_index), 1), ws.R_xUV)])
     add_tables("EQ-2.16", "curvature", "hor", lambda ws: [
-        ("", hrows(ws, ws.curv_xV.fix(1, ws.model.U_index)), ws.R_xVU)])
+        ("", ws.horizontal(ws.curv_xV.fix(1, ws.model.U_index), 1), ws.R_xVU)])
 
     # R(X, U)Y = -<X, Y> U + (dsigma(Y, X) - <JX, Y>) V and
     # R(X, V)Y = -<X, Y> V + (<JX, Y> - dsigma(Y, X)) U
     def eq_2_17(ws: Workspace) -> list[TableClause]:
         _, u, v = ws.forms
-        return [("", hrows(ws, ws.curv_xU, 2), _sum([(-1, ws.horizontal(ws.delta).tensor(u)),
-                                                     (1, ws.hor_dsigma_J.tensor(v))]))]
+        return [("", ws.horizontal(ws.curv_xU, 2),
+                 combine([(-1, ws.horizontal(ws.delta).tensor(u)),
+                          (1, ws.hor_dsigma_J.tensor(v))]))]
     add_tables("EQ-2.17", "curvature", "hor hor", eq_2_17)
 
     def eq_2_18(ws: Workspace) -> list[TableClause]:
         _, u, v = ws.forms
-        return [("", hrows(ws, ws.curv_xV, 2), _sum([(-1, ws.horizontal(ws.delta).tensor(v)),
-                                                     (-1, ws.hor_dsigma_J.tensor(u))]))]
+        return [("", ws.horizontal(ws.curv_xV, 2),
+                 combine([(-1, ws.horizontal(ws.delta).tensor(v)),
+                          (-1, ws.hor_dsigma_J.tensor(u))]))]
     add_tables("EQ-2.18", "curvature", "hor hor", eq_2_18)
 
     # R(U, V)X = JX
     add_tables("EQ-2.19", "curvature", "hor", lambda ws: [
-        ("", hrows(ws, ws.curv_UV), ws.hor_J)])
+        ("", ws.horizontal(ws.curv_UV, 1), ws.hor_J)])
 
     # EQ-2.20 (A = G, B = H) and EQ-2.21 (A = H, B = G): R(AX, AY, AZ, AW) =
     # R(X, Y, Z, W) - 2 <JZ, W> dsigma(X, Y) + 2 <BX, Y> dsigma(AZ, W)
@@ -559,11 +549,11 @@ def _registry() -> list[Identity]:
         + u(Y) X0 + v(Y) R_xVU + 2 (<X0, J Y0> + dsigma(X0, Y0)
         + dsigma(U, V)(u(X)v(Y) - v(X)u(Y))) V."""
         m, (_, u, v), (_, s_v) = ws.model, ws.forms, ws.sigma_UV
-        at_v = hrows(ws, _sum([(s_v, m.H), (1, ws.nVG), (1, m.J)]))
-        vertical = _sum([(2, ws.hor_J_dsigma), (2 * ws.dUV, ws.vertical_mix_table)])
-        return [("", ws.curv_xyU, _sum([(-1, u.tensor(ws.hor_delta)), (1, v.tensor(at_v)),
-                                        (1, _middle(u, ws.hor_delta)), (1, _middle(v, ws.R_xVU)),
-                                        (1, vertical.tensor(v))]))]
+        at_v = ws.horizontal(combine([(s_v, m.H), (1, ws.nVG), (1, m.J)]), 1)
+        vertical = combine([(2, ws.hor_J_dsigma), (2 * ws.dUV, ws.vertical_mix_table)])
+        return [("", ws.curv_xyU, combine([(-1, u.tensor(ws.hor_delta)), (1, v.tensor(at_v)),
+                                           (1, _middle(u, ws.hor_delta)),
+                                           (1, _middle(v, ws.R_xVU)), (1, vertical.tensor(v))]))]
     add_tables("EQ-4.7", "curvature", "any any", eq_4_7)
 
     def eq_4_8(ws: Workspace) -> list[TableClause]:
@@ -571,11 +561,11 @@ def _registry() -> list[Identity]:
         + (nabla_U H) X0 - J X0) + v(Y) X0 - 2 (<X0, J Y0> + dsigma(X0, Y0)
         + dsigma(U, V)(u(X)v(Y) - v(X)u(Y))) U."""
         m, (_, u, v), (s_u, _) = ws.model, ws.forms, ws.sigma_UV
-        at_u = hrows(ws, _sum([(-s_u, m.G), (1, ws.nUH), (-1, m.J)]))
-        vertical = _sum([(-2, ws.hor_J_dsigma), (-2 * ws.dUV, ws.vertical_mix_table)])
-        return [("", ws.curv_xyV, _sum([(-1, u.tensor(ws.R_xUV)), (-1, v.tensor(ws.hor_delta)),
-                                        (1, _middle(u, at_u)), (1, _middle(v, ws.hor_delta)),
-                                        (1, vertical.tensor(u))]))]
+        at_u = ws.horizontal(combine([(-s_u, m.G), (1, ws.nUH), (-1, m.J)]), 1)
+        vertical = combine([(-2, ws.hor_J_dsigma), (-2 * ws.dUV, ws.vertical_mix_table)])
+        return [("", ws.curv_xyV, combine([(-1, u.tensor(ws.R_xUV)), (-1, v.tensor(ws.hor_delta)),
+                                           (1, _middle(u, at_u)), (1, _middle(v, ws.hor_delta)),
+                                           (1, vertical.tensor(u))]))]
     add_tables("EQ-4.8", "curvature", "any any", eq_4_8)
 
     def eq_4_9(ws: Workspace) -> list[TableClause]:
@@ -583,11 +573,11 @@ def _registry() -> list[Identity]:
         - 2 dsigma(U, V) v(X)v(Y)) U + (dsigma(Y0, X0) - <J X0, Y0>
         - 2 dsigma(U, V) v(X)u(Y)) V."""
         _, u, v = ws.forms
-        at_u = _sum([(-1, ws.horizontal(ws.delta)), (-2 * ws.dUV, v.tensor(v))])
+        at_u = combine([(-1, ws.horizontal(ws.delta)), (-2 * ws.dUV, v.tensor(v))])
         at_v = ws.hor_dsigma_J.add([(-2 * ws.dUV, v.tensor(u))])
-        return [("", ws.curv_xU, _sum([(1, _middle(u, ws.hor_delta)), (-1, v.tensor(ws.hor_J)),
-                                       (1, _middle(v, ws.R_xUV)),
-                                       (1, at_u.tensor(u)), (1, at_v.tensor(v))]))]
+        return [("", ws.curv_xU, combine([(1, _middle(u, ws.hor_delta)), (-1, v.tensor(ws.hor_J)),
+                                          (1, _middle(v, ws.R_xUV)),
+                                          (1, at_u.tensor(u)), (1, at_v.tensor(v))]))]
     add_tables("EQ-4.9", "curvature", "any any", eq_4_9)
 
     def eq_4_10(ws: Workspace) -> list[TableClause]:
@@ -595,12 +585,12 @@ def _registry() -> list[Identity]:
         + J X0) + (-<X0, Y0> + 2 dsigma(U, V) u(X)u(Y)) V + (<J X0, Y0>
         - dsigma(Y0, X0) - 2 dsigma(U, V) u(X)v(Y)) U."""
         m, (_, u, v), (s_u, _) = ws.model, ws.forms, ws.sigma_UV
-        at_y = hrows(ws, _sum([(-s_u, m.H), (1, ws.nVG), (1, m.J)]))
-        at_v = _sum([(-1, ws.horizontal(ws.delta)), (2 * ws.dUV, u.tensor(u))])
-        at_u = _sum([(-1, ws.hor_dsigma_J), (-2 * ws.dUV, u.tensor(v))])
-        return [("", ws.curv_xV, _sum([(1, u.tensor(ws.hor_J)), (1, _middle(v, ws.hor_delta)),
-                                       (1, _middle(u, at_y)),
-                                       (1, at_v.tensor(v)), (1, at_u.tensor(u))]))]
+        at_y = ws.horizontal(combine([(-s_u, m.H), (1, ws.nVG), (1, m.J)]), 1)
+        at_v = combine([(-1, ws.horizontal(ws.delta)), (2 * ws.dUV, u.tensor(u))])
+        at_u = combine([(-1, ws.hor_dsigma_J), (-2 * ws.dUV, u.tensor(v))])
+        return [("", ws.curv_xV, combine([(1, u.tensor(ws.hor_J)), (1, _middle(v, ws.hor_delta)),
+                                          (1, _middle(u, at_y)),
+                                          (1, at_v.tensor(v)), (1, at_u.tensor(u))]))]
     add_tables("EQ-4.10", "curvature", "any any", eq_4_10)
 
     def riemann_sym(ws: Workspace) -> IdentityResult:
@@ -640,7 +630,7 @@ def _registry() -> list[Identity]:
         for name, a in (("G", ws.model.G), ("H", ws.model.H))])
     add_tables("EQ-5.2", "ricci", "hor hor", lambda ws: [
         (name, ws.rho.pullback(a, (0,), ws.model.horizontal_indices),
-         _sum([(-1, ws.rho.pullback(a, (1,), ws.model.horizontal_indices))]))
+         combine([(-1, ws.rho.pullback(a, (1,), ws.model.horizontal_indices))]))
         for name, a in (("G", ws.model.G), ("H", ws.model.H))])
     add_tables("EQ-5.6", "ricci", "hor", lambda ws: [
         (name, ws.horizontal(ws.rho.fix(1, w)), Table.from_values(ws.model.dim, 1, {}))
@@ -655,8 +645,8 @@ def _registry() -> list[Identity]:
                                                 ("UV", ws.rho.entry(u, v), ZERO)])
     add_direct("EQ-5.7", "ricci", eq_5_7)
     add_tables("EQ-5.10", "ricci", "any", lambda ws: [
-        ("U", ws.rho.fix(1, ws.model.U_index), _sum([(ws.ricci_target, ws.forms[1])])),
-        ("V", ws.rho.fix(1, ws.model.V_index), _sum([(ws.ricci_target, ws.forms[2])]))])
+        ("U", ws.rho.fix(1, ws.model.U_index), combine([(ws.ricci_target, ws.forms[1])])),
+        ("V", ws.rho.fix(1, ws.model.V_index), combine([(ws.ricci_target, ws.forms[2])]))])
 
     # rho(X, Y) = rho(X0, Y0) + (4n - 2 dsigma(U, V))(u(X)u(Y) + v(X)v(Y)),
     # and rho(X0, Y0) = rho(AX, AY) for A = G, H
@@ -667,10 +657,10 @@ def _registry() -> list[Identity]:
             [(ws.ricci_target, ws.vertical_square)]))
         for name, a in (("G", ws.model.G), ("H", ws.model.H))])
 
-    # Q commutes with G and H
+    # Q commutes with G and H; rho read as a map is Q
     add_tables("EQ-5.13", "ricci", "any", lambda ws: [
-        (name, ws.Q.compose(a), a.compose(ws.Q)) for name, a in (("G", ws.model.G),
-                                                               ("H", ws.model.H))])
+        (name, ws.rho.compose(a), a.compose(ws.rho)) for name, a in (("G", ws.model.G),
+                                                                   ("H", ws.model.H))])
 
     return ids
 
@@ -847,8 +837,8 @@ def diff_expected(m: ManifoldModel, exp: ExpectedValues) -> DiffReport:
         diffs.append(DiffEntry(
             key=entry.key,
             matched=computed == entry.expected,
-            expected_text=_render_value(entry.expected),
-            computed_text=_render_value(computed),
+            expected_text=format_value(entry.expected),
+            computed_text=format_value(computed),
         ))
     return DiffReport(m.name, tuple(diffs))
 

@@ -17,11 +17,8 @@ import pytest
 
 import ccmv
 from ccmv import (
-    Endomorphism,
     ManifoldModel,
-    StructureConstants,
     Table,
-    Tensor4,
     build_abelian,
     build_heisenberg,
     format_scalar,
@@ -30,6 +27,7 @@ from ccmv import (
     riemann,
     run_suite,
 )
+from ccmv.model import structure_constants
 
 
 @pytest.fixture(scope="session")
@@ -85,16 +83,10 @@ def basis(dim: int, index: int) -> Table:
     return Table.from_values(dim, 1, {(index,): 1})
 
 
-def combine(*terms) -> Table:
-    """The sum of c * x over the terms (c, x), tables of one rank."""
-    first = terms[0][1]
-    return Table(first.dim, first.rank, {}).add(terms)
-
-
-def tensor4_from_function(dim: int, fn) -> Tensor4:
+def tensor4_from_function(dim: int, fn) -> Table:
     """The rank-4 table of fn(i, j, k, el) over every frame tuple; zeros
     are dropped."""
-    return Tensor4.from_values(dim, 4, {
+    return Table.from_values(dim, 4, {
         idx: value for idx in product(range(dim), repeat=4)
         if (value := Fraction(fn(*idx)))})
 
@@ -120,7 +112,7 @@ def make_nilpotent_model(seed: int) -> ManifoldModel:
                 value = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                 if value:
                     entries[(i, j, k)] = value
-    constants = StructureConstants.from_entries(base.dim, entries)
+    constants = structure_constants(base.dim, entries)
     return ManifoldModel(name=f"nilpotent-{seed}", n=base.n,
                          constants=constants, G=base.G, H=base.H, J=base.J)
 
@@ -167,10 +159,10 @@ def make_two_step_model() -> ManifoldModel:
     def perturbed(tensor, extra):
         values = dict(tensor.items())
         values.update(extra)
-        return Endomorphism.from_values(base.dim, 2, values)
+        return Table.from_values(base.dim, 2, values)
 
     return ManifoldModel(name="two-step", n=1,
-                         constants=StructureConstants.from_entries(base.dim, brackets),
+                         constants=structure_constants(base.dim, brackets),
                          G=perturbed(base.G, {(0, 3): Fraction(1, 2)}),
                          H=perturbed(base.H, {(1, 3): Fraction(-2, 3)}),
                          J=perturbed(base.J, {(2, 0): Fraction(3, 5)}))
@@ -184,8 +176,8 @@ def model_source(m: ManifoldModel) -> str:
     lines += [f"bracket {i} {j} {k} {format_scalar(c(i, j, k))}"
               for i, j, k in product(range(d), repeat=3) if i < j and c(i, j, k)]
     for label, tensor in (("G", m.G), ("H", m.H), ("J", m.J)):
-        lines += [f"{label} {i} {k} {format_scalar(tensor.entry(k, i))}"
-                  for i, k in product(range(d), repeat=2) if tensor.entry(k, i)]
+        lines += [f"{label} {i} {k} {format_scalar(tensor.entry(i, k))}"
+                  for i, k in product(range(d), repeat=2) if tensor.entry(i, k)]
     return "\n".join(lines) + "\n"
 
 

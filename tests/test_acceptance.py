@@ -31,11 +31,11 @@ from ccmv import (
     validate_structure,
 )
 from ccmv.cli import main
-from ccmv.core import Status
+from ccmv.core import Status, combine
 from ccmv.curvature import holomorphic_sectional
 from ccmv.structures import ConnectionWorkspace
 from ccmv.verify import parse_expected
-from tests.conftest import combine, make_nilpotent_model
+from tests.conftest import make_nilpotent_model
 
 EXPECTED_FILE = (importlib.resources.files("ccmv")
                  .joinpath("data/iwasawa_expected.ccmx"))
@@ -99,11 +99,11 @@ def test_c04_normality_routes_agree_both_ways(heisenberg, heis_conn):
 
 def test_c05_curvature_operator_spot_values(heisenberg, heis_curv):
     e = [heisenberg.basis(i) for i in range(6)]
-    assert heis_curv.row(0, 2, 0) == combine((3, e[2]))
-    assert heis_curv.row(0, 2, 2) == combine((-3, e[0]))
+    assert heis_curv.row(0, 2, 0) == combine([(3, e[2])])
+    assert heis_curv.row(0, 2, 2) == combine([(-3, e[0])])
     assert heis_curv.row(0, 4, 4) == e[0]
     assert heis_curv.row(4, 5, 5).is_zero()
-    assert heis_curv.row(4, 5, 0) == combine((2, e[1]))
+    assert heis_curv.row(4, 5, 0) == combine([(2, e[1])])
     print("criterion 5 PASS")
 
 
@@ -175,8 +175,8 @@ def test_c10_symmetry_and_bianchi_properties_on_perturbed_models(heis_suite,
         rt = riemann(m, conn)
         assert riemann_symmetry_failures(rt) is None, seed
         for i, j, k in product(range(6), repeat=3):
-            cyclic = combine((1, rt.row(i, j, k)), (1, rt.row(j, k, i)),
-                             (1, rt.row(k, i, j)))
+            cyclic = combine([(1, rt.row(i, j, k)), (1, rt.row(j, k, i)),
+                              (1, rt.row(k, i, j))])
             assert cyclic.is_zero(), (seed, i, j, k)
         assert second_bianchi_failures(m, conn, rt) is None, seed
     print("criterion 10 PASS")

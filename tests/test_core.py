@@ -12,18 +12,17 @@ from hypothesis import strategies as st
 
 from ccmv.core import (
     DimensionMismatch,
-    Endomorphism,
     Status,
     Table,
-    TwoForm,
+    combine,
     format_scalar,
     format_sparse_vector,
-    outer,
+    format_value,
     parse_scalar,
     parse_sparse_vector,
 )
 
-from conftest import basis, combine, tensor4_from_function, vector
+from conftest import basis, tensor4_from_function, vector
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 vectors6 = st.lists(rationals, min_size=6, max_size=6).map(vector)
@@ -76,10 +75,10 @@ class TestVectors:
 
     def test_arithmetic(self):
         x, y = vector([1, 2]), vector([3, -1])
-        assert combine((1, x), (1, y)) == vector([4, 1])
-        assert combine((1, x), (-1, y)) == vector([-2, 3])
-        assert combine((-1, x)) == vector([-1, -2])
-        assert combine((Fraction(1, 2), x)) == vector([Fraction(1, 2), 1])
+        assert combine([(1, x), (1, y)]) == vector([4, 1])
+        assert combine([(1, x), (-1, y)]) == vector([-2, 3])
+        assert combine([(-1, x)]) == vector([-1, -2])
+        assert combine([(Fraction(1, 2), x)]) == vector([Fraction(1, 2), 1])
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -91,43 +90,72 @@ class TestVectors:
     @settings(max_examples=30, deadline=None)
     def test_contract_bilinear_symmetric(self, x, y, a):
         assert x.contract(y) == y.contract(x)
-        assert combine((a, x)).contract(y) == a * x.contract(y)
+        assert combine([(a, x)]).contract(y) == a * x.contract(y)
 
     @given(vectors6, vectors6, vectors6)
     @settings(max_examples=30, deadline=None)
     def test_contract_additive(self, x, y, z):
-        assert combine((1, x), (1, y)).contract(z) == x.contract(z) + y.contract(z)
+        assert combine([(1, x), (1, y)]).contract(z) == x.contract(z) + y.contract(z)
 
 
-class TestEndomorphism:
+class TestMaps:
+    """A rank-2 table read as a map stores its input slot first: row(i) is
+    the image of e_i."""
+
     def test_identity_and_zero(self):
-        ident = Endomorphism.identity(3)
+        ident = Table.identity(3)
         x = vector([1, 2, 3])
-        assert ident.apply(x) == x
-        assert Endomorphism.from_values(3, 2, {}).apply(x).is_zero()
+        assert ident.contract(x) == x
+        assert Table.from_values(3, 2, {}).contract(x).is_zero()
 
-    def test_entry_row_and_apply(self):
-        a = Endomorphism.from_values(2, 2, {(0, 1): Fraction(5)})
-        assert a.entry(1, 0) == 5
+    def test_entry_row_and_contract(self):
+        # the map e_0 -> 5 e_1
+        a = Table.from_values(2, 2, {(0, 1): Fraction(5)})
+        assert a.entry(0, 1) == 5 and a.entry(1, 0) == 0
         assert a.row(0) == vector([0, 5])
-        assert a.apply(basis(2, 0)) == vector([0, 5])
+        assert a.contract(basis(2, 0)) == vector([0, 5])
 
     def test_compose_order(self):
         # compose(other) is self after other
-        swap = Endomorphism.from_values(2, 2, {(0, 1): 1, (1, 0): 1})
-        scale0 = Endomorphism.from_values(2, 2, {(0, 0): 2, (1, 1): 1})
+        swap = Table.from_values(2, 2, {(0, 1): 1, (1, 0): 1})
+        scale0 = Table.from_values(2, 2, {(0, 0): 2, (1, 1): 1})
         x = basis(2, 0)
-        assert scale0.compose(swap).apply(x) == scale0.apply(swap.apply(x))
+        assert scale0.compose(swap).contract(x) == scale0.contract(swap.contract(x))
 
-    def test_transpose(self):
-        a = Endomorphism.from_values(2, 2, {(0, 1): Fraction(3)})
-        assert a.transpose().entry(0, 1) == 3
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_compose_is_the_matrix_product(self, data):
+        a, b = data.draw(prime_tables(2)), data.draw(prime_tables(2))
+        # a after b sends e_i to a(b(e_i)): entry (i, k) is sum_p b(i, p) a(p, k)
+        assert a.compose(b) == Table.from_values(4, 2, {
+            (i, k): sum(b.entry(i, p) * a.entry(p, k) for p in range(4))
+            for i, k in product(range(4), repeat=2)})
+        ident = Table.identity(4)
+        assert a.compose(ident) == a == ident.compose(a)
 
-    def test_outer(self):
+    def test_transpose_is_a_permutation(self):
+        a = Table.from_values(2, 2, {(0, 1): Fraction(3)})
+        assert a.permute((1, 0)).entry(1, 0) == 3
+        assert a.permute((1, 0)).contract(basis(2, 1)) == vector([3, 0])
+
+    def test_form_tensor_vector_is_a_rank_one_map(self):
+        # x -> form(x) vec
         vec, form = basis(3, 1), basis(3, 2)
-        rank_one = outer(vec, form)
-        assert rank_one.apply(basis(3, 2)) == vec
-        assert rank_one.apply(basis(3, 0)).is_zero()
+        rank_one = form.tensor(vec)
+        assert rank_one.contract(basis(3, 2)) == vec
+        assert rank_one.contract(basis(3, 0)).is_zero()
+
+    def test_combine(self):
+        a = Table.from_values(2, 2, {(0, 1): Fraction(1, 2), (1, 1): 1})
+        ident = Table.identity(2)
+        assert combine([(-1, a)]) == Table.from_values(2, 2, {(0, 1): Fraction(-1, 2),
+                                                              (1, 1): -1})
+        assert combine([(2, a), (-1, ident)]) == Table.from_values(2, 2, {(0, 0): -1,
+                                                                          (0, 1): 1,
+                                                                          (1, 1): 1})
+        assert combine(iter([(1, a), (-1, a)])).is_zero()
+        with pytest.raises(ValueError, match="does not add"):
+            combine([(1, a), (1, basis(2, 0))])
 
 
 class TestForms:
@@ -136,12 +164,8 @@ class TestForms:
         assert u.contract(basis(4, 3)) == 1
         assert u.contract(basis(4, 0)) == 0
 
-    def test_twoform_requires_antisymmetry(self):
-        with pytest.raises(ValueError):
-            TwoForm.from_values(2, 2, {(0, 0): Fraction(1)})
-
     def test_twoform_value(self):
-        w = TwoForm.from_values(2, 2, {(0, 1): Fraction(2), (1, 0): Fraction(-2)})
+        w = Table.from_values(2, 2, {(0, 1): Fraction(2), (1, 0): Fraction(-2)})
         x, y = basis(2, 0), basis(2, 1)
         assert w.contract(x, y) == 2
         assert w.contract(y, x) == -2
@@ -163,7 +187,7 @@ class TestTensor4:
         t = tensor4_from_function(
             6, lambda i, j, k, el: Fraction((i - j) * (k - el)))
         z, w = basis(6, 2), basis(6, 5)
-        assert t.contract(combine((a, x), (1, y)), z, w, z) == \
+        assert t.contract(combine([(a, x), (1, y)]), z, w, z) == \
             a * t.contract(x, z, w, z) + t.contract(y, z, w, z)
 
 
@@ -276,7 +300,7 @@ class TestTable:
         assert form.entry(2) == 5 and form.entry(1) == 0
         assert form.row() == form == vector([-1, 0, 5])
         assert Table.from_values(3, 1, {}).is_zero()
-        swap = Endomorphism.from_values(3, 2, {(0, 1): 1, (1, 0): 1, (2, 2): 1})
+        swap = Table.from_values(3, 2, {(0, 1): 1, (1, 0): 1, (2, 2): 1})
         assert form.pullback(swap, (0,), range(3)).items() == [((1,), -1), ((2,), 5)]
 
     @pytest.mark.parametrize("rank", [1, 2, 4])
@@ -335,7 +359,6 @@ class TestTable:
     def test_kernels_match_fraction_references_on_prime_dens(self, data):
         dim, t, other = 4, data.draw(prime_tables(3)), data.draw(prime_tables(3))
         form, endo = data.draw(prime_tables(1)), data.draw(prime_tables(2))
-        endo = Endomorphism(dim, 2, endo.entries, endo.den)
         c = data.draw(prime_ratios)
         keep, width = range(data.draw(st.integers(0, dim))), data.draw(st.integers(0, 3))
         slots = data.draw(st.sampled_from([(0,), (2,), (0, 1), (0, 1, 2)]))
@@ -406,7 +429,7 @@ class TestTable:
         assert table.fix(2, 2).items() == [((0, 1), 1), ((2, 0), 3)]
         assert table.fix(0, 2).fix(0, 0).items() == [((2,), 3)]
         assert table.fix(0, 1) == Table.from_values(3, 2, {})
-        assert type(Endomorphism.identity(3).fix(0, 1)) is Table
+        assert type(Table.identity(3).fix(0, 1)) is Table
         with pytest.raises(ValueError, match="rank 2 or more"):
             table.fix(0, 0).fix(0, 2).fix(0, 0)
 
@@ -430,6 +453,28 @@ class TestSparseVectorText:
         x = parse_sparse_vector("-1/2:1,3:3", 4)
         assert x == vector([0, Fraction(-1, 2), 0, 3])
         assert (x.rank, x.den, x.entries) == (1, 2, ((1, -1), (3, 6)))
+
+    def test_parse_brings_the_values_over_one_reduced_den(self):
+        x = parse_sparse_vector("0:0,1/6:1,-3/4:3", 4)
+        assert x == vector([0, Fraction(1, 6), 0, Fraction(-3, 4)])
+        assert (x.den, x.entries) == (12, ((1, 2), (3, -9)))
+
+    @pytest.mark.parametrize("bad,message", [
+        ("1:", "bad sparse vector component: '1:'"),
+        ("1:x", "bad frame index: 'x'"),
+        ("1:9", "frame index 9 out of range for dim 4"),
+        ("1:1,2:1", "duplicate frame index 1 in sparse vector"),
+    ])
+    def test_parse_error_messages(self, bad, message):
+        with pytest.raises(ValueError) as info:
+            parse_sparse_vector(bad, 4)
+        assert str(info.value) == message
+
+    def test_format_value_renders_tables_and_scalars(self):
+        assert format_value(vector([0, Fraction(-1, 2), 0, 3])) == "-1/2:1,3:3"
+        assert format_value(Table.from_values(2, 1, {})) == "0"
+        assert format_value(Fraction(-3, 4)) == "-3/4"
+        assert format_value(Fraction(2)) == "2"
 
     def test_parse_zero(self):
         assert parse_sparse_vector("0", 3).is_zero()

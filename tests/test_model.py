@@ -12,15 +12,16 @@ from ccmv.model import (
     InvalidModelError,
     ManifoldModel,
     ModelFormatError,
-    StructureConstants,
     build_abelian,
     build_heisenberg,
     lie_checks,
     load_model,
     require_lie_algebra,
+    structure_constants,
     validate_structure,
 )
-from tests.conftest import combine, vector
+from ccmv.core import Table, combine
+from tests.conftest import vector
 
 MINIMAL = "version 1\nname tiny\nn 1\n"
 
@@ -56,23 +57,23 @@ class TestLoadHappyPath:
 
     @pytest.mark.parametrize("column,image,coeff", G_ACTION)
     def test_G_action(self, heisenberg, column, image, coeff):
-        expected = combine((coeff, heisenberg.basis(image)))
-        assert heisenberg.G.apply(heisenberg.basis(column)) == expected
+        expected = combine([(coeff, heisenberg.basis(image))])
+        assert heisenberg.G.contract(heisenberg.basis(column)) == expected
 
     @pytest.mark.parametrize("column,image,coeff", H_ACTION)
     def test_H_action(self, heisenberg, column, image, coeff):
-        expected = combine((coeff, heisenberg.basis(image)))
-        assert heisenberg.H.apply(heisenberg.basis(column)) == expected
+        expected = combine([(coeff, heisenberg.basis(image))])
+        assert heisenberg.H.contract(heisenberg.basis(column)) == expected
 
     @pytest.mark.parametrize("column,image,coeff", J_ACTION)
     def test_J_action(self, heisenberg, column, image, coeff):
-        expected = combine((coeff, heisenberg.basis(image)))
-        assert heisenberg.J.apply(heisenberg.basis(column)) == expected
+        expected = combine([(coeff, heisenberg.basis(image))])
+        assert heisenberg.J.contract(heisenberg.basis(column)) == expected
 
     def test_tensors_kill_vertical_fields(self, heisenberg):
         for tensor in (heisenberg.G, heisenberg.H):
-            assert tensor.apply(heisenberg.U).is_zero()
-            assert tensor.apply(heisenberg.V).is_zero()
+            assert tensor.contract(heisenberg.U).is_zero()
+            assert tensor.contract(heisenberg.V).is_zero()
 
     def test_brackets(self, heisenberg):
         c = heisenberg.constants
@@ -83,10 +84,10 @@ class TestLoadHappyPath:
                 vec = c.row(i, j)
                 if (i, j) in expected:
                     k, q = expected[(i, j)]
-                    assert vec == combine((q, heisenberg.basis(k)))
+                    assert vec == combine([(q, heisenberg.basis(k))])
                 elif (j, i) in expected:
                     k, q = expected[(j, i)]
-                    assert vec == combine((-q, heisenberg.basis(k)))
+                    assert vec == combine([(-q, heisenberg.basis(k))])
                 else:
                     assert vec.is_zero(), (i, j)
 
@@ -95,8 +96,8 @@ class TestLoadHappyPath:
         x = vector([1, 2, 0, 0, 0, 0])
         y = vector([0, 0, 3, -1, 0, 0])
         # [e0 + 2e1, 3e2 - e3] = 3[e0,e2] - [e0,e3] + 6[e1,e2] - 2[e1,e3]
-        expected = combine((3, c.row(0, 2)), (-1, c.row(0, 3)),
-                           (6, c.row(1, 2)), (-2, c.row(1, 3)))
+        expected = combine([(3, c.row(0, 2)), (-1, c.row(0, 3)),
+                            (6, c.row(1, 2)), (-2, c.row(1, 3))])
         assert c.contract(x, y) == expected
 
     def test_comments_and_blanks_ignored(self):
@@ -107,8 +108,8 @@ class TestLoadHappyPath:
 
     def test_unlisted_coefficients_are_zero(self):
         m = load_model(MINIMAL + "G 0 1 1\n")
-        assert m.G.apply(m.basis(0)) == m.basis(1)
-        assert m.G.apply(m.basis(1)).is_zero()
+        assert m.G.contract(m.basis(0)) == m.basis(1)
+        assert m.G.contract(m.basis(1)).is_zero()
         assert m.constants.row(0, 1).is_zero()
 
     def test_default_name(self):
@@ -192,7 +193,7 @@ class TestValidation:
 
     def test_antisym_failure_witness(self):
         # build raw constants that break antisymmetry (loader cannot)
-        raw = StructureConstants.from_values(6, 3, {(0, 1, 2): Fraction(1)})
+        raw = Table.from_values(6, 3, {(0, 1, 2): Fraction(1)})
         base = build_heisenberg()
         m = ManifoldModel("broken", 1, raw, base.G, base.H, base.J)
         checks = {r.check_id: r for r in lie_checks(m)}
@@ -200,16 +201,15 @@ class TestValidation:
         assert "entry=(0,1,2)" in checks["LIE-ANTISYM"].witness
         assert "lhs=1" in checks["LIE-ANTISYM"].witness
 
-    def test_from_entries_stores_only_the_nonzero_brackets(self):
-        c = StructureConstants.from_entries(54, {(0, 2, 52): Fraction(-2),
-                                                 (1, 3, 53): Fraction(1, 3),
-                                                 (7, 40, 0): Fraction(5)})
+    def test_structure_constants_store_only_the_nonzero_brackets(self):
+        c = structure_constants(54, {(0, 2, 52): Fraction(-2), (1, 3, 53): Fraction(1, 3),
+                                     (7, 40, 0): Fraction(5)})
         assert len(list(c.items())) == 6
         assert c.entry(2, 0, 52) == 2 and c.entry(40, 7, 0) == -5
 
-    def test_from_entries_rejects_unordered(self):
-        with pytest.raises(ValueError):
-            StructureConstants.from_entries(6, {(2, 0, 4): Fraction(1)})
+    def test_structure_constants_reject_unordered(self):
+        with pytest.raises(ValueError, match="i must be < j"):
+            structure_constants(6, {(2, 0, 4): Fraction(1)})
 
 
 def _flip_line(line: str) -> str:

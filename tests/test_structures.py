@@ -7,14 +7,22 @@ from itertools import product
 import pytest
 
 from ccmv.connection import cov_deriv_endo, levi_civita
-from ccmv.core import Endomorphism, Status
+from ccmv.core import Status, Table, combine
 from ccmv.structures import ConnectionWorkspace, check_normality, first_table_failure
-from conftest import combine, horizontal_projection, random_rational_vector, vector
+from ccmv.verify import Workspace
+from conftest import (
+    horizontal_projection,
+    make_heisenberg_model,
+    make_nilpotent_model,
+    make_two_step_model,
+    random_rational_vector,
+    vector,
+)
 
 
-def endo_from_table(table: dict[tuple[int, int], int]) -> Endomorphism:
-    """Build the endomorphism with entry (row k, column i) from a sparse dict."""
-    return Endomorphism.from_values(6, 2, {(i, k): value for (k, i), value in table.items()})
+def endo_from_table(table: dict[tuple[int, int], int]) -> Table:
+    """Build the map with matrix entry (row k, column i) from a sparse dict."""
+    return Table.from_values(6, 2, {(i, k): value for (k, i), value in table.items()})
 
 
 class TestDerivativeTables:
@@ -36,11 +44,11 @@ class TestDerivativeTables:
 
     def test_nabla_U_J(self, heisenberg, heis_conn):
         assert (cov_deriv_endo(heis_conn, heisenberg.U, heisenberg.J)
-                == heisenberg.H.scale(-2))
+                == combine([(-2, heisenberg.H)]))
 
     def test_nabla_V_J(self, heisenberg, heis_conn):
         assert (cov_deriv_endo(heis_conn, heisenberg.V, heisenberg.J)
-                == heisenberg.G.scale(2))
+                == combine([(2, heisenberg.G)]))
 
     def test_horizontal_derivatives_of_J_vanish(self, heisenberg, heis_conn):
         for h in heisenberg.horizontal_indices:
@@ -63,15 +71,15 @@ class TestNijenhuis:
         e0 = heisenberg.basis(0)
         e2 = heisenberg.basis(2)
         e4 = heisenberg.basis(4)
-        assert heis_ws.torsion_G.contract(e0, e2) == combine((-2, e4))
-        assert heis_ws.torsion_H.contract(e0, e2) == combine((2, e4))
+        assert heis_ws.torsion_G.contract(e0, e2) == combine([(-2, e4)])
+        assert heis_ws.torsion_H.contract(e0, e2) == combine([(2, e4)])
         assert heis_ws.torsion_G.contract(e0, e4).is_zero()
 
     def test_antisymmetry(self, heisenberg, heis_ws):
         for i, j in product(range(6), repeat=2):
             x, y = heisenberg.basis(i), heisenberg.basis(j)
             forward = heis_ws.torsion_G.contract(x, y)
-            assert forward == combine((-1, heis_ws.torsion_G.contract(y, x)))
+            assert forward == combine([(-1, heis_ws.torsion_G.contract(y, x))])
 
     def test_abelian_torsion_vanishes(self, abelian, abelian_ws):
         assert abelian_ws.torsion_G.is_zero()
@@ -95,13 +103,13 @@ class TestObstructionTensors:
         for i in heisenberg.horizontal_indices:
             x = heisenberg.basis(i)
             assert (heis_ws.obstruction_S.contract(x, heisenberg.V)
-                    == combine((2, heisenberg.H.apply(x))))
+                    == combine([(2, heisenberg.H.contract(x))]))
             assert (heis_ws.obstruction_T.contract(x, heisenberg.U)
-                    == combine((2, heisenberg.G.apply(x))))
+                    == combine([(2, heisenberg.G.contract(x))]))
 
     def test_abelian_S_nonzero(self, abelian, abelian_ws):
         value = abelian_ws.obstruction_S.contract(abelian.basis(0), abelian.basis(2))
-        assert value == combine((2, abelian.basis(4)))
+        assert value == combine([(2, abelian.basis(4))])
 
 
 class TestHelpers:
@@ -141,14 +149,36 @@ class TestNormalityRoutes:
 
 
 class TestFirstTableFailure:
-    def test_endomorphism_side_prints_its_own_entries(self, heisenberg):
-        # Endomorphism.entry(k, i) takes the output index first, so the
-        # witness values come from the stored keys, not from `entry`
+    def test_map_side_prints_its_own_entries(self, heisenberg):
+        # the witness values are the entries at the failing key, input
+        # index first, as for every table
         g = heisenberg.G
-        bumped = Endomorphism.from_values(6, 2, {**dict(g.items()), (0, 1): 5})
-        assert g.entry(1, 0) == 0 and g.entry(0, 1) == 0 and dict(g.items())[(0, 2)] == -1
+        bumped = Table.from_values(6, 2, {**dict(g.items()), (0, 1): 5})
+        assert g.entry(0, 1) == 0 and g.entry(0, 2) == -1 and bumped.entry(0, 1) == 5
         assert first_table_failure([("", g, bumped)], 2) == ((0, 1), "", 0, 5)
         assert first_table_failure([("", bumped, g)], 2) == ((0, 1), "", 5, 0)
         # the same clause as rows: the vectors G e_0 and G2 e_0
         assert first_table_failure([("", g, bumped)], 1) == (
             (0,), "", g.row(0), vector([0, 5, -1, 0, 0, 0]))
+
+
+SYMMETRY_MODELS = {"bundled": lambda: make_heisenberg_model(1),
+                   "heis-n2": lambda: make_heisenberg_model(2),
+                   "two-step": make_two_step_model,
+                   **{f"nilpotent-{seed}": (lambda seed=seed: make_nilpotent_model(seed))
+                      for seed in range(5)}}
+
+
+@pytest.mark.parametrize("name", SYMMETRY_MODELS)
+def test_forms_are_antisymmetric_and_ricci_symmetric(name):
+    # du, dv and dsigma are filled antisymmetrically from the brackets, and
+    # rho is symmetric on every Lie algebra; nothing checks either when
+    # the tables are built
+    ws = Workspace(SYMMETRY_MODELS[name]())
+    forms = (ws.du, ws.dv, ws.dsigma)
+    for form in forms:
+        assert form == combine([(-1, form.permute((1, 0)))])
+    assert ws.rho == ws.rho.permute((1, 0))
+    assert not ws.rho.is_zero() and not all(form.is_zero() for form in forms)
+    if name == "two-step":
+        assert not ws.dsigma.is_zero()

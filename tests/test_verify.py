@@ -8,7 +8,7 @@ from functools import cached_property
 import pytest
 
 import ccmv
-from ccmv.core import Status, Table, format_sparse_vector
+from ccmv.core import Status, Table, combine, format_sparse_vector
 from ccmv.curvature import DegeneratePlane
 from ccmv.model import InvalidModelError, build_heisenberg, load_model
 from ccmv.verify import (
@@ -26,7 +26,7 @@ from ccmv.verify import (
     suite_text_rows,
     suite_tsv_rows,
 )
-from conftest import combine, make_heisenberg_model, make_nilpotent_model, make_two_step_model
+from conftest import make_heisenberg_model, make_nilpotent_model, make_two_step_model
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv").joinpath("data/iwasawa_expected.ccmx"))
 
@@ -101,18 +101,16 @@ class TestRegistry:
     def test_exported_names_are_pinned(self):
         # a removed name cannot come back, nor a new one arrive, unnoticed
         assert sorted(ccmv.__all__) == [
-        "BilinearForm", "CheckResult", "ConnectionCoeffs", "DegeneratePlane", "DiffReport",
-        "DimensionMismatch", "Endomorphism", "ExpectedFormatError", "ExpectedValues",
-        "HEISENBERG_CCM", "IdentityResult", "InvalidModelError", "MAX_N", "ManifoldModel",
-        "ModelFormatError", "NormalityReport", "RouteResult", "SELECTORS", "Scalar",
-        "Status", "StructureConstants", "SuiteReport", "Table", "Tensor4", "TwoForm",
+        "CheckResult", "DegeneratePlane", "DiffReport", "DimensionMismatch",
+        "ExpectedFormatError", "ExpectedValues", "HEISENBERG_CCM", "IdentityResult",
+        "InvalidModelError", "MAX_N", "ManifoldModel", "ModelFormatError", "NormalityReport",
+        "RouteResult", "SELECTORS", "Scalar", "Status", "SuiteReport", "Table",
         "ValidationReport", "Workspace", "build_abelian", "build_heisenberg",
-        "check_normality", "cov_deriv_endo", "curvature_value", "diff_expected",
-        "diff_text_rows", "diff_tsv_rows", "exterior_d_oneform", "format_scalar",
-        "format_sparse_vector", "holomorphic_sectional", "levi_civita", "lie_checks",
-        "load_model", "parse_expected", "parse_scalar", "parse_sparse_vector",
-        "registry_ids", "require_lie_algebra", "ricci", "ricci_operator", "riemann",
-        "riemann_symmetry_failures", "run_suite", "scalar_curvature",
+        "check_normality", "cov_deriv_endo", "diff_expected", "diff_text_rows",
+        "diff_tsv_rows", "exterior_d_oneform", "format_scalar", "format_sparse_vector",
+        "holomorphic_sectional", "levi_civita", "lie_checks", "load_model", "parse_expected",
+        "parse_scalar", "parse_sparse_vector", "registry_ids", "require_lie_algebra", "ricci",
+        "riemann", "riemann_symmetry_failures", "run_suite", "scalar_curvature",
         "second_bianchi_failures", "sectional", "sigma_form", "structure_tensor_checks",
         "suite_text_rows", "suite_tsv_rows", "validate_structure", "wedge"]
 
@@ -207,8 +205,8 @@ class TestSuite:
         # the first EQ-2.19 witness compares R(U, V) e0 against J e0
         e0, e1 = heisenberg.basis(0), heisenberg.basis(1)
         lhs = heis_curv.row(heisenberg.U_index, heisenberg.V_index, 0)
-        assert lhs == combine((2, e1))  # rendered as 2:1
-        assert heisenberg.J.apply(e0) == combine((-1, e1))  # rendered as -1:1
+        assert lhs == combine([(2, e1)])  # rendered as 2:1
+        assert heisenberg.J.contract(e0) == combine([(-1, e1)])  # rendered as -1:1
 
     def test_abelian_failures_are_witnessed(self, abelian):
         report = run_suite(abelian, "normality")
