@@ -35,7 +35,6 @@ from .model import (
     validate_structure,
 )
 from .connection import (
-    cov_deriv_endo,
     exterior_d_oneform,
     levi_civita,
     sigma_form,
@@ -43,7 +42,6 @@ from .connection import (
 )
 from .structures import (
     NormalityReport,
-    RouteResult,
     check_normality,
 )
 from .curvature import (
@@ -60,7 +58,6 @@ from .verify import (
     DiffReport,
     ExpectedFormatError,
     ExpectedValues,
-    IdentityResult,
     SELECTORS,
     SuiteReport,
     Workspace,
@@ -84,13 +81,11 @@ __all__ = [
     "ExpectedFormatError",
     "ExpectedValues",
     "HEISENBERG_CCM",
-    "IdentityResult",
     "InvalidModelError",
     "ManifoldModel",
     "MAX_N",
     "ModelFormatError",
     "NormalityReport",
-    "RouteResult",
     "SELECTORS",
     "Scalar",
     "Status",
@@ -101,7 +96,6 @@ __all__ = [
     "build_abelian",
     "build_heisenberg",
     "check_normality",
-    "cov_deriv_endo",
     "diff_expected",
     "diff_text_rows",
     "diff_tsv_rows",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import Sequence
 
 from .connection import levi_civita
 from .core import (
@@ -122,16 +123,18 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 0 if report.all_pass else 1
 
 
+def _value_row(fmt: str, kind: str, keys: Sequence[int], value: str) -> str:
+    """One value row: `kind k... = value` in text, the same fields
+    tab-joined without the `=` in tsv."""
+    fields = [kind, *map(str, keys)]
+    if fmt == "tsv":
+        return "\t".join([*fields, value])
+    return " ".join([*fields, "=", value])
+
+
 def _connection_rows(m: ManifoldModel, conn: Table, fmt: str) -> list[str]:
-    rows = []
-    for i in range(m.dim):
-        for j in range(m.dim):
-            value = format_sparse_vector(conn.row(i, j))
-            if fmt == "tsv":
-                rows.append(f"conn\t{i}\t{j}\t{value}")
-            else:
-                rows.append(f"conn {i} {j} = {value}")
-    return rows
+    return [_value_row(fmt, "conn", (i, j), format_sparse_vector(conn.row(i, j)))
+            for i in range(m.dim) for j in range(m.dim)]
 
 
 def _cmd_connection(args: argparse.Namespace) -> int:
@@ -145,32 +148,19 @@ def _cmd_connection(args: argparse.Namespace) -> int:
 
 
 def _curvature_rows(m: ManifoldModel, rt: Table, fmt: str) -> list[str]:
-    rows = []
-    for i in range(m.dim):
-        for j in range(i + 1, m.dim):
-            for k in range(m.dim):
-                value = format_sparse_vector(rt.row(i, j, k))
-                if fmt == "tsv":
-                    rows.append(f"R\t{i}\t{j}\t{k}\t{value}")
-                else:
-                    rows.append(f"R {i} {j} {k} = {value}")
-    return rows
+    return [_value_row(fmt, "R", (i, j, k), format_sparse_vector(rt.row(i, j, k)))
+            for i in range(m.dim) for j in range(i + 1, m.dim) for k in range(m.dim)]
 
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
     m = _load_lie(args.model)
     rt = riemann(m, levi_civita(m))
     if args.component is not None:
-        i, j, k, el = args.component
-        _index_range_check(m, (i, j, k, el), "component")
-        value = format_scalar(rt.entry(i, j, k, el))
-        if args.format == "tsv":
-            _emit([f"R\t{i}\t{j}\t{k}\t{el}\t{value}"])
-        else:
-            _emit([f"# {PROG} curvature model={m.name}",
-                   f"R {i} {j} {k} {el} = {value}"])
-        return 0
-    rows = _curvature_rows(m, rt, args.format)
+        _index_range_check(m, args.component, "component")
+        value = format_scalar(rt.entry(*args.component))
+        rows = [_value_row(args.format, "R", args.component, value)]
+    else:
+        rows = _curvature_rows(m, rt, args.format)
     if args.format == "text":
         rows = [f"# {PROG} curvature model={m.name}"] + rows
     _emit(rows)
@@ -180,24 +170,13 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
 def _cmd_ricci(args: argparse.Namespace) -> int:
     m = _load_lie(args.model)
     ws = Workspace(m)
-    rows = []
-    for i in range(m.dim):
-        for j in range(i, m.dim):
-            value = format_scalar(ws.rho.entry(i, j))
-            if args.format == "tsv":
-                rows.append(f"ric\t{i}\t{j}\t{value}")
-            else:
-                rows.append(f"ric {i} {j} = {value}")
-    for i in range(m.dim):
-        value = format_sparse_vector(ws.rho.row(i))
-        if args.format == "tsv":
-            rows.append(f"Q\t{i}\t{value}")
-        else:
-            rows.append(f"Q {i} = {value}")
-    if args.format == "tsv":
-        rows.append(f"scal\t{format_scalar(ws.tau)}")
-    else:
-        rows.append(f"scal = {format_scalar(ws.tau)}")
+    fmt = args.format
+    rows = [_value_row(fmt, "ric", (i, j), format_scalar(ws.rho.entry(i, j)))
+            for i in range(m.dim) for j in range(i, m.dim)]
+    rows += [_value_row(fmt, "Q", (i,), format_sparse_vector(ws.rho.row(i)))
+             for i in range(m.dim)]
+    rows.append(_value_row(fmt, "scal", (), format_scalar(ws.tau)))
+    if fmt == "text":
         rows = [f"# {PROG} ricci model={m.name}"] + rows
     _emit(rows)
     return 0
@@ -212,11 +191,10 @@ def _cmd_sectional(args: argparse.Namespace) -> int:
         value = sectional(rt, m.basis(i), m.basis(j))
     except DegeneratePlane as exc:
         raise _fail(str(exc)) from exc
-    if args.format == "tsv":
-        _emit([f"sec\t{i}\t{j}\t{format_scalar(value)}"])
-    else:
-        _emit([f"# {PROG} sectional model={m.name}",
-               f"sec {i} {j} = {format_scalar(value)}"])
+    rows = [_value_row(args.format, "sec", (i, j), format_scalar(value))]
+    if args.format == "text":
+        rows = [f"# {PROG} sectional model={m.name}"] + rows
+    _emit(rows)
     return 0
 
 

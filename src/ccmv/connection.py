@@ -42,18 +42,6 @@ def cov_deriv_table(conn: Table, a: Table) -> Table:
         [(-1, conn.pullback(a.permute((1, 0)), (2,), every))])
 
 
-def cov_deriv_endo(conn: Table, x: Table, a: Table) -> Table:
-    """(nabla_x A) as the endomorphism y -> nabla_x(Ay) - A(nabla_x y): the
-    first slot of cov_deriv_table contracted with the vector x, the table
-    built from the connection rows that x reaches only."""
-    weight = dict(x.entries)
-    table = cov_deriv_table(conn.restrict(weight.keys(), 1), a)
-    values: dict[tuple[int, int], int] = {}
-    for (i, j, k), value in table.numerators():
-        values[(j, k)] = values.get((j, k), 0) + weight[i] * value
-    return Table.from_numerators(conn.dim, 2, values, x.den * table.den)
-
-
 def sigma_form(m: ManifoldModel, conn: Table) -> Table:
     """The rotation form: sigma(X) = g(nabla_X U, V), read off the table as
     a rank-1 table."""

@@ -110,9 +110,9 @@ class Record:
     `self.__dict__` would build a dict and slow every later attribute
     read.  Assignment and deletion raise AttributeError; `cached_property`
     still works, as it writes the instance dict.  Two records are equal
-    only when they are of the same class with equal fields, so a
-    CheckResult never equals an IdentityResult with the same fields; the
-    hash is that of the fields, and the repr names every field.
+    only when they are of the same class with equal fields, so an empty
+    DiffReport never equals an empty ValidationReport of the same model
+    name; the hash is that of the fields, and the repr names every field.
 
     Defining a record generates and compiles no functions, so a fresh
     process pays only for the class bodies when it imports ccmv.  The

@@ -46,25 +46,21 @@ from .core import (
     format_value,
 )
 from .connection import (
-    cov_deriv_endo,
     cov_deriv_table,
     exterior_d_oneform,
     sigma_form,
     wedge,
 )
-from .model import ManifoldModel
-
-
-class RouteResult(Record):
-    route: str
-    status: Status
-    witness: str | None = None
+from .model import CheckResult, ManifoldModel
 
 
 class NormalityReport(Record):
-    korkmaz: RouteResult
-    prop21: RouteResult
-    thm45: RouteResult
+    """The three routes' results, under the registry ids NORM-KORKMAZ,
+    NORM-PROP21 and NORM-THM45."""
+
+    korkmaz: CheckResult
+    prop21: CheckResult
+    thm45: CheckResult
 
     @property
     def agreement(self) -> bool:
@@ -75,14 +71,8 @@ class NormalityReport(Record):
         return self.agreement and self.korkmaz.status is Status.PASS
 
     @property
-    def routes(self) -> tuple[RouteResult, RouteResult, RouteResult]:
+    def routes(self) -> tuple[CheckResult, CheckResult, CheckResult]:
         return (self.korkmaz, self.prop21, self.thm45)
-
-
-def _route_witness(label: str, slots: tuple[int, ...], lhs: Table | Scalar,
-                   rhs: Table | Scalar) -> str:
-    where = ",".join(str(s) for s in slots)
-    return f"{label} slots={where} lhs={format_value(lhs)} rhs={format_value(rhs)}"
 
 
 def _middle(f: Table, b: Table) -> Table:
@@ -144,30 +134,31 @@ class ConnectionWorkspace:
     def HG(self) -> Table:
         return self.model.H.compose(self.model.G)
 
-    # nabla_U and nabla_V of the structure tensors
+    # nabla_U and nabla_V of the structure tensors, as maps: row j of nUG
+    # is (nabla_U G) e_j
     @cached_property
     def nUG(self) -> Table:
-        return cov_deriv_endo(self.conn, self.model.U, self.model.G)
+        return self.nabla_G.fix(0, self.model.U_index)
 
     @cached_property
     def nVG(self) -> Table:
-        return cov_deriv_endo(self.conn, self.model.V, self.model.G)
+        return self.nabla_G.fix(0, self.model.V_index)
 
     @cached_property
     def nUH(self) -> Table:
-        return cov_deriv_endo(self.conn, self.model.U, self.model.H)
+        return self.nabla_H.fix(0, self.model.U_index)
 
     @cached_property
     def nVH(self) -> Table:
-        return cov_deriv_endo(self.conn, self.model.V, self.model.H)
+        return self.nabla_H.fix(0, self.model.V_index)
 
     @cached_property
     def nUJ(self) -> Table:
-        return cov_deriv_endo(self.conn, self.model.U, self.model.J)
+        return self.nabla_J.fix(0, self.model.U_index)
 
     @cached_property
     def nVJ(self) -> Table:
-        return cov_deriv_endo(self.conn, self.model.V, self.model.J)
+        return self.nabla_J.fix(0, self.model.V_index)
 
     # ----- rank-3 tables: slots (X, Y, Z), or (X, Y) and the output vector -----
 
@@ -320,7 +311,18 @@ class ConnectionWorkspace:
         return self.torsion_H.add([(-1, self._vertical_pairing), (1, _alternate(tail))])
 
 
-def _route_korkmaz(ctx: ConnectionWorkspace) -> RouteResult:
+def _route(check_id: str, failure) -> CheckResult:
+    """A route's result from its first failure (None when it holds): the
+    failing clause, its frame tuple and both sides there."""
+    if failure is None:
+        return CheckResult(check_id, Status.PASS)
+    where, label, lhs, rhs = failure
+    slots = ",".join(map(str, where))
+    return CheckResult(check_id, Status.FAIL,
+                       f"{label} slots={slots} lhs={format_value(lhs)} rhs={format_value(rhs)}")
+
+
+def _route_korkmaz(ctx: ConnectionWorkspace) -> CheckResult:
     """S and T on horizontal pairs, S before T at each pair; then S(e_i, U)
     and T(e_i, V) for every frame index i, S before T at each i: each
     compared with the empty table."""
@@ -332,30 +334,10 @@ def _route_korkmaz(ctx: ConnectionWorkspace) -> RouteResult:
         zero = Table(m.dim, 2, {})
         vertical = first_table_failure([("S(.,U)", S.fix(1, m.U_index), zero),
                                         ("T(.,V)", T.fix(1, m.V_index), zero)], 1)
-        if vertical is None:
-            return RouteResult("korkmaz", Status.PASS)
-        (i,), label, lhs, rhs = vertical
-        failure = (i, m.U_index if label == "S(.,U)" else m.V_index), label, lhs, rhs
-    where, label, lhs, rhs = failure
-    return RouteResult("korkmaz", Status.FAIL, _route_witness(label, where, lhs, rhs))
-
-
-def _route_prop21(ctx: ConnectionWorkspace) -> RouteResult:
-    failure = first_table_failure([("G", ctx.nabla_G, ctx.prop21_G),
-                                   ("H", ctx.nabla_H, ctx.prop21_H)], 3)
-    if failure is None:
-        return RouteResult("prop21", Status.PASS)
-    where, label, lhs, rhs = failure
-    return RouteResult("prop21", Status.FAIL, _route_witness(label, where, lhs, rhs))
-
-
-def _route_thm45(ctx: ConnectionWorkspace) -> RouteResult:
-    failure = first_table_failure([("G", ctx.nabla_G, ctx.thm45_G),
-                                   ("H", ctx.nabla_H, ctx.thm45_H)], 2)
-    if failure is None:
-        return RouteResult("thm45", Status.PASS)
-    where, label, lhs, rhs = failure
-    return RouteResult("thm45", Status.FAIL, _route_witness(label, where, lhs, rhs))
+        if vertical is not None:
+            (i,), label, lhs, rhs = vertical
+            failure = (i, m.U_index if label == "S(.,U)" else m.V_index), label, lhs, rhs
+    return _route("NORM-KORKMAZ", failure)
 
 
 def check_normality(ctx: ConnectionWorkspace) -> NormalityReport:
@@ -368,6 +350,8 @@ def check_normality(ctx: ConnectionWorkspace) -> NormalityReport:
     """
     return NormalityReport(
         korkmaz=_route_korkmaz(ctx),
-        prop21=_route_prop21(ctx),
-        thm45=_route_thm45(ctx),
+        prop21=_route("NORM-PROP21", first_table_failure(
+            [("G", ctx.nabla_G, ctx.prop21_G), ("H", ctx.nabla_H, ctx.prop21_H)], 3)),
+        thm45=_route("NORM-THM45", first_table_failure(
+            [("G", ctx.nabla_G, ctx.thm45_G), ("H", ctx.nabla_H, ctx.thm45_H)], 2)),
     )

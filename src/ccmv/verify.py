@@ -86,21 +86,10 @@ SELECTORS = ("all", "axioms", "contact", "normality", "curvature", "ricci")
 TableClause = tuple[str, Table, Table]
 
 
-class IdentityResult(Record):
-    identity_id: str
-    status: Status
-    witness: str | None = None
-
-    def __init__(self, identity_id: str, status: Status, witness: str | None = None) -> None:
-        object.__setattr__(self, "identity_id", identity_id)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
-
-
 class SuiteReport(Record):
     model_name: str
     selector: str
-    results: tuple[IdentityResult, ...]
+    results: tuple[CheckResult, ...]
 
     @property
     def pass_count(self) -> int:
@@ -114,9 +103,9 @@ class SuiteReport(Record):
     def all_pass(self) -> bool:
         return self.fail_count == 0
 
-    def result(self, identity_id: str) -> IdentityResult:
+    def result(self, identity_id: str) -> CheckResult:
         for r in self.results:
-            if r.identity_id == identity_id:
+            if r.check_id == identity_id:
                 return r
         raise KeyError(identity_id)
 
@@ -246,7 +235,7 @@ class Identity(Record):
     # each side a table holding only index tuples in the slot ranges, with
     # one slot per frame slot, or one more for a vector-valued side
     tables: Callable[[Workspace], list[TableClause]] | None = None
-    direct: Callable[[Workspace], IdentityResult] | None = None
+    direct: Callable[[Workspace], CheckResult] | None = None
 
 
 def render_witness(slots: str, clause: str, lhs, rhs) -> str:
@@ -254,38 +243,22 @@ def render_witness(slots: str, clause: str, lhs, rhs) -> str:
     return f"slots={slots}{part} lhs={format_value(lhs)} rhs={format_value(rhs)}"
 
 
-def _run_tables(ws: Workspace, ident: Identity) -> IdentityResult:
+def _run_tables(ws: Workspace, ident: Identity) -> CheckResult:
     failure = first_table_failure(ident.tables(ws), len(ident.slots))
     if failure is None:
-        return IdentityResult(ident.identity_id, Status.PASS)
+        return CheckResult(ident.identity_id, Status.PASS)
     idx, clause, lhs, rhs = failure
-    return IdentityResult(ident.identity_id, Status.FAIL,
-                          render_witness(",".join(map(str, idx)) or "-", clause, lhs, rhs))
+    return CheckResult(ident.identity_id, Status.FAIL,
+                       render_witness(",".join(map(str, idx)) or "-", clause, lhs, rhs))
 
 
 def _first_scalar_failure(identity_id: str,
-                          clauses: list[tuple[str, Scalar, Scalar]]) -> IdentityResult:
+                          clauses: list[tuple[str, Scalar, Scalar]]) -> CheckResult:
     """A slotless identity of scalar clauses: the first clause that fails."""
     for clause, lhs, rhs in clauses:
         if lhs != rhs:
-            return IdentityResult(identity_id, Status.FAIL, render_witness("-", clause, lhs, rhs))
-    return IdentityResult(identity_id, Status.PASS)
-
-
-def _wrap_model_check(check_id: str) -> Callable[[Workspace], IdentityResult]:
-    def run(ws: Workspace) -> IdentityResult:
-        check = ws.model_checks[check_id]
-        return IdentityResult(check.check_id, check.status, check.witness)
-    return run
-
-
-def _wrap_normality_route(route_name: str) -> Callable[[Workspace], IdentityResult]:
-    identity_id = f"NORM-{route_name.upper()}"
-
-    def run(ws: Workspace) -> IdentityResult:
-        route = getattr(ws.normality, route_name)
-        return IdentityResult(identity_id, route.status, route.witness)
-    return run
+            return CheckResult(identity_id, Status.FAIL, render_witness("-", clause, lhs, rhs))
+    return CheckResult(identity_id, Status.PASS)
 
 
 def _registry() -> list[Identity]:
@@ -308,7 +281,7 @@ def _registry() -> list[Identity]:
     for check_id in ("LIE-ANTISYM", "LIE-JACOBI", "AX-G2", "AX-H2", "AX-J2",
                      "AX-ANTICOMM", "AX-KERNEL", "AX-SKEW", "AX-HGJ", "AX-JH",
                      "AX-JV", "AX-HERM"):
-        add_direct(check_id, "axioms", _wrap_model_check(check_id))
+        add_direct(check_id, "axioms", lambda ws, c=check_id: ws.model_checks[c])
 
     # du(X, Y) = <X, GY> + (sigma ^ v)(X, Y); dv(X, Y) = <X, HY> - (sigma ^ u)(X, Y)
     add_tables("AX-du", "axioms", "any any", lambda ws: [
@@ -460,11 +433,12 @@ def _registry() -> list[Identity]:
     add_tables("EQ-2.5", "normality", "any any any", eq_2_5)
 
     for route in ("korkmaz", "prop21", "thm45"):
-        add_direct(f"NORM-{route.upper()}", "normality", _wrap_normality_route(route))
+        add_direct(f"NORM-{route.upper()}", "normality",
+                   lambda ws, r=route: getattr(ws.normality, r))
 
     # ----- curvature -----
     # R(U, V, V, U) = R(V, U, U, V) = -2 dsigma(U, V)
-    def eq_2_11(ws: Workspace) -> IdentityResult:
+    def eq_2_11(ws: Workspace) -> CheckResult:
         u, v, target = ws.model.U_index, ws.model.V_index, -2 * ws.dUV
         return _first_scalar_failure("EQ-2.11", [("UVVU", ws.curv.entry(u, v, v, u), target),
                                                  ("VUUV", ws.curv.entry(v, u, u, v), target)])
@@ -593,33 +567,33 @@ def _registry() -> list[Identity]:
                                           (1, at_v.tensor(v)), (1, at_u.tensor(u))]))]
     add_tables("EQ-4.10", "curvature", "any any", eq_4_10)
 
-    def riemann_sym(ws: Workspace) -> IdentityResult:
+    def riemann_sym(ws: Workspace) -> CheckResult:
         where = riemann_symmetry_failures(ws.curv)
         if where is None:
-            return IdentityResult("RIEM-SYM", Status.PASS)
+            return CheckResult("RIEM-SYM", Status.PASS)
         clause, lhs, rhs = next(part for part in riemann_symmetry_clauses(ws.curv, *where)
                                 if part[1] != part[2])
-        return IdentityResult("RIEM-SYM", Status.FAIL,
-                              render_witness(",".join(map(str, where)), clause, lhs, rhs))
+        return CheckResult("RIEM-SYM", Status.FAIL,
+                           render_witness(",".join(map(str, where)), clause, lhs, rhs))
     add_direct("RIEM-SYM", "curvature", riemann_sym)
 
-    def bianchi_1(ws: Workspace) -> IdentityResult:
+    def bianchi_1(ws: Workspace) -> CheckResult:
         where = first_bianchi_failures(ws.curv)
         if where is None:
-            return IdentityResult("BIANCHI-1", Status.PASS)
-        return IdentityResult(
+            return CheckResult("BIANCHI-1", Status.PASS)
+        return CheckResult(
             "BIANCHI-1", Status.FAIL,
             render_witness(",".join(map(str, where)), "",
                            first_bianchi_cyclic_sum(ws.curv, *where), ZERO))
     add_direct("BIANCHI-1", "curvature", bianchi_1)
 
-    def bianchi_2(ws: Workspace) -> IdentityResult:
+    def bianchi_2(ws: Workspace) -> CheckResult:
         failure = second_bianchi_failures(ws.model, ws.conn, ws.curv)
         if failure is None:
-            return IdentityResult("BIANCHI-2", Status.PASS)
+            return CheckResult("BIANCHI-2", Status.PASS)
         where, total = failure
-        return IdentityResult("BIANCHI-2", Status.FAIL,
-                              render_witness(",".join(map(str, where)), "", total, ZERO))
+        return CheckResult("BIANCHI-2", Status.FAIL,
+                           render_witness(",".join(map(str, where)), "", total, ZERO))
     add_direct("BIANCHI-2", "curvature", bianchi_2)
 
     # ----- ricci -----
@@ -638,7 +612,7 @@ def _registry() -> list[Identity]:
 
     # rho(U, U) = rho(V, V) = 4n - 2 dsigma(U, V), rho(U, V) = 0; and so
     # rho(X, U) = (4n - 2 dsigma(U, V)) u(X), and for V
-    def eq_5_7(ws: Workspace) -> IdentityResult:
+    def eq_5_7(ws: Workspace) -> CheckResult:
         u, v, target = ws.model.U_index, ws.model.V_index, ws.ricci_target
         return _first_scalar_failure("EQ-5.7", [("UU", ws.rho.entry(u, u), target),
                                                 ("VV", ws.rho.entry(v, v), target),
@@ -696,7 +670,7 @@ def run_suite(m: ManifoldModel, selector: str = "all") -> SuiteReport:
             results.append(ident.direct(ws))
         else:
             results.append(_run_tables(ws, ident))
-    results.sort(key=lambda r: _natural_key(r.identity_id))
+    results.sort(key=lambda r: _natural_key(r.check_id))
     return SuiteReport(m.name, selector, tuple(results))
 
 
@@ -848,7 +822,7 @@ def diff_expected(m: ManifoldModel, exp: ExpectedValues) -> DiffReport:
 def suite_text_rows(report: SuiteReport) -> list[str]:
     rows = []
     for r in report.results:
-        row = f"{r.identity_id} {r.status}"
+        row = f"{r.check_id} {r.status}"
         if r.witness:
             row += f" {r.witness}"
         rows.append(row)
@@ -856,7 +830,7 @@ def suite_text_rows(report: SuiteReport) -> list[str]:
 
 
 def suite_tsv_rows(report: SuiteReport) -> list[str]:
-    return [f"{r.identity_id}\t{r.status}\t{r.witness or ''}"
+    return [f"{r.check_id}\t{r.status}\t{r.witness or ''}"
             for r in report.results]
 
 

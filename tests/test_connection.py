@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccmv.connection import (
-    cov_deriv_endo,
+    cov_deriv_table,
     exterior_d_oneform,
     levi_civita,
     sigma_form,
@@ -26,6 +26,13 @@ GAMMA_TABLE = {
     (4, 0, 2): 1, (4, 2, 0): -1, (4, 1, 3): -1, (4, 3, 1): 1,
     (5, 0, 3): 1, (5, 3, 0): -1, (5, 1, 2): 1, (5, 2, 1): -1,
 }
+
+def nabla_along(conn: Table, x: Table, a: Table) -> Table:
+    """(nabla_x A) as a map: the slices of cov_deriv_table at each frame
+    index i, weighted by x's coefficient there."""
+    table = cov_deriv_table(conn, a)
+    return combine([(x.entry(i), table.fix(0, i)) for i in range(conn.dim)])
+
 
 coeffs6 = st.lists(
     st.fractions(min_value=-4, max_value=4, max_denominator=5),
@@ -99,10 +106,12 @@ class TestCovariantDerivatives:
                 == -y.contract(heis_conn.contract(x, z)))
 
     def test_endo_derivative_is_leibniz_correction(self, heisenberg, heis_conn):
+        # the frame vectors, and one vector with every coefficient nonzero
+        directions = [basis(6, i) for i in range(6)]
+        directions.append(vector([1, -2, Fraction(1, 2), 3, Fraction(-1, 3), 2]))
         for tensor in (heisenberg.G, heisenberg.H, heisenberg.J):
-            for i in range(6):
-                x = basis(6, i)
-                nabla = cov_deriv_endo(heis_conn, x, tensor)
+            for x in directions:
+                nabla = nabla_along(heis_conn, x, tensor)
                 for j in range(6):
                     y = basis(6, j)
                     expected = combine([(1, heis_conn.contract(x, tensor.contract(y))),
@@ -113,7 +122,7 @@ class TestCovariantDerivatives:
         ident = Table.identity(6)
         for i in range(6):
             x = basis(6, i)
-            assert cov_deriv_endo(heis_conn, x, ident).is_zero()
+            assert nabla_along(heis_conn, x, ident).is_zero()
 
     def test_oneform_derivative_pairs_with_vector(self, heisenberg, heis_conn):
         # (nabla_X w)(Y) = -w(nabla_X Y); for w dual to e_k that is

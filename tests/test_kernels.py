@@ -37,6 +37,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ccmv import (
+    CheckResult,
     HEISENBERG_CCM,
     ManifoldModel,
     Status,
@@ -56,11 +57,10 @@ from ccmv import (
 from ccmv.core import combine
 from ccmv.curvature import first_bianchi_cyclic_sum, first_bianchi_failures
 from ccmv.model import structure_constants
-from ccmv.structures import NormalityReport, RouteResult, check_normality, first_table_failure
+from ccmv.structures import NormalityReport, check_normality, first_table_failure
 from ccmv.verify import (
     REGISTRY,
     Identity,
-    IdentityResult,
     SuiteReport,
     Workspace,
     _run_tables,
@@ -610,14 +610,14 @@ _references()
 CONVERTED_IDS = sorted(REFERENCES)
 
 
-def first_failure(identity_id: str, evaluate, points) -> IdentityResult:
+def first_failure(identity_id: str, evaluate, points) -> CheckResult:
     """The first clause that fails at the first (where, vectors) point."""
     for where, vectors in points:
         for clause, lhs, rhs in evaluate(vectors):
             if lhs != rhs:
-                return IdentityResult(identity_id, Status.FAIL,
-                                      render_witness(where, clause, lhs, rhs))
-    return IdentityResult(identity_id, Status.PASS)
+                return CheckResult(identity_id, Status.FAIL,
+                                   render_witness(where, clause, lhs, rhs))
+    return CheckResult(identity_id, Status.PASS)
 
 
 def sample_points(ws: Workspace, identity_id: str, slots, samples: int, seed: int):
@@ -633,7 +633,7 @@ def sample_points(ws: Workspace, identity_id: str, slots, samples: int, seed: in
 
 
 def reference_sweep(ws: VectorWorkspace, identity_id: str, samples: int = 0,
-                    seed: int = 0) -> IdentityResult:
+                    seed: int = 0) -> CheckResult:
     """An identity by its reference evaluator: every frame tuple of its slot
     ranges in `itertools.product` order, then the random samples."""
     slots, evaluate = REFERENCES[identity_id]
@@ -650,7 +650,7 @@ def reference_sweep(ws: VectorWorkspace, identity_id: str, samples: int = 0,
 # must equal these.
 
 def sampled_tables(ws: Workspace, ident: Identity, samples: int,
-                   seed: int) -> IdentityResult:
+                   seed: int) -> CheckResult:
     """A table identity by the engine's check, then its tables contracted
     with the sample tuples."""
     result = _run_tables(ws, ident)
@@ -673,7 +673,7 @@ def sample_pairs(ws: Workspace, samples: int, seed: int) -> list:
             for _ in range(samples)]
 
 
-def sampled_korkmaz(ws: VectorWorkspace, samples: int, seed: int) -> RouteResult:
+def sampled_korkmaz(ws: VectorWorkspace, samples: int, seed: int) -> CheckResult:
     """The engine's korkmaz route, then S and T on the horizontal parts of
     the sample pairs."""
     route = ws.normality.korkmaz
@@ -684,7 +684,7 @@ def sampled_korkmaz(ws: VectorWorkspace, samples: int, seed: int) -> RouteResult
         for label, t in (("S", ws.obstruction_S), ("T", ws.obstruction_T)):
             value = t.contract(ws.hproj(x), ws.hproj(y))
             if not value.is_zero():
-                return RouteResult("korkmaz", Status.FAIL,
+                return CheckResult("NORM-KORKMAZ", Status.FAIL,
                                    _vector_witness(label, f"sample={index}", value, zero))
     return route
 
@@ -695,14 +695,13 @@ def sampled_suite_rows(m: ManifoldModel, samples: int, seed: int) -> list[str]:
     results = []
     for ident in REGISTRY:
         if ident.identity_id == "NORM-KORKMAZ":
-            route = sampled_korkmaz(ws, samples, seed)
-            results.append(IdentityResult(ident.identity_id, route.status, route.witness))
+            results.append(sampled_korkmaz(ws, samples, seed))
         elif ident.direct is not None:
             results.append(ident.direct(ws))
         else:
             results.append(sampled_tables(ws, ident, samples, seed))
     order = registry_ids("all")
-    results.sort(key=lambda r: order.index(r.identity_id))
+    results.sort(key=lambda r: order.index(r.check_id))
     return suite_tsv_rows(SuiteReport(m.name, "all", tuple(results)))
 
 
@@ -854,7 +853,7 @@ def _vector_witness(label, slots, lhs, rhs) -> str:
             f"rhs={format_sparse_vector(rhs)}")
 
 
-def ref_route_korkmaz(ws: Workspace, samples) -> RouteResult:
+def ref_route_korkmaz(ws: Workspace, samples) -> CheckResult:
     """S and T on every horizontal frame pair, S before T; then S(e_i, U)
     and T(e_i, V); then the horizontal parts of the sample pairs."""
     m, b = ws.model, ws.basis
@@ -863,47 +862,47 @@ def ref_route_korkmaz(ws: Workspace, samples) -> RouteResult:
         for label, tensor in (("S", ref_tensor_S), ("T", ref_tensor_T)):
             value = tensor(ws, b[i], b[j])
             if not value.is_zero():
-                return RouteResult("korkmaz", Status.FAIL,
+                return CheckResult("NORM-KORKMAZ", Status.FAIL,
                                    _vector_witness(label, (i, j), value, zero))
     for i in range(m.dim):
         for label, tensor, w in (("S(.,U)", ref_tensor_S, m.U_index),
                                  ("T(.,V)", ref_tensor_T, m.V_index)):
             value = tensor(ws, b[i], b[w])
             if not value.is_zero():
-                return RouteResult("korkmaz", Status.FAIL,
+                return CheckResult("NORM-KORKMAZ", Status.FAIL,
                                    _vector_witness(label, (i, w), value, zero))
     for index, (x, y) in enumerate(samples):
         for label, tensor in (("S", ref_tensor_S), ("T", ref_tensor_T)):
             value = tensor(ws, ws.hproj(x), ws.hproj(y))
             if not value.is_zero():
-                return RouteResult("korkmaz", Status.FAIL,
+                return CheckResult("NORM-KORKMAZ", Status.FAIL,
                                    _vector_witness(label, f"sample={index}", value, zero))
-    return RouteResult("korkmaz", Status.PASS)
+    return CheckResult("NORM-KORKMAZ", Status.PASS)
 
 
-def ref_route_prop21(ws: Workspace) -> RouteResult:
+def ref_route_prop21(ws: Workspace) -> CheckResult:
     b = ws.basis
     for i, j, k in product(range(ws.model.dim), repeat=3):
         for label, a, rhs in (("G", ws.G, ref_prop21_rhs_G), ("H", ws.H, ref_prop21_rhs_H)):
             lhs_value = ref_cov(ws, a, b[i], b[j]).contract(b[k])
             rhs_value = rhs(ws, b[i], b[j], b[k])
             if lhs_value != rhs_value:
-                return RouteResult("prop21", Status.FAIL,
+                return CheckResult("NORM-PROP21", Status.FAIL,
                                    f"{label} slots={i},{j},{k} lhs={format_scalar(lhs_value)} "
                                    f"rhs={format_scalar(rhs_value)}")
-    return RouteResult("prop21", Status.PASS)
+    return CheckResult("NORM-PROP21", Status.PASS)
 
 
-def ref_route_thm45(ws: Workspace) -> RouteResult:
+def ref_route_thm45(ws: Workspace) -> CheckResult:
     b = ws.basis
     for i, j in product(range(ws.model.dim), repeat=2):
         for label, a, rhs in (("G", ws.G, ref_thm45_rhs_G), ("H", ws.H, ref_thm45_rhs_H)):
             lhs_value = ref_cov(ws, a, b[i], b[j])
             rhs_value = rhs(ws, b[i], b[j])
             if lhs_value != rhs_value:
-                return RouteResult("thm45", Status.FAIL,
+                return CheckResult("NORM-THM45", Status.FAIL,
                                    _vector_witness(label, (i, j), lhs_value, rhs_value))
-    return RouteResult("thm45", Status.PASS)
+    return CheckResult("NORM-THM45", Status.PASS)
 
 
 def ref_check_normality(ws: Workspace, samples: int = 32, seed: int = 0) -> NormalityReport:
@@ -963,7 +962,7 @@ def registry_identity(identity_id: str) -> Identity:
     return next(i for i in REGISTRY if i.identity_id == identity_id)
 
 
-def table_result(ws: Workspace, identity_id: str) -> IdentityResult:
+def table_result(ws: Workspace, identity_id: str) -> CheckResult:
     ident = registry_identity(identity_id)
     assert ident.tables is not None
     return _run_tables(ws, ident)
@@ -1004,7 +1003,7 @@ def product_order_first_bianchi_failure(rt: Table) -> tuple[int, ...] | None:
     return None
 
 
-def direct_result(ws: Workspace, identity_id: str) -> IdentityResult:
+def direct_result(ws: Workspace, identity_id: str) -> CheckResult:
     return registry_identity(identity_id).direct(ws)
 
 
@@ -1370,17 +1369,17 @@ class TestCandidateWitnesses:
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
 
 
-def dense_second_bianchi(ws: Workspace) -> IdentityResult:
+def dense_second_bianchi(ws: Workspace) -> CheckResult:
     """The BIANCHI-2 row from the exhaustive dense sweep and sum."""
     where = dense_bianchi_failure(ws.model, ws.conn, ws.curv)
     if where is None:
-        return IdentityResult("BIANCHI-2", Status.PASS)
-    return IdentityResult("BIANCHI-2", Status.FAIL, render_witness(
+        return CheckResult("BIANCHI-2", Status.PASS)
+    return CheckResult("BIANCHI-2", Status.FAIL, render_witness(
         ",".join(map(str, where)), "",
         dense_cyclic_sum(ws.model, ws.conn, ws.curv, *where), ZERO))
 
 
-def _slots(result: IdentityResult) -> tuple[int, ...]:
+def _slots(result: CheckResult) -> tuple[int, ...]:
     return tuple(int(i) for i in result.witness.split()[0][len("slots="):].split(","))
 
 

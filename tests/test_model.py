@@ -8,6 +8,7 @@ import pytest
 from ccmv.core import Status
 from ccmv.model import (
     HEISENBERG_CCM,
+    CheckResult,
     MAX_N,
     InvalidModelError,
     ManifoldModel,
@@ -198,8 +199,7 @@ class TestValidation:
         m = ManifoldModel("broken", 1, raw, base.G, base.H, base.J)
         checks = {r.check_id: r for r in lie_checks(m)}
         assert checks["LIE-ANTISYM"].status is Status.FAIL
-        assert "entry=(0,1,2)" in checks["LIE-ANTISYM"].witness
-        assert "lhs=1" in checks["LIE-ANTISYM"].witness
+        assert checks["LIE-ANTISYM"].witness == "entry=(0,1,2) lhs=1 rhs=0"
 
     def test_structure_constants_store_only_the_nonzero_brackets(self):
         c = structure_constants(54, {(0, 2, 52): Fraction(-2), (1, 3, 53): Fraction(1, 3),
@@ -231,6 +231,21 @@ class TestPerturbation:
         report = validate_structure(load_model(flipped))
         assert not report.all_pass
         assert all(c.witness for c in report.failures)
+
+    @pytest.mark.parametrize("line,moved,check", [
+        # G e_3 moved to G U: the first image that is not zero
+        ("G 3 1 -1", "G 4 1 -1",
+         CheckResult("AX-KERNEL", Status.FAIL, "G@U entry=(1) lhs=-1 rhs=0")),
+        ("H 3 0 1", "H 4 0 1",
+         CheckResult("AX-KERNEL", Status.FAIL, "H@U entry=(0) lhs=1 rhs=0")),
+        # J V = -U moved to J V = -V
+        ("J 4 5 -1", "J 5 5 -1",
+         CheckResult("AX-JV", Status.FAIL, "JV entry=(5) lhs=-1 rhs=0")),
+    ])
+    def test_moved_line_witness(self, line, moved, check):
+        m = load_model(HEISENBERG_CCM.replace(line, moved))
+        checks = {c.check_id: c for c in validate_structure(m).checks}
+        assert checks[check.check_id] == check
 
     def test_G_column3_flip_fails_square_axiom(self):
         flipped = HEISENBERG_CCM.replace("G 3 1 -1", "G 3 1 1")

@@ -6,7 +6,7 @@ from itertools import product
 
 import pytest
 
-from ccmv.connection import cov_deriv_endo, levi_civita
+from ccmv.connection import levi_civita
 from ccmv.core import Status, Table, combine
 from ccmv.structures import ConnectionWorkspace, check_normality, first_table_failure
 from ccmv.verify import Workspace
@@ -28,32 +28,29 @@ def endo_from_table(table: dict[tuple[int, int], int]) -> Table:
 class TestDerivativeTables:
     """Frozen nabla G / nabla H / nabla J along the vertical directions."""
 
-    def test_nabla_U_G_vanishes(self, heisenberg, heis_conn):
-        assert cov_deriv_endo(heis_conn, heisenberg.U, heisenberg.G).is_zero()
+    def test_nabla_U_G_vanishes(self, heis_ws):
+        assert heis_ws.nUG.is_zero()
 
-    def test_nabla_V_H_vanishes(self, heisenberg, heis_conn):
-        assert cov_deriv_endo(heis_conn, heisenberg.V, heisenberg.H).is_zero()
+    def test_nabla_V_H_vanishes(self, heis_ws):
+        assert heis_ws.nVH.is_zero()
 
-    def test_nabla_V_G(self, heisenberg, heis_conn):
+    def test_nabla_V_G(self, heis_ws):
         expected = endo_from_table({(0, 1): -2, (1, 0): 2, (2, 3): -2, (3, 2): 2})
-        assert cov_deriv_endo(heis_conn, heisenberg.V, heisenberg.G) == expected
+        assert heis_ws.nVG == expected
 
-    def test_nabla_U_H(self, heisenberg, heis_conn):
+    def test_nabla_U_H(self, heis_ws):
         expected = endo_from_table({(0, 1): 2, (1, 0): -2, (2, 3): 2, (3, 2): -2})
-        assert cov_deriv_endo(heis_conn, heisenberg.U, heisenberg.H) == expected
+        assert heis_ws.nUH == expected
 
-    def test_nabla_U_J(self, heisenberg, heis_conn):
-        assert (cov_deriv_endo(heis_conn, heisenberg.U, heisenberg.J)
-                == combine([(-2, heisenberg.H)]))
+    def test_nabla_U_J(self, heisenberg, heis_ws):
+        assert heis_ws.nUJ == combine([(-2, heisenberg.H)])
 
-    def test_nabla_V_J(self, heisenberg, heis_conn):
-        assert (cov_deriv_endo(heis_conn, heisenberg.V, heisenberg.J)
-                == combine([(2, heisenberg.G)]))
+    def test_nabla_V_J(self, heisenberg, heis_ws):
+        assert heis_ws.nVJ == combine([(2, heisenberg.G)])
 
-    def test_horizontal_derivatives_of_J_vanish(self, heisenberg, heis_conn):
+    def test_horizontal_derivatives_of_J_vanish(self, heisenberg, heis_ws):
         for h in heisenberg.horizontal_indices:
-            nabla = cov_deriv_endo(heis_conn, heisenberg.basis(h), heisenberg.J)
-            assert nabla.is_zero(), h
+            assert heis_ws.nabla_J.fix(0, h).is_zero(), h
 
 
 @pytest.fixture(scope="module")
@@ -131,7 +128,8 @@ class TestNormalityRoutes:
         report = check_normality(ConnectionWorkspace(heisenberg, heis_conn))
         assert report.all_pass
         assert report.agreement
-        assert [r.route for r in report.routes] == ["korkmaz", "prop21", "thm45"]
+        assert [r.check_id for r in report.routes] == ["NORM-KORKMAZ", "NORM-PROP21",
+                                                       "NORM-THM45"]
         assert all(r.status is Status.PASS for r in report.routes)
         assert all(r.witness is None for r in report.routes)
 

@@ -10,7 +10,13 @@ import pytest
 import ccmv
 from ccmv.core import Status, Table, combine, format_sparse_vector
 from ccmv.curvature import DegeneratePlane
-from ccmv.model import InvalidModelError, build_heisenberg, load_model
+from ccmv.model import (
+    HEISENBERG_CCM,
+    InvalidModelError,
+    build_heisenberg,
+    load_model,
+    validate_structure,
+)
 from ccmv.verify import (
     REGISTRY,
     Identity,
@@ -102,11 +108,11 @@ class TestRegistry:
         # a removed name cannot come back, nor a new one arrive, unnoticed
         assert sorted(ccmv.__all__) == [
         "CheckResult", "DegeneratePlane", "DiffReport", "DimensionMismatch",
-        "ExpectedFormatError", "ExpectedValues", "HEISENBERG_CCM", "IdentityResult",
+        "ExpectedFormatError", "ExpectedValues", "HEISENBERG_CCM",
         "InvalidModelError", "MAX_N", "ManifoldModel", "ModelFormatError", "NormalityReport",
-        "RouteResult", "SELECTORS", "Scalar", "Status", "SuiteReport", "Table",
+        "SELECTORS", "Scalar", "Status", "SuiteReport", "Table",
         "ValidationReport", "Workspace", "build_abelian", "build_heisenberg",
-        "check_normality", "cov_deriv_endo", "diff_expected", "diff_text_rows",
+        "check_normality", "diff_expected", "diff_text_rows",
         "diff_tsv_rows", "exterior_d_oneform", "format_scalar", "format_sparse_vector",
         "holomorphic_sectional", "levi_civita", "lie_checks", "load_model", "parse_expected",
         "parse_scalar", "parse_sparse_vector", "registry_ids", "require_lie_algebra", "ricci",
@@ -124,17 +130,17 @@ class TestSuite:
         assert not heis_suite.all_pass
 
     def test_frozen_failures(self, heis_suite):
-        failures = {r.identity_id: r.witness for r in heis_suite.results
+        failures = {r.check_id: r.witness for r in heis_suite.results
                     if r.status is Status.FAIL}
         assert failures == FROZEN_FAILURES
 
     def test_passes_have_no_witness(self, heis_suite):
         for r in heis_suite.results:
             if r.status is Status.PASS:
-                assert r.witness is None, r.identity_id
+                assert r.witness is None, r.check_id
 
     def test_results_in_report_order(self, heis_suite):
-        assert [r.identity_id for r in heis_suite.results] == registry_ids("all")
+        assert [r.check_id for r in heis_suite.results] == registry_ids("all")
 
     def test_result_lookup(self, heis_suite):
         assert heis_suite.result("EQ-2.19").status is Status.FAIL
@@ -144,13 +150,13 @@ class TestSuite:
 
     def test_selector_subsets(self, heisenberg):
         report = run_suite(heisenberg, "ricci")
-        assert [r.identity_id for r in report.results] == registry_ids("ricci")
+        assert [r.check_id for r in report.results] == registry_ids("ricci")
         assert report.all_pass
 
     def test_normality_group_counts(self, heis_suite):
         group = set(registry_ids("normality"))
         statuses = [r.status for r in heis_suite.results
-                    if r.identity_id in group]
+                    if r.check_id in group]
         assert statuses.count(Status.PASS) == 4
         assert statuses.count(Status.FAIL) == 1
 
@@ -184,17 +190,34 @@ class TestSuite:
         assert not tables & set(vars(built[0]))
 
     def test_connection_quantities_are_derived_once(self, heisenberg, monkeypatch):
-        # the normality routes read the run's own workspace: one sigma, the
-        # six nabla_U/nabla_V of G, H and J, and the three d of sigma, u, v
+        # the normality routes read the run's own workspace: one sigma, one
+        # nabla of each of G, H and J, and the three d of sigma, u, v
         import ccmv.structures as structures
         calls = {}
-        for name in ("sigma_form", "cov_deriv_endo", "exterior_d_oneform"):
+        for name in ("sigma_form", "cov_deriv_table", "exterior_d_oneform"):
             def counted(*args, _name=name, _fn=getattr(structures, name)):
                 calls[_name] = calls.get(_name, 0) + 1
                 return _fn(*args)
             monkeypatch.setattr(structures, name, counted)
         run_suite(heisenberg)
-        assert calls == {"sigma_form": 1, "cov_deriv_endo": 6, "exterior_d_oneform": 3}
+        assert calls == {"sigma_form": 1, "cov_deriv_table": 3, "exterior_d_oneform": 3}
+
+    @pytest.mark.parametrize("build", [
+        build_heisenberg, lambda: make_heisenberg_model(2), make_two_step_model,
+        *[lambda seed=seed: make_nilpotent_model(seed) for seed in range(5)],
+        *[lambda line=line, moved=moved: load_model(HEISENBERG_CCM.replace(line, moved))
+          for line, moved in (("G 3 1 -1", "G 4 1 -1"), ("H 3 0 1", "H 4 0 1"),
+                              ("J 4 5 -1", "J 5 5 -1"))],
+    ], ids=["bundled", "heis-n2", "two-step", *[f"nilpotent-{seed}" for seed in range(5)],
+            "G4-moved", "H4-moved", "JV-moved"])
+    def test_axiom_rows_are_the_model_checks(self, build):
+        # the registry hands out the model's own check results, unchanged
+        m = build()
+        checks = validate_structure(m).checks
+        rows = {r.check_id: r for r in run_suite(m, "axioms").results}
+        assert len(checks) == 12
+        for check in checks:
+            assert rows[check.check_id] == check
 
     def test_rejects_non_lie_model(self):
         text = "version 1\nn 1\nbracket 0 1 2 1\nbracket 0 2 0 1\n"
