@@ -37,6 +37,7 @@ from .verify import (
     SELECTORS,
     ExpectedFormatError,
     Workspace,
+    check_rows,
     diff_expected,
     diff_text_rows,
     diff_tsv_rows,
@@ -107,18 +108,11 @@ def _index_range_check(m: ManifoldModel, indices, what: str) -> None:
 def _cmd_validate(args: argparse.Namespace) -> int:
     m = _load(args.model)
     report = validate_structure(m)
-    if args.format == "tsv":
-        rows = [f"{c.check_id}\t{c.status}\t{c.witness or ''}" for c in report.checks]
-    else:
-        rows = [f"# {PROG} validate model={m.name}"]
-        for c in report.checks:
-            row = f"{c.check_id} {c.status}"
-            if c.witness:
-                row += f" {c.witness}"
-            rows.append(row)
+    rows = check_rows(args.format, report.checks)
+    if args.format == "text":
         passed = sum(1 for c in report.checks if c.witness is None)
-        rows.append(f"# {len(report.checks)} checks: {passed} pass, "
-                    f"{len(report.failures)} fail")
+        rows = [f"# {PROG} validate model={m.name}", *rows,
+                f"# {len(report.checks)} checks: {passed} pass, {len(report.failures)} fail"]
     _emit(rows)
     return 0 if report.all_pass else 1
 

@@ -30,13 +30,14 @@ from .core import (
 # Largest accepted `n`.  Tables store nonzero int numerators over one den,
 # every slotted identity compares tables built from them, and RIEM-SYM,
 # BIANCHI-1 and the three normality routes read only the table entries that
-# can fail.  What still scales with d = 4n + 2 is the d**3 / 3 cyclic-orbit
-# slabs of BIANCHI-2.  Every kernel runs on ints, whose length grows with
-# the model's denominators, not with d.  The cap bounds the size of every
-# table; a suite at n = 13 (d = 54) on the block-diagonal Heisenberg model
-# takes seconds, but the cap does not bound the running time of a model with
-# long denominators.  A larger `n` is rejected by the loader before any
-# table is built.
+# can fail.  What still scales with d = 4n + 2 is BIANCHI-2's slabs: the
+# about d**3 / 6 triples s < a < b once RIEM-SYM holds, or the d**3 / 3
+# cyclic-orbit minima when it fails.  Every kernel runs on ints, whose
+# length grows with the model's denominators, not with d.  The cap bounds
+# the size of every table; a suite at n = 13 (d = 54) on the block-diagonal
+# Heisenberg model takes seconds, but the cap does not bound the running
+# time of a model with long denominators.  A larger `n` is rejected by the
+# loader before any table is built.
 MAX_N = 13
 
 

@@ -23,9 +23,12 @@ checks; the three normality routes, which compare the structures
 module's tables the same way; EQ-2.11 and EQ-5.7, whose sides are
 scalars; and RIEM-SYM, BIANCHI-1 and BIANCHI-2, which read the stored
 curvature and connection tables, visit only the index tuples that can
-fail (stored entries with their partners or rotations, and one slab per
-cyclic orbit), and still report the first failing tuple in
-`itertools.product` order.
+fail (stored entries with their partners or rotations, and BIANCHI-2's
+slabs: the triples s < a < b and entries k < l of its antisymmetric part
+once RIEM-SYM holds, one full slab per cyclic orbit otherwise), and still
+report the first failing tuple in `itertools.product` order.  The RIEM-SYM
+sweep runs once per `Workspace`; its row and BIANCHI-2's choice of sweep
+read the same result.
 
 Registry ids are stable opaque labels (the EQ-*/AX-*/NORM-* vocabulary
 used by the report formats); several identities are recorded here in a
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import re
 from functools import cached_property
-from typing import Callable
+from typing import Callable, Sequence
 
 from .core import (
     ZERO,
@@ -124,6 +127,12 @@ class Workspace(ConnectionWorkspace):
     @cached_property
     def normality(self) -> NormalityReport:
         return check_normality(self)
+
+    @cached_property
+    def riemann_symmetry(self) -> tuple[int, ...] | None:
+        """RIEM-SYM's first failing tuple, or None; BIANCHI-2 reads it to
+        choose its sweep."""
+        return riemann_symmetry_failures(self.curv)
 
     @cached_property
     def model_checks(self) -> dict[str, CheckResult]:
@@ -568,7 +577,7 @@ def _registry() -> list[Identity]:
     add_tables("EQ-4.10", "curvature", "any any", eq_4_10)
 
     def riemann_sym(ws: Workspace) -> CheckResult:
-        where = riemann_symmetry_failures(ws.curv)
+        where = ws.riemann_symmetry
         if where is None:
             return CheckResult("RIEM-SYM", Status.PASS)
         clause, lhs, rhs = next(part for part in riemann_symmetry_clauses(ws.curv, *where)
@@ -588,7 +597,8 @@ def _registry() -> list[Identity]:
     add_direct("BIANCHI-1", "curvature", bianchi_1)
 
     def bianchi_2(ws: Workspace) -> CheckResult:
-        failure = second_bianchi_failures(ws.model, ws.conn, ws.curv)
+        failure = second_bianchi_failures(ws.model, ws.conn, ws.curv,
+                                          ws.riemann_symmetry is None)
         if failure is None:
             return CheckResult("BIANCHI-2", Status.PASS)
         where, total = failure
@@ -819,19 +829,22 @@ def diff_expected(m: ManifoldModel, exp: ExpectedValues) -> DiffReport:
 
 # ----- deterministic report rendering (shared by the CLI and tests) -----
 
+def check_rows(fmt: str, results: Sequence[CheckResult]) -> list[str]:
+    """One `check_id status witness` row per result, for `verify` and
+    `validate`: space-joined in text, without the witness when there is
+    none; tab-joined in tsv, with an empty witness field."""
+    if fmt == "tsv":
+        return [f"{r.check_id}\t{r.status}\t{r.witness or ''}" for r in results]
+    return [f"{r.check_id} {r.status} {r.witness}" if r.witness else f"{r.check_id} {r.status}"
+            for r in results]
+
+
 def suite_text_rows(report: SuiteReport) -> list[str]:
-    rows = []
-    for r in report.results:
-        row = f"{r.check_id} {r.status}"
-        if r.witness:
-            row += f" {r.witness}"
-        rows.append(row)
-    return rows
+    return check_rows("text", report.results)
 
 
 def suite_tsv_rows(report: SuiteReport) -> list[str]:
-    return [f"{r.check_id}\t{r.status}\t{r.witness or ''}"
-            for r in report.results]
+    return check_rows("tsv", report.results)
 
 
 def diff_text_rows(report: DiffReport) -> list[str]:

@@ -179,4 +179,6 @@ def test_c10_symmetry_and_bianchi_properties_on_perturbed_models(heis_suite,
                               (1, rt.row(k, i, j))])
             assert cyclic.is_zero(), (seed, i, j, k)
         assert second_bianchi_failures(m, conn, rt) is None, seed
+        # RIEM-SYM holds, so the antisymmetric quarter sweep applies and agrees
+        assert second_bianchi_failures(m, conn, rt, pair_antisymmetric=True) is None, seed
     print("criterion 10 PASS")

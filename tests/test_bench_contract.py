@@ -49,3 +49,11 @@ def test_traced_suite_records_one_normality_span():
         ccmv.run_suite(ccmv.build_heisenberg(), "all")
     names = [s.name for s in tracer.spans]
     assert names.count("structures.check_normality") == 1, names
+
+
+def test_traced_suite_records_one_second_bianchi_span():
+    tracer = _tracing().Tracer()
+    with tracer.installed(), tracer.span("verdict"):
+        ccmv.run_suite(ccmv.build_heisenberg(), "all")
+    names = [s.name for s in tracer.spans]
+    assert names.count("curvature.second_bianchi_failures") == 1, names

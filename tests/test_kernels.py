@@ -16,7 +16,9 @@ random-sample phase the engine dropped is kept here too, as a reference
 the suite's rows must equal.  They are compared on the bundled model,
 generated nilpotent perturbations, the n=2 block-diagonal model, a fixed
 two-step model with [U, V] != 0 and non-integral tables, systematic
-mutations and single-entry bumps of the bundled model, random
+mutations and single-entry bumps of the bundled model, curvature bumps
+that keep every pair partner and connection bumps of each generated
+model (where BIANCHI-2 takes its antisymmetric quarter sweep), random
 two-step nilpotent models with random structure tensors, and random
 sparse 4-tensors.
 """
@@ -54,6 +56,7 @@ from ccmv import (
     second_bianchi_failures,
     suite_tsv_rows,
 )
+from ccmv import curvature
 from ccmv.core import combine
 from ccmv.curvature import first_bianchi_cyclic_sum, first_bianchi_failures
 from ccmv.model import structure_constants
@@ -1421,6 +1424,116 @@ class TestRationalBumps:
                     == product_order_first_bianchi_failure(ws.curv))
 
 
+# ----- BIANCHI-2 on its antisymmetric quarter -----
+
+def pair_partner_bumps(where: tuple[int, ...], delta: Fraction) -> dict:
+    """delta at R(i, j, k, l) and at its 7 pair partners, signed so that a
+    Riemann-symmetric R stays antisymmetric in each pair and symmetric
+    under the pair exchange: RIEM-SYM still holds, BIANCHI-1 and BIANCHI-2
+    need not."""
+    i, j, k, el = where
+    bumps: dict = {}
+    for key, sign in (((i, j, k, el), 1), ((j, i, k, el), -1),
+                      ((i, j, el, k), -1), ((j, i, el, k), 1)):
+        for at in (key, key[2:] + key[:2]):
+            bumps[at] = bumps.get(at, ZERO) + sign * delta
+    return bumps
+
+
+def _draw_bump(rng: random.Random, dim: int, kind: str) -> tuple[tuple[int, ...], Fraction]:
+    """A position for a bump of `kind` ("R", a pair-partner bump with i != j
+    and k != l; "conn", a gamma index; "single", any R index), and a
+    nonzero p/q."""
+    if kind == "R":
+        where = (*rng.sample(range(dim), 2), *rng.sample(range(dim), 2))
+    else:
+        where = tuple(rng.randrange(dim) for _ in range(3 if kind == "conn" else 4))
+    return where, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
+
+
+@contextmanager
+def nabla_r_calls():
+    """The `upper` flag of every call of the nabla R kernel in the block."""
+    calls: list[bool] = []
+    original = curvature._subtract_nabla_r
+
+    def counted(*args):
+        calls.append(args[-1])
+        return original(*args)
+
+    curvature._subtract_nabla_r = counted
+    try:
+        yield calls
+    finally:
+        curvature._subtract_nabla_r = original
+
+
+class TestQuarterSweep:
+    """Once RIEM-SYM holds, BIANCHI-2 builds only the slabs with s < a < b
+    and the entries with k < l.  Its result must be the full orbit sweep's
+    and the dense sweep's on tables where the identity fails, and R tables
+    without the pair symmetries must take the full sweep."""
+
+    @pytest.mark.parametrize("kind", ["R", "conn"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_quarter_sweep_gives_the_full_and_dense_witness(self, name, kind):
+        m = MODELS[name]()
+        rng = random.Random(f"quarter:{name}:{kind}")
+        for _ in range(12):
+            ws = Workspace(m)
+            where, delta = _draw_bump(rng, m.dim, kind)
+            if kind == "R":
+                ws.curv = _bumped(ws.curv, pair_partner_bumps(where, delta))
+            else:
+                ws.conn = _bumped(ws.conn, {where: delta})
+            assert ws.riemann_symmetry is None, where
+            quarter = second_bianchi_failures(m, ws.conn, ws.curv, True)
+            assert quarter is not None, where
+            assert quarter == second_bianchi_failures(m, ws.conn, ws.curv), where
+            with nabla_r_calls() as calls:
+                result = direct_result(ws, "BIANCHI-2")
+            assert calls and all(calls)
+            assert result == dense_second_bianchi(ws), where
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_broken_pair_symmetry_takes_the_full_sweep(self, name):
+        m = MODELS[name]()
+        rng = random.Random(f"broken:{name}")
+        for _ in range(8):
+            ws = Workspace(m)
+            where, delta = _draw_bump(rng, m.dim, "single")
+            ws.curv = _bumped(ws.curv, {where: delta})
+            assert ws.riemann_symmetry is not None, where
+            with nabla_r_calls() as calls:
+                result = direct_result(ws, "BIANCHI-2")
+            assert calls and not any(calls)
+            assert result.status is Status.FAIL
+            assert result == dense_second_bianchi(ws), where
+
+    def test_quarter_sweep_misses_a_repeated_index_witness(self, heisenberg, heis_curv,
+                                                           heis_conn):
+        # a bump without its partners breaks RIEM-SYM and fails first at a
+        # repeated index, a slab the quarter sweep never builds: the reason
+        # BIANCHI-2 takes the full sweep when RIEM-SYM fails
+        bad = _bumped(heis_curv, {(0, 1, 2, 3): Fraction(1, 3)})
+        found, _ = second_bianchi_failures(heisenberg, heis_conn, bad)
+        assert found == dense_bianchi_failure(heisenberg, heis_conn, bad) == (0, 0, 1, 2, 5)
+        assert second_bianchi_failures(heisenberg, heis_conn, bad, True)[0] != found
+
+    def test_quarter_and_full_sweeps_build_their_slab_counts(self):
+        # heis-n2 passes RIEM-SYM and BIANCHI-2, so every slab is built:
+        # C(10, 3) = 120 in the quarter, 340 cyclic-orbit minima in full
+        m = make_heisenberg_model(2)
+        ws = Workspace(m)
+        with nabla_r_calls() as calls:
+            assert direct_result(ws, "BIANCHI-2").status is Status.PASS
+        assert ws.riemann_symmetry is None
+        assert len(calls) == 3 * 120 and all(calls)
+        with nabla_r_calls() as calls:
+            assert second_bianchi_failures(m, ws.conn, ws.curv) is None
+        assert len(calls) == 3 * 340 and not any(calls)
+
+
 # ----- the curvature sweeps on random sparse tensors -----
 
 small_values = st.integers(-3, 3).filter(bool).map(Fraction)
@@ -1478,6 +1591,8 @@ def assert_sweeps_match_references(case) -> None:
     model = SimpleNamespace(dim=dim)
     failure = second_bianchi_failures(model, conn, rt)
     assert (failure and failure[0]) == dense_bianchi_failure(model, conn, rt)
+    if sym is None:
+        assert second_bianchi_failures(model, conn, rt, True) == failure
     if failure is not None:
         found, value = failure
         assert value != 0

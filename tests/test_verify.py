@@ -202,6 +202,20 @@ class TestSuite:
         run_suite(heisenberg)
         assert calls == {"sigma_form": 1, "cov_deriv_table": 3, "exterior_d_oneform": 3}
 
+    def test_riemann_symmetry_is_swept_once(self, heisenberg, monkeypatch):
+        # RIEM-SYM's row and BIANCHI-2's choice of sweep read one result
+        import ccmv.verify as verify
+        calls = []
+
+        def counted(rt, _fn=verify.riemann_symmetry_failures):
+            calls.append(rt)
+            return _fn(rt)
+        monkeypatch.setattr(verify, "riemann_symmetry_failures", counted)
+        report = run_suite(heisenberg)
+        assert len(calls) == 1
+        assert report.result("RIEM-SYM").status is Status.PASS
+        assert report.result("BIANCHI-2").status is Status.PASS
+
     @pytest.mark.parametrize("build", [
         build_heisenberg, lambda: make_heisenberg_model(2), make_two_step_model,
         *[lambda seed=seed: make_nilpotent_model(seed) for seed in range(5)],
