@@ -54,18 +54,14 @@ class _CliError(Exception):
     """Carries a user-facing message for an exit-2 condition."""
 
 
-def _fail(message: str) -> "_CliError":
-    return _CliError(message)
-
-
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise _fail(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:
-        raise _fail(f"cannot read {path}: not UTF-8 text "
-                    f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})") from exc
+        raise _CliError(f"cannot read {path}: not UTF-8 text "
+                        f"(byte 0x{exc.object[exc.start]:02x} at offset {exc.start})") from exc
 
 
 def _load(path: str) -> ManifoldModel:
@@ -73,7 +69,7 @@ def _load(path: str) -> ManifoldModel:
     try:
         return load_model(source)
     except ModelFormatError as exc:
-        raise _fail(f"{path}: {exc}") from exc
+        raise _CliError(f"{path}: {exc}") from exc
 
 
 def _load_lie(path: str) -> ManifoldModel:
@@ -81,7 +77,7 @@ def _load_lie(path: str) -> ManifoldModel:
     try:
         require_lie_algebra(m)
     except InvalidModelError as exc:
-        raise _fail(str(exc)) from exc
+        raise _CliError(str(exc)) from exc
     return m
 
 
@@ -102,7 +98,7 @@ def _integer(text: str) -> int:
 def _index_range_check(m: ManifoldModel, indices, what: str) -> None:
     for idx in indices:
         if not 0 <= idx < m.dim:
-            raise _fail(f"{what} index {idx} out of range for dimension {m.dim}")
+            raise _CliError(f"{what} index {idx} out of range for dimension {m.dim}")
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -184,7 +180,7 @@ def _cmd_sectional(args: argparse.Namespace) -> int:
     try:
         value = sectional(rt, m.basis(i), m.basis(j))
     except DegeneratePlane as exc:
-        raise _fail(str(exc)) from exc
+        raise _CliError(str(exc)) from exc
     rows = [_value_row(args.format, "sec", (i, j), format_scalar(value))]
     if args.format == "text":
         rows = [f"# {PROG} sectional model={m.name}"] + rows
@@ -212,11 +208,11 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     try:
         expected = parse_expected(source, m.dim)
     except ExpectedFormatError as exc:
-        raise _fail(f"{args.expected}: {exc}") from exc
+        raise _CliError(f"{args.expected}: {exc}") from exc
     try:
         report = diff_expected(m, expected)
     except DegeneratePlane as exc:
-        raise _fail(str(exc)) from exc
+        raise _CliError(str(exc)) from exc
     if args.format == "tsv":
         rows = diff_tsv_rows(report)
     else:
@@ -235,7 +231,7 @@ def _cmd_example(args: argparse.Namespace) -> int:
         try:
             Path(args.emit).write_text(text, encoding="utf-8")
         except OSError as exc:
-            raise _fail(f"cannot write {args.emit}: {exc.strerror or exc}") from exc
+            raise _CliError(f"cannot write {args.emit}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

@@ -26,7 +26,7 @@ import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -462,19 +462,25 @@ class Table(Record):
         return Table(self.dim, rank, graft(self.entries, self.rank),
                      self.den * other.den)._reduced()
 
+    def keyed(self, order: Sequence[int] | None = None,
+              sign: int = 1) -> tuple[dict[tuple[int, ...], int], int]:
+        """The numerators times `sign`, as an unsorted map from index tuple,
+        and den; with `order`, those of `permute(order)`, in one pass over
+        the stored entries that builds no tree and sorts nothing."""
+        if order is not None and sorted(order) != list(range(self.rank)):
+            raise ValueError(f"{tuple(order)} is not an order of {self.rank} slots")
+        pairs = self.numerators()
+        if order is None or self.rank == 1:
+            return {key: sign * a for key, a in pairs}, self.den
+        # slot s of a stored key moves to slot order[s]
+        move = itemgetter(*sorted(range(self.rank), key=order.__getitem__))
+        return {move(key): sign * a for key, a in pairs}, self.den
+
     def permute(self, order: Sequence[int]) -> Table:
         """The Table whose entry at (i_0, ..., i_r-1) is this table's entry
         at (i_order[0], ..., i_order[r-1]): order (1, 0, 2) swaps the first
         two slots of a rank-3 table, and order (1, 0) transposes a map."""
-        if sorted(order) != list(range(self.rank)):
-            raise ValueError(f"{tuple(order)} is not an order of {self.rank} slots")
-        values = {}
-        for key, a in self.numerators():
-            idx = [0] * self.rank
-            for s, i in zip(order, key):
-                idx[s] = i
-            values[tuple(idx)] = a
-        return Table.from_numerators(self.dim, self.rank, values, self.den)
+        return Table.from_numerators(self.dim, self.rank, *self.keyed(order))
 
     @staticmethod
     def identity(dim: int) -> Table:
@@ -494,36 +500,48 @@ def combine(terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
     return Table(first.dim, first.rank, {}).add(terms)
 
 
-def first_table_failure(clauses: list[tuple[str, Table, Table]], width: int):
-    """First frame tuple, in `itertools.product` order, where some clause's
-    two tables differ, with the first such clause and both sides there;
-    None when they agree on every frame tuple.
+# A first failure: the frame tuple, the clause, and both sides there.
+Failure = tuple[tuple[int, ...], object, object, object]
 
-    A frame tuple is the first `width` indices of a key.  When `width` is
-    the tables' rank the sides are entries.  When it is one less they are
-    rows, the vectors of the last slot, and a clause differs at a tuple
-    when its rows do: the first clause wins there even if a later one
-    differs at a smaller last index.  A key stored on neither side holds
-    every clause, so only the stored keys of both sides are candidates.
-    Sides in canonical form are equal exactly when their trees and dens
-    are; otherwise the keys are compared by cross-multiplied numerators,
-    and no Fraction is built before the witness.
-    """
-    failing, sides = [], {}
-    for c, (_, lhs, rhs) in enumerate(clauses):
-        dl, dr = lhs.den, rhs.den
-        if dl != dr or lhs.entries != rhs.entries:
-            left, right = sides[c] = dict(lhs.numerators()), dict(rhs.numerators())
-            failing += [(key[:width], c) for key in left.keys() | right.keys()
+
+def first_failure(clauses: list[tuple[object, tuple[dict, int], tuple[dict, int]]],
+                  width: int) -> Failure | None:
+    """First frame tuple, the first `width` indices of a key, where some
+    clause's sides differ, in `itertools.product` order: (frame tuple,
+    first clause differing there, both sides at its first differing key
+    there), or None.  A clause is a label and two sides, each an int
+    numerator map, unsorted and not necessarily reduced, and its den.  Only
+    the keys of either side are compared, by cross-multiplied numerators,
+    and no Fraction is built before the witness."""
+    failing = []
+    for c, (_, (left, dl), (right, dr)) in enumerate(clauses):
+        if dl != dr or left != right:
+            failing += [(key[:width], c, key) for key in left.keys() | right.keys()
                         if left.get(key, 0) * dr != right.get(key, 0) * dl]
     if not failing:
         return None
-    where, c = min(failing)
+    where, c, key = min(failing)
+    label, (left, dl), (right, dr) = clauses[c]
+    return where, label, Fraction(left.get(key, 0), dl), Fraction(right.get(key, 0), dr)
+
+
+def first_table_failure(clauses: list[tuple[str, Table, Table]],
+                        width: int) -> Failure | None:
+    """`first_failure` of clauses whose sides are Tables of one rank; only
+    those whose trees or dens differ are keyed.  With `width` one less
+    than the rank, a clause differs at a frame tuple when its rows, the
+    vectors of the last slot, do: the first clause wins there even if a
+    later one differs at a smaller last index, and the witness is both
+    rows."""
+    failure = first_failure([(c, lhs.keyed(), rhs.keyed())
+                             for c, (_, lhs, rhs) in enumerate(clauses)
+                             if lhs.den != rhs.den or lhs.entries != rhs.entries], width)
+    if failure is None:
+        return None
+    where, c, left, right = failure
     name, lhs, rhs = clauses[c]
     if width == lhs.rank:
-        left, right = sides[c]
-        return (where, name, Fraction(left.get(where, 0), lhs.den),
-                Fraction(right.get(where, 0), rhs.den))
+        return where, name, left, right
     return where, name, lhs.row(*where), rhs.row(*where)
 
 

@@ -7,10 +7,12 @@ coefficients and structure constants, assembled here on the tables' int
 numerators over one den.
 
 The three checks of R on arbitrary vector fields (RIEM-SYM, BIANCHI-1,
-BIANCHI-2) sweep the int numerators too: the pair symmetries and the
-cyclic sum compare numerators over R's one den, and each cyclic nabla R
-term is a connection numerator times an R numerator, over the product of
-the two dens.  A witness value is the failing numerator over its den.
+BIANCHI-2) run on the int numerators too, and each returns its first
+failure as (index tuple, clause, lhs, rhs).  RIEM-SYM and BIANCHI-1 are
+clauses of `core.first_failure`: R's numerator map against that of R with
+its slots permuted, and the cyclic sum against the empty map.  Each cyclic
+nabla R term of BIANCHI-2 is a connection numerator times an R numerator,
+over the product of the two dens.
 
 BIANCHI-2 builds one slab of the cyclic sum per triple of its first three
 indices, keyed by the last two.  When R is antisymmetric in each pair (as
@@ -26,7 +28,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .core import Scalar, Table
+from .core import ZERO, Failure, Scalar, Table, first_failure
 from .model import ManifoldModel
 
 
@@ -150,11 +152,11 @@ def _subtract_nabla_r(slab: dict, gamma: dict, into: dict, rt: Table,
 
 
 def second_bianchi_failures(m: ManifoldModel, conn: Table, rt: Table,
-                            pair_antisymmetric: bool = False
-                            ) -> tuple[tuple[int, ...], Scalar] | None:
-    """First (m, i, j, k, l) tuple, in `itertools.product` order, violating
-    the differential Bianchi identity, with the cyclic sum over the first
-    three indices of nabla R there; None when there is none.
+                            pair_antisymmetric: bool = False) -> Failure | None:
+    """First failure of the differential Bianchi identity, as ((m, i, j,
+    k, l), "", cyclic sum, 0) at the first tuple in `itertools.product`
+    order where the cyclic sum over the first three indices of nabla R is
+    nonzero; None when there is none.
 
     The cyclic slab at (i, j, m) or (j, m, i) is the same three nabla R
     terms as at (m, i, j), so the failing triples are closed under rotation
@@ -186,59 +188,32 @@ def second_bianchi_failures(m: ManifoldModel, conn: Table, rt: Table,
         failing = [key for key, total in slab.items() if total]
         if failing:
             key = min(failing)
-            return (mm, i, j, *key), Fraction(slab[key], conn.den * rt.den)
+            return (mm, i, j, *key), "", Fraction(slab[key], conn.den * rt.den), ZERO
     return None
 
 
-def first_bianchi_cyclic_sum(rt: Table, i: int, j: int, k: int, el: int) -> Scalar:
-    """R_ijkl + R_jkil + R_kijl; zero when the first Bianchi identity holds."""
-    return rt.entry(i, j, k, el) + rt.entry(j, k, i, el) + rt.entry(k, i, j, el)
+def first_bianchi_failures(rt: Table) -> Failure | None:
+    """First failure of the first Bianchi identity, as (index tuple, "",
+    cyclic sum, 0) at the first tuple in `itertools.product` order with a
+    nonzero sum R_ijkl + R_jkil + R_kijl; None when there is none.  The
+    sums are of R's numerators, each stored entry added at its own tuple
+    and at the two rotations of its first three indices, and are compared
+    with the empty map."""
+    total: dict[tuple[int, int, int, int], int] = {}
+    for (i, j, k, el), a in rt.numerators():
+        for key in ((i, j, k, el), (k, i, j, el), (j, k, i, el)):
+            total[key] = total.get(key, 0) + a
+    return first_failure([("", (total, rt.den), ({}, 1))], 4)
 
 
-def first_bianchi_failures(rt: Table) -> tuple[int, ...] | None:
-    """First index tuple, in `itertools.product` order, with a nonzero
-    cyclic sum, or None.
-
-    A nonzero sum has a nonzero term, so the tuple is one of the three
-    rotations of the first three indices of a stored entry; only those
-    candidates are read, in sorted order, and summed on R's numerators.
-    """
-    r = dict(rt.numerators())
-    candidates = {where for a, b, c, el in r
-                  for where in ((a, b, c, el), (c, a, b, el), (b, c, a, el))}
-    for where in sorted(candidates):
-        i, j, k, el = where
-        if r.get(where, 0) + r.get((j, k, i, el), 0) + r.get((k, i, j, el), 0):
-            return where
-    return None
-
-
-def riemann_symmetry_clauses(rt: Table, i: int, j: int, k: int,
-                             el: int) -> tuple[tuple[str, Scalar, Scalar], ...]:
-    """The three pair symmetries at one index tuple, as (name, R_ijkl, the
-    entry value the symmetry demands)."""
-    value = rt.entry(i, j, k, el)
-    return (("swap-first-pair", value, -rt.entry(j, i, k, el)),
-            ("swap-second-pair", value, -rt.entry(i, j, el, k)),
-            ("pair-exchange", value, rt.entry(k, el, i, j)))
-
-
-def riemann_symmetry_failures(rt: Table) -> tuple[int, ...] | None:
-    """First index tuple, in `itertools.product` order, violating the pair
-    symmetries, or None.
-
-    The clauses at (i, j, k, l) read R there and at (j, i, k, l),
-    (i, j, l, k) and (k, l, i, j); where all four are zero every clause
-    holds.  So only the stored entries and those three partners of each
-    are candidates, checked in sorted order on R's numerators.
-    """
-    r = dict(rt.numerators())
-    candidates = {where for i, j, k, el in r
-                  for where in ((i, j, k, el), (j, i, k, el), (i, j, el, k), (k, el, i, j))}
-    for where in sorted(candidates):
-        i, j, k, el = where
-        value = r.get(where, 0)
-        if (value != -r.get((j, i, k, el), 0) or value != -r.get((i, j, el, k), 0)
-                or value != r.get((k, el, i, j), 0)):
-            return where
-    return None
+def riemann_symmetry_failures(rt: Table) -> Failure | None:
+    """First failure of the pair symmetries, as (index tuple, clause,
+    R_ijkl, the entry value the symmetry demands) at the first tuple in
+    `itertools.product` order where one fails, with the first failing of
+    swap-first-pair (-R_jikl), swap-second-pair (-R_ijlk) and pair-exchange
+    (R_klij) there; None when all three hold.  Each clause compares R's
+    numerators with those of its permuted table."""
+    r = rt.keyed()
+    return first_failure([("swap-first-pair", r, rt.keyed((1, 0, 2, 3), -1)),
+                          ("swap-second-pair", r, rt.keyed((0, 1, 3, 2), -1)),
+                          ("pair-exchange", r, rt.keyed((2, 3, 0, 1)))], 4)

@@ -10,17 +10,17 @@ V and need no separate storage.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 from .core import (
-    ZERO,
+    Failure,
     Record,
     Scalar,
     Status,
     Table,
     combine,
-    first_table_failure,
+    first_failure,
     format_scalar,
     parse_frame_index,
     parse_scalar,
@@ -28,12 +28,12 @@ from .core import (
 
 
 # Largest accepted `n`.  Tables store nonzero int numerators over one den,
-# every slotted identity compares tables built from them, and RIEM-SYM,
-# BIANCHI-1 and the three normality routes read only the table entries that
-# can fail.  What still scales with d = 4n + 2 is BIANCHI-2's slabs: the
-# about d**3 / 6 triples s < a < b once RIEM-SYM holds, or the d**3 / 3
-# cyclic-orbit minima when it fails.  Every kernel runs on ints, whose
-# length grows with the model's denominators, not with d.  The cap bounds
+# and every slotted identity, RIEM-SYM, BIANCHI-1 and the three normality
+# routes compare numerator maps keyed by those stored entries only, their
+# slots permuted where a clause asks.  What still scales with d = 4n + 2
+# is BIANCHI-2's slabs: the about d**3 / 6 triples s < a < b once RIEM-SYM
+# holds, or the d**3 / 3 cyclic-orbit minima when it fails.  Every kernel
+# runs on ints, whose length grows with the model's denominators, not d.  The cap bounds
 # the size of every table; a suite at n = 13 (d = 54) on the block-diagonal
 # Heisenberg model takes seconds, but the cap does not bound the running
 # time of a model with long denominators.  A larger `n` is rejected by the
@@ -134,46 +134,50 @@ class ValidationReport(Record):
         return tuple(c for c in self.checks if c.status is Status.FAIL)
 
 
-def _entry_witness(indices: tuple[int, ...], lhs: Scalar, rhs: Scalar,
-                   clause: str = "") -> str:
+def check_result(check_id: str, failure: Failure | None, witness: Callable) -> CheckResult:
+    """A check's result from its first failure: PASS when there is none,
+    else FAIL with the witness rendered from (where, clause, lhs, rhs)."""
+    if failure is None:
+        return CheckResult(check_id, Status.PASS)
+    return CheckResult(check_id, Status.FAIL, witness(*failure))
+
+
+def _entry_witness(where: tuple[int, ...], clause: str, lhs: Scalar, rhs: Scalar) -> str:
     head = f"{clause} " if clause else ""
-    idx = ",".join(str(i) for i in indices)
+    idx = ",".join(str(i) for i in where)
     return f"{head}entry=({idx}) lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}"
 
 
 def _check_matrices(check_id: str, pairs: list[tuple[str, Table, Table]]) -> CheckResult:
     """The first clause whose tables differ, at its first differing entry in
-    `itertools.product` order.  Rank-2 sides that differ are compared
-    transposed, so that their keys run output index first and the entry
-    reads (k, i)."""
+    `itertools.product` order.  Rank-2 sides are compared transposed, so
+    that their keys run output index first and the entry reads (k, i)."""
+    failure = None
     for clause, lhs, rhs in pairs:
-        if lhs.rank == 2 and lhs != rhs:
-            lhs, rhs = lhs.permute((1, 0)), rhs.permute((1, 0))
-        failure = first_table_failure([(clause, lhs, rhs)], lhs.rank)
-        if failure is not None:
-            where, _, left, right = failure
-            return CheckResult(check_id, Status.FAIL, _entry_witness(where, left, right, clause))
-    return CheckResult(check_id, Status.PASS)
+        if lhs != rhs:
+            order = (1, 0) if lhs.rank == 2 else None
+            failure = first_failure([(clause, lhs.keyed(order), rhs.keyed(order))], lhs.rank)
+            if failure is not None:
+                break
+    return check_result(check_id, failure, _entry_witness)
 
 
 def lie_checks(m: ManifoldModel) -> list[CheckResult]:
     """Bracket antisymmetry and the Jacobi identity, exhaustively.
 
+    LIE-ANTISYM compares the numerator maps of c(i, j, k) and -c(j, i, k).
     The Jacobi sum at (i, j, l, k) is
-    sum_m c(i, j, m) c(m, l, k) + c(j, l, m) c(m, i, k) + c(l, i, m) c(m, j, k);
-    it is accumulated from products of nonzero brackets only, and the
-    witness is the first nonzero sum in `itertools.product` order.
+    sum_m c(i, j, m) c(m, l, k) + c(j, l, m) c(m, i, k) + c(l, i, m) c(m, j, k),
+    accumulated from products of nonzero brackets only and compared with
+    the empty map.  Each witness is the first failing entry.
     """
     c = m.constants
-    values = c.numerators()
-    # -c(j, i, k) at (i, j, k), built in one pass: permute and combine
-    # would each sort the entries again
-    flipped = Table.from_numerators(c.dim, 3, {(j, i, k): -a for (i, j, k), a in values}, c.den)
-    results = [_check_matrices("LIE-ANTISYM", [("", c, flipped)])]
+    results = [check_result("LIE-ANTISYM", first_failure(
+        [("", c.keyed(), c.keyed((1, 0, 2), -1))], 3), _entry_witness)]
 
     # the sums of products of numerators, over the den squared
     sums: dict[tuple[int, int, int, int], int] = {}
-    for (a, b, p), first in values:
+    for (a, b, p), first in c.numerators():
         for e, inner in c.sub(p).items():
             for k, second in inner:
                 # c(a, b, p) c(p, e, k) is a term of the sums at
@@ -181,13 +185,8 @@ def lie_checks(m: ManifoldModel) -> list[CheckResult]:
                 term = first * second
                 for key in ((a, b, e, k), (e, a, b, k), (b, e, a, k)):
                     sums[key] = sums.get(key, 0) + term
-    failing = [key for key, total in sums.items() if total]
-    witness = None
-    if failing:
-        first_key = min(failing)
-        witness = _entry_witness(first_key, Fraction(sums[first_key], c.den ** 2), ZERO)
-    results.append(CheckResult("LIE-JACOBI", Status.FAIL if witness else Status.PASS,
-                               witness))
+    results.append(check_result("LIE-JACOBI", first_failure(
+        [("", (sums, c.den ** 2), ({}, 1))], 4), _entry_witness))
     return results
 
 

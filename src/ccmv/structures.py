@@ -24,7 +24,8 @@ tables the tuple is the key without its last index and a clause fails
 there when its rows differ.  Every quantity is linear in each slot, so a
 route that holds on every frame tuple holds on all vectors, and no route
 evaluates any other vector.  The same comparison, `first_table_failure`,
-decides every table identity of the verify module's registry.
+decides every table identity of the verify module's registry; it is the
+Table front of `first_failure`, which the model and curvature checks call.
 
 The published displays carry sign and term misprints; the identity
 registry in the verify module states each as-printed display (EQ-2.4,
@@ -51,7 +52,7 @@ from .connection import (
     sigma_form,
     wedge,
 )
-from .model import CheckResult, ManifoldModel
+from .model import CheckResult, ManifoldModel, check_result
 
 
 class NormalityReport(Record):
@@ -311,15 +312,10 @@ class ConnectionWorkspace:
         return self.torsion_H.add([(-1, self._vertical_pairing), (1, _alternate(tail))])
 
 
-def _route(check_id: str, failure) -> CheckResult:
-    """A route's result from its first failure (None when it holds): the
-    failing clause, its frame tuple and both sides there."""
-    if failure is None:
-        return CheckResult(check_id, Status.PASS)
-    where, label, lhs, rhs = failure
+def _route_witness(where: tuple[int, ...], label: str, lhs, rhs) -> str:
+    """A route's witness: the clause, its frame tuple and both sides there."""
     slots = ",".join(map(str, where))
-    return CheckResult(check_id, Status.FAIL,
-                       f"{label} slots={slots} lhs={format_value(lhs)} rhs={format_value(rhs)}")
+    return f"{label} slots={slots} lhs={format_value(lhs)} rhs={format_value(rhs)}"
 
 
 def _route_korkmaz(ctx: ConnectionWorkspace) -> CheckResult:
@@ -337,7 +333,7 @@ def _route_korkmaz(ctx: ConnectionWorkspace) -> CheckResult:
         if vertical is not None:
             (i,), label, lhs, rhs = vertical
             failure = (i, m.U_index if label == "S(.,U)" else m.V_index), label, lhs, rhs
-    return _route("NORM-KORKMAZ", failure)
+    return check_result("NORM-KORKMAZ", failure, _route_witness)
 
 
 def check_normality(ctx: ConnectionWorkspace) -> NormalityReport:
@@ -350,8 +346,10 @@ def check_normality(ctx: ConnectionWorkspace) -> NormalityReport:
     """
     return NormalityReport(
         korkmaz=_route_korkmaz(ctx),
-        prop21=_route("NORM-PROP21", first_table_failure(
-            [("G", ctx.nabla_G, ctx.prop21_G), ("H", ctx.nabla_H, ctx.prop21_H)], 3)),
-        thm45=_route("NORM-THM45", first_table_failure(
-            [("G", ctx.nabla_G, ctx.thm45_G), ("H", ctx.nabla_H, ctx.thm45_H)], 2)),
+        prop21=check_result("NORM-PROP21", first_table_failure(
+            [("G", ctx.nabla_G, ctx.prop21_G), ("H", ctx.nabla_H, ctx.prop21_H)], 3),
+            _route_witness),
+        thm45=check_result("NORM-THM45", first_table_failure(
+            [("G", ctx.nabla_G, ctx.thm45_G), ("H", ctx.nabla_H, ctx.thm45_H)], 2),
+            _route_witness),
     )

@@ -19,16 +19,15 @@ frame is evaluated.  EQ-2.8 has no slots: its sides are single rows,
 compared at the empty tuple, printed `-`.
 
 Direct identities report the results of their own checks: the structural
-checks; the three normality routes, which compare the structures
-module's tables the same way; EQ-2.11 and EQ-5.7, whose sides are
-scalars; and RIEM-SYM, BIANCHI-1 and BIANCHI-2, which read the stored
-curvature and connection tables, visit only the index tuples that can
-fail (stored entries with their partners or rotations, and BIANCHI-2's
-slabs: the triples s < a < b and entries k < l of its antisymmetric part
-once RIEM-SYM holds, one full slab per cyclic orbit otherwise), and still
-report the first failing tuple in `itertools.product` order.  The RIEM-SYM
-sweep runs once per `Workspace`; its row and BIANCHI-2's choice of sweep
-read the same result.
+checks and the normality routes, which compare tables the same way;
+EQ-2.11 and EQ-5.7, whose sides are scalars; RIEM-SYM and BIANCHI-1,
+clauses of `core.first_failure` on R's numerator maps (R against R with
+its slots permuted, the cyclic sum against the empty map); and BIANCHI-2,
+whose cyclic nabla R slabs are the triples s < a < b and entries k < l of
+its antisymmetric part once RIEM-SYM holds, one full slab per cyclic orbit
+otherwise.  Each reports its first failing tuple in `itertools.product`
+order, rendered as every row is.  RIEM-SYM runs once per `Workspace`;
+its row and BIANCHI-2's choice of sweep read the same result.
 
 Registry ids are stable opaque labels (the EQ-*/AX-*/NORM-* vocabulary
 used by the report formats); several identities are recorded here in a
@@ -45,6 +44,7 @@ from typing import Callable, Sequence
 
 from .core import (
     ZERO,
+    Failure,
     Record,
     Scalar,
     Status,
@@ -58,12 +58,10 @@ from .core import (
 )
 from .connection import levi_civita
 from .curvature import (
-    first_bianchi_cyclic_sum,
     first_bianchi_failures,
     holomorphic_sectional,
     ricci,
     riemann,
-    riemann_symmetry_clauses,
     riemann_symmetry_failures,
     scalar_curvature,
     second_bianchi_failures,
@@ -72,6 +70,7 @@ from .curvature import (
 from .model import (
     CheckResult,
     ManifoldModel,
+    check_result,
     lie_checks,
     require_lie_algebra,
     structure_tensor_checks,
@@ -129,9 +128,9 @@ class Workspace(ConnectionWorkspace):
         return check_normality(self)
 
     @cached_property
-    def riemann_symmetry(self) -> tuple[int, ...] | None:
-        """RIEM-SYM's first failing tuple, or None; BIANCHI-2 reads it to
-        choose its sweep."""
+    def riemann_symmetry(self) -> Failure | None:
+        """RIEM-SYM's first failure, or None; BIANCHI-2 reads it to choose
+        its sweep."""
         return riemann_symmetry_failures(self.curv)
 
     @cached_property
@@ -252,22 +251,19 @@ def render_witness(slots: str, clause: str, lhs, rhs) -> str:
     return f"slots={slots}{part} lhs={format_value(lhs)} rhs={format_value(rhs)}"
 
 
+def _slots_witness(where: tuple[int, ...], clause: str, lhs, rhs) -> str:
+    """A row's witness: the frame tuple, `-` when it is empty."""
+    return render_witness(",".join(map(str, where)) or "-", clause, lhs, rhs)
+
+
 def _run_tables(ws: Workspace, ident: Identity) -> CheckResult:
-    failure = first_table_failure(ident.tables(ws), len(ident.slots))
-    if failure is None:
-        return CheckResult(ident.identity_id, Status.PASS)
-    idx, clause, lhs, rhs = failure
-    return CheckResult(ident.identity_id, Status.FAIL,
-                       render_witness(",".join(map(str, idx)) or "-", clause, lhs, rhs))
+    return check_result(ident.identity_id,
+                        first_table_failure(ident.tables(ws), len(ident.slots)), _slots_witness)
 
 
-def _first_scalar_failure(identity_id: str,
-                          clauses: list[tuple[str, Scalar, Scalar]]) -> CheckResult:
+def _first_scalar_failure(clauses: list[tuple[str, Scalar, Scalar]]) -> Failure | None:
     """A slotless identity of scalar clauses: the first clause that fails."""
-    for clause, lhs, rhs in clauses:
-        if lhs != rhs:
-            return CheckResult(identity_id, Status.FAIL, render_witness("-", clause, lhs, rhs))
-    return CheckResult(identity_id, Status.PASS)
+    return next((((), clause, lhs, rhs) for clause, lhs, rhs in clauses if lhs != rhs), None)
 
 
 def _registry() -> list[Identity]:
@@ -278,6 +274,11 @@ def _registry() -> list[Identity]:
 
     def add_direct(identity_id: str, group: str, fn) -> None:
         ids.append(Identity(identity_id, group, (), direct=fn))
+
+    def add_failure(identity_id: str, group: str, fn) -> None:
+        """A direct identity whose check returns its first failure."""
+        add_direct(identity_id, group,
+                   lambda ws: check_result(identity_id, fn(ws), _slots_witness))
 
     # A table's value at (X, Y, ...) is named below: the frame vectors of the
     # identity's slots, then the output vector for a vector-valued side.  u,
@@ -447,11 +448,11 @@ def _registry() -> list[Identity]:
 
     # ----- curvature -----
     # R(U, V, V, U) = R(V, U, U, V) = -2 dsigma(U, V)
-    def eq_2_11(ws: Workspace) -> CheckResult:
+    def eq_2_11(ws: Workspace) -> Failure | None:
         u, v, target = ws.model.U_index, ws.model.V_index, -2 * ws.dUV
-        return _first_scalar_failure("EQ-2.11", [("UVVU", ws.curv.entry(u, v, v, u), target),
-                                                 ("VUUV", ws.curv.entry(v, u, u, v), target)])
-    add_direct("EQ-2.11", "curvature", eq_2_11)
+        return _first_scalar_failure([("UVVU", ws.curv.entry(u, v, v, u), target),
+                                      ("VUUV", ws.curv.entry(v, u, u, v), target)])
+    add_failure("EQ-2.11", "curvature", eq_2_11)
 
     # EQ-2.12 - EQ-2.19: R with vertical arguments, on horizontal X, Y.
     # R(X, U)U = R(X, V)V = X
@@ -576,35 +577,10 @@ def _registry() -> list[Identity]:
                                           (1, at_v.tensor(v)), (1, at_u.tensor(u))]))]
     add_tables("EQ-4.10", "curvature", "any any", eq_4_10)
 
-    def riemann_sym(ws: Workspace) -> CheckResult:
-        where = ws.riemann_symmetry
-        if where is None:
-            return CheckResult("RIEM-SYM", Status.PASS)
-        clause, lhs, rhs = next(part for part in riemann_symmetry_clauses(ws.curv, *where)
-                                if part[1] != part[2])
-        return CheckResult("RIEM-SYM", Status.FAIL,
-                           render_witness(",".join(map(str, where)), clause, lhs, rhs))
-    add_direct("RIEM-SYM", "curvature", riemann_sym)
-
-    def bianchi_1(ws: Workspace) -> CheckResult:
-        where = first_bianchi_failures(ws.curv)
-        if where is None:
-            return CheckResult("BIANCHI-1", Status.PASS)
-        return CheckResult(
-            "BIANCHI-1", Status.FAIL,
-            render_witness(",".join(map(str, where)), "",
-                           first_bianchi_cyclic_sum(ws.curv, *where), ZERO))
-    add_direct("BIANCHI-1", "curvature", bianchi_1)
-
-    def bianchi_2(ws: Workspace) -> CheckResult:
-        failure = second_bianchi_failures(ws.model, ws.conn, ws.curv,
-                                          ws.riemann_symmetry is None)
-        if failure is None:
-            return CheckResult("BIANCHI-2", Status.PASS)
-        where, total = failure
-        return CheckResult("BIANCHI-2", Status.FAIL,
-                           render_witness(",".join(map(str, where)), "", total, ZERO))
-    add_direct("BIANCHI-2", "curvature", bianchi_2)
+    add_failure("RIEM-SYM", "curvature", lambda ws: ws.riemann_symmetry)
+    add_failure("BIANCHI-1", "curvature", lambda ws: first_bianchi_failures(ws.curv))
+    add_failure("BIANCHI-2", "curvature", lambda ws: second_bianchi_failures(
+        ws.model, ws.conn, ws.curv, ws.riemann_symmetry is None))
 
     # ----- ricci -----
     # rho(AX, AY) = rho(X, Y) and rho(AX, Y) = -rho(X, AY) for A = G, H, on
@@ -622,12 +598,12 @@ def _registry() -> list[Identity]:
 
     # rho(U, U) = rho(V, V) = 4n - 2 dsigma(U, V), rho(U, V) = 0; and so
     # rho(X, U) = (4n - 2 dsigma(U, V)) u(X), and for V
-    def eq_5_7(ws: Workspace) -> CheckResult:
+    def eq_5_7(ws: Workspace) -> Failure | None:
         u, v, target = ws.model.U_index, ws.model.V_index, ws.ricci_target
-        return _first_scalar_failure("EQ-5.7", [("UU", ws.rho.entry(u, u), target),
-                                                ("VV", ws.rho.entry(v, v), target),
-                                                ("UV", ws.rho.entry(u, v), ZERO)])
-    add_direct("EQ-5.7", "ricci", eq_5_7)
+        return _first_scalar_failure([("UU", ws.rho.entry(u, u), target),
+                                      ("VV", ws.rho.entry(v, v), target),
+                                      ("UV", ws.rho.entry(u, v), ZERO)])
+    add_failure("EQ-5.7", "ricci", eq_5_7)
     add_tables("EQ-5.10", "ricci", "any", lambda ws: [
         ("U", ws.rho.fix(1, ws.model.U_index), combine([(ws.ricci_target, ws.forms[1])])),
         ("V", ws.rho.fix(1, ws.model.V_index), combine([(ws.ricci_target, ws.forms[2])]))])
@@ -649,39 +625,34 @@ def _registry() -> list[Identity]:
     return ids
 
 
-REGISTRY: tuple[Identity, ...] = tuple(_registry())
-
-
-def _natural_key(identity_id: str) -> tuple:
+def _natural_key(ident: Identity) -> tuple:
     return tuple((0, piece) if index % 2 == 0 else (1, int(piece))
-                 for index, piece in enumerate(re.split(r"(\d+)", identity_id)))
+                 for index, piece in enumerate(re.split(r"(\d+)", ident.identity_id)))
+
+
+# in report order: the ids sorted with their digit runs read as numbers
+REGISTRY: tuple[Identity, ...] = tuple(sorted(_registry(), key=_natural_key))
+
+
+def _selected(selector: str) -> list[Identity]:
+    if selector not in SELECTORS:
+        raise ValueError(f"unknown selector {selector!r}; choose from {SELECTORS}")
+    return [ident for ident in REGISTRY if selector == "all" or ident.group == selector]
 
 
 def registry_ids(selector: str = "all") -> list[str]:
     """Registered identity ids for a selector, in report order."""
-    if selector not in SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}; choose from {SELECTORS}")
-    chosen = [ident.identity_id for ident in REGISTRY
-              if selector == "all" or ident.group == selector]
-    return sorted(chosen, key=_natural_key)
+    return [ident.identity_id for ident in _selected(selector)]
 
 
 def run_suite(m: ManifoldModel, selector: str = "all") -> SuiteReport:
     """Evaluate every selected identity on the model; exact, deterministic."""
-    if selector not in SELECTORS:
-        raise ValueError(f"unknown selector {selector!r}; choose from {SELECTORS}")
+    chosen = _selected(selector)
     require_lie_algebra(m)
     ws = Workspace(m)
-    results = []
-    for ident in REGISTRY:
-        if selector != "all" and ident.group != selector:
-            continue
-        if ident.direct is not None:
-            results.append(ident.direct(ws))
-        else:
-            results.append(_run_tables(ws, ident))
-    results.sort(key=lambda r: _natural_key(r.check_id))
-    return SuiteReport(m.name, selector, tuple(results))
+    return SuiteReport(m.name, selector, tuple(
+        ident.direct(ws) if ident.direct is not None else _run_tables(ws, ident)
+        for ident in chosen))
 
 
 # ----- expected-values files -----

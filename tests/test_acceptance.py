@@ -9,6 +9,7 @@ from __future__ import annotations
 import importlib.resources
 import time
 from itertools import product
+from pathlib import Path
 
 from ccmv import (
     HEISENBERG_CCM,
@@ -142,7 +143,7 @@ def test_c08_identity_suite_statuses_are_frozen_and_fast():
     assert refuted.status is Status.FAIL
     assert refuted.witness == "slots=0 lhs=2:1 rhs=-1:1"
 
-    frozen = open("errata/iwasawa_suite.tsv").read().splitlines()
+    frozen = Path("errata/iwasawa_suite.tsv").read_text().splitlines()
     assert suite_tsv_rows(report) == frozen
     print("criterion 8 PASS")
 

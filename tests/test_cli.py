@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.resources
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -174,7 +175,7 @@ class TestVerify:
         # a fresh end-to-end run must reproduce the committed report exactly
         code, out, _ = run_cli(capsys, "verify", heis_path, "--format", "tsv")
         assert code == 1  # known failures on the published tables
-        frozen = open("errata/iwasawa_suite.tsv").read()
+        frozen = Path("errata/iwasawa_suite.tsv").read_text()
         assert out == frozen
 
     @pytest.mark.parametrize("name,build", [
@@ -190,7 +191,7 @@ class TestVerify:
         assert load_model(path.read_text(encoding="utf-8")) == m
         code, out, _ = run_cli(capsys, "verify", str(path), "--format", "tsv")
         assert code == 1
-        assert out == open(f"errata/{name}_suite.tsv").read()
+        assert out == Path(f"errata/{name}_suite.tsv").read_text()
 
     @pytest.mark.parametrize("command", ["connection", "curvature", "ricci"])
     @pytest.mark.parametrize("name,build", [
@@ -204,7 +205,7 @@ class TestVerify:
         path.write_text(model_source(build()), encoding="utf-8")
         code, out, err = run_cli(capsys, command, str(path), "--format", "tsv")
         assert (code, err) == (0, "")
-        assert out == open(f"errata/{name}_{command}.tsv").read()
+        assert out == Path(f"errata/{name}_{command}.tsv").read_text()
 
     def test_subgroup_text_output(self, capsys, heis_path):
         code, out, _ = run_cli(capsys, "verify", heis_path,
@@ -281,7 +282,7 @@ class TestDiff:
         code, out, _ = run_cli(capsys, "diff", heis_path, "--format", "tsv",
                                "--expected", EXPECTED_FILE)
         assert code == 1
-        frozen = open("errata/iwasawa_diff.tsv").read()
+        frozen = Path("errata/iwasawa_diff.tsv").read_text()
         assert out == frozen
 
     def test_all_match_exits_0(self, capsys, heis_path, tmp_path):

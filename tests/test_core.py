@@ -398,6 +398,10 @@ class TestTable:
             assert dict(result.items()) == expected
             assert result == Table.from_values(dim, result.rank, expected)
             assert gcd(result.den, *(x for _, x in result.numerators())) == 1
+        # the unsorted numerator map of the permuted table, times a sign
+        permuted, den = t.keyed(order, -1)
+        assert {key: Fraction(-x, den) for key, x in permuted.items()} == dict(
+            t.permute(order).items())
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     @given(data=st.data())
@@ -439,6 +443,8 @@ class TestTable:
             table.add([(1, table.tensor(table))])
         with pytest.raises(ValueError, match="is not an order"):
             table.permute((0, 0))
+        with pytest.raises(ValueError, match="is not an order"):
+            table.keyed((1,))
 
 
 class TestSparseVectorText:

@@ -215,6 +215,6 @@ class TestSecondBianchi:
             return heis_curv.entry(i, j, k, el) + bump
 
         bad = tensor4_from_function(6, corrupted)
-        where, value = second_bianchi_failures(heisenberg, heis_conn, bad)
+        where, _, value, _ = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert value != 0
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *where)

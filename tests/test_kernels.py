@@ -31,6 +31,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
+from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
@@ -58,7 +59,7 @@ from ccmv import (
 )
 from ccmv import curvature
 from ccmv.core import combine
-from ccmv.curvature import first_bianchi_cyclic_sum, first_bianchi_failures
+from ccmv.curvature import first_bianchi_failures
 from ccmv.model import structure_constants
 from ccmv.structures import NormalityReport, check_normality, first_table_failure
 from ccmv.verify import (
@@ -988,21 +989,32 @@ def dense_pullback(t: Table, endo: Table, slots, keep) -> dict:
     return out
 
 
-def product_order_riemann_symmetry_failure(rt: Table) -> tuple[int, ...] | None:
+def product_order_riemann_symmetry_failure(rt: Table):
+    """The first failing (tuple, clause, R there, the value the clause
+    demands) of every frame 4-tuple in product order, on Fraction values."""
     r = rt.entry
     for i, j, k, el in product(range(rt.dim), repeat=4):
         value = r(i, j, k, el)
-        if (value != -r(j, i, k, el) or value != -r(i, j, el, k)
-                or value != r(k, el, i, j)):
-            return (i, j, k, el)
+        for clause, demanded in (("swap-first-pair", -r(j, i, k, el)),
+                                 ("swap-second-pair", -r(i, j, el, k)),
+                                 ("pair-exchange", r(k, el, i, j))):
+            if value != demanded:
+                return (i, j, k, el), clause, value, demanded
     return None
 
 
-def product_order_first_bianchi_failure(rt: Table) -> tuple[int, ...] | None:
-    r = rt.entry
-    for i, j, k, el in product(range(rt.dim), repeat=4):
-        if r(i, j, k, el) + r(j, k, i, el) + r(k, i, j, el):
-            return (i, j, k, el)
+def first_bianchi_cyclic_sum(rt: Table, i: int, j: int, k: int, el: int) -> Fraction:
+    """R_ijkl + R_jkil + R_kijl on the Fraction values."""
+    return rt.entry(i, j, k, el) + rt.entry(j, k, i, el) + rt.entry(k, i, j, el)
+
+
+def product_order_first_bianchi_failure(rt: Table):
+    """The first (tuple, "", nonzero cyclic sum, 0) of every frame 4-tuple
+    in product order, on Fraction values."""
+    for where in product(range(rt.dim), repeat=4):
+        total = first_bianchi_cyclic_sum(rt, *where)
+        if total:
+            return where, "", total, ZERO
     return None
 
 
@@ -1147,7 +1159,7 @@ class TestMutatedModels:
             return heis_curv.entry(*idx) + (Fraction(1) if idx == where else ZERO)
 
         bad = tensor4_from_function(heisenberg.dim, bumped)
-        found, value = second_bianchi_failures(heisenberg, heis_conn, bad)
+        found, _, value, _ = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
         assert value != 0
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
@@ -1179,6 +1191,8 @@ class TestMutatedModels:
         result = direct_result(ws, "RIEM-SYM")
         assert result.status is Status.FAIL
         assert result == reference_sweep(ws, "RIEM-SYM", 32)
+        assert (riemann_symmetry_failures(ws.curv)
+                == product_order_riemann_symmetry_failure(ws.curv))
         if where == (0, 1, 2, 3):
             assert result.witness.startswith(f"slots=0,1,2,3 part={clause} ")
 
@@ -1208,6 +1222,7 @@ class TestCandidateWitnesses:
         assert result.status is Status.FAIL
         assert result.witness == "slots=1,2,4,3 lhs=1 rhs=0"
         assert result == reference_sweep(ws, "BIANCHI-1", 32)
+        assert first_bianchi_failures(ws.curv) == ((1, 2, 4, 3), "", 1, 0)
         assert first_bianchi_failures(ws.curv) == product_order_first_bianchi_failure(ws.curv)
 
     @pytest.mark.parametrize("bumps,where,clause", [
@@ -1361,7 +1376,7 @@ class TestCandidateWitnesses:
         # the bump at (0, 4, 1, 0) first breaks the slab (0, 1, 3), and there
         # only through the rotated terms: nabla_0 R(e_1, e_3) is zero at (1, 0)
         bad = _bumped(heis_curv, {(0, 4, 1, 0): 1})
-        found, value = second_bianchi_failures(heisenberg, heis_conn, bad)
+        found, _, value, _ = second_bianchi_failures(heisenberg, heis_conn, bad)
         assert found == (0, 1, 3, 1, 0)
         assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
         own: dict = {}
@@ -1380,10 +1395,6 @@ def dense_second_bianchi(ws: Workspace) -> CheckResult:
     return CheckResult("BIANCHI-2", Status.FAIL, render_witness(
         ",".join(map(str, where)), "",
         dense_cyclic_sum(ws.model, ws.conn, ws.curv, *where), ZERO))
-
-
-def _slots(result: CheckResult) -> tuple[int, ...]:
-    return tuple(int(i) for i in result.witness.split()[0][len("slots="):].split(","))
 
 
 class TestRationalBumps:
@@ -1418,10 +1429,9 @@ class TestRationalBumps:
                 lhs = result.witness.split(" lhs=")[1].split()[0]
                 assert "/" in lhs, result.witness
         if r_bump is not None:
-            assert (_slots(rows["RIEM-SYM"])
+            assert (riemann_symmetry_failures(ws.curv)
                     == product_order_riemann_symmetry_failure(ws.curv))
-            assert (_slots(rows["BIANCHI-1"])
-                    == product_order_first_bianchi_failure(ws.curv))
+            assert first_bianchi_failures(ws.curv) == product_order_first_bianchi_failure(ws.curv)
 
 
 # ----- BIANCHI-2 on its antisymmetric quarter -----
@@ -1516,7 +1526,7 @@ class TestQuarterSweep:
         # repeated index, a slab the quarter sweep never builds: the reason
         # BIANCHI-2 takes the full sweep when RIEM-SYM fails
         bad = _bumped(heis_curv, {(0, 1, 2, 3): Fraction(1, 3)})
-        found, _ = second_bianchi_failures(heisenberg, heis_conn, bad)
+        found = second_bianchi_failures(heisenberg, heis_conn, bad)[0]
         assert found == dense_bianchi_failure(heisenberg, heis_conn, bad) == (0, 0, 1, 2, 5)
         assert second_bianchi_failures(heisenberg, heis_conn, bad, True)[0] != found
 
@@ -1594,7 +1604,8 @@ def assert_sweeps_match_references(case) -> None:
     if sym is None:
         assert second_bianchi_failures(model, conn, rt, True) == failure
     if failure is not None:
-        found, value = failure
+        found, clause, value, rhs = failure
+        assert (clause, rhs) == ("", 0)
         assert value != 0
         assert value == second_bianchi_cyclic_sum(conn, rt, *found)
         assert value == dense_cyclic_sum(model, conn, rt, *found)
@@ -1822,7 +1833,7 @@ def test_identities_run_without_contractions(monkeypatch):
     for name in [name for name in module if name.startswith("ref_")]:
         monkeypatch.setitem(module, name, lambda *args, _name=name: calls.append(_name))
     frozen = {row.split("\t")[0]: row for row in
-              open("errata/heisenberg_n2_suite.tsv").read().splitlines()}
+              Path("errata/heisenberg_n2_suite.tsv").read_text().splitlines()}
     checked = [ident for ident in REGISTRY if ident.identity_id not in MODEL_CHECK_IDS]
     assert len(checked) == len(REGISTRY) - 12
     for ident in checked:
@@ -1872,18 +1883,21 @@ def fraction_op_counts():
                                    make_two_step_model],
                          ids=["bundled", "heisenberg-n2", "two-step"])
 def test_curvature_sweeps_run_without_fraction_arithmetic(build):
-    """The connection, R and the RIEM-SYM, BIANCHI-1 and BIANCHI-2 sweeps
-    run on int numerators: on a passing model no Fraction product or sum
-    runs, not even on a model whose tables are not integral."""
+    """The Lie checks, the connection, R and the RIEM-SYM, BIANCHI-1 and
+    BIANCHI-2 checks run on int numerators: on a passing model no Fraction
+    product or sum runs, not even on a model whose tables are not
+    integral."""
     m = build()
     with fraction_op_counts() as counts:
+        assert all(check.status is Status.PASS for check in lie_checks(m))
         conn = levi_civita(m)
         rt = riemann(m, conn)
         assert riemann_symmetry_failures(rt) is None
         assert first_bianchi_failures(rt) is None
         assert second_bianchi_failures(m, conn, rt) is None
     assert (counts["mul"], counts["add"]) == (0, 0)
-    # the counters do see the Fraction routes of the witness values
+    # the counters do see the Fraction routes of the reference witness
+    # values: nabla R products, and the cyclic sum's additions
     with fraction_op_counts() as counts:
         assert second_bianchi_cyclic_sum(conn, rt, 0, 1, 2, 0, 1) == 0
         assert first_bianchi_cyclic_sum(rt, 0, 1, 2, 3) == 0

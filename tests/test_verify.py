@@ -4,6 +4,7 @@ from __future__ import annotations
 import importlib.resources
 from fractions import Fraction
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 
@@ -181,7 +182,7 @@ class TestSuite:
                 super().__init__(m)
                 built.append(self)
         monkeypatch.setattr(verify, "Workspace", Recorded)
-        exp = parse_expected(open(EXPECTED_FILE).read(), 6)
+        exp = parse_expected(Path(EXPECTED_FILE).read_text(), 6)
         assert diff_expected(heisenberg, exp).entries
         tables = {name for name, attr in vars(structures.ConnectionWorkspace).items()
                   if isinstance(attr, cached_property)}
@@ -269,7 +270,7 @@ class TestRenderers:
         assert "EQ-2.19 FAIL slots=0 lhs=2:1 rhs=-1:1" in rows
 
     def test_rows_match_errata_file(self, heis_suite):
-        frozen = open("errata/iwasawa_suite.tsv").read().splitlines()
+        frozen = Path("errata/iwasawa_suite.tsv").read_text().splitlines()
         assert suite_tsv_rows(heis_suite) == frozen
 
 
