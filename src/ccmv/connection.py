@@ -25,7 +25,7 @@ def levi_civita(m: ManifoldModel) -> Table:
     into the den.
     """
     values: dict[tuple[int, int, int], int] = {}
-    for (a, b, e), value in m.constants.numerators():
+    for (a, b, e), value in m.constants.entries.items():
         for key, term in (((a, b, e), value), ((b, e, a), value), ((e, a, b), -value)):
             values[key] = values.get(key, 0) + term
     return Table.from_numerators(m.dim, 3, values, 2 * m.constants.den)
@@ -50,9 +50,9 @@ def sigma_form(m: ManifoldModel, conn: Table) -> Table:
 
 def exterior_d_oneform(m: ManifoldModel, w: Table) -> Table:
     """d of an invariant 1-form: dw(e_i, e_j) = -(1/2) w([e_i, e_j])."""
-    c, weight = m.constants, dict(w.entries)
+    c, weight = m.constants, {k: a for (k,), a in w.entries.items()}
     values: dict[tuple[int, int], int] = {}
-    for (i, j, k), a in c.numerators():
+    for (i, j, k), a in c.entries.items():
         if k in weight:
             values[(i, j)] = values.get((i, j), 0) - weight[k] * a
     return Table.from_numerators(m.dim, 2, values, 2 * w.den * c.den)

@@ -4,12 +4,12 @@ Everything lives over one global frame of some dimension d.  Every
 quantity, from a frame vector or a 1-form to the endomorphisms, 2-forms,
 bilinear forms, the connection and bracket tables and the curvature, is a
 `Table`: its dimension, its rank, one positive int denominator and the int
-numerators of its nonzero entries only, held as dicts keyed by the leading
-indices whose last level is the tuple of `(index, numerator)` pairs; a
-vector or a 1-form is a rank-1 Table, that tuple itself.  Zeros are never
-stored, empty subtrees are pruned and the denominator is reduced, so `==`
-is structural and every kernel costs in proportion to the nonzeros, in int
-arithmetic.  `Table.contract` is the one evaluation of a table on vectors
+numerators of its nonzero entries only, in one unsorted dict keyed by the
+full index tuple; a vector or a 1-form is a rank-1 Table, keyed by
+1-tuples.  Zeros are never stored and the denominator is reduced, so `==`
+is structural, and every kernel is one pass over the stored entries that
+costs in proportion to the nonzeros, in int arithmetic; only rendering
+sorts.  `Table.contract` is the one evaluation of a table on vectors
 and `combine` the one linear combination of tables.  A rank-2 table read
 as a map A stores its input slot first: row(i) is A(e_i), `contract(x)` is
 A(x) and `compose` composes maps.  Every value handed out is an exact
@@ -24,9 +24,11 @@ import enum
 import re
 import sys
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
 from math import gcd, lcm
-from operator import attrgetter, itemgetter
+from operator import attrgetter, contains, itemgetter
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -174,15 +176,15 @@ class Record:
 class Table(Record):
     """Rank-k coefficient table over a frame of dimension `dim`.
 
-    The value at an index tuple is a stored int numerator over `den`, one
-    positive int for the whole table.  `entries` maps the first index to
-    the subtree of the remaining ones; the last level is the tuple of
-    nonzero `(index, numerator)` pairs in index order, and at rank 1
-    `entries` is that tuple.  The pair is canonical: den and the
+    `entries` maps each index tuple with a nonzero value, a 1-tuple at
+    rank 1, to its int numerator over `den`, one positive int for the
+    whole table; the map is unsorted.  The pair is canonical: den and the
     numerators have no common factor, and den is 1 for an empty table, so
     `==` is structural and exact.  Build tables with `from_values` or
-    `from_numerators`, which keep that form; `entry` and `items` hand
-    out the values as Fractions, and `row` a reduced rank-1 Table.
+    `from_numerators`, which keep that form; `entry` and `items` hand out
+    the values as Fractions, and `row` a reduced rank-1 Table.  `sub`,
+    `row` and `contract` read the table by leading indices through one
+    prefix index, built on first use and kept out of `==` and the repr.
     """
 
     dim: int
@@ -212,101 +214,82 @@ class Table(Record):
                                                for idx, a in values.items()}, den)
 
     @classmethod
-    def from_numerators(cls, dim: int, rank: int, values: dict[tuple[int, ...], int],
+    def from_numerators(cls, dim: int, rank: int, values: Mapping[tuple[int, ...], int],
                         den: int = 1):
         """Build from index tuple -> int numerator over the positive int
         `den`; zeros are dropped and the common factor is divided out."""
+        values = {idx: a for idx, a in values.items() if a}
         if den != 1:
             common = gcd(den, *values.values())
             if common != 1:
                 den //= common
                 values = {idx: a // common for idx, a in values.items()}
-        rows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for idx, a in sorted(values.items()):
-            if a:
-                rows.setdefault(idx[:-1], []).append((idx[-1], a))
-        if rank == 1:
-            return cls(dim, rank, tuple(rows.get((), ())), den)
-        entries: dict = {}
-        for head, row in rows.items():
-            node = entries
-            for i in head[:-1]:
-                node = node.setdefault(i, {})
-            node[head[-1]] = tuple(row)
-        return cls(dim, rank, entries, den)
+        return cls(dim, rank, values, den)
 
-    def numerators(self, within: Sequence | None = None) -> list[tuple[tuple[int, ...], int]]:
-        """Every stored `(index tuple, numerator)` pair, in index order;
-        with `within`, only those whose index in each slot lies in
-        within[slot] (a subtree outside it is never walked)."""
-        level = [((), self.entries)]
-        if within is None:
-            for _ in range(self.rank - 1):
-                level = [(head + (i,), sub) for head, node in level for i, sub in node.items()]
-            return [(head + (k,), a) for head, row in level for k, a in row]
-        for s in range(self.rank - 1):
-            level = [(head + (i,), sub) for head, node in level for i, sub in node.items()
-                     if i in within[s]]
-        return [(head + (k,), a) for head, row in level for k, a in row if k in within[-1]]
+    def numerators(self) -> list[tuple[tuple[int, ...], int]]:
+        """Every stored `(index tuple, numerator)` pair, in index order."""
+        return sorted(self.entries.items())
 
     def items(self) -> list[tuple[tuple[int, ...], Scalar]]:
         """Every stored `(index tuple, value)` pair, in index order."""
         return [(idx, Fraction(a, self.den)) for idx, a in self.numerators()]
 
-    def sub(self, *idx: int):
-        """The stored subtree under a leading index prefix shorter than the
-        rank: a dict above the last level, the `(index, numerator)` pairs
-        at it, and empty where every entry below the prefix is zero."""
-        node = self.entries
+    @cached_property
+    def _prefixes(self) -> dict | tuple:
+        """The prefix index: dicts keyed by each leading index in turn,
+        whose last level holds the row at a full leading index, the tuple
+        of its `(last index, numerator)` pairs; at rank 1, that tuple."""
+        rows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for idx, a in self.entries.items():
+            head = idx[:-1]
+            row = rows.get(head)
+            if row is None:
+                rows[head] = [(idx[-1], a)]
+            else:
+                row.append((idx[-1], a))
+        if self.rank == 1:
+            return tuple(rows.get((), ()))
+        tree: dict = {}
+        for head, row in rows.items():
+            node = tree
+            for i in head[:-1]:
+                node = node.setdefault(i, {})
+            node[head[-1]] = tuple(row)
+        return tree
+
+    def sub(self, *idx: int) -> dict | tuple:
+        """The prefix index under a leading index prefix shorter than the
+        rank: a dict above the last level, the row's `(index, numerator)`
+        pairs at it, and empty where every entry below the prefix is zero."""
+        node = self._prefixes
         for i in idx:
             node = node.get(i)
             if node is None:
-                return {}
+                return {} if len(idx) < self.rank - 1 else ()
         return node
 
     def _reduced(self) -> Table:
         """This table with den and the numerators divided by their gcd."""
-        if self.den == 1 or gcd(self.den, *(a for _, a in self.numerators())) == 1:
+        if self.den == 1 or gcd(self.den, *self.entries.values()) == 1:
             return self
-        return Table.from_numerators(self.dim, self.rank, dict(self.numerators()), self.den)
+        return Table.from_numerators(self.dim, self.rank, self.entries, self.den)
 
     def fix(self, slot: int, index: int) -> Table:
         """The rank-(k-1) Table of the entries whose index in `slot` is
-        `index`, that slot dropped: fix(2, u) of R is R(., ., e_u, .).  Only
-        the levels down to `slot` are walked; below it the subtree at
-        `index` is kept as it is."""
+        `index`, that slot dropped: fix(2, u) of R is R(., ., e_u, .)."""
         if self.rank < 2:
             raise ValueError("fixing a slot needs a table of rank 2 or more")
-        last = self.rank - 1
-
-        def walk(node, depth: int):
-            if depth == slot:
-                return node.get(index)
-            if depth == last - 1 and slot == last:
-                # the level above the last: keep the one pair at `index`
-                # of each row, the row index taking its place
-                return tuple((i, a) for i, row in node.items()
-                             for k, a in row if k == index)
-            out = {}
-            for i, sub in node.items():
-                kept = walk(sub, depth + 1)
-                if kept:
-                    out[i] = kept
-            return out
-
-        kept = walk(self.entries, 0) or ({} if last > 1 else ())
-        return Table(self.dim, last, kept, self.den)._reduced()
+        kept = {idx[:slot] + idx[slot + 1:]: a for idx, a in self.entries.items()
+                if idx[slot] == index}
+        return Table(self.dim, self.rank - 1, kept, self.den)._reduced()
 
     def entry(self, *idx: int) -> Scalar:
-        *head, last = idx
-        for k, a in self.sub(*head):
-            if k == last:
-                return Fraction(a, self.den)
-        return ZERO
+        a = self.entries.get(idx)
+        return ZERO if a is None else Fraction(a, self.den)
 
     def row(self, *idx: int) -> Table:
         """The last slot at a full leading index, as a reduced rank-1 Table."""
-        return Table(self.dim, 1, tuple(self.sub(*idx)), self.den)._reduced()
+        return Table(self.dim, 1, {(k,): a for k, a in self.sub(*idx)}, self.den)._reduced()
 
     def contract(self, *vectors: Table) -> Scalar | Table:
         """Contract the leading slots with vectors, rank-1 Tables.
@@ -322,23 +305,24 @@ class Table(Record):
         if filled != rank and filled != rank - 1:
             raise ValueError(f"a rank-{rank} table contracts {rank - 1} or {rank} "
                              f"vectors, not {filled}")
+        if not vectors:
+            return self.row()
         den = self.den
         for v in vectors:
             _require_same_dim(self.dim, v.dim)
             den *= v.den
+        # each vector's numerators by frame index
+        coeffs = [{k: a for (k,), a in v.entries.items()} for v in vectors]
+        last = coeffs[-1] if filled == rank else None
         if rank == 1:
-            # `entries` is the row itself
-            if not vectors:
-                return self.row()
-            last = dict(vectors[0].entries)
-            return Fraction(sum(a * last[k] for k, a in self.entries if k in last), den)
+            return Fraction(sum(a * last[k] for (k,), a in self.entries.items()
+                                if k in last), den)
         # every combination of stored entries of the filled slots after the
         # first, up to but not including the table's last slot
-        paths = list(product(*[v.entries for v in vectors[1:rank - 1]]))
+        paths = list(product(*[c.items() for c in coeffs[1:rank - 1]]))
         total, out = 0, {}
-        last = dict(vectors[-1].entries) if filled == rank else None
-        for i, a in vectors[0].entries:
-            node = self.entries.get(i)
+        for i, a in coeffs[0].items():
+            node = self._prefixes.get(i)
             if node is None:
                 continue
             for path in paths:
@@ -353,7 +337,7 @@ class Table(Record):
                         for _, c in path:
                             factor *= c
                         for k, b in row:
-                            out[k] = out.get(k, 0) + factor * b
+                            out[(k,)] = out.get((k,), 0) + factor * b
                     else:
                         part = sum(last[k] * b for k, b in row if k in last)
                         if part:
@@ -362,7 +346,7 @@ class Table(Record):
                                 part *= c
                             total += part
         if last is None:
-            return Table.from_numerators(self.dim, 1, {(k,): x for k, x in out.items()}, den)
+            return Table.from_numerators(self.dim, 1, out, den)
         return Fraction(total, den)
 
     def is_zero(self) -> bool:
@@ -370,24 +354,10 @@ class Table(Record):
 
     def restrict(self, keep: range, width: int | None = None) -> Table:
         """The entries whose index in each of the first `width` slots (every
-        slot by default) lies in `keep`.  A subtree outside `keep` is never
-        walked, and one below the first `width` slots is kept as it is."""
+        slot by default) lies in `keep`."""
         width = self.rank if width is None else width
-
-        def walk(node, depth: int):
-            if depth == width:
-                return node
-            if depth == self.rank - 1:
-                return tuple((k, a) for k, a in node if k in keep)
-            out = {}
-            for i, sub in node.items():
-                if i in keep:
-                    kept = walk(sub, depth + 1)
-                    if kept:
-                        out[i] = kept
-            return out
-
-        kept = walk(self.entries, 0) or ({} if self.rank > 1 else ())
+        kept = {idx: a for idx, a in self.entries.items()
+                if all(map(keep.__contains__, idx[:width]))}
         return Table(self.dim, self.rank, kept, self.den)._reduced()
 
     def pullback(self, endo: Table, slots: Sequence[int], keep: range) -> Table:
@@ -405,12 +375,13 @@ class Table(Record):
         # i in `keep`
         _require_same_dim(self.dim, endo.dim)
         into: dict[int, list[tuple[int, int]]] = {}
-        for (i, p), c in endo.numerators():
+        for (i, p), c in endo.entries.items():
             if i in keep:
                 into.setdefault(p, []).append((i, c))
         # an entry contributes only if every pulled slot reaches `keep` and
         # every other slot lies in it
-        values = dict(self.numerators([into if s in slots else keep for s in range(self.rank)]))
+        within = [into if s in slots else keep for s in range(self.rank)]
+        values = {idx: a for idx, a in self.entries.items() if all(map(contains, within, idx))}
         for slot in slots:
             pulled: dict[tuple[int, ...], int] = {}
             for idx, a in values.items():
@@ -431,11 +402,11 @@ class Table(Record):
                 raise ValueError(f"a rank-{t.rank} table does not add to rank {self.rank}")
         den = lcm(self.den, *(c.denominator * t.den for c, t in terms))
         scale = den // self.den
-        values = {key: scale * a for key, a in self.numerators()}
+        values = {key: scale * a for key, a in self.entries.items()}
         for c, t in terms:
             # c * t's numerators brought over den
             scale = c.numerator * (den // (c.denominator * t.den))
-            for key, a in t.numerators():
+            for key, a in t.entries.items():
                 values[key] = values.get(key, 0) + scale * a
         return Table.from_numerators(self.dim, self.rank, values, den)
 
@@ -444,37 +415,26 @@ class Table(Record):
         is self(i, j, ...) * other(k, ...), over the product of the two
         dens."""
         _require_same_dim(self.dim, other.dim)
-        rank = self.rank + other.rank
-        if not self.entries or not other.entries:
-            return Table(self.dim, rank, {})
-
-        # each stored x of self gets a copy of other's tree scaled by x
-        def scaled(node, x: int, depth: int):
-            if depth == 1:
-                return tuple((k, x * a) for k, a in node)
-            return {i: scaled(sub, x, depth - 1) for i, sub in node.items()}
-
-        def graft(node, depth: int):
-            if depth == 1:
-                return {k: scaled(other.entries, x, other.rank) for k, x in node}
-            return {i: graft(sub, depth - 1) for i, sub in node.items()}
-
-        return Table(self.dim, rank, graft(self.entries, self.rank),
+        values = {head + tail: x * y for head, x in self.entries.items()
+                  for tail, y in other.entries.items()}
+        return Table(self.dim, self.rank + other.rank, values,
                      self.den * other.den)._reduced()
 
     def keyed(self, order: Sequence[int] | None = None,
-              sign: int = 1) -> tuple[dict[tuple[int, ...], int], int]:
+              sign: int = 1) -> tuple[Mapping[tuple[int, ...], int], int]:
         """The numerators times `sign`, as an unsorted map from index tuple,
         and den; with `order`, those of `permute(order)`, in one pass over
-        the stored entries that builds no tree and sorts nothing."""
+        the stored entries.  With neither, the map is a read-only view of
+        the table's own, not a copy."""
         if order is not None and sorted(order) != list(range(self.rank)):
             raise ValueError(f"{tuple(order)} is not an order of {self.rank} slots")
-        pairs = self.numerators()
         if order is None or self.rank == 1:
-            return {key: sign * a for key, a in pairs}, self.den
+            if sign == 1:
+                return MappingProxyType(self.entries), self.den
+            return {key: sign * a for key, a in self.entries.items()}, self.den
         # slot s of a stored key moves to slot order[s]
         move = itemgetter(*sorted(range(self.rank), key=order.__getitem__))
-        return {move(key): sign * a for key, a in pairs}, self.den
+        return {move(key): sign * a for key, a in self.entries.items()}, self.den
 
     def permute(self, order: Sequence[int]) -> Table:
         """The Table whose entry at (i_0, ..., i_r-1) is this table's entry
@@ -504,7 +464,7 @@ def combine(terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
 Failure = tuple[tuple[int, ...], object, object, object]
 
 
-def first_failure(clauses: list[tuple[object, tuple[dict, int], tuple[dict, int]]],
+def first_failure(clauses: list[tuple[object, tuple[Mapping, int], tuple[Mapping, int]]],
                   width: int) -> Failure | None:
     """First frame tuple, the first `width` indices of a key, where some
     clause's sides differ, in `itertools.product` order: (frame tuple,
@@ -528,10 +488,10 @@ def first_failure(clauses: list[tuple[object, tuple[dict, int], tuple[dict, int]
 def first_table_failure(clauses: list[tuple[str, Table, Table]],
                         width: int) -> Failure | None:
     """`first_failure` of clauses whose sides are Tables of one rank; only
-    those whose trees or dens differ are keyed.  With `width` one less
-    than the rank, a clause differs at a frame tuple when its rows, the
-    vectors of the last slot, do: the first clause wins there even if a
-    later one differs at a smaller last index, and the witness is both
+    those whose numerator maps or dens differ are keyed.  With `width` one
+    less than the rank, a clause differs at a frame tuple when its rows,
+    the vectors of the last slot, do: the first clause wins there even if
+    a later one differs at a smaller last index, and the witness is both
     rows."""
     failure = first_failure([(c, lhs.keyed(), rhs.keyed())
                              for c, (_, lhs, rhs) in enumerate(clauses)
@@ -563,7 +523,7 @@ def parse_sparse_vector(text: str, dim: int) -> Table:
     into a rank-1 Table."""
     text = text.strip()
     if text == "0":
-        return Table(dim, 1, ())
+        return Table(dim, 1, {})
     values: dict[int, Scalar] = {}
     for part in text.split(","):
         coeff_text, _, idx_text = part.partition(":")

@@ -52,18 +52,18 @@ def riemann(m: ManifoldModel, conn: Table) -> Table:
     gd, cd = conn.den, m.constants.den
     den = gd * lcm(gd, cd)
     through: dict[int, list[tuple[int, int, int]]] = {}
-    for (i, p, el), g in conn.numerators():
+    for (i, p, el), g in conn.entries.items():
         through.setdefault(p, []).append((i, el, g * (den // (gd * gd))))
     values: dict[tuple[int, int, int, int], int] = {}
     get = values.get
     # gamma(a, k, p) * gamma(b, p, el) is the first term of R(b, a, k, el)
     # and minus the second term of R(a, b, k, el).
-    for (a, k, p), g in conn.numerators():
+    for (a, k, p), g in conn.entries.items():
         for b, el, h in through.get(p, ()):
             term = g * h
             values[b, a, k, el] = get((b, a, k, el), 0) + term
             values[a, b, k, el] = get((a, b, k, el), 0) - term
-    for (i, j, p), c in m.constants.numerators():
+    for (i, j, p), c in m.constants.entries.items():
         c *= den // (cd * gd)
         for k, row in conn.sub(p).items():
             for el, g in row:
@@ -76,7 +76,7 @@ def ricci(m: ManifoldModel, rt: Table) -> Table:
     is the identity in this frame, so the same table read as a map is the
     Ricci operator Q: row(j) is Q e_j."""
     values: dict[tuple[int, int], int] = {}
-    for (a, j, k, el), value in rt.numerators():
+    for (a, j, k, el), value in rt.entries.items():
         if el == a:
             values[(j, k)] = values.get((j, k), 0) + value
     return Table.from_numerators(m.dim, 2, values, rt.den)
@@ -84,7 +84,7 @@ def ricci(m: ManifoldModel, rt: Table) -> Table:
 
 def scalar_curvature(rho: Table) -> Scalar:
     """Trace of the Ricci form over the orthonormal frame."""
-    return Fraction(sum(a for (i, j), a in rho.numerators() if i == j), rho.den)
+    return Fraction(sum(a for (i, j), a in rho.entries.items() if i == j), rho.den)
 
 
 def sectional(rt: Table, x: Table, y: Table) -> Scalar:
@@ -104,8 +104,8 @@ def holomorphic_sectional(m: ManifoldModel, rt: Table, x: Table) -> Scalar:
 
 
 def _connection_index(conn: Table, s: int) -> tuple[dict, dict]:
-    """gamma(s, ., .) as stored, and into[p] listing (e, q) for every
-    nonzero gamma(s, e, p) = q."""
+    """gamma(s, ., .) from the prefix index, and into[p] listing (e, q) for
+    every nonzero gamma(s, e, p) = q."""
     gamma = conn.sub(s)
     into: dict = {}
     for e, row in gamma.items():
@@ -200,7 +200,7 @@ def first_bianchi_failures(rt: Table) -> Failure | None:
     and at the two rotations of its first three indices, and are compared
     with the empty map."""
     total: dict[tuple[int, int, int, int], int] = {}
-    for (i, j, k, el), a in rt.numerators():
+    for (i, j, k, el), a in rt.entries.items():
         for key in ((i, j, k, el), (k, i, j, el), (j, k, i, el)):
             total[key] = total.get(key, 0) + a
     return first_failure([("", (total, rt.den), ({}, 1))], 4)

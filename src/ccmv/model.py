@@ -99,6 +99,12 @@ class ManifoldModel(Record):
         """V, and the 1-form v = g(V, .), as a rank-1 table."""
         return self.basis(self.V_index)
 
+    @cached_property
+    def lie_results(self) -> tuple[CheckResult, ...]:
+        """LIE-ANTISYM and LIE-JACOBI, run once per model: the gate before
+        curvature work and the validation reports read them here."""
+        return tuple(lie_checks(self))
+
     @property
     def horizontal_indices(self) -> range:
         return range(4 * self.n)
@@ -107,7 +113,7 @@ class ManifoldModel(Record):
         """The frame vector e_index as a rank-1 table."""
         if not 0 <= index < self.dim:
             raise IndexError(f"frame index {index} out of range for dim {self.dim}")
-        return Table(self.dim, 1, ((index, 1),))
+        return Table(self.dim, 1, {(index,): 1})
 
 
 class CheckResult(Record):
@@ -177,7 +183,7 @@ def lie_checks(m: ManifoldModel) -> list[CheckResult]:
 
     # the sums of products of numerators, over the den squared
     sums: dict[tuple[int, int, int, int], int] = {}
-    for (a, b, p), first in c.numerators():
+    for (a, b, p), first in c.entries.items():
         for e, inner in c.sub(p).items():
             for k, second in inner:
                 # c(a, b, p) c(p, e, k) is a term of the sums at
@@ -204,7 +210,7 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     ]
 
     # G and H kill U and V: each image compared with the empty rank-1 table
-    nothing = Table(d, 1, ())
+    nothing = Table(d, 1, {})
     results.append(_check_matrices("AX-KERNEL", [
         ("G@U", G.contract(m.U), nothing), ("G@V", G.contract(m.V), nothing),
         ("H@U", H.contract(m.U), nothing), ("H@V", H.contract(m.V), nothing)]))
@@ -234,12 +240,12 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
 
 def validate_structure(m: ManifoldModel) -> ValidationReport:
     """Run every registered structural check; failures are entries, not errors."""
-    return ValidationReport(m.name, tuple(lie_checks(m) + structure_tensor_checks(m)))
+    return ValidationReport(m.name, m.lie_results + tuple(structure_tensor_checks(m)))
 
 
 def require_lie_algebra(m: ManifoldModel) -> None:
     """Gate for curvature work: raise unless the brackets form a Lie algebra."""
-    for check in lie_checks(m):
+    for check in m.lie_results:
         if check.status is Status.FAIL:
             raise InvalidModelError(
                 f"model {m.name!r} rejected: {check.check_id} fails ({check.witness})")

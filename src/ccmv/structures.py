@@ -78,8 +78,8 @@ class NormalityReport(Record):
 
 def _middle(f: Table, b: Table) -> Table:
     """f(Y) b(X, Z) at (X, Y, Z): a 1-form in the middle slot."""
-    return Table.from_numerators(b.dim, 3, {(i, j, k): x * y for (j,), x in f.numerators()
-                                            for (i, k), y in b.numerators()}, f.den * b.den)
+    return Table.from_numerators(b.dim, 3, {(i, j, k): x * y for (j,), x in f.entries.items()
+                                            for (i, k), y in b.entries.items()}, f.den * b.den)
 
 
 def _alternate(t: Table) -> Table:

@@ -71,7 +71,7 @@ from .model import (
     CheckResult,
     ManifoldModel,
     check_result,
-    lie_checks,
+    lie_checks,  # noqa: F401  models cache its result; bench/tracing.py wraps this name
     require_lie_algebra,
     structure_tensor_checks,
 )
@@ -136,7 +136,7 @@ class Workspace(ConnectionWorkspace):
     @cached_property
     def model_checks(self) -> dict[str, CheckResult]:
         return {check.check_id: check
-                for check in lie_checks(self.model) + structure_tensor_checks(self.model)}
+                for check in self.model.lie_results + tuple(structure_tensor_checks(self.model))}
 
     # Sides of the horizontal 4-slot identities (EQ-2.20, EQ-2.21, EQ-4.1).
     @cached_property

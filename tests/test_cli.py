@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import ccmv.model
 from ccmv import HEISENBERG_CCM, load_model
 from ccmv.cli import main
 from conftest import (
@@ -467,3 +468,16 @@ class TestDeterminism:
                          "--format", "tsv")
         assert first == second
         assert first[0] == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate",), ("connection",), ("curvature",), ("ricci",),
+    ("sectional", "--plane", "0", "2"), ("verify",), ("diff", "--expected", EXPECTED_FILE)])
+def test_every_command_runs_the_lie_checks_once(capsys, monkeypatch, heis_path, argv):
+    # the Lie-algebra gate, run_suite, diff_expected and the validation
+    # reports all read the one result cached on the model
+    calls = []
+    real = ccmv.model.lie_checks
+    monkeypatch.setattr(ccmv.model, "lie_checks", lambda m: calls.append(m.name) or real(m))
+    run_cli(capsys, argv[0], heis_path, *argv[1:])
+    assert calls == ["heisenberg"]

@@ -67,7 +67,7 @@ class TestVectors:
 
     def test_basis(self):
         e2 = basis(4, 2)
-        assert (e2.rank, e2.entries, e2.den) == (1, ((2, 1),), 1)
+        assert (e2.rank, e2.entries, e2.den) == (1, {(2,): 1}, 1)
         assert e2.entry(2) == 1 and e2.entry(0) == 0
 
     def test_zero(self):
@@ -295,7 +295,7 @@ class TestTable:
 
     def test_rank_one_tables(self):
         form = Table.from_values(3, 1, {(2,): Fraction(5), (0,): Fraction(-1), (1,): 0})
-        assert (form.den, form.entries) == (1, ((0, -1), (2, 5)))
+        assert (form.den, form.entries) == (1, {(0,): -1, (2,): 5})
         assert form.items() == [((0,), -1), ((2,), 5)]
         assert form.entry(2) == 5 and form.entry(1) == 0
         assert form.row() == form == vector([-1, 0, 5])
@@ -324,10 +324,10 @@ class TestTable:
                                       ((1, 2, 2), -42), ((2, 2, 1), -240)]
         assert all(type(a) is int for _, a in table.numerators())
         form = Table.from_values(4, 1, {(0,): Fraction(-1, 2), (3,): Fraction(2, 3)})
-        assert (form.den, form.entries) == (6, ((0, -3), (3, 4)))
+        assert (form.den, form.entries) == (6, {(0,): -3, (3,): 4})
         # a common factor of den and every numerator is divided out
         reduced = Table.from_numerators(3, 2, {(0, 1): 6, (1, 2): -9}, 12)
-        assert (reduced.den, reduced.entries) == (4, {0: ((1, 2),), 1: ((2, -3),)})
+        assert (reduced.den, reduced.entries) == (4, {(0, 1): 2, (1, 2): -3})
         # keeping part of a table leaves a common factor to divide out
         assert table.restrict(range(1), 1).numerators() == [((0, 1, 2), -3)]
         assert table.restrict(range(1), 1).den == 4 and table.fix(0, 2).den == 1
@@ -407,12 +407,46 @@ class TestTable:
     @given(data=st.data())
     @settings(max_examples=30, deadline=None)
     def test_tree_walks_equal_tables_built_from_values(self, rank, data):
-        # fix, restrict and tensor build their trees directly; each must be
-        # the table from_values builds from the same entries, empty
-        # subtrees pruned, or `==` would tell them apart
+        # fix, restrict and tensor build their maps directly; each must be
+        # the table from_values builds from the same entries, zeros dropped
+        # and den reduced, or `==` would tell them apart
         values, dim, _ = data.draw(tables_and_vectors(rank))
         table = Table.from_values(dim, rank, values)
         stored = dict(table.items())
+        # numerators() is in index order, and sub() at every prefix is the
+        # index-sorted entries below it grouped by the next indices, each
+        # row's pairs in the order they are stored
+        ordered = sorted(table.entries.items())
+        assert table.numerators() == ordered
+
+        def grouped(pairs, depth):
+            if depth == 1:
+                return tuple((key[0], a) for key, a in pairs)
+            heads: dict = {}
+            for key, a in pairs:
+                heads.setdefault(key[0], []).append((key[1:], a))
+            return {i: grouped(below, depth - 1) for i, below in heads.items()}
+
+        def by_index(node):
+            if isinstance(node, dict):
+                return {i: by_index(below) for i, below in node.items()}
+            return tuple(sorted(node))
+
+        for width in range(rank):
+            for prefix in product(range(dim), repeat=width):
+                expected = grouped([(key[width:], a) for key, a in ordered
+                                    if key[:width] == prefix], rank - width)
+                assert by_index(table.sub(*prefix)) == expected
+        # what keyed() hands out cannot change the table: its own map is a
+        # read-only view, and a signed or permuted map is a copy
+        view, _ = table.keyed()
+        with pytest.raises(TypeError):
+            view[(0,) * rank] = 7
+        for order, sign in ((None, -1), (tuple(reversed(range(rank))), 1)):
+            copy, _ = table.keyed(order, sign)
+            copy[(0,) * rank] = 7
+            copy.pop(ordered[0][0] if ordered else (0,) * rank, None)
+        assert table.entries == dict(ordered) and table == Table.from_values(dim, rank, values)
         slot, index = data.draw(st.integers(0, rank - 1)), data.draw(st.integers(0, dim - 1))
         assert table.fix(slot, index) == Table.from_values(dim, rank - 1, {
             key[:slot] + key[slot + 1:]: a for key, a in stored.items() if key[slot] == index})
@@ -458,12 +492,12 @@ class TestSparseVectorText:
     def test_parse(self):
         x = parse_sparse_vector("-1/2:1,3:3", 4)
         assert x == vector([0, Fraction(-1, 2), 0, 3])
-        assert (x.rank, x.den, x.entries) == (1, 2, ((1, -1), (3, 6)))
+        assert (x.rank, x.den, x.entries) == (1, 2, {(1,): -1, (3,): 6})
 
     def test_parse_brings_the_values_over_one_reduced_den(self):
         x = parse_sparse_vector("0:0,1/6:1,-3/4:3", 4)
         assert x == vector([0, Fraction(1, 6), 0, Fraction(-3, 4)])
-        assert (x.den, x.entries) == (12, ((1, 2), (3, -9)))
+        assert (x.den, x.entries) == (12, {(1,): 2, (3,): -9})
 
     @pytest.mark.parametrize("bad,message", [
         ("1:", "bad sparse vector component: '1:'"),

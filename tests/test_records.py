@@ -35,11 +35,11 @@ _EXPECTED = ExpectedEntry("ric", (0, 0), Fraction(1, 2), 3)
 _DIFF = DiffEntry("ric 0 0", True, "1/2", "1/2")
 
 # class, its fields in order with one value each, and whether it hashes
-# (a table whose entries are a dict, or a record holding one, does not)
+# (a table, whose entries are a dict, or a record holding one, does not)
 CASES = [
-    (Table, {"dim": 3, "rank": 1, "entries": ((0, 3), (2, -1)), "den": 2}, True),
-    (Table, {"dim": 2, "rank": 2, "entries": {0: ((1, 1),)}, "den": 1}, False),
-    (Table, {"dim": 2, "rank": 4, "entries": {0: {1: {1: ((0, 1),)}}}, "den": 3}, False),
+    (Table, {"dim": 3, "rank": 1, "entries": {(0,): 3, (2,): -1}, "den": 2}, False),
+    (Table, {"dim": 2, "rank": 2, "entries": {(0, 1): 1}, "den": 1}, False),
+    (Table, {"dim": 2, "rank": 4, "entries": {(0, 1, 1, 0): 1}, "den": 3}, False),
     (ManifoldModel, {"name": _MODEL.name, "n": _MODEL.n, "constants": _MODEL.constants,
                      "G": _MODEL.G, "H": _MODEL.H, "J": _MODEL.J}, False),
     (CheckResult, {"check_id": "LIE-JACOBI", "status": Status.FAIL, "witness": "slots=0,1,2"},
@@ -118,7 +118,7 @@ def test_every_tensor_is_a_plain_table():
 
 def test_records_of_different_classes_are_never_equal():
     # a DiffReport and a ValidationReport with the same fields included
-    records = [Table(1, 1, ((0, 1),)), ExpectedValues(()), CheckResult("X", Status.PASS),
+    records = [Table(1, 1, {(0,): 1}), ExpectedValues(()), CheckResult("X", Status.PASS),
                DiffReport("X", ()), ValidationReport("X", ())]
     for i, a in enumerate(records):
         for b in records[i + 1:]:
@@ -152,10 +152,15 @@ def test_wrong_arguments_raise_type_error(cls, args, kwargs):
 
 def test_cached_properties_are_kept_out_of_equality_and_repr():
     m = build_heisenberg()
-    assert m.U == Table(m.dim, 1, ((m.U_index, 1),))
+    assert m.U == Table(m.dim, 1, {(m.U_index,): 1})
     assert m.U is m.U and m.V is m.V
+    assert m.lie_results is m.lie_results
     assert m == build_heisenberg()
-    assert "U=" not in repr(m)
+    assert "U=" not in repr(m) and "lie_results" not in repr(m)
+    # a table's prefix index, built by the first read by prefix
+    c = m.constants
+    assert c.sub(0) and c == Table(c.dim, c.rank, dict(c.entries), c.den)
+    assert "_prefixes" in vars(c) and "_prefixes" not in repr(c)
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():

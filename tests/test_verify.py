@@ -374,7 +374,7 @@ class TestDiff:
             key, row = [(key, row) for key, row in rows.items()
                         if key.startswith(kind + " ") and not row.is_zero()][-1]
             (k,), value = row.items()[0]
-            bumped = row.add([(Fraction(1, 7), Table(d, 1, ((k, 1),)))])
+            bumped = row.add([(Fraction(1, 7), Table(d, 1, {(k,): 1}))])
             text = "\n".join(f"{key} = {format_sparse_vector(bumped)}" if line.startswith(key + " =")
                              else line for line in lines)
             report = diff_expected(m, parse_expected(text + "\n", d))
