@@ -106,7 +106,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     report = validate_structure(m)
     rows = check_rows(args.format, report.checks)
     if args.format == "text":
-        passed = sum(1 for c in report.checks if c.witness is None)
+        passed = len(report.checks) - len(report.failures)
         rows = [f"# {PROG} validate model={m.name}", *rows,
                 f"# {len(report.checks)} checks: {passed} pass, {len(report.failures)} fail"]
     _emit(rows)
@@ -206,13 +206,9 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     m = _load_lie(args.model)
     source = _read_text(args.expected)
     try:
-        expected = parse_expected(source, m.dim)
-    except ExpectedFormatError as exc:
+        report = diff_expected(m, parse_expected(source, m.dim))
+    except (ExpectedFormatError, DegeneratePlane) as exc:
         raise _CliError(f"{args.expected}: {exc}") from exc
-    try:
-        report = diff_expected(m, expected)
-    except DegeneratePlane as exc:
-        raise _CliError(str(exc)) from exc
     if args.format == "tsv":
         rows = diff_tsv_rows(report)
     else:

@@ -465,19 +465,22 @@ Failure = tuple[tuple[int, ...], object, object, object]
 
 
 def first_failure(clauses: list[tuple[object, tuple[Mapping, int], tuple[Mapping, int]]],
-                  width: int) -> Failure | None:
+                  width: int, keep: range | None = None) -> Failure | None:
     """First frame tuple, the first `width` indices of a key, where some
     clause's sides differ, in `itertools.product` order: (frame tuple,
     first clause differing there, both sides at its first differing key
     there), or None.  A clause is a label and two sides, each an int
     numerator map, unsorted and not necessarily reduced, and its den.  Only
     the keys of either side are compared, by cross-multiplied numerators,
-    and no Fraction is built before the witness."""
+    and no Fraction is built before the witness.  With `keep`, a key is
+    compared only when every index of its frame tuple lies in `keep`: a
+    side may hold other keys, and they never fail."""
     failing = []
     for c, (_, (left, dl), (right, dr)) in enumerate(clauses):
         if dl != dr or left != right:
             failing += [(key[:width], c, key) for key in left.keys() | right.keys()
-                        if left.get(key, 0) * dr != right.get(key, 0) * dl]
+                        if left.get(key, 0) * dr != right.get(key, 0) * dl
+                        and (keep is None or all(map(keep.__contains__, key[:width])))]
     if not failing:
         return None
     where, c, key = min(failing)
@@ -486,16 +489,14 @@ def first_failure(clauses: list[tuple[object, tuple[Mapping, int], tuple[Mapping
 
 
 def first_table_failure(clauses: list[tuple[str, Table, Table]],
-                        width: int) -> Failure | None:
-    """`first_failure` of clauses whose sides are Tables of one rank; only
-    those whose numerator maps or dens differ are keyed.  With `width` one
-    less than the rank, a clause differs at a frame tuple when its rows,
-    the vectors of the last slot, do: the first clause wins there even if
-    a later one differs at a smaller last index, and the witness is both
-    rows."""
+                        width: int, keep: range | None = None) -> Failure | None:
+    """`first_failure` of clauses whose sides are Tables of one rank.  With
+    `width` one less than the rank, a clause differs at a frame tuple when
+    its rows, the vectors of the last slot, do: the first clause wins there
+    even if a later one differs at a smaller last index, and the witness is
+    both rows."""
     failure = first_failure([(c, lhs.keyed(), rhs.keyed())
-                             for c, (_, lhs, rhs) in enumerate(clauses)
-                             if lhs.den != rhs.den or lhs.entries != rhs.entries], width)
+                             for c, (_, lhs, rhs) in enumerate(clauses)], width, keep)
     if failure is None:
         return None
     where, c, left, right = failure

@@ -319,13 +319,12 @@ def _route_witness(where: tuple[int, ...], label: str, lhs, rhs) -> str:
 
 
 def _route_korkmaz(ctx: ConnectionWorkspace) -> CheckResult:
-    """S and T on horizontal pairs, S before T at each pair; then S(e_i, U)
-    and T(e_i, V) for every frame index i, S before T at each i: each
-    compared with the empty table."""
+    """S and T on horizontal pairs, the comparison's frame range, S before T
+    at each pair; then S(e_i, U) and T(e_i, V) for every frame index i, S
+    before T at each i: each compared with the empty table."""
     m, S, T = ctx.model, ctx.obstruction_S, ctx.obstruction_T
-    hor, zero = m.horizontal_indices, Table(m.dim, 3, {})
-    failure = first_table_failure([("S", S.restrict(hor, 2), zero),
-                                   ("T", T.restrict(hor, 2), zero)], 2)
+    zero = Table(m.dim, 3, {})
+    failure = first_table_failure([("S", S, zero), ("T", T, zero)], 2, m.horizontal_indices)
     if failure is None:
         zero = Table(m.dim, 2, {})
         vertical = first_table_failure([("S(.,U)", S.fix(1, m.U_index), zero),

@@ -4,19 +4,20 @@ Every registered identity is an independent claim about a model, checked
 exhaustively and exactly; the first inequality is reported as the
 witness.  A registry entry is one of two kinds.
 
-Table identities state each side of each clause as a `Table` built once
-from stored nonzeros, with one slot per slot of the identity, or one more
-for a vector-valued side, whose last slot is the output vector.  A slot
-the statement restricts to the horizontal distribution holds horizontal
-indices only.  The check (`core.first_table_failure`) reads the
-stored keys of either side only and reports what a sweep of every frame
-tuple would: the first failing frame tuple in `itertools.product` order,
-then the first clause failing there.  For a vector-valued side the frame
-tuple is the key without its last index, and a clause fails there when
-its rows differ.  Each side is linear in each slot, so sides that agree on
-every frame tuple agree on every vector tuple, and no vector beyond the
-frame is evaluated.  EQ-2.8 has no slots: its sides are single rows,
-compared at the empty tuple, printed `-`.
+Table identities state each side of each clause as a `Table`, built once
+per `Workspace` from stored nonzeros, with one slot per slot of the
+identity, or one more for a vector-valued side, whose last slot is the
+output vector.  The check (`core.first_table_failure`) reads the stored
+keys of either side only, and of those only the ones horizontal in every
+`hor` slot; it reports what a sweep of every frame tuple in the slot
+ranges would: the first failing frame tuple in `itertools.product`
+order, then the first clause failing there.  For a vector-valued side
+the frame tuple is the key without its last index, and a clause fails
+there when its rows differ.  Each side is linear in each slot, so sides
+that agree on every frame tuple agree on every vector tuple, and no
+vector beyond the frame is evaluated.  A display on horizontal vectors
+is its general form's clauses on `hor` slots.  EQ-2.8 has no slots: its
+sides are single rows, compared at the empty tuple, printed `-`.
 
 Direct identities report the results of their own checks: the structural
 checks and the normality routes, which compare tables the same way;
@@ -58,6 +59,7 @@ from .core import (
 )
 from .connection import levi_civita
 from .curvature import (
+    DegeneratePlane,
     first_bianchi_failures,
     holomorphic_sectional,
     ricci,
@@ -115,13 +117,20 @@ class SuiteReport(Record):
 class Workspace(ConnectionWorkspace):
     """Shared derived quantities for one model, computed once per run: the
     connection-level ones, curvature, Ricci, the two shared report caches,
-    and the tables that several identities share."""
+    the tables that several identities share, and each identity's clauses."""
 
     def __init__(self, m: ManifoldModel):
         super().__init__(m, levi_civita(m))
         self.curv = riemann(m, self.conn)
         self.rho = ricci(m, self.curv)
         self.tau = scalar_curvature(self.rho)
+        self._clauses: dict[Callable, list[TableClause]] = {}
+
+    def clauses(self, tables: Callable[[Workspace], list[TableClause]]) -> list[TableClause]:
+        """`tables(self)`, built once per workspace for all its identities."""
+        if tables not in self._clauses:
+            self._clauses[tables] = tables(self)
+        return self._clauses[tables]
 
     @cached_property
     def normality(self) -> NormalityReport:
@@ -138,7 +147,8 @@ class Workspace(ConnectionWorkspace):
         return {check.check_id: check
                 for check in self.model.lie_results + tuple(structure_tensor_checks(self.model))}
 
-    # Sides of the horizontal 4-slot identities (EQ-2.20, EQ-2.21, EQ-4.1).
+    # Sides of the horizontal 4-slot identities (EQ-2.20, EQ-2.21, EQ-4.1),
+    # restricted to horizontal keys only to cut the work of building them.
     @cached_property
     def curv_hor(self) -> Table:
         return self.horizontal(self.curv)
@@ -153,7 +163,7 @@ class Workspace(ConnectionWorkspace):
         """R(H., H., H., H.), pulled back one slot at a time."""
         return self.curv.pullback(self.model.H, range(4), self.model.horizontal_indices)
 
-    # R with a vertical argument, read by EQ-2.12-2.19 and EQ-4.2-4.10.
+    # R with a vertical argument, read by EQ-4.2-4.5, EQ-4.9 and EQ-4.10.
     @cached_property
     def curv_xU(self) -> Table:
         """R(X, U, Z, W) at (X, Z, W)."""
@@ -163,21 +173,6 @@ class Workspace(ConnectionWorkspace):
     def curv_xV(self) -> Table:
         """R(X, V, Z, W) at (X, Z, W)."""
         return self.curv.fix(1, self.model.V_index)
-
-    @cached_property
-    def curv_xyU(self) -> Table:
-        """R(X, Y, U, W) at (X, Y, W)."""
-        return self.curv.fix(2, self.model.U_index)
-
-    @cached_property
-    def curv_xyV(self) -> Table:
-        """R(X, Y, V, W) at (X, Y, W)."""
-        return self.curv.fix(2, self.model.V_index)
-
-    @cached_property
-    def curv_UV(self) -> Table:
-        """R(U, V, Z, W) at (Z, W)."""
-        return self.curv.fix(0, self.model.U_index).fix(0, self.model.V_index)
 
     # Right-hand-side terms shared by several identities; X0 and Y0 are the
     # horizontal parts of X and Y.
@@ -208,19 +203,14 @@ class Workspace(ConnectionWorkspace):
         return self.horizontal(self.dsigma.permute((1, 0)).add([(-1, self.model.J)]))
 
     @cached_property
-    def hor_dsigma_formula(self) -> Table:
-        """2 <J X0, Y0> + <(nabla_U J) G X0, Y0>: EQ-2.22's dsigma(X, Y)."""
-        return self.horizontal(self.nUJ.compose(self.model.G).add([(2, self.model.J)]))
-
-    @cached_property
     def R_xUV(self) -> Table:
-        """sigma(U) G X0 + (nabla_U H) X0 - J X0 at (X, Z): EQ-2.15's R(X, U)V."""
+        """sigma(U) G X0 + (nabla_U H) X0 - J X0 at (X, Z): R(X, U)V on horizontal X."""
         m, (s_u, _) = self.model, self.sigma_UV
         return self.horizontal(combine([(s_u, m.G), (1, self.nUH), (-1, m.J)]), 1)
 
     @cached_property
     def R_xVU(self) -> Table:
-        """-sigma(V) H X0 + (nabla_V G) X0 + J X0 at (X, Z): EQ-2.16's R(X, V)U."""
+        """-sigma(V) H X0 + (nabla_V G) X0 + J X0 at (X, Z): R(X, V)U on horizontal X."""
         m, (_, s_v) = self.model, self.sigma_UV
         return self.horizontal(combine([(-s_v, m.H), (1, self.nVG), (1, m.J)]), 1)
 
@@ -240,8 +230,8 @@ class Identity(Record):
     identity_id: str
     group: str
     slots: tuple[str, ...]
-    # each side a table holding only index tuples in the slot ranges, with
-    # one slot per frame slot, or one more for a vector-valued side
+    # each side a table with one slot per frame slot, or one more for a
+    # vector-valued side; its keys outside the slot ranges are not compared
     tables: Callable[[Workspace], list[TableClause]] | None = None
     direct: Callable[[Workspace], CheckResult] | None = None
 
@@ -257,8 +247,10 @@ def _slots_witness(where: tuple[int, ...], clause: str, lhs, rhs) -> str:
 
 
 def _run_tables(ws: Workspace, ident: Identity) -> CheckResult:
-    return check_result(ident.identity_id,
-                        first_table_failure(ident.tables(ws), len(ident.slots)), _slots_witness)
+    """A table identity's row; its slots are all `any` or all `hor`."""
+    keep = ws.model.horizontal_indices if "hor" in ident.slots else None
+    return check_result(ident.identity_id, first_table_failure(
+        ws.clauses(ident.tables), len(ident.slots), keep), _slots_witness)
 
 
 def _first_scalar_failure(clauses: list[tuple[str, Scalar, Scalar]]) -> Failure | None:
@@ -269,8 +261,12 @@ def _first_scalar_failure(clauses: list[tuple[str, Scalar, Scalar]]) -> Failure 
 def _registry() -> list[Identity]:
     ids: list[Identity] = []
 
-    def add_tables(identity_id: str, group: str, slots: str, fn) -> None:
+    def add_tables(identity_id: str, group: str, slots: str, fn, hor_id: str = ""):
+        """Add a table identity and, with `hor_id`, its clauses on `hor` slots; return fn."""
         ids.append(Identity(identity_id, group, tuple(slots.split()), tables=fn))
+        if hor_id:
+            ids.append(Identity(hor_id, group, ("hor",) * len(slots.split()), tables=fn))
+        return fn
 
     def add_direct(identity_id: str, group: str, fn) -> None:
         ids.append(Identity(identity_id, group, (), direct=fn))
@@ -286,6 +282,9 @@ def _registry() -> list[Identity]:
     # u(X) t(Y, ...) and _middle(u, t) is u(Y) t(X, Z).  X0 and Y0 are the
     # horizontal parts of X and Y: ws.horizontal(t, k) keeps the keys of t
     # whose first k indices are horizontal, and ws.horizontal(t) every slot.
+    # A `hor` slot is compared on horizontal frame indices only, so a side
+    # restricted all the same (curv_hor, a pullback's `keep`, a factor of a
+    # tensor product) is so only to cut the work of building it.
 
     # ----- axioms -----
     for check_id in ("LIE-ANTISYM", "LIE-JACOBI", "AX-G2", "AX-H2", "AX-J2",
@@ -345,9 +344,6 @@ def _registry() -> list[Identity]:
         ("U", ws.dsigma.fix(0, ws.model.U_index), combine([(ws.dUV, ws.forms[2])])),
         ("V", ws.dsigma.fix(0, ws.model.V_index), combine([(-ws.dUV, ws.forms[1])]))])
 
-    add_tables("EQ-2.22", "contact", "hor hor", lambda ws: [
-        ("", ws.horizontal(ws.dsigma), ws.hor_dsigma_formula)])
-
     # (nabla_X u)Y = -u(nabla_X Y) = <X, GY> + sigma(X) v(Y), and
     # (nabla_X v)Y = <X, HY> - sigma(X) u(Y)
     def eq_3_1(ws: Workspace) -> list[TableClause]:
@@ -368,7 +364,7 @@ def _registry() -> list[Identity]:
                  ("GV.V", ws.nVG, m.V_index), ("HV.V", ws.nVH, m.V_index),
                  ("JU.V", ws.nUJ, m.V_index), ("JU.U", ws.nUJ, m.U_index),
                  ("JV.U", ws.nVJ, m.U_index), ("JV.V", ws.nVJ, m.V_index)]
-        return [(name, ws.horizontal(a.fix(1, w)), zero) for name, a, w in parts]
+        return [(name, a.fix(1, w), zero) for name, a, w in parts]
     add_tables("EQ-3.2-BLOCK", "contact", "hor", eq_3_2_block)
 
     # (nabla_U A)X = (nabla_U A)X0 and (nabla_V A)X = (nabla_V A)X0
@@ -399,8 +395,11 @@ def _registry() -> list[Identity]:
         ("", ws.nVJ.compose(ws.model.G),
          ws.horizontal(ws.reversed_dsigma(ws.model.G, (1,)).add([(-2, ws.model.H)])))])
 
+    # dsigma(X, Y) = 2 <J X0, Y0> + <(nabla_U J) G X0, Y0>
+    #                + dsigma(U, V)(u(X)v(Y) - v(X)u(Y)), and EQ-2.22 on horizontal X, Y
     add_tables("EQ-4.11", "contact", "any any", lambda ws: [
-        ("", ws.dsigma, ws.hor_dsigma_formula.add([(ws.dUV, ws.vertical_mix_table)]))])
+        ("", ws.dsigma, ws.horizontal(ws.nUJ.compose(ws.model.G).add([(2, ws.model.J)])).add(
+            [(ws.dUV, ws.vertical_mix_table)]))], "EQ-2.22")
 
     # EQ-4.12 and EQ-4.13 as printed: Thm. 4.5's closed forms (the NORM-THM45
     # route) plus the literal difference of the printed terms.  Both sides
@@ -454,43 +453,6 @@ def _registry() -> list[Identity]:
                                       ("VUUV", ws.curv.entry(v, u, u, v), target)])
     add_failure("EQ-2.11", "curvature", eq_2_11)
 
-    # EQ-2.12 - EQ-2.19: R with vertical arguments, on horizontal X, Y.
-    # R(X, U)U = R(X, V)V = X
-    add_tables("EQ-2.12", "curvature", "hor", lambda ws: [
-        ("U", ws.horizontal(ws.curv_xU.fix(1, ws.model.U_index), 1), ws.hor_delta),
-        ("V", ws.horizontal(ws.curv_xV.fix(1, ws.model.V_index), 1), ws.hor_delta)])
-    # R(X, Y)U = 2 (<X, JY> + dsigma(X, Y)) V and R(X, Y)V = -2 (...) U
-    add_tables("EQ-2.13", "curvature", "hor hor", lambda ws: [
-        ("", ws.horizontal(ws.curv_xyU, 2),
-         combine([(2, ws.hor_J_dsigma.tensor(ws.forms[2]))]))])
-    add_tables("EQ-2.14", "curvature", "hor hor", lambda ws: [
-        ("", ws.horizontal(ws.curv_xyV, 2),
-         combine([(-2, ws.hor_J_dsigma.tensor(ws.forms[1]))]))])
-    add_tables("EQ-2.15", "curvature", "hor", lambda ws: [
-        ("", ws.horizontal(ws.curv_xU.fix(1, ws.model.V_index), 1), ws.R_xUV)])
-    add_tables("EQ-2.16", "curvature", "hor", lambda ws: [
-        ("", ws.horizontal(ws.curv_xV.fix(1, ws.model.U_index), 1), ws.R_xVU)])
-
-    # R(X, U)Y = -<X, Y> U + (dsigma(Y, X) - <JX, Y>) V and
-    # R(X, V)Y = -<X, Y> V + (<JX, Y> - dsigma(Y, X)) U
-    def eq_2_17(ws: Workspace) -> list[TableClause]:
-        _, u, v = ws.forms
-        return [("", ws.horizontal(ws.curv_xU, 2),
-                 combine([(-1, ws.horizontal(ws.delta).tensor(u)),
-                          (1, ws.hor_dsigma_J.tensor(v))]))]
-    add_tables("EQ-2.17", "curvature", "hor hor", eq_2_17)
-
-    def eq_2_18(ws: Workspace) -> list[TableClause]:
-        _, u, v = ws.forms
-        return [("", ws.horizontal(ws.curv_xV, 2),
-                 combine([(-1, ws.horizontal(ws.delta).tensor(v)),
-                          (-1, ws.hor_dsigma_J.tensor(u))]))]
-    add_tables("EQ-2.18", "curvature", "hor hor", eq_2_18)
-
-    # R(U, V)X = JX
-    add_tables("EQ-2.19", "curvature", "hor", lambda ws: [
-        ("", ws.horizontal(ws.curv_UV, 1), ws.hor_J)])
-
     # EQ-2.20 (A = G, B = H) and EQ-2.21 (A = H, B = G): R(AX, AY, AZ, AW) =
     # R(X, Y, Z, W) - 2 <JZ, W> dsigma(X, Y) + 2 <BX, Y> dsigma(AZ, W)
     # + 2 <JX, Y> dsigma(Z, W) - 2 <BZ, W> dsigma(AX, Y), on horizontal
@@ -511,23 +473,31 @@ def _registry() -> list[Identity]:
     add_tables("EQ-4.1", "curvature", "hor hor hor hor", lambda ws: [
         ("G", ws.curv_G, ws.curv_hor), ("H", ws.curv_H, ws.curv_hor)])
 
-    # EQ-4.2 - EQ-4.10: the same for any X, Y, with terms in u, v and
-    # dsigma(U, V) added
-    add_tables("EQ-4.2", "curvature", "any", lambda ws: [
+    # EQ-4.2 - EQ-4.10: R with a vertical argument, for any X, Y.  Every
+    # term they add to EQ-2.12 - EQ-2.19 carries u, v or dsigma(U, V) of a
+    # horizontal argument and vanishes, so the latter are the same clauses
+    # on `hor` slots; so are EQ-2.22 and EQ-5.6 of EQ-4.11 and EQ-5.10.
+    eq_4_2 = add_tables("EQ-4.2", "curvature", "any", lambda ws: [
         ("", ws.curv_xU.fix(1, ws.model.U_index),
          ws.hor_delta.add([(-2 * ws.dUV, ws.forms[2].tensor(ws.forms[2]))]))])
-    add_tables("EQ-4.3", "curvature", "any", lambda ws: [
+    eq_4_3 = add_tables("EQ-4.3", "curvature", "any", lambda ws: [
         ("", ws.curv_xV.fix(1, ws.model.V_index),
          ws.hor_delta.add([(-2 * ws.dUV, ws.forms[1].tensor(ws.forms[1]))]))])
+    # EQ-2.12: R(X, U)U = R(X, V)V = X
+    add_tables("EQ-2.12", "curvature", "hor", lambda ws: [
+        (part, *ws.clauses(fn)[0][1:]) for part, fn in (("U", eq_4_2), ("V", eq_4_3))])
+    # EQ-2.15: R(X, U)V = R_xUV; EQ-2.16: R(X, V)U = R_xVU; EQ-2.19: R(U, V)X = JX
     add_tables("EQ-4.4", "curvature", "any", lambda ws: [
         ("", ws.curv_xU.fix(1, ws.model.V_index),
-         ws.R_xUV.add([(2 * ws.dUV, ws.forms[2].tensor(ws.forms[1]))]))])
+         ws.R_xUV.add([(2 * ws.dUV, ws.forms[2].tensor(ws.forms[1]))]))], "EQ-2.15")
     add_tables("EQ-4.5", "curvature", "any", lambda ws: [
         ("", ws.curv_xV.fix(1, ws.model.U_index),
-         ws.R_xVU.add([(2 * ws.dUV, ws.forms[1].tensor(ws.forms[2]))]))])
+         ws.R_xVU.add([(2 * ws.dUV, ws.forms[1].tensor(ws.forms[2]))]))], "EQ-2.16")
     add_tables("EQ-4.6", "curvature", "any", lambda ws: [
-        ("", ws.curv_UV, ws.hor_J.add([(2 * ws.dUV, ws.vertical_mix_table)]))])
+        ("", ws.curv.fix(0, ws.model.U_index).fix(0, ws.model.V_index),
+         ws.hor_J.add([(2 * ws.dUV, ws.vertical_mix_table)]))], "EQ-2.19")
 
+    # EQ-2.13: R(X, Y)U = 2 (<X, JY> + dsigma(X, Y)) V
     def eq_4_7(ws: Workspace) -> list[TableClause]:
         """R(X, Y)U = -u(X) Y0 + v(X)(sigma(V) H Y0 + (nabla_V G) Y0 + J Y0)
         + u(Y) X0 + v(Y) R_xVU + 2 (<X0, J Y0> + dsigma(X0, Y0)
@@ -535,11 +505,12 @@ def _registry() -> list[Identity]:
         m, (_, u, v), (_, s_v) = ws.model, ws.forms, ws.sigma_UV
         at_v = ws.horizontal(combine([(s_v, m.H), (1, ws.nVG), (1, m.J)]), 1)
         vertical = combine([(2, ws.hor_J_dsigma), (2 * ws.dUV, ws.vertical_mix_table)])
-        return [("", ws.curv_xyU, combine([(-1, u.tensor(ws.hor_delta)), (1, v.tensor(at_v)),
-                                           (1, _middle(u, ws.hor_delta)),
-                                           (1, _middle(v, ws.R_xVU)), (1, vertical.tensor(v))]))]
-    add_tables("EQ-4.7", "curvature", "any any", eq_4_7)
+        return [("", ws.curv.fix(2, m.U_index), combine([
+            (-1, u.tensor(ws.hor_delta)), (1, v.tensor(at_v)), (1, _middle(u, ws.hor_delta)),
+            (1, _middle(v, ws.R_xVU)), (1, vertical.tensor(v))]))]
+    add_tables("EQ-4.7", "curvature", "any any", eq_4_7, "EQ-2.13")
 
+    # EQ-2.14: R(X, Y)V = -2 (<X, JY> + dsigma(X, Y)) U
     def eq_4_8(ws: Workspace) -> list[TableClause]:
         """R(X, Y)V = -u(X) R_xUV(Y) - v(X) Y0 + u(Y)(-sigma(U) G X0
         + (nabla_U H) X0 - J X0) + v(Y) X0 - 2 (<X0, J Y0> + dsigma(X0, Y0)
@@ -547,11 +518,12 @@ def _registry() -> list[Identity]:
         m, (_, u, v), (s_u, _) = ws.model, ws.forms, ws.sigma_UV
         at_u = ws.horizontal(combine([(-s_u, m.G), (1, ws.nUH), (-1, m.J)]), 1)
         vertical = combine([(-2, ws.hor_J_dsigma), (-2 * ws.dUV, ws.vertical_mix_table)])
-        return [("", ws.curv_xyV, combine([(-1, u.tensor(ws.R_xUV)), (-1, v.tensor(ws.hor_delta)),
-                                           (1, _middle(u, at_u)), (1, _middle(v, ws.hor_delta)),
-                                           (1, vertical.tensor(u))]))]
-    add_tables("EQ-4.8", "curvature", "any any", eq_4_8)
+        return [("", ws.curv.fix(2, m.V_index), combine([
+            (-1, u.tensor(ws.R_xUV)), (-1, v.tensor(ws.hor_delta)), (1, _middle(u, at_u)),
+            (1, _middle(v, ws.hor_delta)), (1, vertical.tensor(u))]))]
+    add_tables("EQ-4.8", "curvature", "any any", eq_4_8, "EQ-2.14")
 
+    # EQ-2.17: R(X, U)Y = -<X, Y> U + (dsigma(Y, X) - <JX, Y>) V
     def eq_4_9(ws: Workspace) -> list[TableClause]:
         """R(X, U)Y = u(Y) X0 - v(X) J Y0 + v(Y) R_xUV + (-<X0, Y0>
         - 2 dsigma(U, V) v(X)v(Y)) U + (dsigma(Y0, X0) - <J X0, Y0>
@@ -562,8 +534,9 @@ def _registry() -> list[Identity]:
         return [("", ws.curv_xU, combine([(1, _middle(u, ws.hor_delta)), (-1, v.tensor(ws.hor_J)),
                                           (1, _middle(v, ws.R_xUV)),
                                           (1, at_u.tensor(u)), (1, at_v.tensor(v))]))]
-    add_tables("EQ-4.9", "curvature", "any any", eq_4_9)
+    add_tables("EQ-4.9", "curvature", "any any", eq_4_9, "EQ-2.17")
 
+    # EQ-2.18: R(X, V)Y = -<X, Y> V + (<JX, Y> - dsigma(Y, X)) U
     def eq_4_10(ws: Workspace) -> list[TableClause]:
         """R(X, V)Y = u(X) J Y0 + v(Y) X0 + u(Y)(-sigma(U) H X0 + (nabla_V G) X0
         + J X0) + (-<X0, Y0> + 2 dsigma(U, V) u(X)u(Y)) V + (<J X0, Y0>
@@ -575,7 +548,7 @@ def _registry() -> list[Identity]:
         return [("", ws.curv_xV, combine([(1, u.tensor(ws.hor_J)), (1, _middle(v, ws.hor_delta)),
                                           (1, _middle(u, at_y)),
                                           (1, at_v.tensor(v)), (1, at_u.tensor(u))]))]
-    add_tables("EQ-4.10", "curvature", "any any", eq_4_10)
+    add_tables("EQ-4.10", "curvature", "any any", eq_4_10, "EQ-2.18")
 
     add_failure("RIEM-SYM", "curvature", lambda ws: ws.riemann_symmetry)
     add_failure("BIANCHI-1", "curvature", lambda ws: first_bianchi_failures(ws.curv))
@@ -584,20 +557,17 @@ def _registry() -> list[Identity]:
 
     # ----- ricci -----
     # rho(AX, AY) = rho(X, Y) and rho(AX, Y) = -rho(X, AY) for A = G, H, on
-    # horizontal X, Y; rho(X, U) = rho(X, V) = 0 on horizontal X
+    # horizontal X, Y
     add_tables("EQ-5.1", "ricci", "hor hor", lambda ws: [
-        (name, ws.rho.pullback(a, (0, 1), ws.model.horizontal_indices), ws.horizontal(ws.rho))
+        (name, ws.rho.pullback(a, (0, 1), ws.model.horizontal_indices), ws.rho)
         for name, a in (("G", ws.model.G), ("H", ws.model.H))])
     add_tables("EQ-5.2", "ricci", "hor hor", lambda ws: [
         (name, ws.rho.pullback(a, (0,), ws.model.horizontal_indices),
          combine([(-1, ws.rho.pullback(a, (1,), ws.model.horizontal_indices))]))
         for name, a in (("G", ws.model.G), ("H", ws.model.H))])
-    add_tables("EQ-5.6", "ricci", "hor", lambda ws: [
-        (name, ws.horizontal(ws.rho.fix(1, w)), Table.from_values(ws.model.dim, 1, {}))
-        for name, w in (("U", ws.model.U_index), ("V", ws.model.V_index))])
 
     # rho(U, U) = rho(V, V) = 4n - 2 dsigma(U, V), rho(U, V) = 0; and so
-    # rho(X, U) = (4n - 2 dsigma(U, V)) u(X), and for V
+    # rho(X, U) = (4n - 2 dsigma(U, V)) u(X), and for V; EQ-5.6: 0 on horizontal X
     def eq_5_7(ws: Workspace) -> Failure | None:
         u, v, target = ws.model.U_index, ws.model.V_index, ws.ricci_target
         return _first_scalar_failure([("UU", ws.rho.entry(u, u), target),
@@ -606,7 +576,8 @@ def _registry() -> list[Identity]:
     add_failure("EQ-5.7", "ricci", eq_5_7)
     add_tables("EQ-5.10", "ricci", "any", lambda ws: [
         ("U", ws.rho.fix(1, ws.model.U_index), combine([(ws.ricci_target, ws.forms[1])])),
-        ("V", ws.rho.fix(1, ws.model.V_index), combine([(ws.ricci_target, ws.forms[2])]))])
+        ("V", ws.rho.fix(1, ws.model.V_index), combine([(ws.ricci_target, ws.forms[2])]))],
+        "EQ-5.6")
 
     # rho(X, Y) = rho(X0, Y0) + (4n - 2 dsigma(U, V))(u(X)u(Y) + v(X)v(Y)),
     # and rho(X0, Y0) = rho(AX, AY) for A = G, H
@@ -788,7 +759,10 @@ def diff_expected(m: ManifoldModel, exp: ExpectedValues) -> DiffReport:
 
     diffs = []
     for entry in exp.entries:
-        computed = compute(entry)
+        try:
+            computed = compute(entry)
+        except DegeneratePlane as exc:
+            raise DegeneratePlane(f"line {entry.line}: {entry.key}: {exc}") from None
         diffs.append(DiffEntry(
             key=entry.key,
             matched=computed == entry.expected,

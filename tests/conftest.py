@@ -29,6 +29,9 @@ from ccmv import (
 )
 from ccmv.model import structure_constants
 
+# the frozen reports, read from the checkout whatever the working directory
+ERRATA = Path(__file__).resolve().parent.parent / "errata"
+
 
 @pytest.fixture(scope="session")
 def heisenberg() -> ManifoldModel:

@@ -9,7 +9,6 @@ from __future__ import annotations
 import importlib.resources
 import time
 from itertools import product
-from pathlib import Path
 
 from ccmv import (
     HEISENBERG_CCM,
@@ -36,7 +35,7 @@ from ccmv.core import Status, combine
 from ccmv.curvature import holomorphic_sectional
 from ccmv.structures import ConnectionWorkspace
 from ccmv.verify import parse_expected
-from tests.conftest import make_nilpotent_model
+from conftest import ERRATA, make_nilpotent_model
 
 EXPECTED_FILE = (importlib.resources.files("ccmv")
                  .joinpath("data/iwasawa_expected.ccmx"))
@@ -143,7 +142,7 @@ def test_c08_identity_suite_statuses_are_frozen_and_fast():
     assert refuted.status is Status.FAIL
     assert refuted.witness == "slots=0 lhs=2:1 rhs=-1:1"
 
-    frozen = Path("errata/iwasawa_suite.tsv").read_text().splitlines()
+    frozen = (ERRATA / "iwasawa_suite.tsv").read_text().splitlines()
     assert suite_tsv_rows(report) == frozen
     print("criterion 8 PASS")
 

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import importlib.resources
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -11,6 +10,7 @@ import ccmv.model
 from ccmv import HEISENBERG_CCM, load_model
 from ccmv.cli import main
 from conftest import (
+    ERRATA,
     make_heisenberg_model,
     make_nilpotent_model,
     make_two_step_model,
@@ -176,7 +176,7 @@ class TestVerify:
         # a fresh end-to-end run must reproduce the committed report exactly
         code, out, _ = run_cli(capsys, "verify", heis_path, "--format", "tsv")
         assert code == 1  # known failures on the published tables
-        frozen = Path("errata/iwasawa_suite.tsv").read_text()
+        frozen = (ERRATA / "iwasawa_suite.tsv").read_text()
         assert out == frozen
 
     @pytest.mark.parametrize("name,build", [
@@ -192,7 +192,7 @@ class TestVerify:
         assert load_model(path.read_text(encoding="utf-8")) == m
         code, out, _ = run_cli(capsys, "verify", str(path), "--format", "tsv")
         assert code == 1
-        assert out == Path(f"errata/{name}_suite.tsv").read_text()
+        assert out == (ERRATA / f"{name}_suite.tsv").read_text()
 
     @pytest.mark.parametrize("command", ["connection", "curvature", "ricci"])
     @pytest.mark.parametrize("name,build", [
@@ -206,7 +206,7 @@ class TestVerify:
         path.write_text(model_source(build()), encoding="utf-8")
         code, out, err = run_cli(capsys, command, str(path), "--format", "tsv")
         assert (code, err) == (0, "")
-        assert out == Path(f"errata/{name}_{command}.tsv").read_text()
+        assert out == (ERRATA / f"{name}_{command}.tsv").read_text()
 
     def test_subgroup_text_output(self, capsys, heis_path):
         code, out, _ = run_cli(capsys, "verify", heis_path,
@@ -283,7 +283,7 @@ class TestDiff:
         code, out, _ = run_cli(capsys, "diff", heis_path, "--format", "tsv",
                                "--expected", EXPECTED_FILE)
         assert code == 1
-        frozen = Path("errata/iwasawa_diff.tsv").read_text()
+        frozen = (ERRATA / "iwasawa_diff.tsv").read_text()
         assert out == frozen
 
     def test_all_match_exits_0(self, capsys, heis_path, tmp_path):
@@ -310,6 +310,19 @@ class TestDiff:
         assert code == 2
         assert out == ""
         assert "line 2: indices must be integers" in err
+
+    @pytest.mark.parametrize("entry", ["hol 5", "sec 2 2"])
+    def test_degenerate_entry_names_file_and_line(self, capsys, tmp_path, entry):
+        # with J = 0, e_5 and J e_5 span no plane
+        model = tmp_path / "flat_j.ccm"
+        model.write_text("".join(line for line in HEISENBERG_CCM.splitlines(keepends=True)
+                                 if not line.startswith("J ")), encoding="utf-8")
+        expected = tmp_path / "x.ccmx"
+        expected.write_text(f"scal = -8\n{entry} = 1\n")
+        code, out, err = run_cli(capsys, "diff", str(model), "--expected", str(expected))
+        assert (code, out) == (2, "")
+        assert err == (f"ccmv: {expected}: line 2: {entry}: "
+                       f"vectors do not span a nondegenerate plane\n")
 
     def test_missing_expected_file_exits_2(self, capsys, heis_path):
         code, _, err = run_cli(capsys, "diff", heis_path,

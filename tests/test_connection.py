@@ -15,7 +15,7 @@ from ccmv.connection import (
     wedge,
 )
 from ccmv.core import Table, combine
-from tests.conftest import basis, make_nilpotent_model, vector
+from conftest import basis, make_nilpotent_model, vector
 
 # every nonzero gamma[i][j][k] of the built-in model
 GAMMA_TABLE = {

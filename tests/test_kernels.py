@@ -31,7 +31,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, product
-from pathlib import Path
 from types import SimpleNamespace
 from typing import Callable
 
@@ -74,6 +73,7 @@ from ccmv.verify import (
     render_witness,
 )
 from conftest import (
+    ERRATA,
     basis,
     horizontal_projection,
     make_heisenberg_model,
@@ -1076,21 +1076,22 @@ class TestGeneratedModels:
             assert (registry_identity(identity_id).direct is not None
                     or table_result(ws, identity_id) == reference_sweep(ws, identity_id, 32))
 
-    def test_table_sides_hold_only_their_slot_ranges(self, geometry):
-        # the invariant of `Identity.tables`: a side unrestricted in a `hor`
-        # slot would print a vertical witness there
+    def test_hor_slots_filter_the_comparison(self, geometry):
+        # a `hor` identity's row is that of its clauses with every side
+        # restricted to horizontal frame tuples by hand, then compared on
+        # every key
         ws = Workspace(geometry[0])
-        m = ws.model
+        hor = ws.model.horizontal_indices
         for ident in REGISTRY:
-            if ident.tables is None:
+            if ident.tables is None or "hor" not in ident.slots:
                 continue
-            ranges = [m.horizontal_indices if kind == "hor" else range(m.dim)
-                      for kind in ident.slots]
-            for name, lhs, rhs in ident.tables(ws):
-                for side in (lhs, rhs):
-                    assert side.rank in (len(ranges), len(ranges) + 1), (ident.identity_id, name)
-                    assert all(i in r for key, _ in side.items()
-                               for i, r in zip(key, ranges)), (ident.identity_id, name)
+            assert set(ident.slots) == {"hor"}, ident.identity_id
+            width = len(ident.slots)
+            restricted = [(name, lhs.restrict(hor, width), rhs.restrict(hor, width))
+                          for name, lhs, rhs in ident.tables(ws)]
+            by_hand = Identity(ident.identity_id, ident.group, ("any",) * width,
+                               tables=lambda _, clauses=restricted: clauses)
+            assert _run_tables(ws, ident) == _run_tables(ws, by_hand)
 
     def test_normality_routes_match_reference_loops(self, geometry):
         ws = VectorWorkspace(geometry[0])
@@ -1365,11 +1366,25 @@ class TestCandidateWitnesses:
         result = table_result(ws, identity_id)
         assert result.witness == witness
         assert result == reference_sweep(ws, identity_id, 32)
-        clauses = registry_identity(identity_id).tables(ws)
+        ident = registry_identity(identity_id)
+        clauses = ident.tables(ws)
         if len(clauses) > 1:
             name = witness.split(" part=")[1].split()[0]
             others = [c for c in clauses if c[0] != name]
-            assert first_table_failure(others, len(registry_identity(identity_id).slots)) is None
+            keep = heisenberg.horizontal_indices if "hor" in ident.slots else None
+            assert first_table_failure(others, len(ident.slots), keep) is None
+
+    def test_vertical_bump_reaches_the_full_form_only(self, heisenberg):
+        # R(X, U)U bumped at X = V: EQ-4.2 compares it, and EQ-2.12, whose U
+        # clause is EQ-4.2's on a `hor` slot, does not
+        plain, ws = VectorWorkspace(heisenberg), VectorWorkspace(heisenberg)
+        ws.curv = _bumped(ws.curv, {(5, 4, 4, 0): 1})
+        assert table_result(plain, "EQ-4.2").status is Status.PASS
+        assert table_result(ws, "EQ-4.2").witness == "slots=5 lhs=1:0 rhs=0"
+        assert table_result(ws, "EQ-2.12") == table_result(plain, "EQ-2.12")
+        assert table_result(ws, "EQ-2.12").status is Status.PASS
+        for identity_id in ("EQ-2.12", "EQ-4.2"):
+            assert table_result(ws, identity_id) == reference_sweep(ws, identity_id, 32)
 
     def test_second_bianchi_witness_comes_from_a_rotated_term(self, heisenberg,
                                                               heis_conn, heis_curv):
@@ -1833,7 +1848,7 @@ def test_identities_run_without_contractions(monkeypatch):
     for name in [name for name in module if name.startswith("ref_")]:
         monkeypatch.setitem(module, name, lambda *args, _name=name: calls.append(_name))
     frozen = {row.split("\t")[0]: row for row in
-              Path("errata/heisenberg_n2_suite.tsv").read_text().splitlines()}
+              (ERRATA / "heisenberg_n2_suite.tsv").read_text().splitlines()}
     checked = [ident for ident in REGISTRY if ident.identity_id not in MODEL_CHECK_IDS]
     assert len(checked) == len(REGISTRY) - 12
     for ident in checked:

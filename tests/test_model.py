@@ -22,7 +22,7 @@ from ccmv.model import (
     validate_structure,
 )
 from ccmv.core import Table, combine
-from tests.conftest import vector
+from conftest import vector
 
 MINIMAL = "version 1\nname tiny\nn 1\n"
 

@@ -33,7 +33,7 @@ from ccmv.verify import (
     suite_text_rows,
     suite_tsv_rows,
 )
-from conftest import make_heisenberg_model, make_nilpotent_model, make_two_step_model
+from conftest import ERRATA, make_heisenberg_model, make_nilpotent_model, make_two_step_model
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv").joinpath("data/iwasawa_expected.ccmx"))
 
@@ -270,7 +270,7 @@ class TestRenderers:
         assert "EQ-2.19 FAIL slots=0 lhs=2:1 rhs=-1:1" in rows
 
     def test_rows_match_errata_file(self, heis_suite):
-        frozen = Path("errata/iwasawa_suite.tsv").read_text().splitlines()
+        frozen = (ERRATA / "iwasawa_suite.tsv").read_text().splitlines()
         assert suite_tsv_rows(heis_suite) == frozen
 
 
