@@ -392,6 +392,13 @@ class Table(Record):
         return Table.from_numerators(self.dim, self.rank, values,
                                      self.den * endo.den ** len(slots))
 
+    def pair_quarter(self) -> Table:
+        """The entries at i < j (and k < l at rank 4), which determine a table
+        antisymmetric in those pairs."""
+        kept = {idx: a for idx, a in self.entries.items()
+                if idx[0] < idx[1] and idx[-2] < idx[-1]}
+        return Table(self.dim, self.rank, kept, self.den)._reduced()
+
     def add(self, terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
         """This table plus c * t for every term (c, t) of the same rank, over
         the lcm of the terms' denominators."""

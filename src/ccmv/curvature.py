@@ -14,13 +14,23 @@ its slots permuted, and the cyclic sum against the empty map.  Each cyclic
 nabla R term of BIANCHI-2 is a connection numerator times an R numerator,
 over the product of the two dens.
 
-BIANCHI-2 builds one slab of the cyclic sum per triple of its first three
-indices, keyed by the last two.  When R is antisymmetric in each pair (as
-RIEM-SYM checks), so is nabla R, and the cyclic sum is totally
-antisymmetric in its first three indices and antisymmetric in its last
-two; then only the triples s < a < b and the entries k < l are built,
-about a sixth of the full sweep, with the same first failure.  Otherwise
-the sweep builds one slab per rotation orbit, full width.
+Once RIEM-SYM holds, R and nabla R (for any connection) are antisymmetric
+in each pair, and each sweep of R below builds only the quarter i < j,
+k < l of what it compares, which holds the first failure in product order;
+otherwise it keeps its exact full sweep.  The cyclic sums are then totally
+antisymmetric in their first three indices: BIANCHI-1 adds each entry only
+at the rotation of those that increases, if one does, and BIANCHI-2 builds
+only the slabs s < a < b, keyed by k < l, regrouped.  Reading R(a, p, ...)
+as -R(p, a, ...) pairs each term that differentiates R's first pair with one
+of the next rotation, into omega(s, a, p) = gamma(s, a, p) - gamma(a, s, p);
+reading R(..., k, p) as -R(..., p, k) turns the terms of its second pair
+into t(k, l) - t(l, k), with t(k, l) = sum_p gamma(s, k, p) R(a, b, p, l).
+The same integer products over D_conn * D_R are summed, so every slab total
+is unchanged, and no property of the connection is used.  The pullbacks
+R(A., A., A., A.) of EQ-2.20, EQ-2.21 and EQ-4.1 pull the second pair first,
+from the entries with p < q in the first, emitting slot 3 only above slot
+2; then the first pair from both orders of (p, q), the sign flipped for
+(q, p), emitting slot 1 only above slot 0.
 """
 from __future__ import annotations
 
@@ -28,7 +38,7 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
 
-from .core import ZERO, Failure, Scalar, Table, first_failure
+from .core import ZERO, Failure, Scalar, Table, combine, first_failure
 from .model import ManifoldModel
 
 
@@ -103,52 +113,79 @@ def holomorphic_sectional(m: ManifoldModel, rt: Table, x: Table) -> Scalar:
     return sectional(rt, x, m.J.contract(x))
 
 
-def _connection_index(conn: Table, s: int) -> tuple[dict, dict]:
-    """gamma(s, ., .) from the prefix index, and into[p] listing (e, q) for
-    every nonzero gamma(s, e, p) = q."""
-    gamma = conn.sub(s)
-    into: dict = {}
-    for e, row in gamma.items():
-        for p, q in row:
-            into.setdefault(p, []).append((e, q))
-    return gamma, into
+def horizontal_curvature(rt: Table, endo: Table | None, keep: range,
+                         quarter: bool) -> Table:
+    """R on the index tuples in `keep`, or R(A., A., A., A.) there for the
+    map A = `endo`, pulled back one slot at a time; with `quarter`, only at
+    i < j and k < l (see the module docstring); into[p] holds (i, c) for each
+    numerator c of A(e_i) on e_p, i in `keep`."""
+    if endo is None:
+        return (rt.pair_quarter() if quarter else rt).restrict(keep)
+    if not quarter:
+        return rt.pullback(endo, range(4), keep)
+    endo = endo.restrict(keep, 1)
+    into = endo.permute((1, 0)).sub()
+    values = {key: a for key, a in rt.entries.items() if key[0] < key[1] and key[0] in into
+              and key[1] in into and key[2] in into and key[3] in into}
+    for pair in range(2):
+        # pull the last pair, its second slot only above its first, and move
+        # it to the front; then give the next pair both orders
+        part: dict[tuple[int, int, int, int], int] = {}
+        for (p, q, r, s), a in values.items():
+            for k, c in into[r]:
+                part[p, q, k, s] = part.get((p, q, k, s), 0) + c * a
+        values = {}
+        for (p, q, k, s), a in part.items():
+            for el, c in into[s]:
+                if el > k:
+                    values[k, el, p, q] = values.get((k, el, p, q), 0) + c * a
+        if not pair:
+            values.update({(k, el, q, p): -a for (k, el, p, q), a in values.items()})
+    return Table.from_numerators(rt.dim, 4, values, rt.den * endo.den ** 4)
 
 
-def _subtract_nabla_r(slab: dict, gamma: dict, into: dict, rt: Table,
-                      a: int, b: int, upper: bool) -> None:
-    """slab[(k, l)] += (nabla_{e_s} R)(e_a, e_b, e_k, e_l) as a numerator over
-    D_conn * D_R, with gamma and into from `_connection_index` at one s, for
-    every (k, l), or only for k < l when `upper` is set.  R is
-    differentiated as an invariant 4-tensor, so each of its slots picks up
-    a -gamma contraction."""
-    plane, get = rt.sub(a, b), slab.get
-    # each loop fixes k before it walks l, and adds only the l above `least`:
-    # k itself with `upper`, below every index without
-    shift = 0 if upper else -rt.dim
-    for p, q in gamma.get(a, ()):
-        for k, row in rt.sub(p, b).items():
-            least = k + shift
-            for el, v in row:
-                if el > least:
+def _orbit_slab(conn: Table, into: dict, planes: dict, mm: int, i: int, j: int) -> dict:
+    """The full cyclic slab at (mm, i, j): (nabla_{e_s} R)(e_a, e_b, e_k, e_l)
+    summed over the rotations (s, a, b), each slot of R contracted with -gamma."""
+    slab: dict[tuple[int, int], int] = {}
+    get = slab.get
+    for s, a, b in ((mm, i, j), (i, j, mm), (j, mm, i)):
+        gamma, reach = conn.sub(s), into.get(s, {})
+        terms = [(q, planes.get((p, b), ())) for p, q in gamma.get(a, ())]
+        for q, plane in terms + [(q, planes.get((a, p), ())) for p, q in gamma.get(b, ())]:
+            for k, row in plane:
+                for el, v in row:
                     slab[k, el] = get((k, el), 0) - q * v
-    for p, q in gamma.get(b, ()):
-        for k, row in rt.sub(a, p).items():
-            least = k + shift
-            for el, v in row:
-                if el > least:
+        for c, row in planes.get((a, b), ()):
+            for k, q in reach.get(c, ()):
+                for el, v in row:
                     slab[k, el] = get((k, el), 0) - q * v
-    for k, krow in gamma.items():
-        least = k + shift
-        for p, q in krow:
-            for el, v in plane.get(p, ()):
-                if el > least:
-                    slab[k, el] = get((k, el), 0) - q * v
-    for k, row in plane.items():
-        least = k + shift
-        for p, v in row:
-            for el, q in into.get(p, ()):
-                if el > least:
-                    slab[k, el] = get((k, el), 0) - q * v
+            for p, v in row:
+                for el, q in reach.get(p, ()):
+                    slab[c, el] = get((c, el), 0) - q * v
+    return slab
+
+
+def _regrouped_slab(omega: dict, planes: dict, into: dict, s: int, a: int, b: int) -> dict:
+    """The cyclic slab at (s, a, b) on its entries k < l, regrouped as the
+    module docstring states; omega[x, y] lists the nonzero (p, omega(x, y, p))."""
+    slab: dict[tuple[int, int], int] = {}
+    get = slab.get
+    for x, y, z in ((s, a, b), (a, b, s), (b, s, a)):
+        for p, w in omega.get((x, y), ()):
+            for k, row in planes.get((p, z), ()):
+                for el, v in row:
+                    if k < el:
+                        slab[k, el] = get((k, el), 0) - w * v
+        reach = into.get(x, {})
+        for p, row in planes.get((y, z), ()):
+            for k, q in reach.get(p, ()):
+                for el, v in row:
+                    if k < el:
+                        slab[k, el] = get((k, el), 0) - q * v
+                    elif el < k:
+                        slab[el, k] = get((el, k), 0) + q * v
+    return slab
 
 
 def second_bianchi_failures(m: ManifoldModel, conn: Table, rt: Table,
@@ -163,46 +200,42 @@ def second_bianchi_failures(m: ManifoldModel, conn: Table, rt: Table,
     and the first of them in product order is the smallest of its orbit.
     By default only those orbit minima are built, one slab of numerators at
     a time, and the sweep returns at the first slab with a nonzero entry.
-
-    `pair_antisymmetric` states that R is antisymmetric in each of its two
-    pairs, as RIEM-SYM checks.  nabla R keeps every slot symmetry of R
-    whatever the connection is, so the cyclic sum is then antisymmetric in
-    (k, l), and swapping two of (m, i, j) turns it into minus the cyclic sum
-    of the other orientation: it is totally antisymmetric in (m, i, j), and
-    zero at a repeated index.  The failing tuples are closed under these
-    permutations, so the first of them in product order has m < i < j and
-    k < l, and only those slabs, in `itertools.combinations` order, and
-    those entries are built: about a sixth of the slab entries.  On a table
-    without the pair antisymmetry the default full sweep is the exact one.
+    With `pair_antisymmetric`, R antisymmetric in each pair (RIEM-SYM), the
+    slabs s < a < b are built instead, regrouped (see the module docstring).
     """
-    index = [_connection_index(conn, s) for s in range(m.dim)]
+    # into[s][p] holds (e, gamma(s, e, p)); planes[a, b] lists (k, [(l, R(a, b, k, l))])
+    into, planes, omega = conn.permute((0, 2, 1)).sub(), {}, {}
+    for (a, b, k, el), v in rt.entries.items():
+        planes.setdefault((a, b), {}).setdefault(k, []).append((el, v))
+    planes = {key: list(plane.items()) for key, plane in planes.items()}
     if pair_antisymmetric:
-        triples = combinations(range(m.dim), 3)
+        twist = combine([(1, conn), (-1, conn.permute((1, 0, 2)))])
+        for (x, y, p), w in twist.entries.items():
+            omega.setdefault((x, y), []).append((p, w * (conn.den // twist.den)))
+        slabs = ((t, _regrouped_slab(omega, planes, into, *t))
+                 for t in combinations(range(m.dim), 3))
     else:
-        triples = (t for t in product(range(m.dim), repeat=3)
-                   if t <= (t[1], t[2], t[0]) and t <= (t[2], t[0], t[1]))
-    for mm, i, j in triples:
-        slab: dict[tuple[int, int], int] = {}
-        for s, a, b in ((mm, i, j), (i, j, mm), (j, mm, i)):
-            _subtract_nabla_r(slab, *index[s], rt, a, b, pair_antisymmetric)
-        failing = [key for key, total in slab.items() if total]
-        if failing:
-            key = min(failing)
-            return (mm, i, j, *key), "", Fraction(slab[key], conn.den * rt.den), ZERO
+        slabs = ((t, _orbit_slab(conn, into, planes, *t)) for t in product(range(m.dim), repeat=3)
+                 if t <= (t[1], t[2], t[0]) and t <= (t[2], t[0], t[1]))
+    for triple, slab in slabs:
+        if any(slab.values()):
+            key = min(key for key, total in slab.items() if total)
+            return (*triple, *key), "", Fraction(slab[key], conn.den * rt.den), ZERO
     return None
 
 
-def first_bianchi_failures(rt: Table) -> Failure | None:
+def first_bianchi_failures(rt: Table, pair_antisymmetric: bool = False) -> Failure | None:
     """First failure of the first Bianchi identity, as (index tuple, "",
     cyclic sum, 0) at the first tuple in `itertools.product` order with a
     nonzero sum R_ijkl + R_jkil + R_kijl; None when there is none.  The
-    sums are of R's numerators, each stored entry added at its own tuple
-    and at the two rotations of its first three indices, and are compared
-    with the empty map."""
+    sums are of R's numerators, each stored entry added at its own tuple and
+    at the two rotations of its first three indices, or only at the one that
+    increases with `pair_antisymmetric`, and are compared with the empty map."""
     total: dict[tuple[int, int, int, int], int] = {}
     for (i, j, k, el), a in rt.entries.items():
         for key in ((i, j, k, el), (k, i, j, el), (j, k, i, el)):
-            total[key] = total.get(key, 0) + a
+            if not pair_antisymmetric or key[0] < key[1] < key[2]:
+                total[key] = total.get(key, 0) + a
     return first_failure([("", (total, rt.den), ({}, 1))], 4)
 
 

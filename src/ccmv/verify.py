@@ -21,14 +21,14 @@ sides are single rows, compared at the empty tuple, printed `-`.
 
 Direct identities report the results of their own checks: the structural
 checks and the normality routes, which compare tables the same way;
-EQ-2.11 and EQ-5.7, whose sides are scalars; RIEM-SYM and BIANCHI-1,
-clauses of `core.first_failure` on R's numerator maps (R against R with
-its slots permuted, the cyclic sum against the empty map); and BIANCHI-2,
-whose cyclic nabla R slabs are the triples s < a < b and entries k < l of
-its antisymmetric part once RIEM-SYM holds, one full slab per cyclic orbit
-otherwise.  Each reports its first failing tuple in `itertools.product`
-order, rendered as every row is.  RIEM-SYM runs once per `Workspace`;
-its row and BIANCHI-2's choice of sweep read the same result.
+EQ-2.11 and EQ-5.7, whose sides are scalars; and RIEM-SYM, BIANCHI-1 and
+BIANCHI-2, the sweeps of R in `curvature`.  Each reports its first failing
+tuple in `itertools.product` order, rendered as every row is.  RIEM-SYM
+runs once per `Workspace`.  Once it holds, BIANCHI-1, BIANCHI-2 and EQ-4.1
+build and compare only the quarter i < j, k < l of R's two pairs, where
+their first failure lies; so do EQ-2.20 and EQ-2.21 when their four rank-2
+factors (dsigma, <J., .>, <B., .>, dsigma(A., .)) are skew on horizontal
+vectors.  Otherwise each builds and compares in full.
 
 Registry ids are stable opaque labels (the EQ-*/AX-*/NORM-* vocabulary
 used by the report formats); several identities are recorded here in a
@@ -62,6 +62,7 @@ from .curvature import (
     DegeneratePlane,
     first_bianchi_failures,
     holomorphic_sectional,
+    horizontal_curvature,
     ricci,
     riemann,
     riemann_symmetry_failures,
@@ -124,7 +125,7 @@ class Workspace(ConnectionWorkspace):
         self.curv = riemann(m, self.conn)
         self.rho = ricci(m, self.curv)
         self.tau = scalar_curvature(self.rho)
-        self._clauses: dict[Callable, list[TableClause]] = {}
+        self._clauses: dict = {}
 
     def clauses(self, tables: Callable[[Workspace], list[TableClause]]) -> list[TableClause]:
         """`tables(self)`, built once per workspace for all its identities."""
@@ -147,21 +148,15 @@ class Workspace(ConnectionWorkspace):
         return {check.check_id: check
                 for check in self.model.lie_results + tuple(structure_tensor_checks(self.model))}
 
-    # Sides of the horizontal 4-slot identities (EQ-2.20, EQ-2.21, EQ-4.1),
-    # restricted to horizontal keys only to cut the work of building them.
-    @cached_property
-    def curv_hor(self) -> Table:
-        return self.horizontal(self.curv)
-
-    @cached_property
-    def curv_G(self) -> Table:
-        """R(G., G., G., G.), pulled back one slot at a time."""
-        return self.curv.pullback(self.model.G, range(4), self.model.horizontal_indices)
-
-    @cached_property
-    def curv_H(self) -> Table:
-        """R(H., H., H., H.), pulled back one slot at a time."""
-        return self.curv.pullback(self.model.H, range(4), self.model.horizontal_indices)
+    def curv_side(self, a: str, quarter: bool) -> Table:
+        """A side of EQ-2.20, EQ-2.21 or EQ-4.1, built once and kept with the
+        clauses: R on horizontal keys for a = "R", else R(A., A., A., A.)
+        there for A = G or H; with `quarter`, only at i < j and k < l."""
+        if (a, quarter) not in self._clauses:
+            self._clauses[a, quarter] = horizontal_curvature(
+                self.curv, None if a == "R" else getattr(self.model, a),
+                self.model.horizontal_indices, quarter)
+        return self._clauses[a, quarter]
 
     # R with a vertical argument, read by EQ-4.2-4.5, EQ-4.9 and EQ-4.10.
     @cached_property
@@ -283,8 +278,8 @@ def _registry() -> list[Identity]:
     # horizontal parts of X and Y: ws.horizontal(t, k) keeps the keys of t
     # whose first k indices are horizontal, and ws.horizontal(t) every slot.
     # A `hor` slot is compared on horizontal frame indices only, so a side
-    # restricted all the same (curv_hor, a pullback's `keep`, a factor of a
-    # tensor product) is so only to cut the work of building it.
+    # restricted all the same (`curv_side`, a pullback's `keep`, a factor of
+    # a tensor product) is so only to cut the work of building it.
 
     # ----- axioms -----
     for check_id in ("LIE-ANTISYM", "LIE-JACOBI", "AX-G2", "AX-H2", "AX-J2",
@@ -456,22 +451,26 @@ def _registry() -> list[Identity]:
     # EQ-2.20 (A = G, B = H) and EQ-2.21 (A = H, B = G): R(AX, AY, AZ, AW) =
     # R(X, Y, Z, W) - 2 <JZ, W> dsigma(X, Y) + 2 <BX, Y> dsigma(AZ, W)
     # + 2 <JX, Y> dsigma(Z, W) - 2 <BZ, W> dsigma(AX, Y), on horizontal
-    # vectors.  <J., .> and <B., .> are the stored entries of J and B.
+    # vectors, <J., .> and <B., .> the stored entries of J and B; compared at
+    # i < j, k < l only once RIEM-SYM holds and these four rank-2 factors are skew.
     def pulled_back_curvature(a: str, b: str):
         def tables(ws: Workspace) -> list[TableClause]:
             m = ws.model
-            form_b, form_j = ws.horizontal(getattr(m, b)), ws.horizontal(m.J)
-            ds = ws.horizontal(ws.dsigma)
-            ds_a = ws.dsigma.pullback(getattr(m, a), (0,), m.horizontal_indices)
-            rhs = ws.curv_hor.add([(-2, ds.tensor(form_j)), (2, form_b.tensor(ds_a)),
-                                   (2, form_j.tensor(ds)), (-2, ds_a.tensor(form_b))])
-            return [("", getattr(ws, f"curv_{a}"), rhs)]
+            factors = [ws.horizontal(ws.dsigma), ws.horizontal(m.J), ws.horizontal(getattr(m, b)),
+                       ws.dsigma.pullback(getattr(m, a), (0,), m.horizontal_indices)]
+            quarter = ws.riemann_symmetry is None and all(
+                t.keyed((1, 0), -1)[0] == t.entries for t in factors)
+            ds, form_j, form_b, ds_a = [t.pair_quarter() if quarter else t for t in factors]
+            return [("", ws.curv_side(a, quarter), ws.curv_side("R", quarter).add([
+                (-2, ds.tensor(form_j)), (2, form_b.tensor(ds_a)),
+                (2, form_j.tensor(ds)), (-2, ds_a.tensor(form_b))]))]
         return tables
     add_tables("EQ-2.20", "curvature", "hor hor hor hor", pulled_back_curvature("G", "H"))
     add_tables("EQ-2.21", "curvature", "hor hor hor hor", pulled_back_curvature("H", "G"))
 
     add_tables("EQ-4.1", "curvature", "hor hor hor hor", lambda ws: [
-        ("G", ws.curv_G, ws.curv_hor), ("H", ws.curv_H, ws.curv_hor)])
+        (a, ws.curv_side(a, ws.riemann_symmetry is None),
+         ws.curv_side("R", ws.riemann_symmetry is None)) for a in "GH"])
 
     # EQ-4.2 - EQ-4.10: R with a vertical argument, for any X, Y.  Every
     # term they add to EQ-2.12 - EQ-2.19 carries u, v or dsigma(U, V) of a
@@ -551,7 +550,8 @@ def _registry() -> list[Identity]:
     add_tables("EQ-4.10", "curvature", "any any", eq_4_10, "EQ-2.18")
 
     add_failure("RIEM-SYM", "curvature", lambda ws: ws.riemann_symmetry)
-    add_failure("BIANCHI-1", "curvature", lambda ws: first_bianchi_failures(ws.curv))
+    add_failure("BIANCHI-1", "curvature", lambda ws: first_bianchi_failures(
+        ws.curv, ws.riemann_symmetry is None))
     add_failure("BIANCHI-2", "curvature", lambda ws: second_bianchi_failures(
         ws.model, ws.conn, ws.curv, ws.riemann_symmetry is None))
 

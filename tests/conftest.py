@@ -171,6 +171,45 @@ def make_two_step_model() -> ManifoldModel:
                          J=perturbed(base.J, {(2, 0): Fraction(3, 5)}))
 
 
+def cayley_rotation(h: int, rng: random.Random) -> list[list[Fraction]]:
+    """(I - S)(I + S)^-1 for a random skew h x h matrix S with entries p/q,
+    |p| <= 2 and 1 <= q <= 3, drawn above the diagonal in row order: a
+    rational orthogonal matrix.  I + S is invertible because S is skew;
+    Gauss-Jordan elimination solves (I + S) Q = I - S, and the two factors
+    commute."""
+    s = [[Fraction(0)] * h for _ in range(h)]
+    for i in range(h):
+        for j in range(i + 1, h):
+            s[i][j] = Fraction(rng.randint(-2, 2), rng.randint(1, 3))
+            s[j][i] = -s[i][j]
+    rows = [[(i == j) + s[i][j] for j in range(h)] + [(i == j) - s[i][j] for j in range(h)]
+            for i in range(h)]
+    for c in range(h):
+        pivot = next(r for r in range(c, h) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(h):
+            if r != c and rows[r][c]:
+                rows[r] = [x - rows[r][c] * y for x, y in zip(rows[r], rows[c])]
+    return [row[h:] for row in rows]
+
+
+def rotate_model(m: ManifoldModel, seed: int = 0) -> ManifoldModel:
+    """The model in the frame f_a = sum_i Q[i][a] e_i: the horizontal block
+    turned by the Cayley transform Q of `cayley_rotation`, seeded, with U
+    and V fixed.  The brackets, G, H and J are read in the new frame, each
+    slot pulled back through the rotation.  Q is orthogonal, so the new
+    frame is orthonormal too, and every identity keeps its status."""
+    h = 4 * m.n
+    q = cayley_rotation(h, random.Random(f"cayley:{seed}"))
+    turn = {(a, i): q[i][a] for a in range(h) for i in range(h) if q[i][a]}
+    turn.update({(v, v): Fraction(1) for v in range(h, m.dim)})
+    turn = Table.from_values(m.dim, 2, turn)
+    every = range(m.dim)
+    return ManifoldModel(f"{m.name}-rotated", m.n, m.constants.pullback(turn, range(3), every),
+                         *(t.pullback(turn, (0, 1), every) for t in (m.G, m.H, m.J)))
+
+
 def model_source(m: ManifoldModel) -> str:
     """The model as a model document that `load_model` reads back."""
     d = m.dim

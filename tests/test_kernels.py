@@ -18,9 +18,10 @@ generated nilpotent perturbations, the n=2 block-diagonal model, a fixed
 two-step model with [U, V] != 0 and non-integral tables, systematic
 mutations and single-entry bumps of the bundled model, curvature bumps
 that keep every pair partner and connection bumps of each generated
-model (where BIANCHI-2 takes its antisymmetric quarter sweep), random
-two-step nilpotent models with random structure tensors, and random
-sparse 4-tensors.
+model (where BIANCHI-2, BIANCHI-1, EQ-2.20, EQ-2.21 and EQ-4.1 take
+their pair-antisymmetric quarter, compared with the full sweeps and full
+builds), random two-step nilpotent models with random structure tensors,
+and random sparse 4-tensors, some antisymmetric in their first pair.
 """
 from __future__ import annotations
 
@@ -58,7 +59,7 @@ from ccmv import (
 )
 from ccmv import curvature
 from ccmv.core import combine
-from ccmv.curvature import first_bianchi_failures
+from ccmv.curvature import first_bianchi_failures, horizontal_curvature
 from ccmv.model import structure_constants
 from ccmv.structures import NormalityReport, check_normality, first_table_failure
 from ccmv.verify import (
@@ -1265,11 +1266,13 @@ class TestCandidateWitnesses:
         assert result.witness == witness
         assert result == reference_sweep(ws, "EQ-4.1", 32)
         # an entry the witness prints as 0 is not stored in its table
-        lhs = ws.curv_G if clause == "G" else ws.curv_H
+        # (each bump breaks RIEM-SYM, so the sides are the full ones)
+        assert ws.riemann_symmetry is not None
+        lhs = ws.curv_side(clause, False)
         assert (where in dict(lhs.items())) == (" lhs=0 " not in witness)
-        assert (where in dict(ws.curv_hor.items())) == (not witness.endswith(" rhs=0"))
+        assert (where in dict(ws.curv_side("R", False).items())) == (not witness.endswith(" rhs=0"))
         if clause == "H":
-            assert ws.curv_G == ws.curv_hor
+            assert ws.curv_side("G", False) == ws.curv_side("R", False)
             assert where not in bumps
 
     # Single bumps of the bundled connection (kind "conn", a gamma index) or
@@ -1477,20 +1480,26 @@ def _draw_bump(rng: random.Random, dim: int, kind: str) -> tuple[tuple[int, ...]
 
 
 @contextmanager
-def nabla_r_calls():
-    """The `upper` flag of every call of the nabla R kernel in the block."""
-    calls: list[bool] = []
-    original = curvature._subtract_nabla_r
+def slab_kernel_calls():
+    """Every BIANCHI-2 slab built in the block, in order, as (kernel, triple,
+    slab numerators): kernel "regrouped" for a quarter slab, "orbit" for a
+    full one."""
+    calls: list[tuple[str, tuple[int, ...], dict]] = []
+    kernels = {"regrouped": curvature._regrouped_slab, "orbit": curvature._orbit_slab}
 
-    def counted(*args):
-        calls.append(args[-1])
-        return original(*args)
+    def counted(name):
+        def kernel(*args):
+            calls.append((name, args[-3:], kernels[name](*args)))
+            return calls[-1][2]
+        return kernel
 
-    curvature._subtract_nabla_r = counted
+    for name in kernels:
+        setattr(curvature, f"_{name}_slab", counted(name))
     try:
         yield calls
     finally:
-        curvature._subtract_nabla_r = original
+        for name, kernel in kernels.items():
+            setattr(curvature, f"_{name}_slab", kernel)
 
 
 class TestQuarterSweep:
@@ -1515,9 +1524,9 @@ class TestQuarterSweep:
             quarter = second_bianchi_failures(m, ws.conn, ws.curv, True)
             assert quarter is not None, where
             assert quarter == second_bianchi_failures(m, ws.conn, ws.curv), where
-            with nabla_r_calls() as calls:
+            with slab_kernel_calls() as calls:
                 result = direct_result(ws, "BIANCHI-2")
-            assert calls and all(calls)
+            assert calls and {name for name, _, _ in calls} == {"regrouped"}
             assert result == dense_second_bianchi(ws), where
 
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -1529,9 +1538,9 @@ class TestQuarterSweep:
             where, delta = _draw_bump(rng, m.dim, "single")
             ws.curv = _bumped(ws.curv, {where: delta})
             assert ws.riemann_symmetry is not None, where
-            with nabla_r_calls() as calls:
+            with slab_kernel_calls() as calls:
                 result = direct_result(ws, "BIANCHI-2")
-            assert calls and not any(calls)
+            assert calls and {name for name, _, _ in calls} == {"orbit"}
             assert result.status is Status.FAIL
             assert result == dense_second_bianchi(ws), where
 
@@ -1550,13 +1559,175 @@ class TestQuarterSweep:
         # C(10, 3) = 120 in the quarter, 340 cyclic-orbit minima in full
         m = make_heisenberg_model(2)
         ws = Workspace(m)
-        with nabla_r_calls() as calls:
+        with slab_kernel_calls() as calls:
             assert direct_result(ws, "BIANCHI-2").status is Status.PASS
         assert ws.riemann_symmetry is None
-        assert len(calls) == 3 * 120 and all(calls)
-        with nabla_r_calls() as calls:
+        assert [name for name, _, _ in calls] == ["regrouped"] * 120
+        with slab_kernel_calls() as calls:
             assert second_bianchi_failures(m, ws.conn, ws.curv) is None
-        assert len(calls) == 3 * 340 and not any(calls)
+        assert [name for name, _, _ in calls] == ["orbit"] * 340
+
+
+# ----- EQ-2.20, EQ-2.21, EQ-4.1 and BIANCHI-1 on the pair-antisymmetric quarter -----
+
+QUARTER_IDS = ("EQ-2.20", "EQ-2.21", "EQ-4.1")
+
+
+def on_quarter(key: tuple[int, ...]) -> bool:
+    return key[0] < key[1] and key[2] < key[3]
+
+
+def takes_the_quarter(ws: VectorWorkspace, identity_id: str) -> bool:
+    """Whether EQ-2.20, EQ-2.21 or EQ-4.1 may compare its sides on the keys
+    i < j, k < l only: RIEM-SYM holds and, for EQ-2.20 and EQ-2.21, the four
+    rank-2 factors of the right-hand side are antisymmetric on horizontal
+    frame vectors, read by the per-vector evaluators."""
+    if riemann_symmetry_failures(ws.curv) is not None:
+        return False
+    if identity_id == "EQ-4.1":
+        return True
+    a, b = (ws.G, ws.H) if identity_id == "EQ-2.20" else (ws.H, ws.G)
+    factors = [ws.dsig, lambda x, y: ws.J(x).contract(y), lambda x, y: b(x).contract(y),
+               lambda x, y: ws.dsig(a(x), y)]
+    e = ws.basis
+    return all(f(e[i], e[j]) == -f(e[j], e[i]) for f in factors
+               for i, j in product(ws.model.horizontal_indices, repeat=2))
+
+
+def full_build_row(ws: Workspace, identity_id: str) -> CheckResult:
+    """The row of EQ-2.20, EQ-2.21 or EQ-4.1 with every side built on every
+    horizontal key: R restricted, its pullbacks through every slot, and the
+    right-hand side from the whole rank-2 factors."""
+    m, hor = ws.model, ws.model.horizontal_indices
+    r = ws.curv.restrict(hor)
+    pulled = {a: ws.curv.pullback(getattr(m, a), range(4), hor) for a in "GH"}
+    if identity_id == "EQ-4.1":
+        clauses = [(a, pulled[a], r) for a in "GH"]
+    else:
+        a, b = ("G", "H") if identity_id == "EQ-2.20" else ("H", "G")
+        ds, form_j, form_b = (t.restrict(hor) for t in (ws.dsigma, m.J, getattr(m, b)))
+        ds_a = ws.dsigma.pullback(getattr(m, a), (0,), hor)
+        clauses = [("", pulled[a], r.add([(-2, ds.tensor(form_j)), (2, form_b.tensor(ds_a)),
+                                           (2, form_j.tensor(ds)), (-2, ds_a.tensor(form_b))]))]
+    ident = registry_identity(identity_id)
+    return _run_tables(ws, Identity(identity_id, ident.group, ident.slots,
+                                    tables=lambda _: clauses))
+
+
+@st.composite
+def pair_antisymmetric_pullbacks(draw):
+    """(table, endomorphism, keep): a random sparse 4-tensor of dim 2-5,
+    antisymmetric in its first pair, with entries p/q, and an endomorphism
+    with more than one nonzero in a row and in a column, so that one output
+    is reached from two inputs; the primes 2, 3, 5 and 7 are split between
+    the two, so their dens are coprime."""
+    dim = draw(st.integers(2, 5))
+    index = st.integers(0, dim - 1)
+    primes = draw(st.permutations([2, 3, 5, 7]))
+    values = draw(st.dictionaries(st.tuples(index, index, index, index),
+                                  ratios([1, *primes[:2]]), max_size=8))
+    table: dict = {}
+    for (i, j, k, el), a in values.items():
+        if i != j:
+            table[i, j, k, el] = table.get((i, j, k, el), ZERO) + a
+            table[j, i, k, el] = table.get((j, i, k, el), ZERO) - a
+    endo = draw(st.dictionaries(st.tuples(index, index), ratios([1, *primes[2:]]), max_size=5))
+    i, j = draw(st.lists(index, min_size=2, max_size=2, unique=True))
+    endo.update({(i, i): draw(ratios(primes[2:])), (i, j): draw(ratios([1])),
+                 (j, i): draw(ratios([1]))})
+    keep = range(draw(st.integers(1, dim)))
+    return Table.from_values(dim, 4, table), Table.from_values(dim, 2, endo), keep
+
+
+@given(pair_antisymmetric_pullbacks())
+@settings(max_examples=80, deadline=None)
+def test_quarter_pullback_is_the_dense_pullback_restricted(case):
+    t, endo, keep = case
+    dense = dense_pullback(t, endo, range(4), keep)
+    assert (dict(horizontal_curvature(t, endo, keep, True).items())
+            == {key: value for key, value in dense.items() if on_quarter(key)})
+    assert dict(horizontal_curvature(t, endo, keep, False).items()) == dense
+    restricted = {key: value for key, value in t.items() if all(i in keep for i in key)}
+    assert (dict(horizontal_curvature(t, None, keep, True).items())
+            == {key: value for key, value in restricted.items() if on_quarter(key)})
+
+
+class TestPairQuarter:
+    """Once RIEM-SYM holds, the pullbacks and R on horizontal keys are built
+    on the quarter i < j, k < l only, and EQ-4.1, and EQ-2.20 and EQ-2.21
+    where their rank-2 factors are antisymmetric, compare the quarter; so
+    does BIANCHI-1 on its first three indices.  Every row must be the full
+    build's and the full sweep's, on tables where the identities fail."""
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_quarter_pullback_is_the_full_pullback_restricted(self, name):
+        m = MODELS[name]()
+        rt, hor = Workspace(m).curv, m.horizontal_indices
+        for endo in (None, m.G, m.H):
+            full = rt.restrict(hor) if endo is None else rt.pullback(endo, range(4), hor)
+            assert (dict(horizontal_curvature(rt, endo, hor, True).items())
+                    == {key: value for key, value in full.items() if on_quarter(key)})
+            assert horizontal_curvature(rt, endo, hor, False) == full
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_rows_equal_the_full_build_under_pair_partner_bumps(self, name):
+        m = MODELS[name]()
+        rng = random.Random(f"pair-quarter:{name}")
+        failing = 0
+        for _ in range(8):
+            ws = VectorWorkspace(m)
+            where, delta = _draw_bump(rng, m.dim, "R")
+            ws.curv = _bumped(ws.curv, pair_partner_bumps(where, delta))
+            assert ws.riemann_symmetry is None, where
+            for identity_id in QUARTER_IDS:
+                quarter = takes_the_quarter(ws, identity_id)
+                # two-step's J and G are not skew, so EQ-2.20 and EQ-2.21 build in full
+                assert quarter == (identity_id == "EQ-4.1" or name != "two-step")
+                keys = [key for _, lhs, rhs in ws.clauses(registry_identity(identity_id).tables)
+                        for key in chain(lhs.entries, rhs.entries)]
+                assert all(map(on_quarter, keys)) == quarter, identity_id
+                row = table_result(ws, identity_id)
+                assert row == full_build_row(ws, identity_id), (where, identity_id)
+                failing += row.status is Status.FAIL
+        assert failing
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_first_bianchi_quarter_under_pair_partner_bumps(self, name):
+        m = MODELS[name]()
+        rng = random.Random(f"first-bianchi:{name}")
+        failing = 0
+        for _ in range(12):
+            ws = VectorWorkspace(m)
+            where, delta = _draw_bump(rng, m.dim, "R")
+            ws.curv = _bumped(ws.curv, pair_partner_bumps(where, delta))
+            assert ws.riemann_symmetry is None, where
+            found = first_bianchi_failures(ws.curv, True)
+            assert found == first_bianchi_failures(ws.curv), where
+            assert found == product_order_first_bianchi_failure(ws.curv), where
+            failing += found is not None
+        assert failing
+
+    @pytest.mark.parametrize("kind", ["R", "conn"])
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_regrouped_slabs_equal_the_reference_slabs(self, name, kind):
+        # every slab the quarter sweep builds, up to its first failure, is
+        # the reference slab's entries k < l, not only the witness
+        m = MODELS[name]()
+        ws = Workspace(m)
+        where, delta = _draw_bump(random.Random(f"slabs:{name}:{kind}"), m.dim, kind)
+        if kind == "R":
+            ws.curv = _bumped(ws.curv, pair_partner_bumps(where, delta))
+        else:
+            ws.conn = _bumped(ws.conn, {where: delta})
+        with slab_kernel_calls() as slabs:
+            second_bianchi_failures(m, ws.conn, ws.curv, True)
+        assert slabs
+        den = ws.conn.den * ws.curv.den
+        for _, triple, slab in slabs:
+            reference = second_bianchi_slab(ws.conn, ws.curv, *triple)
+            assert ({key: Fraction(total, den) for key, total in slab.items() if total}
+                    == {key: value for key, value in reference.items()
+                        if value and key[0] < key[1]}), triple
 
 
 # ----- the curvature sweeps on random sparse tensors -----
@@ -1618,6 +1789,7 @@ def assert_sweeps_match_references(case) -> None:
     assert (failure and failure[0]) == dense_bianchi_failure(model, conn, rt)
     if sym is None:
         assert second_bianchi_failures(model, conn, rt, True) == failure
+        assert first_bianchi_failures(rt, True) == first
     if failure is not None:
         found, clause, value, rhs = failure
         assert (clause, rhs) == ("", 0)
@@ -1709,13 +1881,20 @@ def two_step_models(draw):
 @given(two_step_models())
 @settings(max_examples=15, deadline=None)
 def test_horizontal_tables_match_reference_evaluators(m):
-    # entry by entry on every horizontal tuple, not only at the witness
+    # entry by entry on every horizontal tuple an identity's sides are built
+    # on, not only at the witness: the quarter i < j, k < l where it takes
+    # the quarter path, and no key stored off it; every one where it does not
     assert _jacobi_witness(m) is None
     ws = VectorWorkspace(m)
     assert ws.horizontal(ws.dsigma).entry(0, 1) != 0
     for identity_id, reference in sorted(HORIZONTAL_REFERENCES.items()):
         clauses = registry_identity(identity_id).tables(ws)
+        quarter = takes_the_quarter(ws, identity_id)
         for idx in product(m.horizontal_indices, repeat=4):
+            if quarter and not (idx[0] < idx[1] and idx[2] < idx[3]):
+                assert all(idx not in lhs.entries and idx not in rhs.entries
+                           for _, lhs, rhs in clauses), (identity_id, idx)
+                continue
             expected = reference(ws, tuple(ws.basis[i] for i in idx))
             assert [(name, lhs.entry(*idx), rhs.entry(*idx))
                     for name, lhs, rhs in clauses] == expected, (identity_id, idx)

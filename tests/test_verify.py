@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import importlib.resources
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property
 from pathlib import Path
@@ -14,6 +16,7 @@ from ccmv.curvature import DegeneratePlane
 from ccmv.model import (
     HEISENBERG_CCM,
     InvalidModelError,
+    ManifoldModel,
     build_heisenberg,
     load_model,
     validate_structure,
@@ -33,7 +36,14 @@ from ccmv.verify import (
     suite_text_rows,
     suite_tsv_rows,
 )
-from conftest import ERRATA, make_heisenberg_model, make_nilpotent_model, make_two_step_model
+from conftest import (
+    ERRATA,
+    cayley_rotation,
+    make_heisenberg_model,
+    make_nilpotent_model,
+    make_two_step_model,
+    rotate_model,
+)
 
 EXPECTED_FILE = str(importlib.resources.files("ccmv").joinpath("data/iwasawa_expected.ccmx"))
 
@@ -255,6 +265,47 @@ class TestSuite:
         assert (report.result("NORM-THM45").witness
                 == "G slots=0,0 lhs=0 rhs=1:4")
         assert report.fail_count == 5
+
+
+def _statuses(report) -> dict[str, Status]:
+    return {r.check_id: r.status for r in report.results}
+
+
+class TestFrameInvariance:
+    """Every status is a property of the structure, not of the frame: the
+    horizontal block turned by a rational Cayley rotation (`rotate_model`)
+    keeps each identity's status, while the witnesses, read in the new
+    frame, move."""
+
+    @pytest.mark.parametrize("h,seed", [(4, 0), (4, 1), (8, 0)])
+    def test_cayley_rotation_is_orthogonal(self, h, seed):
+        q = cayley_rotation(h, random.Random(seed))
+        assert all(sum(q[k][i] * q[k][j] for k in range(h)) == (i == j)
+                   for i in range(h) for j in range(h))
+        assert any(q[i][j] not in (-1, 0, 1) for i in range(h) for j in range(h))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_rotated_bundled_model_keeps_every_status(self, heisenberg, heis_suite, seed):
+        rotated = rotate_model(heisenberg, seed)
+        # G is no longer a signed permutation: some e_p is reached from 3 inputs
+        assert max(Counter(p for _, p in rotated.G.entries).values()) == 3
+        report = run_suite(rotated)
+        assert _statuses(report) == _statuses(heis_suite)
+        assert report.fail_count == 9
+        assert suite_tsv_rows(report) != suite_tsv_rows(heis_suite)
+
+    def test_a_partial_rotation_changes_statuses(self, heisenberg, heis_suite):
+        # the control: the brackets turned, but not G, H and J
+        rotated = rotate_model(heisenberg)
+        partial = ManifoldModel("partial", 1, rotated.constants,
+                                heisenberg.G, heisenberg.H, heisenberg.J)
+        assert _statuses(run_suite(partial)) != _statuses(heis_suite)
+
+    def test_rotated_heisenberg_n2_keeps_every_status(self):
+        m = make_heisenberg_model(2)
+        plain, rotated = run_suite(m), run_suite(rotate_model(m))
+        assert _statuses(rotated) == _statuses(plain)
+        assert suite_tsv_rows(rotated) != suite_tsv_rows(plain)
 
 
 class TestRenderers:
