@@ -51,7 +51,6 @@ from .curvature import (
     riemann,
     riemann_symmetry_failures,
     scalar_curvature,
-    second_bianchi_failures,
     sectional,
 )
 from .verify import (
@@ -116,7 +115,6 @@ __all__ = [
     "riemann_symmetry_failures",
     "run_suite",
     "scalar_curvature",
-    "second_bianchi_failures",
     "sectional",
     "sigma_form",
     "suite_text_rows",

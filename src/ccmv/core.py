@@ -237,24 +237,17 @@ class Table(Record):
     @cached_property
     def _prefixes(self) -> dict | tuple:
         """The prefix index: dicts keyed by each leading index in turn,
-        whose last level holds the row at a full leading index, the tuple
-        of its `(last index, numerator)` pairs; at rank 1, that tuple."""
-        rows: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-        for idx, a in self.entries.items():
-            head = idx[:-1]
-            row = rows.get(head)
-            if row is None:
-                rows[head] = [(idx[-1], a)]
-            else:
-                row.append((idx[-1], a))
+        whose last level holds the row at a full leading index, the list
+        of its `(last index, numerator)` pairs; at rank 1, that row as a
+        tuple."""
         if self.rank == 1:
-            return tuple(rows.get((), ()))
+            return tuple((k, a) for (k,), a in self.entries.items())
         tree: dict = {}
-        for head, row in rows.items():
+        for idx, a in self.entries.items():
             node = tree
-            for i in head[:-1]:
+            for i in idx[:-2]:
                 node = node.setdefault(i, {})
-            node[head[-1]] = tuple(row)
+            node.setdefault(idx[-2], []).append((idx[-1], a))
         return tree
 
     def sub(self, *idx: int) -> dict | tuple:

@@ -14,14 +14,21 @@ its slots permuted, and the cyclic sum against the empty map.  Each cyclic
 nabla R term of BIANCHI-2 is a connection numerator times an R numerator,
 over the product of the two dens.
 
-Once RIEM-SYM holds, R and nabla R (for any connection) are antisymmetric
-in each pair, and each sweep of R below builds only the quarter i < j,
-k < l of what it compares, which holds the first failure in product order;
-otherwise it keeps its exact full sweep.  The cyclic sums are then totally
-antisymmetric in their first three indices: BIANCHI-1 adds each entry only
-at the rotation of those that increases, if one does, and BIANCHI-2 builds
-only the slabs s < a < b, keyed by k < l, regrouped.  Reading R(a, p, ...)
-as -R(p, a, ...) pairs each term that differentiates R's first pair with one
+The sweeps of R below require R to be antisymmetric in each pair.  The R
+of a torsion-free metric connection is (Kobayashi-Nomizu vol. I, ch. III),
+and `riemann` builds it so exactly: it adds each connection product at
+(b, a, ...) and subtracts it at (a, b, ...); the structure constants are
+antisymmetric (`structure_constants` fills them so, and LIE-ANTISYM gates
+them); and `levi_civita` gives gamma(i, k, p) = -gamma(i, p, k), which
+makes the sum antisymmetric in its second pair.  RIEM-SYM checks the
+property on its own, and the sweeps do not re-check it.  nabla R, for any
+connection, is then antisymmetric in each pair too, and each sweep builds
+only the quarter i < j, k < l of what it compares, which holds the first
+failure in product order.  The cyclic sums are totally antisymmetric in
+their first three indices: BIANCHI-1 adds each entry only at the rotation
+of those that increases, if one does, and BIANCHI-2 builds only the slabs
+s < a < b, keyed by k < l, regrouped.  Reading R(a, p, ...) as
+-R(p, a, ...) pairs each term that differentiates R's first pair with one
 of the next rotation, into omega(s, a, p) = gamma(s, a, p) - gamma(a, s, p);
 reading R(..., k, p) as -R(..., p, k) turns the terms of its second pair
 into t(k, l) - t(l, k), with t(k, l) = sum_p gamma(s, k, p) R(a, b, p, l).
@@ -35,7 +42,7 @@ from the entries with p < q in the first, emitting slot 3 only above slot
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations
 from math import lcm
 
 from .core import ZERO, Failure, Scalar, Table, combine, first_failure
@@ -144,28 +151,6 @@ def horizontal_curvature(rt: Table, endo: Table | None, keep: range,
     return Table.from_numerators(rt.dim, 4, values, rt.den * endo.den ** 4)
 
 
-def _orbit_slab(conn: Table, into: dict, planes: dict, mm: int, i: int, j: int) -> dict:
-    """The full cyclic slab at (mm, i, j): (nabla_{e_s} R)(e_a, e_b, e_k, e_l)
-    summed over the rotations (s, a, b), each slot of R contracted with -gamma."""
-    slab: dict[tuple[int, int], int] = {}
-    get = slab.get
-    for s, a, b in ((mm, i, j), (i, j, mm), (j, mm, i)):
-        gamma, reach = conn.sub(s), into.get(s, {})
-        terms = [(q, planes.get((p, b), ())) for p, q in gamma.get(a, ())]
-        for q, plane in terms + [(q, planes.get((a, p), ())) for p, q in gamma.get(b, ())]:
-            for k, row in plane:
-                for el, v in row:
-                    slab[k, el] = get((k, el), 0) - q * v
-        for c, row in planes.get((a, b), ()):
-            for k, q in reach.get(c, ()):
-                for el, v in row:
-                    slab[k, el] = get((k, el), 0) - q * v
-            for p, v in row:
-                for el, q in reach.get(p, ()):
-                    slab[c, el] = get((c, el), 0) - q * v
-    return slab
-
-
 def _regrouped_slab(omega: dict, planes: dict, into: dict, s: int, a: int, b: int) -> dict:
     """The cyclic slab at (s, a, b) on its entries k < l, regrouped as the
     module docstring states; omega[x, y] lists the nonzero (p, omega(x, y, p))."""
@@ -188,53 +173,43 @@ def _regrouped_slab(omega: dict, planes: dict, into: dict, s: int, a: int, b: in
     return slab
 
 
-def second_bianchi_failures(m: ManifoldModel, conn: Table, rt: Table,
-                            pair_antisymmetric: bool = False) -> Failure | None:
+def second_bianchi_failures(m: ManifoldModel, conn: Table, rt: Table) -> Failure | None:
     """First failure of the differential Bianchi identity, as ((m, i, j,
     k, l), "", cyclic sum, 0) at the first tuple in `itertools.product`
     order where the cyclic sum over the first three indices of nabla R is
-    nonzero; None when there is none.
-
-    The cyclic slab at (i, j, m) or (j, m, i) is the same three nabla R
-    terms as at (m, i, j), so the failing triples are closed under rotation
-    and the first of them in product order is the smallest of its orbit.
-    By default only those orbit minima are built, one slab of numerators at
-    a time, and the sweep returns at the first slab with a nonzero entry.
-    With `pair_antisymmetric`, R antisymmetric in each pair (RIEM-SYM), the
-    slabs s < a < b are built instead, regrouped (see the module docstring).
+    nonzero; None when there is none.  R must be antisymmetric in each pair
+    (see the module docstring): the sweep builds the slabs s < a < b,
+    regrouped, one slab of numerators at a time, and returns at the first
+    slab with a nonzero entry.
     """
     # into[s][p] holds (e, gamma(s, e, p)); planes[a, b] lists (k, [(l, R(a, b, k, l))])
     into, planes, omega = conn.permute((0, 2, 1)).sub(), {}, {}
     for (a, b, k, el), v in rt.entries.items():
         planes.setdefault((a, b), {}).setdefault(k, []).append((el, v))
     planes = {key: list(plane.items()) for key, plane in planes.items()}
-    if pair_antisymmetric:
-        twist = combine([(1, conn), (-1, conn.permute((1, 0, 2)))])
-        for (x, y, p), w in twist.entries.items():
-            omega.setdefault((x, y), []).append((p, w * (conn.den // twist.den)))
-        slabs = ((t, _regrouped_slab(omega, planes, into, *t))
-                 for t in combinations(range(m.dim), 3))
-    else:
-        slabs = ((t, _orbit_slab(conn, into, planes, *t)) for t in product(range(m.dim), repeat=3)
-                 if t <= (t[1], t[2], t[0]) and t <= (t[2], t[0], t[1]))
-    for triple, slab in slabs:
+    twist = combine([(1, conn), (-1, conn.permute((1, 0, 2)))])
+    for (x, y, p), w in twist.entries.items():
+        omega.setdefault((x, y), []).append((p, w * (conn.den // twist.den)))
+    for triple in combinations(range(m.dim), 3):
+        slab = _regrouped_slab(omega, planes, into, *triple)
         if any(slab.values()):
             key = min(key for key, total in slab.items() if total)
             return (*triple, *key), "", Fraction(slab[key], conn.den * rt.den), ZERO
     return None
 
 
-def first_bianchi_failures(rt: Table, pair_antisymmetric: bool = False) -> Failure | None:
+def first_bianchi_failures(rt: Table) -> Failure | None:
     """First failure of the first Bianchi identity, as (index tuple, "",
     cyclic sum, 0) at the first tuple in `itertools.product` order with a
-    nonzero sum R_ijkl + R_jkil + R_kijl; None when there is none.  The
-    sums are of R's numerators, each stored entry added at its own tuple and
-    at the two rotations of its first three indices, or only at the one that
-    increases with `pair_antisymmetric`, and are compared with the empty map."""
+    nonzero sum R_ijkl + R_jkil + R_kijl; None when there is none.  R must
+    be antisymmetric in its first pair (see the module docstring).  The sums
+    are of R's numerators, each stored entry added only at the rotation of
+    its first three indices that increases, if one does, and are compared
+    with the empty map."""
     total: dict[tuple[int, int, int, int], int] = {}
     for (i, j, k, el), a in rt.entries.items():
         for key in ((i, j, k, el), (k, i, j, el), (j, k, i, el)):
-            if not pair_antisymmetric or key[0] < key[1] < key[2]:
+            if key[0] < key[1] < key[2]:
                 total[key] = total.get(key, 0) + a
     return first_failure([("", (total, rt.den), ({}, 1))], 4)
 

@@ -31,8 +31,7 @@ from .core import (
 # and every slotted identity, RIEM-SYM, BIANCHI-1 and the three normality
 # routes compare numerator maps keyed by those stored entries only, their
 # slots permuted where a clause asks.  What still scales with d = 4n + 2
-# is BIANCHI-2's slabs: the about d**3 / 6 triples s < a < b once RIEM-SYM
-# holds, or the d**3 / 3 cyclic-orbit minima when it fails.  Every kernel
+# is BIANCHI-2's slabs, the about d**3 / 6 triples s < a < b.  Every kernel
 # runs on ints, whose length grows with the model's denominators, not d.  The cap bounds
 # the size of every table; a suite at n = 13 (d = 54) on the block-diagonal
 # Heisenberg model takes seconds, but the cap does not bound the running

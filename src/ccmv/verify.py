@@ -23,12 +23,13 @@ Direct identities report the results of their own checks: the structural
 checks and the normality routes, which compare tables the same way;
 EQ-2.11 and EQ-5.7, whose sides are scalars; and RIEM-SYM, BIANCHI-1 and
 BIANCHI-2, the sweeps of R in `curvature`.  Each reports its first failing
-tuple in `itertools.product` order, rendered as every row is.  RIEM-SYM
-runs once per `Workspace`.  Once it holds, BIANCHI-1, BIANCHI-2 and EQ-4.1
-build and compare only the quarter i < j, k < l of R's two pairs, where
-their first failure lies; so do EQ-2.20 and EQ-2.21 when their four rank-2
-factors (dsigma, <J., .>, <B., .>, dsigma(A., .)) are skew on horizontal
-vectors.  Otherwise each builds and compares in full.
+tuple in `itertools.product` order, rendered as every row is.  R is
+antisymmetric in each pair by construction (see the `curvature` module
+docstring), and RIEM-SYM checks that on its own.  So BIANCHI-1, BIANCHI-2
+and EQ-4.1 build and compare only the quarter i < j, k < l of R's two
+pairs, where their first failure lies.  So do EQ-2.20 and EQ-2.21 when
+their four rank-2 factors (dsigma, <J., .>, <B., .>, dsigma(A., .)) are
+skew on horizontal vectors; otherwise those two build and compare in full.
 
 Registry ids are stable opaque labels (the EQ-*/AX-*/NORM-* vocabulary
 used by the report formats); several identities are recorded here in a
@@ -136,12 +137,6 @@ class Workspace(ConnectionWorkspace):
     @cached_property
     def normality(self) -> NormalityReport:
         return check_normality(self)
-
-    @cached_property
-    def riemann_symmetry(self) -> Failure | None:
-        """RIEM-SYM's first failure, or None; BIANCHI-2 reads it to choose
-        its sweep."""
-        return riemann_symmetry_failures(self.curv)
 
     @cached_property
     def model_checks(self) -> dict[str, CheckResult]:
@@ -452,14 +447,14 @@ def _registry() -> list[Identity]:
     # R(X, Y, Z, W) - 2 <JZ, W> dsigma(X, Y) + 2 <BX, Y> dsigma(AZ, W)
     # + 2 <JX, Y> dsigma(Z, W) - 2 <BZ, W> dsigma(AX, Y), on horizontal
     # vectors, <J., .> and <B., .> the stored entries of J and B; compared at
-    # i < j, k < l only once RIEM-SYM holds and these four rank-2 factors are skew.
+    # i < j, k < l only when these four rank-2 factors are skew, as R is in
+    # each pair.
     def pulled_back_curvature(a: str, b: str):
         def tables(ws: Workspace) -> list[TableClause]:
             m = ws.model
             factors = [ws.horizontal(ws.dsigma), ws.horizontal(m.J), ws.horizontal(getattr(m, b)),
                        ws.dsigma.pullback(getattr(m, a), (0,), m.horizontal_indices)]
-            quarter = ws.riemann_symmetry is None and all(
-                t.keyed((1, 0), -1)[0] == t.entries for t in factors)
+            quarter = all(t.keyed((1, 0), -1)[0] == t.entries for t in factors)
             ds, form_j, form_b, ds_a = [t.pair_quarter() if quarter else t for t in factors]
             return [("", ws.curv_side(a, quarter), ws.curv_side("R", quarter).add([
                 (-2, ds.tensor(form_j)), (2, form_b.tensor(ds_a)),
@@ -469,8 +464,7 @@ def _registry() -> list[Identity]:
     add_tables("EQ-2.21", "curvature", "hor hor hor hor", pulled_back_curvature("H", "G"))
 
     add_tables("EQ-4.1", "curvature", "hor hor hor hor", lambda ws: [
-        (a, ws.curv_side(a, ws.riemann_symmetry is None),
-         ws.curv_side("R", ws.riemann_symmetry is None)) for a in "GH"])
+        (a, ws.curv_side(a, True), ws.curv_side("R", True)) for a in "GH"])
 
     # EQ-4.2 - EQ-4.10: R with a vertical argument, for any X, Y.  Every
     # term they add to EQ-2.12 - EQ-2.19 carries u, v or dsigma(U, V) of a
@@ -549,11 +543,10 @@ def _registry() -> list[Identity]:
                                           (1, at_v.tensor(v)), (1, at_u.tensor(u))]))]
     add_tables("EQ-4.10", "curvature", "any any", eq_4_10, "EQ-2.18")
 
-    add_failure("RIEM-SYM", "curvature", lambda ws: ws.riemann_symmetry)
-    add_failure("BIANCHI-1", "curvature", lambda ws: first_bianchi_failures(
-        ws.curv, ws.riemann_symmetry is None))
+    add_failure("RIEM-SYM", "curvature", lambda ws: riemann_symmetry_failures(ws.curv))
+    add_failure("BIANCHI-1", "curvature", lambda ws: first_bianchi_failures(ws.curv))
     add_failure("BIANCHI-2", "curvature", lambda ws: second_bianchi_failures(
-        ws.model, ws.conn, ws.curv, ws.riemann_symmetry is None))
+        ws.model, ws.conn, ws.curv))
 
     # ----- ricci -----
     # rho(AX, AY) = rho(X, Y) and rho(AX, Y) = -rho(X, AY) for A = G, H, on

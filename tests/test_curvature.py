@@ -21,7 +21,12 @@ from ccmv.curvature import (
     sectional,
 )
 from conftest import tensor4_from_function, vector
-from test_kernels import dense_cyclic_sum, second_bianchi_slab
+from test_kernels import (
+    dense_bianchi_failure,
+    dense_cyclic_sum,
+    pair_partner_bumps,
+    second_bianchi_slab,
+)
 
 # every nonzero R(e_i, e_j) e_k with i < j, as sparse "coeff:index" text
 CURV_TABLE = {
@@ -210,11 +215,15 @@ class TestSecondBianchi:
 
     def test_exhaustive_sweep_pinpoints_corruption(self, heisenberg, heis_conn,
                                                    heis_curv):
+        # a bump with its pair partners, so that R stays antisymmetric in
+        # each pair, as the sweep requires
+        bumps = pair_partner_bumps((0, 2, 2, 0), Fraction(1))
+
         def corrupted(i, j, k, el):
-            bump = Fraction(1) if (i, j, k, el) == (0, 2, 2, 0) else Fraction(0)
-            return heis_curv.entry(i, j, k, el) + bump
+            return heis_curv.entry(i, j, k, el) + bumps.get((i, j, k, el), 0)
 
         bad = tensor4_from_function(6, corrupted)
         where, _, value, _ = second_bianchi_failures(heisenberg, heis_conn, bad)
+        assert where == dense_bianchi_failure(heisenberg, heis_conn, bad)
         assert value != 0
         assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *where)

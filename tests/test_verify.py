@@ -128,7 +128,7 @@ class TestRegistry:
         "holomorphic_sectional", "levi_civita", "lie_checks", "load_model", "parse_expected",
         "parse_scalar", "parse_sparse_vector", "registry_ids", "require_lie_algebra", "ricci",
         "riemann", "riemann_symmetry_failures", "run_suite", "scalar_curvature",
-        "second_bianchi_failures", "sectional", "sigma_form", "structure_tensor_checks",
+        "sectional", "sigma_form", "structure_tensor_checks",
         "suite_text_rows", "suite_tsv_rows", "validate_structure", "wedge"]
 
 
