@@ -1486,11 +1486,12 @@ class TestRationalBumps:
 
 def _draw_bump(rng: random.Random, dim: int, kind: str) -> tuple[tuple[int, ...], Fraction]:
     """A position for a bump of `kind` ("R", a pair-partner bump with i != j
-    and k != l; "conn", a gamma index), and a nonzero p/q."""
+    and k != l; "conn", a gamma index; "single", any R index), and a
+    nonzero p/q."""
     if kind == "R":
         where = (*rng.sample(range(dim), 2), *rng.sample(range(dim), 2))
     else:
-        where = tuple(rng.randrange(dim) for _ in range(3))
+        where = tuple(rng.randrange(dim) for _ in range(3 if kind == "conn" else 4))
     return where, Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2, 3]))
 
 
@@ -1515,7 +1516,8 @@ def slab_kernel_calls():
 class TestQuarterSweep:
     """BIANCHI-2 builds only the slabs with s < a < b and the entries with
     k < l, on an R antisymmetric in each pair.  Its result must be the
-    exhaustive dense sweep's on tables where the identity fails."""
+    exhaustive dense sweep's on tables where the identity fails, and an R
+    that breaks a pair must fail RIEM-SYM."""
 
     @pytest.mark.parametrize("kind", ["R", "conn"])
     @pytest.mark.parametrize("name", sorted(MODELS))
@@ -1537,6 +1539,26 @@ class TestQuarterSweep:
                 result = direct_result(ws, "BIANCHI-2")
             assert calls
             assert result == dense_second_bianchi(ws), where
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_broken_pair_symmetry_fails_riem_sym(self, name):
+        # a bump without its partners breaks a pair, which the quarter
+        # sweeps require; RIEM-SYM reports it with the reference witness
+        m = MODELS[name]()
+        rng = random.Random(f"broken:{name}")
+        for _ in range(8):
+            ws = VectorWorkspace(m)
+            where, delta = _draw_bump(rng, m.dim, "single")
+            ws.curv = _bumped(ws.curv, {where: delta})
+            rt = ws.curv
+            assert (rt.keyed((1, 0, 2, 3), -1)[0] != rt.entries
+                    or rt.keyed((0, 1, 3, 2), -1)[0] != rt.entries), where
+            found = riemann_symmetry_failures(rt)
+            assert found is not None, where
+            assert found == product_order_riemann_symmetry_failure(rt), where
+            result = direct_result(ws, "RIEM-SYM")
+            assert result.status is Status.FAIL
+            assert result == reference_sweep(ws, "RIEM-SYM"), where
 
     def test_quarter_sweep_misses_a_repeated_index_witness(self, heisenberg, heis_curv,
                                                            heis_conn):
