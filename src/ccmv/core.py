@@ -9,13 +9,14 @@ full index tuple; a vector or a 1-form is a rank-1 Table, keyed by
 1-tuples.  Zeros are never stored and the denominator is reduced, so `==`
 is structural, and every kernel is one pass over the stored entries that
 costs in proportion to the nonzeros, in int arithmetic; only rendering
-sorts.  `Table.contract` is the one evaluation of a table on vectors
-and `combine` the one linear combination of tables.  A rank-2 table read
-as a map A stores its input slot first: row(i) is A(e_i), `contract(x)` is
-A(x) and `compose` composes maps.  Every value handed out is an exact
-rational; no floating point appears anywhere.  The metric is the identity
-in this frame, so a 1-form and its dual vector are the same table, so are
-a bilinear form and its endomorphism, and the inner product of two vectors
+sorts, and each index a kernel reads is built once per table.
+`Table.contract` is the one evaluation of a table on vectors and `combine`
+the one linear combination of tables.  A rank-2 table read as a map A
+stores its input slot first: row(i) is A(e_i), `contract(x)` is A(x) and
+`compose` composes maps.  Every value handed out is an exact rational; no
+floating point appears anywhere.  The metric is the identity in this
+frame, so a 1-form and its dual vector are the same table, so are a
+bilinear form and its endomorphism, and the inner product of two vectors
 is their contraction.
 """
 from __future__ import annotations
@@ -261,6 +262,22 @@ class Table(Record):
                 return {} if len(idx) < self.rank - 1 else ()
         return node
 
+    @cached_property
+    def _into(self) -> dict:
+        into: dict = {}
+        for (i, p), c in self.entries.items():
+            into.setdefault(p, []).append((i, c))
+        return into
+
+    def inputs(self, keep: range) -> dict:
+        """A rank-2 map A's input index, built once and kept out of `==` and
+        the repr: into[p] lists `(i, c)` for each numerator c of A(e_i) on
+        e_p, i in `keep`, filtered only if `keep` is narrower than the frame."""
+        if keep == range(self.dim):
+            return self._into
+        return {p: kept for p, row in self._into.items()
+                if (kept := [(i, c) for i, c in row if i in keep])}
+
     def _reduced(self) -> Table:
         """This table with den and the numerators divided by their gcd."""
         if self.den == 1 or gcd(self.den, *self.entries.values()) == 1:
@@ -359,18 +376,13 @@ class Table(Record):
         the sum over p of endo(e_i)[p] * entry(p, ...).
 
         One pass over the stored entries per slot, each entry reaching only
-        the inputs i whose image has a nonzero coefficient on e_p.  So each
-        pass costs the nonzeros times the most inputs any e_p is reached
-        from, and never the power of that count the product over the slots
-        would cost.  Each pass multiplies den by endo's.
+        the inputs i whose image has a nonzero coefficient on e_p (`inputs`).
+        So each pass costs the nonzeros times the most inputs any e_p is
+        reached from, and never the power of that count the product over the
+        slots would cost.  Each pass multiplies den by endo's.
         """
-        # into[p] lists (i, c) for every nonzero numerator c of endo(e_i)[p],
-        # i in `keep`
         _require_same_dim(self.dim, endo.dim)
-        into: dict[int, list[tuple[int, int]]] = {}
-        for (i, p), c in endo.entries.items():
-            if i in keep:
-                into.setdefault(p, []).append((i, c))
+        into = endo.inputs(keep)
         # an entry contributes only if every pulled slot reaches `keep` and
         # every other slot lies in it
         within = [into if s in slots else keep for s in range(self.rank)]
@@ -396,16 +408,18 @@ class Table(Record):
         """This table plus c * t for every term (c, t) of the same rank, over
         the lcm of the terms' denominators."""
         terms = list(terms)
+        dens = [self.den]
         for c, t in terms:
-            _require_same_dim(self.dim, t.dim)
-            if t.rank != self.rank:
+            if t.dim != self.dim or t.rank != self.rank:
+                _require_same_dim(self.dim, t.dim)
                 raise ValueError(f"a rank-{t.rank} table does not add to rank {self.rank}")
-        den = lcm(self.den, *(c.denominator * t.den for c, t in terms))
+            dens.append(c.denominator * t.den)
+        den = lcm(*dens)
         scale = den // self.den
         values = {key: scale * a for key, a in self.entries.items()}
-        for c, t in terms:
+        for (c, t), term_den in zip(terms, dens[1:]):
             # c * t's numerators brought over den
-            scale = c.numerator * (den // (c.denominator * t.den))
+            scale = c.numerator * (den // term_den)
             for key, a in t.entries.items():
                 values[key] = values.get(key, 0) + scale * a
         return Table.from_numerators(self.dim, self.rank, values, den)
@@ -439,8 +453,10 @@ class Table(Record):
     def permute(self, order: Sequence[int]) -> Table:
         """The Table whose entry at (i_0, ..., i_r-1) is this table's entry
         at (i_order[0], ..., i_order[r-1]): order (1, 0, 2) swaps the first
-        two slots of a rank-3 table, and order (1, 0) transposes a map."""
-        return Table.from_numerators(self.dim, self.rank, *self.keyed(order))
+        two slots of a rank-3 table, and order (1, 0) transposes a map.  A
+        permuted canonical map is canonical, so it is stored as it is."""
+        values, den = self.keyed(order)
+        return self if self.rank == 1 else Table(self.dim, self.rank, values, den)
 
     @staticmethod
     def identity(dim: int) -> Table:
@@ -449,8 +465,13 @@ class Table(Record):
 
     def compose(self, other: Table) -> Table:
         """Of two rank-2 tables read as maps, self after other, x ->
-        self(other(x)): the input slot pulled back through `other`."""
-        return self.pullback(other, (0,), range(self.dim))
+        self(other(x)): each entry other(i, p) times this map's row p."""
+        _require_same_dim(self.dim, other.dim)
+        rows, values = self._prefixes, {}
+        for (i, p), c in other.entries.items():
+            for k, a in rows.get(p, ()):
+                values[i, k] = values.get((i, k), 0) + c * a
+        return Table.from_numerators(self.dim, 2, values, self.den * other.den)
 
 
 def combine(terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
@@ -474,16 +495,20 @@ def first_failure(clauses: list[tuple[object, tuple[Mapping, int], tuple[Mapping
     the keys of either side are compared, by cross-multiplied numerators,
     and no Fraction is built before the witness.  With `keep`, a key is
     compared only when every index of its frame tuple lies in `keep`: a
-    side may hold other keys, and they never fail."""
-    failing = []
+    side may hold other keys, and they never fail.  A frame tuple is a
+    prefix, so each clause's keys are read in order only up to its least
+    failing key."""
+    firsts = []
     for c, (_, (left, dl), (right, dr)) in enumerate(clauses):
         if dl != dr or left != right:
-            failing += [(key[:width], c, key) for key in left.keys() | right.keys()
-                        if left.get(key, 0) * dr != right.get(key, 0) * dl
-                        and (keep is None or all(map(keep.__contains__, key[:width])))]
-    if not failing:
+            for key in sorted(left.keys() | right.keys()):
+                if (left.get(key, 0) * dr != right.get(key, 0) * dl
+                        and (keep is None or all(map(keep.__contains__, key[:width])))):
+                    firsts.append((key[:width], c, key))
+                    break
+    if not firsts:
         return None
-    where, c, key = min(failing)
+    where, c, key = min(firsts)
     label, (left, dl), (right, dr) = clauses[c]
     return where, label, Fraction(left.get(key, 0), dl), Fraction(right.get(key, 0), dr)
 
@@ -494,8 +519,8 @@ def first_table_failure(clauses: list[tuple[str, Table, Table]],
     `width` one less than the rank, a clause differs at a frame tuple when
     its rows, the vectors of the last slot, do: the first clause wins there
     even if a later one differs at a smaller last index, and the witness is
-    both rows."""
-    failure = first_failure([(c, lhs.keyed(), rhs.keyed())
+    both rows, each read by one scan of its side and reduced as `row` is."""
+    failure = first_failure([(c, (lhs.entries, lhs.den), (rhs.entries, rhs.den))
                              for c, (_, lhs, rhs) in enumerate(clauses)], width, keep)
     if failure is None:
         return None
@@ -503,7 +528,9 @@ def first_table_failure(clauses: list[tuple[str, Table, Table]],
     name, lhs, rhs = clauses[c]
     if width == lhs.rank:
         return where, name, left, right
-    return where, name, lhs.row(*where), rhs.row(*where)
+    return where, name, *(Table(t.dim, 1, {key[width:]: a for key, a in t.entries.items()
+                                           if key[:width] == where}, t.den)._reduced()
+                          for t in (lhs, rhs))
 
 
 def format_sparse_vector(x: Table) -> str:

@@ -125,13 +125,12 @@ def horizontal_curvature(rt: Table, endo: Table | None, keep: range,
     """R on the index tuples in `keep`, or R(A., A., A., A.) there for the
     map A = `endo`, pulled back one slot at a time; with `quarter`, only at
     i < j and k < l (see the module docstring); into[p] holds (i, c) for each
-    numerator c of A(e_i) on e_p, i in `keep`."""
+    numerator c of A(e_i) on e_p, i in `keep` (`Table.inputs`)."""
     if endo is None:
         return (rt.pair_quarter() if quarter else rt).restrict(keep)
     if not quarter:
         return rt.pullback(endo, range(4), keep)
-    endo = endo.restrict(keep, 1)
-    into = endo.permute((1, 0)).sub()
+    into = endo.inputs(keep)
     values = {key: a for key, a in rt.entries.items() if key[0] < key[1] and key[0] in into
               and key[1] in into and key[2] in into and key[3] in into}
     for pair in range(2):

@@ -1,6 +1,7 @@
 """Exact arithmetic primitives."""
 from __future__ import annotations
 
+import random
 import sys
 from fractions import Fraction
 from itertools import product
@@ -15,6 +16,7 @@ from ccmv.core import (
     Status,
     Table,
     combine,
+    first_failure,
     format_scalar,
     format_sparse_vector,
     format_value,
@@ -22,7 +24,7 @@ from ccmv.core import (
     parse_sparse_vector,
 )
 
-from conftest import basis, tensor4_from_function, vector
+from conftest import basis, cayley_rotation, tensor4_from_function, vector
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 vectors6 = st.lists(rationals, min_size=6, max_size=6).map(vector)
@@ -126,10 +128,15 @@ class TestMaps:
     @settings(max_examples=40, deadline=None)
     def test_compose_is_the_matrix_product(self, data):
         a, b = data.draw(prime_tables(2)), data.draw(prime_tables(2))
-        # a after b sends e_i to a(b(e_i)): entry (i, k) is sum_p b(i, p) a(p, k)
-        assert a.compose(b) == Table.from_values(4, 2, {
-            (i, k): sum(b.entry(i, p) * a.entry(p, k) for p in range(4))
-            for i, k in product(range(4), repeat=2)})
+        # a Cayley rotation reaches every e_p from several inputs
+        q = cayley_rotation(4, random.Random(data.draw(st.integers(0, 99))))
+        turn = Table.from_values(4, 2, {(i, k): q[i][k] for i, k in product(range(4), repeat=2)})
+        for left, right in ((a, b), (a, turn), (turn, a), (turn, turn)):
+            # left after right sends e_i to left(right(e_i)): entry (i, k)
+            # is sum_p right(i, p) left(p, k)
+            assert left.compose(right) == Table.from_values(4, 2, {
+                (i, k): sum(right.entry(i, p) * left.entry(p, k) for p in range(4))
+                for i, k in product(range(4), repeat=2)})
         ident = Table.identity(4)
         assert a.compose(ident) == a == ident.compose(a)
 
@@ -543,3 +550,64 @@ class TestSparseVectorText:
 def test_status_renders_as_value():
     assert str(Status.PASS) == "PASS"
     assert str(Status.FAIL) == "FAIL"
+
+
+def sorted_first_failure(clauses, width, keep):
+    """The reference of `first_failure`: every failing (frame tuple, clause,
+    key), sorted, the first taken, compared as Fractions."""
+    failing = sorted((key[:width], c, key)
+                     for c, (_, (left, dl), (right, dr)) in enumerate(clauses)
+                     for key in set(left) | set(right)
+                     if Fraction(left.get(key, 0), dl) != Fraction(right.get(key, 0), dr)
+                     and (keep is None or all(i in keep for i in key[:width])))
+    if not failing:
+        return None
+    where, c, key = failing[0]
+    label, (left, dl), (right, dr) = clauses[c]
+    return where, label, Fraction(left.get(key, 0), dl), Fraction(right.get(key, 0), dr)
+
+
+@st.composite
+def failure_clauses(draw):
+    """(clauses, width, keep, tie): one to three clauses of rank-k numerator
+    maps over dim 3, each side scaled by its own factor so that its den and
+    numerators are unreduced and the two dens differ, a few entries of the
+    right side bumped, explicit zeros kept; `width` up to the rank and
+    `keep` a range or None.  In a tie the sides agree except at two forced
+    keys of one frame tuple, returned last (else None): the first clause
+    differs there at a larger last index than the last clause."""
+    rank = draw(st.integers(2, 4))
+    width = draw(st.integers(1, rank))
+    index = st.tuples(*[st.integers(0, 2)] * rank)
+    tie = width < rank and draw(st.booleans())
+    where = draw(st.tuples(*[st.integers(0, 2)] * width))
+    clauses = []
+    for c in range(draw(st.integers(2 if tie else 1, 3))):
+        base = draw(st.dictionaries(index, st.integers(-3, 3), max_size=10))
+        den = draw(st.integers(1, 4))
+        bumped = dict(base)
+        if not tie:
+            bumped.update(draw(st.dictionaries(index, st.integers(-3, 3), max_size=3)))
+        kl, kr = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
+        clauses.append((f"c{c}", ({key: kl * a for key, a in base.items()}, kl * den),
+                        ({key: kr * a for key, a in bumped.items()}, kr * den)))
+    if tie:
+        small = draw(st.integers(0, 1))
+        for c, last in ((0, 2), (len(clauses) - 1, small)):
+            key = where + (0,) * (rank - width - 1) + (last,)
+            left, dl = clauses[c][1]
+            left[key] = left.get(key, 0) + dl
+    keep = draw(st.one_of(st.none(), st.builds(range, st.integers(0, 2), st.integers(1, 3))))
+    return clauses, width, keep, where if tie else None
+
+
+@given(failure_clauses())
+@settings(max_examples=200, deadline=None)
+def test_first_failure_is_the_least_sorted_failing_key(case):
+    clauses, width, keep, tie = case
+    expected = sorted_first_failure(clauses, width, keep)
+    assert first_failure(clauses, width, keep) == expected
+    if tie is not None and expected is not None:
+        # only the forced keys differ: the first clause wins their frame
+        # tuple over a later one that differs there at a smaller last index
+        assert expected[:2] == (tie, "c0")

@@ -87,6 +87,7 @@ from ccmv.verify import (
 from conftest import (
     ERRATA,
     basis,
+    cayley_rotation,
     horizontal_projection,
     make_heisenberg_model,
     make_nilpotent_model,
@@ -2038,13 +2039,21 @@ def pullback_cases(draw):
             slots, keep)
 
 
-@given(pullback_cases())
+@given(pullback_cases(), st.integers(0, 99))
 @settings(max_examples=60, deadline=None)
-def test_pullback_matches_dense_sum(case):
+def test_pullback_matches_dense_sum(case, seed):
     t, endo, slots, keep = case
-    pulled = t.pullback(endo, slots, keep)
-    assert type(pulled) is Table
-    assert dict(pulled.items()) == dense_pullback(t, endo, slots, keep)
+    # a Cayley rotation reaches every e_p from several inputs; each map is
+    # read on `keep` and then on the whole frame, so a filtered read of its
+    # input index comes before and after the unfiltered one
+    q = cayley_rotation(t.dim, random.Random(seed))
+    turn = Table.from_values(t.dim, 2, {(i, k): q[i][k]
+                                        for i, k in product(range(t.dim), repeat=2)})
+    for a in (endo, turn):
+        for within in (keep, range(t.dim), keep):
+            pulled = t.pullback(a, slots, within)
+            assert type(pulled) is Table
+            assert dict(pulled.items()) == dense_pullback(t, a, slots, within)
 
 
 MODEL_CHECK_IDS = ("LIE-ANTISYM", "LIE-JACOBI", "AX-G2", "AX-H2", "AX-J2", "AX-ANTICOMM",

@@ -157,10 +157,12 @@ def test_cached_properties_are_kept_out_of_equality_and_repr():
     assert m.lie_results is m.lie_results
     assert m == build_heisenberg()
     assert "U=" not in repr(m) and "lie_results" not in repr(m)
-    # a table's prefix index, built by the first read by prefix
-    c = m.constants
-    assert c.sub(0) and c == Table(c.dim, c.rank, dict(c.entries), c.den)
-    assert "_prefixes" in vars(c) and "_prefixes" not in repr(c)
+    # a table's prefix index, built by the first read by prefix, and a
+    # map's input index, built by the first read through it
+    for t, read, name in ((m.constants, lambda t: t.sub(0), "_prefixes"),
+                          (m.G, lambda t: t.inputs(range(t.dim)), "_into")):
+        assert read(t) and t == Table(t.dim, t.rank, dict(t.entries), t.den)
+        assert name in vars(t) and name not in repr(t)
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -158,6 +159,16 @@ class TestFirstTableFailure:
         # the same clause as rows: the vectors G e_0 and G2 e_0
         assert first_table_failure([("", g, bumped)], 1) == (
             (0,), "", g.row(0), vector([0, 5, -1, 0, 0, 0]))
+        # over den 6, row 0 of each side holds numerators with a common
+        # factor of its own, so each witness row is reduced further, as
+        # `row` reduces it
+        sixths = Table.from_values(6, 2, {(0, 1): Fraction(1, 3), (0, 2): Fraction(2, 3),
+                                          (1, 0): Fraction(1, 2)})
+        moved = Table.from_values(6, 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(1, 2)})
+        assert (sixths.den, moved.den, sixths.row(0).den, moved.row(0).den) == (6, 6, 3, 3)
+        for lhs, rhs in ((g, bumped), (sixths, moved), (moved, sixths)):
+            where, _, left, right = first_table_failure([("", lhs, rhs)], 1)
+            assert (left, right) == (lhs.row(*where), rhs.row(*where)) and where == (0,)
 
 
 SYMMETRY_MODELS = {"bundled": lambda: make_heisenberg_model(1),
