@@ -8,16 +8,15 @@ numerators of its nonzero entries only, in one unsorted dict keyed by the
 full index tuple; a vector or a 1-form is a rank-1 Table, keyed by
 1-tuples.  Zeros are never stored and the denominator is reduced, so `==`
 is structural, and every kernel is one pass over the stored entries that
-costs in proportion to the nonzeros, in int arithmetic; only rendering
-sorts, and each index a kernel reads is built once per table.
-`Table.contract` is the one evaluation of a table on vectors and `combine`
-the one linear combination of tables.  A rank-2 table read as a map A
-stores its input slot first: row(i) is A(e_i), `contract(x)` is A(x) and
-`compose` composes maps.  Every value handed out is an exact rational; no
-floating point appears anywhere.  The metric is the identity in this
-frame, so a 1-form and its dual vector are the same table, so are a
-bilinear form and its endomorphism, and the inner product of two vectors
-is their contraction.
+costs in proportion to the nonzeros, in int arithmetic, reading indexes
+built once per table; only rendering sorts.  `Table.contract` is the one
+evaluation of a table on vectors and `combine` the one linear combination
+of tables.  A rank-2 table read as a map A stores its input slot first:
+row(i) is A(e_i), `contract(x)` is A(x) and `compose` composes maps.  Every
+value handed out is an exact rational; no floating point appears anywhere.
+The metric is the identity in this frame, so a 1-form and its dual vector
+are the same table, so are a bilinear form and its endomorphism, and the
+inner product of two vectors is their contraction.
 """
 from __future__ import annotations
 
@@ -264,15 +263,11 @@ class Table(Record):
 
     @cached_property
     def _into(self) -> dict:
-        into: dict = {}
-        for (i, p), c in self.entries.items():
-            into.setdefault(p, []).append((i, c))
-        return into
+        return self.permute((1, 0))._prefixes
 
     def inputs(self, keep: range) -> dict:
-        """A rank-2 map A's input index, built once and kept out of `==` and
-        the repr: into[p] lists `(i, c)` for each numerator c of A(e_i) on
-        e_p, i in `keep`, filtered only if `keep` is narrower than the frame."""
+        """A rank-2 map A's input index, cached whole: into[p] lists `(i, c)`
+        for each numerator c of A(e_i) on e_p, i in `keep`."""
         if keep == range(self.dim):
             return self._into
         return {p: kept for p, row in self._into.items()
@@ -408,18 +403,16 @@ class Table(Record):
         """This table plus c * t for every term (c, t) of the same rank, over
         the lcm of the terms' denominators."""
         terms = list(terms)
-        dens = [self.den]
         for c, t in terms:
-            if t.dim != self.dim or t.rank != self.rank:
-                _require_same_dim(self.dim, t.dim)
+            _require_same_dim(self.dim, t.dim)
+            if t.rank != self.rank:
                 raise ValueError(f"a rank-{t.rank} table does not add to rank {self.rank}")
-            dens.append(c.denominator * t.den)
-        den = lcm(*dens)
+        den = lcm(self.den, *(c.denominator * t.den for c, t in terms))
         scale = den // self.den
         values = {key: scale * a for key, a in self.entries.items()}
-        for (c, t), term_den in zip(terms, dens[1:]):
+        for c, t in terms:
             # c * t's numerators brought over den
-            scale = c.numerator * (den // term_den)
+            scale = c.numerator * (den // (c.denominator * t.den))
             for key, a in t.entries.items():
                 values[key] = values.get(key, 0) + scale * a
         return Table.from_numerators(self.dim, self.rank, values, den)
@@ -452,9 +445,8 @@ class Table(Record):
 
     def permute(self, order: Sequence[int]) -> Table:
         """The Table whose entry at (i_0, ..., i_r-1) is this table's entry
-        at (i_order[0], ..., i_order[r-1]): order (1, 0, 2) swaps the first
-        two slots of a rank-3 table, and order (1, 0) transposes a map.  A
-        permuted canonical map is canonical, so it is stored as it is."""
+        at (i_order[0], ..., i_order[r-1]), canonical as it is: order (1, 0, 2)
+        swaps the first two slots of a rank-3 table, (1, 0) transposes a map."""
         values, den = self.keyed(order)
         return self if self.rank == 1 else Table(self.dim, self.rank, values, den)
 
@@ -495,9 +487,8 @@ def first_failure(clauses: list[tuple[object, tuple[Mapping, int], tuple[Mapping
     the keys of either side are compared, by cross-multiplied numerators,
     and no Fraction is built before the witness.  With `keep`, a key is
     compared only when every index of its frame tuple lies in `keep`: a
-    side may hold other keys, and they never fail.  A frame tuple is a
-    prefix, so each clause's keys are read in order only up to its least
-    failing key."""
+    side may hold other keys, and they never fail.  A clause's keys are
+    read in sorted order, up to its least failing key."""
     firsts = []
     for c, (_, (left, dl), (right, dr)) in enumerate(clauses):
         if dl != dr or left != right:
@@ -528,9 +519,8 @@ def first_table_failure(clauses: list[tuple[str, Table, Table]],
     name, lhs, rhs = clauses[c]
     if width == lhs.rank:
         return where, name, left, right
-    return where, name, *(Table(t.dim, 1, {key[width:]: a for key, a in t.entries.items()
-                                           if key[:width] == where}, t.den)._reduced()
-                          for t in (lhs, rhs))
+    return where, name, *(Table(t.dim, 1, {k[width:]: a for k, a in t.entries.items()
+                                 if k[:width] == where}, t.den)._reduced() for t in (lhs, rhs))
 
 
 def format_sparse_vector(x: Table) -> str:

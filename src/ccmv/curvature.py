@@ -123,9 +123,8 @@ def holomorphic_sectional(m: ManifoldModel, rt: Table, x: Table) -> Scalar:
 def horizontal_curvature(rt: Table, endo: Table | None, keep: range,
                          quarter: bool) -> Table:
     """R on the index tuples in `keep`, or R(A., A., A., A.) there for the
-    map A = `endo`, pulled back one slot at a time; with `quarter`, only at
-    i < j and k < l (see the module docstring); into[p] holds (i, c) for each
-    numerator c of A(e_i) on e_p, i in `keep` (`Table.inputs`)."""
+    map A = `endo`, pulled back one slot at a time through `Table.inputs`;
+    with `quarter`, only at i < j and k < l (see the module docstring)."""
     if endo is None:
         return (rt.pair_quarter() if quarter else rt).restrict(keep)
     if not quarter:

@@ -3,18 +3,19 @@
 Run from the repository root, with a second checkout as the base:
 
     mkdir /tmp/base && git archive <base-commit> | tar -x -C /tmp/base
-    python3 tools/paired_ab.py /tmp/base --pairs 200
+    python3 tools/paired_ab.py /tmp/base
 
-Each tree's `src/ccmv` is copied into a temporary directory under its own
-package name (`ccmv_base`, `ccmv_change`; the package imports itself only
-relatively), and both are imported into one interpreter.  For every
-workload of `bench/workloads.py` the script then times the base and the
-change back to back on the same case, alternating which runs first, for a
-`verdict` (model text to the verify TSV rows) and a `diff` (model text and
-expected table to the diff TSV rows), the two reports that `bench/run.py`
-times.  Every pair must give identical rows, or the script stops with exit
-code 1.  It prints, per workload and report, the median of the per-pair
-ratios change/base with its quartiles, and the pairs the change won.
+The base tree's and this checkout's `src/ccmv` are copied into a
+temporary directory under two package names (`ccmv_base`, `ccmv_change`;
+the package imports itself only relatively), and both are imported into
+one interpreter.  For every workload of `bench/workloads.py`, at seed 0,
+the script then times the base and the change back to back on the same
+case, 200 pairs alternating which runs first, for a `verdict` (model text
+to the verify TSV rows) and a `diff` (model text and expected table to the
+diff TSV rows), the two reports that `bench/run.py` times.  Every pair
+must give identical rows, or the script stops with exit code 1.  It
+prints, per workload and report, the median of the per-pair ratios
+change/base with its quartiles, and the pairs the change won.
 
 This is a pre-check before `bench/run.py`, not a substitute for it: the
 two sides share the interpreter, the allocator and the machine's state of
@@ -37,6 +38,7 @@ from time import perf_counter
 
 ROOT = Path(__file__).resolve().parent.parent
 REPORTS = ("verdict", "diff")
+PAIRS = 200
 
 
 def load_tree(tree: Path, name: str, into: Path):
@@ -69,33 +71,25 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="the base tree (a checkout of the parent)")
-    parser.add_argument("--change", type=Path, default=ROOT,
-                        help="the changed tree (default: this checkout)")
-    parser.add_argument("--pairs", type=int, default=200, help="pairs per workload and report")
-    parser.add_argument("--seed", type=int, default=0, help="the workloads' seed")
-    parser.add_argument("--workload", action="append",
-                        help="a workload to run (repeatable; default: all)")
     args = parser.parse_args(argv)
-    if args.pairs < 2:
-        parser.error("--pairs must be at least 2")
 
     # nothing is compiled to disk: not in bench/, not in the copies
     sys.dont_write_bytecode = True
-    sys.path[:0] = [str(ROOT / "bench"), str(args.change.resolve() / "src")]
+    sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
     from workloads import WORKLOAD_NAMES, make_workload
 
     with tempfile.TemporaryDirectory() as tmp:
         sys.path.insert(0, tmp)
         sides = {"base": load_tree(args.base.resolve(), "ccmv_base", Path(tmp)),
-                 "change": load_tree(args.change.resolve(), "ccmv_change", Path(tmp))}
-        for name in args.workload or WORKLOAD_NAMES:
-            cases = make_workload(name, args.seed).cases
+                 "change": load_tree(ROOT, "ccmv_change", Path(tmp))}
+        for name in WORKLOAD_NAMES:
+            cases = make_workload(name, 0).cases
             for kind in REPORTS:
                 ratios, wins = [], 0
                 for case in cases:  # warm-up: every case once on each side
                     for pkg in sides.values():
                         report(pkg, kind, case)
-                for k in range(args.pairs):
+                for k in range(PAIRS):
                     case = cases[k % len(cases)]
                     order = ("base", "change") if k % 2 == 0 else ("change", "base")
                     seconds, rows = {}, {}
@@ -109,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
                     wins += seconds["change"] < seconds["base"]
                 median, q1, q3 = quartiles(ratios)
                 print(f"{name:10} {kind:8} change/base {median:.3f} [{q1:.3f}-{q3:.3f}]  "
-                      f"change faster in {wins}/{args.pairs} pairs")
+                      f"change faster in {wins}/{PAIRS} pairs")
     return 0
 
 
