@@ -9,7 +9,9 @@ full index tuple; a vector or a 1-form is a rank-1 Table, keyed by
 1-tuples.  Zeros are never stored and the denominator is reduced, so `==`
 is structural, and every kernel is one pass over the stored entries that
 costs in proportion to the nonzeros, in int arithmetic, reading indexes
-built once per table; only rendering sorts.  `Table.contract` is the one
+built once per table; only rendering sorts.  Text is read and written as
+int pairs too: a parsed token splits into p and q, and a vector's entry
+renders from its numerator and den by one gcd.  `Table.contract` is the one
 evaluation of a table on vectors and `combine` the one linear combination
 of tables.  A rank-2 table read as a map A stores its input slot first:
 row(i) is A(e_i), `contract(x)` is A(x) and `compose` composes maps.  Every
@@ -53,7 +55,7 @@ def _require_same_dim(a: int, b: int) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a} vs {b}")
 
 
-_RATIONAL_RE = re.compile(r"-?\d+(?:/\d+)?\Z", re.ASCII)
+_RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 _INDEX_RE = re.compile(r"-?\d+\Z", re.ASCII)
 
 
@@ -65,24 +67,36 @@ def parse_frame_index(text: str) -> int:
     return int(text)
 
 
-def parse_scalar(text: str) -> Scalar:
-    """Parse an exact rational written as `p` or `p/q`; nothing else."""
-    if not _RATIONAL_RE.match(text):
+def _parse_ratio(text: str) -> tuple[int, int]:
+    """The ints (p, q), q > 0, of a rational written `p` or `p/q`, not reduced."""
+    match = _RATIONAL_RE.match(text)
+    if not match:
         raise ValueError(f"not an exact rational: {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text)
-    except ZeroDivisionError as exc:
-        raise ValueError(f"not an exact rational: {text!r}") from exc
+        p, q = int(num), int(den) if den else 1
     except ValueError:
-        # the only other failure of a matched token: the interpreter's
-        # text-to-int digit limit, whose message advises a setting
+        # the only failure of a matched token: the interpreter's text-to-int
+        # digit limit, whose message advises a setting
         raise ValueError(f"a value has more than {sys.get_int_max_str_digits()} "
                          f"decimal digits") from None
+    if not q:
+        raise ValueError(f"not an exact rational: {text!r}")
+    return p, q
+
+
+def parse_scalar(text: str) -> Scalar:
+    """Parse an exact rational written as `p` or `p/q`; nothing else."""
+    return Fraction(*_parse_ratio(text))
 
 
 class UnprintableValue(ValueError):
     """A rational too long to render: its numerator or denominator has more
     decimal digits than the interpreter converts to text."""
+
+    def __init__(self) -> None:
+        super().__init__(f"a computed value has more than {sys.get_int_max_str_digits()} "
+                         f"decimal digits and cannot be printed")
 
 
 def format_scalar(value: Scalar) -> str:
@@ -93,9 +107,7 @@ def format_scalar(value: Scalar) -> str:
             return str(value.numerator)
         return f"{value.numerator}/{value.denominator}"
     except ValueError:
-        raise UnprintableValue(
-            f"a computed value has more than {sys.get_int_max_str_digits()} "
-            f"decimal digits and cannot be printed") from None
+        raise UnprintableValue() from None
 
 
 class Record:
@@ -378,10 +390,13 @@ class Table(Record):
         """
         _require_same_dim(self.dim, endo.dim)
         into = endo.inputs(keep)
-        # an entry contributes only if every pulled slot reaches `keep` and
-        # every other slot lies in it
-        within = [into if s in slots else keep for s in range(self.rank)]
-        values = {idx: a for idx, a in self.entries.items() if all(map(contains, within, idx))}
+        values = self.entries
+        if keep != range(self.dim):
+            # an entry contributes only if every pulled slot reaches `keep`
+            # and every other slot lies in it (on the whole frame, the slot
+            # loop skips an entry that reaches nothing)
+            within = [into if s in slots else keep for s in range(self.rank)]
+            values = {idx: a for idx, a in values.items() if all(map(contains, within, idx))}
         for slot in slots:
             pulled: dict[tuple[int, ...], int] = {}
             for idx, a in values.items():
@@ -524,8 +539,15 @@ def first_table_failure(clauses: list[tuple[str, Table, Table]],
 
 
 def format_sparse_vector(x: Table) -> str:
-    """Render a vector as comma-joined `coeff:index` pairs, or `0` when zero."""
-    parts = [f"{format_scalar(a)}:{k}" for (k,), a in x.items()]
+    """Render a vector as comma-joined `coeff:index` pairs, or `0` when zero,
+    each coeff as `format_scalar` renders its numerator over den."""
+    den, parts = x.den, []
+    try:
+        for (k,), a in x.numerators():
+            g = gcd(a, den)
+            parts.append(f"{a // g}:{k}" if g == den else f"{a // g}/{den // g}:{k}")
+    except ValueError:
+        raise UnprintableValue() from None
     return ",".join(parts) if parts else "0"
 
 
@@ -542,12 +564,12 @@ def parse_sparse_vector(text: str, dim: int) -> Table:
     text = text.strip()
     if text == "0":
         return Table(dim, 1, {})
-    values: dict[int, Scalar] = {}
+    values: dict[int, tuple[int, int]] = {}
     for part in text.split(","):
         coeff_text, _, idx_text = part.partition(":")
         if not idx_text:
             raise ValueError(f"bad sparse vector component: {part!r}")
-        coeff = parse_scalar(coeff_text)
+        coeff = _parse_ratio(coeff_text)
         try:
             idx = parse_frame_index(idx_text)
         except ValueError:
@@ -558,6 +580,6 @@ def parse_sparse_vector(text: str, dim: int) -> Table:
             raise ValueError(f"duplicate frame index {idx} in sparse vector")
         values[idx] = coeff
     # every index is checked above; the numerators over the lcm go straight in
-    den = lcm(*(a.denominator for a in values.values()))
-    return Table.from_numerators(dim, 1, {(k,): a.numerator * (den // a.denominator)
-                                          for k, a in values.items()}, den)
+    den = lcm(*(q for _, q in values.values()))
+    return Table.from_numerators(dim, 1, {(k,): p * (den // q)
+                                          for k, (p, q) in values.items()}, den)

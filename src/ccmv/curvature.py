@@ -105,12 +105,18 @@ def scalar_curvature(rho: Table) -> Scalar:
 
 
 def sectional(rt: Table, x: Table, y: Table) -> Scalar:
-    """K(x, y) = R(x, y, y, x) / (g(x,x) g(y,y) - g(x,y)^2), the inner
-    products the contractions of the two vectors."""
-    denominator = x.contract(x) * y.contract(y) - x.contract(y) ** 2
-    if not denominator:
+    """K(x, y) = R(x, y, y, x) / (g(x,x) g(y,y) - g(x,y)^2), both read on the
+    vectors' int numerators: each is (x.den y.den)^2 times its value, and
+    the factor cancels."""
+    xs, ys = x.entries, y.entries
+    gram = (sum(a * a for a in xs.values()) * sum(b * b for b in ys.values())
+            - sum(a * ys[k] for k, a in xs.items() if k in ys) ** 2)
+    if not gram:
         raise DegeneratePlane("vectors do not span a nondegenerate plane")
-    return rt.contract(x, y, y, x) / denominator
+    # R(x, y, y, .) on the numerators, over its reduced den, read at x
+    yn = Table(y.dim, 1, ys)
+    ryy = rt.contract(Table(x.dim, 1, xs), yn, yn)
+    return Fraction(sum(a * xs.get(k, 0) for k, a in ryy.entries.items()), ryy.den * gram)
 
 
 def holomorphic_sectional(m: ManifoldModel, rt: Table, x: Table) -> Scalar:

@@ -8,13 +8,14 @@ from itertools import product
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ccmv.core import (
     DimensionMismatch,
     Status,
     Table,
+    UnprintableValue,
     combine,
     first_failure,
     format_scalar,
@@ -28,6 +29,17 @@ from conftest import basis, cayley_rotation, tensor4_from_function, vector
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 vectors6 = st.lists(rationals, min_size=6, max_size=6).map(vector)
+
+
+def _token(sign: str, zeros: int, p: int, q: int | None) -> str:
+    head = f"{sign}{'0' * zeros}{p}"
+    return head if q is None else f"{head}/{'0' * zeros}{q}"
+
+
+# exact-rational tokens as a table may write them: signed, -0, with leading
+# zeros, not reduced, 0 over any q
+tokens = st.builds(_token, st.sampled_from(["", "-"]), st.integers(0, 2),
+                   st.integers(0, 10**6), st.none() | st.integers(1, 10**6))
 
 
 class TestScalarText:
@@ -61,6 +73,15 @@ class TestScalarText:
     @settings(max_examples=50, deadline=None)
     def test_roundtrip(self, q):
         assert parse_scalar(format_scalar(q)) == q
+
+    @given(tokens)
+    @example("-0")
+    @example("0/5")
+    @example("-03/006")
+    @settings(max_examples=100, deadline=None)
+    def test_parse_matches_fraction_text(self, token):
+        value = parse_scalar(token)
+        assert type(value) is Fraction and value == Fraction(token)
 
 
 class TestVectors:
@@ -511,6 +532,8 @@ class TestSparseVectorText:
         ("1:x", "bad frame index: 'x'"),
         ("1:9", "frame index 9 out of range for dim 4"),
         ("1:1,2:1", "duplicate frame index 1 in sparse vector"),
+        ("1:1,1/0:2", "not an exact rational: '1/0'"),
+        ("1/" + "3" * 4301 + ":0", "a value has more than 4300 decimal digits"),
     ])
     def test_parse_error_messages(self, bad, message):
         with pytest.raises(ValueError) as info:
@@ -535,6 +558,30 @@ class TestSparseVectorText:
     @settings(max_examples=40, deadline=None)
     def test_roundtrip(self, x):
         assert parse_sparse_vector(format_sparse_vector(x), 6) == x
+
+    @given(st.dictionaries(st.integers(0, 5), tokens, min_size=1))
+    @example({0: "-0", 2: "0/5", 5: "-006/004"})
+    @settings(max_examples=100, deadline=None)
+    def test_parse_matches_fraction_text(self, parts):
+        text = ",".join(f"{token}:{k}" for k, token in parts.items())
+        expected = Table.from_values(6, 1, {(k,): Fraction(token) for k, token in parts.items()})
+        x = parse_sparse_vector(text, 6)
+        assert (x.den, x.entries) == (expected.den, expected.entries)
+
+    @given(st.dictionaries(st.integers(0, 5), st.integers(-10**6, 10**6)),
+           st.integers(1, 10**6))
+    @settings(max_examples=100, deadline=None)
+    def test_format_matches_format_scalar_per_entry(self, numerators, den):
+        # canonical as from_numerators builds it, and as stored, not reduced
+        for x in (Table.from_numerators(6, 1, {(k,): a for k, a in numerators.items()}, den),
+                  Table(6, 1, {(k,): a for k, a in numerators.items() if a}, den)):
+            expected = [f"{format_scalar(Fraction(a, x.den))}:{k}" for (k,), a in x.numerators()]
+            assert format_sparse_vector(x) == (",".join(expected) or "0")
+
+    def test_format_rejects_a_value_past_the_digit_limit(self):
+        x = Table.from_numerators(3, 1, {(1,): 7 * 10**4999, (2,): 1}, 3)
+        with pytest.raises(UnprintableValue, match="cannot be printed"):
+            format_sparse_vector(x)
 
     @given(prime_tables(3))
     @settings(max_examples=40, deadline=None)

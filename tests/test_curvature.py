@@ -20,7 +20,7 @@ from ccmv.curvature import (
     second_bianchi_failures,
     sectional,
 )
-from conftest import tensor4_from_function, vector
+from conftest import make_two_step_model, tensor4_from_function, vector
 from test_kernels import (
     dense_bianchi_failure,
     dense_cyclic_sum,
@@ -46,6 +46,13 @@ CURV_TABLE = {
     (3, 5, 2): "1:4", (3, 5, 3): "-1:5", (3, 5, 4): "-1:2", (3, 5, 5): "1:3",
     (4, 5, 0): "2:1", (4, 5, 1): "-2:0", (4, 5, 2): "2:3", (4, 5, 3): "-2:2",
 }
+
+@pytest.fixture(scope="module")
+def two_step_curv():
+    """R of a model whose connection and curvature are not integral."""
+    m = make_two_step_model()
+    return riemann(m, levi_civita(m))
+
 
 SECTIONAL_TABLE = {
     (0, 1): 0, (0, 2): -3, (0, 3): -3, (0, 4): 1, (0, 5): 1,
@@ -171,6 +178,24 @@ class TestSectional:
         xp = combine([(a, x), (b, y)])
         yp = combine([(c, x), (d, y)])
         assert sectional(heis_curv, xp, yp) == -3
+
+    @given(x=coeffs6, y=coeffs6)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_fraction_formula(self, two_step_curv, x, y):
+        def g(u, v):
+            return sum(u.entry(k) * v.entry(k) for k in range(u.dim))
+
+        area = g(x, x) * g(y, y) - g(x, y) ** 2
+        assume(area)
+        rxyyx = sum(value * x.entry(i) * y.entry(j) * y.entry(k) * x.entry(el)
+                    for (i, j, k, el), value in two_step_curv.items())
+        assert sectional(two_step_curv, x, y) == rxyyx / area
+
+    @given(x=coeffs6, c=small_fraction)
+    @settings(max_examples=25, deadline=None)
+    def test_degenerate_on_parallel_pairs(self, two_step_curv, x, c):
+        with pytest.raises(DegeneratePlane):
+            sectional(two_step_curv, x, combine([(c, x)]))
 
     def test_degenerate_same_vector(self, heisenberg, heis_curv):
         e0 = heisenberg.basis(0)

@@ -15,7 +15,8 @@ to the verify TSV rows) and a `diff` (model text and expected table to the
 diff TSV rows), the two reports that `bench/run.py` times.  Every pair
 must give identical rows, or the script stops with exit code 1.  It
 prints, per workload and report, the median of the per-pair ratios
-change/base with its quartiles, and the pairs the change won.
+change/base with its quartiles, and the pairs the change won.  A base
+tree without `src/ccmv` stops it with exit code 2.
 
 This is a pre-check before `bench/run.py`, not a substitute for it: the
 two sides share the interpreter, the allocator and the machine's state of
@@ -72,6 +73,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base", type=Path, help="the base tree (a checkout of the parent)")
     args = parser.parse_args(argv)
+    if not (args.base / "src" / "ccmv").is_dir():
+        print(f"paired_ab: {args.base} has no src/ccmv to compare against", file=sys.stderr)
+        return 2
 
     # nothing is compiled to disk: not in bench/, not in the copies
     sys.dont_write_bytecode = True
