@@ -229,14 +229,15 @@ class Table(Record):
     def from_numerators(cls, dim: int, rank: int, values: Mapping[tuple[int, ...], int],
                         den: int = 1):
         """Build from index tuple -> int numerator over the positive int
-        `den`; zeros are dropped and the common factor is divided out."""
-        values = {idx: a for idx, a in values.items() if a}
-        if den != 1:
-            common = gcd(den, *values.values())
-            if common != 1:
-                den //= common
-                values = {idx: a // common for idx, a in values.items()}
-        return cls(dim, rank, values, den)
+        `den`; zeros are dropped and the common factor, which zeros do not
+        change, is divided out, in one copy; `values` is never kept."""
+        common = gcd(den, *values.values()) if den != 1 else 1
+        if common != 1:
+            return cls(dim, rank, {idx: a // common for idx, a in values.items() if a},
+                       den // common)
+        if 0 in values.values():
+            return cls(dim, rank, {idx: a for idx, a in values.items() if a}, den)
+        return cls(dim, rank, dict(values), den)
 
     def numerators(self) -> list[tuple[tuple[int, ...], int]]:
         """Every stored `(index tuple, numerator)` pair, in index order."""
@@ -416,15 +417,20 @@ class Table(Record):
 
     def add(self, terms: Iterable[tuple[Scalar | int, Table]]) -> Table:
         """This table plus c * t for every term (c, t) of the same rank, over
-        the lcm of the terms' denominators."""
+        the lcm of the terms' denominators, checked and folded in one loop."""
         terms = list(terms)
+        dim, rank, den = self.dim, self.rank, self.den
         for c, t in terms:
-            _require_same_dim(self.dim, t.dim)
-            if t.rank != self.rank:
-                raise ValueError(f"a rank-{t.rank} table does not add to rank {self.rank}")
-        den = lcm(self.den, *(c.denominator * t.den for c, t in terms))
+            if t.dim != dim:
+                raise DimensionMismatch(f"dimension mismatch: {dim} vs {t.dim}")
+            if t.rank != rank:
+                raise ValueError(f"a rank-{t.rank} table does not add to rank {rank}")
+            q = c.denominator * t.den
+            if den % q:
+                den = lcm(den, q)
         scale = den // self.den
-        values = {key: scale * a for key, a in self.entries.items()}
+        values = (dict(self.entries) if scale == 1
+                  else {key: scale * a for key, a in self.entries.items()})
         for c, t in terms:
             # c * t's numerators brought over den
             scale = c.numerator * (den // (c.denominator * t.den))

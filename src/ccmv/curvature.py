@@ -8,23 +8,24 @@ numerators over one den.
 
 The three checks of R on arbitrary vector fields (RIEM-SYM, BIANCHI-1,
 BIANCHI-2) run on the int numerators too, and each returns its first
-failure as (index tuple, clause, lhs, rhs).  RIEM-SYM and BIANCHI-1 are
-clauses of `core.first_failure`: R's numerator map against that of R with
-its slots permuted, and the cyclic sum against the empty map.  Each cyclic
-nabla R term of BIANCHI-2 is a connection numerator times an R numerator,
-over the product of the two dens.
+failure as (index tuple, clause, lhs, rhs).  RIEM-SYM is one loop over R's
+stored entries, each read against its three partners; BIANCHI-1 is a
+clause of `core.first_failure`, its nonzero cyclic sums against the empty
+map.  Each cyclic nabla R term of BIANCHI-2 is a connection numerator times
+an R numerator, over the product of the two dens.
 
 The sweeps of R below require R to be antisymmetric in each pair.  The R
 of a torsion-free metric connection is (Kobayashi-Nomizu vol. I, ch. III),
-and `riemann` builds it so exactly: it adds each connection product at
-(b, a, ...) and subtracts it at (a, b, ...); the structure constants are
-antisymmetric (`structure_constants` fills them so, and LIE-ANTISYM gates
-them); and `levi_civita` gives gamma(i, k, p) = -gamma(i, p, k), which
-makes the sum antisymmetric in its second pair.  RIEM-SYM checks the
-property on its own, and the sweeps do not re-check it.  nabla R, for any
-connection, is then antisymmetric in each pair too, and each sweep builds
-only the quarter i < j, k < l of what it compares, which holds the first
-failure in product order.  The cyclic sums are totally antisymmetric in
+and `riemann` builds it so exactly: its connection products sum, by their
+own form, to a table antisymmetric in (a, b), so it accumulates each one
+once, at a < b, and stores the negated sum at (b, a, ...); the structure
+constants are antisymmetric (`structure_constants` fills them so, and
+LIE-ANTISYM gates them); and `levi_civita` gives gamma(i, k, p) =
+-gamma(i, p, k), which makes the sum antisymmetric in its second pair.
+RIEM-SYM checks the property on its own, and the sweeps do not re-check
+it.  nabla R, for any connection, is then antisymmetric in each pair too,
+and each sweep builds only the quarter i < j, k < l of what it compares,
+which holds the first failure in product order.  The cyclic sums are totally antisymmetric in
 their first three indices: BIANCHI-1 adds each entry only at the rotation
 of those that increases, if one does, and BIANCHI-2 builds only the slabs
 s < a < b, keyed by k < l, regrouped.  Reading R(a, p, ...) as
@@ -60,9 +61,11 @@ def riemann(m: ManifoldModel, conn: Table) -> Table:
         R(i, j, k, el) = sum_p gamma(j, k, p) gamma(i, p, el)
                          - gamma(i, k, p) gamma(j, p, el) - c(i, j, p) gamma(p, k, el),
 
-    accumulated over the nonzero connection entries and brackets only.
-    Symmetry of the entries is a consequence of the construction and is
-    asserted by the verification suite, not by the table.
+    accumulated over the nonzero connection entries and brackets only.  The
+    two connection products are one sum antisymmetric in (i, j) whatever
+    gamma is, so it is accumulated at i < j only and stored negated at
+    (j, i, ...); the bracket term is added on every key.  The other
+    symmetries are asserted by the verification suite, not by the table.
     """
     # through[p] lists (i, el, g) for every nonzero gamma(i, p, el) = g; the
     # terms are brought over den = D_conn * lcm(D_conn, D_c)
@@ -74,12 +77,15 @@ def riemann(m: ManifoldModel, conn: Table) -> Table:
     values: dict[tuple[int, int, int, int], int] = {}
     get = values.get
     # gamma(a, k, p) * gamma(b, p, el) is the first term of R(b, a, k, el)
-    # and minus the second term of R(a, b, k, el).
+    # and minus the second term of R(a, b, k, el): accumulated once, at the
+    # pair order that increases (at a = b the two cancel), then mirrored.
     for (a, k, p), g in conn.entries.items():
         for b, el, h in through.get(p, ()):
-            term = g * h
-            values[b, a, k, el] = get((b, a, k, el), 0) + term
-            values[a, b, k, el] = get((a, b, k, el), 0) - term
+            if a < b:
+                values[a, b, k, el] = get((a, b, k, el), 0) - g * h
+            elif b < a:
+                values[b, a, k, el] = get((b, a, k, el), 0) + g * h
+    values.update({(b, a, k, el): -v for (a, b, k, el), v in values.items()})
     for (i, j, p), c in m.constants.entries.items():
         c *= den // (cd * gd)
         for k, row in conn.sub(p).items():
@@ -208,13 +214,21 @@ def first_bianchi_failures(rt: Table) -> Failure | None:
     nonzero sum R_ijkl + R_jkil + R_kijl; None when there is none.  R must
     be antisymmetric in its first pair (see the module docstring).  The sums
     are of R's numerators, each stored entry added only at the rotation of
-    its first three indices that increases, if one does, and are compared
-    with the empty map."""
+    its first three indices that increases, if one does; the nonzero sums
+    are compared with the empty map, so a passing R sorts nothing."""
     total: dict[tuple[int, int, int, int], int] = {}
+    get = total.get
     for (i, j, k, el), a in rt.entries.items():
-        for key in ((i, j, k, el), (k, i, j, el), (j, k, i, el)):
-            if key[0] < key[1] < key[2]:
-                total[key] = total.get(key, 0) + a
+        if i < j < k:
+            key = i, j, k, el
+        elif k < i < j:
+            key = k, i, j, el
+        elif j < k < i:
+            key = j, k, i, el
+        else:
+            continue
+        total[key] = get(key, 0) + a
+    total = {key: a for key, a in total.items() if a}
     return first_failure([("", (total, rt.den), ({}, 1))], 4)
 
 
@@ -223,9 +237,27 @@ def riemann_symmetry_failures(rt: Table) -> Failure | None:
     R_ijkl, the entry value the symmetry demands) at the first tuple in
     `itertools.product` order where one fails, with the first failing of
     swap-first-pair (-R_jikl), swap-second-pair (-R_ijlk) and pair-exchange
-    (R_klij) there; None when all three hold.  Each clause compares R's
-    numerators with those of its permuted table."""
-    r = rt.keyed()
-    return first_failure([("swap-first-pair", r, rt.keyed((1, 0, 2, 3), -1)),
-                          ("swap-second-pair", r, rt.keyed((0, 1, 3, 2), -1)),
-                          ("pair-exchange", r, rt.keyed((2, 3, 0, 1)))], 4)
+    (R_klij) there; None when all three hold.  One loop over R's stored
+    entries reads each one's three partners: a clause fails at a tuple
+    exactly when it fails at the tuple's partner, and one of the two is
+    stored, so the least failing tuple of a clause is the lesser of some
+    failing stored key and its partner."""
+    r = rt.entries
+    get = r.get
+    fails = []
+    for key, a in r.items():
+        i, j, k, el = key
+        if a + get((j, i, k, el), 0):
+            fails.append((min(key, (j, i, k, el)), 0))
+        if a + get((i, j, el, k), 0):
+            fails.append((min(key, (i, j, el, k)), 1))
+        if a != get((k, el, i, j), 0):
+            fails.append((min(key, (k, el, i, j)), 2))
+    if not fails:
+        return None
+    where, c = min(fails)
+    i, j, k, el = where
+    label, other, sign = (("swap-first-pair", (j, i, k, el), -1),
+                          ("swap-second-pair", (i, j, el, k), -1),
+                          ("pair-exchange", (k, el, i, j), 1))[c]
+    return where, label, Fraction(get(where, 0), rt.den), Fraction(sign * get(other, 0), rt.den)

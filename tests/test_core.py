@@ -360,6 +360,40 @@ class TestTable:
         assert table.restrict(range(1), 1).numerators() == [((0, 1, 2), -3)]
         assert table.restrict(range(1), 1).den == 4 and table.fix(0, 2).den == 1
 
+    @pytest.mark.parametrize("values,den,entries,reduced", [
+        ({(0, 1): 2, (2, 0): -3}, 5, {(0, 1): 2, (2, 0): -3}, 5),
+        ({(0, 1): 2, (1, 2): 0, (2, 0): -3}, 5, {(0, 1): 2, (2, 0): -3}, 5),
+        ({(0, 1): 6, (1, 2): 0, (2, 0): -9}, 12, {(0, 1): 2, (2, 0): -3}, 4),
+        ({(0, 1): 6, (1, 2): 0}, 1, {(0, 1): 6}, 1),
+        ({(0, 1): 0, (1, 2): 0}, 6, {}, 1),
+    ], ids=["nothing-to-drop", "zeros-only", "common-factor-and-zeros", "den-1-zeros",
+            "all-zeros"])
+    def test_from_numerators_drops_zeros_and_divides_out(self, values, den, entries,
+                                                         reduced):
+        table = Table.from_numerators(3, 2, values, den)
+        assert (table.entries, table.den) == (entries, reduced)
+        assert table.entries is not values
+        # the table keeps its own dict: changing the input afterwards does not reach it
+        values[(0, 1)] = 7
+        values[(2, 2)] = 1
+        assert (table.entries, table.den) == (entries, reduced)
+        values.clear()
+        assert (table.entries, table.den) == (entries, reduced)
+
+    def test_add_rejects_a_bad_term_after_good_ones(self):
+        t = Table.from_values(3, 2, {(0, 1): Fraction(1, 2)})
+        u = Table.from_values(3, 2, {(1, 2): Fraction(3, 5)})
+        wide = Table.from_values(4, 2, {(3, 3): 1})
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 3 vs 4$"):
+            t.add([(1, u), (Fraction(2, 7), t), (1, wide)])
+        # a term of the wrong dimension and rank is reported by its dimension
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 3 vs 4$"):
+            t.add([(1, u), (1, wide.tensor(wide))])
+        with pytest.raises(ValueError, match=r"^a rank-3 table does not add to rank 2$"):
+            t.add([(Fraction(1, 3), u), (1, t), (1, Table.from_values(3, 3, {(0, 0, 0): 1}))])
+        with pytest.raises(ValueError, match=r"^a rank-1 table does not add to rank 2$"):
+            t.add([(1, u), (-1, vector([1, 0, 0]))])
+
     def test_equality_is_structural(self):
         t = Table.from_values(3, 2, {(0, 1): Fraction(1, 2), (2, 2): Fraction(-1, 3)})
         u = Table.from_values(3, 2, {(0, 1): Fraction(3, 5), (1, 0): 7})

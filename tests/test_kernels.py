@@ -1886,6 +1886,54 @@ def test_riemann_is_antisymmetric_in_each_pair(m):
     assert rt.keyed((0, 1, 3, 2), -1)[0] == rt.entries
 
 
+def test_riemann_matches_dense_assembly_on_unsymmetric_inputs(heisenberg, heis_conn):
+    # c(2, 0, 1) without c(0, 2, 1), a diagonal c(1, 1, 3), and a connection
+    # that is no Levi-Civita one: `riemann` mirrors its products from i < j
+    # to (j, i) by their form, and adds the bracket term on every key, so it
+    # must equal the dense assembly even where R is antisymmetric in no pair
+    c = dict(heisenberg.constants.items())
+    c[(2, 0, 1)] = Fraction(3)
+    c[(1, 1, 3)] = Fraction(1, 2)
+    m = ManifoldModel("hand-built", 1, Table.from_values(6, 3, c),
+                      heisenberg.G, heisenberg.H, heisenberg.J)
+    conn = _bumped(heis_conn, {(0, 0, 2): Fraction(1, 5), (3, 1, 1): Fraction(-2, 3),
+                               (2, 4, 5): Fraction(7), (5, 5, 0): Fraction(1, 2)})
+    rt = riemann(m, conn)
+    assert rt == dense_riemann(m, conn)
+    assert rt.keyed((1, 0, 2, 3), -1)[0] != rt.entries
+    assert rt.keyed((0, 1, 3, 2), -1)[0] != rt.entries
+
+
+# The seven images of R(i, j, k, l) under the pair swaps and the pair
+# exchange, as (slot order, sign): a bump at a tuple and at all seven keeps
+# every pair symmetry, and at some of them breaks only some clauses.
+PARTNERS = (((1, 0, 2, 3), -1), ((0, 1, 3, 2), -1), ((1, 0, 3, 2), 1),
+            ((2, 3, 0, 1), 1), ((3, 2, 0, 1), -1), ((2, 3, 1, 0), -1), ((3, 2, 1, 0), 1))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_bumped_curvature_sweeps_match_product_order(heis_curv, data):
+    """One random entry of the bundled R bumped, alone or with chosen
+    partners, and on half the draws made antisymmetric in its first pair:
+    the symmetry and first Bianchi sweeps give the product-order failures,
+    the latter wherever R keeps the first-pair antisymmetry it requires."""
+    where = data.draw(st.tuples(*[st.integers(0, 5)] * 4))
+    delta = data.draw(ratios([1, 2, 3]))
+    bumps = {where: delta}
+    for order, sign in data.draw(st.lists(st.sampled_from(PARTNERS), unique=True)):
+        key = tuple(where[p] for p in order)
+        bumps[key] = bumps.get(key, ZERO) + sign * delta
+    if data.draw(st.booleans()):
+        keys = {*bumps, *((j, i, k, el) for i, j, k, el in bumps)}
+        bumps = {(i, j, k, el): (bumps.get((i, j, k, el), ZERO)
+                                 - bumps.get((j, i, k, el), ZERO)) / 2 for i, j, k, el in keys}
+    rt = _bumped(heis_curv, bumps)
+    assert riemann_symmetry_failures(rt) == product_order_riemann_symmetry_failure(rt)
+    if rt.keyed((1, 0, 2, 3), -1)[0] == rt.entries:
+        assert first_bianchi_failures(rt) == product_order_first_bianchi_failure(rt)
+
+
 # ----- the table equations on random models and random tables -----
 
 @st.composite
