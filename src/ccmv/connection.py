@@ -65,4 +65,4 @@ def wedge(a: Table, b: Table) -> Table:
     unique normalization under which the built-in model satisfies the
     contact compatibility du(X, Y) = g(X, GY) with vanishing sigma.
     """
-    return combine([(HALF, a.tensor(b)), (-HALF, b.tensor(a))])
+    return combine([(HALF, (a, b)), (-HALF, (b, a))])

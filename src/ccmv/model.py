@@ -10,7 +10,6 @@ V and need no separate storage.
 """
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Callable
 
 from .core import (
@@ -19,6 +18,7 @@ from .core import (
     Scalar,
     Status,
     Table,
+    cached_property,
     combine,
     first_failure,
     format_scalar,
@@ -121,9 +121,8 @@ class CheckResult(Record):
     witness: str | None = None
 
     def __init__(self, check_id: str, status: Status, witness: str | None = None) -> None:
-        object.__setattr__(self, "check_id", check_id)
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "__dict__",
+                           {"check_id": check_id, "status": status, "witness": witness})
 
 
 class ValidationReport(Record):
@@ -200,7 +199,7 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     d = m.dim
     G, H, J = m.G, m.H, m.J
     ident = Table.identity(d)
-    vertical_square = combine([(-1, ident), (1, m.U.tensor(m.U)), (1, m.V.tensor(m.V))])
+    vertical_square = combine([(-1, ident), (1, (m.U, m.U)), (1, (m.V, m.V))])
     results = [
         _check_matrices("AX-G2", [("", G.compose(G), vertical_square)]),
         _check_matrices("AX-H2", [("", H.compose(H), vertical_square)]),
@@ -221,7 +220,7 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     ]))
 
     # HG = -GH = J + u ⊗ V - v ⊗ U, as maps X -> J X + u(X) V - v(X) U
-    hg_target = combine([(1, J), (1, m.U.tensor(m.V)), (-1, m.V.tensor(m.U))])
+    hg_target = combine([(1, J), (1, (m.U, m.V)), (-1, (m.V, m.U))])
     results.append(_check_matrices("AX-HGJ", [
         ("HG", H.compose(G), hg_target),
         ("-GH", combine([(-1, G.compose(H))]), hg_target),

@@ -35,13 +35,13 @@ FAIL on the built-in model.
 """
 from __future__ import annotations
 
-from functools import cached_property
 
 from .core import (
     Record,
     Scalar,
     Status,
     Table,
+    cached_property,
     combine,
     first_table_failure,
     format_value,
@@ -192,7 +192,7 @@ class ConnectionWorkspace:
     def vertical_mix_table(self) -> Table:
         """<u(Y) V - v(Y) U, Z> at (Y, Z)."""
         _, u, v = self.forms
-        return u.tensor(v).add([(-1, v.tensor(u))])
+        return combine([(1, (u, v)), (-1, (v, u))])
 
     def horizontal(self, t: Table, width: int | None = None) -> Table:
         """t with its first `width` arguments (every one by default)
@@ -216,17 +216,17 @@ class ConnectionWorkspace:
     def _shared_G(self) -> Table:
         """sigma(X) HY - u(Y) X - v(Y) JX + <X, Y> U + <JX, Y> V."""
         m, (s, u, v) = self.model, self.forms
-        return combine([(1, s.tensor(m.H)), (-1, _middle(u, self.delta)),
-                     (-1, _middle(v, m.J)), (1, self.delta.tensor(u)),
-                        (1, m.J.tensor(v))])
+        return combine([(1, (s, m.H)), (-1, _middle(u, self.delta)),
+                     (-1, _middle(v, m.J)), (1, (self.delta, u)),
+                        (1, (m.J, v))])
 
     @cached_property
     def _shared_H(self) -> Table:
         """-sigma(X) GY + u(Y) JX - v(Y) X - <JX, Y> U + <X, Y> V."""
         m, (s, u, v) = self.model, self.forms
-        return combine([(-1, s.tensor(m.G)), (1, _middle(u, m.J)),
-                     (-1, _middle(v, self.delta)), (-1, m.J.tensor(u)),
-                        (1, self.delta.tensor(v))])
+        return combine([(-1, (s, m.G)), (1, _middle(u, m.J)),
+                     (-1, _middle(v, self.delta)), (-1, (m.J, u)),
+                        (1, (self.delta, v))])
 
     @cached_property
     def prop21_G(self) -> Table:
@@ -234,7 +234,7 @@ class ConnectionWorkspace:
         the shared terms plus v(X) (dsigma(GZ, GY) - 2 <HGY, Z>)."""
         m, (_, _, v) = self.model, self.forms
         at_v = self.reversed_dsigma(m.G, (0, 1)).add([(-2, self.HG)])
-        return self._shared_G.add([(1, v.tensor(at_v))])
+        return self._shared_G.add([(1, (v, at_v))])
 
     @cached_property
     def prop21_H(self) -> Table:
@@ -242,7 +242,7 @@ class ConnectionWorkspace:
         the shared terms minus u(X) (dsigma(HZ, HY) + 2 <GHY, Z>)."""
         m, (_, u, _) = self.model, self.forms
         at_u = self.reversed_dsigma(m.H, (0, 1)).add([(2, self.GH)])
-        return self._shared_H.add([(-1, u.tensor(at_u))])
+        return self._shared_H.add([(-1, (u, at_u))])
 
     @cached_property
     def _thm45_vertical(self) -> Table:
@@ -258,14 +258,14 @@ class ConnectionWorkspace:
         """Thm. 4.5: the closed form of (nabla_X G)Y on a normal structure,
         the shared terms plus their v(X) part."""
         _, _, v = self.forms
-        return self._shared_G.add([(1, v.tensor(self._thm45_vertical))])
+        return self._shared_G.add([(1, (v, self._thm45_vertical))])
 
     @cached_property
     def thm45_H(self) -> Table:
         """Thm. 4.5: the closed form of (nabla_X H)Y on a normal structure,
         the shared terms plus their u(X) part."""
         _, u, _ = self.forms
-        return self._shared_H.add([(-1, u.tensor(self._thm45_vertical))])
+        return self._shared_H.add([(-1, (u, self._thm45_vertical))])
 
     def _torsion(self, a: Table, nabla_a: Table) -> Table:
         """[A,A](X,Y) = (nabla_{AX}A)Y - (nabla_{AY}A)X - A(nabla_X A)Y
@@ -286,8 +286,8 @@ class ConnectionWorkspace:
     def _vertical_pairing(self) -> Table:
         """2 <X, GY> U - 2 <X, HY> V."""
         m, (_, u, v) = self.model, self.forms
-        return combine([(2, m.G.permute((1, 0)).tensor(u)),
-                        (-2, m.H.permute((1, 0)).tensor(v))])
+        return combine([(2, (m.G.permute((1, 0)), u)),
+                        (-2, (m.H.permute((1, 0)), v))])
 
     @cached_property
     def obstruction_S(self) -> Table:
@@ -297,7 +297,7 @@ class ConnectionWorkspace:
         m, (s, _, v) = self.model, self.forms
         s_G = s.pullback(m.G, (0,), range(m.dim))             # sigma(G.)
         # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
-        tail = combine([(-2, v.tensor(m.H)), (-1, s_G.tensor(m.H)), (1, s.tensor(self.GH))])
+        tail = combine([(-2, (v, m.H)), (-1, (s_G, m.H)), (1, (s, self.GH))])
         return self.torsion_G.add([(1, self._vertical_pairing), (1, _alternate(tail))])
 
     @cached_property
@@ -308,7 +308,7 @@ class ConnectionWorkspace:
         m, (s, u, _) = self.model, self.forms
         s_H = s.pullback(m.H, (0,), range(m.dim))             # sigma(H.)
         # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
-        tail = combine([(-2, u.tensor(m.G)), (1, s_H.tensor(m.G)), (1, s.tensor(self.GH))])
+        tail = combine([(-2, (u, m.G)), (1, (s_H, m.G)), (1, (s, self.GH))])
         return self.torsion_H.add([(-1, self._vertical_pairing), (1, _alternate(tail))])
 
 

@@ -41,7 +41,6 @@ adjudicates which side of an inconsistency was intended.
 from __future__ import annotations
 
 import re
-from functools import cached_property
 from typing import Callable, Sequence
 
 from .core import (
@@ -51,6 +50,7 @@ from .core import (
     Scalar,
     Status,
     Table,
+    cached_property,
     combine,
     first_table_failure,
     format_value,
@@ -213,7 +213,7 @@ class Workspace(ConnectionWorkspace):
     def vertical_square(self) -> Table:
         """u(X) u(Y) + v(X) v(Y)."""
         _, u, v = self.forms
-        return u.tensor(u).add([(1, v.tensor(v))])
+        return combine([(1, (u, u)), (1, (v, v))])
 
 
 class Identity(Record):
@@ -268,10 +268,11 @@ def _registry() -> list[Identity]:
 
     # A table's value at (X, Y, ...) is named below: the frame vectors of the
     # identity's slots, then the output vector for a vector-valued side.  u,
-    # v and s are the rank-1 tables of u, v and sigma; u.tensor(t) is
-    # u(X) t(Y, ...) and _middle(u, t) is u(Y) t(X, Z).  X0 and Y0 are the
-    # horizontal parts of X and Y: ws.horizontal(t, k) keeps the keys of t
-    # whose first k indices are horizontal, and ws.horizontal(t) every slot.
+    # v and s are the rank-1 tables of u, v and sigma; the product term
+    # (c, (u, t)) of `add` and `combine` is c u(X) t(Y, ...), and
+    # _middle(u, t) is u(Y) t(X, Z).  X0 and Y0 are the horizontal parts of
+    # X and Y: ws.horizontal(t, k) keeps the keys of t whose first k indices
+    # are horizontal, and ws.horizontal(t) every slot.
     # A `hor` slot is compared on horizontal frame indices only, so a side
     # restricted all the same (`curv_side`, a pullback's `keep`, a factor of
     # a tensor product) is so only to cut the work of building it.
@@ -300,14 +301,14 @@ def _registry() -> list[Identity]:
         m, (_, u, v) = ws.model, ws.forms
         at_u = ws.reversed_dsigma(m.G, (1,)).add([(-2, m.H)])
         at_v = ws.reversed_dsigma(m.H, (1,)).add([(2, m.G)])
-        return [("", ws.nabla_J, u.tensor(at_u).add([(1, v.tensor(at_v))]))]
+        return [("", ws.nabla_J, combine([(1, (u, at_u)), (1, (v, at_v))]))]
     add_tables("EQ-2.6", "contact", "any any any", eq_2_6)
 
     # nabla_X U = -GX + sigma(X) V; nabla_X V = -HX - sigma(X) U
     def eq_2_7(ws: Workspace) -> list[TableClause]:
         m, (s, u, v) = ws.model, ws.forms
-        return [("U", ws.conn.fix(1, m.U_index), combine([(-1, m.G), (1, s.tensor(v))])),
-                ("V", ws.conn.fix(1, m.V_index), combine([(-1, m.H), (-1, s.tensor(u))]))]
+        return [("U", ws.conn.fix(1, m.U_index), combine([(-1, m.G), (1, (s, v))])),
+                ("V", ws.conn.fix(1, m.V_index), combine([(-1, m.H), (-1, (s, u))]))]
     add_tables("EQ-2.7", "contact", "any", eq_2_7)
 
     # nabla_U U = sigma(U) V, nabla_U V = -sigma(U) U, and the same along V
@@ -339,9 +340,9 @@ def _registry() -> list[Identity]:
     def eq_3_1(ws: Workspace) -> list[TableClause]:
         m, (s, u, v) = ws.model, ws.forms
         return [("u", combine([(-1, ws.conn.fix(2, m.U_index))]),
-                 m.G.permute((1, 0)).add([(1, s.tensor(v))])),
+                 m.G.permute((1, 0)).add([(1, (s, v))])),
                 ("v", combine([(-1, ws.conn.fix(2, m.V_index))]),
-                 m.H.permute((1, 0)).add([(-1, s.tensor(u))]))]
+                 m.H.permute((1, 0)).add([(-1, (s, u))]))]
     add_tables("EQ-3.1", "contact", "any any", eq_3_1)
 
     # <(nabla_W A)X, W'> = 0 for A = G, H, J, W and W' vertical, X horizontal
@@ -397,14 +398,14 @@ def _registry() -> list[Identity]:
     def eq_4_12(ws: Workspace) -> list[TableClause]:
         """The printed sign of the nabla_U J term, and 2 v(X)(u(Y)V - v(Y)U) dropped."""
         _, _, v = ws.forms
-        return [("", ws.nabla_G, ws.thm45_G.add([(-2, v.tensor(ws.nUJ_G0)),
-                                                 (2, v.tensor(ws.vertical_mix_table))]))]
+        return [("", ws.nabla_G, ws.thm45_G.add([(-2, (v, ws.nUJ_G0)),
+                                                 (2, (v, ws.vertical_mix_table))]))]
     add_tables("EQ-4.12", "contact", "any any", eq_4_12)
 
     def eq_4_13(ws: Workspace) -> list[TableClause]:
         """-2 u(X)(u(Y)V - v(Y)U) dropped."""
         _, u, _ = ws.forms
-        return [("", ws.nabla_H, ws.thm45_H.add([(-2, u.tensor(ws.vertical_mix_table))]))]
+        return [("", ws.nabla_H, ws.thm45_H.add([(-2, (u, ws.vertical_mix_table))]))]
     add_tables("EQ-4.13", "contact", "any any", eq_4_13)
 
     # (nabla_X J)Y = -2 u(X) HY + 2 v(X) GY + u(X)(2 H Y0 + (nabla_U J) Y0)
@@ -413,8 +414,8 @@ def _registry() -> list[Identity]:
         m, (_, u, v) = ws.model, ws.forms
         at_u = ws.horizontal(ws.nUJ.add([(2, m.H)]), 1)
         at_v = ws.horizontal(ws.nUJ.compose(m.J).add([(-2, m.G)]), 1)
-        return [("", ws.nabla_J, combine([(-2, u.tensor(m.H)), (2, v.tensor(m.G)),
-                                          (1, u.tensor(at_u)), (1, v.tensor(at_v))]))]
+        return [("", ws.nabla_J, combine([(-2, (u, m.H)), (2, (v, m.G)),
+                                          (1, (u, at_u)), (1, (v, at_v))]))]
     add_tables("EQ-4.14", "contact", "any any", eq_4_14)
 
     # ----- normality -----
@@ -427,8 +428,8 @@ def _registry() -> list[Identity]:
     def eq_2_5(ws: Workspace) -> list[TableClause]:
         """HG printed where GH belongs in the 2 u(X) term."""
         _, u, _ = ws.forms
-        return [("", ws.nabla_H, ws.prop21_H.add([(-2, u.tensor(ws.HG)),
-                                                  (2, u.tensor(ws.GH))]))]
+        return [("", ws.nabla_H, ws.prop21_H.add([(-2, (u, ws.HG)),
+                                                  (2, (u, ws.GH))]))]
     add_tables("EQ-2.5", "normality", "any any any", eq_2_5)
 
     for route in ("korkmaz", "prop21", "thm45"):
@@ -457,8 +458,8 @@ def _registry() -> list[Identity]:
             quarter = all(t.keyed((1, 0), -1)[0] == t.entries for t in factors)
             ds, form_j, form_b, ds_a = [t.pair_quarter() if quarter else t for t in factors]
             return [("", ws.curv_side(a, quarter), ws.curv_side("R", quarter).add([
-                (-2, ds.tensor(form_j)), (2, form_b.tensor(ds_a)),
-                (2, form_j.tensor(ds)), (-2, ds_a.tensor(form_b))]))]
+                (-2, (ds, form_j)), (2, (form_b, ds_a)),
+                (2, (form_j, ds)), (-2, (ds_a, form_b))]))]
         return tables
     add_tables("EQ-2.20", "curvature", "hor hor hor hor", pulled_back_curvature("G", "H"))
     add_tables("EQ-2.21", "curvature", "hor hor hor hor", pulled_back_curvature("H", "G"))
@@ -472,20 +473,20 @@ def _registry() -> list[Identity]:
     # on `hor` slots; so are EQ-2.22 and EQ-5.6 of EQ-4.11 and EQ-5.10.
     eq_4_2 = add_tables("EQ-4.2", "curvature", "any", lambda ws: [
         ("", ws.curv_xU.fix(1, ws.model.U_index),
-         ws.hor_delta.add([(-2 * ws.dUV, ws.forms[2].tensor(ws.forms[2]))]))])
+         ws.hor_delta.add([(-2 * ws.dUV, (ws.forms[2], ws.forms[2]))]))])
     eq_4_3 = add_tables("EQ-4.3", "curvature", "any", lambda ws: [
         ("", ws.curv_xV.fix(1, ws.model.V_index),
-         ws.hor_delta.add([(-2 * ws.dUV, ws.forms[1].tensor(ws.forms[1]))]))])
+         ws.hor_delta.add([(-2 * ws.dUV, (ws.forms[1], ws.forms[1]))]))])
     # EQ-2.12: R(X, U)U = R(X, V)V = X
     add_tables("EQ-2.12", "curvature", "hor", lambda ws: [
         (part, *ws.clauses(fn)[0][1:]) for part, fn in (("U", eq_4_2), ("V", eq_4_3))])
     # EQ-2.15: R(X, U)V = R_xUV; EQ-2.16: R(X, V)U = R_xVU; EQ-2.19: R(U, V)X = JX
     add_tables("EQ-4.4", "curvature", "any", lambda ws: [
         ("", ws.curv_xU.fix(1, ws.model.V_index),
-         ws.R_xUV.add([(2 * ws.dUV, ws.forms[2].tensor(ws.forms[1]))]))], "EQ-2.15")
+         ws.R_xUV.add([(2 * ws.dUV, (ws.forms[2], ws.forms[1]))]))], "EQ-2.15")
     add_tables("EQ-4.5", "curvature", "any", lambda ws: [
         ("", ws.curv_xV.fix(1, ws.model.U_index),
-         ws.R_xVU.add([(2 * ws.dUV, ws.forms[1].tensor(ws.forms[2]))]))], "EQ-2.16")
+         ws.R_xVU.add([(2 * ws.dUV, (ws.forms[1], ws.forms[2]))]))], "EQ-2.16")
     add_tables("EQ-4.6", "curvature", "any", lambda ws: [
         ("", ws.curv.fix(0, ws.model.U_index).fix(0, ws.model.V_index),
          ws.hor_J.add([(2 * ws.dUV, ws.vertical_mix_table)]))], "EQ-2.19")
@@ -499,8 +500,8 @@ def _registry() -> list[Identity]:
         at_v = ws.horizontal(combine([(s_v, m.H), (1, ws.nVG), (1, m.J)]), 1)
         vertical = combine([(2, ws.hor_J_dsigma), (2 * ws.dUV, ws.vertical_mix_table)])
         return [("", ws.curv.fix(2, m.U_index), combine([
-            (-1, u.tensor(ws.hor_delta)), (1, v.tensor(at_v)), (1, _middle(u, ws.hor_delta)),
-            (1, _middle(v, ws.R_xVU)), (1, vertical.tensor(v))]))]
+            (-1, (u, ws.hor_delta)), (1, (v, at_v)), (1, _middle(u, ws.hor_delta)),
+            (1, _middle(v, ws.R_xVU)), (1, (vertical, v))]))]
     add_tables("EQ-4.7", "curvature", "any any", eq_4_7, "EQ-2.13")
 
     # EQ-2.14: R(X, Y)V = -2 (<X, JY> + dsigma(X, Y)) U
@@ -512,8 +513,8 @@ def _registry() -> list[Identity]:
         at_u = ws.horizontal(combine([(-s_u, m.G), (1, ws.nUH), (-1, m.J)]), 1)
         vertical = combine([(-2, ws.hor_J_dsigma), (-2 * ws.dUV, ws.vertical_mix_table)])
         return [("", ws.curv.fix(2, m.V_index), combine([
-            (-1, u.tensor(ws.R_xUV)), (-1, v.tensor(ws.hor_delta)), (1, _middle(u, at_u)),
-            (1, _middle(v, ws.hor_delta)), (1, vertical.tensor(u))]))]
+            (-1, (u, ws.R_xUV)), (-1, (v, ws.hor_delta)), (1, _middle(u, at_u)),
+            (1, _middle(v, ws.hor_delta)), (1, (vertical, u))]))]
     add_tables("EQ-4.8", "curvature", "any any", eq_4_8, "EQ-2.14")
 
     # EQ-2.17: R(X, U)Y = -<X, Y> U + (dsigma(Y, X) - <JX, Y>) V
@@ -522,11 +523,11 @@ def _registry() -> list[Identity]:
         - 2 dsigma(U, V) v(X)v(Y)) U + (dsigma(Y0, X0) - <J X0, Y0>
         - 2 dsigma(U, V) v(X)u(Y)) V."""
         _, u, v = ws.forms
-        at_u = combine([(-1, ws.horizontal(ws.delta)), (-2 * ws.dUV, v.tensor(v))])
-        at_v = ws.hor_dsigma_J.add([(-2 * ws.dUV, v.tensor(u))])
-        return [("", ws.curv_xU, combine([(1, _middle(u, ws.hor_delta)), (-1, v.tensor(ws.hor_J)),
+        at_u = combine([(-1, ws.horizontal(ws.delta)), (-2 * ws.dUV, (v, v))])
+        at_v = ws.hor_dsigma_J.add([(-2 * ws.dUV, (v, u))])
+        return [("", ws.curv_xU, combine([(1, _middle(u, ws.hor_delta)), (-1, (v, ws.hor_J)),
                                           (1, _middle(v, ws.R_xUV)),
-                                          (1, at_u.tensor(u)), (1, at_v.tensor(v))]))]
+                                          (1, (at_u, u)), (1, (at_v, v))]))]
     add_tables("EQ-4.9", "curvature", "any any", eq_4_9, "EQ-2.17")
 
     # EQ-2.18: R(X, V)Y = -<X, Y> V + (<JX, Y> - dsigma(Y, X)) U
@@ -536,11 +537,11 @@ def _registry() -> list[Identity]:
         - dsigma(Y0, X0) - 2 dsigma(U, V) u(X)v(Y)) U."""
         m, (_, u, v), (s_u, _) = ws.model, ws.forms, ws.sigma_UV
         at_y = ws.horizontal(combine([(-s_u, m.H), (1, ws.nVG), (1, m.J)]), 1)
-        at_v = combine([(-1, ws.horizontal(ws.delta)), (2 * ws.dUV, u.tensor(u))])
-        at_u = combine([(-1, ws.hor_dsigma_J), (-2 * ws.dUV, u.tensor(v))])
-        return [("", ws.curv_xV, combine([(1, u.tensor(ws.hor_J)), (1, _middle(v, ws.hor_delta)),
+        at_v = combine([(-1, ws.horizontal(ws.delta)), (2 * ws.dUV, (u, u))])
+        at_u = combine([(-1, ws.hor_dsigma_J), (-2 * ws.dUV, (u, v))])
+        return [("", ws.curv_xV, combine([(1, (u, ws.hor_J)), (1, _middle(v, ws.hor_delta)),
                                           (1, _middle(u, at_y)),
-                                          (1, at_v.tensor(v)), (1, at_u.tensor(u))]))]
+                                          (1, (at_v, v)), (1, (at_u, u))]))]
     add_tables("EQ-4.10", "curvature", "any any", eq_4_10, "EQ-2.18")
 
     add_failure("RIEM-SYM", "curvature", lambda ws: riemann_symmetry_failures(ws.curv))
@@ -637,10 +638,8 @@ class ExpectedEntry(Record):
 
     def __init__(self, kind: str, indices: tuple[int, ...], expected: object,
                  line: int) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "indices", indices)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "__dict__", {"kind": kind, "indices": indices,
+                                              "expected": expected, "line": line})
 
     @property
     def key(self) -> str:
@@ -697,10 +696,9 @@ class DiffEntry(Record):
 
     def __init__(self, key: str, matched: bool, expected_text: str,
                  computed_text: str) -> None:
-        object.__setattr__(self, "key", key)
-        object.__setattr__(self, "matched", matched)
-        object.__setattr__(self, "expected_text", expected_text)
-        object.__setattr__(self, "computed_text", computed_text)
+        object.__setattr__(self, "__dict__", {"key": key, "matched": matched,
+                                              "expected_text": expected_text,
+                                              "computed_text": computed_text})
 
 
 class DiffReport(Record):

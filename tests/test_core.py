@@ -184,6 +184,9 @@ class TestMaps:
         assert combine(iter([(1, a), (-1, a)])).is_zero()
         with pytest.raises(ValueError, match="does not add"):
             combine([(1, a), (1, basis(2, 0))])
+        for empty in ([], iter([])):
+            with pytest.raises(ValueError, match=r"^combine needs at least one term$"):
+                combine(empty)
 
 
 class TestForms:
@@ -393,6 +396,60 @@ class TestTable:
             t.add([(Fraction(1, 3), u), (1, t), (1, Table.from_values(3, 3, {(0, 0, 0): 1}))])
         with pytest.raises(ValueError, match=r"^a rank-1 table does not add to rank 2$"):
             t.add([(1, u), (-1, vector([1, 0, 0]))])
+        # a product term (c, (a, b)) is checked as the table a ⊗ b would be:
+        # each factor's dimension, then the sum of their ranks
+        x, x4 = vector([1, 0, 2]), Table.from_values(4, 1, {(3,): 1})
+        for bad in ((x, x4), (x4, x)):
+            with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 3 vs 4$"):
+                t.add([(1, u), (Fraction(2, 7), (x, x)), (1, bad)])
+            with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 3 vs 4$"):
+                combine([(1, (x, x)), (1, u), (-1, bad)])
+        with pytest.raises(ValueError, match=r"^a rank-3 table does not add to rank 2$"):
+            t.add([(Fraction(1, 3), (x, x)), (1, u), (1, (x, u))])
+        with pytest.raises(ValueError, match=r"^a rank-3 table does not add to rank 2$"):
+            combine([(1, (x, x)), (1, t), (1, (u, x))])
+        with pytest.raises(ValueError, match=r"^a rank-2 table does not add to rank 3$"):
+            combine([(1, (x, u)), (2, (x, x))])
+        # the first term's factors are checked against each other
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 4 vs 3$"):
+            combine([(1, (x4, x))])
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_product_terms_match_a_dense_reference(self, data):
+        """`add` and `combine` with product terms (c, (a, b)), mixed with
+        plain terms, equal the sum of c a(i...) b(j...) and c t(i...) in
+        Fraction arithmetic, on prime denominators."""
+        rank = data.draw(st.sampled_from([2, 3]))
+
+        def values(k):
+            index = st.tuples(*[st.integers(0, 3)] * k)
+            return data.draw(st.dictionaries(index, prime_ratios, max_size=8))
+
+        def term(product):
+            c = data.draw(prime_ratios)
+            if not product:
+                v = values(rank)
+                return (c, Table.from_values(4, rank, v)), {key: c * x for key, x in v.items()}
+            head = data.draw(st.integers(1, rank - 1))
+            a, b = values(head), values(rank - head)
+            return ((c, (Table.from_values(4, head, a), Table.from_values(4, rank - head, b))),
+                    {x + y: c * v * w for x, v in a.items() for y, w in b.items()})
+
+        first = term(True)
+        rest = [term(data.draw(st.booleans())) for _ in range(data.draw(st.integers(0, 4)))]
+        start = values(rank)
+        for result, parts, total in (
+                (combine([t for t, _ in [first, *rest]]), [first, *rest], {}),
+                (Table.from_values(4, rank, start).add([t for t, _ in rest]), rest, start)):
+            expected = dict(total)
+            for _, dense in parts:
+                for key, x in dense.items():
+                    expected[key] = expected.get(key, 0) + x
+            expected = {key: x for key, x in expected.items() if x}
+            assert dict(result.items()) == expected
+            assert result == Table.from_values(4, rank, expected)
+            assert gcd(result.den, *result.entries.values()) == 1
 
     def test_equality_is_structural(self):
         t = Table.from_values(3, 2, {(0, 1): Fraction(1, 2), (2, 2): Fraction(-1, 3)})

@@ -2228,6 +2228,23 @@ def test_diff_runs_without_fraction_arithmetic():
     assert (counts["mul"], counts["add"]) == (0, 0), counts
 
 
+def test_a_verdict_builds_a_bounded_number_of_tables(monkeypatch):
+    """A bundled verdict's Table count, pinned at the 308 measured once
+    product terms folded into `add` and `combine` and no kernel built a
+    throwaway table (456 before): a change that brings an intermediate
+    table back fails here."""
+    m = build_heisenberg()
+    built, init = 0, Table.__init__
+
+    def counted(self, *args):
+        nonlocal built
+        built += 1
+        init(self, *args)
+    monkeypatch.setattr(Table, "__init__", counted)
+    run_suite(m, "all")
+    assert 0 < built <= 308, built
+
+
 # ----- contractions on random rational vectors -----
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)

@@ -3,15 +3,16 @@ equality, repr, hashing and cached properties; and what importing the
 command line pulls in."""
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import pytest
 
 import ccmv
 from ccmv import build_heisenberg
-from ccmv.core import Status, Table
+from ccmv.core import Record, Status, Table, cached_property
 from ccmv.model import CheckResult, ManifoldModel, ValidationReport
-from ccmv.structures import NormalityReport
+from ccmv.structures import ConnectionWorkspace, NormalityReport
 from ccmv.verify import (
     DiffEntry,
     DiffReport,
@@ -19,6 +20,7 @@ from ccmv.verify import (
     ExpectedValues,
     Identity,
     SuiteReport,
+    Workspace,
 )
 from conftest import run_python
 
@@ -86,6 +88,19 @@ def test_fields_are_frozen(cls, fields, hashes):
         with pytest.raises(AttributeError):
             delattr(record, name)
         assert getattr(record, name) is value
+
+
+@pytest.mark.parametrize("cls,fields,hashes", CASES, ids=IDS)
+def test_the_instance_dict_holds_the_fields_only(cls, fields, hashes):
+    # set once at construction; it cannot be replaced afterwards either
+    record = cls(*fields.values())
+    assert vars(record) == fields and list(vars(record)) == list(fields)
+    assert all(vars(record)[name] is value for name, value in fields.items())
+    with pytest.raises(AttributeError):
+        record.__dict__ = {}
+    with pytest.raises(AttributeError):
+        del record.__dict__
+    assert vars(record) == fields
 
 
 @pytest.mark.parametrize("cls,fields,hashes", CASES, ids=IDS)
@@ -158,11 +173,46 @@ def test_cached_properties_are_kept_out_of_equality_and_repr():
     assert m == build_heisenberg()
     assert "U=" not in repr(m) and "lie_results" not in repr(m)
     # a table's prefix index, built by the first read by prefix, and a
-    # map's input index, built by the first read through it
+    # map's transpose, built by the first read of its input index
     for t, read, name in ((m.constants, lambda t: t.sub(0), "_prefixes"),
-                          (m.G, lambda t: t.inputs(range(t.dim)), "_into")):
+                          (m.G, lambda t: t.inputs(range(t.dim)), "_transpose")):
         assert read(t) and t == Table(t.dim, t.rank, dict(t.entries), t.den)
         assert name in vars(t) and name not in repr(t)
+    assert m.G.permute((1, 0)) is vars(m.G)["_transpose"]
+
+
+def test_cached_properties_compute_once_per_instance_without_a_lock():
+    calls = []
+
+    class Counted(Record):
+        name: str
+
+        @cached_property
+        def upper(self) -> str:
+            calls.append(self.name)
+            return self.name.upper()
+
+    class Untakeable:
+        def __enter__(self):
+            raise AssertionError("the lock was taken")
+
+        def __exit__(self, *exc):
+            return False
+
+    # functools' version (Python 3.11) enters `lock` on each first read
+    Counted.upper.lock = Untakeable()
+    a, b = Counted("a"), Counted("b")
+    assert [a.upper, b.upper, a.upper, b.upper] == ["A", "B", "A", "B"]
+    assert calls == ["a", "b"] and vars(a) == {"name": "a", "upper": "A"}
+    assert Counted.upper.__get__(None, Counted) is Counted.upper
+    # every cached property of the package is this one, a subclass of
+    # functools' whose lock it never takes
+    assert isinstance(Counted.upper, functools.cached_property)
+    assert not hasattr(cached_property, "__set__")
+    for cls in (Table, ManifoldModel, ConnectionWorkspace, Workspace):
+        found = [attr for attr in vars(cls).values()
+                 if isinstance(attr, functools.cached_property)]
+        assert found and all(type(attr) is cached_property for attr in found), cls
 
 
 def test_importing_the_cli_loads_no_code_generation_modules():
