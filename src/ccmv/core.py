@@ -373,9 +373,8 @@ class Table(Record):
         """The entries whose index in each of the first `width` slots (every
         slot by default) lies in `keep`."""
         width = self.rank if width is None else width
-        kept = {idx: a for idx, a in self.entries.items()
-                if all(map(keep.__contains__, idx[:width]))}
-        return Table.from_numerators(self.dim, self.rank, kept, self.den)
+        return Table.from_numerators(self.dim, self.rank,
+                                     _within(self.entries.items(), keep, width), self.den)
 
     def pullback(self, endo: Table, slots: Sequence[int], keep: range) -> Table:
         """The Table on index tuples in `keep` whose slots in `slots`
@@ -407,16 +406,19 @@ class Table(Record):
         return Table.from_numerators(self.dim, self.rank, values,
                                      self.den * endo.den ** len(slots))
 
-    def pair_quarter(self) -> Table:
+    @cached_property
+    def quarter(self) -> Table:
         """The entries at i < j (and k < l at rank 4), which determine a table
-        antisymmetric in those pairs."""
+        antisymmetric in those pairs; built once per table."""
         kept = {idx: a for idx, a in self.entries.items()
                 if idx[0] < idx[1] and idx[-2] < idx[-1]}
         return Table.from_numerators(self.dim, self.rank, kept, self.den)
 
-    def add(self, terms: Iterable[Term]) -> Table:
-        """This table plus the terms, plain or product, as `combine` sums them."""
-        return _fold(self.dim, self.rank, terms, self.entries, self.den)
+    def add(self, terms: Iterable[Term], keep: range | None = None,
+            width: int | None = None) -> Table:
+        """This table plus the terms, plain or product, as `combine` sums
+        them, on the keys `combine` keeps with `keep` and `width`."""
+        return _fold(self.dim, self.rank, terms, self.entries, self.den, keep, width)
 
     def tensor(self, other: Table) -> Table:
         """The tensor product self ⊗ other, entry (i, ..., k, ...) = self(i,
@@ -469,55 +471,87 @@ class Table(Record):
         return Table.from_numerators(self.dim, 2, values, self.den * other.den)
 
 
-# A term of `add` and `combine`: (c, t), or the product term (c, (a, b)).
-Term = tuple[Scalar | int, "Table | tuple[Table, Table]"]
+# A term of `add` and `combine`: (c, t), the product term (c, (a, b)), or
+# (c, (a, b, s)), whose key puts a's indices at slot s of b's.
+Term = tuple[Scalar | int, "Table | tuple[Table, Table] | tuple[Table, Table, int]"]
 
 
-def combine(terms: Iterable[Term]) -> Table:
+def combine(terms: Iterable[Term], keep: range | None = None,
+            width: int | None = None) -> Table:
     """The sum of c * t over the terms (c, t) and of c * (a ⊗ b) over the
-    product terms (c, (a, b)): at least one term, all of one rank and
-    dimension, checked and brought over the lcm of their dens in one loop,
-    summed and reduced once.  A product term's numerators are multiplied
-    straight into the sum, so a ⊗ b is never built."""
+    product terms (c, (a, b)), or (c, (a, b, s)) with a's indices at slot s
+    of b's, so that (c, (u, t, 1)) is c u(Y) t(X, Z): at least one term, all
+    of one rank and dimension, checked and brought over the lcm of their
+    dens in one loop, summed and reduced once.  A product term's numerators
+    are multiplied straight into the sum, so a ⊗ b is never built.  With
+    `keep`, the sum is `restrict(keep, width)` of the whole one, in the
+    same table: a product term skips its head entries outside `keep`."""
     terms = list(terms)
     if not terms:
         raise ValueError("combine needs at least one term")
     first = terms[0][1]
-    a, b = first if type(first) is tuple else (first, None)
-    return _fold(a.dim, a.rank + (0 if b is None else b.rank), terms, {}, 1)
+    a, b = first[:2] if type(first) is tuple else (first, None)
+    return _fold(a.dim, a.rank + (0 if b is None else b.rank), terms, {}, 1, keep, width)
 
 
-def _fold(dim: int, rank: int, terms: Iterable[Term], entries: Mapping, base: int) -> Table:
+def _within(items: Iterable, keep: range, width: int) -> dict:
+    """The (key, value) pairs whose first `width` indices lie in `keep`."""
+    if width == 1:
+        return {key: a for key, a in items if key[0] in keep}
+    return {key: a for key, a in items if all(map(keep.__contains__, key[:width]))}
+
+
+def _fold(dim: int, rank: int, terms: Iterable[Term], entries: Mapping, base: int,
+          keep: range | None = None, width: int | None = None) -> Table:
     """The numerators `entries` over `base` plus every term, as `combine`."""
     den, folds = base, []
     for c, t in terms:
-        factors = t if type(t) is tuple else (t,)
-        q, r = c.denominator, 0
-        for f in factors:
-            if f.dim != dim:
-                raise DimensionMismatch(f"dimension mismatch: {dim} vs {f.dim}")
-            q, r = q * f.den, r + f.rank
+        if type(t) is tuple:
+            a, b = t[0], t[1]
+            if a.dim != dim or b.dim != dim:
+                raise DimensionMismatch(f"dimension mismatch: {dim} vs "
+                                        f"{b.dim if a.dim == dim else a.dim}")
+            q, r = c.denominator * a.den * b.den, a.rank + b.rank
+        else:
+            if t.dim != dim:
+                raise DimensionMismatch(f"dimension mismatch: {dim} vs {t.dim}")
+            q, r = c.denominator * t.den, t.rank
         if r != rank:
             raise ValueError(f"a rank-{r} table does not add to rank {rank}")
-        folds.append((c.numerator, q, factors))
+        folds.append((c.numerator, q, t))
         if den % q:
             den = lcm(den, q)
+    width = rank if width is None else width
     scale = den // base
     values = dict(entries) if scale == 1 else {key: scale * a for key, a in entries.items()}
-    for num, q, factors in folds:
+    for num, q, t in folds:
         # each term's numerators brought over den
         scale = num * (den // q)
-        if len(factors) == 1:
-            for key, a in factors[0].entries.items():
+        if type(t) is not tuple:
+            for key, a in t.entries.items():
                 values[key] = values.get(key, 0) + scale * a
             continue
-        a, b = factors
-        tails = b.entries.items()
-        for head, x in a.entries.items():
+        a, b = t[0], t[1]
+        at = t[2] if len(t) == 3 else 0
+        heads, tails = a.entries.items(), b.entries.items()
+        if keep is not None and width > at:
+            # a's slots are at, at + 1, ... of the key
+            heads = _within(heads, keep, min(width - at, a.rank)).items()
+        if at:
+            tails = [(tail[:at], tail[at:], y) for tail, y in tails]
+            for head, x in heads:
+                x *= scale
+                for left, right, y in tails:
+                    key = left + head + right
+                    values[key] = values.get(key, 0) + x * y
+            continue
+        for head, x in heads:
             x *= scale
             for tail, y in tails:
                 key = head + tail
                 values[key] = values.get(key, 0) + x * y
+    if keep is not None:
+        values = _within(values.items(), keep, width)
     return Table.from_numerators(dim, rank, values, den)
 
 
@@ -525,51 +559,74 @@ def _fold(dim: int, rank: int, terms: Iterable[Term], entries: Mapping, base: in
 Failure = tuple[tuple[int, ...], object, object, object]
 
 
-def first_failure(clauses: list[tuple[object, tuple[Mapping, int], tuple[Mapping, int]]],
+def first_failure(clauses: list[tuple[object, tuple, tuple]],
                   width: int, keep: range | None = None) -> Failure | None:
     """First frame tuple, the first `width` indices of a key, where some
     clause's sides differ, in `itertools.product` order: (frame tuple,
     first clause differing there, both sides at its first differing key
     there), or None.  A clause is a label and two sides, each an int
-    numerator map, unsorted and not necessarily reduced, and its den.  Only
-    the keys of either side are compared, by cross-multiplied numerators,
-    and no Fraction is built before the witness.  With `keep`, a key is
-    compared only when every index of its frame tuple lies in `keep`: a
-    side may hold other keys, and they never fail.  A clause's keys are
-    read in sorted order, up to its least failing key."""
+    numerator map, unsorted and not necessarily reduced, an int p and a
+    positive int q: the side's values are p a / q, so a scaled side needs
+    no scaled copy.  Only the keys of either side are compared, by
+    cross-multiplied numerators, and no Fraction is built before the
+    reduced witness.  With `keep`, a key is compared only when every index
+    of its frame tuple lies in `keep`: a side may hold other keys, and they
+    never fail.  A clause's keys are read in sorted order, up to its least
+    failing key."""
     firsts = []
-    for c, (_, (left, dl), (right, dr)) in enumerate(clauses):
-        if dl != dr or left != right:
-            for key in sorted(left.keys() | right.keys()):
-                if (left.get(key, 0) * dr != right.get(key, 0) * dl
-                        and (keep is None or all(map(keep.__contains__, key[:width])))):
-                    firsts.append((key[:width], c, key))
-                    break
+    for c, (_, (left, pl, ql), (right, pr, qr)) in enumerate(clauses):
+        # a key fails where left * pl / ql != right * pr / qr
+        wl, wr = pl * qr, pr * ql
+        if wl == wr and left == right or wl != wr and left.keys() == right.keys() and all(
+                a * wl == right[key] * wr for key, a in left.items()):
+            continue
+        for key in sorted(left.keys() | right.keys()):
+            if (left.get(key, 0) * wl != right.get(key, 0) * wr
+                    and (keep is None or all(map(keep.__contains__, key[:width])))):
+                firsts.append((key[:width], c, key))
+                break
     if not firsts:
         return None
     where, c, key = min(firsts)
-    label, (left, dl), (right, dr) = clauses[c]
-    return where, label, Fraction(left.get(key, 0), dl), Fraction(right.get(key, 0), dr)
+    label, (left, pl, ql), (right, pr, qr) = clauses[c]
+    return where, label, Fraction(pl * left.get(key, 0), ql), Fraction(pr * right.get(key, 0), qr)
 
 
-def first_table_failure(clauses: list[tuple[str, Table, Table]],
+def numerators(side: Table | tuple, order: Sequence[int] | None = None) -> tuple:
+    """A side, a Table t or a term (c, t), as `first_failure` reads it: t's
+    numerators keyed by `order` as `keyed` does, c's numerator, and den
+    times c's denominator; the empty map at c = 0."""
+    c, t = side if type(side) is tuple else (1, side)
+    values, den = (t.entries, t.den) if order is None else t.keyed(order)
+    return (values, c.numerator, den * c.denominator) if c else ({}, 0, 1)
+
+
+def first_table_failure(clauses: list[tuple[str, Table | tuple, Table | tuple]],
                         width: int, keep: range | None = None) -> Failure | None:
-    """`first_failure` of clauses whose sides are Tables of one rank.  With
-    `width` one less than the rank, a clause differs at a frame tuple when
-    its rows, the vectors of the last slot, do: the first clause wins there
-    even if a later one differs at a smaller last index, and the witness is
-    both rows, each read by d lookups in its side and reduced as `row` is."""
-    failure = first_failure([(c, (lhs.entries, lhs.den), (rhs.entries, rhs.den))
-                             for c, (_, lhs, rhs) in enumerate(clauses)], width, keep)
+    """`first_failure` of clauses whose sides are Tables of one rank, or
+    terms (c, t) compared as c * t.  With `width` one less than the rank,
+    a clause differs at a frame tuple when its rows, the vectors of the
+    last slot, do: the first clause wins there even if a later one differs
+    at a smaller last index, and the witness is both rows."""
+    failure = first_failure([
+        (c, (lhs.entries, 1, lhs.den) if type(lhs) is Table else numerators(lhs),
+         (rhs.entries, 1, rhs.den) if type(rhs) is Table else numerators(rhs))
+        for c, (_, lhs, rhs) in enumerate(clauses)], width, keep)
     if failure is None:
         return None
     where, c, left, right = failure
     name, lhs, rhs = clauses[c]
-    if width == lhs.rank:
+    if width == (lhs[1] if type(lhs) is tuple else lhs).rank:
         return where, name, left, right
-    return where, name, *(Table.from_numerators(t.dim, 1, {
-        (k,): a for k in range(t.dim) if (a := t.entries.get((*where, k)))}, t.den)
-        for t in (lhs, rhs))
+    return where, name, _row(lhs, where), _row(rhs, where)
+
+
+def _row(side: Table | tuple, where: tuple[int, ...]) -> Table:
+    """A side's row at `where`, read by d lookups and reduced as `row` is."""
+    c, t = side if type(side) is tuple else (1, side)
+    return Table.from_numerators(t.dim, 1, {(k,): c.numerator * a for k in range(t.dim)
+                                            if (a := t.entries.get((*where, k)))},
+                                 t.den * c.denominator)
 
 
 def format_sparse_vector(x: Table) -> str:

@@ -138,7 +138,7 @@ def horizontal_curvature(rt: Table, endo: Table | None, keep: range,
     map A = `endo`, pulled back one slot at a time through `Table.inputs`;
     with `quarter`, only at i < j and k < l (see the module docstring)."""
     if endo is None:
-        return (rt.pair_quarter() if quarter else rt).restrict(keep)
+        return (rt.quarter if quarter else rt).restrict(keep)
     if not quarter:
         return rt.pullback(endo, range(4), keep)
     into = endo.inputs(keep)
@@ -229,7 +229,7 @@ def first_bianchi_failures(rt: Table) -> Failure | None:
             continue
         total[key] = get(key, 0) + a
     total = {key: a for key, a in total.items() if a}
-    return first_failure([("", (total, rt.den), ({}, 1))], 4)
+    return first_failure([("", (total, 1, rt.den), ({}, 1, 1))], 4)
 
 
 def riemann_symmetry_failures(rt: Table) -> Failure | None:

@@ -22,6 +22,7 @@ from .core import (
     combine,
     first_failure,
     format_scalar,
+    numerators,
     parse_frame_index,
     parse_scalar,
 )
@@ -98,6 +99,15 @@ class ManifoldModel(Record):
         """V, and the 1-form v = g(V, .), as a rank-1 table."""
         return self.basis(self.V_index)
 
+    # GH and HG, read by AX-HGJ and the normality forms
+    @cached_property
+    def GH(self) -> Table:
+        return self.G.compose(self.H)
+
+    @cached_property
+    def HG(self) -> Table:
+        return self.H.compose(self.G)
+
     @cached_property
     def lie_results(self) -> tuple[CheckResult, ...]:
         """LIE-ANTISYM and LIE-JACOBI, run once per model: the gate before
@@ -152,17 +162,21 @@ def _entry_witness(where: tuple[int, ...], clause: str, lhs: Scalar, rhs: Scalar
     return f"{head}entry=({idx}) lhs={format_scalar(lhs)} rhs={format_scalar(rhs)}"
 
 
-def _check_matrices(check_id: str, pairs: list[tuple[str, Table, Table]]) -> CheckResult:
-    """The first clause whose tables differ, at its first differing entry in
-    `itertools.product` order.  Rank-2 sides are compared transposed, so
-    that their keys run output index first and the entry reads (k, i)."""
+def _check_matrices(check_id: str, pairs: list[tuple[str, Table | tuple, Table | tuple]]
+                    ) -> CheckResult:
+    """The first clause whose sides, Tables or terms (c, t), differ, at its
+    first differing entry in `itertools.product` order.  Rank-2 sides are
+    compared transposed, so that their keys run output index first and the
+    entry reads (k, i)."""
     failure = None
     for clause, lhs, rhs in pairs:
-        if lhs != rhs:
-            order = (1, 0) if lhs.rank == 2 else None
-            failure = first_failure([(clause, lhs.keyed(order), rhs.keyed(order))], lhs.rank)
-            if failure is not None:
-                break
+        rank = (rhs[1] if type(rhs) is tuple else rhs).rank
+        if lhs != rhs and first_failure([(clause, numerators(lhs), numerators(rhs))],
+                                        rank) is not None:
+            order = (1, 0) if rank == 2 else None
+            failure = first_failure([(clause, numerators(lhs, order),
+                                      numerators(rhs, order))], rank)
+            break
     return check_result(check_id, failure, _entry_witness)
 
 
@@ -177,7 +191,7 @@ def lie_checks(m: ManifoldModel) -> list[CheckResult]:
     """
     c = m.constants
     results = [check_result("LIE-ANTISYM", first_failure(
-        [("", c.keyed(), c.keyed((1, 0, 2), -1))], 3), _entry_witness)]
+        [("", numerators(c), numerators((-1, c), (1, 0, 2)))], 3), _entry_witness)]
 
     # the sums of products of numerators, over the den squared
     sums: dict[tuple[int, int, int, int], int] = {}
@@ -190,50 +204,31 @@ def lie_checks(m: ManifoldModel) -> list[CheckResult]:
                 for key in ((a, b, e, k), (e, a, b, k), (b, e, a, k)):
                     sums[key] = sums.get(key, 0) + term
     results.append(check_result("LIE-JACOBI", first_failure(
-        [("", (sums, c.den ** 2), ({}, 1))], 4), _entry_witness))
+        [("", (sums, 1, c.den ** 2), ({}, 1, 1))], 4), _entry_witness))
     return results
 
 
 def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     """The algebraic axioms on G, H, J, evaluated as exact matrix identities."""
-    d = m.dim
-    G, H, J = m.G, m.H, m.J
-    ident = Table.identity(d)
-    vertical_square = combine([(-1, ident), (1, (m.U, m.U)), (1, (m.V, m.V))])
-    results = [
-        _check_matrices("AX-G2", [("", G.compose(G), vertical_square)]),
-        _check_matrices("AX-H2", [("", H.compose(H), vertical_square)]),
-        _check_matrices("AX-J2", [("", J.compose(J), combine([(-1, ident)]))]),
-        _check_matrices("AX-ANTICOMM", [("", G.compose(J), combine([(-1, J.compose(G))]))]),
-    ]
-
-    # G and H kill U and V: each image compared with the empty rank-1 table
-    nothing = Table(d, 1, {})
-    results.append(_check_matrices("AX-KERNEL", [
-        ("G@U", G.contract(m.U), nothing), ("G@V", G.contract(m.V), nothing),
-        ("H@U", H.contract(m.U), nothing), ("H@V", H.contract(m.V), nothing)]))
-
-    results.append(_check_matrices("AX-SKEW", [
-        ("G", G, combine([(-1, G.permute((1, 0)))])),
-        ("H", H, combine([(-1, H.permute((1, 0)))])),
-        ("J", J, combine([(-1, J.permute((1, 0)))])),
-    ]))
-
+    G, H, J, U, V = m.G, m.H, m.J, m.U, m.V
+    ident = Table.identity(m.dim)
+    vertical_square = combine([(-1, ident), (1, (U, U)), (1, (V, V))])
     # HG = -GH = J + u ⊗ V - v ⊗ U, as maps X -> J X + u(X) V - v(X) U
-    hg_target = combine([(1, J), (1, (m.U, m.V)), (-1, (m.V, m.U))])
-    results.append(_check_matrices("AX-HGJ", [
-        ("HG", H.compose(G), hg_target),
-        ("-GH", combine([(-1, G.compose(H))]), hg_target),
-    ]))
-    results.append(_check_matrices("AX-JH", [
-        ("JH", J.compose(H), G),
-        ("-HJ", combine([(-1, H.compose(J))]), G),
-    ]))
-
-    results.append(_check_matrices("AX-JV", [("JV", J.contract(m.V), m.U)]))
-    results.append(_check_matrices("AX-HERM",
-                                   [("", J.permute((1, 0)).compose(J), ident)]))
-    return results
+    hg_target = combine([(1, J), (1, (U, V)), (-1, (V, U))])
+    nothing = Table(m.dim, 1, {})
+    return [_check_matrices(check_id, pairs) for check_id, pairs in (
+        ("AX-G2", [("", G.compose(G), vertical_square)]),
+        ("AX-H2", [("", H.compose(H), vertical_square)]),
+        ("AX-J2", [("", J.compose(J), (-1, ident))]),
+        ("AX-ANTICOMM", [("", G.compose(J), (-1, J.compose(G)))]),
+        # G and H kill U and V: each image compared with the empty rank-1 table
+        ("AX-KERNEL", [("G@U", G.contract(U), nothing), ("G@V", G.contract(V), nothing),
+                       ("H@U", H.contract(U), nothing), ("H@V", H.contract(V), nothing)]),
+        ("AX-SKEW", [(name, a, (-1, a.permute((1, 0)))) for name, a in zip("GHJ", (G, H, J))]),
+        ("AX-HGJ", [("HG", m.HG, hg_target), ("-GH", (-1, m.GH), hg_target)]),
+        ("AX-JH", [("JH", J.compose(H), G), ("-HJ", (-1, H.compose(J)), G)]),
+        ("AX-JV", [("JV", J.contract(V), U)]),
+        ("AX-HERM", [("", J.permute((1, 0)).compose(J), ident)]))]
 
 
 def validate_structure(m: ManifoldModel) -> ValidationReport:

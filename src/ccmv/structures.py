@@ -76,12 +76,6 @@ class NormalityReport(Record):
         return (self.korkmaz, self.prop21, self.thm45)
 
 
-def _middle(f: Table, b: Table) -> Table:
-    """f(Y) b(X, Z) at (X, Y, Z): a 1-form in the middle slot."""
-    return Table.from_numerators(b.dim, 3, {(i, j, k): x * y for (j,), x in f.entries.items()
-                                            for (i, k), y in b.entries.items()}, f.den * b.den)
-
-
 def _alternate(t: Table) -> Table:
     """t(X, Y) - t(Y, X), alternating the first two slots."""
     return t.add([(-1, t.permute((1, 0, 2)))])
@@ -98,6 +92,8 @@ class ConnectionWorkspace:
     def __init__(self, m: ManifoldModel, conn: Table):
         self.model = m
         self.conn = conn
+        # tables built once per workspace on first request, by key
+        self._built: dict = {}
 
     @cached_property
     def sigma(self) -> Table:
@@ -126,14 +122,6 @@ class ConnectionWorkspace:
     @cached_property
     def wedge_sigma_v(self) -> Table:
         return wedge(self.sigma, self.model.V)
-
-    @cached_property
-    def GH(self) -> Table:
-        return self.model.G.compose(self.model.H)
-
-    @cached_property
-    def HG(self) -> Table:
-        return self.model.H.compose(self.model.G)
 
     # nabla_U and nabla_V of the structure tensors, as maps: row j of nUG
     # is (nabla_U G) e_j
@@ -194,21 +182,36 @@ class ConnectionWorkspace:
         _, u, v = self.forms
         return combine([(1, (u, v)), (-1, (v, u))])
 
+    @cached_property
+    def hor(self) -> range:
+        """The horizontal frame indices."""
+        return self.model.horizontal_indices
+
     def horizontal(self, t: Table, width: int | None = None) -> Table:
         """t with its first `width` arguments (every one by default)
         projected to the horizontal part: the keys with U or V in those
-        slots dropped."""
-        return t.restrict(self.model.horizontal_indices, width)
+        slots dropped; built once per table and width."""
+        key = id(t), width
+        if key not in self._built:
+            # t is kept so that its id is not reused
+            self._built[key] = t.restrict(self.hor, width), t
+        return self._built[key][0]
+
+    @cached_property
+    def nUJ_G(self) -> Table:
+        """<(nabla_U J) G Y, Z> at (Y, Z)."""
+        return self.nUJ.compose(self.model.G)
 
     @cached_property
     def nUJ_G0(self) -> Table:
         """<(nabla_U J) G Y0, Z> at (Y, Z), with Y0 the horizontal part of Y."""
-        return self.horizontal(self.nUJ.compose(self.model.G), 1)
+        return self.horizontal(self.nUJ_G, 1)
 
     def reversed_dsigma(self, a: Table, slots: tuple[int, ...]) -> Table:
         """dsigma(Z, Y) at (Y, Z), with the arguments in `slots` fed through
         A: slots (1,) give dsigma(Z, AY), slots (0, 1) dsigma(AZ, AY)."""
-        return self.dsigma.pullback(a, slots, range(self.model.dim)).permute((1, 0))
+        return self.dsigma.permute((1, 0)).pullback(a, [1 - s for s in slots],
+                                                    range(self.model.dim))
 
     # Prop. 2.1 and Thm. 4.5 write (nabla_X G)Y alike except for its v(X)
     # terms, and (nabla_X H)Y except for its u(X) terms.
@@ -216,33 +219,31 @@ class ConnectionWorkspace:
     def _shared_G(self) -> Table:
         """sigma(X) HY - u(Y) X - v(Y) JX + <X, Y> U + <JX, Y> V."""
         m, (s, u, v) = self.model, self.forms
-        return combine([(1, (s, m.H)), (-1, _middle(u, self.delta)),
-                     (-1, _middle(v, m.J)), (1, (self.delta, u)),
-                        (1, (m.J, v))])
+        return combine([(1, (s, m.H)), (-1, (u, self.delta, 1)),
+                        (-1, (v, m.J, 1)), (1, (self.delta, u)), (1, (m.J, v))])
 
     @cached_property
     def _shared_H(self) -> Table:
         """-sigma(X) GY + u(Y) JX - v(Y) X - <JX, Y> U + <X, Y> V."""
         m, (s, u, v) = self.model, self.forms
-        return combine([(-1, (s, m.G)), (1, _middle(u, m.J)),
-                     (-1, _middle(v, self.delta)), (-1, (m.J, u)),
-                        (1, (self.delta, v))])
+        return combine([(-1, (s, m.G)), (1, (u, m.J, 1)),
+                        (-1, (v, self.delta, 1)), (-1, (m.J, u)), (1, (self.delta, v))])
 
     @cached_property
     def prop21_G(self) -> Table:
         """Prop. 2.1: the value of g((nabla_X G)Y, Z) on a normal structure,
         the shared terms plus v(X) (dsigma(GZ, GY) - 2 <HGY, Z>)."""
         m, (_, _, v) = self.model, self.forms
-        at_v = self.reversed_dsigma(m.G, (0, 1)).add([(-2, self.HG)])
-        return self._shared_G.add([(1, (v, at_v))])
+        return self._shared_G.add([(1, (v, self.reversed_dsigma(m.G, (0, 1)))),
+                                   (-2, (v, m.HG))])
 
     @cached_property
     def prop21_H(self) -> Table:
         """Prop. 2.1: the value of g((nabla_X H)Y, Z) on a normal structure,
         the shared terms minus u(X) (dsigma(HZ, HY) + 2 <GHY, Z>)."""
         m, (_, u, _) = self.model, self.forms
-        at_u = self.reversed_dsigma(m.H, (0, 1)).add([(2, self.GH)])
-        return self._shared_H.add([(-1, (u, at_u))])
+        return self._shared_H.add([(-1, (u, self.reversed_dsigma(m.H, (0, 1)))),
+                                   (-2, (u, m.GH))])
 
     @cached_property
     def _thm45_vertical(self) -> Table:
@@ -283,33 +284,28 @@ class ConnectionWorkspace:
         return self._torsion(self.model.H, self.nabla_H)
 
     @cached_property
-    def _vertical_pairing(self) -> Table:
-        """2 <X, GY> U - 2 <X, HY> V."""
-        m, (_, u, v) = self.model, self.forms
-        return combine([(2, (m.G.permute((1, 0)), u)),
-                        (-2, (m.H.permute((1, 0)), v))])
-
-    @cached_property
     def obstruction_S(self) -> Table:
         """First obstruction tensor, built on the torsion of G: [G,G](X,Y)
         + 2 <X, GY> U - 2 <X, HY> V + 2 v(Y) HX - 2 v(X) HY
         + sigma(GY) HX - sigma(GX) HY + sigma(X) GHY - sigma(Y) GHX."""
-        m, (s, _, v) = self.model, self.forms
+        m, (s, u, v) = self.model, self.forms
         s_G = s.pullback(m.G, (0,), range(m.dim))             # sigma(G.)
-        # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
-        tail = combine([(-2, (v, m.H)), (-1, (s_G, m.H)), (1, (s, self.GH))])
-        return self.torsion_G.add([(1, self._vertical_pairing), (1, _alternate(tail))])
+        return self.torsion_G.add([
+            (2, (m.G.permute((1, 0)), u)), (-2, (m.H.permute((1, 0)), v)),
+            (2, (v, m.H, 1)), (-2, (v, m.H)), (1, (s_G, m.H, 1)), (-1, (s_G, m.H)),
+            (1, (s, m.GH)), (-1, (s, m.GH, 1))])
 
     @cached_property
     def obstruction_T(self) -> Table:
         """Second obstruction tensor, built on the torsion of H: [H,H](X,Y)
         - 2 <X, GY> U + 2 <X, HY> V + 2 u(Y) GX - 2 u(X) GY
         + sigma(HX) GY - sigma(HY) GX + sigma(X) GHY - sigma(Y) GHX."""
-        m, (s, u, _) = self.model, self.forms
+        m, (s, u, v) = self.model, self.forms
         s_H = s.pullback(m.H, (0,), range(m.dim))             # sigma(H.)
-        # the last six terms are t(X, Y) - t(Y, X), t the three X-first ones
-        tail = combine([(-2, (u, m.G)), (1, (s_H, m.G)), (1, (s, self.GH))])
-        return self.torsion_H.add([(-1, self._vertical_pairing), (1, _alternate(tail))])
+        return self.torsion_H.add([
+            (-2, (m.G.permute((1, 0)), u)), (2, (m.H.permute((1, 0)), v)),
+            (2, (u, m.G, 1)), (-2, (u, m.G)), (1, (s_H, m.G)), (-1, (s_H, m.G, 1)),
+            (1, (s, m.GH)), (-1, (s, m.GH, 1))])
 
 
 def _route_witness(where: tuple[int, ...], label: str, lhs, rhs) -> str:
@@ -321,14 +317,12 @@ def _route_witness(where: tuple[int, ...], label: str, lhs, rhs) -> str:
 def _route_korkmaz(ctx: ConnectionWorkspace) -> CheckResult:
     """S and T on horizontal pairs, the comparison's frame range, S before T
     at each pair; then S(e_i, U) and T(e_i, V) for every frame index i, S
-    before T at each i: each compared with the empty table."""
+    before T at each i: each compared with 0 times itself, nothing."""
     m, S, T = ctx.model, ctx.obstruction_S, ctx.obstruction_T
-    zero = Table(m.dim, 3, {})
-    failure = first_table_failure([("S", S, zero), ("T", T, zero)], 2, m.horizontal_indices)
+    failure = first_table_failure([("S", S, (0, S)), ("T", T, (0, T))], 2, ctx.hor)
     if failure is None:
-        zero = Table(m.dim, 2, {})
-        vertical = first_table_failure([("S(.,U)", S.fix(1, m.U_index), zero),
-                                        ("T(.,V)", T.fix(1, m.V_index), zero)], 1)
+        s_u, t_v = S.fix(1, m.U_index), T.fix(1, m.V_index)
+        vertical = first_table_failure([("S(.,U)", s_u, (0, s_u)), ("T(.,V)", t_v, (0, t_v))], 1)
         if vertical is not None:
             (i,), label, lhs, rhs = vertical
             failure = (i, m.U_index if label == "S(.,U)" else m.V_index), label, lhs, rhs

@@ -21,8 +21,9 @@ sides are single rows, compared at the empty tuple, printed `-`.
 
 Direct identities report the results of their own checks: the structural
 checks and the normality routes, which compare tables the same way;
-EQ-2.11 and EQ-5.7, whose sides are scalars; and RIEM-SYM, BIANCHI-1 and
-BIANCHI-2, the sweeps of R in `curvature`.  Each reports its first failing
+EQ-2.11 and EQ-5.7, whose sides are scalars; EQ-3.2-BLOCK, which reads
+stored entries of nabla_U A and nabla_V A in place; and RIEM-SYM,
+BIANCHI-1 and BIANCHI-2, the sweeps of R in `curvature`.  Each reports its first failing
 tuple in `itertools.product` order, rendered as every row is.  R is
 antisymmetric in each pair by construction (see the `curvature` module
 docstring), and RIEM-SYM checks that on its own.  So BIANCHI-1, BIANCHI-2
@@ -82,14 +83,14 @@ from .model import (
 from .structures import (
     ConnectionWorkspace,
     NormalityReport,
-    _middle,
     check_normality,
 )
 
 SELECTORS = ("all", "axioms", "contact", "normality", "curvature", "ricci")
 
-# a clause whose two sides are tables over the identity's slots
-TableClause = tuple[str, Table, Table]
+# a clause whose two sides are tables over the identity's slots, each a
+# Table t or a term (c, t) compared as c t
+TableClause = tuple[str, Table | tuple, Table | tuple]
 
 
 class SuiteReport(Record):
@@ -126,13 +127,12 @@ class Workspace(ConnectionWorkspace):
         self.curv = riemann(m, self.conn)
         self.rho = ricci(m, self.curv)
         self.tau = scalar_curvature(self.rho)
-        self._clauses: dict = {}
 
     def clauses(self, tables: Callable[[Workspace], list[TableClause]]) -> list[TableClause]:
         """`tables(self)`, built once per workspace for all its identities."""
-        if tables not in self._clauses:
-            self._clauses[tables] = tables(self)
-        return self._clauses[tables]
+        if tables not in self._built:
+            self._built[tables] = tables(self)
+        return self._built[tables]
 
     @cached_property
     def normality(self) -> NormalityReport:
@@ -147,11 +147,10 @@ class Workspace(ConnectionWorkspace):
         """A side of EQ-2.20, EQ-2.21 or EQ-4.1, built once and kept with the
         clauses: R on horizontal keys for a = "R", else R(A., A., A., A.)
         there for A = G or H; with `quarter`, only at i < j and k < l."""
-        if (a, quarter) not in self._clauses:
-            self._clauses[a, quarter] = horizontal_curvature(
-                self.curv, None if a == "R" else getattr(self.model, a),
-                self.model.horizontal_indices, quarter)
-        return self._clauses[a, quarter]
+        if (a, quarter) not in self._built:
+            self._built[a, quarter] = horizontal_curvature(
+                self.curv, None if a == "R" else getattr(self.model, a), self.hor, quarter)
+        return self._built[a, quarter]
 
     # R with a vertical argument, read by EQ-4.2-4.5, EQ-4.9 and EQ-4.10.
     @cached_property
@@ -185,24 +184,24 @@ class Workspace(ConnectionWorkspace):
     @cached_property
     def hor_J_dsigma(self) -> Table:
         """<X0, J Y0> + dsigma(X0, Y0)."""
-        return self.horizontal(self.model.J.permute((1, 0)).add([(1, self.dsigma)]))
+        return self.model.J.permute((1, 0)).add([(1, self.dsigma)], self.hor)
 
     @cached_property
     def hor_dsigma_J(self) -> Table:
         """dsigma(Y0, X0) - <J X0, Y0>."""
-        return self.horizontal(self.dsigma.permute((1, 0)).add([(-1, self.model.J)]))
+        return self.dsigma.permute((1, 0)).add([(-1, self.model.J)], self.hor)
 
     @cached_property
     def R_xUV(self) -> Table:
         """sigma(U) G X0 + (nabla_U H) X0 - J X0 at (X, Z): R(X, U)V on horizontal X."""
         m, (s_u, _) = self.model, self.sigma_UV
-        return self.horizontal(combine([(s_u, m.G), (1, self.nUH), (-1, m.J)]), 1)
+        return combine([(s_u, m.G), (1, self.nUH), (-1, m.J)], self.hor, 1)
 
     @cached_property
     def R_xVU(self) -> Table:
         """-sigma(V) H X0 + (nabla_V G) X0 + J X0 at (X, Z): R(X, V)U on horizontal X."""
         m, (_, s_v) = self.model, self.sigma_UV
-        return self.horizontal(combine([(-s_v, m.H), (1, self.nVG), (1, m.J)]), 1)
+        return combine([(-s_v, m.H), (1, self.nVG), (1, m.J)], self.hor, 1)
 
     @cached_property
     def ricci_target(self) -> Scalar:
@@ -238,7 +237,7 @@ def _slots_witness(where: tuple[int, ...], clause: str, lhs, rhs) -> str:
 
 def _run_tables(ws: Workspace, ident: Identity) -> CheckResult:
     """A table identity's row; its slots are all `any` or all `hor`."""
-    keep = ws.model.horizontal_indices if "hor" in ident.slots else None
+    keep = ws.hor if "hor" in ident.slots else None
     return check_result(ident.identity_id, first_table_failure(
         ws.clauses(ident.tables), len(ident.slots), keep), _slots_witness)
 
@@ -269,10 +268,12 @@ def _registry() -> list[Identity]:
     # A table's value at (X, Y, ...) is named below: the frame vectors of the
     # identity's slots, then the output vector for a vector-valued side.  u,
     # v and s are the rank-1 tables of u, v and sigma; the product term
-    # (c, (u, t)) of `add` and `combine` is c u(X) t(Y, ...), and
-    # _middle(u, t) is u(Y) t(X, Z).  X0 and Y0 are the horizontal parts of
-    # X and Y: ws.horizontal(t, k) keeps the keys of t whose first k indices
-    # are horizontal, and ws.horizontal(t) every slot.
+    # (c, (u, t)) of `add` and `combine` is c u(X) t(Y, ...), and (c, (u, t,
+    # 1)) is c u(Y) t(X, Z).  A side (c, t) is compared as c t, unbuilt.  X0
+    # and Y0 are the horizontal parts of X and Y: ws.horizontal(t, k) keeps
+    # the keys of t whose first k indices are horizontal, and
+    # ws.horizontal(t) every slot, once per table; so do `add` and `combine`
+    # given ws.hor and k, in the one table they build.
     # A `hor` slot is compared on horizontal frame indices only, so a side
     # restricted all the same (`curv_side`, a pullback's `keep`, a factor of
     # a tensor product) is so only to cut the work of building it.
@@ -292,16 +293,15 @@ def _registry() -> list[Identity]:
     # ----- contact: structure-tensor derivative identities -----
     # (nabla_U G)X = sigma(U) HX; (nabla_V H)X = -sigma(V) GX
     add_tables("EQ-2.1", "contact", "any", lambda ws: [
-        ("U", ws.nUG, combine([(ws.sigma_UV[0], ws.model.H)])),
-        ("V", ws.nVH, combine([(-ws.sigma_UV[1], ws.model.G)]))])
+        ("U", ws.nUG, (ws.sigma_UV[0], ws.model.H)),
+        ("V", ws.nVH, (-ws.sigma_UV[1], ws.model.G))])
 
     # g((nabla_X J)Y, Z) = u(X)(dsigma(Z, GY) - 2 <HY, Z>)
     #                      + v(X)(dsigma(Z, HY) + 2 <GY, Z>)
     def eq_2_6(ws: Workspace) -> list[TableClause]:
         m, (_, u, v) = ws.model, ws.forms
-        at_u = ws.reversed_dsigma(m.G, (1,)).add([(-2, m.H)])
-        at_v = ws.reversed_dsigma(m.H, (1,)).add([(2, m.G)])
-        return [("", ws.nabla_J, combine([(1, (u, at_u)), (1, (v, at_v))]))]
+        return [("", ws.nabla_J, combine([(1, (u, ws.reversed_dsigma(m.G, (1,)))), (-2, (u, m.H)),
+                                          (1, (v, ws.reversed_dsigma(m.H, (1,)))), (2, (v, m.G))]))]
     add_tables("EQ-2.6", "contact", "any any any", eq_2_6)
 
     # nabla_X U = -GX + sigma(X) V; nabla_X V = -HX - sigma(X) U
@@ -314,11 +314,9 @@ def _registry() -> list[Identity]:
     # nabla_U U = sigma(U) V, nabla_U V = -sigma(U) U, and the same along V
     def eq_2_8(ws: Workspace) -> list[TableClause]:
         m, (_, u, v), (s_u, s_v) = ws.model, ws.forms, ws.sigma_UV
-        from_u, from_v = ws.conn.fix(0, m.U_index), ws.conn.fix(0, m.V_index)
-        return [("UU", from_u.fix(0, m.U_index), combine([(s_u, v)])),
-                ("UV", from_u.fix(0, m.V_index), combine([(-s_u, u)])),
-                ("VU", from_v.fix(0, m.U_index), combine([(s_v, v)])),
-                ("VV", from_v.fix(0, m.V_index), combine([(-s_v, u)]))]
+        uu, vv, row = m.U_index, m.V_index, ws.conn.row
+        return [("UU", row(uu, uu), (s_u, v)), ("UV", row(uu, vv), (-s_u, u)),
+                ("VU", row(vv, uu), (s_v, v)), ("VV", row(vv, vv), (-s_v, u))]
     add_tables("EQ-2.8", "contact", "", eq_2_8)
 
     # dsigma(GX, GY) = dsigma(HX, HY) = dsigma(Y, X) - 2 (u(Y)v(X) - v(Y)u(X)) dsigma(U, V)
@@ -332,31 +330,35 @@ def _registry() -> list[Identity]:
 
     # dsigma(U, X) = v(X) dsigma(U, V); dsigma(V, X) = -u(X) dsigma(U, V)
     add_tables("EQ-2.10", "contact", "any", lambda ws: [
-        ("U", ws.dsigma.fix(0, ws.model.U_index), combine([(ws.dUV, ws.forms[2])])),
-        ("V", ws.dsigma.fix(0, ws.model.V_index), combine([(-ws.dUV, ws.forms[1])]))])
+        ("U", ws.dsigma.fix(0, ws.model.U_index), (ws.dUV, ws.forms[2])),
+        ("V", ws.dsigma.fix(0, ws.model.V_index), (-ws.dUV, ws.forms[1]))])
 
     # (nabla_X u)Y = -u(nabla_X Y) = <X, GY> + sigma(X) v(Y), and
     # (nabla_X v)Y = <X, HY> - sigma(X) u(Y)
     def eq_3_1(ws: Workspace) -> list[TableClause]:
         m, (s, u, v) = ws.model, ws.forms
-        return [("u", combine([(-1, ws.conn.fix(2, m.U_index))]),
-                 m.G.permute((1, 0)).add([(1, (s, v))])),
-                ("v", combine([(-1, ws.conn.fix(2, m.V_index))]),
-                 m.H.permute((1, 0)).add([(-1, (s, u))]))]
+        return [("u", (-1, ws.conn.fix(2, m.U_index)), m.G.permute((1, 0)).add([(1, (s, v))])),
+                ("v", (-1, ws.conn.fix(2, m.V_index)), m.H.permute((1, 0)).add([(-1, (s, u))]))]
     add_tables("EQ-3.1", "contact", "any any", eq_3_1)
 
-    # <(nabla_W A)X, W'> = 0 for A = G, H, J, W and W' vertical, X horizontal
-    def eq_3_2_block(ws: Workspace) -> list[TableClause]:
-        m = ws.model
-        zero = Table.from_values(m.dim, 1, {})
+    # <(nabla_W A)X, W'> = 0 for A = G, H, J, W and W' vertical, X horizontal:
+    # the first horizontal X, then the first part, with a stored entry
+    def eq_3_2_block(ws: Workspace) -> Failure | None:
+        m, hor = ws.model, ws.hor
         parts = [("GU.V", ws.nUG, m.V_index), ("HU.V", ws.nUH, m.V_index),
                  ("GU.U", ws.nUG, m.U_index), ("HU.U", ws.nUH, m.U_index),
                  ("GV.U", ws.nVG, m.U_index), ("HV.U", ws.nVH, m.U_index),
                  ("GV.V", ws.nVG, m.V_index), ("HV.V", ws.nVH, m.V_index),
                  ("JU.V", ws.nUJ, m.V_index), ("JU.U", ws.nUJ, m.U_index),
                  ("JV.U", ws.nVJ, m.U_index), ("JV.V", ws.nVJ, m.V_index)]
-        return [(name, a.fix(1, w), zero) for name, a, w in parts]
-    add_tables("EQ-3.2-BLOCK", "contact", "hor", eq_3_2_block)
+        stored = [(x, c) for c, (_, a, w) in enumerate(parts)
+                  for x, k in a.entries if k == w and x in hor]
+        if not stored:
+            return None
+        x, c = min(stored)
+        name, a, w = parts[c]
+        return (x,), name, a.entry(x, w), ZERO
+    add_failure("EQ-3.2-BLOCK", "contact", eq_3_2_block)
 
     # (nabla_U A)X = (nabla_U A)X0 and (nabla_V A)X = (nabla_V A)X0
     for eq_id, attr_u, attr_v in (("EQ-3.3", "nUG", "nVG"),
@@ -369,27 +371,26 @@ def _registry() -> list[Identity]:
 
     # <(nabla_W A)X, Y> for W = U, V, with the right-hand sides on X0 and Y0
     add_tables("EQ-3.6", "contact", "any any", lambda ws: [
-        ("", ws.nUG, ws.horizontal(combine([(ws.sigma_UV[0], ws.model.H)])))])
+        ("", ws.nUG, (ws.sigma_UV[0], ws.horizontal(ws.model.H)))])
     add_tables("EQ-3.7", "contact", "any any", lambda ws: [
-        ("", ws.nVG, ws.horizontal(combine([(ws.sigma_UV[1], ws.model.H),
-                                            (1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)])))])
+        ("", ws.nVG, combine([(ws.sigma_UV[1], ws.model.H), (1, ws.dsigma.permute((1, 0))),
+                              (-2, ws.model.J)], ws.hor))])
     add_tables("EQ-3.8", "contact", "any any", lambda ws: [
-        ("", ws.nVH, ws.horizontal(combine([(-ws.sigma_UV[1], ws.model.G)])))])
+        ("", ws.nVH, (-ws.sigma_UV[1], ws.horizontal(ws.model.G)))])
     add_tables("EQ-3.9", "contact", "any any", lambda ws: [
-        ("", ws.nUH, ws.horizontal(combine([(-ws.sigma_UV[0], ws.model.G),
-                                            (-1, ws.dsigma.permute((1, 0))), (2, ws.model.J)])))])
+        ("", ws.nUH, combine([(-ws.sigma_UV[0], ws.model.G), (-1, ws.dsigma.permute((1, 0))),
+                              (2, ws.model.J)], ws.hor))])
     add_tables("EQ-3.10", "contact", "any any", lambda ws: [
-        ("", ws.nUJ.compose(ws.model.G),
-         ws.horizontal(combine([(-1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)])))])
+        ("", ws.nUJ_G, combine([(-1, ws.dsigma.permute((1, 0))), (-2, ws.model.J)], ws.hor))])
     # dsigma(Y0, G X0) - 2 <H X0, Y0>
     add_tables("EQ-3.11", "contact", "any any", lambda ws: [
         ("", ws.nVJ.compose(ws.model.G),
-         ws.horizontal(ws.reversed_dsigma(ws.model.G, (1,)).add([(-2, ws.model.H)])))])
+         ws.reversed_dsigma(ws.model.G, (1,)).add([(-2, ws.model.H)], ws.hor))])
 
     # dsigma(X, Y) = 2 <J X0, Y0> + <(nabla_U J) G X0, Y0>
     #                + dsigma(U, V)(u(X)v(Y) - v(X)u(Y)), and EQ-2.22 on horizontal X, Y
     add_tables("EQ-4.11", "contact", "any any", lambda ws: [
-        ("", ws.dsigma, ws.horizontal(ws.nUJ.compose(ws.model.G).add([(2, ws.model.J)])).add(
+        ("", ws.dsigma, ws.nUJ_G.add([(2, ws.model.J)], ws.hor).add(
             [(ws.dUV, ws.vertical_mix_table)]))], "EQ-2.22")
 
     # EQ-4.12 and EQ-4.13 as printed: Thm. 4.5's closed forms (the NORM-THM45
@@ -412,8 +413,8 @@ def _registry() -> list[Identity]:
     #                + v(X)(-2 G Y0 + (nabla_U J) J Y0)
     def eq_4_14(ws: Workspace) -> list[TableClause]:
         m, (_, u, v) = ws.model, ws.forms
-        at_u = ws.horizontal(ws.nUJ.add([(2, m.H)]), 1)
-        at_v = ws.horizontal(ws.nUJ.compose(m.J).add([(-2, m.G)]), 1)
+        at_u = ws.nUJ.add([(2, m.H)], ws.hor, 1)
+        at_v = ws.nUJ.compose(m.J).add([(-2, m.G)], ws.hor, 1)
         return [("", ws.nabla_J, combine([(-2, (u, m.H)), (2, (v, m.G)),
                                           (1, (u, at_u)), (1, (v, at_v))]))]
     add_tables("EQ-4.14", "contact", "any any", eq_4_14)
@@ -428,8 +429,8 @@ def _registry() -> list[Identity]:
     def eq_2_5(ws: Workspace) -> list[TableClause]:
         """HG printed where GH belongs in the 2 u(X) term."""
         _, u, _ = ws.forms
-        return [("", ws.nabla_H, ws.prop21_H.add([(-2, (u, ws.HG)),
-                                                  (2, (u, ws.GH))]))]
+        return [("", ws.nabla_H, ws.prop21_H.add([(-2, (u, ws.model.HG)),
+                                                  (2, (u, ws.model.GH))]))]
     add_tables("EQ-2.5", "normality", "any any any", eq_2_5)
 
     for route in ("korkmaz", "prop21", "thm45"):
@@ -454,9 +455,9 @@ def _registry() -> list[Identity]:
         def tables(ws: Workspace) -> list[TableClause]:
             m = ws.model
             factors = [ws.horizontal(ws.dsigma), ws.horizontal(m.J), ws.horizontal(getattr(m, b)),
-                       ws.dsigma.pullback(getattr(m, a), (0,), m.horizontal_indices)]
+                       ws.dsigma.pullback(getattr(m, a), (0,), ws.hor)]
             quarter = all(t.keyed((1, 0), -1)[0] == t.entries for t in factors)
-            ds, form_j, form_b, ds_a = [t.pair_quarter() if quarter else t for t in factors]
+            ds, form_j, form_b, ds_a = [t.quarter if quarter else t for t in factors]
             return [("", ws.curv_side(a, quarter), ws.curv_side("R", quarter).add([
                 (-2, (ds, form_j)), (2, (form_b, ds_a)),
                 (2, (form_j, ds)), (-2, (ds_a, form_b))]))]
@@ -497,11 +498,11 @@ def _registry() -> list[Identity]:
         + u(Y) X0 + v(Y) R_xVU + 2 (<X0, J Y0> + dsigma(X0, Y0)
         + dsigma(U, V)(u(X)v(Y) - v(X)u(Y))) V."""
         m, (_, u, v), (_, s_v) = ws.model, ws.forms, ws.sigma_UV
-        at_v = ws.horizontal(combine([(s_v, m.H), (1, ws.nVG), (1, m.J)]), 1)
-        vertical = combine([(2, ws.hor_J_dsigma), (2 * ws.dUV, ws.vertical_mix_table)])
+        at_v = combine([(s_v, m.H), (1, ws.nVG), (1, m.J)], ws.hor, 1)
         return [("", ws.curv.fix(2, m.U_index), combine([
-            (-1, (u, ws.hor_delta)), (1, (v, at_v)), (1, _middle(u, ws.hor_delta)),
-            (1, _middle(v, ws.R_xVU)), (1, (vertical, v))]))]
+            (-1, (u, ws.hor_delta)), (1, (v, at_v)), (1, (u, ws.hor_delta, 1)),
+            (1, (v, ws.R_xVU, 1)), (2, (ws.hor_J_dsigma, v)),
+            (2 * ws.dUV, (ws.vertical_mix_table, v))]))]
     add_tables("EQ-4.7", "curvature", "any any", eq_4_7, "EQ-2.13")
 
     # EQ-2.14: R(X, Y)V = -2 (<X, JY> + dsigma(X, Y)) U
@@ -510,11 +511,11 @@ def _registry() -> list[Identity]:
         + (nabla_U H) X0 - J X0) + v(Y) X0 - 2 (<X0, J Y0> + dsigma(X0, Y0)
         + dsigma(U, V)(u(X)v(Y) - v(X)u(Y))) U."""
         m, (_, u, v), (s_u, _) = ws.model, ws.forms, ws.sigma_UV
-        at_u = ws.horizontal(combine([(-s_u, m.G), (1, ws.nUH), (-1, m.J)]), 1)
-        vertical = combine([(-2, ws.hor_J_dsigma), (-2 * ws.dUV, ws.vertical_mix_table)])
+        at_u = combine([(-s_u, m.G), (1, ws.nUH), (-1, m.J)], ws.hor, 1)
         return [("", ws.curv.fix(2, m.V_index), combine([
-            (-1, (u, ws.R_xUV)), (-1, (v, ws.hor_delta)), (1, _middle(u, at_u)),
-            (1, _middle(v, ws.hor_delta)), (1, (vertical, u))]))]
+            (-1, (u, ws.R_xUV)), (-1, (v, ws.hor_delta)), (1, (u, at_u, 1)),
+            (1, (v, ws.hor_delta, 1)), (-2, (ws.hor_J_dsigma, u)),
+            (-2 * ws.dUV, (ws.vertical_mix_table, u))]))]
     add_tables("EQ-4.8", "curvature", "any any", eq_4_8, "EQ-2.14")
 
     # EQ-2.17: R(X, U)Y = -<X, Y> U + (dsigma(Y, X) - <JX, Y>) V
@@ -523,10 +524,10 @@ def _registry() -> list[Identity]:
         - 2 dsigma(U, V) v(X)v(Y)) U + (dsigma(Y0, X0) - <J X0, Y0>
         - 2 dsigma(U, V) v(X)u(Y)) V."""
         _, u, v = ws.forms
-        at_u = combine([(-1, ws.horizontal(ws.delta)), (-2 * ws.dUV, (v, v))])
+        at_u = combine([(-1, ws.hor_delta), (-2 * ws.dUV, (v, v))])
         at_v = ws.hor_dsigma_J.add([(-2 * ws.dUV, (v, u))])
-        return [("", ws.curv_xU, combine([(1, _middle(u, ws.hor_delta)), (-1, (v, ws.hor_J)),
-                                          (1, _middle(v, ws.R_xUV)),
+        return [("", ws.curv_xU, combine([(1, (u, ws.hor_delta, 1)), (-1, (v, ws.hor_J)),
+                                          (1, (v, ws.R_xUV, 1)),
                                           (1, (at_u, u)), (1, (at_v, v))]))]
     add_tables("EQ-4.9", "curvature", "any any", eq_4_9, "EQ-2.17")
 
@@ -536,11 +537,11 @@ def _registry() -> list[Identity]:
         + J X0) + (-<X0, Y0> + 2 dsigma(U, V) u(X)u(Y)) V + (<J X0, Y0>
         - dsigma(Y0, X0) - 2 dsigma(U, V) u(X)v(Y)) U."""
         m, (_, u, v), (s_u, _) = ws.model, ws.forms, ws.sigma_UV
-        at_y = ws.horizontal(combine([(-s_u, m.H), (1, ws.nVG), (1, m.J)]), 1)
-        at_v = combine([(-1, ws.horizontal(ws.delta)), (2 * ws.dUV, (u, u))])
+        at_y = combine([(-s_u, m.H), (1, ws.nVG), (1, m.J)], ws.hor, 1)
+        at_v = combine([(-1, ws.hor_delta), (2 * ws.dUV, (u, u))])
         at_u = combine([(-1, ws.hor_dsigma_J), (-2 * ws.dUV, (u, v))])
-        return [("", ws.curv_xV, combine([(1, (u, ws.hor_J)), (1, _middle(v, ws.hor_delta)),
-                                          (1, _middle(u, at_y)),
+        return [("", ws.curv_xV, combine([(1, (u, ws.hor_J)), (1, (v, ws.hor_delta, 1)),
+                                          (1, (u, at_y, 1)),
                                           (1, (at_v, v)), (1, (at_u, u))]))]
     add_tables("EQ-4.10", "curvature", "any any", eq_4_10, "EQ-2.18")
 
@@ -553,11 +554,10 @@ def _registry() -> list[Identity]:
     # rho(AX, AY) = rho(X, Y) and rho(AX, Y) = -rho(X, AY) for A = G, H, on
     # horizontal X, Y
     add_tables("EQ-5.1", "ricci", "hor hor", lambda ws: [
-        (name, ws.rho.pullback(a, (0, 1), ws.model.horizontal_indices), ws.rho)
+        (name, ws.rho.pullback(a, (0, 1), ws.hor), ws.rho)
         for name, a in (("G", ws.model.G), ("H", ws.model.H))])
     add_tables("EQ-5.2", "ricci", "hor hor", lambda ws: [
-        (name, ws.rho.pullback(a, (0,), ws.model.horizontal_indices),
-         combine([(-1, ws.rho.pullback(a, (1,), ws.model.horizontal_indices))]))
+        (name, ws.rho.pullback(a, (0,), ws.hor), (-1, ws.rho.pullback(a, (1,), ws.hor)))
         for name, a in (("G", ws.model.G), ("H", ws.model.H))])
 
     # rho(U, U) = rho(V, V) = 4n - 2 dsigma(U, V), rho(U, V) = 0; and so
@@ -569,8 +569,8 @@ def _registry() -> list[Identity]:
                                       ("UV", ws.rho.entry(u, v), ZERO)])
     add_failure("EQ-5.7", "ricci", eq_5_7)
     add_tables("EQ-5.10", "ricci", "any", lambda ws: [
-        ("U", ws.rho.fix(1, ws.model.U_index), combine([(ws.ricci_target, ws.forms[1])])),
-        ("V", ws.rho.fix(1, ws.model.V_index), combine([(ws.ricci_target, ws.forms[2])]))],
+        ("U", ws.rho.fix(1, ws.model.U_index), (ws.ricci_target, ws.forms[1])),
+        ("V", ws.rho.fix(1, ws.model.V_index), (ws.ricci_target, ws.forms[2]))],
         "EQ-5.6")
 
     # rho(X, Y) = rho(X0, Y0) + (4n - 2 dsigma(U, V))(u(X)u(Y) + v(X)v(Y)),

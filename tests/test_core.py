@@ -18,9 +18,11 @@ from ccmv.core import (
     UnprintableValue,
     combine,
     first_failure,
+    first_table_failure,
     format_scalar,
     format_sparse_vector,
     format_value,
+    numerators,
     parse_scalar,
     parse_sparse_vector,
 )
@@ -413,6 +415,11 @@ class TestTable:
         # the first term's factors are checked against each other
         with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 4 vs 3$"):
             combine([(1, (x4, x))])
+        # a middle-slot product term is checked as the plain one
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 3 vs 4$"):
+            t.add([(1, u), (1, (x4, x, 1))])
+        with pytest.raises(ValueError, match=r"^a rank-3 table does not add to rank 2$"):
+            t.add([(1, (x, u, 1))])
 
     @given(data=st.data())
     @settings(max_examples=80, deadline=None)
@@ -450,6 +457,71 @@ class TestTable:
             assert dict(result.items()) == expected
             assert result == Table.from_values(4, rank, expected)
             assert gcd(result.den, *result.entries.values()) == 1
+
+    @given(data=st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_middle_slot_terms_and_keep_match_dense_references(self, data):
+        """`add` and `combine` with plain, product and middle-slot terms (c,
+        (a, b, s)), whose key puts a's indices at slot s of b's, equal the
+        sum of their values at every index tuple in Fraction arithmetic, on
+        prime denominators.  With `keep` and `width` they equal `restrict`
+        of the whole sum, and the dense sum on the tuples whose first `width`
+        indices lie in `keep`."""
+        rank = data.draw(st.sampled_from([2, 3, 4]))
+        every = list(product(range(4), repeat=rank))
+
+        def values(k):
+            index = st.tuples(*[st.integers(0, 3)] * k)
+            return data.draw(st.dictionaries(index, prime_ratios, max_size=6))
+
+        def term():
+            c = data.draw(prime_ratios)
+            if data.draw(st.booleans()):
+                v = values(rank)
+                return (c, Table.from_values(4, rank, v)), lambda idx: c * v.get(idx, 0)
+            head = data.draw(st.integers(1, rank - 1))
+            at = data.draw(st.integers(0, rank - head))
+            a, b = values(head), values(rank - head)
+            factors = (Table.from_values(4, head, a), Table.from_values(4, rank - head, b))
+            if at or data.draw(st.booleans()):
+                factors += (at,)
+            return (c, factors), lambda idx: (c * a.get(idx[at:at + head], 0)
+                                              * b.get(idx[:at] + idx[at + head:], 0))
+
+        terms = [term() for _ in range(data.draw(st.integers(1, 4)))]
+        start = values(rank)
+        keep = range(data.draw(st.integers(0, 2)), data.draw(st.integers(2, 4)))
+        width = data.draw(st.none() | st.integers(1, rank))
+        within = rank if width is None else width
+        for fold, base in ((combine, {}),
+                           (Table.from_values(4, rank, start).add, start)):
+            whole = fold([t for t, _ in terms])
+            dense = {idx: base.get(idx, 0) + sum(value(idx) for _, value in terms)
+                     for idx in every}
+            assert whole == Table.from_values(4, rank, dense)
+            kept = fold([t for t, _ in terms], keep, width)
+            assert kept == whole.restrict(keep, width)
+            assert kept == Table.from_values(4, rank, {
+                idx: x for idx, x in dense.items() if all(i in keep for i in idx[:within])})
+            assert fold([t for t, _ in terms], range(4), width) == whole
+            assert gcd(kept.den, *kept.entries.values()) == 1
+
+    def test_keep_filters_a_product_factor_on_the_slots_width_covers(self):
+        # u(Z) t(X, Y) at (X, Y, Z): with width 2 the head u sits in a slot
+        # width does not cover, so its index 3, outside keep, stays
+        u = vector([0, 0, 0, 2])
+        t = Table.from_values(4, 2, {(0, 1): 1, (3, 0): 5})
+        for term in ((1, (u, t, 2)), (1, (t, u))):
+            kept = combine([term], range(2), 2)
+            assert kept == Table.from_values(4, 3, {(0, 1, 3): 2})
+            assert kept == combine([term]).restrict(range(2), 2)
+        # at slot 1 it is covered, and no key is kept
+        assert combine([(1, (u, t, 1))], range(2), 2).is_zero()
+        # a rank-2 head at slot 1: width 2 covers its first index only
+        a = Table.from_values(4, 2, {(0, 3): 3, (3, 0): 7})
+        kept = combine([(1, (a, t, 1))], range(2), 2)
+        assert kept == Table.from_values(4, 4, {(0, 0, 3, 1): 3})
+        assert kept == combine([(1, (a, t, 1))]).restrict(range(2), 2)
 
     def test_equality_is_structural(self):
         t = Table.from_values(3, 2, {(0, 1): Fraction(1, 2), (2, 2): Fraction(-1, 3)})
@@ -693,27 +765,32 @@ def test_status_renders_as_value():
 def sorted_first_failure(clauses, width, keep):
     """The reference of `first_failure`: every failing (frame tuple, clause,
     key), sorted, the first taken, compared as Fractions."""
+    def value(side, key):
+        values, p, q = side
+        return Fraction(p * values.get(key, 0), q)
+
     failing = sorted((key[:width], c, key)
-                     for c, (_, (left, dl), (right, dr)) in enumerate(clauses)
-                     for key in set(left) | set(right)
-                     if Fraction(left.get(key, 0), dl) != Fraction(right.get(key, 0), dr)
+                     for c, (_, left, right) in enumerate(clauses)
+                     for key in set(left[0]) | set(right[0])
+                     if value(left, key) != value(right, key)
                      and (keep is None or all(i in keep for i in key[:width])))
     if not failing:
         return None
     where, c, key = failing[0]
-    label, (left, dl), (right, dr) = clauses[c]
-    return where, label, Fraction(left.get(key, 0), dl), Fraction(right.get(key, 0), dr)
+    label, left, right = clauses[c]
+    return where, label, value(left, key), value(right, key)
 
 
 @st.composite
 def failure_clauses(draw):
     """(clauses, width, keep, tie): one to three clauses of rank-k numerator
     maps over dim 3, each side scaled by its own factor so that its den and
-    numerators are unreduced and the two dens differ, a few entries of the
-    right side bumped, explicit zeros kept; `width` up to the rank and
-    `keep` a range or None.  In a tie the sides agree except at two forced
-    keys of one frame tuple, returned last (else None): the first clause
-    differs there at a larger last index than the last clause."""
+    numerators are unreduced and the two dens differ, and written with p =
+    1 or -1, a few entries of the right side bumped, explicit zeros kept;
+    `width` up to the rank and `keep` a range or None.  In a tie the sides
+    agree except at two forced keys of one frame tuple, returned last (else
+    None): the first clause differs there at a larger last index than the
+    last clause."""
     rank = draw(st.integers(2, 4))
     width = draw(st.integers(1, rank))
     index = st.tuples(*[st.integers(0, 2)] * rank)
@@ -727,16 +804,61 @@ def failure_clauses(draw):
         if not tie:
             bumped.update(draw(st.dictionaries(index, st.integers(-3, 3), max_size=3)))
         kl, kr = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
-        clauses.append((f"c{c}", ({key: kl * a for key, a in base.items()}, kl * den),
-                        ({key: kr * a for key, a in bumped.items()}, kr * den)))
+        pl, pr = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
+        clauses.append((f"c{c}", ({key: pl * kl * a for key, a in base.items()}, pl, kl * den),
+                        ({key: pr * kr * a for key, a in bumped.items()}, pr, kr * den)))
     if tie:
         small = draw(st.integers(0, 1))
         for c, last in ((0, 2), (len(clauses) - 1, small)):
             key = where + (0,) * (rank - width - 1) + (last,)
-            left, dl = clauses[c][1]
-            left[key] = left.get(key, 0) + dl
+            left, p, q = clauses[c][1]
+            left[key] = left.get(key, 0) + p * q
     keep = draw(st.one_of(st.none(), st.builds(range, st.integers(0, 2), st.integers(1, 3))))
     return clauses, width, keep, where if tie else None
+
+
+scales = st.sampled_from([0, -1]) | st.builds(Fraction, st.integers(-5, 5),
+                                              st.sampled_from([1, 2, 3, 7]))
+
+
+@st.composite
+def scaled_table_clauses(draw):
+    """(clauses, width, keep): one to three clauses of rank-k Tables over dim
+    3 whose sides are a term (c, t), c 0, -1 or p/q, and either t itself,
+    whose numerators the term shares, or c t built as a Table, on some
+    draws with a few entries bumped; the two sides in either order."""
+    rank = draw(st.integers(1, 3))
+    index = st.tuples(*[st.integers(0, 2)] * rank)
+    clauses = []
+    for c in range(draw(st.integers(1, 3))):
+        t = Table.from_values(3, rank, draw(st.dictionaries(index, prime_ratios, max_size=6)))
+        scale = draw(scales)
+        built = combine([(scale, t), (1, Table.from_values(3, rank, draw(
+            st.dictionaries(index, prime_ratios, max_size=2 if draw(st.booleans()) else 0))))])
+        sides = [(scale, t), t if draw(st.booleans()) else built]
+        if draw(st.booleans()):
+            sides.reverse()
+        clauses.append((f"c{c}", *sides))
+    keep = draw(st.none() | st.builds(range, st.integers(0, 1), st.integers(1, 3)))
+    return clauses, draw(st.integers(max(rank - 1, 1), rank)), keep
+
+
+@given(scaled_table_clauses())
+@settings(max_examples=200, deadline=None)
+def test_scaled_sides_match_the_materialized_tables(case):
+    """A side (c, t) compares, fails and renders as the Table c t: in
+    `first_table_failure`, with rows as witnesses when `width` is one less
+    than the rank, and in `first_failure` on the numerator sides."""
+    clauses, width, keep = case
+    built = [(name, *(side if isinstance(side, Table) else combine([side]) for side in sides))
+             for name, *sides in clauses]
+    expected = first_table_failure(built, width, keep)
+    assert first_table_failure(clauses, width, keep) == expected
+    if width == built[0][1].rank:
+        assert first_failure([(name, numerators(lhs), numerators(rhs))
+                              for name, lhs, rhs in clauses], width, keep) == expected
+        assert sorted_first_failure([(name, (lhs.entries, 1, lhs.den), (rhs.entries, 1, rhs.den))
+                                     for name, lhs, rhs in built], width, keep) == expected
 
 
 @given(failure_clauses())
