@@ -28,6 +28,7 @@ from ccmv.core import (
 )
 
 from conftest import basis, cayley_rotation, tensor4_from_function, vector
+from reference import dense_contract, dense_pullback
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 vectors6 = st.lists(rationals, min_size=6, max_size=6).map(vector)
@@ -222,20 +223,6 @@ class TestTensor4:
         z, w = basis(6, 2), basis(6, 5)
         assert t.contract(combine([(a, x), (1, y)]), z, w, z) == \
             a * t.contract(x, z, w, z) + t.contract(y, z, w, z)
-
-
-def dense_contract(values: dict, dim: int, rank: int, vectors) -> Fraction | Table:
-    """The contraction as the plain sum over every index tuple."""
-    def term(idx):
-        coeff = values.get(idx, Fraction(0))
-        for v, i in zip(vectors, idx):
-            coeff *= v.entry(i)
-        return coeff
-    if len(vectors) == rank:
-        return sum((term(idx) for idx in product(range(dim), repeat=rank)), Fraction(0))
-    return vector([sum((term(head + (k,)) for head in product(range(dim), repeat=rank - 1)),
-                       Fraction(0))
-                   for k in range(dim)])
 
 
 sparse_rationals = st.one_of(st.just(Fraction(0)), rationals)
@@ -555,22 +542,10 @@ class TestTable:
         slots = data.draw(st.sampled_from([(0,), (2,), (0, 1), (0, 1, 2)]))
         slot, index = data.draw(st.integers(0, 2)), data.draw(st.integers(0, dim - 1))
         order = data.draw(st.permutations(range(3)))
-        a, b, f, e = dict(t.items()), dict(other.items()), dict(form.items()), dict(endo.items())
+        a, b, f = dict(t.items()), dict(other.items()), dict(form.items())
         total = dict(a)
         for key, v in b.items():
             total[key] = total.get(key, 0) + c * v
-        pulled = {}
-        for key, v in a.items():
-            # each pulled slot s reaches every i in keep whose image has a
-            # nonzero coefficient on e_key[s]
-            choices = [[(i, e[i, key[s]]) for i in keep if (i, key[s]) in e] if s in slots
-                       else [(key[s], 1)] if key[s] in keep else [] for s in range(3)]
-            for combo in product(*choices):
-                idx = tuple(i for i, _ in combo)
-                term = v
-                for _, x in combo:
-                    term *= x
-                pulled[idx] = pulled.get(idx, 0) + term
         cases = [
             (t.add([(c, other)]), total),
             (t.tensor(form), {x + y: v * w for x, v in a.items() for y, w in f.items()}),
@@ -581,7 +556,7 @@ class TestTable:
                                   if key[slot] == index}),
             (t.restrict(keep, width), {key: v for key, v in a.items()
                                        if all(i in keep for i in key[:width])}),
-            (t.pullback(endo, slots, keep), pulled),
+            (t.pullback(endo, slots, keep), dense_pullback(t, endo, slots, keep)),
         ]
         for result, expected in cases:
             expected = {key: v for key, v in expected.items() if v}

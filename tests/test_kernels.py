@@ -1,35 +1,19 @@
-"""The nonzero-driven kernels agree with the dense formulas they replace.
-
-Each reference below is the dense index-range formula, kept here as an
-independent second route: the Jacobi sweep, the curvature assembly, the
-exhaustive second-Bianchi sweep and its cyclic nabla R slabs on Fraction
-values, the product-order index sweeps of the
-Riemann symmetries and of the first Bianchi identity, the per-vector
-formulas of nabla G/H/J, the torsions, S, T and the Prop. 2.1 and Thm. 4.5
-right-hand sides with the three normality route loops, the pullback of a
-table through an endomorphism, and the quadrilinear and trilinear
-contractions.  Every identity the engine checks as a table equation keeps
-its per-tuple evaluator here, on the per-vector layer the engine dropped
-(`VectorWorkspace`), with the frame sweep that ran it (`reference_sweep`);
-so do RIEM-SYM and BIANCHI-1, and the slotless EQ-2.11 and EQ-5.7.  The
-random-sample phase the engine dropped is kept here too, as a reference
-the suite's rows must equal.  They are compared on the bundled model,
-generated nilpotent perturbations, the n=2 block-diagonal model, a fixed
-two-step model with [U, V] != 0 and non-integral tables, systematic
-mutations and single-entry bumps of the bundled model, curvature bumps
-that keep every pair partner and connection bumps of each generated
-model, random two-step nilpotent models with random structure tensors,
-and random sparse 4-tensors, some antisymmetric in their first pair.
+"""The nonzero-driven kernels agree with the dense references of
+`reference.py`, on the bundled model, generated nilpotent perturbations,
+the n=2 block-diagonal model, a fixed two-step model with [U, V] != 0 and
+non-integral tables, systematic mutations and single-entry bumps of the
+bundled model, curvature bumps that keep every pair partner and connection
+bumps of each generated model, random two-step nilpotent models with random
+structure tensors, and random sparse 4-tensors, some antisymmetric in their
+first pair.
 
 BIANCHI-1, BIANCHI-2 and EQ-4.1, and EQ-2.20 and EQ-2.21 where their
 rank-2 factors are skew, build and compare only the quarter i < j, k < l.
 That requires R to be antisymmetric in each pair, as `riemann` builds it;
 a hypothesis test below checks this on random bracket tables.  So every R
-these sweeps are given here keeps its pair partners, and their rows are
-compared with the references: the product-order and exhaustive sweeps,
-the Fraction slabs and the full builds.  An R that breaks a pair goes only
-to RIEM-SYM, whose witness reports it, and to one test of what the
-quarter misses.
+these sweeps are given here keeps its pair partners; an R that breaks a
+pair goes only to RIEM-SYM, whose witness reports it, and to one test of
+what the quarter misses.
 """
 from __future__ import annotations
 
@@ -41,7 +25,6 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, product
 from types import SimpleNamespace
-from typing import Callable
 
 import pytest
 from hypothesis import assume, given, settings
@@ -54,8 +37,6 @@ from ccmv import (
     Status,
     Table,
     build_heisenberg,
-    format_scalar,
-    format_sparse_vector,
     levi_civita,
     lie_checks,
     load_model,
@@ -65,39 +46,55 @@ from ccmv import (
     suite_tsv_rows,
 )
 from ccmv import curvature
-from ccmv.core import combine
+from ccmv.core import ZERO, combine
 from ccmv.curvature import (
     first_bianchi_failures,
     horizontal_curvature,
     second_bianchi_failures,
 )
 from ccmv.model import structure_constants
-from ccmv.structures import NormalityReport, check_normality, first_table_failure
+from ccmv.structures import check_normality, first_table_failure
 from ccmv.verify import (
     REGISTRY,
     Identity,
-    SuiteReport,
     Workspace,
     _run_tables,
     diff_expected,
     parse_expected,
-    registry_ids,
-    render_witness,
 )
 from conftest import (
     ERRATA,
-    basis,
     cayley_rotation,
-    horizontal_projection,
     make_heisenberg_model,
     make_nilpotent_model,
     make_two_step_model,
-    random_rational_vector,
     tensor4_from_function,
     vector,
 )
-
-ZERO = Fraction(0)
+import reference
+from reference import (
+    CONVERTED_IDS,
+    HORIZONTAL_REFERENCES,
+    NORMALITY_REFERENCES,
+    REFERENCES,
+    NablaR,
+    VectorWorkspace,
+    bumped,
+    clause_tables,
+    dense_contract,
+    dense_jacobi_witness,
+    dense_pullback,
+    dense_riemann,
+    entry_failure,
+    first_bianchi,
+    frame_failure,
+    pair_partner_bumps,
+    ref_check_normality,
+    reference_row,
+    reference_sweep,
+    riemann_symmetry,
+    sampled_suite_rows,
+)
 
 MODELS = {
     "bundled": build_heisenberg,
@@ -106,873 +103,6 @@ MODELS = {
     "heisenberg-n2": lambda: make_heisenberg_model(2),
     "two-step": make_two_step_model,
 }
-
-
-# ----- dense reference routes -----
-
-def dense_view(t) -> list:
-    """The table as dense nested lists, for the index-range formulas."""
-    def block(depth):
-        if depth == t.rank - 1:
-            return [ZERO] * t.dim
-        return [block(depth + 1) for _ in range(t.dim)]
-
-    view = block(0)
-    for idx, value in t.items():
-        node = view
-        for i in idx[:-1]:
-            node = node[i]
-        node[idx[-1]] = value
-    return view
-
-
-def dense_jacobi_witness(m) -> str | None:
-    d = m.dim
-    c = m.constants.entry
-    for i, j, el, k in product(range(d), repeat=4):
-        total = sum((c(i, j, mm) * c(mm, el, k)
-                     + c(j, el, mm) * c(mm, i, k)
-                     + c(el, i, mm) * c(mm, j, k) for mm in range(d)), ZERO)
-        if total:
-            return f"entry=({i},{j},{el},{k}) lhs={format_scalar(total)} rhs=0"
-    return None
-
-
-def dense_riemann(m, conn) -> Table:
-    d = m.dim
-    gamma = dense_view(conn)
-    c = dense_view(m.constants)
-
-    def component(i, j, k, el):
-        total = ZERO
-        for mm in range(d):
-            total += gamma[j][k][mm] * gamma[i][mm][el]
-            total -= gamma[i][k][mm] * gamma[j][mm][el]
-            total -= c[i][j][mm] * gamma[mm][k][el]
-        return total
-
-    return tensor4_from_function(d, component)
-
-
-def dense_cyclic_sum(m, conn, rt, mm, i, j, k, el) -> Fraction:
-    gamma = dense_view(conn)
-
-    def nabla_r(s, a, b, cc, dd):
-        total = ZERO
-        for p in range(m.dim):
-            total -= gamma[s][a][p] * rt.entry(p, b, cc, dd)
-            total -= gamma[s][b][p] * rt.entry(a, p, cc, dd)
-            total -= gamma[s][cc][p] * rt.entry(a, b, p, dd)
-            total -= gamma[s][dd][p] * rt.entry(a, b, cc, p)
-        return total
-
-    return (nabla_r(mm, i, j, k, el) + nabla_r(i, j, mm, k, el)
-            + nabla_r(j, mm, i, k, el))
-
-
-def add_nabla_r(slab: dict, conn, rt, s: int, a: int, b: int) -> None:
-    """slab[(k, l)] += (nabla_{e_s} R)(e_a, e_b, e_k, e_l) for every (k, l),
-    on the Fraction values: R is differentiated as an invariant 4-tensor, so
-    each slot of R picks up a -gamma contraction, read from the nonzero
-    connection and curvature entries only."""
-    gamma = [((x, p), q) for (t, x, p), q in conn.items() if t == s]
-    for (i, j, k, el), v in rt.items():
-        for (x, p), q in gamma:
-            for hit, key in (((x, p, j) == (a, i, b), (k, el)),
-                             ((x, p, i) == (b, j, a), (k, el)),
-                             ((i, j, p) == (a, b, k), (x, el)),
-                             ((i, j, p) == (a, b, el), (k, x))):
-                if hit:
-                    slab[key] = slab.get(key, ZERO) - q * v
-
-
-def second_bianchi_slab(conn, rt, mm: int, i: int, j: int) -> dict:
-    """The cyclic sum over the first three indices of nabla R at (mm, i, j),
-    keyed by the last two, on the Fraction values."""
-    slab: dict = {}
-    for s, a, b in ((mm, i, j), (i, j, mm), (j, mm, i)):
-        add_nabla_r(slab, conn, rt, s, a, b)
-    return slab
-
-
-def second_bianchi_cyclic_sum(conn, rt, mm, i, j, k, el) -> Fraction:
-    """One entry of `second_bianchi_slab`; zero where the differential
-    Bianchi identity holds."""
-    return second_bianchi_slab(conn, rt, mm, i, j).get((k, el), ZERO)
-
-
-def dense_bianchi_failure(m, conn, rt) -> tuple[int, ...] | None:
-    """First failing tuple of the exhaustive sweep; the dense formula with
-    the connection read through its zero-free rows only, to stay fast."""
-    d = m.dim
-    r = dense_view(rt)
-    gamma = dense_view(conn)
-    rows = [[[(p, gamma[s][a][p]) for p in range(d) if gamma[s][a][p]]
-             for a in range(d)] for s in range(d)]
-
-    def nabla_r(s, a, b, cc, dd):
-        total = ZERO
-        for p, q in rows[s][a]:
-            total -= q * r[p][b][cc][dd]
-        for p, q in rows[s][b]:
-            total -= q * r[a][p][cc][dd]
-        for p, q in rows[s][cc]:
-            total -= q * r[a][b][p][dd]
-        for p, q in rows[s][dd]:
-            total -= q * r[a][b][cc][p]
-        return total
-
-    for mm, i, j, k, el in product(range(d), repeat=5):
-        if (nabla_r(mm, i, j, k, el) + nabla_r(i, j, mm, k, el)
-                + nabla_r(j, mm, i, k, el)):
-            return (mm, i, j, k, el)
-    return None
-
-
-def dense(v: Table) -> list:
-    """A vector's coefficients as a dense list."""
-    return [v.entry(i) for i in range(v.dim)]
-
-
-def dense_contract(t: Table, x, y, z, w) -> Fraction:
-    d = t.dim
-    x, y, z, w = map(dense, (x, y, z, w))
-    return sum((x[i] * y[j] * z[k] * w[el] * t.entry(i, j, k, el)
-                for i, j, k, el in product(range(d), repeat=4)), ZERO)
-
-
-def dense_contract3(t: Table, x, y, z) -> Table:
-    d = t.dim
-    x, y, z = map(dense, (x, y, z))
-    return vector([sum((x[i] * y[j] * z[k] * t.entry(i, j, k, el)
-                        for i, j, k in product(range(d), repeat=3)), ZERO)
-                   for el in range(d)])
-
-
-# ----- the per-vector layer and the frame sweep the engine dropped -----
-
-class VectorWorkspace(Workspace):
-    """A workspace with the per-vector accessors the references read: the
-    structure tensors applied to frame vectors, and the stored tables
-    contracted with them.  Vectors and 1-forms are rank-1 tables, so u(X)
-    is the contraction of U with X."""
-
-    def __init__(self, m: ManifoldModel):
-        super().__init__(m)
-        self.basis = [m.basis(i) for i in range(m.dim)]
-
-    def G(self, x: Table) -> Table:
-        return self.model.G.contract(x)
-
-    def H(self, x: Table) -> Table:
-        return self.model.H.contract(x)
-
-    def J(self, x: Table) -> Table:
-        return self.model.J.contract(x)
-
-    def u(self, x: Table) -> Fraction:
-        return self.model.U.contract(x)
-
-    def v(self, x: Table) -> Fraction:
-        return self.model.V.contract(x)
-
-    def sig(self, x: Table) -> Fraction:
-        return self.sigma.contract(x)
-
-    def dsig(self, x: Table, y: Table) -> Fraction:
-        return self.dsigma.contract(x, y)
-
-    def hproj(self, x: Table) -> Table:
-        return horizontal_projection(self.model, x)
-
-    def uv_bilinear(self, x: Table, y: Table) -> Fraction:
-        """u(X)v(Y) - v(X)u(Y)."""
-        return self.u(x) * self.v(y) - self.v(x) * self.u(y)
-
-    def vertical_mix(self, y: Table) -> Table:
-        """u(Y) V - v(Y) U."""
-        return combine([(self.u(y), self.model.V), (-self.v(y), self.model.U)])
-
-    def nabla(self, x: Table, y: Table) -> Table:
-        return self.conn.contract(x, y)
-
-    def cov_form(self, x: Table, w: Table) -> Table:
-        """(nabla_X w)(e_j) = -w(nabla_X e_j)."""
-        return vector([-w.contract(self.nabla(x, e)) for e in self.basis])
-
-    def cov_J(self, x: Table, y: Table) -> Table:
-        return self.nabla_J.contract(x, y)
-
-    def R(self, x: Table, y: Table, z: Table) -> Table:
-        return self.curv.contract(x, y, z)
-
-    def R4(self, x: Table, y: Table, z: Table, w: Table) -> Fraction:
-        return self.curv.contract(x, y, z, w)
-
-    def rho_val(self, x: Table, y: Table) -> Fraction:
-        return self.rho.contract(x, y)
-
-
-# The per-tuple evaluators the table identities replaced: for each id, the
-# slot kinds, and a function of the workspace and one frame vector per slot
-# that returns the (clause, lhs, rhs) triples.  Each side is a vector
-# expression in the accessors above.
-REFERENCES: dict[str, tuple[tuple[str, ...], Callable]] = {}
-
-
-def _references() -> None:
-    def reference(identity_id: str, slots: str, fn) -> None:
-        REFERENCES[identity_id] = (tuple(slots.split()), fn)
-
-    reference("AX-du", "any any", lambda ws, vs: [(
-        "", ws.du.contract(vs[0], vs[1]),
-        vs[0].contract(ws.G(vs[1])) + ws.wedge_sigma_v.contract(vs[0], vs[1]))])
-
-    reference("AX-dv", "any any", lambda ws, vs: [(
-        "", ws.dv.contract(vs[0], vs[1]),
-        vs[0].contract(ws.H(vs[1])) - ws.wedge_sigma_u.contract(vs[0], vs[1]))])
-
-    # ----- contact: structure-tensor derivative identities -----
-    reference("EQ-2.1", "any", lambda ws, vs: [
-        ("U", ws.nUG.contract(vs[0]), combine([(ws.sig(ws.model.U), ws.H(vs[0]))])),
-        ("V", ws.nVH.contract(vs[0]), combine([(-ws.sig(ws.model.V), ws.G(vs[0]))]))])
-
-    reference("EQ-2.7", "any", lambda ws, vs: [
-        ("U", ws.nabla(vs[0], ws.model.U),
-         combine([(-1, ws.G(vs[0])), (ws.sig(vs[0]), ws.model.V)])),
-        ("V", ws.nabla(vs[0], ws.model.V),
-         combine([(-1, ws.H(vs[0])), (-ws.sig(vs[0]), ws.model.U)]))])
-
-    reference("EQ-2.8", "", lambda ws, vs: [
-        ("UU", ws.nabla(ws.model.U, ws.model.U),
-         combine([(ws.sig(ws.model.U), ws.model.V)])),
-        ("UV", ws.nabla(ws.model.U, ws.model.V),
-         combine([(-ws.sig(ws.model.U), ws.model.U)])),
-        ("VU", ws.nabla(ws.model.V, ws.model.U),
-         combine([(ws.sig(ws.model.V), ws.model.V)])),
-        ("VV", ws.nabla(ws.model.V, ws.model.V),
-         combine([(-ws.sig(ws.model.V), ws.model.U)]))])
-
-    reference("EQ-2.9", "any any", lambda ws, vs: [
-        ("GH", ws.dsig(ws.G(vs[0]), ws.G(vs[1])),
-         ws.dsig(ws.H(vs[0]), ws.H(vs[1]))),
-        ("flip", ws.dsig(ws.G(vs[0]), ws.G(vs[1])),
-         ws.dsig(vs[1], vs[0]) - 2 * ws.uv_bilinear(vs[1], vs[0]) * ws.dUV)])
-
-    reference("EQ-2.10", "any", lambda ws, vs: [
-        ("U", ws.dsig(ws.model.U, vs[0]), ws.v(vs[0]) * ws.dUV),
-        ("V", ws.dsig(ws.model.V, vs[0]), -ws.u(vs[0]) * ws.dUV)])
-
-    reference("EQ-2.22", "hor hor", lambda ws, vs: [(
-        "", ws.dsig(vs[0], vs[1]),
-        2 * ws.J(vs[0]).contract(vs[1])
-        + ws.nUJ.contract(ws.G(vs[0])).contract(vs[1]))])
-
-    reference("EQ-3.1", "any any", lambda ws, vs: [
-        ("u", ws.cov_form(vs[0], ws.model.U).contract(vs[1]),
-         vs[0].contract(ws.G(vs[1])) + ws.sig(vs[0]) * ws.v(vs[1])),
-        ("v", ws.cov_form(vs[0], ws.model.V).contract(vs[1]),
-         vs[0].contract(ws.H(vs[1])) - ws.sig(vs[0]) * ws.u(vs[1]))])
-
-    def eq_3_2_block(ws: Workspace, vs) -> list:
-        x = vs[0]
-        U, V = ws.model.U, ws.model.V
-        return [
-            ("GU.V", ws.nUG.contract(x).contract(V), ZERO),
-            ("HU.V", ws.nUH.contract(x).contract(V), ZERO),
-            ("GU.U", ws.nUG.contract(x).contract(U), ZERO),
-            ("HU.U", ws.nUH.contract(x).contract(U), ZERO),
-            ("GV.U", ws.nVG.contract(x).contract(U), ZERO),
-            ("HV.U", ws.nVH.contract(x).contract(U), ZERO),
-            ("GV.V", ws.nVG.contract(x).contract(V), ZERO),
-            ("HV.V", ws.nVH.contract(x).contract(V), ZERO),
-            ("JU.V", ws.nUJ.contract(x).contract(V), ZERO),
-            ("JU.U", ws.nUJ.contract(x).contract(U), ZERO),
-            ("JV.U", ws.nVJ.contract(x).contract(U), ZERO),
-            ("JV.V", ws.nVJ.contract(x).contract(V), ZERO),
-        ]
-
-    reference("EQ-3.2-BLOCK", "hor", eq_3_2_block)
-
-    for eq_id, attr_u, attr_v in (("EQ-3.3", "nUG", "nVG"),
-                                  ("EQ-3.4", "nUH", "nVH"),
-                                  ("EQ-3.5", "nUJ", "nVJ")):
-        def projector(ws: Workspace, vs, a=attr_u, b=attr_v) -> list:
-            x = vs[0]
-            return [("U", getattr(ws, a).contract(x), getattr(ws, a).contract(ws.hproj(x))),
-                    ("V", getattr(ws, b).contract(x), getattr(ws, b).contract(ws.hproj(x)))]
-        reference(eq_id, "any", projector)
-
-    reference("EQ-3.6", "any any", lambda ws, vs: [(
-        "", ws.nUG.contract(vs[0]).contract(vs[1]),
-        ws.sig(ws.model.U) * ws.H(ws.hproj(vs[0])).contract(ws.hproj(vs[1])))])
-
-    reference("EQ-3.7", "any any", lambda ws, vs: [(
-        "", ws.nVG.contract(vs[0]).contract(vs[1]),
-        ws.sig(ws.model.V) * ws.H(ws.hproj(vs[0])).contract(ws.hproj(vs[1]))
-        + ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
-        - 2 * ws.J(ws.hproj(vs[0])).contract(ws.hproj(vs[1])))])
-
-    reference("EQ-3.8", "any any", lambda ws, vs: [(
-        "", ws.nVH.contract(vs[0]).contract(vs[1]),
-        -ws.sig(ws.model.V) * ws.G(ws.hproj(vs[0])).contract(ws.hproj(vs[1])))])
-
-    reference("EQ-3.9", "any any", lambda ws, vs: [(
-        "", ws.nUH.contract(vs[0]).contract(vs[1]),
-        -ws.sig(ws.model.U) * ws.G(ws.hproj(vs[0])).contract(ws.hproj(vs[1]))
-        - ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
-        + 2 * ws.J(ws.hproj(vs[0])).contract(ws.hproj(vs[1])))])
-
-    reference("EQ-3.10", "any any", lambda ws, vs: [(
-        "", ws.nUJ.contract(ws.G(vs[0])).contract(vs[1]),
-        -ws.dsig(ws.hproj(vs[1]), ws.hproj(vs[0]))
-        - 2 * ws.J(ws.hproj(vs[0])).contract(ws.hproj(vs[1])))])
-
-    reference("EQ-3.11", "any any", lambda ws, vs: [(
-        "", ws.nVJ.contract(ws.G(vs[0])).contract(vs[1]),
-        ws.dsig(ws.hproj(vs[1]), ws.G(ws.hproj(vs[0])))
-        - 2 * ws.H(ws.hproj(vs[0])).contract(ws.hproj(vs[1])))])
-
-    reference("EQ-4.11", "any any", lambda ws, vs: [(
-        "", ws.dsig(vs[0], vs[1]),
-        2 * ws.J(ws.hproj(vs[0])).contract(ws.hproj(vs[1]))
-        + ws.nUJ.contract(ws.G(ws.hproj(vs[0]))).contract(ws.hproj(vs[1]))
-        + ws.dUV * ws.uv_bilinear(vs[0], vs[1]))])
-
-    reference("EQ-4.14", "any any", lambda ws, vs: [(
-        "", ws.cov_J(vs[0], vs[1]),
-        combine([(-2 * ws.u(vs[0]), ws.H(vs[1])),
-                 (2 * ws.v(vs[0]), ws.G(vs[1])),
-                 (ws.u(vs[0]), combine([(2, ws.H(ws.hproj(vs[1]))),
-                                        (1, ws.nUJ.contract(ws.hproj(vs[1])))])),
-                 (ws.v(vs[0]), combine([(-2, ws.G(ws.hproj(vs[1]))),
-                                        (1, ws.nUJ.contract(ws.J(ws.hproj(vs[1]))))]))]))])
-
-    # ----- curvature -----
-    reference("EQ-2.11", "", lambda ws, vs: [
-        ("UVVU", ws.R4(ws.model.U, ws.model.V, ws.model.V, ws.model.U),
-         -2 * ws.dUV),
-        ("VUUV", ws.R4(ws.model.V, ws.model.U, ws.model.U, ws.model.V),
-         -2 * ws.dUV)])
-
-    reference("EQ-2.12", "hor", lambda ws, vs: [
-        ("U", ws.R(vs[0], ws.model.U, ws.model.U), vs[0]),
-        ("V", ws.R(vs[0], ws.model.V, ws.model.V), vs[0])])
-
-    reference("EQ-2.13", "hor hor", lambda ws, vs: [(
-        "", ws.R(vs[0], vs[1], ws.model.U),
-        combine([(2 * (vs[0].contract(ws.J(vs[1])) + ws.dsig(vs[0], vs[1])),
-                  ws.model.V)]))])
-
-    reference("EQ-2.14", "hor hor", lambda ws, vs: [(
-        "", ws.R(vs[0], vs[1], ws.model.V),
-        combine([(-2 * (vs[0].contract(ws.J(vs[1])) + ws.dsig(vs[0], vs[1])),
-                  ws.model.U)]))])
-
-    reference("EQ-2.15", "hor", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.U, ws.model.V),
-        combine([(ws.sig(ws.model.U), ws.G(vs[0])), (1, ws.nUH.contract(vs[0])),
-                 (-1, ws.J(vs[0]))]))])
-
-    reference("EQ-2.16", "hor", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.V, ws.model.U),
-        combine([(-ws.sig(ws.model.V), ws.H(vs[0])), (1, ws.nVG.contract(vs[0])),
-                 (1, ws.J(vs[0]))]))])
-
-    reference("EQ-2.17", "hor hor", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.U, vs[1]),
-        combine([(-vs[0].contract(vs[1]), ws.model.U),
-                 (ws.dsig(vs[1], vs[0]) - ws.J(vs[0]).contract(vs[1]), ws.model.V)]))])
-
-    reference("EQ-2.18", "hor hor", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.V, vs[1]),
-        combine([(-vs[0].contract(vs[1]), ws.model.V),
-                 (ws.J(vs[0]).contract(vs[1]) - ws.dsig(vs[1], vs[0]), ws.model.U)]))])
-
-    reference("EQ-2.19", "hor", lambda ws, vs: [(
-        "", ws.R(ws.model.U, ws.model.V, vs[0]), ws.J(vs[0]))])
-
-    reference("EQ-4.2", "any", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.U, ws.model.U),
-        combine([(1, ws.hproj(vs[0])), (-2 * ws.dUV * ws.v(vs[0]), ws.model.V)]))])
-
-    reference("EQ-4.3", "any", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.V, ws.model.V),
-        combine([(1, ws.hproj(vs[0])), (-2 * ws.dUV * ws.u(vs[0]), ws.model.U)]))])
-
-    reference("EQ-4.4", "any", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.U, ws.model.V),
-        combine([(ws.sig(ws.model.U), ws.G(ws.hproj(vs[0]))),
-                 (1, ws.nUH.contract(ws.hproj(vs[0]))), (-1, ws.J(ws.hproj(vs[0]))),
-                 (2 * ws.dUV * ws.v(vs[0]), ws.model.U)]))])
-
-    reference("EQ-4.5", "any", lambda ws, vs: [(
-        "", ws.R(vs[0], ws.model.V, ws.model.U),
-        combine([(-ws.sig(ws.model.V), ws.H(ws.hproj(vs[0]))),
-                 (1, ws.nVG.contract(ws.hproj(vs[0]))), (1, ws.J(ws.hproj(vs[0]))),
-                 (2 * ws.dUV * ws.u(vs[0]), ws.model.V)]))])
-
-    reference("EQ-4.6", "any", lambda ws, vs: [(
-        "", ws.R(ws.model.U, ws.model.V, vs[0]),
-        combine([(1, ws.J(ws.hproj(vs[0]))), (2 * ws.dUV, ws.vertical_mix(vs[0]))]))])
-
-    def eq_4_7(ws: Workspace, vs) -> list:
-        x, y = vs
-        x0, y0 = ws.hproj(x), ws.hproj(y)
-        rhs = combine([(-ws.u(x), y0),
-                       (ws.v(x), combine([(ws.sig(ws.model.V), ws.H(y0)),
-                                          (1, ws.nVG.contract(y0)), (1, ws.J(y0))])),
-                       (ws.u(y), x0),
-                       (ws.v(y), combine([(-ws.sig(ws.model.V), ws.H(x0)),
-                                          (1, ws.nVG.contract(x0)), (1, ws.J(x0))])),
-                       (2 * (x0.contract(ws.J(y0)) + ws.dsig(x0, y0))
-                        + 2 * ws.dUV * ws.uv_bilinear(x, y), ws.model.V)])
-        return [("", ws.R(x, y, ws.model.U), rhs)]
-
-    reference("EQ-4.7", "any any", eq_4_7)
-
-    def eq_4_8(ws: Workspace, vs) -> list:
-        x, y = vs
-        x0, y0 = ws.hproj(x), ws.hproj(y)
-        rhs = combine([(-ws.u(x), combine([(ws.sig(ws.model.U), ws.G(y0)),
-                                           (1, ws.nUH.contract(y0)), (-1, ws.J(y0))])),
-                       (-ws.v(x), y0),
-                       (ws.u(y), combine([(-ws.sig(ws.model.U), ws.G(x0)),
-                                          (1, ws.nUH.contract(x0)), (-1, ws.J(x0))])),
-                       (ws.v(y), x0),
-                       (-2 * (x0.contract(ws.J(y0)) + ws.dsig(x0, y0))
-                        - 2 * ws.dUV * ws.uv_bilinear(x, y), ws.model.U)])
-        return [("", ws.R(x, y, ws.model.V), rhs)]
-
-    reference("EQ-4.8", "any any", eq_4_8)
-
-    def eq_4_9(ws: Workspace, vs) -> list:
-        x, y = vs
-        x0, y0 = ws.hproj(x), ws.hproj(y)
-        rhs = combine([(ws.u(y), x0),
-                       (-ws.v(x), ws.J(y0)),
-                       (ws.v(y), combine([(ws.sig(ws.model.U), ws.G(x0)),
-                                          (1, ws.nUH.contract(x0)), (-1, ws.J(x0))])),
-                       (-x0.contract(y0) - 2 * ws.dUV * ws.v(x) * ws.v(y), ws.model.U),
-                       (ws.dsig(y0, x0) - ws.J(x0).contract(y0)
-                        - 2 * ws.dUV * ws.v(x) * ws.u(y), ws.model.V)])
-        return [("", ws.R(x, ws.model.U, y), rhs)]
-
-    reference("EQ-4.9", "any any", eq_4_9)
-
-    def eq_4_10(ws: Workspace, vs) -> list:
-        x, y = vs
-        x0, y0 = ws.hproj(x), ws.hproj(y)
-        rhs = combine([(ws.u(x), ws.J(y0)),
-                       (ws.v(y), x0),
-                       (ws.u(y), combine([(-ws.sig(ws.model.U), ws.H(x0)),
-                                          (1, ws.nVG.contract(x0)), (1, ws.J(x0))])),
-                       (-x0.contract(y0) + 2 * ws.dUV * ws.u(x) * ws.u(y), ws.model.V),
-                       (ws.J(x0).contract(y0) - ws.dsig(y0, x0)
-                        - 2 * ws.dUV * ws.u(x) * ws.v(y), ws.model.U)])
-        return [("", ws.R(x, ws.model.V, y), rhs)]
-
-    reference("EQ-4.10", "any any", eq_4_10)
-
-    # ----- ricci -----
-    reference("EQ-5.1", "hor hor", lambda ws, vs: [
-        ("G", ws.rho_val(ws.G(vs[0]), ws.G(vs[1])), ws.rho_val(vs[0], vs[1])),
-        ("H", ws.rho_val(ws.H(vs[0]), ws.H(vs[1])), ws.rho_val(vs[0], vs[1]))])
-
-    reference("EQ-5.2", "hor hor", lambda ws, vs: [
-        ("G", ws.rho_val(ws.G(vs[0]), vs[1]), -ws.rho_val(vs[0], ws.G(vs[1]))),
-        ("H", ws.rho_val(ws.H(vs[0]), vs[1]), -ws.rho_val(vs[0], ws.H(vs[1])))])
-
-    reference("EQ-5.6", "hor", lambda ws, vs: [
-        ("U", ws.rho_val(vs[0], ws.model.U), ZERO),
-        ("V", ws.rho_val(vs[0], ws.model.V), ZERO)])
-
-    def vertical_ricci_target(ws: Workspace) -> Fraction:
-        return 4 * ws.model.n - 2 * ws.dUV
-
-    reference("EQ-5.7", "", lambda ws, vs: [
-        ("UU", ws.rho_val(ws.model.U, ws.model.U), vertical_ricci_target(ws)),
-        ("VV", ws.rho_val(ws.model.V, ws.model.V), vertical_ricci_target(ws)),
-        ("UV", ws.rho_val(ws.model.U, ws.model.V), ZERO)])
-
-    reference("EQ-5.10", "any", lambda ws, vs: [
-        ("U", ws.rho_val(vs[0], ws.model.U),
-         vertical_ricci_target(ws) * ws.u(vs[0])),
-        ("V", ws.rho_val(vs[0], ws.model.V),
-         vertical_ricci_target(ws) * ws.v(vs[0]))])
-
-    reference("EQ-5.11", "any any", lambda ws, vs: [(
-        "", ws.rho_val(vs[0], vs[1]),
-        ws.rho_val(ws.hproj(vs[0]), ws.hproj(vs[1]))
-        + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
-                                       + ws.v(vs[0]) * ws.v(vs[1])))])
-
-    reference("EQ-5.12", "any any", lambda ws, vs: [
-        ("G", ws.rho_val(vs[0], vs[1]),
-         ws.rho_val(ws.G(vs[0]), ws.G(vs[1]))
-         + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
-                                        + ws.v(vs[0]) * ws.v(vs[1]))),
-        ("H", ws.rho_val(vs[0], vs[1]),
-         ws.rho_val(ws.H(vs[0]), ws.H(vs[1]))
-         + vertical_ricci_target(ws) * (ws.u(vs[0]) * ws.u(vs[1])
-                                        + ws.v(vs[0]) * ws.v(vs[1])))])
-
-    reference("EQ-5.13", "any", lambda ws, vs: [
-        ("G", ws.rho.contract(ws.G(vs[0])), ws.G(ws.rho.contract(vs[0]))),
-        ("H", ws.rho.contract(ws.H(vs[0])), ws.H(ws.rho.contract(vs[0])))])
-
-_references()
-# the identities that were swept frame tuple by frame tuple until the
-# registry held only tables and direct checks
-CONVERTED_IDS = sorted(REFERENCES)
-
-
-def first_failure(identity_id: str, evaluate, points) -> CheckResult:
-    """The first clause that fails at the first (where, vectors) point."""
-    for where, vectors in points:
-        for clause, lhs, rhs in evaluate(vectors):
-            if lhs != rhs:
-                return CheckResult(identity_id, Status.FAIL,
-                                   render_witness(where, clause, lhs, rhs))
-    return CheckResult(identity_id, Status.PASS)
-
-
-def sample_points(ws: Workspace, identity_id: str, slots, samples: int, seed: int):
-    """`samples` tuples of random rational vectors (horizontally projected
-    in `hor` slots), drawn from a stream seeded by `seed` and the id."""
-    rng = random.Random(f"{seed}:{identity_id}")
-    for sample_index in range(samples):
-        vectors = []
-        for kind in slots:
-            vec = random_rational_vector(rng, ws.model.dim)
-            vectors.append(horizontal_projection(ws.model, vec) if kind == "hor" else vec)
-        yield f"sample:{sample_index}", tuple(vectors)
-
-
-def reference_sweep(ws: VectorWorkspace, identity_id: str, samples: int = 0,
-                    seed: int = 0) -> CheckResult:
-    """An identity by its reference evaluator: every frame tuple of its slot
-    ranges in `itertools.product` order, then the random samples."""
-    slots, evaluate = REFERENCES[identity_id]
-    m = ws.model
-    ranges = [m.horizontal_indices if kind == "hor" else range(m.dim) for kind in slots]
-    frame = ((",".join(map(str, idx)) or "-", tuple(ws.basis[i] for i in idx))
-             for idx in product(*ranges))
-    return first_failure(identity_id, lambda vs: evaluate(ws, vs),
-                         chain(frame, sample_points(ws, identity_id, slots, samples, seed)))
-
-
-# The random-sample phase the engine dropped.  Every side is linear in each
-# slot, so once the frame tuples agree no sample can fail; the suite's rows
-# must equal these.
-
-def sampled_tables(ws: Workspace, ident: Identity, samples: int,
-                   seed: int) -> CheckResult:
-    """A table identity by the engine's check, then its tables contracted
-    with the sample tuples."""
-    result = _run_tables(ws, ident)
-    if result.status is Status.FAIL or not ident.slots:
-        return result
-    clauses = clause_tables(ws, ident)
-
-    def evaluate(vectors):
-        return [(name, lhs.contract(*vectors), rhs.contract(*vectors))
-                for name, lhs, rhs in clauses]
-    return first_failure(ident.identity_id, evaluate,
-                         sample_points(ws, ident.identity_id, ident.slots, samples, seed))
-
-
-def sample_pairs(ws: Workspace, samples: int, seed: int) -> list:
-    """The random rational vector pairs of the normality sample phase."""
-    rng = random.Random(f"{seed}:normality")
-    d = ws.model.dim
-    return [(random_rational_vector(rng, d), random_rational_vector(rng, d))
-            for _ in range(samples)]
-
-
-def sampled_korkmaz(ws: VectorWorkspace, samples: int, seed: int) -> CheckResult:
-    """The engine's korkmaz route, then S and T on the horizontal parts of
-    the sample pairs."""
-    route = ws.normality.korkmaz
-    if route.status is Status.FAIL:
-        return route
-    zero = Table.from_values(ws.model.dim, 1, {})
-    for index, (x, y) in enumerate(sample_pairs(ws, samples, seed)):
-        for label, t in (("S", ws.obstruction_S), ("T", ws.obstruction_T)):
-            value = t.contract(ws.hproj(x), ws.hproj(y))
-            if not value.is_zero():
-                return CheckResult("NORM-KORKMAZ", Status.FAIL,
-                                   _vector_witness(label, f"sample={index}", value, zero))
-    return route
-
-
-def sampled_suite_rows(m: ManifoldModel, samples: int, seed: int) -> list[str]:
-    """`run_suite(m)` as TSV rows with the sample phase put back."""
-    ws = VectorWorkspace(m)
-    results = []
-    for ident in REGISTRY:
-        if ident.identity_id == "NORM-KORKMAZ":
-            results.append(sampled_korkmaz(ws, samples, seed))
-        elif ident.direct is not None:
-            results.append(ident.direct(ws))
-        else:
-            results.append(sampled_tables(ws, ident, samples, seed))
-    order = registry_ids("all")
-    results.sort(key=lambda r: order.index(r.check_id))
-    return suite_tsv_rows(SuiteReport(m.name, "all", tuple(results)))
-
-
-# RIEM-SYM and BIANCHI-1 as slot identities: R4 clauses over every frame 4-tuple.
-REFERENCES["RIEM-SYM"] = (("any",) * 4, lambda ws, vs: [
-    ("swap-first-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-     -ws.R4(vs[1], vs[0], vs[2], vs[3])),
-    ("swap-second-pair", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-     -ws.R4(vs[0], vs[1], vs[3], vs[2])),
-    ("pair-exchange", ws.R4(vs[0], vs[1], vs[2], vs[3]),
-     ws.R4(vs[2], vs[3], vs[0], vs[1]))])
-REFERENCES["BIANCHI-1"] = (("any",) * 4, lambda ws, vs: [(
-    "", ws.R4(vs[0], vs[1], vs[2], vs[3])
-    + ws.R4(vs[1], vs[2], vs[0], vs[3])
-    + ws.R4(vs[2], vs[0], vs[1], vs[3]), ZERO)])
-
-
-# EQ-2.20, EQ-2.21 and EQ-4.1 as the per-tuple evaluators the table
-# equations replaced: R4 contracted on the G or H images of each frame tuple.
-HORIZONTAL_REFERENCES = {
-    "EQ-2.20": lambda ws, vs: [(
-        "", ws.R4(ws.G(vs[0]), ws.G(vs[1]), ws.G(vs[2]), ws.G(vs[3])),
-        ws.R4(vs[0], vs[1], vs[2], vs[3])
-        - 2 * ws.J(vs[2]).contract(vs[3]) * ws.dsig(vs[0], vs[1])
-        + 2 * ws.H(vs[0]).contract(vs[1]) * ws.dsig(ws.G(vs[2]), vs[3])
-        + 2 * ws.J(vs[0]).contract(vs[1]) * ws.dsig(vs[2], vs[3])
-        - 2 * ws.H(vs[2]).contract(vs[3]) * ws.dsig(ws.G(vs[0]), vs[1]))],
-    "EQ-2.21": lambda ws, vs: [(
-        "", ws.R4(ws.H(vs[0]), ws.H(vs[1]), ws.H(vs[2]), ws.H(vs[3])),
-        ws.R4(vs[0], vs[1], vs[2], vs[3])
-        - 2 * ws.J(vs[2]).contract(vs[3]) * ws.dsig(vs[0], vs[1])
-        + 2 * ws.G(vs[0]).contract(vs[1]) * ws.dsig(ws.H(vs[2]), vs[3])
-        + 2 * ws.J(vs[0]).contract(vs[1]) * ws.dsig(vs[2], vs[3])
-        - 2 * ws.G(vs[2]).contract(vs[3]) * ws.dsig(ws.H(vs[0]), vs[1]))],
-    "EQ-4.1": lambda ws, vs: [
-        ("G", ws.R4(ws.G(vs[0]), ws.G(vs[1]), ws.G(vs[2]), ws.G(vs[3])),
-         ws.R4(vs[0], vs[1], vs[2], vs[3])),
-        ("H", ws.R4(ws.H(vs[0]), ws.H(vs[1]), ws.H(vs[2]), ws.H(vs[3])),
-         ws.R4(vs[0], vs[1], vs[2], vs[3]))],
-}
-
-
-# The per-vector formulas that the normality tables replaced: nabla A, the
-# torsions, S and T, and the right-hand sides of Prop. 2.1 and Thm. 4.5,
-# each read off the connection by contraction on frame vectors.
-
-def ref_cov(ws: Workspace, a, x, y) -> Table:
-    """(nabla_X A)Y = nabla_X(AY) - A(nabla_X Y)."""
-    return combine([(1, ws.nabla(x, a(y))), (-1, a(ws.nabla(x, y)))])
-
-
-def ref_nijenhuis(ws: Workspace, which: str, x, y) -> Table:
-    a = {"G": ws.G, "H": ws.H}[which]
-
-    def cov(p, q):
-        return ref_cov(ws, a, p, q)
-    return combine([(1, cov(a(x), y)), (-1, cov(a(y), x)), (-1, a(cov(x, y))),
-                    (1, a(cov(y, x)))])
-
-
-def ref_tensor_S(ws: Workspace, x, y) -> Table:
-    m, sig = ws.model, ws.sig
-    G, H = ws.G, ws.H
-    return combine([(1, ref_nijenhuis(ws, "G", x, y)),
-                    (2 * x.contract(G(y)), m.U),
-                    (-2 * x.contract(H(y)), m.V),
-                    (2 * ws.v(y), H(x)), (-2 * ws.v(x), H(y)),
-                    (sig(G(y)), H(x)),
-                    (-sig(G(x)), H(y)),
-                    (sig(x), G(H(y))), (-sig(y), G(H(x)))])
-
-
-def ref_tensor_T(ws: Workspace, x, y) -> Table:
-    m, sig = ws.model, ws.sig
-    G, H = ws.G, ws.H
-    return combine([(1, ref_nijenhuis(ws, "H", x, y)),
-                    (-2 * x.contract(G(y)), m.U),
-                    (2 * x.contract(H(y)), m.V),
-                    (2 * ws.u(y), G(x)), (-2 * ws.u(x), G(y)),
-                    (sig(H(x)), G(y)),
-                    (-sig(H(y)), G(x)),
-                    (sig(x), G(H(y))), (-sig(y), G(H(x)))])
-
-
-def ref_prop21_rhs_G(ws: Workspace, x, y, z) -> Fraction:
-    u, v, J = ws.u, ws.v, ws.J
-    return (ws.sig(x) * ws.H(y).contract(z)
-            + v(x) * ws.dsig(ws.G(z), ws.G(y))
-            - 2 * v(x) * ws.H(ws.G(y)).contract(z)
-            - u(y) * x.contract(z)
-            - v(y) * J(x).contract(z)
-            + u(z) * x.contract(y)
-            + v(z) * J(x).contract(y))
-
-
-def ref_prop21_rhs_H(ws: Workspace, x, y, z) -> Fraction:
-    u, v, J = ws.u, ws.v, ws.J
-    return (-ws.sig(x) * ws.G(y).contract(z)
-            - u(x) * ws.dsig(ws.H(z), ws.H(y))
-            - 2 * u(x) * ws.G(ws.H(y)).contract(z)
-            + u(y) * J(x).contract(z)
-            - v(y) * x.contract(z)
-            - u(z) * J(x).contract(y)
-            + v(z) * x.contract(y))
-
-
-def ref_nabla_U_J_G0(ws: Workspace, y) -> Table:
-    """(nabla_U J) G Y0, with Y0 the horizontal part of Y."""
-    return ref_cov(ws, ws.J, ws.model.U, ws.G(ws.hproj(y)))
-
-
-def ref_dUV(ws: Workspace) -> Fraction:
-    return ws.dsig(ws.model.U, ws.model.V)
-
-
-def ref_thm45_core(ws: Workspace, y) -> Table:
-    return combine([(2, ws.J(ws.hproj(y))), (1, ref_nabla_U_J_G0(ws, y))])
-
-
-def ref_thm45_rhs_G(ws: Workspace, x, y) -> Table:
-    u, v, J, m = ws.u, ws.v, ws.J, ws.model
-    return combine([(ws.sig(x), ws.H(y)),
-                    (-2 * v(x), J(y)),
-                    (-u(y), x),
-                    (-v(y), J(x)),
-                    (v(x), ref_thm45_core(ws, y)),
-                    (x.contract(y), m.U),
-                    (J(x).contract(y), m.V),
-                    (-2 * v(x), ws.vertical_mix(y)),
-                    (-ref_dUV(ws) * v(x), ws.vertical_mix(y))])
-
-
-def ref_thm45_rhs_H(ws: Workspace, x, y) -> Table:
-    u, v, J, m = ws.u, ws.v, ws.J, ws.model
-    return combine([(-ws.sig(x), ws.G(y)),
-                    (2 * u(x), J(y)),
-                    (u(y), J(x)),
-                    (-v(y), x),
-                    (-u(x), ref_thm45_core(ws, y)),
-                    (-J(x).contract(y), m.U),
-                    (x.contract(y), m.V),
-                    (2 * u(x), ws.vertical_mix(y)),
-                    (ref_dUV(ws) * u(x), ws.vertical_mix(y))])
-
-
-def _vector_witness(label, slots, lhs, rhs) -> str:
-    where = slots if isinstance(slots, str) else ",".join(str(s) for s in slots)
-    return (f"{label} slots={where} lhs={format_sparse_vector(lhs)} "
-            f"rhs={format_sparse_vector(rhs)}")
-
-
-def ref_route_korkmaz(ws: Workspace, samples) -> CheckResult:
-    """S and T on every horizontal frame pair, S before T; then S(e_i, U)
-    and T(e_i, V); then the horizontal parts of the sample pairs."""
-    m, b = ws.model, ws.basis
-    zero = Table.from_values(m.dim, 1, {})
-    for i, j in product(m.horizontal_indices, repeat=2):
-        for label, tensor in (("S", ref_tensor_S), ("T", ref_tensor_T)):
-            value = tensor(ws, b[i], b[j])
-            if not value.is_zero():
-                return CheckResult("NORM-KORKMAZ", Status.FAIL,
-                                   _vector_witness(label, (i, j), value, zero))
-    for i in range(m.dim):
-        for label, tensor, w in (("S(.,U)", ref_tensor_S, m.U_index),
-                                 ("T(.,V)", ref_tensor_T, m.V_index)):
-            value = tensor(ws, b[i], b[w])
-            if not value.is_zero():
-                return CheckResult("NORM-KORKMAZ", Status.FAIL,
-                                   _vector_witness(label, (i, w), value, zero))
-    for index, (x, y) in enumerate(samples):
-        for label, tensor in (("S", ref_tensor_S), ("T", ref_tensor_T)):
-            value = tensor(ws, ws.hproj(x), ws.hproj(y))
-            if not value.is_zero():
-                return CheckResult("NORM-KORKMAZ", Status.FAIL,
-                                   _vector_witness(label, f"sample={index}", value, zero))
-    return CheckResult("NORM-KORKMAZ", Status.PASS)
-
-
-def ref_route_prop21(ws: Workspace) -> CheckResult:
-    b = ws.basis
-    for i, j, k in product(range(ws.model.dim), repeat=3):
-        for label, a, rhs in (("G", ws.G, ref_prop21_rhs_G), ("H", ws.H, ref_prop21_rhs_H)):
-            lhs_value = ref_cov(ws, a, b[i], b[j]).contract(b[k])
-            rhs_value = rhs(ws, b[i], b[j], b[k])
-            if lhs_value != rhs_value:
-                return CheckResult("NORM-PROP21", Status.FAIL,
-                                   f"{label} slots={i},{j},{k} lhs={format_scalar(lhs_value)} "
-                                   f"rhs={format_scalar(rhs_value)}")
-    return CheckResult("NORM-PROP21", Status.PASS)
-
-
-def ref_route_thm45(ws: Workspace) -> CheckResult:
-    b = ws.basis
-    for i, j in product(range(ws.model.dim), repeat=2):
-        for label, a, rhs in (("G", ws.G, ref_thm45_rhs_G), ("H", ws.H, ref_thm45_rhs_H)):
-            lhs_value = ref_cov(ws, a, b[i], b[j])
-            rhs_value = rhs(ws, b[i], b[j])
-            if lhs_value != rhs_value:
-                return CheckResult("NORM-THM45", Status.FAIL,
-                                   _vector_witness(label, (i, j), lhs_value, rhs_value))
-    return CheckResult("NORM-THM45", Status.PASS)
-
-
-def ref_check_normality(ws: Workspace, samples: int = 32, seed: int = 0) -> NormalityReport:
-    return NormalityReport(ref_route_korkmaz(ws, sample_pairs(ws, samples, seed)),
-                           ref_route_prop21(ws), ref_route_thm45(ws))
-
-
-# EQ-2.4, EQ-2.5, EQ-2.6, EQ-4.12 and EQ-4.13 as the per-tuple evaluators the
-# table equations replaced, with the literal differences of the printed terms.
-def eq_2_5_misprint(ws: Workspace, x, y, z) -> Fraction:
-    """HG printed where GH belongs in the 2 u(X) term."""
-    return (-2 * ws.u(x) * ws.H(ws.G(y)).contract(z)
-            + 2 * ws.u(x) * ws.G(ws.H(y)).contract(z))
-
-
-def eq_4_12_misprint(ws: Workspace, x, y) -> Table:
-    """The printed sign of the nabla_U J term, and 2 v(X)(u(Y)V - v(Y)U) dropped."""
-    return combine([(-2 * ws.v(x), ref_nabla_U_J_G0(ws, y)),
-                    (2 * ws.v(x), ws.vertical_mix(y))])
-
-
-def eq_4_13_misprint(ws: Workspace, x, y) -> Table:
-    """-2 u(X)(u(Y)V - v(Y)U) dropped."""
-    return combine([(-2 * ws.u(x), ws.vertical_mix(y))])
-
-
-NORMALITY_REFERENCES = {
-    "EQ-2.4": lambda ws, vs: [(
-        "", ref_cov(ws, ws.G, vs[0], vs[1]).contract(vs[2]),
-        ref_prop21_rhs_G(ws, *vs))],
-    "EQ-2.5": lambda ws, vs: [(
-        "", ref_cov(ws, ws.H, vs[0], vs[1]).contract(vs[2]),
-        ref_prop21_rhs_H(ws, *vs) + eq_2_5_misprint(ws, *vs))],
-    "EQ-2.6": lambda ws, vs: [(
-        "", ref_cov(ws, ws.J, vs[0], vs[1]).contract(vs[2]),
-        ws.u(vs[0]) * (ws.dsig(vs[2], ws.G(vs[1]))
-                       - 2 * ws.H(vs[1]).contract(vs[2]))
-        + ws.v(vs[0]) * (ws.dsig(vs[2], ws.H(vs[1]))
-                         + 2 * ws.G(vs[1]).contract(vs[2])))],
-    "EQ-4.12": lambda ws, vs: [(
-        "", ref_cov(ws, ws.G, *vs),
-        combine([(1, ref_thm45_rhs_G(ws, *vs)), (1, eq_4_12_misprint(ws, *vs))]))],
-    "EQ-4.13": lambda ws, vs: [(
-        "", ref_cov(ws, ws.H, *vs),
-        combine([(1, ref_thm45_rhs_H(ws, *vs)), (1, eq_4_13_misprint(ws, *vs))]))],
-}
-NORMALITY_SLOTS = {"EQ-2.4": 3, "EQ-2.5": 3, "EQ-2.6": 3, "EQ-4.12": 2, "EQ-4.13": 2}
-
-
-REFERENCES.update({identity_id: (("hor",) * 4, fn)
-                   for identity_id, fn in HORIZONTAL_REFERENCES.items()})
-REFERENCES.update({identity_id: (("any",) * NORMALITY_SLOTS[identity_id], fn)
-                   for identity_id, fn in NORMALITY_REFERENCES.items()})
 
 
 def registry_identity(identity_id: str) -> Identity:
@@ -987,61 +117,6 @@ def table_result(ws: Workspace, identity_id: str) -> CheckResult:
         return ident.direct(ws)
     assert ident.tables is not None
     return _run_tables(ws, ident)
-
-
-def clause_tables(ws: Workspace, ident: Identity) -> list:
-    """A table identity's clauses with every side a Table: a side (c, t),
-    which the engine compares as c t unbuilt, is built here."""
-    return [(name, *(side if type(side) is Table else combine([side]) for side in sides))
-            for name, *sides in ident.tables(ws)]
-
-
-def dense_pullback(t: Table, endo: Table, slots, keep) -> dict:
-    """Every nonzero entry of the pullback on index tuples in `keep`: the
-    dense 4-fold sum of t over the images of the pulled-back slots."""
-    d = t.dim
-    view = dense_view(t)
-    # each slot's argument as its nonzero (coordinate, coefficient) pairs:
-    # the image of e_i in a pulled-back slot, e_i itself in the others
-    images = [[(p, x) for p, x in enumerate(dense(endo.row(i))) if x] for i in range(d)]
-    frame = [[(p, x) for p, x in enumerate(dense(basis(d, i))) if x] for i in range(d)]
-    out = {}
-    for idx in product(keep, repeat=4):
-        args = [images[i] if s in slots else frame[i] for s, i in enumerate(idx)]
-        total = sum((x * y * z * w * view[a][b][c][e]
-                     for (a, x), (b, y), (c, z), (e, w) in product(*args)), ZERO)
-        if total:
-            out[idx] = total
-    return out
-
-
-def product_order_riemann_symmetry_failure(rt: Table):
-    """The first failing (tuple, clause, R there, the value the clause
-    demands) of every frame 4-tuple in product order, on Fraction values."""
-    r = rt.entry
-    for i, j, k, el in product(range(rt.dim), repeat=4):
-        value = r(i, j, k, el)
-        for clause, demanded in (("swap-first-pair", -r(j, i, k, el)),
-                                 ("swap-second-pair", -r(i, j, el, k)),
-                                 ("pair-exchange", r(k, el, i, j))):
-            if value != demanded:
-                return (i, j, k, el), clause, value, demanded
-    return None
-
-
-def first_bianchi_cyclic_sum(rt: Table, i: int, j: int, k: int, el: int) -> Fraction:
-    """R_ijkl + R_jkil + R_kijl on the Fraction values."""
-    return rt.entry(i, j, k, el) + rt.entry(j, k, i, el) + rt.entry(k, i, j, el)
-
-
-def product_order_first_bianchi_failure(rt: Table):
-    """The first (tuple, "", nonzero cyclic sum, 0) of every frame 4-tuple
-    in product order, on Fraction values."""
-    for where in product(range(rt.dim), repeat=4):
-        total = first_bianchi_cyclic_sum(rt, *where)
-        if total:
-            return where, "", total, ZERO
-    return None
 
 
 def direct_result(ws: Workspace, identity_id: str) -> CheckResult:
@@ -1075,7 +150,7 @@ class TestGeneratedModels:
     def test_bianchi_sweep_matches_dense_sweep(self, geometry):
         m, conn, rt = geometry
         found = second_bianchi_failures(m, conn, rt)
-        assert (found and found[0]) == dense_bianchi_failure(m, conn, rt)
+        assert found == NablaR(conn, rt).failure()
 
     def test_riemann_symmetry_matches_frame_sweep(self, geometry):
         ws = VectorWorkspace(geometry[0])
@@ -1132,8 +207,8 @@ class TestGeneratedModels:
 
     def test_index_sweeps_match_product_order(self, geometry):
         _, _, rt = geometry
-        assert riemann_symmetry_failures(rt) == product_order_riemann_symmetry_failure(rt)
-        assert first_bianchi_failures(rt) == product_order_first_bianchi_failure(rt)
+        assert riemann_symmetry_failures(rt) == entry_failure(riemann_symmetry, rt)
+        assert first_bianchi_failures(rt) == entry_failure(first_bianchi, rt)
 
 
 # ----- mutated models -----
@@ -1182,16 +257,15 @@ class TestMutatedModels:
                                        (4, 5, 4, 5), (5, 4, 0, 1), (3, 1, 2, 0)])
     def test_bumped_curvature_gives_the_same_bianchi_witness(self, heisenberg,
                                                              heis_conn, heis_curv, where):
-        bad = _bumped(heis_curv, pair_partner_bumps(where, Fraction(1)))
-        found, _, value, _ = second_bianchi_failures(heisenberg, heis_conn, bad)
-        assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
-        assert value != 0
-        assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
-        slab = second_bianchi_slab(heis_conn, bad, *found[:3])
-        assert value == slab[found[3:]]
-        for k, el in product(range(heisenberg.dim), repeat=2):
-            assert (slab.get((k, el), ZERO)
-                    == dense_cyclic_sum(heisenberg, heis_conn, bad, *found[:3], k, el)), (k, el)
+        bad = bumped(heis_curv, pair_partner_bumps(where, Fraction(1)))
+        nabla = NablaR(heis_conn, bad)
+        with slab_kernel_calls() as slabs:
+            failure = second_bianchi_failures(heisenberg, heis_conn, bad)
+        assert failure == nabla.failure()
+        assert failure[2] != 0
+        # the witness's slab, the last one built, is the reference slab
+        assert slabs[-1][0] == failure[0][:3]
+        assert_slabs_are_the_reference_slabs(slabs[-1:], heis_conn, bad, nabla)
 
     # Each break adds 1 to R(a, b, c, e) and to signed partner entries, so
     # that every symmetry clause before the named one still holds there.
@@ -1214,37 +288,11 @@ class TestMutatedModels:
         ws.curv = tensor4_from_function(heisenberg.dim, broken)
         result = direct_result(ws, "RIEM-SYM")
         assert result.status is Status.FAIL
-        assert result == reference_sweep(ws, "RIEM-SYM", 32)
-        assert (riemann_symmetry_failures(ws.curv)
-                == product_order_riemann_symmetry_failure(ws.curv))
+        failure = frame_failure(ws, "RIEM-SYM", 32)
+        assert result == reference_row("RIEM-SYM", failure)
+        assert riemann_symmetry_failures(ws.curv) == failure
         if where == (0, 1, 2, 3):
             assert result.witness.startswith(f"slots=0,1,2,3 part={clause} ")
-
-
-# ----- witnesses reached only through a rotation, a partner or an orbit -----
-
-def _bumped(t: Table, bumps: dict[tuple[int, ...], int]) -> Table:
-    """The table, of the same class, with each delta added at its index."""
-    values = dict(t.items())
-    for idx, delta in bumps.items():
-        values[idx] = values.get(idx, ZERO) + delta
-    return type(t).from_values(t.dim, t.rank, values)
-
-
-def pair_partner_bumps(where: tuple[int, ...], delta: Fraction,
-                       exchange: bool = True) -> dict:
-    """delta at R(i, j, k, l) and at its 3 partners under the pair swaps,
-    signed so that R stays antisymmetric in each pair, as the curvature
-    sweeps require; with `exchange`, also at the 4 pair-exchanged tuples,
-    so that a Riemann-symmetric R stays so: RIEM-SYM still holds, BIANCHI-1
-    and BIANCHI-2 need not.  Without it, RIEM-SYM fails at pair-exchange."""
-    i, j, k, el = where
-    bumps: dict = {}
-    for key, sign in (((i, j, k, el), 1), ((j, i, k, el), -1),
-                      ((i, j, el, k), -1), ((j, i, el, k), 1)):
-        for at in (key, key[2:] + key[:2])[:1 + exchange]:
-            bumps[at] = bumps.get(at, ZERO) + sign * delta
-    return bumps
 
 
 class TestCandidateWitnesses:
@@ -1257,14 +305,15 @@ class TestCandidateWitnesses:
         # either bump, with its partners under the pair swaps, first shows
         # at its rotation (1, 2, 4, 3)
         ws = VectorWorkspace(heisenberg)
-        ws.curv = _bumped(heis_curv, pair_partner_bumps(bump, 1, exchange=False))
+        ws.curv = bumped(heis_curv, pair_partner_bumps(bump, 1, exchange=False))
         assert ws.curv.entry(1, 2, 4, 3) == 0
         result = direct_result(ws, "BIANCHI-1")
         assert result.status is Status.FAIL
         assert result.witness == "slots=1,2,4,3 lhs=1 rhs=0"
-        assert result == reference_sweep(ws, "BIANCHI-1", 32)
+        failure = frame_failure(ws, "BIANCHI-1", 32)
+        assert result == reference_row("BIANCHI-1", failure)
         assert first_bianchi_failures(ws.curv) == ((1, 2, 4, 3), "", 1, 0)
-        assert first_bianchi_failures(ws.curv) == product_order_first_bianchi_failure(ws.curv)
+        assert first_bianchi_failures(ws.curv) == failure
 
     @pytest.mark.parametrize("bumps,where,clause", [
         ({(2, 0, 1, 4): 1}, (0, 2, 1, 4), "swap-first-pair"),
@@ -1275,14 +324,14 @@ class TestCandidateWitnesses:
     def test_riemann_symmetry_witness_is_a_partner(self, heisenberg, heis_curv,
                                                    bumps, where, clause):
         ws = VectorWorkspace(heisenberg)
-        ws.curv = _bumped(heis_curv, bumps)
+        ws.curv = bumped(heis_curv, bumps)
         assert ws.curv.entry(*where) == 0
         result = direct_result(ws, "RIEM-SYM")
         slots = ",".join(map(str, where))
         assert result.witness.startswith(f"slots={slots} part={clause} lhs=0 ")
-        assert result == reference_sweep(ws, "RIEM-SYM", 32)
-        assert (riemann_symmetry_failures(ws.curv)
-                == product_order_riemann_symmetry_failure(ws.curv))
+        failure = frame_failure(ws, "RIEM-SYM", 32)
+        assert result == reference_row("RIEM-SYM", failure)
+        assert riemann_symmetry_failures(ws.curv) == failure
 
     # EQ-4.1 on the bundled model, where G and H act on horizontal frame
     # indices as signed permutations.  Each bump is a delta with its
@@ -1301,7 +350,7 @@ class TestCandidateWitnesses:
     def test_pulled_back_curvature_witness(self, heisenberg, heis_curv, bumps, where,
                                            clause, witness):
         ws = VectorWorkspace(heisenberg)
-        ws.curv = _bumped(heis_curv, bumps)
+        ws.curv = bumped(heis_curv, bumps)
         result = table_result(ws, "EQ-4.1")
         assert result.status is Status.FAIL
         assert result.witness == witness
@@ -1323,9 +372,9 @@ class TestCandidateWitnesses:
         m = build_heisenberg()
         if kind == "conn":
             ws = VectorWorkspace(m)
-            ws.conn = _bumped(ws.conn, {idx: 1})
+            ws.conn = bumped(ws.conn, {idx: 1})
             return ws
-        tensors = {"G": m.G, "H": m.H, "J": m.J, kind: _bumped(getattr(m, kind), {idx: 1})}
+        tensors = {"G": m.G, "H": m.H, "J": m.J, kind: bumped(getattr(m, kind), {idx: 1})}
         return VectorWorkspace(ManifoldModel(m.name, m.n, m.constants, **tensors))
 
     @pytest.mark.parametrize("kind,idx,witness", [
@@ -1407,7 +456,7 @@ class TestCandidateWitnesses:
     ], ids=["EQ-2.12", "EQ-5.1", "EQ-3.2-BLOCK", "EQ-4.7", "EQ-4.14"])
     def test_later_clause_witness(self, heisenberg, identity_id, attr, bumps, witness):
         ws = VectorWorkspace(heisenberg)
-        setattr(ws, attr, _bumped(getattr(ws, attr), bumps))
+        setattr(ws, attr, bumped(getattr(ws, attr), bumps))
         result = table_result(ws, identity_id)
         assert result.witness == witness
         assert result == reference_sweep(ws, identity_id, 32)
@@ -1432,7 +481,7 @@ class TestCandidateWitnesses:
         # R(X, U)U bumped at X = V: EQ-4.2 compares it, and EQ-2.12, whose U
         # clause is EQ-4.2's on a `hor` slot, does not
         plain, ws = VectorWorkspace(heisenberg), VectorWorkspace(heisenberg)
-        ws.curv = _bumped(ws.curv, pair_partner_bumps((5, 4, 4, 0), 1, exchange=False))
+        ws.curv = bumped(ws.curv, pair_partner_bumps((5, 4, 4, 0), 1, exchange=False))
         assert table_result(plain, "EQ-4.2").status is Status.PASS
         assert table_result(ws, "EQ-4.2").witness == "slots=5 lhs=1:0 rhs=0"
         assert table_result(ws, "EQ-2.12") == table_result(plain, "EQ-2.12")
@@ -1445,26 +494,13 @@ class TestCandidateWitnesses:
         # the bump at (0, 4, 1, 0), with its pair partners, first breaks the
         # slab (0, 1, 3), and there only through the rotated terms:
         # nabla_0 R(e_1, e_3) is zero at (0, 1)
-        bad = _bumped(heis_curv, pair_partner_bumps((0, 4, 1, 0), 1))
-        found, _, value, _ = second_bianchi_failures(heisenberg, heis_conn, bad)
-        assert found == (0, 1, 3, 0, 1)
-        assert found == dense_bianchi_failure(heisenberg, heis_conn, bad)
-        own: dict = {}
-        add_nabla_r(own, heis_conn, bad, 0, 1, 3)
-        assert not own.get((0, 1))
-        assert value != 0
-        assert value == second_bianchi_cyclic_sum(heis_conn, bad, *found)
-        assert value == dense_cyclic_sum(heisenberg, heis_conn, bad, *found)
-
-
-def dense_second_bianchi(ws: Workspace) -> CheckResult:
-    """The BIANCHI-2 row from the exhaustive dense sweep and sum."""
-    where = dense_bianchi_failure(ws.model, ws.conn, ws.curv)
-    if where is None:
-        return CheckResult("BIANCHI-2", Status.PASS)
-    return CheckResult("BIANCHI-2", Status.FAIL, render_witness(
-        ",".join(map(str, where)), "",
-        dense_cyclic_sum(ws.model, ws.conn, ws.curv, *where), ZERO))
+        bad = bumped(heis_curv, pair_partner_bumps((0, 4, 1, 0), 1))
+        failure = second_bianchi_failures(heisenberg, heis_conn, bad)
+        assert failure[0] == (0, 1, 3, 0, 1)
+        nabla = NablaR(heis_conn, bad)
+        assert failure == nabla.failure()
+        assert not nabla.slab(0, 1, 3).get((0, 1))
+        assert failure[2] != 0
 
 
 class TestRationalBumps:
@@ -1486,13 +522,13 @@ class TestRationalBumps:
                                            r_bump, conn_bump, failing, witness):
         ws = VectorWorkspace(heisenberg)
         if r_bump is not None:
-            ws.curv = _bumped(heis_curv, pair_partner_bumps((0, 1, 0, 5), r_bump, exchange=False))
+            ws.curv = bumped(heis_curv, pair_partner_bumps((0, 1, 0, 5), r_bump, exchange=False))
         if conn_bump is not None:
-            ws.conn = _bumped(heis_conn, {(0, 0, 2): conn_bump})
+            ws.conn = bumped(heis_conn, {(0, 0, 2): conn_bump})
         rows = {i: direct_result(ws, i) for i in ("RIEM-SYM", "BIANCHI-1", "BIANCHI-2")}
-        assert rows["RIEM-SYM"] == reference_sweep(ws, "RIEM-SYM", 32)
-        assert rows["BIANCHI-1"] == reference_sweep(ws, "BIANCHI-1", 32)
-        assert rows["BIANCHI-2"] == dense_second_bianchi(ws)
+        failures = {i: frame_failure(ws, i, 32) for i in ("RIEM-SYM", "BIANCHI-1")}
+        failures["BIANCHI-2"] = NablaR(ws.conn, ws.curv).failure()
+        assert rows == {i: reference_row(i, failure) for i, failure in failures.items()}
         assert rows["BIANCHI-2"].witness == witness
         for identity_id, result in rows.items():
             assert (result.status is Status.FAIL) == (identity_id in failing)
@@ -1500,9 +536,8 @@ class TestRationalBumps:
                 lhs = result.witness.split(" lhs=")[1].split()[0]
                 assert "/" in lhs, result.witness
         if r_bump is not None:
-            assert (riemann_symmetry_failures(ws.curv)
-                    == product_order_riemann_symmetry_failure(ws.curv))
-            assert first_bianchi_failures(ws.curv) == product_order_first_bianchi_failure(ws.curv)
+            assert riemann_symmetry_failures(ws.curv) == failures["RIEM-SYM"]
+            assert first_bianchi_failures(ws.curv) == failures["BIANCHI-1"]
 
 
 # ----- BIANCHI-2 on its antisymmetric quarter -----
@@ -1536,6 +571,16 @@ def slab_kernel_calls():
         curvature._regrouped_slab = kernel
 
 
+def assert_slabs_are_the_reference_slabs(slabs, conn: Table, rt: Table, nabla: NablaR) -> None:
+    """Each (triple, numerators) slab the sweep built is the reference
+    slab's entries k < l."""
+    den = conn.den * rt.den
+    for triple, slab in slabs:
+        assert ({key: Fraction(total, den) for key, total in slab.items() if total}
+                == {key: value for key, value in nabla.cyclic_slab(*triple).items()
+                    if key[0] < key[1]}), triple
+
+
 class TestQuarterSweep:
     """BIANCHI-2 builds only the slabs with s < a < b and the entries with
     k < l, on an R antisymmetric in each pair.  Its result must be the
@@ -1551,17 +596,18 @@ class TestQuarterSweep:
             ws = Workspace(m)
             where, delta = _draw_bump(rng, m.dim, kind)
             if kind == "R":
-                ws.curv = _bumped(ws.curv, pair_partner_bumps(where, delta))
+                ws.curv = bumped(ws.curv, pair_partner_bumps(where, delta))
             else:
-                ws.conn = _bumped(ws.conn, {where: delta})
+                ws.conn = bumped(ws.conn, {where: delta})
             assert riemann_symmetry_failures(ws.curv) is None, where
             found = second_bianchi_failures(m, ws.conn, ws.curv)
             assert found is not None, where
-            assert found[0] == dense_bianchi_failure(m, ws.conn, ws.curv), where
+            failure = NablaR(ws.conn, ws.curv).failure()
+            assert found == failure, where
             with slab_kernel_calls() as calls:
                 result = direct_result(ws, "BIANCHI-2")
             assert calls
-            assert result == dense_second_bianchi(ws), where
+            assert result == reference_row("BIANCHI-2", failure), where
 
     @pytest.mark.parametrize("name", sorted(MODELS))
     def test_broken_pair_symmetry_fails_riem_sym(self, name):
@@ -1572,25 +618,26 @@ class TestQuarterSweep:
         for _ in range(8):
             ws = VectorWorkspace(m)
             where, delta = _draw_bump(rng, m.dim, "single")
-            ws.curv = _bumped(ws.curv, {where: delta})
+            ws.curv = bumped(ws.curv, {where: delta})
             rt = ws.curv
             assert (rt.keyed((1, 0, 2, 3), -1)[0] != rt.entries
                     or rt.keyed((0, 1, 3, 2), -1)[0] != rt.entries), where
             found = riemann_symmetry_failures(rt)
             assert found is not None, where
-            assert found == product_order_riemann_symmetry_failure(rt), where
+            failure = frame_failure(ws, "RIEM-SYM")
+            assert found == failure, where
             result = direct_result(ws, "RIEM-SYM")
             assert result.status is Status.FAIL
-            assert result == reference_sweep(ws, "RIEM-SYM"), where
+            assert result == reference_row("RIEM-SYM", failure), where
 
     def test_quarter_sweep_misses_a_repeated_index_witness(self, heisenberg, heis_curv,
                                                            heis_conn):
         # the precondition: a bump without its partners breaks RIEM-SYM and
         # fails first at a repeated index, a slab the quarter sweep never
         # builds, so the sweep reports another tuple than the dense one
-        bad = _bumped(heis_curv, {(0, 1, 2, 3): Fraction(1, 3)})
+        bad = bumped(heis_curv, {(0, 1, 2, 3): Fraction(1, 3)})
         assert riemann_symmetry_failures(bad) is not None
-        dense = dense_bianchi_failure(heisenberg, heis_conn, bad)
+        dense = NablaR(heis_conn, bad).failure()[0]
         assert dense == (0, 0, 1, 2, 5)
         assert second_bianchi_failures(heisenberg, heis_conn, bad)[0] != dense
 
@@ -1604,9 +651,6 @@ class TestQuarterSweep:
 
 
 # ----- EQ-2.20, EQ-2.21, EQ-4.1 and BIANCHI-1 on the pair-antisymmetric quarter -----
-
-QUARTER_IDS = ("EQ-2.20", "EQ-2.21", "EQ-4.1")
-
 
 def on_quarter(key: tuple[int, ...]) -> bool:
     return key[0] < key[1] and key[2] < key[3]
@@ -1711,8 +755,8 @@ class TestPairQuarter:
         for _ in range(8):
             ws = VectorWorkspace(m)
             where, delta = _draw_bump(rng, m.dim, "R")
-            ws.curv = _bumped(ws.curv, pair_partner_bumps(where, delta))
-            for identity_id in QUARTER_IDS:
+            ws.curv = bumped(ws.curv, pair_partner_bumps(where, delta))
+            for identity_id in sorted(HORIZONTAL_REFERENCES):
                 quarter = takes_the_quarter(ws, identity_id)
                 # two-step's J and G are not skew, so EQ-2.20 and EQ-2.21 build in full
                 assert quarter == (identity_id == "EQ-4.1" or name != "two-step")
@@ -1732,9 +776,9 @@ class TestPairQuarter:
         for _ in range(12):
             ws = VectorWorkspace(m)
             where, delta = _draw_bump(rng, m.dim, "R")
-            ws.curv = _bumped(ws.curv, pair_partner_bumps(where, delta))
+            ws.curv = bumped(ws.curv, pair_partner_bumps(where, delta))
             found = first_bianchi_failures(ws.curv)
-            assert found == product_order_first_bianchi_failure(ws.curv), where
+            assert found == entry_failure(first_bianchi, ws.curv), where
             failing += found is not None
         assert failing
 
@@ -1747,18 +791,13 @@ class TestPairQuarter:
         ws = Workspace(m)
         where, delta = _draw_bump(random.Random(f"slabs:{name}:{kind}"), m.dim, kind)
         if kind == "R":
-            ws.curv = _bumped(ws.curv, pair_partner_bumps(where, delta))
+            ws.curv = bumped(ws.curv, pair_partner_bumps(where, delta))
         else:
-            ws.conn = _bumped(ws.conn, {where: delta})
+            ws.conn = bumped(ws.conn, {where: delta})
         with slab_kernel_calls() as slabs:
             second_bianchi_failures(m, ws.conn, ws.curv)
         assert slabs
-        den = ws.conn.den * ws.curv.den
-        for triple, slab in slabs:
-            reference = second_bianchi_slab(ws.conn, ws.curv, *triple)
-            assert ({key: Fraction(total, den) for key, total in slab.items() if total}
-                    == {key: value for key, value in reference.items()
-                        if value and key[0] < key[1]}), triple
+        assert_slabs_are_the_reference_slabs(slabs, ws.conn, ws.curv, NablaR(ws.conn, ws.curv))
 
 
 # ----- the curvature sweeps on random sparse tensors -----
@@ -1771,11 +810,9 @@ def algebraic_part(dim: int, values: dict) -> dict:
     average over the pair swaps and the pair exchange, minus a third of
     its cyclic sum (which is then alternating)."""
     t = {}
-    for (i, j, k, el), a in values.items():
-        for idx, sign in (((i, j, k, el), 1), ((j, i, k, el), -1),
-                          ((i, j, el, k), -1), ((j, i, el, k), 1)):
-            for key in (idx, idx[2:] + idx[:2]):
-                t[key] = t.get(key, ZERO) + Fraction(sign, 8) * a
+    for idx, a in values.items():
+        for key, b in pair_partner_bumps(idx, a / 8).items():
+            t[key] = t.get(key, ZERO) + b
     r = t.get
     return {(i, j, k, el): r((i, j, k, el), ZERO)
             - (r((i, j, k, el), ZERO) + r((j, k, i, el), ZERO) + r((k, i, j, el), ZERO)) / 3
@@ -1816,28 +853,22 @@ def pair_antisymmetric_part(t: Table) -> Table:
 
 
 def assert_sweeps_match_references(case) -> None:
-    """The three sweeps find the product-order and dense first failures,
-    and the BIANCHI-2 witness value is the dense cyclic sum there.  RIEM-SYM
-    reads the drawn tensor; the Bianchi sweeps, which require R to be
-    antisymmetric in each pair, read its pair-antisymmetric part."""
+    """The three sweeps find the references' first failures, with their
+    values.  RIEM-SYM reads the drawn tensor; the Bianchi sweeps, which
+    require R to be antisymmetric in each pair, read its pair-antisymmetric
+    part."""
     dim, conn, raw, clean = case
     sym = riemann_symmetry_failures(raw)
-    assert sym == product_order_riemann_symmetry_failure(raw)
+    assert sym == entry_failure(riemann_symmetry, raw)
     rt = pair_antisymmetric_part(raw)
     first = first_bianchi_failures(rt)
-    assert first == product_order_first_bianchi_failure(rt)
+    assert first == entry_failure(first_bianchi, rt)
     if clean:
         assert sym is None and first is None
     # the sweeps read only the frame dimension of the model
-    model = SimpleNamespace(dim=dim)
-    failure = second_bianchi_failures(model, conn, rt)
-    assert (failure and failure[0]) == dense_bianchi_failure(model, conn, rt)
-    if failure is not None:
-        found, clause, value, rhs = failure
-        assert (clause, rhs) == ("", 0)
-        assert value != 0
-        assert value == second_bianchi_cyclic_sum(conn, rt, *found)
-        assert value == dense_cyclic_sum(model, conn, rt, *found)
+    failure = second_bianchi_failures(SimpleNamespace(dim=dim), conn, rt)
+    assert failure == NablaR(conn, rt).failure()
+    assert failure is None or failure[2] != 0
 
 
 @given(sparse_curvature())
@@ -1918,7 +949,7 @@ def test_riemann_matches_dense_assembly_on_unsymmetric_inputs(heisenberg, heis_c
     c[(1, 1, 3)] = Fraction(1, 2)
     m = ManifoldModel("hand-built", 1, Table.from_values(6, 3, c),
                       heisenberg.G, heisenberg.H, heisenberg.J)
-    conn = _bumped(heis_conn, {(0, 0, 2): Fraction(1, 5), (3, 1, 1): Fraction(-2, 3),
+    conn = bumped(heis_conn, {(0, 0, 2): Fraction(1, 5), (3, 1, 1): Fraction(-2, 3),
                                (2, 4, 5): Fraction(7), (5, 5, 0): Fraction(1, 2)})
     rt = riemann(m, conn)
     assert rt == dense_riemann(m, conn)
@@ -1950,10 +981,10 @@ def test_bumped_curvature_sweeps_match_product_order(heis_curv, data):
         keys = {*bumps, *((j, i, k, el) for i, j, k, el in bumps)}
         bumps = {(i, j, k, el): (bumps.get((i, j, k, el), ZERO)
                                  - bumps.get((j, i, k, el), ZERO)) / 2 for i, j, k, el in keys}
-    rt = _bumped(heis_curv, bumps)
-    assert riemann_symmetry_failures(rt) == product_order_riemann_symmetry_failure(rt)
+    rt = bumped(heis_curv, bumps)
+    assert riemann_symmetry_failures(rt) == entry_failure(riemann_symmetry, rt)
     if rt.keyed((1, 0, 2, 3), -1)[0] == rt.entries:
-        assert first_bianchi_failures(rt) == product_order_first_bianchi_failure(rt)
+        assert first_bianchi_failures(rt) == entry_failure(first_bianchi, rt)
 
 
 # ----- the table equations on random models and random tables -----
@@ -2000,7 +1031,7 @@ def test_horizontal_tables_match_reference_evaluators(m):
     assert _jacobi_witness(m) is None
     ws = VectorWorkspace(m)
     assert ws.horizontal(ws.dsigma).entry(0, 1) != 0
-    for identity_id, reference in sorted(HORIZONTAL_REFERENCES.items()):
+    for identity_id, evaluate in sorted(HORIZONTAL_REFERENCES.items()):
         clauses = clause_tables(ws, registry_identity(identity_id))
         quarter = takes_the_quarter(ws, identity_id)
         for idx in product(m.horizontal_indices, repeat=4):
@@ -2008,7 +1039,7 @@ def test_horizontal_tables_match_reference_evaluators(m):
                 assert all(idx not in lhs.entries and idx not in rhs.entries
                            for _, lhs, rhs in clauses), (identity_id, idx)
                 continue
-            expected = reference(ws, tuple(ws.basis[i] for i in idx))
+            expected = evaluate(ws, tuple(ws.basis[i] for i in idx))
             assert [(name, lhs.entry(*idx), rhs.entry(*idx))
                     for name, lhs, rhs in clauses] == expected, (identity_id, idx)
         assert (table_result(ws, identity_id)
@@ -2023,32 +1054,27 @@ def test_normality_tables_match_reference_formulas(m):
     assert _jacobi_witness(m) is None
     ws = VectorWorkspace(m)
     b, d = ws.basis, m.dim
-    vectors = {"nabla_G": lambda x, y: ref_cov(ws, ws.G, x, y),
-               "nabla_H": lambda x, y: ref_cov(ws, ws.H, x, y),
-               "nabla_J": lambda x, y: ref_cov(ws, ws.J, x, y),
-               "torsion_G": lambda x, y: ref_nijenhuis(ws, "G", x, y),
-               "torsion_H": lambda x, y: ref_nijenhuis(ws, "H", x, y),
-               "obstruction_S": lambda x, y: ref_tensor_S(ws, x, y),
-               "obstruction_T": lambda x, y: ref_tensor_T(ws, x, y),
-               "thm45_G": lambda x, y: ref_thm45_rhs_G(ws, x, y),
-               "thm45_H": lambda x, y: ref_thm45_rhs_H(ws, x, y)}
+    vectors = {"nabla_G": lambda x, y: reference.ref_cov(ws, ws.G, x, y),
+               "nabla_H": lambda x, y: reference.ref_cov(ws, ws.H, x, y),
+               "nabla_J": lambda x, y: reference.ref_cov(ws, ws.J, x, y),
+               "torsion_G": lambda x, y: reference.ref_nijenhuis(ws, "G", x, y),
+               "torsion_H": lambda x, y: reference.ref_nijenhuis(ws, "H", x, y),
+               "obstruction_S": lambda x, y: reference.ref_tensor_S(ws, x, y),
+               "obstruction_T": lambda x, y: reference.ref_tensor_T(ws, x, y),
+               "thm45_G": lambda x, y: reference.ref_thm45_rhs_G(ws, x, y),
+               "thm45_H": lambda x, y: reference.ref_thm45_rhs_H(ws, x, y)}
     for i, j in product(range(d), repeat=2):
-        for name, reference in vectors.items():
-            assert getattr(ws, name).row(i, j) == reference(b[i], b[j]), (name, i, j)
+        for name, formula in vectors.items():
+            assert getattr(ws, name).row(i, j) == formula(b[i], b[j]), (name, i, j)
         for k in range(d):
-            assert ws.prop21_G.entry(i, j, k) == ref_prop21_rhs_G(ws, b[i], b[j], b[k])
-            assert ws.prop21_H.entry(i, j, k) == ref_prop21_rhs_H(ws, b[i], b[j], b[k])
+            assert ws.prop21_G.entry(i, j, k) == reference.ref_prop21_rhs_G(ws, b[i], b[j], b[k])
+            assert ws.prop21_H.entry(i, j, k) == reference.ref_prop21_rhs_H(ws, b[i], b[j], b[k])
     for name, a, w in (("nUG", ws.G, m.U), ("nVG", ws.G, m.V), ("nUH", ws.H, m.U),
                        ("nVH", ws.H, m.V), ("nUJ", ws.J, m.U), ("nVJ", ws.J, m.V)):
-        assert all(getattr(ws, name).row(j) == ref_cov(ws, a, w, b[j]) for j in range(d)), name
-    for identity_id, reference in sorted(NORMALITY_REFERENCES.items()):
-        clauses = clause_tables(ws, registry_identity(identity_id))
-        for idx in product(range(d), repeat=NORMALITY_SLOTS[identity_id]):
-            side = (Table.entry if len(idx) == 3 else Table.row)
-            assert ([(name, side(lhs, *idx), side(rhs, *idx)) for name, lhs, rhs in clauses]
-                    == reference(ws, tuple(b[i] for i in idx))), (identity_id, idx)
-        assert (table_result(ws, identity_id)
-                == reference_sweep(ws, identity_id, 2)), identity_id
+        assert all(getattr(ws, name).row(j) == reference.ref_cov(ws, a, w, b[j])
+                   for j in range(d)), name
+    for identity_id in sorted(NORMALITY_REFERENCES):
+        assert_tables_match_reference(ws, identity_id)
     assert check_normality(ws) == ref_check_normality(ws, samples=2)
 
 
@@ -2064,7 +1090,7 @@ def side_values(t: Table, width: int):
 def assert_tables_match_reference(ws: VectorWorkspace, identity_id: str) -> None:
     """Entry by entry, or row by row, on every frame tuple of the slot
     ranges, not only at the witness; then the rows."""
-    slots, reference = REFERENCES[identity_id]
+    slots, evaluate = REFERENCES[identity_id]
     m, ident = ws.model, registry_identity(identity_id)
     if ident.direct is not None:
         assert ident.direct(ws) == reference_sweep(ws, identity_id), identity_id
@@ -2073,7 +1099,7 @@ def assert_tables_match_reference(ws: VectorWorkspace, identity_id: str) -> None
              for name, lhs, rhs in clause_tables(ws, ident)]
     ranges = [m.horizontal_indices if kind == "hor" else range(m.dim) for kind in slots]
     for idx in product(*ranges):
-        expected = reference(ws, tuple(ws.basis[i] for i in idx))
+        expected = evaluate(ws, tuple(ws.basis[i] for i in idx))
         assert [(name, lhs(idx), rhs(idx)) for name, lhs, rhs in sides] == expected, (
             identity_id, idx)
     assert table_result(ws, identity_id) == reference_sweep(ws, identity_id, 2), identity_id
@@ -2147,7 +1173,7 @@ def test_identities_run_without_contractions(monkeypatch):
         return original(self, *vectors)
 
     monkeypatch.setattr(Table, "contract", counted)
-    module = globals()
+    module = vars(reference)
     for name in [name for name in module if name.startswith("ref_")]:
         monkeypatch.setitem(module, name, lambda *args, _name=name: calls.append(_name))
     frozen = {row.split("\t")[0]: row for row in
@@ -2214,11 +1240,11 @@ def test_curvature_sweeps_run_without_fraction_arithmetic(build):
         assert first_bianchi_failures(rt) is None
         assert second_bianchi_failures(m, conn, rt) is None
     assert (counts["mul"], counts["add"]) == (0, 0)
-    # the counters do see the Fraction routes of the reference witness
-    # values: nabla R products, and the cyclic sum's additions
+    # the counters do see the Fraction routes of the references: nabla R
+    # products, and the cyclic sums' additions
     with fraction_op_counts() as counts:
-        assert second_bianchi_cyclic_sum(conn, rt, 0, 1, 2, 0, 1) == 0
-        assert first_bianchi_cyclic_sum(rt, 0, 1, 2, 3) == 0
+        assert NablaR(conn, rt).failure() is None
+        assert first_bianchi(rt.entry, 0, 1, 2, 3) == [("", 0, 0)]
     assert counts["mul"] > 0 and counts["add"] > 0
 
 
@@ -2288,15 +1314,16 @@ def workspace():
 def test_contract_matches_dense_sum(x, y, z, w):
     t = tensor4_from_function(6, lambda i, j, k, el: Fraction((i - j) * (k - el), el + 1)
                               if (i + k) % 3 else ZERO)
-    assert t.contract(x, y, z, w) == dense_contract(t, x, y, z, w)
+    assert t.contract(x, y, z, w) == dense_contract(dict(t.items()), 6, 4, (x, y, z, w))
 
 
 @given(vectors6, vectors6, vectors6, vectors6)
 @settings(max_examples=25, deadline=None)
 def test_workspace_contractions_match_dense_sums(workspace, x, y, z, w):
     r = workspace.curv
-    assert workspace.R4(x, y, z, w) == dense_contract(r, x, y, z, w)
-    assert workspace.R(x, y, z) == dense_contract3(r, x, y, z)
+    values = dict(r.items())
+    assert workspace.R4(x, y, z, w) == dense_contract(values, 6, 4, (x, y, z, w))
+    assert workspace.R(x, y, z) == dense_contract(values, 6, 4, (x, y, z))
 
 
 # ----- linearity: why the frame sweep decides an identity -----
