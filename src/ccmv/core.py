@@ -31,7 +31,6 @@ from fractions import Fraction
 from itertools import product
 from math import gcd, lcm
 from operator import attrgetter, contains, itemgetter
-from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Scalar = Fraction
@@ -425,35 +424,25 @@ class Table(Record):
         ...) * other(k, ...): `combine` of the product term (1, (self, other))."""
         return combine([(1, (self, other))])
 
-    def keyed(self, order: Sequence[int] | None = None,
-              sign: int = 1) -> tuple[Mapping[tuple[int, ...], int], int]:
-        """The numerators times `sign`, as an unsorted map from index tuple,
-        and den; with `order`, those of `permute(order)`, in one pass over
-        the stored entries.  With neither, the map is a read-only view of
-        the table's own, not a copy."""
-        if order is not None and sorted(order) != list(range(self.rank)):
-            raise ValueError(f"{tuple(order)} is not an order of {self.rank} slots")
-        if order is None or self.rank == 1:
-            if sign == 1:
-                return MappingProxyType(self.entries), self.den
-            return {key: sign * a for key, a in self.entries.items()}, self.den
-        # slot s of a stored key moves to slot order[s]
-        move = itemgetter(*sorted(range(self.rank), key=order.__getitem__))
-        return {move(key): sign * a for key, a in self.entries.items()}, self.den
-
     def permute(self, order: Sequence[int]) -> Table:
         """The Table whose entry at (i_0, ..., i_r-1) is this table's entry
         at (i_order[0], ..., i_order[r-1]), canonical as it is: order (1, 0, 2)
         swaps the first two slots of a rank-3 table, (1, 0) transposes a map."""
         if self.rank == 2 and order == (1, 0):
             return self._transpose
-        values, den = self.keyed(order)
-        return self if self.rank == 1 else Table(self.dim, self.rank, values, den)
+        if sorted(order) != list(range(self.rank)):
+            raise ValueError(f"{tuple(order)} is not an order of {self.rank} slots")
+        if self.rank == 1:
+            return self
+        # slot s of a stored key moves to slot order[s]
+        move = itemgetter(*sorted(range(self.rank), key=order.__getitem__))
+        return Table(self.dim, self.rank, {move(key): a for key, a in self.entries.items()},
+                     self.den)
 
     @cached_property
     def _transpose(self) -> Table:
         """A rank-2 table's transpose, built once per table."""
-        return Table(self.dim, 2, *self.keyed((1, 0)))
+        return Table(self.dim, 2, {(j, i): a for (i, j), a in self.entries.items()}, self.den)
 
     @staticmethod
     def identity(dim: int) -> Table:
@@ -485,7 +474,7 @@ def combine(terms: Iterable[Term], keep: range | None = None,
     dens in one loop, summed and reduced once.  A product term's numerators
     are multiplied straight into the sum, so a ⊗ b is never built.  With
     `keep`, the sum is `restrict(keep, width)` of the whole one, in the
-    same table: a product term skips its head entries outside `keep`."""
+    same table."""
     terms = list(terms)
     if not terms:
         raise ValueError("combine needs at least one term")
@@ -534,9 +523,6 @@ def _fold(dim: int, rank: int, terms: Iterable[Term], entries: Mapping, base: in
         a, b = t[0], t[1]
         at = t[2] if len(t) == 3 else 0
         heads, tails = a.entries.items(), b.entries.items()
-        if keep is not None and width > at:
-            # a's slots are at, at + 1, ... of the key
-            heads = _within(heads, keep, min(width - at, a.rank)).items()
         if at:
             tails = [(tail[:at], tail[at:], y) for tail, y in tails]
             for head, x in heads:
@@ -559,66 +545,51 @@ def _fold(dim: int, rank: int, terms: Iterable[Term], entries: Mapping, base: in
 Failure = tuple[tuple[int, ...], object, object, object]
 
 
-def first_failure(clauses: list[tuple[object, tuple, tuple]],
+def first_failure(clauses: list[tuple[str, Table | tuple, Table | tuple]],
                   width: int, keep: range | None = None) -> Failure | None:
     """First frame tuple, the first `width` indices of a key, where some
     clause's sides differ, in `itertools.product` order: (frame tuple,
-    first clause differing there, both sides at its first differing key
-    there), or None.  A clause is a label and two sides, each an int
-    numerator map, unsorted and not necessarily reduced, an int p and a
-    positive int q: the side's values are p a / q, so a scaled side needs
-    no scaled copy.  Only the keys of either side are compared, by
-    cross-multiplied numerators, and no Fraction is built before the
-    reduced witness.  With `keep`, a key is compared only when every index
-    of its frame tuple lies in `keep`: a side may hold other keys, and they
-    never fail.  A clause's keys are read in sorted order, up to its least
-    failing key."""
+    first clause differing there, both sides there), or None.  A clause is
+    a label and two sides of one rank, each a Table t or a term (c, t)
+    compared as c * t, so a negated or scaled side needs no scaled copy.
+    Only the keys of either side are compared, by cross-multiplied
+    numerators, and no Fraction is built before the reduced witness.  With
+    `keep`, a key is compared only when every index of its frame tuple lies
+    in `keep`: a side may hold other keys, and they never fail.  A clause's
+    keys are read in sorted order, up to its least failing key.  The
+    witness is both values at that key, or, when `width` is one less than
+    the rank, both rows, the vectors of the last slot: a clause differs at
+    a frame tuple when its rows do, and the first clause wins there even if
+    a later one differs at a smaller last index."""
     firsts = []
-    for c, (_, (left, pl, ql), (right, pr, qr)) in enumerate(clauses):
+    for c, (_, lhs, rhs) in enumerate(clauses):
         # a key fails where left * pl / ql != right * pr / qr
+        left, pl, ql = (lhs.entries, 1, lhs.den) if type(lhs) is Table else _term(lhs)
+        right, pr, qr = (rhs.entries, 1, rhs.den) if type(rhs) is Table else _term(rhs)
         wl, wr = pl * qr, pr * ql
         if wl == wr and left == right or wl != wr and left.keys() == right.keys() and all(
                 a * wl == right[key] * wr for key, a in left.items()):
             continue
         for key in sorted(left.keys() | right.keys()):
-            if (left.get(key, 0) * wl != right.get(key, 0) * wr
-                    and (keep is None or all(map(keep.__contains__, key[:width])))):
-                firsts.append((key[:width], c, key))
+            a, b = left.get(key, 0), right.get(key, 0)
+            if a * wl != b * wr and (keep is None or all(map(keep.__contains__, key[:width]))):
+                # min never reads past c, which is this clause's alone
+                firsts.append((key[:width], c, pl * a, ql, pr * b, qr))
                 break
     if not firsts:
         return None
-    where, c, key = min(firsts)
-    label, (left, pl, ql), (right, pr, qr) = clauses[c]
-    return where, label, Fraction(pl * left.get(key, 0), ql), Fraction(pr * right.get(key, 0), qr)
+    where, c, a, ql, b, qr = min(firsts)
+    label, lhs, rhs = clauses[c]
+    if width == (lhs[1] if type(lhs) is tuple else lhs).rank - 1:
+        return where, label, _row(lhs, where), _row(rhs, where)
+    return where, label, Fraction(a, ql), Fraction(b, qr)
 
 
-def numerators(side: Table | tuple, order: Sequence[int] | None = None) -> tuple:
-    """A side, a Table t or a term (c, t), as `first_failure` reads it: t's
-    numerators keyed by `order` as `keyed` does, c's numerator, and den
-    times c's denominator; the empty map at c = 0."""
-    c, t = side if type(side) is tuple else (1, side)
-    values, den = (t.entries, t.den) if order is None else t.keyed(order)
-    return (values, c.numerator, den * c.denominator) if c else ({}, 0, 1)
-
-
-def first_table_failure(clauses: list[tuple[str, Table | tuple, Table | tuple]],
-                        width: int, keep: range | None = None) -> Failure | None:
-    """`first_failure` of clauses whose sides are Tables of one rank, or
-    terms (c, t) compared as c * t.  With `width` one less than the rank,
-    a clause differs at a frame tuple when its rows, the vectors of the
-    last slot, do: the first clause wins there even if a later one differs
-    at a smaller last index, and the witness is both rows."""
-    failure = first_failure([
-        (c, (lhs.entries, 1, lhs.den) if type(lhs) is Table else numerators(lhs),
-         (rhs.entries, 1, rhs.den) if type(rhs) is Table else numerators(rhs))
-        for c, (_, lhs, rhs) in enumerate(clauses)], width, keep)
-    if failure is None:
-        return None
-    where, c, left, right = failure
-    name, lhs, rhs = clauses[c]
-    if width == (lhs[1] if type(lhs) is tuple else lhs).rank:
-        return where, name, left, right
-    return where, name, _row(lhs, where), _row(rhs, where)
+def _term(side: tuple) -> tuple:
+    """A term (c, t) as `first_failure` reads it: t's numerators, c's
+    numerator, and t's den times c's denominator."""
+    c, t = side
+    return t.entries, c.numerator, t.den * c.denominator
 
 
 def _row(side: Table | tuple, where: tuple[int, ...]) -> Table:
@@ -627,6 +598,17 @@ def _row(side: Table | tuple, where: tuple[int, ...]) -> Table:
     return Table.from_numerators(t.dim, 1, {(k,): c.numerator * a for k in range(t.dim)
                                             if (a := t.entries.get((*where, k)))},
                                  t.den * c.denominator)
+
+
+def least_nonzero(sums: Mapping[tuple[int, ...], int], den: int,
+                  prefix: tuple[int, ...] = ()) -> Failure | None:
+    """The first failure of int sums over `den` compared with zero: (prefix
+    and the least key whose sum is nonzero, "", that sum, 0), or None when
+    every sum is zero, and then no key list is built."""
+    if not any(sums.values()):
+        return None
+    key = min(key for key, a in sums.items() if a)
+    return prefix + key, "", Fraction(sums[key], den), ZERO
 
 
 def format_sparse_vector(x: Table) -> str:

@@ -9,10 +9,11 @@ numerators over one den.
 The three checks of R on arbitrary vector fields (RIEM-SYM, BIANCHI-1,
 BIANCHI-2) run on the int numerators too, and each returns its first
 failure as (index tuple, clause, lhs, rhs).  RIEM-SYM is one loop over R's
-stored entries, each read against its three partners; BIANCHI-1 is a
-clause of `core.first_failure`, its nonzero cyclic sums against the empty
-map.  Each cyclic nabla R term of BIANCHI-2 is a connection numerator times
-an R numerator, over the product of the two dens.
+stored entries, each read against its three partners; BIANCHI-1 and
+BIANCHI-2 report the least key whose int cyclic sum is nonzero
+(`core.least_nonzero`), as the Jacobi check does.  Each cyclic nabla R
+term of BIANCHI-2 is a connection numerator times an R numerator, over
+the product of the two dens.
 
 The sweeps of R below require R to be antisymmetric in each pair.  The R
 of a torsion-free metric connection is (Kobayashi-Nomizu vol. I, ch. III),
@@ -46,7 +47,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .core import ZERO, Failure, Scalar, Table, combine, first_failure
+from .core import Failure, Scalar, Table, combine, least_nonzero
 from .model import ManifoldModel
 
 
@@ -200,11 +201,11 @@ def second_bianchi_failures(m: ManifoldModel, conn: Table, rt: Table) -> Failure
     twist = combine([(1, conn), (-1, conn.permute((1, 0, 2)))])
     for (x, y, p), w in twist.entries.items():
         omega.setdefault((x, y), []).append((p, w * (conn.den // twist.den)))
+    den = conn.den * rt.den
     for triple in combinations(range(m.dim), 3):
-        slab = _regrouped_slab(omega, planes, into, *triple)
-        if any(slab.values()):
-            key = min(key for key, total in slab.items() if total)
-            return (*triple, *key), "", Fraction(slab[key], conn.den * rt.den), ZERO
+        failure = least_nonzero(_regrouped_slab(omega, planes, into, *triple), den, triple)
+        if failure is not None:
+            return failure
     return None
 
 
@@ -214,8 +215,7 @@ def first_bianchi_failures(rt: Table) -> Failure | None:
     nonzero sum R_ijkl + R_jkil + R_kijl; None when there is none.  R must
     be antisymmetric in its first pair (see the module docstring).  The sums
     are of R's numerators, each stored entry added only at the rotation of
-    its first three indices that increases, if one does; the nonzero sums
-    are compared with the empty map, so a passing R sorts nothing."""
+    its first three indices that increases, if one does."""
     total: dict[tuple[int, int, int, int], int] = {}
     get = total.get
     for (i, j, k, el), a in rt.entries.items():
@@ -228,8 +228,7 @@ def first_bianchi_failures(rt: Table) -> Failure | None:
         else:
             continue
         total[key] = get(key, 0) + a
-    total = {key: a for key, a in total.items() if a}
-    return first_failure([("", (total, 1, rt.den), ({}, 1, 1))], 4)
+    return least_nonzero(total, rt.den)
 
 
 def riemann_symmetry_failures(rt: Table) -> Failure | None:

@@ -22,7 +22,7 @@ from .core import (
     combine,
     first_failure,
     format_scalar,
-    numerators,
+    least_nonzero,
     parse_frame_index,
     parse_scalar,
 )
@@ -30,8 +30,7 @@ from .core import (
 
 # Largest accepted `n`.  Tables store nonzero int numerators over one den,
 # and every slotted identity, RIEM-SYM, BIANCHI-1 and the three normality
-# routes compare numerator maps keyed by those stored entries only, their
-# slots permuted where a clause asks.  What still scales with d = 4n + 2
+# routes compare tables at those stored entries only.  What still scales with d = 4n + 2
 # is BIANCHI-2's slabs, the about d**3 / 6 triples s < a < b.  Every kernel
 # runs on ints, whose length grows with the model's denominators, not d.  The cap bounds
 # the size of every table; a suite at n = 13 (d = 54) on the block-diagonal
@@ -108,6 +107,22 @@ class ManifoldModel(Record):
     def HG(self) -> Table:
         return self.H.compose(self.G)
 
+    # the identity map, which is also the metric <X, Y>, and the two vertical
+    # tables, read by the axioms, the normality forms and the registry
+    @cached_property
+    def identity(self) -> Table:
+        return Table.identity(self.dim)
+
+    @cached_property
+    def vertical_square(self) -> Table:
+        """u(X) u(Y) + v(X) v(Y)."""
+        return combine([(1, (self.U, self.U)), (1, (self.V, self.V))])
+
+    @cached_property
+    def vertical_mix(self) -> Table:
+        """<u(Y) V - v(Y) U, Z> at (Y, Z)."""
+        return combine([(1, (self.U, self.V)), (-1, (self.V, self.U))])
+
     @cached_property
     def lie_results(self) -> tuple[CheckResult, ...]:
         """LIE-ANTISYM and LIE-JACOBI, run once per model: the gate before
@@ -165,17 +180,17 @@ def _entry_witness(where: tuple[int, ...], clause: str, lhs: Scalar, rhs: Scalar
 def _check_matrices(check_id: str, pairs: list[tuple[str, Table | tuple, Table | tuple]]
                     ) -> CheckResult:
     """The first clause whose sides, Tables or terms (c, t), differ, at its
-    first differing entry in `itertools.product` order.  Rank-2 sides are
-    compared transposed, so that their keys run output index first and the
-    entry reads (k, i)."""
-    failure = None
+    first differing entry in `itertools.product` order.  A failing clause's
+    rank-2 sides are compared again transposed, so that their keys run
+    output index first and the entry reads (k, i)."""
     for clause, lhs, rhs in pairs:
         rank = (rhs[1] if type(rhs) is tuple else rhs).rank
-        if lhs != rhs and first_failure([(clause, numerators(lhs), numerators(rhs))],
-                                        rank) is not None:
-            order = (1, 0) if rank == 2 else None
-            failure = first_failure([(clause, numerators(lhs, order),
-                                      numerators(rhs, order))], rank)
+        failure = None if lhs == rhs else first_failure([(clause, lhs, rhs)], rank)
+        if failure is not None:
+            if rank == 2:
+                lhs, rhs = [(s[0], s[1].permute((1, 0))) if type(s) is tuple
+                            else s.permute((1, 0)) for s in (lhs, rhs)]
+                failure = first_failure([(clause, lhs, rhs)], 2)
             break
     return check_result(check_id, failure, _entry_witness)
 
@@ -183,15 +198,15 @@ def _check_matrices(check_id: str, pairs: list[tuple[str, Table | tuple, Table |
 def lie_checks(m: ManifoldModel) -> list[CheckResult]:
     """Bracket antisymmetry and the Jacobi identity, exhaustively.
 
-    LIE-ANTISYM compares the numerator maps of c(i, j, k) and -c(j, i, k).
+    LIE-ANTISYM compares c(i, j, k) with -c(j, i, k).
     The Jacobi sum at (i, j, l, k) is
     sum_m c(i, j, m) c(m, l, k) + c(j, l, m) c(m, i, k) + c(l, i, m) c(m, j, k),
     accumulated from products of nonzero brackets only and compared with
-    the empty map.  Each witness is the first failing entry.
+    zero.  Each witness is the first failing entry.
     """
     c = m.constants
     results = [check_result("LIE-ANTISYM", first_failure(
-        [("", numerators(c), numerators((-1, c), (1, 0, 2)))], 3), _entry_witness)]
+        [("", c, (-1, c.permute((1, 0, 2))))], 3), _entry_witness)]
 
     # the sums of products of numerators, over the den squared
     sums: dict[tuple[int, int, int, int], int] = {}
@@ -203,18 +218,16 @@ def lie_checks(m: ManifoldModel) -> list[CheckResult]:
                 term = first * second
                 for key in ((a, b, e, k), (e, a, b, k), (b, e, a, k)):
                     sums[key] = sums.get(key, 0) + term
-    results.append(check_result("LIE-JACOBI", first_failure(
-        [("", (sums, 1, c.den ** 2), ({}, 1, 1))], 4), _entry_witness))
+    results.append(check_result("LIE-JACOBI", least_nonzero(sums, c.den ** 2), _entry_witness))
     return results
 
 
 def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
     """The algebraic axioms on G, H, J, evaluated as exact matrix identities."""
-    G, H, J, U, V = m.G, m.H, m.J, m.U, m.V
-    ident = Table.identity(m.dim)
-    vertical_square = combine([(-1, ident), (1, (U, U)), (1, (V, V))])
+    G, H, J, U, V, ident = m.G, m.H, m.J, m.U, m.V, m.identity
+    vertical_square = m.vertical_square.add([(-1, ident)])
     # HG = -GH = J + u ⊗ V - v ⊗ U, as maps X -> J X + u(X) V - v(X) U
-    hg_target = combine([(1, J), (1, (U, V)), (-1, (V, U))])
+    hg_target = J.add([(1, m.vertical_mix)])
     nothing = Table(m.dim, 1, {})
     return [_check_matrices(check_id, pairs) for check_id, pairs in (
         ("AX-G2", [("", G.compose(G), vertical_square)]),

@@ -17,15 +17,11 @@ e_j, e_k) for A = G, H, J straight from the connection, the Prop. 2.1
 right-hand sides as sums of tensor products of sigma, u and v with the
 structure tensors, and Thm. 4.5's closed forms, the torsions and S and T
 as vector-valued tables whose row (i, j) is the vector at (e_i, e_j).  A
-route compares tables at their stored keys only and reports what a sweep
-of frame tuples in `itertools.product` order would: the first tuple where
-a clause fails, then the first failing clause there.  For vector-valued
-tables the tuple is the key without its last index and a clause fails
-there when its rows differ.  Every quantity is linear in each slot, so a
-route that holds on every frame tuple holds on all vectors, and no route
-evaluates any other vector.  The same comparison, `first_table_failure`,
-decides every table identity of the verify module's registry; it is the
-Table front of `first_failure`, which the model and curvature checks call.
+route compares them by `core.first_failure`, the comparison under every
+check, which reports the first failing frame tuple in `itertools.product`
+order.  Every quantity is linear in each slot, so a route that holds on
+every frame tuple holds on all vectors, and no route evaluates any other
+vector.
 
 The published displays carry sign and term misprints; the identity
 registry in the verify module states each as-printed display (EQ-2.4,
@@ -43,7 +39,7 @@ from .core import (
     Table,
     cached_property,
     combine,
-    first_table_failure,
+    first_failure,
     format_value,
 )
 from .connection import (
@@ -172,17 +168,6 @@ class ConnectionWorkspace:
         return self.sigma, self.model.U, self.model.V
 
     @cached_property
-    def delta(self) -> Table:
-        """The metric <X, Y>."""
-        return Table.identity(self.model.dim)
-
-    @cached_property
-    def vertical_mix_table(self) -> Table:
-        """<u(Y) V - v(Y) U, Z> at (Y, Z)."""
-        _, u, v = self.forms
-        return combine([(1, (u, v)), (-1, (v, u))])
-
-    @cached_property
     def hor(self) -> range:
         """The horizontal frame indices."""
         return self.model.horizontal_indices
@@ -219,15 +204,15 @@ class ConnectionWorkspace:
     def _shared_G(self) -> Table:
         """sigma(X) HY - u(Y) X - v(Y) JX + <X, Y> U + <JX, Y> V."""
         m, (s, u, v) = self.model, self.forms
-        return combine([(1, (s, m.H)), (-1, (u, self.delta, 1)),
-                        (-1, (v, m.J, 1)), (1, (self.delta, u)), (1, (m.J, v))])
+        return combine([(1, (s, m.H)), (-1, (u, m.identity, 1)),
+                        (-1, (v, m.J, 1)), (1, (m.identity, u)), (1, (m.J, v))])
 
     @cached_property
     def _shared_H(self) -> Table:
         """-sigma(X) GY + u(Y) JX - v(Y) X - <JX, Y> U + <X, Y> V."""
         m, (s, u, v) = self.model, self.forms
         return combine([(-1, (s, m.G)), (1, (u, m.J, 1)),
-                        (-1, (v, self.delta, 1)), (-1, (m.J, u)), (1, (self.delta, v))])
+                        (-1, (v, m.identity, 1)), (-1, (m.J, u)), (1, (m.identity, v))])
 
     @cached_property
     def prop21_G(self) -> Table:
@@ -252,7 +237,7 @@ class ConnectionWorkspace:
         in Thm. 4.5's (nabla_X G)Y, and of -u(X) in its (nabla_X H)Y."""
         m = self.model
         return self.nUJ_G0.add([(2, self.horizontal(m.J, 1)), (-2, m.J),
-                                (-(2 + self.dUV), self.vertical_mix_table)])
+                                (-(2 + self.dUV), m.vertical_mix)])
 
     @cached_property
     def thm45_G(self) -> Table:
@@ -319,10 +304,10 @@ def _route_korkmaz(ctx: ConnectionWorkspace) -> CheckResult:
     at each pair; then S(e_i, U) and T(e_i, V) for every frame index i, S
     before T at each i: each compared with 0 times itself, nothing."""
     m, S, T = ctx.model, ctx.obstruction_S, ctx.obstruction_T
-    failure = first_table_failure([("S", S, (0, S)), ("T", T, (0, T))], 2, ctx.hor)
+    failure = first_failure([("S", S, (0, S)), ("T", T, (0, T))], 2, ctx.hor)
     if failure is None:
         s_u, t_v = S.fix(1, m.U_index), T.fix(1, m.V_index)
-        vertical = first_table_failure([("S(.,U)", s_u, (0, s_u)), ("T(.,V)", t_v, (0, t_v))], 1)
+        vertical = first_failure([("S(.,U)", s_u, (0, s_u)), ("T(.,V)", t_v, (0, t_v))], 1)
         if vertical is not None:
             (i,), label, lhs, rhs = vertical
             failure = (i, m.U_index if label == "S(.,U)" else m.V_index), label, lhs, rhs
@@ -339,10 +324,10 @@ def check_normality(ctx: ConnectionWorkspace) -> NormalityReport:
     """
     return NormalityReport(
         korkmaz=_route_korkmaz(ctx),
-        prop21=check_result("NORM-PROP21", first_table_failure(
+        prop21=check_result("NORM-PROP21", first_failure(
             [("G", ctx.nabla_G, ctx.prop21_G), ("H", ctx.nabla_H, ctx.prop21_H)], 3),
             _route_witness),
-        thm45=check_result("NORM-THM45", first_table_failure(
+        thm45=check_result("NORM-THM45", first_failure(
             [("G", ctx.nabla_G, ctx.thm45_G), ("H", ctx.nabla_H, ctx.thm45_H)], 2),
             _route_witness),
     )

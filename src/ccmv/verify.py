@@ -4,20 +4,17 @@ Every registered identity is an independent claim about a model, checked
 exhaustively and exactly; the first inequality is reported as the
 witness.  A registry entry is one of two kinds.
 
-Table identities state each side of each clause as a `Table`, built once
-per `Workspace` from stored nonzeros, with one slot per slot of the
-identity, or one more for a vector-valued side, whose last slot is the
-output vector.  The check (`core.first_table_failure`) reads the stored
-keys of either side only, and of those only the ones horizontal in every
-`hor` slot; it reports what a sweep of every frame tuple in the slot
-ranges would: the first failing frame tuple in `itertools.product`
-order, then the first clause failing there.  For a vector-valued side
-the frame tuple is the key without its last index, and a clause fails
-there when its rows differ.  Each side is linear in each slot, so sides
-that agree on every frame tuple agree on every vector tuple, and no
-vector beyond the frame is evaluated.  A display on horizontal vectors
-is its general form's clauses on `hor` slots.  EQ-2.8 has no slots: its
-sides are single rows, compared at the empty tuple, printed `-`.
+Table identities state each side of each clause as a `Table`, or a term
+(c, t) compared as c t, built once per `Workspace` from stored nonzeros,
+with one slot per slot of the identity, or one more for a vector-valued
+side, whose last slot is the output vector.  `core.first_failure`
+compares them, on the keys horizontal in every `hor` slot, and reports
+what a sweep of every frame tuple in the slot ranges would.  Each side is
+linear in each slot, so sides that agree on every frame tuple agree on
+every vector tuple, and no vector beyond the frame is evaluated.  A
+display on horizontal vectors is its general form's clauses on `hor`
+slots.  EQ-2.8 has no slots: its sides are single rows, compared at the
+empty tuple, printed `-`.
 
 Direct identities report the results of their own checks: the structural
 checks and the normality routes, which compare tables the same way;
@@ -53,7 +50,7 @@ from .core import (
     Table,
     cached_property,
     combine,
-    first_table_failure,
+    first_failure,
     format_value,
     parse_frame_index,
     parse_scalar,
@@ -174,7 +171,7 @@ class Workspace(ConnectionWorkspace):
     @cached_property
     def hor_delta(self) -> Table:
         """X0 at (X, Z)."""
-        return self.horizontal(self.delta, 1)
+        return self.horizontal(self.model.identity, 1)
 
     @cached_property
     def hor_J(self) -> Table:
@@ -208,12 +205,6 @@ class Workspace(ConnectionWorkspace):
         """4n - 2 dsigma(U, V): EQ-5.7's rho(U, U) and rho(V, V)."""
         return 4 * self.model.n - 2 * self.dUV
 
-    @cached_property
-    def vertical_square(self) -> Table:
-        """u(X) u(Y) + v(X) v(Y)."""
-        _, u, v = self.forms
-        return combine([(1, (u, u)), (1, (v, v))])
-
 
 class Identity(Record):
     identity_id: str
@@ -238,7 +229,7 @@ def _slots_witness(where: tuple[int, ...], clause: str, lhs, rhs) -> str:
 def _run_tables(ws: Workspace, ident: Identity) -> CheckResult:
     """A table identity's row; its slots are all `any` or all `hor`."""
     keep = ws.hor if "hor" in ident.slots else None
-    return check_result(ident.identity_id, first_table_failure(
+    return check_result(ident.identity_id, first_failure(
         ws.clauses(ident.tables), len(ident.slots), keep), _slots_witness)
 
 
@@ -325,7 +316,7 @@ def _registry() -> list[Identity]:
         ds_g = ws.dsigma.pullback(m.G, (0, 1), every)
         return [("GH", ds_g, ws.dsigma.pullback(m.H, (0, 1), every)),
                 ("flip", ds_g,
-                 ws.dsigma.permute((1, 0)).add([(2 * ws.dUV, ws.vertical_mix_table)]))]
+                 ws.dsigma.permute((1, 0)).add([(2 * ws.dUV, m.vertical_mix)]))]
     add_tables("EQ-2.9", "contact", "any any", eq_2_9)
 
     # dsigma(U, X) = v(X) dsigma(U, V); dsigma(V, X) = -u(X) dsigma(U, V)
@@ -391,7 +382,7 @@ def _registry() -> list[Identity]:
     #                + dsigma(U, V)(u(X)v(Y) - v(X)u(Y)), and EQ-2.22 on horizontal X, Y
     add_tables("EQ-4.11", "contact", "any any", lambda ws: [
         ("", ws.dsigma, ws.nUJ_G.add([(2, ws.model.J)], ws.hor).add(
-            [(ws.dUV, ws.vertical_mix_table)]))], "EQ-2.22")
+            [(ws.dUV, ws.model.vertical_mix)]))], "EQ-2.22")
 
     # EQ-4.12 and EQ-4.13 as printed: Thm. 4.5's closed forms (the NORM-THM45
     # route) plus the literal difference of the printed terms.  Both sides
@@ -400,13 +391,13 @@ def _registry() -> list[Identity]:
         """The printed sign of the nabla_U J term, and 2 v(X)(u(Y)V - v(Y)U) dropped."""
         _, _, v = ws.forms
         return [("", ws.nabla_G, ws.thm45_G.add([(-2, (v, ws.nUJ_G0)),
-                                                 (2, (v, ws.vertical_mix_table))]))]
+                                                 (2, (v, ws.model.vertical_mix))]))]
     add_tables("EQ-4.12", "contact", "any any", eq_4_12)
 
     def eq_4_13(ws: Workspace) -> list[TableClause]:
         """-2 u(X)(u(Y)V - v(Y)U) dropped."""
         _, u, _ = ws.forms
-        return [("", ws.nabla_H, ws.thm45_H.add([(-2, (u, ws.vertical_mix_table))]))]
+        return [("", ws.nabla_H, ws.thm45_H.add([(-2, (u, ws.model.vertical_mix))]))]
     add_tables("EQ-4.13", "contact", "any any", eq_4_13)
 
     # (nabla_X J)Y = -2 u(X) HY + 2 v(X) GY + u(X)(2 H Y0 + (nabla_U J) Y0)
@@ -456,7 +447,8 @@ def _registry() -> list[Identity]:
             m = ws.model
             factors = [ws.horizontal(ws.dsigma), ws.horizontal(m.J), ws.horizontal(getattr(m, b)),
                        ws.dsigma.pullback(getattr(m, a), (0,), ws.hor)]
-            quarter = all(t.keyed((1, 0), -1)[0] == t.entries for t in factors)
+            quarter = all(t.entries.get((j, i)) == -a
+                          for t in factors for (i, j), a in t.entries.items())
             ds, form_j, form_b, ds_a = [t.quarter if quarter else t for t in factors]
             return [("", ws.curv_side(a, quarter), ws.curv_side("R", quarter).add([
                 (-2, (ds, form_j)), (2, (form_b, ds_a)),
@@ -490,7 +482,7 @@ def _registry() -> list[Identity]:
          ws.R_xVU.add([(2 * ws.dUV, (ws.forms[1], ws.forms[2]))]))], "EQ-2.16")
     add_tables("EQ-4.6", "curvature", "any", lambda ws: [
         ("", ws.curv.fix(0, ws.model.U_index).fix(0, ws.model.V_index),
-         ws.hor_J.add([(2 * ws.dUV, ws.vertical_mix_table)]))], "EQ-2.19")
+         ws.hor_J.add([(2 * ws.dUV, ws.model.vertical_mix)]))], "EQ-2.19")
 
     # EQ-2.13: R(X, Y)U = 2 (<X, JY> + dsigma(X, Y)) V
     def eq_4_7(ws: Workspace) -> list[TableClause]:
@@ -502,7 +494,7 @@ def _registry() -> list[Identity]:
         return [("", ws.curv.fix(2, m.U_index), combine([
             (-1, (u, ws.hor_delta)), (1, (v, at_v)), (1, (u, ws.hor_delta, 1)),
             (1, (v, ws.R_xVU, 1)), (2, (ws.hor_J_dsigma, v)),
-            (2 * ws.dUV, (ws.vertical_mix_table, v))]))]
+            (2 * ws.dUV, (m.vertical_mix, v))]))]
     add_tables("EQ-4.7", "curvature", "any any", eq_4_7, "EQ-2.13")
 
     # EQ-2.14: R(X, Y)V = -2 (<X, JY> + dsigma(X, Y)) U
@@ -515,7 +507,7 @@ def _registry() -> list[Identity]:
         return [("", ws.curv.fix(2, m.V_index), combine([
             (-1, (u, ws.R_xUV)), (-1, (v, ws.hor_delta)), (1, (u, at_u, 1)),
             (1, (v, ws.hor_delta, 1)), (-2, (ws.hor_J_dsigma, u)),
-            (-2 * ws.dUV, (ws.vertical_mix_table, u))]))]
+            (-2 * ws.dUV, (m.vertical_mix, u))]))]
     add_tables("EQ-4.8", "curvature", "any any", eq_4_8, "EQ-2.14")
 
     # EQ-2.17: R(X, U)Y = -<X, Y> U + (dsigma(Y, X) - <JX, Y>) V
@@ -576,10 +568,10 @@ def _registry() -> list[Identity]:
     # rho(X, Y) = rho(X0, Y0) + (4n - 2 dsigma(U, V))(u(X)u(Y) + v(X)v(Y)),
     # and rho(X0, Y0) = rho(AX, AY) for A = G, H
     add_tables("EQ-5.11", "ricci", "any any", lambda ws: [
-        ("", ws.rho, ws.horizontal(ws.rho).add([(ws.ricci_target, ws.vertical_square)]))])
+        ("", ws.rho, ws.horizontal(ws.rho).add([(ws.ricci_target, ws.model.vertical_square)]))])
     add_tables("EQ-5.12", "ricci", "any any", lambda ws: [
         (name, ws.rho, ws.rho.pullback(a, (0, 1), range(ws.model.dim)).add(
-            [(ws.ricci_target, ws.vertical_square)]))
+            [(ws.ricci_target, ws.model.vertical_square)]))
         for name, a in (("G", ws.model.G), ("H", ws.model.H))])
 
     # Q commutes with G and H; rho read as a map is Q

@@ -7,6 +7,10 @@ Each line names a reference and the kernel it checks.
 - `NablaR`, nabla R and its cyclic sums: `curvature.second_bianchi_failures`.
 - `dense_contract`, the sum over every index tuple: `Table.contract`.
 - `dense_pullback`: `Table.pullback` and `curvature.horizontal_curvature`.
+- `dense_sum`, `dense_product`, `dense_permute`, `dense_fix` and
+  `dense_restrict`, on value maps: `add`, `combine` and its product terms,
+  `tensor`, `permute`, `fix` and `restrict` of `Table`.
+- `sorted_first_failure`, every failing key sorted: `core.first_failure`.
 - `riemann_symmetry`, RIEM-SYM's clauses: `curvature.riemann_symmetry_failures`.
 - `first_bianchi`, BIANCHI-1's clause: `curvature.first_bianchi_failures`.
 - `REFERENCES`, per-tuple evaluators: the registry's identities in `verify`.
@@ -202,6 +206,40 @@ def dense_pullback(t: Table, endo: Table, slots, keep) -> dict:
     return out
 
 
+def dense_sum(*terms) -> dict:
+    """The nonzero values of the sum of c * values over the terms (c,
+    values), each values a map from index tuple to value."""
+    total: dict = {}
+    for c, values in terms:
+        for key, x in values.items():
+            total[key] = total.get(key, 0) + c * x
+    return {key: x for key, x in total.items() if x}
+
+
+def dense_product(a: dict, b: dict, at: int = 0) -> dict:
+    """The nonzero a(i...) b(j...), keyed with a's indices at slot `at` of
+    b's: a ⊗ b at 0, and the product term (c, (a, b, at)) of `combine`."""
+    return {y[:at] + x + y[at:]: v * w for x, v in a.items() for y, w in b.items() if v * w}
+
+
+def dense_permute(values: dict, order) -> dict:
+    """The nonzero values of `permute(order)`: the entry at (i_0, ...) is
+    the value at (i_order[0], ...)."""
+    return {tuple(key[list(order).index(s)] for s in range(len(key))): x
+            for key, x in values.items() if x}
+
+
+def dense_fix(values: dict, slot: int, index: int) -> dict:
+    """The nonzero values whose index in `slot` is `index`, that slot dropped."""
+    return {key[:slot] + key[slot + 1:]: x for key, x in values.items()
+            if x and key[slot] == index}
+
+
+def dense_restrict(values: dict, keep, width: int) -> dict:
+    """The nonzero values whose first `width` indices lie in `keep`."""
+    return {key: x for key, x in values.items() if x and all(i in keep for i in key[:width])}
+
+
 # ----- sweeps -----
 
 def first_failing_point(evaluate: Callable, points) -> tuple | None:
@@ -213,6 +251,34 @@ def first_failing_point(evaluate: Callable, points) -> tuple | None:
             if lhs != rhs:
                 return where, clause, lhs, rhs
     return None
+
+
+def sorted_first_failure(clauses, width: int, keep) -> tuple | None:
+    """`core.first_failure` by sorting every failing (frame tuple, clause,
+    key) over every index tuple, each side a Table t or a term (c, t)
+    valued as c t in Fractions: the first, with both rows at its frame
+    tuple when `width` is one less than the rank, else both values there."""
+    def value(side, key):
+        c, t = side if isinstance(side, tuple) else (1, side)
+        return c * Fraction(t.entries.get(key, 0), t.den)
+
+    def table(side) -> Table:
+        return side[1] if isinstance(side, tuple) else side
+
+    failing = sorted((key[:width], c, key)
+                     for c, (_, left, right) in enumerate(clauses)
+                     for key in product(range(table(left).dim), repeat=table(left).rank)
+                     if value(left, key) != value(right, key)
+                     and (keep is None or all(i in keep for i in key[:width])))
+    if not failing:
+        return None
+    where, c, key = failing[0]
+    label, left, right = clauses[c]
+    dim, rank = table(left).dim, table(left).rank
+    if width == rank - 1:
+        return where, label, *(vector([value(side, (*where, k)) for k in range(dim)])
+                               for side in (left, right))
+    return where, label, value(left, key), value(right, key)
 
 
 def riemann_symmetry(r: Callable, x, y, z, w) -> list:

@@ -18,17 +18,24 @@ from ccmv.core import (
     UnprintableValue,
     combine,
     first_failure,
-    first_table_failure,
     format_scalar,
     format_sparse_vector,
     format_value,
-    numerators,
     parse_scalar,
     parse_sparse_vector,
 )
 
 from conftest import basis, cayley_rotation, tensor4_from_function, vector
-from reference import dense_contract, dense_pullback
+from reference import (
+    dense_contract,
+    dense_fix,
+    dense_permute,
+    dense_product,
+    dense_pullback,
+    dense_restrict,
+    dense_sum,
+    sorted_first_failure,
+)
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 vectors6 = st.lists(rationals, min_size=6, max_size=6).map(vector)
@@ -251,12 +258,33 @@ def tables_and_vectors(draw, rank):
     return values, dim, [draw(vectors) for _ in range(filled)]
 
 
+class FixedDraws:
+    """Stands for `st.data()` in an `@example`: `draw` hands out the given
+    values in turn, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = iter(values)
+
+    def draw(self, strategy):
+        return next(self.values)
+
+
 class TestTable:
     @pytest.mark.parametrize("rank", [1, 2, 3, 4])
     @given(data=st.data())
+    @example(data=None)
     @settings(max_examples=40, deadline=None)
     def test_contract_matches_dense_sum(self, rank, data):
-        values, dim, vectors = data.draw(tables_and_vectors(rank))
+        if data is None:
+            # the example: every entry and every coordinate of every vector
+            # nonzero, none of them 1, so each slot's coefficients count
+            dim = 4
+            values = {idx: Fraction(sum(idx) + 1, idx[0] + 2)
+                      for idx in product(range(dim), repeat=rank)}
+            vectors = [vector([Fraction(k + s + 2, s + 1) for k in range(dim)])
+                       for s in range(rank)]
+        else:
+            values, dim, vectors = data.draw(tables_and_vectors(rank))
         table = Table.from_values(dim, rank, values)
         result = table.contract(*vectors)
         assert result == dense_contract(values, dim, rank, vectors)
@@ -300,18 +328,14 @@ class TestTable:
         c = data.draw(st.sampled_from([1, -1, 0, Fraction(2, 3)]))
         ta, tb, tf = (Table.from_values(dim, 2, a), Table.from_values(dim, 2, b),
                       Table.from_values(dim, 1, form))
-        total, swapped = ta.add([(c, tb)]), ta.permute((1, 0))
-        left, right = tf.tensor(ta), ta.tensor(tf)
-        middle = left.permute((1, 0, 2))
-        for i, j in product(range(dim), repeat=2):
-            assert total.entry(i, j) == a.get((i, j), 0) + c * b.get((i, j), 0)
-            assert swapped.entry(i, j) == a.get((j, i), 0)
-            for k in range(dim):
-                f, g = form.get((i,), 0), form.get((j,), 0)
-                assert left.entry(i, j, k) == f * a.get((j, k), 0)
-                assert right.entry(i, j, k) == a.get((i, j), 0) * form.get((k,), 0)
-                assert middle.entry(i, j, k) == g * a.get((i, k), 0)
-        assert all(type(t) is Table for t in (total, swapped, left, right, middle))
+        left = tf.tensor(ta)
+        for result, expected in ((ta.add([(c, tb)]), dense_sum((1, a), (c, b))),
+                                 (ta.permute((1, 0)), dense_permute(a, (1, 0))),
+                                 (left, dense_product(form, a)),
+                                 (ta.tensor(tf), dense_product(a, form)),
+                                 (left.permute((1, 0, 2)), dense_product(form, a, 1))):
+            assert type(result) is Table
+            assert dict(result.items()) == expected
 
     def test_rank_one_tables(self):
         form = Table.from_values(3, 1, {(2,): Fraction(5), (0,): Fraction(-1), (1,): 0})
@@ -424,11 +448,11 @@ class TestTable:
             c = data.draw(prime_ratios)
             if not product:
                 v = values(rank)
-                return (c, Table.from_values(4, rank, v)), {key: c * x for key, x in v.items()}
+                return (c, Table.from_values(4, rank, v)), (c, v)
             head = data.draw(st.integers(1, rank - 1))
             a, b = values(head), values(rank - head)
             return ((c, (Table.from_values(4, head, a), Table.from_values(4, rank - head, b))),
-                    {x + y: c * v * w for x, v in a.items() for y, w in b.items()})
+                    (c, dense_product(a, b)))
 
         first = term(True)
         rest = [term(data.draw(st.booleans())) for _ in range(data.draw(st.integers(0, 4)))]
@@ -436,11 +460,7 @@ class TestTable:
         for result, parts, total in (
                 (combine([t for t, _ in [first, *rest]]), [first, *rest], {}),
                 (Table.from_values(4, rank, start).add([t for t, _ in rest]), rest, start)):
-            expected = dict(total)
-            for _, dense in parts:
-                for key, x in dense.items():
-                    expected[key] = expected.get(key, 0) + x
-            expected = {key: x for key, x in expected.items() if x}
+            expected = dense_sum((1, total), *[dense for _, dense in parts])
             assert dict(result.items()) == expected
             assert result == Table.from_values(4, rank, expected)
             assert gcd(result.den, *result.entries.values()) == 1
@@ -455,7 +475,6 @@ class TestTable:
         of the whole sum, and the dense sum on the tuples whose first `width`
         indices lie in `keep`."""
         rank = data.draw(st.sampled_from([2, 3, 4]))
-        every = list(product(range(4), repeat=rank))
 
         def values(k):
             index = st.tuples(*[st.integers(0, 3)] * k)
@@ -465,15 +484,14 @@ class TestTable:
             c = data.draw(prime_ratios)
             if data.draw(st.booleans()):
                 v = values(rank)
-                return (c, Table.from_values(4, rank, v)), lambda idx: c * v.get(idx, 0)
+                return (c, Table.from_values(4, rank, v)), (c, v)
             head = data.draw(st.integers(1, rank - 1))
             at = data.draw(st.integers(0, rank - head))
             a, b = values(head), values(rank - head)
             factors = (Table.from_values(4, head, a), Table.from_values(4, rank - head, b))
             if at or data.draw(st.booleans()):
                 factors += (at,)
-            return (c, factors), lambda idx: (c * a.get(idx[at:at + head], 0)
-                                              * b.get(idx[:at] + idx[at + head:], 0))
+            return (c, factors), (c, dense_product(a, b, at))
 
         terms = [term() for _ in range(data.draw(st.integers(1, 4)))]
         start = values(rank)
@@ -483,13 +501,11 @@ class TestTable:
         for fold, base in ((combine, {}),
                            (Table.from_values(4, rank, start).add, start)):
             whole = fold([t for t, _ in terms])
-            dense = {idx: base.get(idx, 0) + sum(value(idx) for _, value in terms)
-                     for idx in every}
+            dense = dense_sum((1, base), *[part for _, part in terms])
             assert whole == Table.from_values(4, rank, dense)
             kept = fold([t for t, _ in terms], keep, width)
             assert kept == whole.restrict(keep, width)
-            assert kept == Table.from_values(4, rank, {
-                idx: x for idx, x in dense.items() if all(i in keep for i in idx[:within])})
+            assert kept == Table.from_values(4, rank, dense_restrict(dense, keep, within))
             assert fold([t for t, _ in terms], range(4), width) == whole
             assert gcd(kept.den, *kept.entries.values()) == 1
 
@@ -533,6 +549,15 @@ class TestTable:
         assert Table.from_values(3, 2, {(0, 1): Fraction(2, 3)}).entry(0, 1) == Fraction(2, 3)
 
     @given(data=st.data())
+    # the example: a dense map pulled back in a slot set of size two
+    @example(data=FixedDraws(
+        Table.from_values(4, 3, {idx: Fraction(idx[0] - 2 * idx[1] + idx[2] + 1, idx[2] + 2)
+                                 for idx in product(range(4), repeat=3)}),
+        Table.from_values(4, 3, {(0, 1, 2): Fraction(2, 3), (3, 3, 0): Fraction(-1, 5)}),
+        vector([Fraction(1, 2), 0, 3, Fraction(-2, 7)]),
+        Table.from_values(4, 2, {(i, p): Fraction(i + 2 * p + 1, 3)
+                                 for i, p in product(range(4), repeat=2)}),
+        Fraction(-3, 7), 4, 3, (0, 1), 1, 2, [2, 0, 1]))
     @settings(max_examples=60, deadline=None)
     def test_kernels_match_fraction_references_on_prime_dens(self, data):
         dim, t, other = 4, data.draw(prime_tables(3)), data.draw(prime_tables(3))
@@ -543,31 +568,23 @@ class TestTable:
         slot, index = data.draw(st.integers(0, 2)), data.draw(st.integers(0, dim - 1))
         order = data.draw(st.permutations(range(3)))
         a, b, f = dict(t.items()), dict(other.items()), dict(form.items())
-        total = dict(a)
-        for key, v in b.items():
-            total[key] = total.get(key, 0) + c * v
         cases = [
-            (t.add([(c, other)]), total),
-            (t.tensor(form), {x + y: v * w for x, v in a.items() for y, w in f.items()}),
-            (form.tensor(t), {y + x: w * v for x, v in a.items() for y, w in f.items()}),
-            (t.permute(order), {tuple(key[order.index(s)] for s in range(3)): v
-                                for key, v in a.items()}),
-            (t.fix(slot, index), {key[:slot] + key[slot + 1:]: v for key, v in a.items()
-                                  if key[slot] == index}),
-            (t.restrict(keep, width), {key: v for key, v in a.items()
-                                       if all(i in keep for i in key[:width])}),
+            (t.add([(c, other)]), dense_sum((1, a), (c, b))),
+            (t.tensor(form), dense_product(a, f)),
+            (form.tensor(t), dense_product(f, a)),
+            (t.permute(order), dense_permute(a, order)),
+            (t.fix(slot, index), dense_fix(a, slot, index)),
+            (t.restrict(keep, width), dense_restrict(a, keep, width)),
             (t.pullback(endo, slots, keep), dense_pullback(t, endo, slots, keep)),
         ]
         for result, expected in cases:
-            expected = {key: v for key, v in expected.items() if v}
             assert type(result) is Table
             assert dict(result.items()) == expected
             assert result == Table.from_values(dim, result.rank, expected)
             assert gcd(result.den, *(x for _, x in result.numerators())) == 1
-        # the unsorted numerator map of the permuted table, times a sign
-        permuted, den = t.keyed(order, -1)
-        assert {key: Fraction(-x, den) for key, x in permuted.items()} == dict(
-            t.permute(order).items())
+        # the permuted table, negated as a term, compares as its negated values
+        negated = Table.from_values(dim, 3, dense_sum((-1, dense_permute(a, order))))
+        assert first_failure([("", (-1, t.permute(order)), negated)], 3) is None
 
     @pytest.mark.parametrize("rank", [2, 3, 4])
     @given(data=st.data())
@@ -603,28 +620,18 @@ class TestTable:
                 expected = grouped([(key[width:], a) for key, a in ordered
                                     if key[:width] == prefix], rank - width)
                 assert by_index(table.sub(*prefix)) == expected
-        # what keyed() hands out cannot change the table: its own map is a
-        # read-only view, and a signed or permuted map is a copy
-        view, _ = table.keyed()
-        with pytest.raises(TypeError):
-            view[(0,) * rank] = 7
-        for order, sign in ((None, -1), (tuple(reversed(range(rank))), 1)):
-            copy, _ = table.keyed(order, sign)
-            copy[(0,) * rank] = 7
-            copy.pop(ordered[0][0] if ordered else (0,) * rank, None)
-        assert table.entries == dict(ordered) and table == Table.from_values(dim, rank, values)
         slot, index = data.draw(st.integers(0, rank - 1)), data.draw(st.integers(0, dim - 1))
-        assert table.fix(slot, index) == Table.from_values(dim, rank - 1, {
-            key[:slot] + key[slot + 1:]: a for key, a in stored.items() if key[slot] == index})
+        assert table.fix(slot, index) == Table.from_values(dim, rank - 1,
+                                                           dense_fix(stored, slot, index))
         keep, width = range(data.draw(st.integers(0, dim))), data.draw(st.integers(0, rank))
-        assert table.restrict(keep, width) == Table.from_values(dim, rank, {
-            key: a for key, a in stored.items() if all(i in keep for i in key[:width])})
+        assert table.restrict(keep, width) == Table.from_values(
+            dim, rank, dense_restrict(stored, keep, width))
         assert table.restrict(keep) == table.restrict(keep, rank)
         form = Table.from_values(dim, 1, {(i,): c for i, c in enumerate(data.draw(st.lists(
             sparse_rationals, min_size=dim, max_size=dim))) if c})
         for left, right in ((table, form), (form, table)):
-            assert left.tensor(right) == Table.from_values(dim, rank + 1, {
-                head + tail: x * y for head, x in left.items() for tail, y in right.items()})
+            assert left.tensor(right) == Table.from_values(
+                dim, rank + 1, dense_product(dict(left.items()), dict(right.items())))
 
     def test_fix_reads_one_slot(self):
         table = Table.from_values(3, 3, {(0, 1, 2): Fraction(1), (2, 1, 0): Fraction(-2),
@@ -644,7 +651,7 @@ class TestTable:
         with pytest.raises(ValueError, match="is not an order"):
             table.permute((0, 0))
         with pytest.raises(ValueError, match="is not an order"):
-            table.keyed((1,))
+            table.permute((1,))
 
 
 class TestSparseVectorText:
@@ -737,35 +744,15 @@ def test_status_renders_as_value():
     assert str(Status.FAIL) == "FAIL"
 
 
-def sorted_first_failure(clauses, width, keep):
-    """The reference of `first_failure`: every failing (frame tuple, clause,
-    key), sorted, the first taken, compared as Fractions."""
-    def value(side, key):
-        values, p, q = side
-        return Fraction(p * values.get(key, 0), q)
-
-    failing = sorted((key[:width], c, key)
-                     for c, (_, left, right) in enumerate(clauses)
-                     for key in set(left[0]) | set(right[0])
-                     if value(left, key) != value(right, key)
-                     and (keep is None or all(i in keep for i in key[:width])))
-    if not failing:
-        return None
-    where, c, key = failing[0]
-    label, left, right = clauses[c]
-    return where, label, value(left, key), value(right, key)
-
-
 @st.composite
 def failure_clauses(draw):
-    """(clauses, width, keep, tie): one to three clauses of rank-k numerator
-    maps over dim 3, each side scaled by its own factor so that its den and
-    numerators are unreduced and the two dens differ, and written with p =
-    1 or -1, a few entries of the right side bumped, explicit zeros kept;
-    `width` up to the rank and `keep` a range or None.  In a tie the sides
-    agree except at two forced keys of one frame tuple, returned last (else
-    None): the first clause differs there at a larger last index than the
-    last clause."""
+    """(clauses, width, keep, tie): one to three clauses of rank-k sides over
+    dim 3, each a term (1/k or -1/k, t) with t built as given, unreduced and
+    with explicit zeros kept, and t's den times k different on the two
+    sides; a few entries of the right side bumped; `width` up to the rank
+    and `keep` a range or None.  In a tie the sides agree except at two
+    forced keys of one frame tuple, returned last (else None): the first
+    clause differs there at a larger last index than the last clause."""
     rank = draw(st.integers(2, 4))
     width = draw(st.integers(1, rank))
     index = st.tuples(*[st.integers(0, 2)] * rank)
@@ -780,15 +767,20 @@ def failure_clauses(draw):
             bumped.update(draw(st.dictionaries(index, st.integers(-3, 3), max_size=3)))
         kl, kr = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2, unique=True))
         pl, pr = draw(st.sampled_from([1, -1])), draw(st.sampled_from([1, -1]))
-        clauses.append((f"c{c}", ({key: pl * kl * a for key, a in base.items()}, pl, kl * den),
-                        ({key: pr * kr * a for key, a in bumped.items()}, pr, kr * den)))
+        # each term's value, p / k times p k a / den, is a / den
+        clauses.append((f"c{c}", den, *(
+            (Fraction(p, k), {key: p * k * a for key, a in values.items()})
+            for p, k, values in ((pl, kl, base), (pr, kr, bumped)))))
     if tie:
         small = draw(st.integers(0, 1))
         for c, last in ((0, 2), (len(clauses) - 1, small)):
             key = where + (0,) * (rank - width - 1) + (last,)
-            left, p, q = clauses[c][1]
-            left[key] = left.get(key, 0) + p * q
+            _, den, (scale, left), _ = clauses[c]
+            # the left side's value there goes up by 1
+            left[key] = left.get(key, 0) + scale.numerator * scale.denominator * den
     keep = draw(st.one_of(st.none(), st.builds(range, st.integers(0, 2), st.integers(1, 3))))
+    clauses = [(label, *((scale, Table(3, rank, values, den)) for scale, values in sides))
+               for label, den, *sides in clauses]
     return clauses, width, keep, where if tie else None
 
 
@@ -815,25 +807,20 @@ def scaled_table_clauses(draw):
             sides.reverse()
         clauses.append((f"c{c}", *sides))
     keep = draw(st.none() | st.builds(range, st.integers(0, 1), st.integers(1, 3)))
-    return clauses, draw(st.integers(max(rank - 1, 1), rank)), keep
+    return clauses, draw(st.integers(rank - 1, rank)), keep
 
 
 @given(scaled_table_clauses())
 @settings(max_examples=200, deadline=None)
 def test_scaled_sides_match_the_materialized_tables(case):
-    """A side (c, t) compares, fails and renders as the Table c t: in
-    `first_table_failure`, with rows as witnesses when `width` is one less
-    than the rank, and in `first_failure` on the numerator sides."""
+    """A side (c, t) compares, fails and renders as the Table c t, with rows
+    as witnesses when `width` is one less than the rank."""
     clauses, width, keep = case
     built = [(name, *(side if isinstance(side, Table) else combine([side]) for side in sides))
              for name, *sides in clauses]
-    expected = first_table_failure(built, width, keep)
-    assert first_table_failure(clauses, width, keep) == expected
-    if width == built[0][1].rank:
-        assert first_failure([(name, numerators(lhs), numerators(rhs))
-                              for name, lhs, rhs in clauses], width, keep) == expected
-        assert sorted_first_failure([(name, (lhs.entries, 1, lhs.den), (rhs.entries, 1, rhs.den))
-                                     for name, lhs, rhs in built], width, keep) == expected
+    expected = sorted_first_failure(built, width, keep)
+    assert first_failure(built, width, keep) == expected
+    assert first_failure(clauses, width, keep) == expected
 
 
 @given(failure_clauses())

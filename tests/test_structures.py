@@ -8,8 +8,8 @@ from itertools import product
 import pytest
 
 from ccmv.connection import levi_civita
-from ccmv.core import Status, Table, combine
-from ccmv.structures import ConnectionWorkspace, check_normality, first_table_failure
+from ccmv.core import Status, Table, combine, first_failure
+from ccmv.structures import ConnectionWorkspace, check_normality
 from ccmv.verify import Workspace
 from conftest import (
     horizontal_projection,
@@ -147,17 +147,17 @@ class TestNormalityRoutes:
         assert report.thm45.witness == "G slots=0,0 lhs=0 rhs=1:4"
 
 
-class TestFirstTableFailure:
+class TestFirstFailure:
     def test_map_side_prints_its_own_entries(self, heisenberg):
         # the witness values are the entries at the failing key, input
         # index first, as for every table
         g = heisenberg.G
         bumped = Table.from_values(6, 2, {**dict(g.items()), (0, 1): 5})
         assert g.entry(0, 1) == 0 and g.entry(0, 2) == -1 and bumped.entry(0, 1) == 5
-        assert first_table_failure([("", g, bumped)], 2) == ((0, 1), "", 0, 5)
-        assert first_table_failure([("", bumped, g)], 2) == ((0, 1), "", 5, 0)
+        assert first_failure([("", g, bumped)], 2) == ((0, 1), "", 0, 5)
+        assert first_failure([("", bumped, g)], 2) == ((0, 1), "", 5, 0)
         # the same clause as rows: the vectors G e_0 and G2 e_0
-        assert first_table_failure([("", g, bumped)], 1) == (
+        assert first_failure([("", g, bumped)], 1) == (
             (0,), "", g.row(0), vector([0, 5, -1, 0, 0, 0]))
         # over den 6, row 0 of each side holds numerators with a common
         # factor of its own, so each witness row is reduced further, as
@@ -167,7 +167,7 @@ class TestFirstTableFailure:
         moved = Table.from_values(6, 2, {(0, 1): Fraction(1, 3), (1, 0): Fraction(1, 2)})
         assert (sixths.den, moved.den, sixths.row(0).den, moved.row(0).den) == (6, 6, 3, 3)
         for lhs, rhs in ((g, bumped), (sixths, moved), (moved, sixths)):
-            where, _, left, right = first_table_failure([("", lhs, rhs)], 1)
+            where, _, left, right = first_failure([("", lhs, rhs)], 1)
             assert (left, right) == (lhs.row(*where), rhs.row(*where)) and where == (0,)
 
 

@@ -2,17 +2,51 @@
 from __future__ import annotations
 
 import importlib.util
+import shutil
+import sys
 from pathlib import Path
 
-PAIRED_AB = Path(__file__).resolve().parent.parent / "tools" / "paired_ab.py"
+ROOT = Path(__file__).resolve().parent.parent
+PAIRED_AB = ROOT / "tools" / "paired_ab.py"
 
 
-def test_paired_ab_rejects_a_base_without_the_package(tmp_path, capsys):
+def load_paired_ab():
     spec = importlib.util.spec_from_file_location("paired_ab", PAIRED_AB)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_paired_ab_rejects_a_base_without_the_package(tmp_path, capsys):
+    module = load_paired_ab()
     missing = tmp_path / "nonexistent"
     assert module.main([str(missing)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err == f"paired_ab: {missing} has no src/ccmv to compare against\n"
+
+
+def test_paired_ab_stops_when_the_trees_render_a_row_differently(tmp_path, capsys,
+                                                                   monkeypatch):
+    # a base tree whose verify TSV prints `-` for an empty witness field:
+    # the first pair of the first workload differs, and nothing is timed
+    shutil.copytree(ROOT / "src" / "ccmv", tmp_path / "src" / "ccmv",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    verify = tmp_path / "src" / "ccmv" / "verify.py"
+    source = verify.read_text()
+    field = "{r.witness or ''}"
+    assert source.count(field) == 1
+    verify.write_text(source.replace(field, "{r.witness or '-'}"))
+    # main puts the trees and bench/ on the path and imports both copies
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
+    for name in ("ccmv_base", "ccmv_change", "workloads"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    try:
+        assert load_paired_ab().main([str(tmp_path)]) == 1
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] in ("ccmv_base", "ccmv_change")]:
+            del sys.modules[name]
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "iwasawa verdict: the two trees' rows differ on pair 0\n"
