@@ -25,7 +25,7 @@ from .model import (
     MAX_N,
     ManifoldModel,
     ModelFormatError,
-    ValidationReport,
+    SuiteReport,
     build_abelian,
     build_heisenberg,
     lie_checks,
@@ -40,10 +40,7 @@ from .connection import (
     sigma_form,
     wedge,
 )
-from .structures import (
-    NormalityReport,
-    check_normality,
-)
+from .structures import check_normality
 from .curvature import (
     DegeneratePlane,
     holomorphic_sectional,
@@ -56,9 +53,7 @@ from .curvature import (
 from .verify import (
     DiffReport,
     ExpectedFormatError,
-    ExpectedValues,
     SELECTORS,
-    SuiteReport,
     Workspace,
     diff_expected,
     diff_text_rows,
@@ -66,7 +61,6 @@ from .verify import (
     parse_expected,
     registry_ids,
     run_suite,
-    suite_text_rows,
     suite_tsv_rows,
 )
 
@@ -78,19 +72,16 @@ __all__ = [
     "DiffReport",
     "DimensionMismatch",
     "ExpectedFormatError",
-    "ExpectedValues",
     "HEISENBERG_CCM",
     "InvalidModelError",
     "ManifoldModel",
     "MAX_N",
     "ModelFormatError",
-    "NormalityReport",
     "SELECTORS",
     "Scalar",
     "Status",
     "SuiteReport",
     "Table",
-    "ValidationReport",
     "Workspace",
     "build_abelian",
     "build_heisenberg",
@@ -117,7 +108,6 @@ __all__ = [
     "scalar_curvature",
     "sectional",
     "sigma_form",
-    "suite_text_rows",
     "suite_tsv_rows",
     "structure_tensor_checks",
     "validate_structure",

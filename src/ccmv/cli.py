@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .connection import levi_civita
 from .core import (
-    Table,
     UnprintableValue,
     format_scalar,
     format_sparse_vector,
@@ -29,6 +28,7 @@ from .model import (
     InvalidModelError,
     ManifoldModel,
     ModelFormatError,
+    SuiteReport,
     load_model,
     require_lie_algebra,
     validate_structure,
@@ -43,7 +43,6 @@ from .verify import (
     diff_tsv_rows,
     parse_expected,
     run_suite,
-    suite_text_rows,
     suite_tsv_rows,
 )
 
@@ -81,10 +80,6 @@ def _load_lie(path: str) -> ManifoldModel:
     return m
 
 
-def _emit(rows: list[str]) -> None:
-    sys.stdout.write("\n".join(rows) + "\n")
-
-
 def _integer(text: str) -> int:
     """argparse type of the integer options: ASCII decimal digits with an
     optional leading minus, so that `+0`, `0_1` and non-ASCII digits are a
@@ -101,16 +96,32 @@ def _index_range_check(m: ManifoldModel, indices, what: str) -> None:
             raise _CliError(f"{what} index {idx} out of range for dimension {m.dim}")
 
 
+def _report(args: argparse.Namespace, m: ManifoldModel, rows: list[str],
+            summary: str = "", ok: bool = True) -> int:
+    """Print a command's rows, in text mode under the `# ccmv COMMAND
+    model=M` banner, which names the suite of a command that has one, and
+    over the `# summary` line when there is one; return the exit code, 1
+    unless `ok`."""
+    if args.format == "text":
+        suite = f" suite={args.suite}" if "suite" in args else ""
+        rows = [f"# {PROG} {args.command} model={m.name}{suite}", *rows,
+                *([f"# {summary}"] if summary else [])]
+    sys.stdout.write("\n".join(rows) + "\n")
+    return 0 if ok else 1
+
+
+def _report_checks(args: argparse.Namespace, m: ManifoldModel, report: SuiteReport,
+                   noun: str) -> int:
+    """A check report's rows, summed up as `N <noun>: P pass, F fail`."""
+    rows = suite_tsv_rows(report) if args.format == "tsv" else check_rows("text", report.checks)
+    total, failed = len(report.checks), len(report.failures)
+    return _report(args, m, rows, f"{total} {noun}: {total - failed} pass, {failed} fail",
+                   report.all_pass)
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
     m = _load(args.model)
-    report = validate_structure(m)
-    rows = check_rows(args.format, report.checks)
-    if args.format == "text":
-        passed = len(report.checks) - len(report.failures)
-        rows = [f"# {PROG} validate model={m.name}", *rows,
-                f"# {len(report.checks)} checks: {passed} pass, {len(report.failures)} fail"]
-    _emit(rows)
-    return 0 if report.all_pass else 1
+    return _report_checks(args, m, validate_structure(m), "checks")
 
 
 def _value_row(fmt: str, kind: str, keys: Sequence[int], value: str) -> str:
@@ -122,24 +133,12 @@ def _value_row(fmt: str, kind: str, keys: Sequence[int], value: str) -> str:
     return " ".join([*fields, "=", value])
 
 
-def _connection_rows(m: ManifoldModel, conn: Table, fmt: str) -> list[str]:
-    return [_value_row(fmt, "conn", (i, j), format_sparse_vector(conn.row(i, j)))
-            for i in range(m.dim) for j in range(m.dim)]
-
-
 def _cmd_connection(args: argparse.Namespace) -> int:
     m = _load_lie(args.model)
     conn = levi_civita(m)
-    rows = _connection_rows(m, conn, args.format)
-    if args.format == "text":
-        rows = [f"# {PROG} connection model={m.name}"] + rows
-    _emit(rows)
-    return 0
-
-
-def _curvature_rows(m: ManifoldModel, rt: Table, fmt: str) -> list[str]:
-    return [_value_row(fmt, "R", (i, j, k), format_sparse_vector(rt.row(i, j, k)))
-            for i in range(m.dim) for j in range(i + 1, m.dim) for k in range(m.dim)]
+    return _report(args, m, [
+        _value_row(args.format, "conn", (i, j), format_sparse_vector(conn.row(i, j)))
+        for i in range(m.dim) for j in range(m.dim)])
 
 
 def _cmd_curvature(args: argparse.Namespace) -> int:
@@ -150,11 +149,9 @@ def _cmd_curvature(args: argparse.Namespace) -> int:
         value = format_scalar(rt.entry(*args.component))
         rows = [_value_row(args.format, "R", args.component, value)]
     else:
-        rows = _curvature_rows(m, rt, args.format)
-    if args.format == "text":
-        rows = [f"# {PROG} curvature model={m.name}"] + rows
-    _emit(rows)
-    return 0
+        rows = [_value_row(args.format, "R", (i, j, k), format_sparse_vector(rt.row(i, j, k)))
+                for i in range(m.dim) for j in range(i + 1, m.dim) for k in range(m.dim)]
+    return _report(args, m, rows)
 
 
 def _cmd_ricci(args: argparse.Namespace) -> int:
@@ -166,10 +163,7 @@ def _cmd_ricci(args: argparse.Namespace) -> int:
     rows += [_value_row(fmt, "Q", (i,), format_sparse_vector(ws.rho.row(i)))
              for i in range(m.dim)]
     rows.append(_value_row(fmt, "scal", (), format_scalar(ws.tau)))
-    if fmt == "text":
-        rows = [f"# {PROG} ricci model={m.name}"] + rows
-    _emit(rows)
-    return 0
+    return _report(args, m, rows)
 
 
 def _cmd_sectional(args: argparse.Namespace) -> int:
@@ -181,25 +175,12 @@ def _cmd_sectional(args: argparse.Namespace) -> int:
         value = sectional(rt, m.basis(i), m.basis(j))
     except DegeneratePlane as exc:
         raise _CliError(str(exc)) from exc
-    rows = [_value_row(args.format, "sec", (i, j), format_scalar(value))]
-    if args.format == "text":
-        rows = [f"# {PROG} sectional model={m.name}"] + rows
-    _emit(rows)
-    return 0
+    return _report(args, m, [_value_row(args.format, "sec", (i, j), format_scalar(value))])
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     m = _load_lie(args.model)
-    report = run_suite(m, selector=args.suite)
-    if args.format == "tsv":
-        rows = suite_tsv_rows(report)
-    else:
-        rows = [f"# {PROG} verify model={m.name} suite={report.selector}"]
-        rows += suite_text_rows(report)
-        rows.append(f"# {len(report.results)} identities: "
-                    f"{report.pass_count} pass, {report.fail_count} fail")
-    _emit(rows)
-    return 0 if report.all_pass else 1
+    return _report_checks(args, m, run_suite(m, selector=args.suite), "identities")
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
@@ -209,16 +190,10 @@ def _cmd_diff(args: argparse.Namespace) -> int:
         report = diff_expected(m, parse_expected(source, m.dim))
     except (ExpectedFormatError, DegeneratePlane) as exc:
         raise _CliError(f"{args.expected}: {exc}") from exc
-    if args.format == "tsv":
-        rows = diff_tsv_rows(report)
-    else:
-        rows = [f"# {PROG} diff model={m.name}"]
-        rows += diff_text_rows(report)
-        rows.append(f"# {len(report.entries)} entries: "
-                    f"{report.match_count} match, "
-                    f"{report.mismatch_count} mismatch")
-    _emit(rows)
-    return 0 if report.all_match else 1
+    rows = diff_tsv_rows(report) if args.format == "tsv" else diff_text_rows(report)
+    summary = (f"{len(report.entries)} entries: {report.match_count} match, "
+               f"{report.mismatch_count} mismatch")
+    return _report(args, m, rows, summary, report.all_match)
 
 
 def _cmd_example(args: argparse.Namespace) -> int:
@@ -303,7 +278,3 @@ def main(argv: list[str] | None = None) -> int:
     except (_CliError, UnprintableValue) as exc:
         print(f"{PROG}: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -133,10 +133,10 @@ class Record:
     a Table is built so in 0.7 of the time one call per field takes (0.73
     against 0.98 µs), and four field reads take 42 against 36 ns (3.11).
     Assignment and deletion raise AttributeError; `cached_property` writes
-    the instance dict.  Two records are equal
-    only when they are of the same class with equal fields, so an empty
-    DiffReport never equals an empty ValidationReport of the same model
-    name; the hash is that of the fields, and the repr names every field.
+    the instance dict.  Two records are equal only when they are of the
+    same class with equal fields, so an empty DiffReport never equals an
+    empty SuiteReport of the same model name; the hash is that of the
+    fields, and the repr names every field.
 
     Defining a record generates and compiles no functions, so a fresh
     process pays only for the class bodies when it imports ccmv.  The
@@ -371,7 +371,6 @@ class Table(Record):
     def restrict(self, keep: range, width: int | None = None) -> Table:
         """The entries whose index in each of the first `width` slots (every
         slot by default) lies in `keep`."""
-        width = self.rank if width is None else width
         return Table.from_numerators(self.dim, self.rank,
                                      _within(self.entries.items(), keep, width), self.den)
 
@@ -483,8 +482,9 @@ def combine(terms: Iterable[Term], keep: range | None = None,
     return _fold(a.dim, a.rank + (0 if b is None else b.rank), terms, {}, 1, keep, width)
 
 
-def _within(items: Iterable, keep: range, width: int) -> dict:
-    """The (key, value) pairs whose first `width` indices lie in `keep`."""
+def _within(items: Iterable, keep: range, width: int | None) -> dict:
+    """The (key, value) pairs whose first `width` indices (every index for
+    None) lie in `keep`."""
     if width == 1:
         return {key: a for key, a in items if key[0] in keep}
     return {key: a for key, a in items if all(map(keep.__contains__, key[:width]))}
@@ -510,7 +510,6 @@ def _fold(dim: int, rank: int, terms: Iterable[Term], entries: Mapping, base: in
         folds.append((c.numerator, q, t))
         if den % q:
             den = lcm(den, q)
-    width = rank if width is None else width
     scale = den // base
     values = dict(entries) if scale == 1 else {key: scale * a for key, a in entries.items()}
     for num, q, t in folds:

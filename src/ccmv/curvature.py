@@ -206,7 +206,6 @@ def second_bianchi_failures(m: ManifoldModel, conn: Table, rt: Table) -> Failure
         failure = least_nonzero(_regrouped_slab(omega, planes, into, *triple), den, triple)
         if failure is not None:
             return failure
-    return None
 
 
 def first_bianchi_failures(rt: Table) -> Failure | None:

@@ -150,17 +150,27 @@ class CheckResult(Record):
                            {"check_id": check_id, "status": status, "witness": witness})
 
 
-class ValidationReport(Record):
+class SuiteReport(Record):
+    """A model's check results in report order: the structural checks of
+    `validate_structure`, the normality routes of
+    `structures.check_normality`, or the identities of `verify.run_suite`."""
+
     model_name: str
     checks: tuple[CheckResult, ...]
 
     @property
-    def all_pass(self) -> bool:
-        return all(c.status is Status.PASS for c in self.checks)
-
-    @property
     def failures(self) -> tuple[CheckResult, ...]:
         return tuple(c for c in self.checks if c.status is Status.FAIL)
+
+    @property
+    def all_pass(self) -> bool:
+        return not self.failures
+
+    def result(self, check_id: str) -> CheckResult:
+        for c in self.checks:
+            if c.check_id == check_id:
+                return c
+        raise KeyError(check_id)
 
 
 def check_result(check_id: str, failure: Failure | None, witness: Callable) -> CheckResult:
@@ -244,9 +254,9 @@ def structure_tensor_checks(m: ManifoldModel) -> list[CheckResult]:
         ("AX-HERM", [("", J.permute((1, 0)).compose(J), ident)]))]
 
 
-def validate_structure(m: ManifoldModel) -> ValidationReport:
+def validate_structure(m: ManifoldModel) -> SuiteReport:
     """Run every registered structural check; failures are entries, not errors."""
-    return ValidationReport(m.name, m.lie_results + tuple(structure_tensor_checks(m)))
+    return SuiteReport(m.name, m.lie_results + tuple(structure_tensor_checks(m)))
 
 
 def require_lie_algebra(m: ManifoldModel) -> None:

@@ -31,11 +31,8 @@ FAIL on the built-in model.
 """
 from __future__ import annotations
 
-
 from .core import (
-    Record,
     Scalar,
-    Status,
     Table,
     cached_property,
     combine,
@@ -48,28 +45,7 @@ from .connection import (
     sigma_form,
     wedge,
 )
-from .model import CheckResult, ManifoldModel, check_result
-
-
-class NormalityReport(Record):
-    """The three routes' results, under the registry ids NORM-KORKMAZ,
-    NORM-PROP21 and NORM-THM45."""
-
-    korkmaz: CheckResult
-    prop21: CheckResult
-    thm45: CheckResult
-
-    @property
-    def agreement(self) -> bool:
-        return self.korkmaz.status is self.prop21.status is self.thm45.status
-
-    @property
-    def all_pass(self) -> bool:
-        return self.agreement and self.korkmaz.status is Status.PASS
-
-    @property
-    def routes(self) -> tuple[CheckResult, CheckResult, CheckResult]:
-        return (self.korkmaz, self.prop21, self.thm45)
+from .model import CheckResult, ManifoldModel, SuiteReport, check_result
 
 
 def _alternate(t: Table) -> Table:
@@ -314,20 +290,21 @@ def _route_korkmaz(ctx: ConnectionWorkspace) -> CheckResult:
     return check_result("NORM-KORKMAZ", failure, _route_witness)
 
 
-def check_normality(ctx: ConnectionWorkspace) -> NormalityReport:
-    """Decide normality by all three routes and report each with a witness.
+def check_normality(ctx: ConnectionWorkspace) -> SuiteReport:
+    """Decide normality by all three routes and report each with a witness,
+    in order NORM-KORKMAZ, NORM-PROP21, NORM-THM45; the model is normal
+    when all three PASS, and the routes must agree.
 
     The routes read the connection-level tables of `ctx`, so a caller that
     already holds a workspace builds them once.  The table comparisons are
     exhaustive and complete: every quantity involved is linear in each of
     its slots, so tables that agree on every frame tuple agree everywhere.
     """
-    return NormalityReport(
-        korkmaz=_route_korkmaz(ctx),
-        prop21=check_result("NORM-PROP21", first_failure(
+    return SuiteReport(ctx.model.name, (
+        _route_korkmaz(ctx),
+        check_result("NORM-PROP21", first_failure(
             [("G", ctx.nabla_G, ctx.prop21_G), ("H", ctx.nabla_H, ctx.prop21_H)], 3),
             _route_witness),
-        thm45=check_result("NORM-THM45", first_failure(
+        check_result("NORM-THM45", first_failure(
             [("G", ctx.nabla_G, ctx.thm45_G), ("H", ctx.nabla_H, ctx.thm45_H)], 2),
-            _route_witness),
-    )
+            _route_witness)))

@@ -46,7 +46,6 @@ from .core import (
     Failure,
     Record,
     Scalar,
-    Status,
     Table,
     cached_property,
     combine,
@@ -72,46 +71,19 @@ from .curvature import (
 from .model import (
     CheckResult,
     ManifoldModel,
+    SuiteReport,
     check_result,
     lie_checks,  # noqa: F401  models cache its result; bench/tracing.py wraps this name
     require_lie_algebra,
     structure_tensor_checks,
 )
-from .structures import (
-    ConnectionWorkspace,
-    NormalityReport,
-    check_normality,
-)
+from .structures import ConnectionWorkspace, check_normality
 
 SELECTORS = ("all", "axioms", "contact", "normality", "curvature", "ricci")
 
 # a clause whose two sides are tables over the identity's slots, each a
 # Table t or a term (c, t) compared as c t
 TableClause = tuple[str, Table | tuple, Table | tuple]
-
-
-class SuiteReport(Record):
-    model_name: str
-    selector: str
-    results: tuple[CheckResult, ...]
-
-    @property
-    def pass_count(self) -> int:
-        return sum(1 for r in self.results if r.status is Status.PASS)
-
-    @property
-    def fail_count(self) -> int:
-        return sum(1 for r in self.results if r.status is Status.FAIL)
-
-    @property
-    def all_pass(self) -> bool:
-        return self.fail_count == 0
-
-    def result(self, identity_id: str) -> CheckResult:
-        for r in self.results:
-            if r.check_id == identity_id:
-                return r
-        raise KeyError(identity_id)
 
 
 class Workspace(ConnectionWorkspace):
@@ -132,7 +104,7 @@ class Workspace(ConnectionWorkspace):
         return self._built[tables]
 
     @cached_property
-    def normality(self) -> NormalityReport:
+    def normality(self) -> SuiteReport:
         return check_normality(self)
 
     @cached_property
@@ -424,9 +396,8 @@ def _registry() -> list[Identity]:
                                                   (2, (u, ws.model.GH))]))]
     add_tables("EQ-2.5", "normality", "any any any", eq_2_5)
 
-    for route in ("korkmaz", "prop21", "thm45"):
-        add_direct(f"NORM-{route.upper()}", "normality",
-                   lambda ws, r=route: getattr(ws.normality, r))
+    for route in ("NORM-KORKMAZ", "NORM-PROP21", "NORM-THM45"):
+        add_direct(route, "normality", lambda ws, r=route: ws.normality.result(r))
 
     # ----- curvature -----
     # R(U, V, V, U) = R(V, U, U, V) = -2 dsigma(U, V)
@@ -607,7 +578,7 @@ def run_suite(m: ManifoldModel, selector: str = "all") -> SuiteReport:
     chosen = _selected(selector)
     require_lie_algebra(m)
     ws = Workspace(m)
-    return SuiteReport(m.name, selector, tuple(
+    return SuiteReport(m.name, tuple(
         ident.direct(ws) if ident.direct is not None else _run_tables(ws, ident)
         for ident in chosen))
 
@@ -638,16 +609,13 @@ class ExpectedEntry(Record):
         return " ".join([self.kind, *map(str, self.indices)])
 
 
-class ExpectedValues(Record):
-    entries: tuple[ExpectedEntry, ...]
-
-
 _EXPECTED_ARITY = {"R": 3, "conn": 2, "ric": 2, "scal": 0, "sec": 2, "hol": 1}
 _EXPECTED_VECTOR_KINDS = {"R", "conn"}
 
 
-def parse_expected(source: str, dim: int) -> ExpectedValues:
-    """Parse an expected-values document against a model dimension."""
+def parse_expected(source: str, dim: int) -> tuple[ExpectedEntry, ...]:
+    """Parse an expected-values document against a model dimension: its
+    entries in file order."""
     entries: list[ExpectedEntry] = []
     for line_no, raw in enumerate(source.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -677,7 +645,7 @@ def parse_expected(source: str, dim: int) -> ExpectedValues:
         except ValueError as exc:
             raise ExpectedFormatError(line_no, str(exc))
         entries.append(ExpectedEntry(kind, indices, expected, line_no))
-    return ExpectedValues(tuple(entries))
+    return tuple(entries)
 
 
 class DiffEntry(Record):
@@ -717,7 +685,7 @@ class DiffReport(Record):
         raise KeyError(key)
 
 
-def diff_expected(m: ManifoldModel, exp: ExpectedValues) -> DiffReport:
+def diff_expected(m: ManifoldModel, exp: Sequence[ExpectedEntry]) -> DiffReport:
     """Recompute every expected entry exactly and report MATCH/MISMATCH."""
     require_lie_algebra(m)
     ws = Workspace(m)
@@ -741,7 +709,7 @@ def diff_expected(m: ManifoldModel, exp: ExpectedValues) -> DiffReport:
         return holomorphic_sectional(m, ws.curv, m.basis(i))
 
     diffs = []
-    for entry in exp.entries:
+    for entry in exp:
         try:
             computed = compute(entry)
         except DegeneratePlane as exc:
@@ -767,12 +735,8 @@ def check_rows(fmt: str, results: Sequence[CheckResult]) -> list[str]:
             for r in results]
 
 
-def suite_text_rows(report: SuiteReport) -> list[str]:
-    return check_rows("text", report.results)
-
-
 def suite_tsv_rows(report: SuiteReport) -> list[str]:
-    return check_rows("tsv", report.results)
+    return check_rows("tsv", report.checks)
 
 
 def diff_text_rows(report: DiffReport) -> list[str]:

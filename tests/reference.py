@@ -30,17 +30,16 @@ from ccmv import (
     CheckResult,
     ManifoldModel,
     Status,
+    SuiteReport,
     Table,
     format_scalar,
     format_sparse_vector,
     suite_tsv_rows,
 )
 from ccmv.core import ZERO, combine
-from ccmv.structures import NormalityReport
 from ccmv.verify import (
     REGISTRY,
     Identity,
-    SuiteReport,
     Workspace,
     _run_tables,
     registry_ids,
@@ -870,9 +869,9 @@ def ref_route_thm45(ws: Workspace) -> CheckResult:
     return CheckResult("NORM-THM45", Status.PASS)
 
 
-def ref_check_normality(ws: Workspace, samples: int = 32, seed: int = 0) -> NormalityReport:
-    return NormalityReport(ref_route_korkmaz(ws, sample_pairs(ws, samples, seed)),
-                           ref_route_prop21(ws), ref_route_thm45(ws))
+def ref_check_normality(ws: Workspace, samples: int = 32, seed: int = 0) -> SuiteReport:
+    return SuiteReport(ws.model.name, (ref_route_korkmaz(ws, sample_pairs(ws, samples, seed)),
+                                       ref_route_prop21(ws), ref_route_thm45(ws)))
 
 
 # EQ-2.4, EQ-2.5, EQ-2.6, EQ-4.12 and EQ-4.13 as the per-tuple evaluators the
@@ -1006,7 +1005,7 @@ def sample_pairs(ws: Workspace, samples: int, seed: int) -> list:
 def sampled_korkmaz(ws: VectorWorkspace, samples: int, seed: int) -> CheckResult:
     """The engine's korkmaz route, then S and T on the horizontal parts of
     the sample pairs."""
-    route = ws.normality.korkmaz
+    route = ws.normality.result("NORM-KORKMAZ")
     if route.status is Status.FAIL:
         return route
     zero = Table.from_values(ws.model.dim, 1, {})
@@ -1032,7 +1031,7 @@ def sampled_suite_rows(m: ManifoldModel, samples: int, seed: int) -> list[str]:
             results.append(sampled_tables(ws, ident, samples, seed))
     order = registry_ids("all")
     results.sort(key=lambda r: order.index(r.check_id))
-    return suite_tsv_rows(SuiteReport(m.name, "all", tuple(results)))
+    return suite_tsv_rows(SuiteReport(m.name, tuple(results)))
 
 
 # ----- bumped tables -----

@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 import ccmv
+from ccmv import cli
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -58,3 +59,20 @@ def test_traced_suite_records_one_second_bianchi_span():
         ccmv.run_suite(ccmv.build_heisenberg(), "all")
     names = [s.name for s in tracer.spans]
     assert names.count("curvature.second_bianchi_failures") == 1, names
+
+
+def test_traced_cli_verify_records_the_spans_under_cli_main(tmp_path, capsys):
+    # bench/run.py reads cli.main_s as the self time of a traced
+    # `ccmv verify MODEL --format tsv`, the run minus its layer spans, of
+    # which these three are called by the command itself
+    path = tmp_path / "heisenberg.ccm"
+    path.write_text(ccmv.HEISENBERG_CCM, encoding="utf-8")
+    tracer = _tracing().Tracer()
+    with tracer.installed(), tracer.span("cli.main"):
+        assert cli.main(["verify", str(path), "--format", "tsv"]) == 1
+    assert not tracer.problems(), tracer.problems()
+    names = [s.name for s in tracer.spans]
+    for name in ("model.load_model", "verify.run_suite", "verify.render"):
+        assert names.count(name) == 1, names
+        assert tracer.spans[names.index(name)].parent == 0, name
+    assert len(capsys.readouterr().out.splitlines()) == 73

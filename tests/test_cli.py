@@ -346,6 +346,13 @@ class TestExample:
         assert out == ""
         assert target.read_text(encoding="utf-8") == HEISENBERG_CCM
 
+    def test_emit_to_an_unwritable_path_is_an_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.ccm"
+        code, out, err = run_cli(capsys, "example", "heisenberg", "--emit", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"ccmv: cannot write {target}: No such file or directory\n"
+        assert not target.exists()
+
     def test_unknown_name_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["example", "nilmanifold"])

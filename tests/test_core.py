@@ -71,6 +71,14 @@ class TestScalarText:
     def test_format_integer(self):
         assert format_scalar(Fraction(-2)) == "-2"
 
+    def test_format_names_the_digit_limit(self):
+        # a part of more digits than the interpreter converts to text
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(UnprintableValue) as info:
+            format_scalar(Fraction(10 ** limit, 3))
+        assert str(info.value) == (f"a computed value has more than {limit} decimal digits "
+                                   f"and cannot be printed")
+
     def test_format_fraction(self):
         assert format_scalar(Fraction(-1, 2)) == "-1/2"
 
@@ -643,6 +651,20 @@ class TestTable:
         assert type(Table.identity(3).fix(0, 1)) is Table
         with pytest.raises(ValueError, match="rank 2 or more"):
             table.fix(0, 0).fix(0, 2).fix(0, 0)
+
+    def test_pullback_rejects_a_map_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 3 vs 4$"):
+            Table.identity(3).pullback(Table.identity(4), (0,), range(3))
+
+    def test_compose_rejects_a_map_of_another_dimension(self):
+        with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 3 vs 4$"):
+            Table.identity(3).compose(Table.identity(4))
+
+    def test_permute_of_a_vector_is_the_vector(self):
+        # its keys stay 1-tuples
+        x = vector([1, 0, 2])
+        assert x.permute((0,)) is x
+        assert x.permute([0]).items() == [((0,), 1), ((2,), 2)]
 
     def test_add_and_permute_reject_mismatched_slots(self):
         table = Table.from_values(2, 2, {(0, 1): Fraction(1)})

@@ -215,7 +215,9 @@ class TestHolomorphicSectional:
         assert holomorphic_sectional(heisenberg, heis_curv, x) == 0
 
     def test_rejects_zero_vector(self, heisenberg, heis_curv):
-        with pytest.raises(DegeneratePlane):
+        # named as the zero vector, not as the plane it would span with J 0
+        with pytest.raises(DegeneratePlane,
+                           match=r"^holomorphic sectional curvature of the zero vector$"):
             holomorphic_sectional(heisenberg, heis_curv, Table.from_values(6, 1, {}))
 
 

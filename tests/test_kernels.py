@@ -389,7 +389,7 @@ class TestCandidateWitnesses:
     def test_prop21_witness_only_through_H(self, kind, idx, witness):
         ws = self._bumped_normality(kind, idx)
         report = check_normality(ws)
-        assert report.prop21.witness == witness
+        assert report.result("NORM-PROP21").witness == witness
         assert ws.nabla_G == ws.prop21_G
         assert report == ref_check_normality(ws)
 
@@ -401,7 +401,7 @@ class TestCandidateWitnesses:
         ws = self._bumped_normality("conn", idx)
         m = ws.model
         report = check_normality(ws)
-        assert report.korkmaz.witness == witness
+        assert report.result("NORM-KORKMAZ").witness == witness
         assert ws.obstruction_S.restrict(m.horizontal_indices, 2).is_zero()
         assert ws.obstruction_S.fix(1, m.U_index).is_zero()
         assert report == ref_check_normality(ws)
@@ -410,7 +410,7 @@ class TestCandidateWitnesses:
         ws = self._bumped_normality("conn", (1, 4, 0))
         m = ws.model
         report = check_normality(ws)
-        assert report.korkmaz.witness == "S(.,U) slots=1,4 lhs=-1:0 rhs=0"
+        assert report.result("NORM-KORKMAZ").witness == "S(.,U) slots=1,4 lhs=-1:0 rhs=0"
         for t in (ws.obstruction_S, ws.obstruction_T):
             assert t.restrict(m.horizontal_indices, 2).is_zero()
         assert report == ref_check_normality(ws)
@@ -420,7 +420,7 @@ class TestCandidateWitnesses:
         # index than G's; a per-key minimum would report H
         ws = self._bumped_normality("conn", (0, 0, 1))
         report = check_normality(ws)
-        assert report.thm45.witness == "G slots=0,0 lhs=-1:3,1:4 rhs=1:4"
+        assert report.result("NORM-THM45").witness == "G slots=0,0 lhs=-1:3,1:4 rhs=1:4"
 
         def first_k(lhs, rhs):
             return min(k for k in range(ws.model.dim)
@@ -437,7 +437,7 @@ class TestCandidateWitnesses:
     def test_prop21_witness_stored_on_one_side(self, idx, witness, stored):
         ws = self._bumped_normality("conn", idx)
         report = check_normality(ws)
-        assert report.prop21.witness == witness
+        assert report.result("NORM-PROP21").witness == witness
         where = tuple(int(i) for i in witness.split()[1][len("slots="):].split(","))
         assert (where in dict(ws.nabla_G.items())) == (stored == "lhs")
         assert (where in dict(ws.prop21_G.items())) == (stored == "rhs")
@@ -1277,7 +1277,7 @@ def test_diff_runs_without_fraction_arithmetic():
     m = build_heisenberg()
     source = importlib.resources.files("ccmv").joinpath("data/iwasawa_expected.ccmx")
     expected = parse_expected(source.read_text(), m.dim)
-    planes = sum(1 for e in expected.entries if e.kind in ("sec", "hol"))
+    planes = sum(1 for e in expected if e.kind in ("sec", "hol"))
     assert planes > 0
     with fraction_op_counts() as counts:
         diff_expected(m, expected)

@@ -9,17 +9,15 @@ from fractions import Fraction
 import pytest
 
 import ccmv
-from ccmv import build_heisenberg
+from ccmv import build_heisenberg, check_normality, run_suite, validate_structure
 from ccmv.core import Record, Status, Table, cached_property
-from ccmv.model import CheckResult, ManifoldModel, ValidationReport
-from ccmv.structures import ConnectionWorkspace, NormalityReport
+from ccmv.model import CheckResult, ManifoldModel, SuiteReport
+from ccmv.structures import ConnectionWorkspace
 from ccmv.verify import (
     DiffEntry,
     DiffReport,
     ExpectedEntry,
-    ExpectedValues,
     Identity,
-    SuiteReport,
     Workspace,
 )
 from conftest import run_python
@@ -46,15 +44,11 @@ CASES = [
                      "G": _MODEL.G, "H": _MODEL.H, "J": _MODEL.J}, False),
     (CheckResult, {"check_id": "LIE-JACOBI", "status": Status.FAIL, "witness": "slots=0,1,2"},
      True),
-    (ValidationReport, {"model_name": "heisenberg", "checks": (_CHECK,)}, True),
-    (NormalityReport, {"korkmaz": _ROUTE, "prop21": _ROUTE, "thm45": _ROUTE}, True),
-    (SuiteReport, {"model_name": "heisenberg", "selector": "all", "results": (_RESULT,)},
-     True),
+    (SuiteReport, {"model_name": "heisenberg", "checks": (_CHECK, _ROUTE, _RESULT)}, True),
     (Identity, {"identity_id": "X", "group": "axioms", "slots": (), "tables": None,
                 "direct": _run}, True),
     (ExpectedEntry, {"kind": "ric", "indices": (0, 0), "expected": Fraction(1, 2), "line": 3},
      True),
-    (ExpectedValues, {"entries": (_EXPECTED,)}, True),
     (DiffEntry, {"key": "ric 0 0", "matched": False, "expected_text": "1",
                  "computed_text": "1/2"}, True),
     (DiffReport, {"model_name": "heisenberg", "entries": (_DIFF,)}, True),
@@ -132,12 +126,32 @@ def test_every_tensor_is_a_plain_table():
 
 
 def test_records_of_different_classes_are_never_equal():
-    # a DiffReport and a ValidationReport with the same fields included
-    records = [Table(1, 1, {(0,): 1}), ExpectedValues(()), CheckResult("X", Status.PASS),
-               DiffReport("X", ()), ValidationReport("X", ())]
+    # a DiffReport and a SuiteReport with the same fields included
+    records = [Table(1, 1, {(0,): 1}), _EXPECTED, CheckResult("X", Status.PASS),
+               DiffReport("X", ()), SuiteReport("X", ())]
     for i, a in enumerate(records):
         for b in records[i + 1:]:
             assert a != b, (a, b)
+
+
+def test_every_list_of_checks_is_one_record():
+    # the structural checks, the normality routes and the identities, in
+    # report order, with the failures and the lookup by id of one class
+    m = build_heisenberg()
+    suite = run_suite(m)
+    reports = (validate_structure(m), check_normality(Workspace(m)), suite)
+    assert all(type(report) is SuiteReport for report in reports)
+    assert [len(report.checks) for report in reports] == [12, 3, 73]
+    assert [len(report.failures) for report in reports] == [0, 0, 9]
+    for report in reports:
+        assert report.model_name == "heisenberg"
+        assert report.failures == tuple(c for c in report.checks if c.status is Status.FAIL)
+        assert report.all_pass is (report.failures == ())
+        assert all(report.result(c.check_id) is c for c in report.checks)
+        with pytest.raises(KeyError):
+            report.result("EQ-0.0")
+    assert reports[1].checks == tuple(suite.result(r) for r in
+                                      ("NORM-KORKMAZ", "NORM-PROP21", "NORM-THM45"))
 
 
 def test_defaults():
@@ -152,10 +166,10 @@ def test_defaults():
 
 
 @pytest.mark.parametrize("cls,args,kwargs", [
-    (SuiteReport, ("m", "all"), {}),
-    (SuiteReport, ("m", "all", (), ()), {}),
-    (SuiteReport, ("m", "all", ()), {"selector": "all"}),
-    (SuiteReport, ("m", "all", ()), {"extra": 1}),
+    (SuiteReport, ("m",), {}),
+    (SuiteReport, ("m", (), ()), {}),
+    (SuiteReport, ("m", ()), {"checks": ()}),
+    (SuiteReport, ("m", ()), {"extra": 1}),
     (CheckResult, ("X",), {}),
     (CheckResult, ("X", Status.PASS), {"extra": 1}),
     (Table, (2, 2), {}),

@@ -128,23 +128,19 @@ class TestNormalityRoutes:
     def test_builtin_model_passes_all_routes(self, heisenberg, heis_conn):
         report = check_normality(ConnectionWorkspace(heisenberg, heis_conn))
         assert report.all_pass
-        assert report.agreement
-        assert [r.check_id for r in report.routes] == ["NORM-KORKMAZ", "NORM-PROP21",
+        assert [r.check_id for r in report.checks] == ["NORM-KORKMAZ", "NORM-PROP21",
                                                        "NORM-THM45"]
-        assert all(r.status is Status.PASS for r in report.routes)
-        assert all(r.witness is None for r in report.routes)
+        assert all(r.status is Status.PASS for r in report.checks)
+        assert all(r.witness is None for r in report.checks)
 
     def test_abelian_fails_all_routes_with_witnesses(self, abelian):
         conn = levi_civita(abelian)
         report = check_normality(ConnectionWorkspace(abelian, conn))
-        assert not report.all_pass
-        assert report.agreement  # all three agree on FAIL
-        assert report.korkmaz.status is Status.FAIL
-        assert report.korkmaz.witness == "S slots=0,2 lhs=2:4 rhs=0"
-        assert report.prop21.status is Status.FAIL
-        assert report.prop21.witness == "G slots=0,0,4 lhs=0 rhs=1"
-        assert report.thm45.status is Status.FAIL
-        assert report.thm45.witness == "G slots=0,0 lhs=0 rhs=1:4"
+        assert report.failures == report.checks  # all three agree on FAIL
+        assert [(r.check_id, r.witness) for r in report.checks] == [
+            ("NORM-KORKMAZ", "S slots=0,2 lhs=2:4 rhs=0"),
+            ("NORM-PROP21", "G slots=0,0,4 lhs=0 rhs=1"),
+            ("NORM-THM45", "G slots=0,0 lhs=0 rhs=1:4")]
 
 
 class TestFirstFailure:

@@ -17,6 +17,12 @@ def load_paired_ab():
     return module
 
 
+def imported_by_paired_ab() -> list[str]:
+    """The loaded modules of the two tree copies and of bench's workloads."""
+    roots = {"ccmv_base", "ccmv_change", "workloads"}
+    return [name for name in sys.modules if name.split(".")[0] in roots]
+
+
 def test_paired_ab_rejects_a_base_without_the_package(tmp_path, capsys):
     module = load_paired_ab()
     missing = tmp_path / "nonexistent"
@@ -26,8 +32,7 @@ def test_paired_ab_rejects_a_base_without_the_package(tmp_path, capsys):
     assert err == f"paired_ab: {missing} has no src/ccmv to compare against\n"
 
 
-def test_paired_ab_stops_when_the_trees_render_a_row_differently(tmp_path, capsys,
-                                                                   monkeypatch):
+def test_paired_ab_stops_when_the_trees_render_a_row_differently(tmp_path, capsys):
     # a base tree whose verify TSV prints `-` for an empty witness field:
     # the first pair of the first workload differs, and nothing is timed
     shutil.copytree(ROOT / "src" / "ccmv", tmp_path / "src" / "ccmv",
@@ -37,16 +42,13 @@ def test_paired_ab_stops_when_the_trees_render_a_row_differently(tmp_path, capsy
     field = "{r.witness or ''}"
     assert source.count(field) == 1
     verify.write_text(source.replace(field, "{r.witness or '-'}"))
-    # main puts the trees and bench/ on the path and imports both copies
-    monkeypatch.setattr(sys, "path", list(sys.path))
-    monkeypatch.setattr(sys, "dont_write_bytecode", sys.dont_write_bytecode)
-    for name in ("ccmv_base", "ccmv_change", "workloads"):
-        monkeypatch.delitem(sys.modules, name, raising=False)
-    try:
-        assert load_paired_ab().main([str(tmp_path)]) == 1
-    finally:
-        for name in [m for m in sys.modules if m.split(".")[0] in ("ccmv_base", "ccmv_change")]:
-            del sys.modules[name]
+    # main puts the trees and bench/ on the path, sets the bytecode flag and
+    # imports both copies and the workloads; it puts all three back on return
+    path, flag = list(sys.path), sys.dont_write_bytecode
+    assert imported_by_paired_ab() == []
+    assert load_paired_ab().main([str(tmp_path)]) == 1
+    assert sys.path == path and sys.dont_write_bytecode is flag
+    assert imported_by_paired_ab() == []
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "iwasawa verdict: the two trees' rows differ on pair 0\n"

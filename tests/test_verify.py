@@ -27,13 +27,13 @@ from ccmv.verify import (
     SELECTORS,
     ExpectedFormatError,
     Workspace,
+    check_rows,
     diff_expected,
     diff_text_rows,
     diff_tsv_rows,
     parse_expected,
     registry_ids,
     run_suite,
-    suite_text_rows,
     suite_tsv_rows,
 )
 from conftest import (
@@ -119,39 +119,38 @@ class TestRegistry:
         # a removed name cannot come back, nor a new one arrive, unnoticed
         assert sorted(ccmv.__all__) == [
         "CheckResult", "DegeneratePlane", "DiffReport", "DimensionMismatch",
-        "ExpectedFormatError", "ExpectedValues", "HEISENBERG_CCM",
-        "InvalidModelError", "MAX_N", "ManifoldModel", "ModelFormatError", "NormalityReport",
+        "ExpectedFormatError", "HEISENBERG_CCM",
+        "InvalidModelError", "MAX_N", "ManifoldModel", "ModelFormatError",
         "SELECTORS", "Scalar", "Status", "SuiteReport", "Table",
-        "ValidationReport", "Workspace", "build_abelian", "build_heisenberg",
+        "Workspace", "build_abelian", "build_heisenberg",
         "check_normality", "diff_expected", "diff_text_rows",
         "diff_tsv_rows", "exterior_d_oneform", "format_scalar", "format_sparse_vector",
         "holomorphic_sectional", "levi_civita", "lie_checks", "load_model", "parse_expected",
         "parse_scalar", "parse_sparse_vector", "registry_ids", "require_lie_algebra", "ricci",
         "riemann", "riemann_symmetry_failures", "run_suite", "scalar_curvature",
         "sectional", "sigma_form", "structure_tensor_checks",
-        "suite_text_rows", "suite_tsv_rows", "validate_structure", "wedge"]
+        "suite_tsv_rows", "validate_structure", "wedge"]
 
 
 class TestSuite:
     def test_frozen_outcome(self, heis_suite):
         assert heis_suite.model_name == "heisenberg"
-        assert heis_suite.selector == "all"
-        assert heis_suite.pass_count == 64
-        assert heis_suite.fail_count == 9
+        assert len(heis_suite.checks) == 73
+        assert len(heis_suite.failures) == 9
         assert not heis_suite.all_pass
 
     def test_frozen_failures(self, heis_suite):
-        failures = {r.check_id: r.witness for r in heis_suite.results
+        failures = {r.check_id: r.witness for r in heis_suite.checks
                     if r.status is Status.FAIL}
         assert failures == FROZEN_FAILURES
 
     def test_passes_have_no_witness(self, heis_suite):
-        for r in heis_suite.results:
+        for r in heis_suite.checks:
             if r.status is Status.PASS:
                 assert r.witness is None, r.check_id
 
     def test_results_in_report_order(self, heis_suite):
-        assert [r.check_id for r in heis_suite.results] == registry_ids("all")
+        assert [r.check_id for r in heis_suite.checks] == registry_ids("all")
 
     def test_result_lookup(self, heis_suite):
         assert heis_suite.result("EQ-2.19").status is Status.FAIL
@@ -161,12 +160,12 @@ class TestSuite:
 
     def test_selector_subsets(self, heisenberg):
         report = run_suite(heisenberg, "ricci")
-        assert [r.check_id for r in report.results] == registry_ids("ricci")
+        assert [r.check_id for r in report.checks] == registry_ids("ricci")
         assert report.all_pass
 
     def test_normality_group_counts(self, heis_suite):
         group = set(registry_ids("normality"))
-        statuses = [r.status for r in heis_suite.results
+        statuses = [r.status for r in heis_suite.checks
                     if r.check_id in group]
         assert statuses.count(Status.PASS) == 4
         assert statuses.count(Status.FAIL) == 1
@@ -239,7 +238,7 @@ class TestSuite:
         # the registry hands out the model's own check results, unchanged
         m = build()
         checks = validate_structure(m).checks
-        rows = {r.check_id: r for r in run_suite(m, "axioms").results}
+        rows = {r.check_id: r for r in run_suite(m, "axioms").checks}
         assert len(checks) == 12
         for check in checks:
             assert rows[check.check_id] == check
@@ -264,11 +263,11 @@ class TestSuite:
                 == "S slots=0,2 lhs=2:4 rhs=0")
         assert (report.result("NORM-THM45").witness
                 == "G slots=0,0 lhs=0 rhs=1:4")
-        assert report.fail_count == 5
+        assert len(report.failures) == 5
 
 
 def _statuses(report) -> dict[str, Status]:
-    return {r.check_id: r.status for r in report.results}
+    return {r.check_id: r.status for r in report.checks}
 
 
 class TestFrameInvariance:
@@ -291,7 +290,7 @@ class TestFrameInvariance:
         assert max(Counter(p for _, p in rotated.G.entries).values()) == 3
         report = run_suite(rotated)
         assert _statuses(report) == _statuses(heis_suite)
-        assert report.fail_count == 9
+        assert len(report.failures) == 9
         assert suite_tsv_rows(report) != suite_tsv_rows(heis_suite)
 
     def test_a_partial_rotation_changes_statuses(self, heisenberg, heis_suite):
@@ -316,7 +315,7 @@ class TestRenderers:
         assert len(rows) == 73
 
     def test_text_rows(self, heis_suite):
-        rows = suite_text_rows(heis_suite)
+        rows = check_rows("text", heis_suite.checks)
         assert "AX-ANTICOMM PASS" in rows
         assert "EQ-2.19 FAIL slots=0 lhs=2:1 rhs=-1:1" in rows
 
@@ -330,15 +329,15 @@ class TestParseExpected:
         text = ("# comment\n\nR 0 2 0 = 3:2\nconn 0 2 = -1:4\n"
                 "ric 0 0 = -4\nscal = -8\nsec 0 2 = -3\nhol 0 = 0\n")
         exp = parse_expected(text, 6)
-        kinds = [e.kind for e in exp.entries]
+        kinds = [e.kind for e in exp]
         assert kinds == ["R", "conn", "ric", "scal", "sec", "hol"]
-        assert exp.entries[0].key == "R 0 2 0"
-        assert exp.entries[3].key == "scal"
-        assert exp.entries[0].line == 3
+        assert exp[0].key == "R 0 2 0"
+        assert exp[3].key == "scal"
+        assert exp[0].line == 3
 
     def test_duplicate_keys_allowed(self):
         exp = parse_expected("scal = -8\nscal = 24\n", 6)
-        assert [e.key for e in exp.entries] == ["scal", "scal"]
+        assert [e.key for e in exp] == ["scal", "scal"]
 
     @pytest.mark.parametrize("text,line,fragment", [
         ("R 0 1 0 = 0\nbogus 0 = 1\n", 2, "unknown entry kind"),

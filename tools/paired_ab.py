@@ -77,37 +77,45 @@ def main(argv: list[str] | None = None) -> int:
         print(f"paired_ab: {args.base} has no src/ccmv to compare against", file=sys.stderr)
         return 2
 
-    # nothing is compiled to disk: not in bench/, not in the copies
+    # nothing is compiled to disk: not in bench/, not in the copies; the
+    # path, the flag and the modules imported here are put back on return
+    saved, before = (list(sys.path), sys.dont_write_bytecode), set(sys.modules)
     sys.dont_write_bytecode = True
     sys.path[:0] = [str(ROOT / "bench"), str(ROOT / "src")]
-    from workloads import WORKLOAD_NAMES, make_workload
+    try:
+        from workloads import WORKLOAD_NAMES, make_workload
 
-    with tempfile.TemporaryDirectory() as tmp:
-        sys.path.insert(0, tmp)
-        sides = {"base": load_tree(args.base.resolve(), "ccmv_base", Path(tmp)),
-                 "change": load_tree(ROOT, "ccmv_change", Path(tmp))}
-        for name in WORKLOAD_NAMES:
-            cases = make_workload(name, 0).cases
-            for kind in REPORTS:
-                ratios, wins = [], 0
-                for case in cases:  # warm-up: every case once on each side
-                    for pkg in sides.values():
-                        report(pkg, kind, case)
-                for k in range(PAIRS):
-                    case = cases[k % len(cases)]
-                    order = ("base", "change") if k % 2 == 0 else ("change", "base")
-                    seconds, rows = {}, {}
-                    for side in order:
-                        seconds[side], rows[side] = timed(sides[side], kind, case)
-                    if rows["base"] != rows["change"]:
-                        print(f"{name} {kind}: the two trees' rows differ on pair {k}",
-                              file=sys.stderr)
-                        return 1
-                    ratios.append(seconds["change"] / seconds["base"])
-                    wins += seconds["change"] < seconds["base"]
-                median, q1, q3 = quartiles(ratios)
-                print(f"{name:10} {kind:8} change/base {median:.3f} [{q1:.3f}-{q3:.3f}]  "
-                      f"change faster in {wins}/{PAIRS} pairs")
+        with tempfile.TemporaryDirectory() as tmp:
+            sys.path.insert(0, tmp)
+            sides = {"base": load_tree(args.base.resolve(), "ccmv_base", Path(tmp)),
+                     "change": load_tree(ROOT, "ccmv_change", Path(tmp))}
+            for name in WORKLOAD_NAMES:
+                cases = make_workload(name, 0).cases
+                for kind in REPORTS:
+                    ratios, wins = [], 0
+                    for case in cases:  # warm-up: every case once on each side
+                        for pkg in sides.values():
+                            report(pkg, kind, case)
+                    for k in range(PAIRS):
+                        case = cases[k % len(cases)]
+                        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+                        seconds, rows = {}, {}
+                        for side in order:
+                            seconds[side], rows[side] = timed(sides[side], kind, case)
+                        if rows["base"] != rows["change"]:
+                            print(f"{name} {kind}: the two trees' rows differ on pair {k}",
+                                  file=sys.stderr)
+                            return 1
+                        ratios.append(seconds["change"] / seconds["base"])
+                        wins += seconds["change"] < seconds["base"]
+                    median, q1, q3 = quartiles(ratios)
+                    print(f"{name:10} {kind:8} change/base {median:.3f} [{q1:.3f}-{q3:.3f}]  "
+                          f"change faster in {wins}/{PAIRS} pairs")
+    finally:
+        sys.path[:], sys.dont_write_bytecode = saved
+        for name in set(sys.modules) - before:
+            if name.split(".")[0] in ("ccmv_base", "ccmv_change", "workloads"):
+                del sys.modules[name]
     return 0
 
 
