@@ -501,3 +501,34 @@ def test_every_command_runs_the_lie_checks_once(capsys, monkeypatch, heis_path, 
     monkeypatch.setattr(ccmv.model, "lie_checks", lambda m: calls.append(m.name) or real(m))
     run_cli(capsys, argv[0], heis_path, *argv[1:])
     assert calls == ["heisenberg"]
+
+
+@pytest.mark.parametrize("argv,code,summary", [
+    (("validate",), 0, "12 checks: 12 pass, 0 fail"),
+    (("connection",), 0, None),
+    (("curvature",), 0, None),
+    (("ricci",), 0, None),
+    (("sectional", "--plane", "0", "2"), 0, None),
+    (("verify",), 1, "73 identities: 64 pass, 9 fail"),
+    (("diff", "--expected", EXPECTED_FILE), 1, "100 entries: 78 match, 22 mismatch"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_every_report_command_prints_one_way(capsys, heis_path, argv, code, summary):
+    # the same rows in both formats, with the exit code; text mode adds the
+    # banner, naming the suite of `verify`, and the summary of a check list
+    text = run_cli(capsys, argv[0], heis_path, *argv[1:])
+    tsv = run_cli(capsys, argv[0], heis_path, *argv[1:], "--format", "tsv")
+    assert (text[0], text[2]) == (tsv[0], tsv[2]) == (code, "")
+    lines, rows = text[1].splitlines(), tsv[1].splitlines()
+    suite = " suite=all" if argv[0] == "verify" else ""
+    assert lines[0] == f"# ccmv {argv[0]} model=heisenberg{suite}"
+    if summary is not None:
+        assert lines.pop() == f"# {summary}"
+    body = lines[1:]
+    assert len(body) == len(rows) > 0
+    assert not any(row.startswith("#") for row in body + rows)
+    for line, row in zip(body, rows):
+        fields = row.split("\t")
+        if summary is None:
+            assert line == " ".join(fields[:-1]) + " = " + fields[-1]
+        else:
+            assert line.startswith(f"{fields[0]} {fields[1]}")

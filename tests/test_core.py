@@ -716,6 +716,10 @@ class TestSparseVectorText:
     def test_parse_zero(self):
         assert parse_sparse_vector("0", 3).is_zero()
 
+    def test_parse_ignores_surrounding_whitespace(self):
+        assert parse_sparse_vector(" 0\n", 3).is_zero()
+        assert parse_sparse_vector("\t-1/2:1,3:3 ", 4) == parse_sparse_vector("-1/2:1,3:3", 4)
+
     @pytest.mark.parametrize("bad", ["1:9", "1:", ":2", "1:1,1:1", "x:0"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):

@@ -165,6 +165,19 @@ def test_defaults():
     assert ident == Identity("X", "axioms", (), None, _run)
 
 
+@pytest.mark.parametrize("record,defaulted", [
+    (Table(2, 2, {}), ("den",)),
+    (CheckResult("X", Status.PASS), ("witness",)),
+    (Identity("X", "axioms", ()), ("tables", "direct")),
+    (Identity("X", "axioms", (), direct=_run), ("tables",)),
+], ids=["Table", "CheckResult", "Identity", "Identity-given-direct"])
+def test_a_defaulted_field_is_in_the_instance_dict(record, defaulted):
+    # as a given field is, so that `vars` reads every field
+    assert sorted(vars(record)) == sorted(type(record)._fields)
+    for name in defaulted:
+        assert vars(record)[name] is getattr(type(record), name)
+
+
 @pytest.mark.parametrize("cls,args,kwargs", [
     (SuiteReport, ("m",), {}),
     (SuiteReport, ("m", (), ()), {}),
