@@ -12,11 +12,12 @@ costs in proportion to the nonzeros, in int arithmetic, reading indexes
 built once per table; only rendering sorts.  Text is read and written as
 int pairs too: a parsed token splits into p and q, and a vector's entry
 renders from its numerator and den by one gcd.  `Table.contract` is the one
-evaluation of a table on vectors and `combine` the one linear combination
-of tables, whose product term c * (a ⊗ b) never builds a ⊗ b.  A rank-2
-table read as a map A stores its input slot first: row(i) is A(e_i),
-`contract(x)` is A(x) and `compose` composes maps.  Every value handed
-out is an exact rational; no floating point appears anywhere.
+evaluation of a table on vectors, one walk of its prefix index, and
+`combine` the one linear combination of tables, whose product term
+c * (a ⊗ b) never builds a ⊗ b.  A rank-2 table read as a map A stores
+its input slot first: row(i) is A(e_i), `contract(x)` is A(x) and
+`compose` composes maps.  Every value handed out is an exact rational; no
+floating point appears anywhere.
 The metric is the identity in this frame, so a 1-form and its dual vector
 are the same table, so are a bilinear form and its endomorphism, and the
 inner product of two vectors is their contraction.
@@ -28,7 +29,6 @@ import functools
 import re
 import sys
 from fractions import Fraction
-from itertools import product
 from math import gcd, lcm
 from operator import attrgetter, contains, itemgetter
 from typing import Iterable, Mapping, Sequence
@@ -311,59 +311,34 @@ class Table(Record):
         """Contract the leading slots with vectors, rank-1 Tables.
 
         With every slot filled the result is the Scalar value; with all but
-        the last filled it is the rank-1 Table of the last slot.  Only stored
-        rows that the vectors' stored entries reach are read, and in the
-        scalar case a row's slot coefficients are multiplied in only once
-        the row is known to contribute.  The sums are of int numerators,
-        divided once by den times the vectors' dens.
+        the last filled it is the rank-1 Table of the last slot.  One walk of
+        the prefix index: each leading vector in turn takes the nodes reached
+        so far to the children its stored entries reach, each with the
+        product of the coefficients that reached it; the reached rows sum
+        into the last slot, read against the last vector when it is given.
+        The sums are of int numerators, divided once by den times the
+        vectors' dens.
         """
         rank, filled = self.rank, len(vectors)
         if filled != rank and filled != rank - 1:
             raise ValueError(f"a rank-{rank} table contracts {rank - 1} or {rank} "
                              f"vectors, not {filled}")
-        if not vectors:
-            return self.row()
         den = self.den
         for v in vectors:
             _require_same_dim(self.dim, v.dim)
             den *= v.den
-        # each vector's numerators by frame index
-        coeffs = [{k: a for (k,), a in v.entries.items()} for v in vectors]
-        last = coeffs[-1] if filled == rank else None
-        if rank == 1:
-            return Fraction(sum(a * last[k] for (k,), a in self.entries.items()
-                                if k in last), den)
-        # every combination of stored entries of the filled slots after the
-        # first, up to but not including the table's last slot
-        paths = list(product(*[c.items() for c in coeffs[1:rank - 1]]))
-        total, out = 0, {}
-        for i, a in coeffs[0].items():
-            node = self._prefixes.get(i)
-            if node is None:
-                continue
-            for path in paths:
-                row = node
-                for j, _ in path:
-                    row = row.get(j)
-                    if row is None:
-                        break
-                else:
-                    if last is None:
-                        factor = a
-                        for _, c in path:
-                            factor *= c
-                        for k, b in row:
-                            out[(k,)] = out.get((k,), 0) + factor * b
-                    else:
-                        part = sum(last[k] * b for k, b in row if k in last)
-                        if part:
-                            part *= a
-                            for _, c in path:
-                                part *= c
-                            total += part
-        if last is None:
-            return Table.from_numerators(self.dim, 1, out, den)
-        return Fraction(total, den)
+        reached = [(self._prefixes, 1)]
+        for v in vectors[:rank - 1]:
+            reached = [(child, c * a) for node, c in reached for (k,), a in v.entries.items()
+                       if (child := node.get(k)) is not None]
+        out: dict[tuple[int], int] = {}
+        for row, c in reached:
+            for k, b in row:
+                out[(k,)] = out.get((k,), 0) + c * b
+        if filled == rank:
+            last = vectors[-1].entries
+            return Fraction(sum(a * last[key] for key, a in out.items() if key in last), den)
+        return Table.from_numerators(self.dim, 1, out, den)
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -417,11 +392,6 @@ class Table(Record):
         """This table plus the terms, plain or product, as `combine` sums
         them, on the keys `combine` keeps with `keep` and `width`."""
         return _fold(self.dim, self.rank, terms, self.entries, self.den, keep, width)
-
-    def tensor(self, other: Table) -> Table:
-        """The tensor product self ⊗ other, entry (i, ..., k, ...) = self(i,
-        ...) * other(k, ...): `combine` of the product term (1, (self, other))."""
-        return combine([(1, (self, other))])
 
     def permute(self, order: Sequence[int]) -> Table:
         """The Table whose entry at (i_0, ..., i_r-1) is this table's entry

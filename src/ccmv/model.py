@@ -279,7 +279,6 @@ def load_model(source: str) -> ManifoldModel:
     name_seen = False
     version_seen = False
     n_value: int | None = None
-    dim = 0
     bracket_entries: dict[tuple[int, int, int], Scalar] = {}
     tensor_entries: dict[str, dict[tuple[int, int], Scalar]] = {"G": {}, "H": {}, "J": {}}
 

@@ -596,7 +596,7 @@ class ExpectedFormatError(ValueError):
 class ExpectedEntry(Record):
     kind: str
     indices: tuple[int, ...]
-    expected: object  # a rank-1 Table for R/conn, Scalar otherwise
+    expected: object  # a rank-1 Table for a vector kind, Scalar otherwise
     line: int
 
     def __init__(self, kind: str, indices: tuple[int, ...], expected: object,
@@ -609,8 +609,18 @@ class ExpectedEntry(Record):
         return " ".join([self.kind, *map(str, self.indices)])
 
 
-_EXPECTED_ARITY = {"R": 3, "conn": 2, "ric": 2, "scal": 0, "sec": 2, "hol": 1}
-_EXPECTED_VECTOR_KINDS = {"R", "conn"}
+# each entry kind: its number of indices, whether its value is a vector,
+# and its value at those indices, computed from the Workspace
+_KINDS: dict[str, tuple[int, bool, Callable]] = {
+    "R": (3, True, lambda ws, i, j, k: ws.curv.row(i, j, k)),
+    "conn": (2, True, lambda ws, i, j: ws.conn.row(i, j)),
+    "ric": (2, False, lambda ws, i, j: ws.rho.entry(i, j)),
+    "scal": (0, False, lambda ws: ws.tau),
+    "sec": (2, False, lambda ws, i, j: sectional(ws.curv, ws.model.basis(i),
+                                                 ws.model.basis(j))),
+    "hol": (1, False, lambda ws, i: holomorphic_sectional(ws.model, ws.curv,
+                                                          ws.model.basis(i))),
+}
 
 
 def parse_expected(source: str, dim: int) -> tuple[ExpectedEntry, ...]:
@@ -623,9 +633,9 @@ def parse_expected(source: str, dim: int) -> tuple[ExpectedEntry, ...]:
             continue
         tokens = line.split()
         kind = tokens[0]
-        if kind not in _EXPECTED_ARITY:
+        if kind not in _KINDS:
             raise ExpectedFormatError(line_no, f"unknown entry kind {kind!r}")
-        arity = _EXPECTED_ARITY[kind]
+        arity, is_vector, _ = _KINDS[kind]
         if len(tokens) != arity + 3 or tokens[arity + 1] != "=":
             raise ExpectedFormatError(
                 line_no, f"{kind} entry must look like `{kind}"
@@ -638,10 +648,8 @@ def parse_expected(source: str, dim: int) -> tuple[ExpectedEntry, ...]:
             raise ExpectedFormatError(line_no, f"index out of range for dim {dim}")
         value_text = tokens[arity + 2]
         try:
-            if kind in _EXPECTED_VECTOR_KINDS:
-                expected = parse_sparse_vector(value_text, dim)
-            else:
-                expected = parse_scalar(value_text)
+            expected = (parse_sparse_vector(value_text, dim) if is_vector
+                        else parse_scalar(value_text))
         except ValueError as exc:
             raise ExpectedFormatError(line_no, str(exc))
         entries.append(ExpectedEntry(kind, indices, expected, line_no))
@@ -689,29 +697,10 @@ def diff_expected(m: ManifoldModel, exp: Sequence[ExpectedEntry]) -> DiffReport:
     """Recompute every expected entry exactly and report MATCH/MISMATCH."""
     require_lie_algebra(m)
     ws = Workspace(m)
-
-    def compute(entry: ExpectedEntry):
-        if entry.kind == "R":
-            i, j, k = entry.indices
-            return ws.curv.row(i, j, k)
-        if entry.kind == "conn":
-            i, j = entry.indices
-            return ws.conn.row(i, j)
-        if entry.kind == "ric":
-            i, j = entry.indices
-            return ws.rho.entry(i, j)
-        if entry.kind == "scal":
-            return ws.tau
-        if entry.kind == "sec":
-            i, j = entry.indices
-            return sectional(ws.curv, m.basis(i), m.basis(j))
-        i, = entry.indices
-        return holomorphic_sectional(m, ws.curv, m.basis(i))
-
     diffs = []
     for entry in exp:
         try:
-            computed = compute(entry)
+            computed = _KINDS[entry.kind][2](ws, *entry.indices)
         except DegeneratePlane as exc:
             raise DegeneratePlane(f"line {entry.line}: {entry.key}: {exc}") from None
         diffs.append(DiffEntry(

@@ -384,7 +384,13 @@ class TestErrorPaths:
         assert out == ""
         assert "line 3: expected a frame index, got '+4'" in err
 
-    def test_huge_n_exits_2_with_a_message(self, capsys, tmp_path):
+    def test_huge_n_exits_2_with_a_message(self, capsys, tmp_path, monkeypatch):
+        # the loader must refuse n before it builds a table: a model past
+        # the maximum that reached the engine would not fail, it would hang
+        def builds_no_table(*args):
+            raise AssertionError("a table was built for n past the maximum")
+
+        monkeypatch.setattr(ccmv.model, "structure_constants", builds_no_table)
         huge = tmp_path / "huge.ccm"
         huge.write_text("version 1\nn 1000000\n")
         code, out, err = run_cli(capsys, "verify", str(huge))

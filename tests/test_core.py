@@ -187,7 +187,7 @@ class TestMaps:
     def test_form_tensor_vector_is_a_rank_one_map(self):
         # x -> form(x) vec
         vec, form = basis(3, 1), basis(3, 2)
-        rank_one = form.tensor(vec)
+        rank_one = combine([(1, (form, vec))])
         assert rank_one.contract(basis(3, 2)) == vec
         assert rank_one.contract(basis(3, 0)).is_zero()
 
@@ -336,11 +336,11 @@ class TestTable:
         c = data.draw(st.sampled_from([1, -1, 0, Fraction(2, 3)]))
         ta, tb, tf = (Table.from_values(dim, 2, a), Table.from_values(dim, 2, b),
                       Table.from_values(dim, 1, form))
-        left = tf.tensor(ta)
+        left = combine([(1, (tf, ta))])
         for result, expected in ((ta.add([(c, tb)]), dense_sum((1, a), (c, b))),
                                  (ta.permute((1, 0)), dense_permute(a, (1, 0))),
                                  (left, dense_product(form, a)),
-                                 (ta.tensor(tf), dense_product(a, form)),
+                                 (combine([(1, (ta, tf))]), dense_product(a, form)),
                                  (left.permute((1, 0, 2)), dense_product(form, a, 1))):
             assert type(result) is Table
             assert dict(result.items()) == expected
@@ -412,7 +412,7 @@ class TestTable:
             t.add([(1, u), (Fraction(2, 7), t), (1, wide)])
         # a term of the wrong dimension and rank is reported by its dimension
         with pytest.raises(DimensionMismatch, match=r"^dimension mismatch: 3 vs 4$"):
-            t.add([(1, u), (1, wide.tensor(wide))])
+            t.add([(1, u), (1, combine([(1, (wide, wide))]))])
         with pytest.raises(ValueError, match=r"^a rank-3 table does not add to rank 2$"):
             t.add([(Fraction(1, 3), u), (1, t), (1, Table.from_values(3, 3, {(0, 0, 0): 1}))])
         with pytest.raises(ValueError, match=r"^a rank-1 table does not add to rank 2$"):
@@ -542,8 +542,8 @@ class TestTable:
         assert t.permute((1, 0)).permute((1, 0)) == t
         half = Table.from_values(3, 1, {(0,): Fraction(1, 2)})
         two = Table.from_values(3, 1, {(1,): 2})
-        assert half.tensor(two) == Table.from_values(3, 2, {(0, 1): 1})
-        assert half.tensor(two).den == 1
+        assert combine([(1, (half, two))]) == Table.from_values(3, 2, {(0, 1): 1})
+        assert combine([(1, (half, two))]).den == 1
         assert t.restrict(range(2)) == Table.from_values(3, 2, {(0, 1): Fraction(1, 2)})
         assert t != t.add([(1, u)]) and t.add([(1, u)]) == u.add([(1, t)])
 
@@ -578,8 +578,8 @@ class TestTable:
         a, b, f = dict(t.items()), dict(other.items()), dict(form.items())
         cases = [
             (t.add([(c, other)]), dense_sum((1, a), (c, b))),
-            (t.tensor(form), dense_product(a, f)),
-            (form.tensor(t), dense_product(f, a)),
+            (combine([(1, (t, form))]), dense_product(a, f)),
+            (combine([(1, (form, t))]), dense_product(f, a)),
             (t.permute(order), dense_permute(a, order)),
             (t.fix(slot, index), dense_fix(a, slot, index)),
             (t.restrict(keep, width), dense_restrict(a, keep, width)),
@@ -638,7 +638,7 @@ class TestTable:
         form = Table.from_values(dim, 1, {(i,): c for i, c in enumerate(data.draw(st.lists(
             sparse_rationals, min_size=dim, max_size=dim))) if c})
         for left, right in ((table, form), (form, table)):
-            assert left.tensor(right) == Table.from_values(
+            assert combine([(1, (left, right))]) == Table.from_values(
                 dim, rank + 1, dense_product(dict(left.items()), dict(right.items())))
 
     def test_fix_reads_one_slot(self):
@@ -669,7 +669,7 @@ class TestTable:
     def test_add_and_permute_reject_mismatched_slots(self):
         table = Table.from_values(2, 2, {(0, 1): Fraction(1)})
         with pytest.raises(ValueError, match="does not add"):
-            table.add([(1, table.tensor(table))])
+            table.add([(1, combine([(1, (table, table))]))])
         with pytest.raises(ValueError, match="is not an order"):
             table.permute((0, 0))
         with pytest.raises(ValueError, match="is not an order"):

@@ -689,8 +689,8 @@ def full_build_row(ws: Workspace, identity_id: str) -> CheckResult:
         a, b = ("G", "H") if identity_id == "EQ-2.20" else ("H", "G")
         ds, form_j, form_b = (t.restrict(hor) for t in (ws.dsigma, m.J, getattr(m, b)))
         ds_a = ws.dsigma.pullback(getattr(m, a), (0,), hor)
-        clauses = [("", pulled[a], r.add([(-2, ds.tensor(form_j)), (2, form_b.tensor(ds_a)),
-                                           (2, form_j.tensor(ds)), (-2, ds_a.tensor(form_b))]))]
+        clauses = [("", pulled[a], r.add([(-2, (ds, form_j)), (2, (form_b, ds_a)),
+                                           (2, (form_j, ds)), (-2, (ds_a, form_b))]))]
     ident = registry_identity(identity_id)
     return _run_tables(ws, Identity(identity_id, ident.group, ident.slots,
                                     tables=lambda _: clauses))

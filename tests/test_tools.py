@@ -52,3 +52,21 @@ def test_paired_ab_stops_when_the_trees_render_a_row_differently(tmp_path, capsy
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "iwasawa verdict: the two trees' rows differ on pair 0\n"
+
+
+def test_reach_lists_unreached_statements_of_the_package_only(capsys):
+    spec = importlib.util.spec_from_file_location("reach", ROOT / "tools" / "reach.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    package, path = sys.modules["ccmv"], list(sys.path)
+    assert module.main() == 0
+    # the fresh import under the trace is undone: the test run's package stays
+    assert sys.modules["ccmv"] is package and sys.path == path
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = out.splitlines()
+    assert rows
+    for row in rows:
+        where, line, text = row.split(":", 2)
+        assert where.startswith("src/ccmv/") and (ROOT / where).is_file(), row
+        assert int(line) > 0 and text.strip(), row
