@@ -10,6 +10,7 @@ inequality is a theorem about the model, not a numerical impression.
 """
 from .core import (
     DimensionMismatch,
+    FormatError,
     Scalar,
     Status,
     Table,
@@ -24,7 +25,6 @@ from .model import (
     InvalidModelError,
     MAX_N,
     ManifoldModel,
-    ModelFormatError,
     SuiteReport,
     build_abelian,
     build_heisenberg,
@@ -52,7 +52,6 @@ from .curvature import (
 )
 from .verify import (
     DiffReport,
-    ExpectedFormatError,
     SELECTORS,
     Workspace,
     diff_expected,
@@ -71,12 +70,11 @@ __all__ = [
     "DegeneratePlane",
     "DiffReport",
     "DimensionMismatch",
-    "ExpectedFormatError",
+    "FormatError",
     "HEISENBERG_CCM",
     "InvalidModelError",
     "ManifoldModel",
     "MAX_N",
-    "ModelFormatError",
     "SELECTORS",
     "Scalar",
     "Status",

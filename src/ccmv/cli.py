@@ -17,6 +17,7 @@ from typing import Sequence
 
 from .connection import levi_civita
 from .core import (
+    FormatError,
     UnprintableValue,
     format_scalar,
     format_sparse_vector,
@@ -27,7 +28,6 @@ from .model import (
     HEISENBERG_CCM,
     InvalidModelError,
     ManifoldModel,
-    ModelFormatError,
     SuiteReport,
     load_model,
     require_lie_algebra,
@@ -35,7 +35,6 @@ from .model import (
 )
 from .verify import (
     SELECTORS,
-    ExpectedFormatError,
     Workspace,
     check_rows,
     diff_expected,
@@ -67,7 +66,7 @@ def _load(path: str) -> ManifoldModel:
     source = _read_text(path)
     try:
         return load_model(source)
-    except ModelFormatError as exc:
+    except FormatError as exc:
         raise _CliError(f"{path}: {exc}") from exc
 
 
@@ -188,7 +187,7 @@ def _cmd_diff(args: argparse.Namespace) -> int:
     source = _read_text(args.expected)
     try:
         report = diff_expected(m, parse_expected(source, m.dim))
-    except (ExpectedFormatError, DegeneratePlane) as exc:
+    except (FormatError, DegeneratePlane) as exc:
         raise _CliError(f"{args.expected}: {exc}") from exc
     rows = diff_tsv_rows(report) if args.format == "tsv" else diff_text_rows(report)
     summary = (f"{len(report.entries)} entries: {report.match_count} match, "

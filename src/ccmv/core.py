@@ -55,6 +55,26 @@ def _require_same_dim(a: int, b: int) -> None:
         raise DimensionMismatch(f"dimension mismatch: {a} vs {b}")
 
 
+class FormatError(ValueError):
+    """Malformed input document; carries the 1-based source line number."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(f"line {line}: {message}")
+        self.line = line
+
+
+def token_lines(source: str) -> list[tuple[int, list[str]]]:
+    """The (1-based line number, tokens) of each line of a document that
+    holds tokens.  Lines end at `\\n`, `\\r\\n` and `\\r` only, `#` starts a
+    comment that runs to the end of its line, tokens are separated by
+    whitespace, and one leading byte-order mark is dropped."""
+    if "\r" in source:
+        source = source.replace("\r\n", "\n").replace("\r", "\n")
+    return [(line_no, tokens)
+            for line_no, raw in enumerate(source.removeprefix("\ufeff").split("\n"), start=1)
+            if (tokens := (raw.partition("#")[0] if "#" in raw else raw).split())]
+
+
 _RATIONAL_RE = re.compile(r"(-?\d+)(?:/(\d+))?\Z", re.ASCII)
 _INDEX_RE = re.compile(r"-?\d+\Z", re.ASCII)
 

@@ -14,6 +14,7 @@ from typing import Callable
 
 from .core import (
     Failure,
+    FormatError,
     Record,
     Scalar,
     Status,
@@ -25,6 +26,7 @@ from .core import (
     least_nonzero,
     parse_frame_index,
     parse_scalar,
+    token_lines,
 )
 
 
@@ -38,14 +40,6 @@ from .core import (
 # time of a model with long denominators.  A larger `n` is rejected by the
 # loader before any table is built.
 MAX_N = 13
-
-
-class ModelFormatError(ValueError):
-    """Malformed model document; carries the 1-based source line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
 
 
 class InvalidModelError(ValueError):
@@ -268,16 +262,13 @@ def require_lie_algebra(m: ManifoldModel) -> None:
 
 
 def load_model(source: str) -> ManifoldModel:
-    """Parse a model document.
+    """Parse a model document, read by `core.token_lines`.
 
-    Line-oriented, '#' starts a comment, tokens are whitespace-separated.
     The `version` line must come first and `n` must precede every indexed
     line.  Unlisted coefficients are zero.  Structural axioms are NOT
     checked here; run validate_structure on the result.
     """
-    name = "model"
-    name_seen = False
-    version_seen = False
+    name: str | None = None
     n_value: int | None = None
     bracket_entries: dict[tuple[int, int, int], Scalar] = {}
     tensor_entries: dict[str, dict[tuple[int, int], Scalar]] = {"G": {}, "H": {}, "J": {}}
@@ -286,90 +277,83 @@ def load_model(source: str) -> ManifoldModel:
         try:
             value = parse_frame_index(token)
         except ValueError:
-            raise ModelFormatError(line_no, f"expected a frame index, got {token!r}")
+            raise FormatError(line_no, f"expected a frame index, got {token!r}")
         if not 0 <= value < dim:
-            raise ModelFormatError(line_no, f"frame index {value} out of range "
-                                            f"for dimension {dim}")
+            raise FormatError(line_no, f"frame index {value} out of range "
+                                       f"for dimension {dim}")
         return value
 
     def parse_value(token: str, line_no: int) -> Scalar:
         try:
             return parse_scalar(token)
         except ValueError as exc:
-            raise ModelFormatError(line_no, str(exc))
+            raise FormatError(line_no, str(exc))
 
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    lines = token_lines(source)
+    if not lines:
+        raise FormatError(1, "empty document: missing `version 1` line")
+    line_no, tokens = lines[0]
+    if tokens[0] != "version":
+        raise FormatError(line_no, "first line must be `version 1`")
+    if tokens[1:] != ["1"]:
+        raise FormatError(line_no, f"unsupported version {tokens[1:]}")
+
+    for line_no, tokens in lines[1:]:
         keyword = tokens[0]
-
-        if not version_seen:
-            if keyword != "version":
-                raise ModelFormatError(line_no, "first line must be `version 1`")
-            if tokens[1:] != ["1"]:
-                raise ModelFormatError(line_no, f"unsupported version {tokens[1:]}")
-            version_seen = True
-            continue
-
         if keyword == "version":
-            raise ModelFormatError(line_no, "duplicate version line")
+            raise FormatError(line_no, "duplicate version line")
         if keyword == "name":
-            if name_seen:
-                raise ModelFormatError(line_no, "duplicate name line")
+            if name is not None:
+                raise FormatError(line_no, "duplicate name line")
             if len(tokens) != 2:
-                raise ModelFormatError(line_no, "name takes exactly one token")
+                raise FormatError(line_no, "name takes exactly one token")
             name = tokens[1]
-            name_seen = True
             continue
         if keyword == "n":
             if n_value is not None:
-                raise ModelFormatError(line_no, "duplicate n line")
+                raise FormatError(line_no, "duplicate n line")
             digits = tokens[1].lstrip("0") if len(tokens) == 2 else ""
             if not (digits.isascii() and digits.isdigit()):
-                raise ModelFormatError(line_no, "n takes one positive integer")
+                raise FormatError(line_no, "n takes one positive integer")
             if len(digits) > len(str(MAX_N)) or int(digits) > MAX_N:
-                raise ModelFormatError(line_no, f"n exceeds the supported maximum {MAX_N}")
+                raise FormatError(line_no, f"n exceeds the supported maximum {MAX_N}")
             n_value = int(digits)
             dim = 4 * n_value + 2
             continue
 
         if keyword in ("bracket", "G", "H", "J") and n_value is None:
-            raise ModelFormatError(line_no, "n must be declared before indexed lines")
+            raise FormatError(line_no, "n must be declared before indexed lines")
 
         if keyword == "bracket":
             if len(tokens) != 5:
-                raise ModelFormatError(line_no, "bracket takes i j k value")
+                raise FormatError(line_no, "bracket takes i j k value")
             i = parse_index(tokens[1], line_no)
             j = parse_index(tokens[2], line_no)
             k = parse_index(tokens[3], line_no)
             if i >= j:
-                raise ModelFormatError(line_no, f"bracket {i} {j}: i must be < j")
+                raise FormatError(line_no, f"bracket {i} {j}: i must be < j")
             if (i, j, k) in bracket_entries:
-                raise ModelFormatError(line_no, f"duplicate bracket entry {i} {j} {k}")
+                raise FormatError(line_no, f"duplicate bracket entry {i} {j} {k}")
             bracket_entries[(i, j, k)] = parse_value(tokens[4], line_no)
             continue
 
         if keyword in ("G", "H", "J"):
             if len(tokens) != 4:
-                raise ModelFormatError(line_no, f"{keyword} takes i k value")
+                raise FormatError(line_no, f"{keyword} takes i k value")
             i = parse_index(tokens[1], line_no)
             k = parse_index(tokens[2], line_no)
             if (i, k) in tensor_entries[keyword]:
-                raise ModelFormatError(line_no, f"duplicate {keyword} entry {i} {k}")
+                raise FormatError(line_no, f"duplicate {keyword} entry {i} {k}")
             tensor_entries[keyword][(i, k)] = parse_value(tokens[3], line_no)
             continue
 
-        raise ModelFormatError(line_no, f"unknown directive {keyword!r}")
+        raise FormatError(line_no, f"unknown directive {keyword!r}")
 
-    if not version_seen:
-        raise ModelFormatError(1, "empty document: missing `version 1` line")
     if n_value is None:
-        raise ModelFormatError(1, "missing n line")
+        raise FormatError(1, "missing n line")
 
     return ManifoldModel(
-        name=name,
+        name=name or "model",
         n=n_value,
         constants=structure_constants(dim, bracket_entries),
         G=Table.from_values(dim, 2, tensor_entries["G"]),

@@ -44,6 +44,7 @@ from typing import Callable, Sequence
 from .core import (
     ZERO,
     Failure,
+    FormatError,
     Record,
     Scalar,
     Table,
@@ -54,6 +55,7 @@ from .core import (
     parse_frame_index,
     parse_scalar,
     parse_sparse_vector,
+    token_lines,
 )
 from .connection import levi_civita
 from .curvature import (
@@ -585,14 +587,6 @@ def run_suite(m: ManifoldModel, selector: str = "all") -> SuiteReport:
 
 # ----- expected-values files -----
 
-class ExpectedFormatError(ValueError):
-    """Malformed expected-values document; carries the source line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
 class ExpectedEntry(Record):
     kind: str
     indices: tuple[int, ...]
@@ -624,34 +618,30 @@ _KINDS: dict[str, tuple[int, bool, Callable]] = {
 
 
 def parse_expected(source: str, dim: int) -> tuple[ExpectedEntry, ...]:
-    """Parse an expected-values document against a model dimension: its
-    entries in file order."""
+    """Parse an expected-values document, read by `core.token_lines`,
+    against a model dimension: its entries in file order."""
     entries: list[ExpectedEntry] = []
-    for line_no, raw in enumerate(source.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
+    for line_no, tokens in token_lines(source):
         kind = tokens[0]
         if kind not in _KINDS:
-            raise ExpectedFormatError(line_no, f"unknown entry kind {kind!r}")
+            raise FormatError(line_no, f"unknown entry kind {kind!r}")
         arity, is_vector, _ = _KINDS[kind]
         if len(tokens) != arity + 3 or tokens[arity + 1] != "=":
-            raise ExpectedFormatError(
+            raise FormatError(
                 line_no, f"{kind} entry must look like `{kind}"
                          f"{' <i>' * arity} = <value>`")
         try:
             indices = tuple(parse_frame_index(tok) for tok in tokens[1:arity + 1])
         except ValueError:
-            raise ExpectedFormatError(line_no, "indices must be integers")
+            raise FormatError(line_no, "indices must be integers")
         if any(not 0 <= idx < dim for idx in indices):
-            raise ExpectedFormatError(line_no, f"index out of range for dim {dim}")
+            raise FormatError(line_no, f"index out of range for dim {dim}")
         value_text = tokens[arity + 2]
         try:
             expected = (parse_sparse_vector(value_text, dim) if is_vector
                         else parse_scalar(value_text))
         except ValueError as exc:
-            raise ExpectedFormatError(line_no, str(exc))
+            raise FormatError(line_no, str(exc))
         entries.append(ExpectedEntry(kind, indices, expected, line_no))
     return tuple(entries)
 

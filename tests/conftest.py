@@ -32,6 +32,10 @@ from ccmv.model import structure_constants
 # the frozen reports, read from the checkout whatever the working directory
 ERRATA = Path(__file__).resolve().parent.parent / "errata"
 
+# the characters other than \n and \r at which `str.splitlines` ends a line;
+# an input document's lines end at \n, \r\n and \r only
+NOT_LINE_ENDS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 @pytest.fixture(scope="session")
 def heisenberg() -> ManifoldModel:

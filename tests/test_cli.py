@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import importlib.resources
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +324,21 @@ class TestDiff:
         assert (code, out) == (2, "")
         assert err == (f"ccmv: {expected}: line 2: {entry}: "
                        f"vectors do not span a nondegenerate plane\n")
+
+    @pytest.mark.parametrize("command", ["validate", "diff"])
+    def test_byte_order_marked_files_print_what_the_plain_files_print(
+            self, capsys, heis_path, tmp_path, command):
+        model, table = tmp_path / "heisenberg.ccm", tmp_path / "iwasawa.ccmx"
+        model.write_text("\ufeff" + HEISENBERG_CCM, encoding="utf-8")
+        table.write_text("\ufeff" + Path(EXPECTED_FILE).read_text(encoding="utf-8"),
+                         encoding="utf-8")
+        plain, marked = [command, heis_path], [command, str(model)]
+        if command == "diff":
+            plain += ["--expected", EXPECTED_FILE]
+            marked += ["--expected", str(table)]
+        expected = run_cli(capsys, *plain)
+        assert run_cli(capsys, *marked) == expected
+        assert expected[0] in (0, 1) and expected[2] == ""
 
     def test_missing_expected_file_exits_2(self, capsys, heis_path):
         code, _, err = run_cli(capsys, "diff", heis_path,

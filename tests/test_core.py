@@ -23,9 +23,10 @@ from ccmv.core import (
     format_value,
     parse_scalar,
     parse_sparse_vector,
+    token_lines,
 )
 
-from conftest import basis, cayley_rotation, tensor4_from_function, vector
+from conftest import NOT_LINE_ENDS, basis, cayley_rotation, tensor4_from_function, vector
 from reference import (
     dense_contract,
     dense_fix,
@@ -674,6 +675,25 @@ class TestTable:
             table.permute((0, 0))
         with pytest.raises(ValueError, match="is not an order"):
             table.permute((1,))
+
+
+class TestTokenLines:
+    def test_lines_end_at_newline_crlf_and_cr(self):
+        assert token_lines("a 1\r\nb\rc\n\nd # e\n# f\n") == [
+            (1, ["a", "1"]), (2, ["b"]), (3, ["c"]), (5, ["d"])]
+
+    def test_not_line_ends_are_the_other_line_breaks_of_splitlines(self):
+        breaks = {c for c in map(chr, range(0x3000)) if len(f"a{c}b".splitlines()) == 2}
+        assert breaks == {"\n", "\r", *NOT_LINE_ENDS}
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_other_line_breaks_stay_in_their_line(self, char):
+        assert token_lines(f"a{char}b # c{char}d\ne\n") == [(1, ["a", "b"]), (2, ["e"])]
+
+    def test_one_leading_byte_order_mark_is_dropped(self):
+        assert token_lines("\ufeffversion 1\n") == [(1, ["version", "1"])]
+        assert token_lines("\ufeff\ufeffa\n") == [(1, ["\ufeffa"])]
+        assert token_lines("a\n\ufeffb\n") == [(1, ["a"]), (2, ["\ufeffb"])]
 
 
 class TestSparseVectorText:

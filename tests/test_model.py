@@ -5,14 +5,13 @@ from fractions import Fraction
 
 import pytest
 
-from ccmv.core import Status
+from ccmv.core import FormatError, Status
 from ccmv.model import (
     HEISENBERG_CCM,
     CheckResult,
     MAX_N,
     InvalidModelError,
     ManifoldModel,
-    ModelFormatError,
     build_abelian,
     build_heisenberg,
     lie_checks,
@@ -22,7 +21,7 @@ from ccmv.model import (
     validate_structure,
 )
 from ccmv.core import Table, combine
-from conftest import vector
+from conftest import NOT_LINE_ENDS, vector
 
 MINIMAL = "version 1\nname tiny\nn 1\n"
 
@@ -116,6 +115,17 @@ class TestLoadHappyPath:
     def test_default_name(self):
         assert load_model("version 1\nn 1\n").name == "model"
 
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_a_comment_runs_to_the_line_end(self, char):
+        # the retired bracket stays inside its comment
+        text = HEISENBERG_CCM + f"# retired entry{char}bracket 0 1 4 5\n"
+        assert load_model(text) == build_heisenberg()
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_other_line_breaks_separate_tokens(self, char):
+        text = HEISENBERG_CCM.replace("G 0 2 -1\n", f"G 0 2{char}-1\n")
+        assert load_model(text) == build_heisenberg()
+
 
 class TestLoadErrors:
     @pytest.mark.parametrize("text,line,fragment", [
@@ -150,7 +160,7 @@ class TestLoadErrors:
         ("version 1\nname a\n", 1, "missing n"),
     ])
     def test_rejects(self, text, line, fragment):
-        with pytest.raises(ModelFormatError) as err:
+        with pytest.raises(FormatError) as err:
             load_model(text)
         assert err.value.line == line
         assert fragment in str(err.value)
@@ -158,7 +168,7 @@ class TestLoadErrors:
 
     def test_huge_n_is_rejected_before_any_table_exists(self):
         text = "version 1\nn " + "9" * 5000 + "\nbracket 0 1 2 1\n"
-        with pytest.raises(ModelFormatError) as err:
+        with pytest.raises(FormatError) as err:
             load_model(text)
         assert err.value.line == 2
         assert f"exceeds the supported maximum {MAX_N}" in str(err.value)

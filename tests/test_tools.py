@@ -70,3 +70,24 @@ def test_reach_lists_unreached_statements_of_the_package_only(capsys):
         where, line, text = row.split(":", 2)
         assert where.startswith("src/ccmv/") and (ROOT / where).is_file(), row
         assert int(line) > 0 and text.strip(), row
+
+
+def test_hostile_inputs_keep_the_cli_contract(tmp_path):
+    spec = importlib.util.spec_from_file_location("hostile_inputs",
+                                                  ROOT / "tools" / "hostile_inputs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    runs = module.sweep(200, tmp_path)
+    # validate and verify on each model mutant, diff on each table mutant
+    assert len(runs) == 600
+    for run in runs:
+        where = (run.document, run.index, run.argv[0], run.err)
+        # None: an exception other than argparse's exit left main
+        assert run.code in (0, 1, 2), where
+        if run.code == 2:
+            assert run.out == "", where
+            assert run.err.startswith("ccmv: ") and run.err.endswith("\n"), where
+            assert len(run.err.splitlines()) == 1, where
+        else:
+            assert run.err == "", where
+        assert run.seconds < 2, where

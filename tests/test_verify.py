@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import ccmv
-from ccmv.core import Status, Table, combine, format_sparse_vector
+from ccmv.core import FormatError, Status, Table, combine, format_sparse_vector
 from ccmv.curvature import DegeneratePlane
 from ccmv.model import (
     HEISENBERG_CCM,
@@ -25,7 +25,6 @@ from ccmv.verify import (
     REGISTRY,
     Identity,
     SELECTORS,
-    ExpectedFormatError,
     Workspace,
     check_rows,
     diff_expected,
@@ -38,6 +37,7 @@ from ccmv.verify import (
 )
 from conftest import (
     ERRATA,
+    NOT_LINE_ENDS,
     cayley_rotation,
     make_heisenberg_model,
     make_nilpotent_model,
@@ -119,8 +119,8 @@ class TestRegistry:
         # a removed name cannot come back, nor a new one arrive, unnoticed
         assert sorted(ccmv.__all__) == [
         "CheckResult", "DegeneratePlane", "DiffReport", "DimensionMismatch",
-        "ExpectedFormatError", "HEISENBERG_CCM",
-        "InvalidModelError", "MAX_N", "ManifoldModel", "ModelFormatError",
+        "FormatError", "HEISENBERG_CCM",
+        "InvalidModelError", "MAX_N", "ManifoldModel",
         "SELECTORS", "Scalar", "Status", "SuiteReport", "Table",
         "Workspace", "build_abelian", "build_heisenberg",
         "check_normality", "diff_expected", "diff_text_rows",
@@ -357,10 +357,17 @@ class TestParseExpected:
         ("R 0 1 2 = 1:9\n", 1, "out of range"),
     ])
     def test_rejects(self, text, line, fragment):
-        with pytest.raises(ExpectedFormatError) as err:
+        with pytest.raises(FormatError) as err:
             parse_expected(text, 6)
         assert err.value.line == line
         assert fragment in str(err.value)
+
+    @pytest.mark.parametrize("char", NOT_LINE_ENDS)
+    def test_line_numbers_count_line_ends_only(self, char):
+        with pytest.raises(FormatError) as err:
+            parse_expected(f"scal = 0\n# header{char}\nfrobnicate\n", 6)
+        assert err.value.line == 3
+        assert str(err.value) == "line 3: unknown entry kind 'frobnicate'"
 
 
 class TestDiff:
